@@ -22,8 +22,8 @@ from .maps import (
     is_expanding, is_homotopy_equivalence, is_train_track, power, used_language,
 )
 from .measures import (
-    KolmogorovFunction, MeasureTable, frequency_oracle, image_measure,
-    recover_weights, verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, frequency_oracle,
+    image_measure, recover_weights, verify_eigen_measure, verify_kolmogorov,
 )
 from .spectra import (
     BlockForm, Eigenpair, block_form, distinguished_eigenvectors, is_primitive,

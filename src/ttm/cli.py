@@ -30,7 +30,7 @@ from .maps import (
     GraphMap, is_expanding, is_homotopy_equivalence, is_train_track,
 )
 from .measures import (
-    KolmogorovFunction, frequency_oracle, verify_eigen_measure,
+    FrequencyOracle, KolmogorovFunction, verify_eigen_measure,
     verify_kolmogorov,
 )
 from .substitutions import ergodic_measures
@@ -63,10 +63,6 @@ def load(path: str):
         return parse(handle.read())
 
 
-def get_map(doc, name: str) -> GraphMap:
-    return doc.map(name)
-
-
 # -- vector selection ---------------------------------------------------------------
 
 
@@ -93,7 +89,10 @@ def pick_vector(f: GraphMap, spec_text: str):
         vector = tuple(v / scale if (v > 0) is True else ia.zero()
                        for v in best.vector)
         return vector, best.value
-    coords = [Fraction(tok) for tok in spec_text.split(",")]
+    try:
+        coords = [Fraction(tok) for tok in spec_text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise TTMError(f"vector coordinates must be rationals: {exc}") from exc
     if len(coords) != len(m):
         raise TTMError(f"vector needs {len(m)} coordinates")
     if all(c == 0 for c in coords) or any(c < 0 for c in coords):
@@ -122,7 +121,7 @@ def build_measure(f: GraphMap, vector_spec: str):
 
 def cmd_check(args) -> int:
     doc = load(args.file)
-    f = get_map(doc, args.map)
+    f = doc.map(args.map)
     out = []
     ok, witness = is_train_track(f)
     if ok:
@@ -151,7 +150,7 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     doc = load(args.file)
-    f = get_map(doc, args.map)
+    f = doc.map(args.map)
     m = f.transition_matrix()
     bf = spectra.block_form(m)
     labels = f.domain.edge_labels
@@ -189,15 +188,27 @@ def cmd_spectrum(args) -> int:
 
 def _measure_rows(graph, kf, paths, exact):
     rows = []
+    shown = {}   # most values repeat (every zero row is one object)
     for p in paths:
         value = kf.eval(p)
-        rows.append((p, fmt_exact_fraction(value) if exact else fmt(value)))
+        text = shown.get(value._mpi_)
+        if text is None:
+            text = shown[value._mpi_] = (fmt_exact_fraction(value) if exact
+                                         else fmt(value))
+        rows.append((p, text))
     return rows
 
 
+def _require_length(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise TTMError(f"{flag} must be at least {least} (got {value})")
+
+
 def cmd_measure(args) -> int:
+    if args.table_up_to is not None:
+        _require_length("--table-up-to", args.table_up_to, 1)
     doc = load(args.file)
-    f = get_map(doc, args.map)
+    f = doc.map(args.map)
     _, _, _, kf = build_measure(f, args.vector)
     graph = f.domain
     if args.table_up_to is not None:
@@ -222,21 +233,28 @@ def cmd_measure(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_length("--max-len", args.max_len, 1)
+    _require_length("--oracle-t", args.oracle_t, 0)
     doc = load(args.file)
-    f = get_map(doc, args.map)
+    f = doc.map(args.map)
     tol = args.tol
     # interval comparison against the tolerance is tri-state; an inconclusive
     # suite (too-wide intervals, not a provable violation) doubles the
-    # working precision and reruns before giving a verdict
-    for attempt in range(3):
-        lines, failures, inconclusive = _verify_once(f, args, tol)
-        if not inconclusive or attempt == 2:
-            break
-        ia.set_precision(ia.precision_bits() * 2)
-    print("\n".join(lines))
-    if inconclusive:
-        print(f"inconclusive at {ia.precision_bits()} bits: "
-              + ", ".join(inconclusive))
+    # working precision and reruns before giving a verdict; the caller's
+    # precision is restored afterwards
+    entry_bits = ia.precision_bits()
+    try:
+        for attempt in range(3):
+            lines, failures, inconclusive = _verify_once(f, args, tol)
+            if not inconclusive or attempt == 2:
+                break
+            ia.set_precision(ia.precision_bits() * 2)
+        print("\n".join(lines))
+        if inconclusive:
+            print(f"inconclusive at {ia.precision_bits()} bits: "
+                  + ", ".join(inconclusive))
+    finally:
+        ia.set_precision(entry_bits)
     return 0 if not failures and not inconclusive else EXIT_VERIFICATION
 
 
@@ -281,8 +299,9 @@ def _verify_once(f, args, tol):
 
     worst = 0.0
     violated = False
+    oracle = FrequencyOracle(f, vt.vector, vt.lam, args.oracle_t)
     for p in f.domain.reduced_paths(min(args.max_len, 4)):
-        est = frequency_oracle(f, vt.vector, vt.lam, p, args.oracle_t)
+        est = oracle.estimate(p)
         if not est.within(kf.eval(p)):
             violated = True
         worst = max(worst, ia.sup_abs(kf.eval(p) - est.value))

@@ -177,14 +177,6 @@ def matmul(a, b):
                  for i in range(n))
 
 
-def mat_power(m, t: int):
-    n = len(m)
-    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    for _ in range(t):
-        out = matmul(out, m)
-    return out
-
-
 # -- direction map and turn legality ------------------------------------------------
 
 

@@ -7,20 +7,34 @@ extensions on either side.  These are exactly the cylinder values of a finite
 shift- and flip-invariant measure on the space of biinfinite reduced paths.
 
 The evaluator built from a weight tower computes the value of a path at the
-first tower level whose long edges are at least that long: each occurrence of
-the path (or its reverse) inside an iterate image contributes the edge weight
-at that level, and each occurrence straddling one unsubdivided vertex
-contributes the crossed turn weight.  The result does not depend on the level
-choice, which the test-suite spot-checks.
+first tower level n whose long edges are at least that long: each occurrence
+of the path (or its reverse) inside a level-n word contributes the edge
+weight, and each occurrence straddling one unsubdivided vertex contributes
+the crossed turn weight, all scaled by lambda**-n.  The result does not
+depend on the level choice, which the test-suite spot-checks.
+
+Paths are not scanned one at a time.  The first path of length L at level n
+triggers one sweep over the level-n words: a window of length L slides over
+each positive edge's word and its reverse, counting that edge for the factor
+read, and every junction ``(e1, e2, cut)`` appends its crossed turn to the
+factor ``w1[-cut:] + w2[:L-cut]``.  The result is a *recipe* per factor that
+occurs (edge counts, turns in the order met); a path absent from the sweep
+has the empty recipe, the exact zero.  A recipe is replayed in the order a
+per-path scan would sum it (edge terms in positive-edge order, then the turn
+weights as met, then the level scale) and memoised by level and recipe, so
+values are bit-identical to the per-path definition and equal recipes share
+one interval.
 
 An independent frequency oracle estimates the same values from occurrence
-counts in iterate images alone, with a certified geometric tail bound; the
-two routes share nothing past the transition matrix, making their agreement a
-meaningful cross-validation.
+counts in iterate images alone, with a certified geometric tail bound.  It
+batches its own block recursion per path length but never touches the tower,
+the weights or the sweep: the two routes share nothing past the transition
+matrix, making their agreement a meaningful cross-validation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +54,10 @@ class KolmogorovFunction:
         self.tower = tower
         self.weights = weights
         self.graph = tower.graph
-        self._memo = {}
+        self._memo = {}      # validated path and its reversal -> value
+        self._sweeps = {}    # (level, length) -> factor -> recipe
+        self._values = {}    # (level, recipe) -> value
+        self._scales = {}    # level -> lambda**-level
 
     @property
     def lam(self):
@@ -49,12 +66,13 @@ class KolmogorovFunction:
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
         path = tuple(path)
+        value = self._memo.get(path)
+        if value is not None:
+            return value
         if not path:
             raise PathError("Kolmogorov functions take non-trivial paths")
         if not self.graph.is_path(path) or not is_reduced(path):
             raise PathError("Kolmogorov functions take reduced edge paths")
-        if path in self._memo:
-            return self._memo[path]
         value = self.eval_at_level(path, self.tower.level_for_length(len(path)))
         self._memo[path] = value
         self._memo[reverse_path(path)] = value
@@ -66,38 +84,63 @@ class KolmogorovFunction:
         Needs the level-n long edges at least as long as the path, so that a
         preimage crosses at most one unsubdivided vertex.
         """
+        path = tuple(path)
+        if not path:
+            raise PathError("Kolmogorov functions take non-trivial paths")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        tower = self.tower
-        scale = self.weights.vt.level_scale(n)
-        total = ia.zero()
-        rev = reverse_path(path)
-        # (i) occurrences inside a single subdivided edge
-        for e in self.graph.positive_edges:
-            word = tower.word(e, n)
-            count = _occurrences(word, path) + _occurrences(word, rev)
-            if count:
-                total = total + ia.exact(count) * self.weights.edge_weight[e]
-        # (ii) occurrences straddling one unsubdivided vertex
-        for e1 in self.graph.oriented_edges:
+        key = (n, len(path))
+        sweep = self._sweeps.get(key)
+        if sweep is None:
+            sweep = self._sweeps[key] = self._sweep(n, len(path))
+        return self._value(n, sweep.get(path, _ZERO_RECIPE))
+
+    def _sweep(self, n: int, length: int):
+        """Recipe of every length-``length`` factor of the level-n words.
+
+        A recipe is the pair (edge counts, crossed turns): the occurrences of
+        the factor or its reverse inside each positive edge's word, and the
+        turn of every junction ``(e1, e2, cut)`` whose straddling window reads
+        the factor, in the order the per-path scan would meet them.
+        """
+        tower, graph = self.tower, self.graph
+        counts = {}
+        for e in graph.positive_edges:
+            # windows of the reversed word are the reversed windows
+            for word in (tower.word(e, n), tower.word(inverse(e), n)):
+                for i in range(len(word) - length + 1):
+                    per_edge = counts.setdefault(word[i:i + length], {})
+                    per_edge[e] = per_edge.get(e, 0) + 1
+        crossed = {}
+        for e1 in graph.oriented_edges:
             w1 = tower.word(e1, n)
-            v = self.graph.terminal(e1)
-            for e2 in self.graph.directions_at(v):
+            for e2 in graph.directions_at(graph.terminal(e1)):
                 if e2 == inverse(e1):
                     continue
                 w2 = tower.word(e2, n)
                 turn = make_turn(inverse(e1), e2)
-                tw = self.weights.turn_weight[turn]
-                for cut in range(1, len(path)):
-                    if w1[-cut:] == path[:cut] and w2[:len(path) - cut] == path[cut:]:
-                        total = total + tw
-        return total * scale
+                for cut in range(1, length):
+                    crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
+        return {p: (tuple(counts.get(p, {}).items()), tuple(crossed.get(p, ())))
+                for p in counts.keys() | crossed.keys()}
 
-    def support_language(self, max_length: int):
-        """Paths of positive measure, a subset of the infinitely legal
-        language truncation."""
-        return [p for p in self.graph.reduced_paths(max_length)
-                if self.eval(p) > 0]
+    def _value(self, n: int, recipe):
+        """Replay a recipe in the per-path summation order: edge terms in
+        positive-edge order, then turn weights as met, then the level scale."""
+        key = (n, recipe)
+        value = self._values.get(key)
+        if value is None:
+            edges, turns = recipe
+            total = ia.zero()
+            for e, count in edges:
+                total = total + ia.exact(count) * self.weights.edge_weight[e]
+            for turn in turns:
+                total = total + self.weights.turn_weight[turn]
+            scale = self._scales.get(n)
+            if scale is None:
+                scale = self._scales[n] = self.weights.vt.level_scale(n)
+            value = self._values[key] = total * scale
+        return value
 
     def table(self, max_length: int) -> "MeasureTable":
         """Table over every reduced path up to the bound (exponentially many;
@@ -118,9 +161,8 @@ class KolmogorovFunction:
         return MeasureTable(self.graph, entries, max_length, provenance="computed")
 
 
-def _occurrences(word, pattern) -> int:
-    n, m = len(word), len(pattern)
-    return sum(1 for i in range(n - m + 1) if word[i:i + m] == pattern)
+# a factor absent from every level word has no preimage: the exact zero
+_ZERO_RECIPE = ((), ())
 
 
 # -- tables ------------------------------------------------------------------------
@@ -473,63 +515,108 @@ class OracleEstimate:
         return (abs(reference - self.value) <= self.tail_bound) is not False
 
 
-def frequency_oracle(f: GraphMap, vector, lam, path, t: int) -> OracleEstimate:
-    """Occurrence-count estimate of the measure of a path.
+class FrequencyOracle:
+    """Occurrence-count estimates of cylinder measures at iterate t.
 
-    Counts occurrences of the path and its reverse in the t-th iterate images
-    of all positive edges, weights them by the eigenvector, and scales by
-    lambda**-t.  The counts run through the block recursion (occurrences in
-    the image of a word are occurrences in its blocks plus junction
-    straddles), so large t stays cheap.  The estimate increases in t to the
-    true value; the returned tail bound is the geometric-series bound on the
-    missing straddling mass, derived from the eigenvector identity alone.
+    The estimate of a path counts occurrences of the path and its reverse in
+    the t-th iterate images of all positive edges, weights them by the
+    eigenvector, and scales by lambda**-t.  The counts run through the block
+    recursion (occurrences in the image of a word are occurrences in its
+    blocks plus junction straddles), so large t stays cheap.  The boundary
+    strings of the recursion depend only on the path length, so it runs once
+    per length and counts every factor of that length at once.  The estimate
+    increases in t to the true value; the tail bound is the geometric-series
+    bound on the missing straddling mass, derived from the eigenvector
+    identity alone.
+
+    Only the map's edge images and the vector enter: no tower and no weights,
+    so agreement with the tower evaluator is an independent cross-check.
     """
-    path = tuple(path)
-    if not path:
-        raise PathError("frequency oracle takes non-trivial paths")
-    graph = f.domain
-    rev = reverse_path(path)
-    want = (path, rev)
-    margin = len(path) - 1
 
-    # explicit words until every block is long enough for boundary recursion
-    words = {e: (e,) for e in graph.oriented_edges}
-    level = 0
-    while level < t and min(len(words[e]) for e in graph.oriented_edges) < max(1, margin):
-        words = {e: f.map_path(words[e]) for e in graph.oriented_edges}
-        level += 1
-    counts = {e: sum(_occurrences(words[e], w) for w in want)
-              for e in graph.oriented_edges}
-    prefixes = {e: words[e][:margin] for e in graph.oriented_edges}
-    suffixes = {e: words[e][-margin:] if margin else () for e in graph.oriented_edges}
-    while level < t:
-        new_counts = {}
-        new_pre = {}
-        new_suf = {}
-        for e in graph.oriented_edges:
-            img = f.image(e)
-            c = sum(counts[x] for x in img)
-            for i in range(len(img) - 1):
-                boundary = suffixes[img[i]] + prefixes[img[i + 1]]
-                c += sum(_occurrences(boundary, w) for w in want)
-            new_counts[e] = c
-            new_pre[e] = (prefixes[img[0]] if margin else ())
-            new_suf[e] = (suffixes[img[-1]] if margin else ())
-        counts, prefixes, suffixes = new_counts, new_pre, new_suf
-        level += 1
+    def __init__(self, f: GraphMap, vector, lam, t: int):
+        self.f = f
+        self.graph = f.domain
+        self.vector = vector
+        self.t = t
+        lam = lam if not hasattr(lam, "interval") else lam.interval()
+        self.lam = lam
+        self.scale = lam ** (-t)
+        self.vec_total = ia.isum(vector[k] for k in range(self.graph.n_edges))
+        self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
+        self._counts = {}    # length -> oriented edge -> factor counts
+        self._tails = {}     # length -> tail bound
 
-    lam = lam if not hasattr(lam, "interval") else lam.interval()
-    scale = lam ** (-t)
-    est = ia.zero()
-    vec_total = ia.zero()
-    for k, e in enumerate(graph.positive_edges):
-        est = est + ia.exact(counts[e]) * vector[k]
-        vec_total = vec_total + vector[k]
-    est = est * scale
-    # new straddling occurrences at step s+1: per junction at most
-    # 2(len-1) of them (path and reverse), junction count max |f(e)| - 1
-    max_img = max(len(f.image(e)) for e in graph.positive_edges)
-    per_step = ia.exact(2 * margin * max(0, max_img - 1)) * vec_total
-    ratio = 1 / lam
-    tail = per_step * ia.geometric_tail(ratio, t + 1) if margin else ia.zero()
-    return OracleEstimate(value=est, tail_bound=tail, iterations=t)
+    def counts(self, path) -> tuple:
+        """Occurrences of the path and its reverse in the t-th iterate image
+        of each positive edge."""
+        path = tuple(path)
+        if not path:
+            raise PathError("frequency oracle takes non-trivial paths")
+        counts = self._counts.get(len(path))
+        if counts is None:
+            counts = self._counts[len(path)] = self._factor_counts(len(path))
+        rev = reverse_path(path)
+        return tuple(counts[e][path] + counts[e][rev]
+                     for e in self.graph.positive_edges)
+
+    def estimate(self, path) -> OracleEstimate:
+        path = tuple(path)
+        est = ia.zero()
+        for k, count in enumerate(self.counts(path)):
+            est = est + ia.exact(count) * self.vector[k]
+        est = est * self.scale
+        return OracleEstimate(value=est, tail_bound=self._tail(len(path)),
+                              iterations=self.t)
+
+    def _factor_counts(self, length: int):
+        f, edges = self.f, self.graph.oriented_edges
+        margin = length - 1
+        # explicit words until every block is long enough for boundary recursion
+        words = {e: (e,) for e in edges}
+        level = 0
+        while level < self.t and min(len(words[e]) for e in edges) < max(1, margin):
+            words = {e: f.map_path(words[e]) for e in edges}
+            level += 1
+        counts = {e: _factors(words[e], length) for e in edges}
+        prefixes = {e: words[e][:margin] for e in edges}
+        suffixes = {e: words[e][-margin:] if margin else () for e in edges}
+        while level < self.t:
+            new_counts = {}
+            for e in edges:
+                img = f.image(e)
+                c = Counter()
+                for x in img:
+                    c.update(counts[x])
+                for x, y in zip(img, img[1:]):
+                    c.update(_factors(suffixes[x] + prefixes[y], length))
+                new_counts[e] = c
+            counts = new_counts
+            prefixes = {e: prefixes[f.image(e)[0]] for e in edges}
+            suffixes = {e: suffixes[f.image(e)[-1]] for e in edges}
+            level += 1
+        return counts
+
+    def _tail(self, length: int):
+        tail = self._tails.get(length)
+        if tail is None:
+            margin = length - 1
+            if margin:
+                # new straddling occurrences at step s+1: per junction at most
+                # 2(len-1) of them (path and reverse), junction count
+                # max |f(e)| - 1
+                per_step = ia.exact(2 * margin * max(0, self.max_img - 1)) * self.vec_total
+                tail = per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
+            else:
+                tail = ia.zero()
+            self._tails[length] = tail
+        return tail
+
+
+def _factors(word, length: int) -> Counter:
+    return Counter(word[i:i + length] for i in range(len(word) - length + 1))
+
+
+def frequency_oracle(f: GraphMap, vector, lam, path, t: int) -> OracleEstimate:
+    """Occurrence-count estimate of the measure of one path; see
+    ``FrequencyOracle``."""
+    return FrequencyOracle(f, vector, lam, t).estimate(path)

@@ -55,15 +55,18 @@ class StationaryTower:
     # -- iterate words ---------------------------------------------------------
 
     def word(self, e: int, n: int):
-        """The image of oriented edge e under the n-th iterate."""
+        """The image of oriented edge e under the n-th iterate (cached in
+        both orientations)."""
         if n == 0:
             return (e,)
-        key = (e >> 1 << 1, n)  # cache on the positive representative
-        w = self._words.get(key)
+        w = self._words.get((e, n))
         if w is None:
-            w = self.f.map_path(self.word(key[0], n - 1))
-            self._words[key] = w
-        return w if e % 2 == 0 else reverse_path(w)
+            if e % 2:
+                w = reverse_path(self.word(e ^ 1, n))
+            else:
+                w = self.f.map_path(self.word(e, n - 1))
+            self._words[(e, n)] = w
+        return w
 
     def minlength(self, n: int) -> int:
         """Minimal iterate-image length over the (long) edges at level n."""
@@ -182,10 +185,6 @@ class StationaryTower:
 
     def is_level_path_legal(self, path, n: int) -> bool:
         return is_reduced(self.path_image(path, n))
-
-    def is_level_path_infinitely_legal(self, path, n: int) -> bool:
-        img = self.path_image(path, n)
-        return is_reduced(img) and self.pullbacks().is_infinitely_legal(img)
 
 
 # -- vector and weight towers -----------------------------------------------------

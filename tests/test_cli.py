@@ -134,3 +134,67 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_missing_map_exit_code(fib_file, capsys):
     code, _, err = run(capsys, "check", fib_file, "--map", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--max-len", "0"),
+    ("verify", "--oracle-t", "-1"),
+    ("measure", "--table-up-to", "0"),
+    ("measure", "--table-up-to", "-1"),
+])
+def test_length_bounds_rejected(fib_file, capsys, argv):
+    command, *flags = argv
+    code, out, err = run(capsys, command, fib_file, "--map", "f", *flags)
+    assert code == 3
+    assert out == ""
+    assert flags[0] in err
+
+
+def test_oracle_t_zero_accepted(fib_file, capsys):
+    code, _, _ = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "2",
+                     "--oracle-t", "0")
+    assert code == 0
+
+
+@pytest.mark.parametrize("vector", ["1,x", "1/0,1", "1,,1"])
+def test_bad_vector_rejected(fib_file, capsys, vector):
+    code, out, err = run(capsys, "measure", fib_file, "--map", "f",
+                         "--vector", vector, "--paths", "a")
+    assert code == 3
+    assert "vector" in err
+
+
+def test_verify_restores_precision(fib_file, capsys, monkeypatch):
+    import ttm.cli as cli
+    import ttm.intervals as ia
+    real = cli._verify_once
+    calls = []
+
+    def inconclusive_once(f, args, tol):
+        calls.append(ia.precision_bits())
+        lines, failures, inconclusive = real(f, args, tol)
+        return lines, failures, inconclusive + (["forced"] if len(calls) == 1 else [])
+
+    monkeypatch.setattr(cli, "_verify_once", inconclusive_once)
+    before = ia.precision_bits()
+    code, out, _ = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "3")
+    assert code == 0
+    assert calls == [before, 2 * before]
+    assert ia.precision_bits() == before
+
+
+def test_verify_reports_escalated_precision(fib_file, capsys, monkeypatch):
+    import ttm.cli as cli
+    import ttm.intervals as ia
+    real = cli._verify_once
+
+    def always_inconclusive(f, args, tol):
+        lines, failures, inconclusive = real(f, args, tol)
+        return lines, failures, inconclusive + ["forced"]
+
+    monkeypatch.setattr(cli, "_verify_once", always_inconclusive)
+    before = ia.precision_bits()
+    code, out, _ = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "2")
+    assert code == 4
+    assert f"inconclusive at {4 * before} bits: forced" in out
+    assert ia.precision_bits() == before

@@ -4,16 +4,20 @@ from fractions import Fraction
 import pytest
 
 import ttm.intervals as ia
-from ttm.errors import IncompleteTableError, PathError, PreconditionError
-from ttm.graphs import reverse_path, rose
-from ttm.maps import identity_map, infinitely_legal_language, used_language
+from ttm.cli import build_measure
+from ttm.errors import IncompleteTableError, PathError, PreconditionError, TTMError
+from ttm.graphs import inverse, make_turn, reverse_path, rose
+from ttm.maps import (
+    GraphMap, identity_map, infinitely_legal_language, is_expanding,
+    is_train_track, used_language,
+)
 from ttm.measures import (
-    KolmogorovFunction, MeasureTable, frequency_oracle, image_measure,
-    recover_weights, verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, frequency_oracle,
+    image_measure, recover_weights, verify_eigen_measure, verify_kolmogorov,
 )
 from ttm.towers import VectorTower
 
-from conftest import A, Abar, B, Bbar
+from conftest import A, Abar, B, Bbar, random_tame_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -98,6 +102,157 @@ def test_support_containment(fib_setup, fibonacci, rose2):
         if (kf.eval(p) > 0) is True:
             assert p in lang
             assert p in used
+
+
+# -- the batched engines against the per-path scans -----------------------------------
+
+
+def occurrences(word, pattern):
+    m = len(pattern)
+    return sum(1 for i in range(len(word) - m + 1) if word[i:i + m] == pattern)
+
+
+def scan_eval_at_level(kf, path, n):
+    """Reference: the per-path scan of the level-n words the sweep replaced."""
+    tower, weights, graph = kf.tower, kf.weights, kf.graph
+    total = ia.zero()
+    rev = reverse_path(path)
+    for e in graph.positive_edges:
+        word = tower.word(e, n)
+        count = occurrences(word, path) + occurrences(word, rev)
+        if count:
+            total = total + ia.exact(count) * weights.edge_weight[e]
+    for e1 in graph.oriented_edges:
+        w1 = tower.word(e1, n)
+        for e2 in graph.directions_at(graph.terminal(e1)):
+            if e2 == inverse(e1):
+                continue
+            w2 = tower.word(e2, n)
+            tw = weights.turn_weight[make_turn(inverse(e1), e2)]
+            for cut in range(1, len(path)):
+                if w1[-cut:] == path[:cut] and w2[:len(path) - cut] == path[cut:]:
+                    total = total + tw
+    return total * weights.vt.level_scale(n)
+
+
+def scan_oracle(f, vector, lam, path, t):
+    """Reference: the per-path block recursion of the frequency oracle, as
+    (per positive edge counts, value, tail bound)."""
+    graph = f.domain
+    want = (path, reverse_path(path))
+    margin = len(path) - 1
+    edges = graph.oriented_edges
+    words = {e: (e,) for e in edges}
+    level = 0
+    while level < t and min(len(words[e]) for e in edges) < max(1, margin):
+        words = {e: f.map_path(words[e]) for e in edges}
+        level += 1
+    counts = {e: sum(occurrences(words[e], w) for w in want) for e in edges}
+    prefixes = {e: words[e][:margin] for e in edges}
+    suffixes = {e: words[e][-margin:] if margin else () for e in edges}
+    while level < t:
+        new_counts, new_pre, new_suf = {}, {}, {}
+        for e in edges:
+            img = f.image(e)
+            c = sum(counts[x] for x in img)
+            for i in range(len(img) - 1):
+                boundary = suffixes[img[i]] + prefixes[img[i + 1]]
+                c += sum(occurrences(boundary, w) for w in want)
+            new_counts[e] = c
+            new_pre[e] = prefixes[img[0]] if margin else ()
+            new_suf[e] = suffixes[img[-1]] if margin else ()
+        counts, prefixes, suffixes = new_counts, new_pre, new_suf
+        level += 1
+    est = ia.zero()
+    vec_total = ia.zero()
+    for k, e in enumerate(graph.positive_edges):
+        est = est + ia.exact(counts[e]) * vector[k]
+        vec_total = vec_total + vector[k]
+    est = est * lam ** (-t)
+    max_img = max(len(f.image(e)) for e in graph.positive_edges)
+    per_step = ia.exact(2 * margin * max(0, max_img - 1)) * vec_total
+    tail = per_step * ia.geometric_tail(1 / lam, t + 1) if margin else ia.zero()
+    return tuple(counts[e] for e in graph.positive_edges), est, tail
+
+
+def expanding_self_maps(seed, count, max_paths=1000):
+    """Random expanding train track self-maps on graphs of valence >= 3
+    that carry a measure, with few reduced paths up to length five."""
+    out = []
+    for f in random_tame_maps(seed, 200):
+        g = f.domain
+        if (f.codomain is not g or any(g.valence(v) < 3 for v in g.vertices)
+                or len(g.reduced_paths(5)) > max_paths
+                or not is_train_track(f)[0] or not is_expanding(f)):
+            continue
+        try:
+            build_measure(f, "auto")
+        except TTMError:
+            continue
+        out.append(f)
+        if len(out) == count:
+            break
+    return out
+
+
+def engine_maps():
+    r2, r3 = rose(2, ("a", "b")), rose(3, ("a", "b", "c"))
+    a, b, c = 0, 2, 4
+    return ([("fibonacci", GraphMap(r2, r2, [0], [(a, b), (a,)])),
+             ("thue-morse", GraphMap(r2, r2, [0], [(a, b), (b, a)])),
+             ("tribonacci", GraphMap(r3, r3, [0], [(a, b), (a, c), (a,)]))]
+            + [(f"random-{k}", f) for k, f in enumerate(expanding_self_maps(1414, 3))])
+
+
+ENGINE_MAPS = engine_maps()
+
+
+@pytest.mark.parametrize("name,f", ENGINE_MAPS)
+def test_engine_bit_identical_to_scan(name, f):
+    """Sweep values equal the per-path scan endpoint for endpoint, at the
+    chosen level and two levels higher, and eval keeps the scan's memo
+    semantics (a path and its reversal share the first value computed)."""
+    tower, _, _, kf = build_measure(f, "auto")
+    memo = {}
+    for p in f.domain.reduced_paths(5):
+        n = tower.level_for_length(len(p))
+        if p not in memo:
+            memo[p] = memo[reverse_path(p)] = scan_eval_at_level(kf, p, n)
+        assert kf.eval(p)._mpi_ == memo[p]._mpi_, p
+        for level in (n, n + 2):
+            assert (kf.eval_at_level(p, level)._mpi_
+                    == scan_eval_at_level(kf, p, level)._mpi_), (p, level)
+
+
+@pytest.mark.parametrize("name,f", ENGINE_MAPS)
+def test_oracle_bit_identical_to_scan(name, f):
+    _, vt, _, _ = build_measure(f, "auto")
+    for t in (3, 20):
+        oracle = FrequencyOracle(f, vt.vector, vt.lam, t)
+        for p in f.domain.reduced_paths(5):
+            counts, value, tail = scan_oracle(f, vt.vector, vt.lam, p, t)
+            est = oracle.estimate(p)
+            assert oracle.counts(p) == counts, (p, t)
+            assert est.value._mpi_ == value._mpi_, (p, t)
+            assert est.tail_bound._mpi_ == tail._mpi_, (p, t)
+            assert est.iterations == t
+
+
+def test_eval_at_level_rejects_empty_and_low_levels(fib_setup):
+    tower, _, _, kf = fib_setup
+    with pytest.raises(PathError):
+        kf.eval_at_level((), 3)
+    with pytest.raises(PreconditionError):
+        kf.eval_at_level((A, B, A), tower.level_for_length(3) - 1)
+
+
+def test_engine_shares_equal_values(fib_setup):
+    """Equal recipes share one interval: paths absent from every level word
+    are the one exact zero of their level."""
+    kf = fib_setup[3]
+    zero = kf.eval((B, B, A))
+    assert zero.a == 0 and zero.b == 0
+    assert kf.eval((A, B, B)) is zero
 
 
 # -- Kirchhoff verification ---------------------------------------------------------------
