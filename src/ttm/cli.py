@@ -343,8 +343,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ttm",
         description="Train track maps, graph towers, and invariant measures.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; the core paths use no randomness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="train track / expanding / pi1 report")

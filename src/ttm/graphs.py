@@ -10,8 +10,7 @@ Edge paths are plain tuples of oriented edge ids.  Reversal and free reduction
 are independent of the ambient graph; adjacency validation is not and lives on
 :class:`Graph`.
 
-All objects here are immutable after construction and safe for concurrent
-reads.
+All objects here are immutable after construction.
 """
 
 from __future__ import annotations
@@ -278,9 +277,6 @@ class Language:
             raise PathError(
                 f"language only complete up to {self.max_length}, asked for {length}")
         return Language(frozenset(p for p in self.paths if len(p) <= length), length)
-
-    def of_length(self, length: int):
-        return [p for p in self.paths if len(p) == length]
 
     def laminary_violations(self, graph: Graph):
         """Check closure under reversal/subpaths and bi-extendability.

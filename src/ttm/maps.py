@@ -252,25 +252,6 @@ class DirectionAnalysis:
             return False
         return all(self.is_legal(t) for t in turns_of(path))
 
-    def hit_times(self, source_turn, target_turn):
-        """When does the Df-orbit of ``source_turn`` sit at ``target_turn``?
-
-        Returns ``("never", None)``, ``("once", k)`` or ``("periodic", (k0, q))``
-        meaning hits at exactly k0, k0+q, k0+2q, ...  A trajectory visits any
-        turn at most once before cycling, so these are the only shapes.
-        """
-        target = make_turn(*target_turn)
-        pre, cyc = self.orbit(source_turn)
-        for k, t in enumerate(pre):
-            if t == target:
-                return ("once", k)
-        if len(cyc) == 1 and is_degenerate(cyc[0]):
-            return ("never", None)
-        for j, t in enumerate(cyc):
-            if t == target:
-                return ("periodic", (len(pre) + j, len(cyc)))
-        return ("never", None)
-
 
 def junction_turns(f: GraphMap, e: int):
     """Turns crossed by the image path of e (at its interior vertices)."""

@@ -203,14 +203,6 @@ class MeasureTable:
                 f"table complete only up to length {self.max_length}")
         return Fraction(0)
 
-    def flip_violations(self):
-        out = []
-        for path, value in self.entries.items():
-            rev = reverse_path(path)
-            if rev in self.entries and not _values_equal(value, self.entries[rev]):
-                out.append((path, rev))
-        return out
-
     def recorded(self, path):
         """The stored value of a path or its reversal; None when unlisted."""
         path = tuple(path)
@@ -254,14 +246,6 @@ class MeasureTable:
         return MeasureTable(self.graph,
                             {p: v * scale for p, v in self.entries.items()},
                             self.max_length, provenance=self.provenance)
-
-
-def _values_equal(x, y) -> bool:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    x = x if not isinstance(x, Fraction) else ia.from_fraction(x)
-    y = y if not isinstance(y, Fraction) else ia.from_fraction(y)
-    return ia.contains_zero(x - y)
 
 
 def _definitely_less(x, y) -> bool:

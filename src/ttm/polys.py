@@ -1,17 +1,29 @@
 """Exact characteristic polynomials and certified real root isolation.
 
 Matrices here are small non-negative integer matrices, so everything can be
-done exactly: characteristic polynomials via the Faddeev-LeVerrier recursion
-(which also yields the adjugate of ``x I - A`` as integer matrix
-coefficients), root counting via Sturm chains over the rationals, and root
-refinement by plain bisection with exact sign evaluation.  A certified root
-is carried as an isolating rational interval (or an exact rational) and can
-be refined on demand and converted to an outward-rounded enclosure.
+done exactly, in plain integers where it matters for speed:
+
+* characteristic polynomials come from the Faddeev-LeVerrier recursion in
+  integer arithmetic (each coefficient is an exact quotient of a trace by
+  ``k``), which also yields the adjugate of ``x I - A`` as integer matrix
+  coefficients;
+* Sturm chains are kept as integer polynomials, each member scaled by a
+  positive rational so its sign at every point is unchanged; signs at a
+  rational ``n/d`` come from a homogeneous integer Horner sum.  Sturm counts
+  serve root isolation only;
+* refinement of an isolated simple root bisects on the sign of the integer
+  square-free part at the midpoint against its sign at the left endpoint,
+  which picks the same half as a Sturm count would.
+
+A certified root is carried as an isolating rational interval (or an exact
+rational) and can be refined on demand and converted to an outward-rounded
+enclosure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import intervals as ia
 from .errors import SpectralError
@@ -91,26 +103,53 @@ def square_free_part(p):
     return q
 
 
+def _integer_multiple(p):
+    """The positive rational multiple of p with coprime integer coefficients;
+    it has the sign of p at every point."""
+    p = poly_trim(tuple(Fraction(c) for c in p))
+    den = lcm(*(c.denominator for c in p))
+    ints = tuple(c.numerator * (den // c.denominator) for c in p)
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if g > 1 else ints
+
+
+def _sign_at(p, x: Fraction) -> int:
+    """Sign of the integer polynomial p at x = n/d (d > 0), read off the
+    homogeneous sum d**deg * p(n/d) = sum_k p[k] n**k d**(deg - k)."""
+    n, d = x.numerator, x.denominator
+    acc = 0
+    dk = 1
+    for c in reversed(p):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
+
+
 def sturm_chain(p):
-    chain = [poly_trim(tuple(Fraction(c) for c in p))]
+    """Sturm sequence of p with every member an integer polynomial (a
+    positive multiple of the rational member, so sign counts agree)."""
+    chain = [_integer_multiple(p)]
     if poly_degree(chain[0]) == 0:
         return chain
-    chain.append(poly_trim(poly_derivative(chain[0])))
+    chain.append(_integer_multiple(poly_derivative(chain[0])))
     while True:
         _, r = poly_divmod(chain[-2], chain[-1])
         if is_zero_poly(r):
             break
-        chain.append(tuple(-c for c in r))
+        chain.append(_integer_multiple(tuple(-c for c in r)))
     return chain
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
+    count = 0
+    last = 0
     for q in chain:
-        v = poly_eval(q, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+        s = _sign_at(q, x)
+        if s:
+            if s != last and last:
+                count += 1
+            last = s
+    return count
 
 
 def count_roots(p, lo: Fraction, hi: Fraction, chain=None) -> int:
@@ -162,15 +201,22 @@ class CertifiedRoot:
     # -- refinement ---------------------------------------------------------
 
     def refine(self, max_width: Fraction):
+        """Bisect down to width ``max_width``.  The open interval holds one
+        simple root of the square-free part and no root at its ends, so the
+        root lies left of a non-root midpoint exactly when the sign there
+        differs from the sign at ``lo``."""
         if self.exact is not None:
             return self
+        sqfree = self._chain[0]
+        sign_lo = _sign_at(sqfree, self.lo)
         while self.hi - self.lo > max_width:
             mid = (self.lo + self.hi) / 2
-            if poly_eval(self.poly, mid) == 0:
+            sign = _sign_at(sqfree, mid)
+            if sign == 0:
                 self.exact = mid
                 self.lo = self.hi = mid
                 return self
-            if count_roots(self.poly, self.lo, mid, self._chain) == 1:
+            if sign != sign_lo:
                 self.hi = mid
             else:
                 self.lo = mid
@@ -207,9 +253,6 @@ class CertifiedRoot:
     def __float__(self):
         self.refine_bits(60)
         return float((self.lo + self.hi) / 2)
-
-    def as_fraction_pair(self):
-        return (self.lo, self.hi)
 
     # -- exact comparisons ------------------------------------------------------
 
@@ -307,30 +350,36 @@ def char_poly_and_adjugate(a):
 
     Returns ``(p, B)`` with ``p`` the monic characteristic polynomial
     (low degree first, integer coefficients) and ``B`` a list of integer
-    matrices such that ``adj(x I - A) = sum_k x**k B[k]``.
+    matrices such that ``adj(x I - A) = sum_k x**k B[k]``.  The recursion
+    ``M_k = A M_(k-1) + c_k I`` with ``c_k = -tr(A M_(k-1)) / k`` runs in
+    integers over the non-zero entries of each row of A.
     """
     n = len(a)
     if n == 0:
         return (1,), []
-    coeffs = [Fraction(1)]  # by decreasing degree
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[(t, x) for t, x in enumerate(row) if x] for row in a]
+    coeffs = [1]  # by decreasing degree
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     mats = [m]
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = Fraction(-sum(am[i][i] for i in range(n)), k)
+        am = []
+        for entries in rows:
+            acc = [0] * n
+            for t, x in entries:
+                acc = [u + x * v for u, v in zip(acc, m[t])]
+            am.append(acc)
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
+            raise SpectralError("Faddeev-LeVerrier produced a non-integer coefficient")
         coeffs.append(c)
         if k < n:
-            m = [[am[i][j] + (c if i == j else 0) for j in range(n)]
-                 for i in range(n)]
+            for i in range(n):
+                am[i][i] += c
+            m = am
             mats.append(m)
-    for c in coeffs:
-        if c.denominator != 1:
-            raise SpectralError("Faddeev-LeVerrier produced a non-integer coefficient")
-    poly = tuple(int(c) for c in reversed(coeffs))
-    bmats = [tuple(tuple(int(x) for x in row) for row in mm)
-             for mm in reversed(mats)]
+    poly = tuple(reversed(coeffs))
     # bmats[k] holds the x**k coefficient of adj(xI - A)
+    bmats = [tuple(tuple(row) for row in mm) for mm in reversed(mats)]
     return poly, bmats
 
 

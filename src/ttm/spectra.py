@@ -50,10 +50,21 @@ def submatrix(m, indices):
     return tuple(tuple(m[i][j] for j in indices) for i in indices)
 
 
-def _bool_product(a, b):
-    n = len(a)
-    return [[any(a[i][t] and b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
+def _pattern(m):
+    """Positivity pattern of a square matrix, one bitmask per row."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in m]
+
+
+def _pattern_product(a, b):
+    """Pattern of a product of two non-negative matrices from their patterns."""
+    out = []
+    for row in a:
+        acc = 0
+        for t, bt in enumerate(b):
+            if row >> t & 1:
+                acc |= bt
+        out.append(acc)
+    return out
 
 
 def is_primitive(m) -> bool:
@@ -66,14 +77,15 @@ def is_primitive(m) -> bool:
     n = len(m)
     if n == 0:
         return False
-    pattern = [[bool(x) for x in row] for row in m]
+    full = (1 << n) - 1
+    pattern = _pattern(m)
     power = pattern
     limit = (n - 1) ** 2 + 1
     for _ in range(limit):
-        if all(all(row) for row in power):
+        if all(row == full for row in power):
             return True
-        power = _bool_product(power, pattern)
-    return all(all(row) for row in power)
+        power = _pattern_product(power, pattern)
+    return all(row == full for row in power)
 
 
 def strongly_connected_components(m):
@@ -207,21 +219,6 @@ def _reachability(m, blocks):
     return tuple(frozenset(r) for r in reach)
 
 
-def _mat_power(m, t):
-    n = len(m)
-    out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = tuple(tuple(row) for row in m)
-    while t:
-        if t & 1:
-            out = tuple(tuple(sum(out[i][k] * base[k][j] for k in range(n))
-                              for j in range(n)) for i in range(n))
-        t >>= 1
-        if t:
-            base = tuple(tuple(sum(base[i][k] * base[k][j] for k in range(n))
-                               for j in range(n)) for i in range(n))
-    return out
-
-
 def _power_is_normalised(m) -> bool:
     """Diagonal blocks primitive or 1x1 zero; off-diagonal blocks of the SCC
     decomposition entirely zero or entirely positive."""
@@ -271,12 +268,19 @@ def block_form(m) -> BlockForm:
             periods.append(block_period(m, idx))
     base = lcm(*periods) if periods else 1
     cap = base * (2 * ((n - 1) ** 2 + 1) + n + 1)
+    # the pattern of M**k is the k-th boolean power of the pattern of M,
+    # and normalisation depends on the pattern alone
+    step = pattern = _pattern(m)
+    for _ in range(base - 1):
+        step = _pattern_product(step, pattern)
     power_used = None
+    power = step
     k = base
     while k <= cap:
-        if _power_is_normalised(_mat_power(m, k)):
+        if _power_is_normalised([[row >> j & 1 for j in range(n)] for row in power]):
             power_used = k
             break
+        power = _pattern_product(power, step)
         k += base
     if power_used is None:
         raise SpectralError("no normalising power found below the proved cap")

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import intervals as ia
 from . import spectra
 from .errors import PreconditionError
 from .graphs import Graph, is_positive, reverse_path, rose
@@ -97,29 +96,28 @@ class Substitution:
         return spectra.is_primitive(self.incidence_matrix())
 
     def language(self, max_length: int):
-        """All factors of length <= max_length of the iterated letter images,
-        computed to stabilisation."""
+        """All factors of length <= max_length of the iterated letter images:
+        the least set holding the factors of the images and, with each word,
+        the factors of its image.  A worklist applies the substitution once
+        to each newly found factor."""
         if not self.is_expanding():
             raise PreconditionError("language needs an expanding substitution")
-        current = set()
+        image = dict(zip(self.alphabet, self.images))
+        found = set()
         for w in self.images:
-            current |= _factors(w, max_length)
-        while True:
-            new = set(current)
-            for w in current:
-                new |= _factors(self.apply(w), max_length)
-            if new == current:
-                return frozenset(current)
-            current = new
+            found |= _factors(w, max_length)
+        todo = list(found)
+        while todo:
+            w = todo.pop()
+            new = _factors(tuple(x for y in w for x in image[y]), max_length) - found
+            found |= new
+            todo.extend(new)
+        return frozenset(found)
 
 
 def _factors(word, max_length):
-    out = set()
     n = len(word)
-    for i in range(n):
-        for j in range(i + 1, min(i + max_length, n) + 1):
-            out.add(word[i:j])
-    return out
+    return {word[i:j] for i in range(n) for j in range(i + 1, min(i + max_length, n) + 1)}
 
 
 def to_train_track(sigma: Substitution):
@@ -235,7 +233,9 @@ def _periodic_witnesses(sigma: Substitution, bound: int):
     lang = sigma.language(depth)
     out = []
     seen_rotations = set()
-    for w in sorted(_words_up_to(sigma.alphabet, bound)):
+    # a witness is a prefix of its first window, so it lies in the
+    # factor-closed language and the short words of lang are all candidates
+    for w in sorted(w for w in lang if len(w) <= bound):
         if w in seen_rotations or not _is_primitive_word(w):
             continue
         repeated = w * ((depth // len(w)) + 2)

@@ -14,6 +14,7 @@ column positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -22,6 +23,9 @@ from .maps import GraphMap
 from .substitutions import Substitution
 
 PUNCT = ("->", "{", "}", ";", ":", ",")
+# ``->`` or one punctuation character, else a maximal run of characters that
+# are neither whitespace nor punctuation and do not start ``->``
+_TOKEN = re.compile(r"->|[{};:,]|(?:(?!->)[^\s{};:,])+")
 
 
 @dataclass
@@ -32,31 +36,10 @@ class Token:
 
 
 def tokenize(text: str):
-    tokens = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            matched = None
-            for p in PUNCT:
-                if line.startswith(p, col):
-                    matched = p
-                    break
-            if matched:
-                tokens.append(Token(matched, ln, col + 1))
-                col += len(matched)
-                continue
-            start = col
-            while col < n and not line[col].isspace() and \
-                    not any(line.startswith(p, col) for p in PUNCT):
-                col += 1
-            tokens.append(Token(line[start:col], ln, start + 1))
-    return tokens
+    """Tokens of a document with 1-based line and column positions."""
+    return [Token(m.group(), ln, m.start() + 1)
+            for ln, raw in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN.finditer(raw.split("#", 1)[0])]
 
 
 @dataclass

@@ -307,27 +307,24 @@ class WeightTower:
         self.lam = vt.lam
         graph = self.tower.graph
         self.edge_weight = {e: vt.vector[e >> 1] for e in graph.oriented_edges}
-        self.turn_weight = {}
+        self.turn_weight = {t: ia.zero() for t in graph.all_turns()}
         da = self.tower.directions
         lam_inv = 1 / self.lam
-        for target in graph.all_turns():
-            if not da.is_legal(target):
-                self.turn_weight[target] = ia.zero()
-                continue
-            acc = ia.zero()
-            for e in graph.positive_edges:
-                v_e = vt.vector[e >> 1]
-                for tau in junction_turns(self.tower.f, e):
-                    kind, data = da.hit_times(tau, target)
-                    if kind == "never":
-                        continue
-                    if kind == "once":
-                        acc = acc + lam_inv ** (data + 1) * v_e
-                    else:
-                        k0, q = data
-                        tail = lam_inv ** (k0 + 1) / (ia.one() - lam_inv ** q)
-                        acc = acc + tail * v_e
-            self.turn_weight[target] = acc
+        # one orbit walk per junction turn adds its term to every turn the
+        # orbit visits (a turn at most once); each turn's interval sum is
+        # taken in (e, tau) order
+        for e in graph.positive_edges:
+            v_e = vt.vector[e >> 1]
+            for tau in junction_turns(self.tower.f, e):
+                if not da.is_legal(tau):
+                    continue  # the orbit and every turn on it are illegal
+                pre, cyc = da.orbit(tau)
+                for k, t in enumerate(pre):
+                    self.turn_weight[t] = self.turn_weight[t] + lam_inv ** (k + 1) * v_e
+                q = len(cyc)
+                for j, t in enumerate(cyc):
+                    tail = lam_inv ** (len(pre) + j + 1) / (ia.one() - lam_inv ** q)
+                    self.turn_weight[t] = self.turn_weight[t] + tail * v_e
 
     # -- level access -----------------------------------------------------------
 
@@ -439,8 +436,7 @@ def repetition_bound(tower: StationaryTower, n: int, cap: int,
         witness = _violating_pair(tower, n, rho, infinitely_legal)
         if witness is None:
             return RepetitionSearch(level=n, cap=cap, bound=rho)
-    return RepetitionSearch(level=n, cap=cap,
-                            witness=_violating_pair(tower, n, cap, infinitely_legal))
+    return RepetitionSearch(level=n, cap=cap, witness=witness)
 
 
 def _violating_pair(tower, n, rho, infinitely_legal):

@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 import ttm.intervals as ia
-from ttm.errors import GraphError
+from ttm.cli import build_measure
+from ttm.errors import GraphError, TTMError
 from ttm.graphs import Graph, rose
-from ttm.maps import GraphMap
+from ttm.maps import GraphMap, is_expanding, is_train_track
 from ttm.measures import KolmogorovFunction
 from ttm.polys import largest_real_root
 from ttm.towers import StationaryTower, VectorTower, weight_tower_from_vector
+
+# property tests replay the same examples on every run and store none
+settings.register_profile("repeatable", deadline=None, derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 # edge ids on the two-petal rose
 A, Abar, B, Bbar = 0, 1, 2, 3
@@ -100,4 +106,24 @@ def random_tame_maps(seed: int, count: int, max_len=4):
         f = random_map(rng, dom, cod, max_len)
         if f is not None:
             out.append(f)
+    return out
+
+
+def expanding_self_maps(seed, count, max_paths=1000):
+    """Random expanding train track self-maps on graphs of valence >= 3
+    that carry a measure, with few reduced paths up to length five."""
+    out = []
+    for f in random_tame_maps(seed, 200):
+        g = f.domain
+        if (f.codomain is not g or any(g.valence(v) < 3 for v in g.vertices)
+                or len(g.reduced_paths(5)) > max_paths
+                or not is_train_track(f)[0] or not is_expanding(f)):
+            continue
+        try:
+            build_measure(f, "auto")
+        except TTMError:
+            continue
+        out.append(f)
+        if len(out) == count:
+            break
     return out

@@ -5,19 +5,16 @@ import pytest
 
 import ttm.intervals as ia
 from ttm.cli import build_measure
-from ttm.errors import IncompleteTableError, PathError, PreconditionError, TTMError
+from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
-from ttm.maps import (
-    GraphMap, identity_map, infinitely_legal_language, is_expanding,
-    is_train_track, used_language,
-)
+from ttm.maps import GraphMap, identity_map, infinitely_legal_language, used_language
 from ttm.measures import (
     FrequencyOracle, KolmogorovFunction, MeasureTable, frequency_oracle,
     image_measure, recover_weights, verify_eigen_measure, verify_kolmogorov,
 )
 from ttm.towers import VectorTower
 
-from conftest import A, Abar, B, Bbar, random_tame_maps
+from conftest import A, Abar, B, Bbar, expanding_self_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -173,26 +170,6 @@ def scan_oracle(f, vector, lam, path, t):
     per_step = ia.exact(2 * margin * max(0, max_img - 1)) * vec_total
     tail = per_step * ia.geometric_tail(1 / lam, t + 1) if margin else ia.zero()
     return tuple(counts[e] for e in graph.positive_edges), est, tail
-
-
-def expanding_self_maps(seed, count, max_paths=1000):
-    """Random expanding train track self-maps on graphs of valence >= 3
-    that carry a measure, with few reduced paths up to length five."""
-    out = []
-    for f in random_tame_maps(seed, 200):
-        g = f.domain
-        if (f.codomain is not g or any(g.valence(v) < 3 for v in g.vertices)
-                or len(g.reduced_paths(5)) > max_paths
-                or not is_train_track(f)[0] or not is_expanding(f)):
-            continue
-        try:
-            build_measure(f, "auto")
-        except TTMError:
-            continue
-        out.append(f)
-        if len(out) == count:
-            break
-    return out
 
 
 def engine_maps():

@@ -1,0 +1,182 @@
+"""Integer kernels of ``ttm.polys`` against test-local copies of the rational
+versions they replace: Faddeev-LeVerrier over ``Fraction`` and root
+refinement by Sturm counts.  Both must agree bit for bit."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ttm.errors import SpectralError
+from ttm.polys import (
+    CertifiedRoot, char_poly_and_adjugate, count_roots, largest_real_root,
+    poly_derivative, poly_divmod, poly_trim, square_free_part, sturm_chain,
+)
+from ttm.spectra import block_form, submatrix
+from ttm.textio import parse
+
+BENCH_MAPS = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "maps.tt"
+
+
+# -- rational reference copies ---------------------------------------------------
+
+
+def fraction_char_poly_and_adjugate(a):
+    n = len(a)
+    coeffs = [Fraction(1)]
+    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    mats = [m]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = Fraction(-sum(am[i][i] for i in range(n)), k)
+        coeffs.append(c)
+        if k < n:
+            m = [[am[i][j] + (c if i == j else 0) for j in range(n)]
+                 for i in range(n)]
+            mats.append(m)
+    assert all(c.denominator == 1 for c in coeffs)
+    poly = tuple(int(c) for c in reversed(coeffs))
+    bmats = [tuple(tuple(int(x) for x in row) for row in mm) for mm in reversed(mats)]
+    return poly, bmats
+
+
+def fraction_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_sturm_chain(p):
+    chain = [poly_trim(tuple(Fraction(c) for c in p))]
+    if len(chain[0]) == 1:
+        return chain
+    chain.append(poly_trim(poly_derivative(chain[0])))
+    while True:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if all(c == 0 for c in r):
+            return chain
+        chain.append(tuple(-c for c in r))
+
+
+def fraction_count(chain, lo, hi):
+    def variations(x):
+        signs = [v > 0 for v in (fraction_eval(q, x) for q in chain) if v != 0]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    return variations(lo) - variations(hi)
+
+
+def sturm_refine(poly, lo, hi, max_width):
+    """Bisection choosing the half by a Sturm count; returns (lo, hi, exact)."""
+    chain = fraction_sturm_chain(square_free_part(poly))
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        if fraction_eval(poly, mid) == 0:
+            return mid, mid, mid
+        if fraction_count(chain, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, None
+
+
+# -- strategies -------------------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw, max_n=8, max_entry=3):
+    n = draw(st.integers(1, max_n))
+    return [[draw(st.integers(0, max_entry)) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def irreducible_blocks(draw, max_n=7):
+    """A random non-negative matrix plus the cycle 0 -> 1 -> ... -> 0."""
+    m = draw(square_matrices(max_n=max_n, max_entry=2))
+    n = len(m)
+    for i in range(n):
+        m[(i + 1) % n][i] = max(m[(i + 1) % n][i], 1)
+    return m
+
+
+# -- Faddeev-LeVerrier -----------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(square_matrices())
+def test_integer_faddeev_leverrier_matches_fractions(m):
+    poly, bmats = char_poly_and_adjugate(m)
+    ref_poly, ref_bmats = fraction_char_poly_and_adjugate(m)
+    assert poly == ref_poly
+    assert bmats == ref_bmats
+    assert all(type(c) is int for c in poly)
+    assert all(type(x) is int for b in bmats for row in b for x in row)
+
+
+def test_faddeev_leverrier_known_values():
+    assert char_poly_and_adjugate([[1, 1], [1, 0]]) == (
+        (-1, -1, 1), [((0, 1), (1, -1)), ((1, 0), (0, 1))])
+    assert char_poly_and_adjugate([]) == ((1,), [])
+
+
+def test_faddeev_leverrier_rejects_non_integer_coefficient():
+    with pytest.raises(SpectralError):
+        char_poly_and_adjugate([[Fraction(1, 2)]])
+
+
+# -- Sturm chains and refinement ---------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(irreducible_blocks(), st.fractions(-4, 4, max_denominator=64),
+       st.fractions(-4, 4, max_denominator=64))
+def test_integer_sturm_counts_match_rational(m, lo, hi):
+    poly, _ = char_poly_and_adjugate(m)
+    chain = sturm_chain(square_free_part(poly))
+    assert all(type(c) is int for q in chain for c in q)
+    ref = fraction_sturm_chain(square_free_part(poly))
+    expected = fraction_count(ref, lo, hi) if lo < hi else 0
+    assert count_roots(poly, lo, hi, chain) == expected
+
+
+def bench_block_polys():
+    doc = parse(BENCH_MAPS.read_text(encoding="utf-8"))
+    out = []
+    for name, (f, _, _) in sorted(doc.maps.items()):
+        m = f.transition_matrix()
+        for idx in block_form(m).blocks:
+            poly, _ = char_poly_and_adjugate(submatrix(m, idx))
+            out.append((f"{name}-{idx}", poly))
+    return out
+
+
+def assert_refines_like_sturm(poly, bits=112):
+    root = largest_real_root(poly)
+    if root.exact is not None:
+        return  # recognised as exact at isolation, nothing to bisect
+    lo, hi = root.lo, root.hi
+    scale = max(abs(lo), abs(hi), Fraction(1))
+    root.refine_bits(bits)
+    assert (root.lo, root.hi, root.exact) == sturm_refine(
+        root.poly, lo, hi, scale / Fraction(2) ** bits)
+
+
+@pytest.mark.parametrize("name,poly", bench_block_polys())
+def test_refine_matches_sturm_counts_on_bench_roses(name, poly):
+    assert_refines_like_sturm(poly)
+
+
+@settings(max_examples=60)
+@given(irreducible_blocks())
+def test_refine_matches_sturm_counts_on_random_blocks(m):
+    poly, _ = char_poly_and_adjugate(m)
+    assert_refines_like_sturm(poly)
+
+
+def test_refine_finds_rational_midpoint_root():
+    """A root hit by a midpoint becomes exact, as with Sturm counts."""
+    root = CertifiedRoot((-1, 2), Fraction(0), Fraction(1))   # 2x - 1
+    root.refine(Fraction(1, 1024))
+    assert root.exact == Fraction(1, 2) == root.lo == root.hi

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ttm.intervals as ia
 from ttm.errors import SpectralError
 from ttm.spectra import (
-    block_form, distinguished_eigenvectors, is_primitive,
+    _power_is_normalised, block_form, distinguished_eigenvectors, is_primitive,
     nonneg_eigenvectors_for, pf_eigenpair, spectral_radius_root, submatrix,
 )
 
@@ -53,6 +55,37 @@ def test_block_form_permutation_matrix():
     assert bf.kinds == ("imprimitive",)
     assert bf.periods == (2,)
     assert bf.power_used == 2
+
+
+def integer_power(m, t):
+    n = len(m)
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for _ in range(t):
+        out = tuple(tuple(sum(out[i][k] * m[k][j] for k in range(n)) for j in range(n))
+                    for i in range(n))
+    return out
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, 2))
+    return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=120)
+@given(sparse_matrices())
+def test_block_form_power_from_patterns_matches_integer_powers(m):
+    """The normalising power searched on boolean patterns is the one found
+    on the integer powers of the matrix."""
+    bf = block_form(m)
+    n = len(m)
+    base = lcm(*bf.periods)
+    k = base
+    while not _power_is_normalised(integer_power(m, k)):
+        k += base
+        assert k <= base * (2 * ((n - 1) ** 2 + 1) + n + 1)
+    assert bf.power_used == k
 
 
 def test_block_form_reassembles():

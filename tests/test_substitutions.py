@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
 from ttm.errors import PreconditionError
@@ -10,9 +11,9 @@ from ttm.graphs import reverse_path
 from ttm.maps import used_language
 from ttm.measures import verify_eigen_measure, verify_kolmogorov
 from ttm.substitutions import (
-    Substitution, classic_to_graph_table, ergodic_measures,
-    graph_to_classic_table, graph_value_of_word_table, path_to_word,
-    to_train_track, word_to_path,
+    Substitution, _factors, _is_primitive_word, _periodic_witnesses,
+    classic_to_graph_table, ergodic_measures, graph_to_classic_table,
+    graph_value_of_word_table, path_to_word, to_train_track, word_to_path,
 )
 
 from conftest import A, Abar, B, Bbar
@@ -53,6 +54,73 @@ def test_language():
     assert words(FIB.language(1)) == ["a", "b"]
     with pytest.raises(PreconditionError):
         Substitution.from_strings({"a": "ab", "b": "b"}).language(2)
+
+
+# -- worklist language and periodic scan vs full rescans ---------------------------------
+
+
+def rescan_language(sigma, max_length):
+    """Reference fixpoint: reapply the substitution to the whole set."""
+    current = set()
+    for w in sigma.images:
+        current |= _factors(w, max_length)
+    while True:
+        new = set(current)
+        for w in current:
+            new |= _factors(sigma.apply(w), max_length)
+        if new == current:
+            return frozenset(current)
+        current = new
+
+
+def enumerating_witnesses(sigma, bound):
+    """Reference periodic scan over every alphabet word up to ``bound``."""
+    depth = 2 * bound + 2
+    lang = sigma.language(depth)
+    words, candidates = [()], []
+    for _ in range(bound):
+        words = [w + (x,) for w in words for x in sigma.alphabet]
+        candidates.extend(words)
+    out, seen_rotations = [], set()
+    for w in sorted(candidates):
+        if w in seen_rotations or not _is_primitive_word(w):
+            continue
+        repeated = w * ((depth // len(w)) + 2)
+        if all(repeated[i:i + depth] in lang for i in range(len(w))):
+            out.append(w)
+            seen_rotations.update(w[r:] + w[:r] for r in range(len(w)))
+    return out
+
+
+@st.composite
+def expanding_substitutions(draw):
+    letters = "abcde"[:draw(st.integers(2, 5))]
+    images = {x: "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4)))
+              for x in letters}
+    sigma = Substitution.from_strings(images)
+    assume(sigma.is_expanding())
+    return sigma
+
+
+@settings(max_examples=80)
+@given(expanding_substitutions(), st.integers(1, 6))
+def test_worklist_language_equals_rescan(sigma, max_length):
+    assert sigma.language(max_length) == rescan_language(sigma, max_length)
+
+
+@settings(max_examples=80)
+@given(expanding_substitutions(), st.integers(1, 3))
+def test_periodic_scan_equals_alphabet_enumeration(sigma, bound):
+    assert _periodic_witnesses(sigma, bound) == enumerating_witnesses(sigma, bound)
+
+
+@pytest.mark.parametrize("rules", [
+    {"a": "ab", "b": "ab"}, {"a": "aa", "b": "bb", "c": "abc"},
+    {"a": "abc", "b": "abc", "c": "ba"}, {"a": "aab", "b": "aab", "c": "cbc"},
+    {"a": "ab", "b": "ba"}])
+def test_periodic_scan_on_periodic_examples(rules):
+    sigma = Substitution.from_strings(rules)
+    assert _periodic_witnesses(sigma, 4) == enumerating_witnesses(sigma, 4)
 
 
 def test_to_train_track():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttm.errors import ParseError
 from ttm.textio import (
-    format_table_tsv, parse, parse_path, parse_table_tsv, parse_value,
-    print_document,
+    PUNCT, format_table_tsv, parse, parse_path, parse_table_tsv, parse_value,
+    print_document, tokenize,
 )
 
 FIB_DOC = """
@@ -118,3 +119,44 @@ def test_table_tsv_round_trip():
     assert table.value((0,)) == 9
     assert table.value((0, 2)) == 9
     assert table.max_length == 2
+
+
+# -- tokenizer ---------------------------------------------------------------------
+
+
+def scanning_tokenize(text):
+    """Reference character scanner: (text, line, column) triples."""
+    tokens = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        col, n = 0, len(line)
+        while col < n:
+            if line[col].isspace():
+                col += 1
+                continue
+            matched = next((p for p in PUNCT if line.startswith(p, col)), None)
+            if matched:
+                tokens.append((matched, ln, col + 1))
+                col += len(matched)
+                continue
+            start = col
+            while col < n and not line[col].isspace() and \
+                    not any(line.startswith(p, col) for p in PUNCT):
+                col += 1
+            tokens.append((line[start:col], ln, start + 1))
+    return tokens
+
+
+DOC_CHARS = st.sampled_from(list("ab~*-->{};:,# \t\n\r\x0b\x0c\x1c\x85\u00a0\u2028\u3000"))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(DOC_CHARS, max_size=60), st.text(max_size=60)))
+def test_tokenize_matches_character_scanner(text):
+    assert [(t.text, t.line, t.column) for t in tokenize(text)] == scanning_tokenize(text)
+
+
+def test_tokenize_positions():
+    assert [(t.text, t.line, t.column) for t in tokenize("a->b # c\n  -->x{")] == [
+        ("a", 1, 1), ("->", 1, 2), ("b", 1, 4),
+        ("-", 2, 3), ("->", 2, 4), ("x", 2, 6), ("{", 2, 7)]

@@ -3,15 +3,17 @@ import math
 import pytest
 
 import ttm.intervals as ia
+import ttm.towers
+from ttm.cli import build_measure
 from ttm.errors import PreconditionError
-from ttm.graphs import make_turn, rose
-from ttm.maps import GraphMap, matmul, power
+from ttm.graphs import is_degenerate, make_turn, rose
+from ttm.maps import GraphMap, junction_turns, matmul, power
 from ttm.towers import (
     StationaryTower, VectorTower, image_vector_tower, repetition_bound,
     tower_self_morphism, weight_tower_from_vector,
 )
 
-from conftest import A, Abar, B, Bbar
+from conftest import A, Abar, B, Bbar, expanding_self_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -153,6 +155,65 @@ def test_turn_weights_thue_morse(tm_setup):
         assert abs(ia.midpoint(wt.turn_weight[turn]) - val) < 1e-15
 
 
+# -- turn weights from one orbit walk vs per-target hit times ------------------------
+
+
+def hit_times(da, source_turn, target_turn):
+    """When the Df-orbit of the source sits at the target: never, once at k,
+    or periodically at k0, k0 + q, ..."""
+    target = make_turn(*target_turn)
+    pre, cyc = da.orbit(source_turn)
+    for k, t in enumerate(pre):
+        if t == target:
+            return ("once", k)
+    if len(cyc) == 1 and is_degenerate(cyc[0]):
+        return ("never", None)
+    for j, t in enumerate(cyc):
+        if t == target:
+            return ("periodic", (len(pre) + j, len(cyc)))
+    return ("never", None)
+
+
+def hit_time_turn_weights(vt):
+    """Reference turn weights: one hit-time query per (target, e, tau)."""
+    tower = vt.tower
+    graph, da = tower.graph, tower.directions
+    lam_inv = 1 / vt.lam
+    out = {}
+    for target in graph.all_turns():
+        acc = ia.zero()
+        if da.is_legal(target):
+            for e in graph.positive_edges:
+                v_e = vt.vector[e >> 1]
+                for tau in junction_turns(tower.f, e):
+                    kind, data = hit_times(da, tau, target)
+                    if kind == "once":
+                        acc = acc + lam_inv ** (data + 1) * v_e
+                    elif kind == "periodic":
+                        k0, q = data
+                        acc = acc + lam_inv ** (k0 + 1) / (ia.one() - lam_inv ** q) * v_e
+        out[target] = acc
+    return out
+
+
+def weight_maps():
+    r2, r3 = rose(2, ("a", "b")), rose(3, ("a", "b", "c"))
+    a, b, c = 0, 2, 4
+    roses = [GraphMap(r2, r2, [0], [(a, b), (a,)]), GraphMap(r2, r2, [0], [(a, b), (b, a)]),
+             GraphMap(r3, r3, [0], [(a, b), (a, c), (a,)]),
+             GraphMap(r3, r3, [0], [(a, b), (b, a), (c, c, c, a, b)])]
+    return roses + expanding_self_maps(1414, 3)
+
+
+@pytest.mark.parametrize("f", weight_maps())
+def test_turn_weights_equal_hit_time_sums(f):
+    _, vt, wt, _ = build_measure(f, "auto")
+    ref = hit_time_turn_weights(vt)
+    assert list(wt.turn_weight) == list(ref)
+    for t, w in ref.items():
+        assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+
+
 def test_switch_conditions(fib_setup, tm_setup):
     for setup in (fib_setup, tm_setup):
         wt = setup[2]
@@ -265,6 +326,27 @@ def test_repetition_bound_witness(rose2):
     w1, w2 = r.witness
     assert tower.path_image(w1, 1) == tower.path_image(w2, 1)
     assert w1[len(w1) // 2] != w2[len(w2) // 2]
+
+
+@pytest.mark.parametrize("cap", [0, 2])
+def test_repetition_bound_searches_each_radius_once(monkeypatch, cap):
+    """A failed search reports the witness of its last radius, the cap,
+    without running the costliest radius again."""
+    g = rose(3, ("a", "b", "c"))
+    a, b, c = 0, 2, 4
+    tower = StationaryTower(GraphMap(g, g, [0], [(c,), (c,), (a, b, c)]))
+    radii = []
+    search = ttm.towers._violating_pair
+
+    def counting(tower, n, rho, infinitely_legal):
+        radii.append(rho)
+        return search(tower, n, rho, infinitely_legal)
+
+    monkeypatch.setattr(ttm.towers, "_violating_pair", counting)
+    r = repetition_bound(tower, 1, cap)
+    assert not r.found and r.witness is not None
+    assert radii == list(range(cap + 1))
+    assert r.witness == search(tower, 1, cap, True)
 
 
 def test_repetition_bound_legal_mode(fib_setup):
