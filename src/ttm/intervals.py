@@ -82,6 +82,11 @@ def contains_zero(x) -> bool:
     return 0 in x
 
 
+def is_exact_zero(x) -> bool:
+    """True iff x is the degenerate interval [0, 0]."""
+    return x.a == 0 and x.b == 0
+
+
 # -- measurements -------------------------------------------------------------
 
 def width(x) -> float:

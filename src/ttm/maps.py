@@ -544,13 +544,36 @@ class LegalPullbacks:
     inside the image of d, touching the first and last image block.  Minimal
     covers never get longer than max(1, len(p)), so iterated pullback explores
     a finite state space and "pullable forever" is equivalent to reaching a
-    pullback cycle.  Memoised across queries.
+    pullback cycle.
+
+    Two tables, built once per map, drive the search.  The *start index*
+    lists, for each edge x, the pairs ``(e0, f(e0)[off:])`` whose image tail
+    begins with x: the possible first blocks of an occurrence of a path that
+    starts with x.  The *successor table* lists, for each edge e, the legal
+    continuations d (``d != e^-1`` and the turn ``(e^-1, d)`` legal) together
+    with their image blocks.  A cover search then only walks legal paths and
+    matches each appended block against the path at a running position.  The
+    successor table also decides legality of a path letter pair by letter
+    pair.  Verdicts and covers are memoised across queries; only legal paths
+    ever enter the verdict memo, so a query reads it before anything else.
     """
 
     def __init__(self, f: GraphMap):
         require_expanding_train_track(f)
         self.f = f
         self.da = DirectionAnalysis(f)
+        g = f.domain
+        self._next = tuple(
+            tuple((d, f.image(d)) for d in g.directions_at(g.terminal(e))
+                  if d != inverse(e) and self.da.is_legal(make_turn(inverse(e), d)))
+            for e in g.oriented_edges)
+        self._legal_next = tuple(frozenset(d for d, _ in nxt) for nxt in self._next)
+        starts = {}
+        for e0 in g.oriented_edges:
+            img0 = f.image(e0)
+            for off in range(len(img0)):
+                starts.setdefault(img0[off], []).append((e0, img0[off:]))
+        self._starts = starts
         self._covers = {}
         self._verdict = {}
 
@@ -558,42 +581,48 @@ class LegalPullbacks:
         path = tuple(path)
         if path in self._covers:
             return self._covers[path]
-        results = set()
-        for e0 in self.f.domain.oriented_edges:
-            img0 = self.f.image(e0)
-            for off in range(len(img0)):
-                self._extend((e0,), img0[off:], path, results)
+        if not path:
+            results = {(e0,) for e0 in self.f.domain.oriented_edges}
+        else:
+            results = self._search_covers(path)
         self._covers[path] = frozenset(results)
         return self._covers[path]
 
-    def _extend(self, cover, avail, path, results):
-        """Grow ``cover`` until its image (from the occurrence start) holds all
-        of ``path``.  Blocks are only appended when needed, so the occurrence
-        touches the first and last block and the cover is minimal."""
-        k = min(len(avail), len(path))
-        if avail[:k] != path[:k]:
-            return
-        if len(avail) >= len(path):
-            results.add(cover)
-            return
-        f = self.f
-        last = cover[-1]
-        v = f.domain.terminal(last)
-        for d in f.domain.directions_at(v):
-            if d == inverse(last):
+    def _search_covers(self, path):
+        """Depth-first search over legal covers, in the order of the start
+        index and the successor table.  A stack entry ``(cover, pos)`` has
+        the image of ``cover`` (from the occurrence start) matching
+        ``path[:pos]``; a block is appended only while ``pos < len(path)``
+        and only if it matches the path from ``pos`` on, so the occurrence
+        touches the first and last block."""
+        n = len(path)
+        starts, nxt = self._starts.get(path[0], ()), self._next
+        results = set()
+        stack = [((), 0)]
+        while stack:
+            cover, pos = stack.pop()
+            if pos >= n:
+                results.add(cover)
                 continue
-            if not self.da.is_legal(make_turn(inverse(last), d)):
-                continue
-            self._extend(cover + (d,), avail + f.image(d), path, results)
+            for d, block in reversed(nxt[cover[-1]] if cover else starts):
+                end = pos + len(block)
+                if path[pos:end] == block[:n - pos]:
+                    stack.append((cover + (d,), end))
+        return results
 
     def is_infinitely_legal(self, path) -> bool:
         path = tuple(path)
-        if not self.da.is_legal_path(path):
+        good = self._verdict
+        if path in good:
+            return good[path]
+        # successor-table legality: on paths of the graph this agrees with
+        # DirectionAnalysis.is_legal_path
+        legal_next = self._legal_next
+        if not all(path[i + 1] in legal_next[path[i]] for i in range(len(path) - 1)):
             return False
         # cycle detection in the pullback graph reachable from `path`
         WHITE, GREY, BLACK = 0, 1, 2
         colour = {}
-        good = self._verdict
 
         def dfs(p):
             if p in good:

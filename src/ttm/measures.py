@@ -468,14 +468,8 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
             f"{table.max_length}")
     out = {}
     for center in tower.short_edges(m):
-        images = set()
-        for w in tower.windows(center, rho, m):
-            img = tower.path_image(w, m)
-            if not is_reduced(img):
-                continue
-            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
-                continue
-            images.add(img)
+        images = {img for _, img in tower.legal_windows(center, rho, m,
+                                                        infinitely_legal)}
         total = None
         for img in sorted(images):
             v = table.value(img)

@@ -335,11 +335,7 @@ def _normalise(vec):
     total = _vector_sum(vec)
     if not (total > 0):
         raise SpectralError("cannot normalise a vector without provably positive sum")
-    return tuple(v / total if not _is_exact_zero(v) else ia.zero() for v in vec)
-
-
-def _is_exact_zero(x) -> bool:
-    return x.a == 0 and x.b == 0
+    return tuple(v / total if not ia.is_exact_zero(v) else ia.zero() for v in vec)
 
 
 def pf_eigenpair(block, bits=None) -> Eigenpair:
@@ -455,7 +451,7 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bits=None)
             if not (vec[i] > 0):
                 return None  # needs refinement
         else:
-            assert _is_exact_zero(vec[i])
+            assert ia.is_exact_zero(vec[i])
     return Eigenpair(value=root, vector=_normalise(vec), support=support,
                      block=tuple(block))
 

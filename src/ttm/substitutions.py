@@ -34,6 +34,7 @@ class Substitution:
 
     alphabet: tuple
     images: tuple     # tuple of words (tuples of letters), one per letter
+    _image: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {x: i for i, x in enumerate(self.alphabet)}
@@ -45,6 +46,7 @@ class Substitution:
             for x in w:
                 if x not in index:
                     raise PreconditionError(f"image uses unknown letter {x!r}")
+        object.__setattr__(self, "_image", dict(zip(self.alphabet, self.images)))
 
     @staticmethod
     def from_strings(rules: dict, alphabet=None) -> "Substitution":
@@ -56,10 +58,8 @@ class Substitution:
         return self.alphabet.index(letter)
 
     def apply(self, word):
-        out = []
-        for x in word:
-            out.extend(self.images[self.index(x)])
-        return tuple(out)
+        image = self._image
+        return tuple(x for y in word for x in image[y])
 
     def iterate(self, word, n: int):
         for _ in range(n):
@@ -98,20 +98,35 @@ class Substitution:
     def language(self, max_length: int):
         """All factors of length <= max_length of the iterated letter images:
         the least set holding the factors of the images and, with each word,
-        the factors of its image.  A worklist applies the substitution once
-        to each newly found factor."""
+        the factors of its image.
+
+        A worklist applies the substitution once to each *window*, a factor
+        of length ``min(max_length, len(W))`` of a letter image or of the
+        image ``W`` of a window.  Every factor found lies in a window, and
+        the image of a factor is a factor of the image of its window, so
+        the factors of the windows are the whole fixpoint."""
         if not self.is_expanding():
             raise PreconditionError("language needs an expanding substitution")
-        image = dict(zip(self.alphabet, self.images))
-        found = set()
+        if max_length < 1:
+            return frozenset()
+        windows = set()
+        todo = []
+
+        def visit(word):
+            k = min(max_length, len(word))
+            for i in range(len(word) - k + 1):
+                w = word[i:i + k]
+                if w not in windows:
+                    windows.add(w)
+                    todo.append(w)
+
         for w in self.images:
-            found |= _factors(w, max_length)
-        todo = list(found)
+            visit(w)
         while todo:
-            w = todo.pop()
-            new = _factors(tuple(x for y in w for x in image[y]), max_length) - found
-            found |= new
-            todo.extend(new)
+            visit(self.apply(todo.pop()))
+        found = set()
+        for w in windows:
+            found |= _factors(w, max_length)
         return frozenset(found)
 
 

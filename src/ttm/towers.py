@@ -176,6 +176,49 @@ class StationaryTower:
             rights = nxt
         return [l + (center,) + r for l in lefts for r in rights]
 
+    def legal_windows(self, center, radius: int, n: int,
+                      infinitely_legal: bool = False):
+        """The windows of ``windows(center, radius, n)`` whose image is
+        reduced (the legal level-n windows), in the same order, as
+        ``(window, image)`` pairs; with ``infinitely_legal`` only those
+        whose image is infinitely legal.
+
+        Lefts and rights grow one short edge at a time, carrying their image
+        letters, and an extension is dropped as soon as its image letter
+        cancels against the adjacent one.  A window's image is reduced iff
+        its left half with the centre and its centre with the right half
+        are, and a prefix that cancels keeps cancelling however it is
+        extended, so the survivors are exactly the legal windows and keep
+        the order of the full lists.
+        """
+        c = self.image_letter(center, n)
+        lefts = [((), ())]
+        for _ in range(radius):
+            nxt = []
+            for p, img in lefts:
+                bad = inverse(img[0] if img else c)
+                for q in self.predecessors(p[0] if p else center, n):
+                    x = self.image_letter(q, n)
+                    if x != bad:
+                        nxt.append(((q,) + p, (x,) + img))
+            lefts = nxt
+        rights = [((), ())]
+        for _ in range(radius):
+            nxt = []
+            for p, img in rights:
+                bad = inverse(img[-1] if img else c)
+                for q in self.successors(p[-1] if p else center, n):
+                    x = self.image_letter(q, n)
+                    if x != bad:
+                        nxt.append((p + (q,), img + (x,)))
+            rights = nxt
+        pullbacks = self.pullbacks() if infinitely_legal else None
+        for l, limg in lefts:
+            for r, rimg in rights:
+                img = limg + (c,) + rimg
+                if pullbacks is None or pullbacks.is_infinitely_legal(img):
+                    yield l + (center,) + r, img
+
     # -- languages --------------------------------------------------------------
 
     def pullbacks(self) -> LegalPullbacks:
@@ -370,7 +413,7 @@ class WeightTower:
 
     def check_illegal_zero(self) -> bool:
         da = self.tower.directions
-        return all(_exact_zero(w) for t, w in self.turn_weight.items()
+        return all(ia.is_exact_zero(w) for t, w in self.turn_weight.items()
                    if not da.is_legal(t))
 
     def check_turn_bounds(self):
@@ -384,10 +427,6 @@ class WeightTower:
     def compatibility_residual(self):
         """Level compatibility of edge weights reduces to the eigen identity."""
         return self.vt.eigen_residual()
-
-
-def _exact_zero(x) -> bool:
-    return x.a == 0 and x.b == 0
 
 
 def weight_tower_from_vector(tower: StationaryTower, vt: VectorTower) -> WeightTower:
@@ -442,12 +481,7 @@ def repetition_bound(tower: StationaryTower, n: int, cap: int,
 def _violating_pair(tower, n, rho, infinitely_legal):
     seen = {}
     for center in tower.short_edges(n):
-        for w in tower.windows(center, rho, n):
-            img = tower.path_image(w, n)
-            if not is_reduced(img):
-                continue
-            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
-                continue
+        for w, img in tower.legal_windows(center, rho, n, infinitely_legal):
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
             seen[img] = (center, w)

@@ -127,3 +127,22 @@ def expanding_self_maps(seed, count, max_paths=1000):
         if len(out) == count:
             break
     return out
+
+
+def rose_map(*images):
+    """Self-map of the rose whose petals a, b, c, ... go to the given words
+    of positively crossed petals."""
+    letters = "abcdefgh"[:len(images)]
+    g = rose(len(images), tuple(letters))
+    return GraphMap(g, g, [0], [tuple(2 * letters.index(x) for x in w) for w in images])
+
+
+def pullback_maps():
+    """Named expanding train track maps for the equivalence tests of the
+    pullback and window searches: the Fibonacci, Thue-Morse and tribonacci
+    roses, the benchmark maps q, q2 and red, and seeded random maps (one of
+    them on two vertices)."""
+    return ([("fibonacci", rose_map("ab", "a")), ("thue-morse", rose_map("ab", "ba")),
+             ("tribonacci", rose_map("ab", "ac", "a")), ("q", rose_map("ab", "c", "d", "a")),
+             ("q2", rose_map("ac", "a", "bd", "a")), ("red", rose_map("ab", "ba", "cccab"))]
+            + [(f"random-{k}", f) for k, f in enumerate(expanding_self_maps(1414, 3))])

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from ttm.errors import MapError, PreconditionError
-from ttm.graphs import is_reduced, reverse_path, rose
+from ttm.graphs import inverse, is_reduced, make_turn, reverse_path, rose
 from ttm.maps import (
     GraphMap, LegalPullbacks, abelianization_determinant, compose,
     identity_map, infinitely_legal_language, is_expanding,
     is_homotopy_equivalence, is_train_track, matmul, power, used_language,
 )
 
-from conftest import A, Abar, B, Bbar, random_graph, random_map, random_tame_maps
+from conftest import (
+    A, Abar, B, Bbar, pullback_maps, random_graph, random_map, random_tame_maps,
+)
 
 
 def test_edge_image_of_inverse(fibonacci):
@@ -170,6 +172,81 @@ def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
             image = f.map_path(p)
             if len(image) <= 5:
                 assert image in lang.paths
+
+
+# -- indexed cover search vs the recursive reference ------------------------------------
+
+
+class RecursivePullbacks(LegalPullbacks):
+    """Reference pullbacks: covers grown recursively by image concatenation
+    from every (edge, image offset) start, legality by turn orbits, and the
+    verdict memo read only after the legality check."""
+
+    def minimal_covers(self, path):
+        path = tuple(path)
+        if path not in self._covers:
+            results = set()
+            for e0 in self.f.domain.oriented_edges:
+                img0 = self.f.image(e0)
+                for off in range(len(img0)):
+                    self._extend((e0,), img0[off:], path, results)
+            self._covers[path] = frozenset(results)
+        return self._covers[path]
+
+    def _extend(self, cover, avail, path, results):
+        k = min(len(avail), len(path))
+        if avail[:k] != path[:k]:
+            return
+        if len(avail) >= len(path):
+            results.add(cover)
+            return
+        g, last = self.f.domain, cover[-1]
+        for d in g.directions_at(g.terminal(last)):
+            if d != inverse(last) and self.da.is_legal(make_turn(inverse(last), d)):
+                self._extend(cover + (d,), avail + self.f.image(d), path, results)
+
+    def is_infinitely_legal(self, path) -> bool:
+        path = tuple(path)
+        if not self.da.is_legal_path(path):
+            return False
+        colour = {}
+        good = self._verdict
+
+        def dfs(p):
+            if p in good:
+                return good[p]
+            if colour.get(p) == "grey":
+                return True
+            colour[p] = "grey"
+            result = False
+            for c in self.minimal_covers(p):
+                if (c in good and good[c]) or colour.get(c) == "grey" or dfs(c):
+                    result = True
+                    break
+            colour[p] = "black"
+            good[p] = result
+            return result
+
+        return dfs(path)
+
+
+PULLBACK_MAPS = pullback_maps()
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_indexed_pullbacks_equal_recursive_reference(name, f):
+    """The start index, the successor table and the memo-first verdict give
+    the covers, verdicts and languages of the recursive search."""
+    g = f.domain
+    paths = g.reduced_paths(5) + [(e, inverse(e)) for e in g.oriented_edges]
+    pb, ref = LegalPullbacks(f), RecursivePullbacks(f)
+    for p in paths:
+        assert pb.minimal_covers(p) == ref.minimal_covers(p), p
+    pb, ref = LegalPullbacks(f), RecursivePullbacks(f)
+    for p in paths:
+        assert pb.is_infinitely_legal(p) == ref.is_infinitely_legal(p), p
+    assert (infinitely_legal_language(f, 6, LegalPullbacks(f))
+            == infinitely_legal_language(f, 6, RecursivePullbacks(f)))
 
 
 def test_language_preconditions(rose2):

@@ -108,6 +108,25 @@ def test_worklist_language_equals_rescan(sigma, max_length):
     assert sigma.language(max_length) == rescan_language(sigma, max_length)
 
 
+@pytest.mark.parametrize("sigma", [FIB, TM])
+def test_language_applies_sigma_once_per_window(monkeypatch, sigma):
+    """Only the maximal windows go through the substitution, each once: far
+    fewer applications than factors, where a worklist over all factors makes
+    one application per factor."""
+    words = []
+    apply = Substitution.apply
+
+    def counting(self, word):
+        words.append(word)
+        return apply(self, word)
+
+    monkeypatch.setattr(Substitution, "apply", counting)
+    lang = sigma.language(10)
+    assert len(set(words)) == len(words)
+    assert all(len(w) <= 10 for w in words)
+    assert 4 * len(words) < len(lang)
+
+
 @settings(max_examples=80)
 @given(expanding_substitutions(), st.integers(1, 3))
 def test_periodic_scan_equals_alphabet_enumeration(sigma, bound):

@@ -6,14 +6,14 @@ import ttm.intervals as ia
 import ttm.towers
 from ttm.cli import build_measure
 from ttm.errors import PreconditionError
-from ttm.graphs import is_degenerate, make_turn, rose
+from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
 from ttm.maps import GraphMap, junction_turns, matmul, power
 from ttm.towers import (
     StationaryTower, VectorTower, image_vector_tower, repetition_bound,
     tower_self_morphism, weight_tower_from_vector,
 )
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps
+from conftest import A, Abar, B, Bbar, expanding_self_maps, pullback_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -357,3 +357,54 @@ def test_repetition_bound_legal_mode(fib_setup):
     weak = repetition_bound(tower, 1, 7, infinitely_legal=True)
     assert strict.found and weak.found
     assert strict.bound >= weak.bound
+
+
+# -- pruned window scan vs the full window scan -------------------------------------------
+
+
+def windows_violating_pair(tower, n, rho, infinitely_legal):
+    """Reference scan: every window, mapped letter by letter, filtered after."""
+    seen = {}
+    for center in tower.short_edges(n):
+        for w in tower.windows(center, rho, n):
+            img = tower.path_image(w, n)
+            if not is_reduced(img):
+                continue
+            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
+                continue
+            if img in seen and seen[img][0] != center:
+                return (seen[img][1], w)
+            seen[img] = (center, w)
+    return None
+
+
+PULLBACK_MAPS = pullback_maps()
+# the windows of q2 (and of red at level 1) multiply so fast per radius that
+# their caps stop where the full reference scan still takes under a second
+WINDOW_CAPS = {"q2": 3, "red": 6}
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_legal_windows_are_the_reduced_windows_in_order(name, f):
+    tower = StationaryTower(f)
+    for n in range(3):
+        for center in tower.short_edges(n):
+            for rho in range(3):
+                want = [(w, tower.path_image(w, n)) for w in tower.windows(center, rho, n)]
+                want = [(w, img) for w, img in want if is_reduced(img)]
+                assert list(tower.legal_windows(center, rho, n)) == want
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_pruned_repetition_search_equals_full_scan(monkeypatch, name, f):
+    """Bound and witness agree with the full window scan at levels 0-3 and
+    every cap up to 8, over infinitely legal and over all legal windows."""
+    tower, reference = StationaryTower(f), StationaryTower(f)
+    for infinitely_legal in (True, False):
+        for n in range(4):
+            for cap in range(WINDOW_CAPS.get(name, 8) + 1):
+                got = repetition_bound(tower, n, cap, infinitely_legal)
+                with monkeypatch.context() as m:
+                    m.setattr(ttm.towers, "_violating_pair", windows_violating_pair)
+                    want = repetition_bound(reference, n, cap, infinitely_legal)
+                assert got == want, (n, cap, infinitely_legal)
