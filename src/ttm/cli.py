@@ -30,8 +30,8 @@ from .maps import (
     GraphMap, is_expanding, is_homotopy_equivalence, is_train_track,
 )
 from .measures import (
-    FrequencyOracle, KolmogorovFunction, verify_eigen_measure,
-    verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, VerificationReport,
+    verify_eigen_measure, verify_kolmogorov,
 )
 from .substitutions import ergodic_measures
 from .textio import format_table_tsv, parse, parse_path
@@ -287,10 +287,11 @@ def _verify_once(f, args, tol):
            f"max violation {kirch:.3e}")
 
     switch = list(wt.switch_residuals().values())
-    sup = max(ia.sup_abs(r) for r in switch)
-    inf = max(ia.inf_abs(r) for r in switch)
-    status = "pass" if sup <= tol else ("FAIL" if inf > tol else "INCONCLUSIVE")
-    report("switch conditions", status, f"max violation {sup:.3e}")
+    srep = VerificationReport()
+    srep.record("switch", (max(ia.sup_abs(r) for r in switch),
+                           max(ia.inf_abs(r) for r in switch)), tol)
+    report("switch conditions", status_from(srep, {"switch"}),
+           f"max violation {srep.checks['switch']:.3e}")
 
     erep = verify_eigen_measure(f, kf, vt.lam, args.max_len, tol)
     report("eigen equation (pushforward = lambda * measure)",

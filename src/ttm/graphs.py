@@ -309,8 +309,4 @@ class Language:
 def subpaths_up_to(path: Path, max_length: int):
     """All non-empty subpaths of ``path`` with length <= max_length."""
     n = len(path)
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, min(i + max_length, n) + 1):
-            out.add(path[i:j])
-    return out
+    return {path[i:j] for i in range(n) for j in range(i + 1, min(i + max_length, n) + 1)}

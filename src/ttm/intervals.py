@@ -61,6 +61,11 @@ def from_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
+def coerce(x):
+    """Fractions as their tight enclosure; intervals unchanged."""
+    return from_fraction(x) if isinstance(x, Fraction) else x
+
+
 def from_endpoints(lo: Fraction, hi: Fraction):
     """Enclosure of the closed interval [lo, hi] with rational endpoints."""
     a = from_fraction(lo)
@@ -121,6 +126,20 @@ def isum(values):
     for v in values:
         total = total + v
     return total
+
+
+def matvec(m, vec):
+    """M v for a non-negative integer matrix and an interval vector: each
+    coordinate sums ``m[i][j] * vec[j]`` over the non-zero entries of its
+    row, in column order (a zero row gives exact 0)."""
+    out = []
+    for row in m:
+        acc = zero()
+        for a, v in zip(row, vec):
+            if a:
+                acc = acc + exact(a) * v
+        out.append(acc)
+    return tuple(out)
 
 
 def geometric_tail(ratio, first_exponent: int):

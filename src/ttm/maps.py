@@ -513,28 +513,49 @@ def abelianization_determinant(f: GraphMap) -> Fraction:
 # -- languages -------------------------------------------------------------------
 
 
+def image_windows(f: GraphMap, max_length: int):
+    """The windows of the iterated edge images: factors of length
+    ``min(max_length, len(W))`` of the image ``W`` of a positive edge or of a
+    window, found by a worklist that maps each window once.
+
+    Every subpath of length <= max_length of an iterated image lies in a
+    window, and the image of a subpath is a subpath of the image of its
+    window (``map_path`` concatenates without reduction), so the subpaths of
+    the windows are the whole fixpoint.  Positive edges suffice: the image of
+    a reversed path is the reversed image, so starting from the negative
+    edges as well would only add the reversals of the windows.
+    """
+    windows = set()
+    if max_length < 1:
+        return windows
+    todo = []
+
+    def visit(path):
+        k = min(max_length, len(path))
+        for i in range(len(path) - k + 1):
+            w = path[i:i + k]
+            if w not in windows:
+                windows.add(w)
+                todo.append(w)
+
+    for e in f.domain.positive_edges:
+        visit(f.image(e))
+    while todo:
+        visit(f.map_path(todo.pop()))
+    return windows
+
+
 def used_language(f: GraphMap, max_length: int) -> Language:
     """Reduced paths of length <= max_length occurring as subpaths of some
-    iterated edge image (together with their reversals).
-
-    Computed as a fixpoint: minimal covering subpaths never exceed the target
-    length, so the subpath set of iterate t+1 is generated by mapping the
-    subpath set of iterate t, and stabilisation of one step is stabilisation
-    forever.
-    """
+    iterated edge image (together with their reversals): the subpaths of the
+    image windows and their reversals."""
     if not is_expanding(f):
         raise PreconditionError("used language needs an expanding map")
-    current = set()
-    for e in f.domain.oriented_edges:
-        current |= subpaths_up_to(f.image(e), max_length)
-    while True:
-        new = set(current)
-        for p in current:
-            new |= subpaths_up_to(f.map_path(p), max_length)
-        if new == current:
-            break
-        current = new
-    return Language(frozenset(current), max_length)
+    paths = set()
+    for w in image_windows(f, max_length):
+        paths |= subpaths_up_to(w, max_length)
+    paths |= {reverse_path(p) for p in paths}
+    return Language(frozenset(paths), max_length)
 
 
 class LegalPullbacks:

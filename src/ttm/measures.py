@@ -248,12 +248,16 @@ class MeasureTable:
                             self.max_length, provenance=self.provenance)
 
 
+def _common(x, y):
+    """Both values exact when both are Fractions, both intervals otherwise."""
+    if isinstance(x, Fraction) == isinstance(y, Fraction):
+        return x, y    # both exact, or neither needs an enclosure
+    return ia.coerce(x), ia.coerce(y)
+
+
 def _definitely_less(x, y) -> bool:
     """x < y certainly."""
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x < y
-    x = x if not isinstance(x, Fraction) else ia.from_fraction(x)
-    y = y if not isinstance(y, Fraction) else ia.from_fraction(y)
+    x, y = _common(x, y)
     return (x < y) is True
 
 
@@ -353,10 +357,7 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0,
 
 
 def _sub(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x - y
-    x = x if not isinstance(x, Fraction) else ia.from_fraction(x)
-    y = y if not isinstance(y, Fraction) else ia.from_fraction(y)
+    x, y = _common(x, y)
     return x - y
 
 
@@ -472,8 +473,7 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
                                                         infinitely_legal)}
         total = None
         for img in sorted(images):
-            v = table.value(img)
-            v = ia.from_fraction(v) if isinstance(v, Fraction) else v
+            v = ia.coerce(table.value(img))
             total = v if total is None else total + v
         out[center] = total if total is not None else ia.zero()
     return out

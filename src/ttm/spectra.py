@@ -70,22 +70,14 @@ def _pattern_product(a, b):
 def is_primitive(m) -> bool:
     """Some power of the (non-negative square) matrix is entrywise positive.
 
-    Tested on the positivity pattern up to the Wielandt exponent
-    (n-1)**2 + 1, which is sharp.
+    That holds iff the matrix is non-zero, irreducible (one strongly
+    connected component) and aperiodic (period 1); see Seneta,
+    *Non-negative Matrices and Markov Chains*.
     """
     m = check_square_nonnegative(m)
-    n = len(m)
-    if n == 0:
+    if not any(any(row) for row in m) or len(strongly_connected_components(m)) != 1:
         return False
-    full = (1 << n) - 1
-    pattern = _pattern(m)
-    power = pattern
-    limit = (n - 1) ** 2 + 1
-    for _ in range(limit):
-        if all(row == full for row in power):
-            return True
-        power = _pattern_product(power, pattern)
-    return all(row == full for row in power)
+    return block_period(m, range(len(m))) == 1
 
 
 def strongly_connected_components(m):
@@ -313,15 +305,8 @@ class Eigenpair:
     def residual(self, m):
         """Interval evaluation of M v - lambda v (contains 0 when valid)."""
         lam = self.interval()
-        out = []
-        n = len(self.vector)
-        for i in range(n):
-            acc = ia.zero()
-            for j in range(n):
-                if m[i][j]:
-                    acc = acc + ia.exact(m[i][j]) * self.vector[j]
-            out.append(acc - lam * self.vector[i])
-        return tuple(out)
+        mv = ia.matvec(m, self.vector)
+        return tuple(a - lam * v for a, v in zip(mv, self.vector))
 
     def check_residual(self, m) -> bool:
         return all(ia.contains_zero(r) for r in self.residual(m))
@@ -430,13 +415,7 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bits=None)
         if not (denom > 0):
             return None  # needs refinement
         adj_r = adjugate_at(bmats_r, lam)
-        rhs = []
-        for i in rest:
-            acc = ia.zero()
-            for pos, j in enumerate(block):
-                if m[i][j]:
-                    acc = acc + ia.exact(m[i][j]) * u[pos]
-            rhs.append(acc)
+        rhs = ia.matvec([[m[i][j] for j in block] for i in rest], u)
         for pos, i in enumerate(rest):
             acc = ia.zero()
             for t in range(len(rest)):

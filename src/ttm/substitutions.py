@@ -1,28 +1,31 @@
-"""Substitutions on a finite alphabet and their invariant measures.
+"""Substitutions on a finite alphabet: a thin adapter over graph maps.
 
 A substitution is a monoid endomorphism sending each letter to a non-empty
 word.  Identifying the alphabet with the positive edges of a one-vertex graph
-turns it into a self-map whose edge images cross only positively oriented
-edges, which is automatically a train track map with the same incidence
-matrix.  Invariant measures of the subshift then come out of the eigenvector
-machinery: each distinguished eigenvector of the incidence matrix with
-eigenvalue above one yields a shift-invariant probability measure, and the
-letter frequencies are the eigenvector coordinates.
+(the rose) turns it into a self-map whose edge images cross only positively
+oriented edges, which is automatically a train track map with the same
+incidence matrix.  ``Substitution`` keeps only the word-level API (``apply``,
+``iterate``, ``composed_with``); the expansion test, the incidence matrix and
+the language are those of its rose map (``Substitution.rose_map``), read back
+as words.
 
-Word-level measures and path-level measures translate through a three-case
-rule: positive words carry the path value, inverse words mirror it, and
-mixed-sign words carry zero.
+Invariant measures of the subshift are the measures of the rose map: each
+distinguished eigenvector of the incidence matrix with eigenvalue above one
+yields a shift-invariant probability measure, and the letter frequencies are
+the eigenvector coordinates.  Word-level measures and path-level measures
+translate through a three-case rule: positive words carry the path value,
+inverse words mirror it, and mixed-sign words carry zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from . import spectra
+from . import maps, spectra
 from .errors import PreconditionError
-from .graphs import Graph, is_positive, reverse_path, rose
-from .maps import GraphMap
+from .graphs import Graph, is_positive, reverse_path, rose, subpaths_up_to
 from .measures import KolmogorovFunction, MeasureTable
 from .towers import StationaryTower, VectorTower, weight_tower_from_vector
 
@@ -66,12 +69,13 @@ class Substitution:
             word = self.apply(word)
         return word
 
+    @cached_property
+    def rose_map(self) -> maps.GraphMap:
+        """The substitution as a self-map of the rose (built on first use)."""
+        return to_train_track(self)[0]
+
     def incidence_matrix(self):
-        m = [[0] * len(self.alphabet) for _ in self.alphabet]
-        for j, w in enumerate(self.images):
-            for x in w:
-                m[self.index(x)][j] += 1
-        return tuple(tuple(r) for r in m)
+        return self.rose_map.transition_matrix()
 
     def composed_with(self, other: "Substitution") -> "Substitution":
         if self.alphabet != other.alphabet:
@@ -80,59 +84,21 @@ class Substitution:
                             tuple(self.apply(w) for w in other.images))
 
     def is_expanding(self) -> bool:
-        """Do all iterated image lengths go to infinity?  Fails exactly when
-        some letter cycles forever through single-letter images."""
-        for start in self.alphabet:
-            x = start
-            seen = set()
-            while len(self.images[self.index(x)]) == 1:
-                if x in seen:
-                    return False
-                seen.add(x)
-                x = self.images[self.index(x)][0]
-        return True
+        """Do all iterated image lengths go to infinity?"""
+        return maps.is_expanding(self.rose_map)
 
     def is_primitive(self) -> bool:
         return spectra.is_primitive(self.incidence_matrix())
 
     def language(self, max_length: int):
         """All factors of length <= max_length of the iterated letter images:
-        the least set holding the factors of the images and, with each word,
-        the factors of its image.
-
-        A worklist applies the substitution once to each *window*, a factor
-        of length ``min(max_length, len(W))`` of a letter image or of the
-        image ``W`` of a window.  Every factor found lies in a window, and
-        the image of a factor is a factor of the image of its window, so
-        the factors of the windows are the whole fixpoint."""
+        the factors of the image windows of the rose map, read as words."""
         if not self.is_expanding():
             raise PreconditionError("language needs an expanding substitution")
-        if max_length < 1:
-            return frozenset()
-        windows = set()
-        todo = []
-
-        def visit(word):
-            k = min(max_length, len(word))
-            for i in range(len(word) - k + 1):
-                w = word[i:i + k]
-                if w not in windows:
-                    windows.add(w)
-                    todo.append(w)
-
-        for w in self.images:
-            visit(w)
-        while todo:
-            visit(self.apply(todo.pop()))
         found = set()
-        for w in windows:
-            found |= _factors(w, max_length)
+        for p in maps.image_windows(self.rose_map, max_length):
+            found |= subpaths_up_to(path_to_word(self, p), max_length)
         return frozenset(found)
-
-
-def _factors(word, max_length):
-    n = len(word)
-    return {word[i:j] for i in range(n) for j in range(i + 1, min(i + max_length, n) + 1)}
 
 
 def to_train_track(sigma: Substitution):
@@ -142,7 +108,7 @@ def to_train_track(sigma: Substitution):
     a train track map outright."""
     g = rose(len(sigma.alphabet), edge_labels=tuple(str(x) for x in sigma.alphabet))
     eimg = tuple(tuple(2 * sigma.index(x) for x in w) for w in sigma.images)
-    return GraphMap(g, g, [0], eimg, name="subst"), g
+    return maps.GraphMap(g, g, [0], eimg, name="subst"), g
 
 
 def word_to_path(sigma: Substitution, word):
@@ -220,16 +186,15 @@ def ergodic_measures(sigma: Substitution, periodicity_scan: int = 4) -> ErgodicE
     m = sigma.incidence_matrix()
     bf = spectra.block_form(m)
     pairs = spectra.distinguished_eigenvectors(m)
-    f, _ = to_train_track(sigma)
     warnings = [f"possible periodic word {w!r} in the subshift"
                 for w in _periodic_witnesses(sigma, periodicity_scan)]
+    tower = StationaryTower(sigma.rose_map)
     measures = []
     skipped = []
     for pair in pairs:
         if pair.value.compare(1) <= 0:
             skipped.append(pair)
             continue
-        tower = StationaryTower(f)
         vt = VectorTower(tower, pair.vector, pair.value)
         wt = weight_tower_from_vector(tower, vt)
         kf = KolmogorovFunction(tower, wt)

@@ -259,15 +259,8 @@ class VectorTower:
                 "vector is not a certified eigenvector of the transition matrix")
 
     def eigen_residual(self):
-        m = self.f_matrix()
-        out = []
-        for i in range(len(self.vector)):
-            acc = ia.zero()
-            for j in range(len(self.vector)):
-                if m[i][j]:
-                    acc = acc + ia.exact(m[i][j]) * self.vector[j]
-            out.append(acc - self.lam * self.vector[i])
-        return out
+        mv = ia.matvec(self.f_matrix(), self.vector)
+        return [a - self.lam * v for a, v in zip(mv, self.vector)]
 
     def f_matrix(self):
         return self.tower.f.transition_matrix()
@@ -322,16 +315,8 @@ def image_vector_tower(morphism: TowerMorphism, vt: VectorTower) -> VectorTower:
     """Push a vector tower through the morphism: level vectors multiply by the
     level transition matrix.  For the tower self-morphism this returns
     lambda times the input."""
-    m = morphism.matrix()
-    n = len(vt.vector)
-    out = []
-    for i in range(n):
-        acc = ia.zero()
-        for j in range(n):
-            if m[i][j]:
-                acc = acc + ia.exact(m[i][j]) * vt.vector[j]
-        out.append(acc)
-    return VectorTower(vt.tower, tuple(out), vt.lam_root or vt.lam)
+    return VectorTower(vt.tower, ia.matvec(morphism.matrix(), vt.vector),
+                       vt.lam_root or vt.lam)
 
 
 class WeightTower:

@@ -55,6 +55,18 @@ def test_verify_fails_on_bad_map(fib_file, capsys):
     assert code == 3  # precondition: not a train track map
 
 
+@pytest.mark.parametrize("tol,status", [("-1", "FAIL"), ("0", "INCONCLUSIVE"),
+                                        ("1e-12", "pass")])
+def test_verify_switch_verdict(fib_file, capsys, tol, status):
+    """The switch suite follows the verdict rule of the other suites: a
+    violation provably beyond the tolerance fails, one whose interval
+    straddles it is inconclusive."""
+    code, out, _ = run(capsys, "verify", fib_file, "--map", "f",
+                       "--max-len", "2", "--tol", tol)
+    assert f"switch conditions: {status} (" in out
+    assert code == (0 if status == "pass" else 4)
+
+
 def test_measure_table(fib_file, capsys):
     code, out, _ = run(capsys, "measure", fib_file, "--map", "f",
                        "--table-up-to", "3")

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from ttm.errors import MapError, PreconditionError
-from ttm.graphs import inverse, is_reduced, make_turn, reverse_path, rose
+from ttm.graphs import (
+    inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to,
+)
 from ttm.maps import (
     GraphMap, LegalPullbacks, abelianization_determinant, compose,
-    identity_map, infinitely_legal_language, is_expanding,
+    identity_map, image_windows, infinitely_legal_language, is_expanding,
     is_homotopy_equivalence, is_train_track, matmul, power, used_language,
 )
 
@@ -146,6 +148,44 @@ def test_used_language_f_invariant(fibonacci, thue_morse):
             image = f.map_path(p)
             if len(image) <= 6:
                 assert image in lang.paths
+
+
+def rescan_used_language(f, max_length):
+    """Reference fixpoint: map the whole subpath set, from the images of
+    every oriented edge, until it stops growing."""
+    current = set()
+    for e in f.domain.oriented_edges:
+        current |= subpaths_up_to(f.image(e), max_length)
+    while True:
+        new = set(current)
+        for p in current:
+            new |= subpaths_up_to(f.map_path(p), max_length)
+        if new == current:
+            return frozenset(current)
+        current = new
+
+
+def test_used_language_equals_rescan():
+    """The window worklist from the positive edges, closed under reversal,
+    is the full-rescan fixpoint on expanding self-maps, train track or not."""
+    maps = [f for f in random_tame_maps(2718, 100) if f.is_self_map() and is_expanding(f)]
+    assert len(maps) >= 50
+    assert any(not is_train_track(f)[0] for f in maps)
+    for f in maps:
+        for max_length in range(6):
+            expected = rescan_used_language(f, max_length)
+            assert used_language(f, max_length).paths == expected
+
+
+def test_image_windows(fibonacci):
+    """Windows are as long as the image they are cut from allows (b -> a
+    gives the window a), and each one is a subpath of an iterated positive
+    edge image."""
+    windows = image_windows(fibonacci, 3)
+    assert windows == {(A,), (A, B), (A, B, A), (B, A, A), (A, A, B), (B, A, B)}
+    deep = {w for e in (A, B) for w in subpaths_up_to(fibonacci.iterate_image(e, 8), 3)}
+    assert windows <= deep
+    assert image_windows(fibonacci, 0) == set()
 
 
 def test_infinitely_legal(fibonacci, rose2):

@@ -9,8 +9,9 @@ from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
 from ttm.maps import GraphMap, identity_map, infinitely_legal_language, used_language
 from ttm.measures import (
-    FrequencyOracle, KolmogorovFunction, MeasureTable, frequency_oracle,
-    image_measure, recover_weights, verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, _common,
+    _definitely_less, _sub, frequency_oracle, image_measure, recover_weights,
+    verify_eigen_measure, verify_kolmogorov,
 )
 from ttm.towers import VectorTower
 
@@ -418,6 +419,20 @@ def test_figure4_short_lengths_exact(rose2):
     report = verify_kolmogorov(table, 2, 0.0)
     assert report.passed
     assert report.max_violation == 0
+
+
+def test_exact_pairs_stay_exact():
+    """Two Fractions compare and subtract exactly; a Fraction against an
+    interval is enclosed first."""
+    third = Fraction(1, 3)
+    assert _common(third, third) == (third, third)
+    assert _sub(third, third) == 0 and isinstance(_sub(third, third), Fraction)
+    assert not _definitely_less(third, third)
+    x, y = _common(third, ia.one())
+    assert not isinstance(x, Fraction) and ia.contains_zero(x - ia.one() / 3)
+    assert y == ia.one()
+    assert _definitely_less(third, ia.one()) and not _definitely_less(ia.one(), third)
+    assert ia.coerce(ia.one()) is not None and ia.coerce(Fraction(2)) == ia.exact(2)
 
 
 def test_figure4_inconsistency_flagged(rose2):

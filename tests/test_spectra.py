@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import ttm.intervals as ia
 from ttm.errors import SpectralError
 from ttm.spectra import (
-    _power_is_normalised, block_form, distinguished_eigenvectors, is_primitive,
-    nonneg_eigenvectors_for, pf_eigenpair, spectral_radius_root, submatrix,
+    _pattern, _pattern_product, _power_is_normalised, block_form,
+    distinguished_eigenvectors, is_primitive, nonneg_eigenvectors_for,
+    pf_eigenpair, spectral_radius_root, submatrix,
 )
 
 FIB = ((1, 1), (1, 0))
@@ -86,6 +87,70 @@ def test_block_form_power_from_patterns_matches_integer_powers(m):
         k += base
         assert k <= base * (2 * ((n - 1) ** 2 + 1) + n + 1)
     assert bf.power_used == k
+
+
+def wielandt_is_primitive(m):
+    """Reference: square the positivity pattern up to the Wielandt exponent
+    (n-1)**2 + 1, which is sharp."""
+    n = len(m)
+    if n == 0:
+        return False
+    full = (1 << n) - 1
+    pattern = power = _pattern(m)
+    for _ in range((n - 1) ** 2 + 1):
+        if all(row == full for row in power):
+            return True
+        power = _pattern_product(power, pattern)
+    return all(row == full for row in power)
+
+
+@st.composite
+def chorded_cycles(draw):
+    """An n-cycle with one chord: the Wielandt matrices, whose primitivity
+    exponents (n-1)**2 + 1 are the largest, are among them."""
+    n = draw(st.integers(1, 8))
+    m = [[0] * n for _ in range(n)]
+    for c in range(n):
+        m[(c + 1) % n][c] = 1
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    m[r][c] += draw(st.integers(0, 2))
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=300)
+@given(st.one_of(sparse_matrices(), chorded_cycles()))
+def test_is_primitive_by_period_equals_wielandt_powers(m):
+    assert is_primitive(m) == wielandt_is_primitive(m)
+
+
+def test_is_primitive_edge_cases():
+    wielandt = ((0, 0, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert is_primitive(wielandt) and wielandt_is_primitive(wielandt)
+    assert not is_primitive(())
+    assert not is_primitive(((0, 0), (0, 0)))
+    assert not is_primitive(((1, 0), (0, 1)))      # reducible, both blocks aperiodic
+    assert not is_primitive(((1, 1), (0, 1)))      # reducible, upper triangular
+    assert not is_primitive(((0, 1, 0), (0, 0, 1), (1, 0, 0)))  # period 3
+
+
+def test_matvec_equals_entrywise_loop():
+    """``ia.matvec`` sums the non-zero entries of each row in column order,
+    bit for bit like the loops it replaced."""
+    # magnitudes far apart, so another summation order rounds differently
+    vec = (ia.from_fraction(Fraction(1, 3)), ia.exact(2) ** -100 / 7, ia.zero(),
+           ia.one() / 11)
+    for m in (((1, 0, 2, 3), (0, 0, 0, 0), (1, 1, 1, 0), (0, 4, 0, 1)),
+              ((2, 2, 2, 2),) * 4):
+        ref = []
+        for i in range(4):
+            acc = ia.zero()
+            for j in range(4):
+                if m[i][j]:
+                    acc = acc + ia.exact(m[i][j]) * vec[j]
+            ref.append(acc)
+        got = ia.matvec(m, vec)
+        assert [(x.a, x.b) for x in got] == [(x.a, x.b) for x in ref]
+        assert ia.is_exact_zero(ia.matvec(((0, 0, 0, 0),), vec)[0])
 
 
 def test_block_form_reassembles():

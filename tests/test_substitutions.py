@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
 from ttm.errors import PreconditionError
-from ttm.graphs import reverse_path
-from ttm.maps import used_language
+from ttm.graphs import reverse_path, subpaths_up_to
+from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import verify_eigen_measure, verify_kolmogorov
 from ttm.substitutions import (
-    Substitution, _factors, _is_primitive_word, _periodic_witnesses,
+    Substitution, _is_primitive_word, _periodic_witnesses,
     classic_to_graph_table, ergodic_measures, graph_to_classic_table,
     graph_value_of_word_table, path_to_word, to_train_track, word_to_path,
 )
@@ -63,11 +63,11 @@ def rescan_language(sigma, max_length):
     """Reference fixpoint: reapply the substitution to the whole set."""
     current = set()
     for w in sigma.images:
-        current |= _factors(w, max_length)
+        current |= subpaths_up_to(w, max_length)
     while True:
         new = set(current)
         for w in current:
-            new |= _factors(sigma.apply(w), max_length)
+            new |= subpaths_up_to(sigma.apply(w), max_length)
         if new == current:
             return frozenset(current)
         current = new
@@ -110,21 +110,34 @@ def test_worklist_language_equals_rescan(sigma, max_length):
 
 @pytest.mark.parametrize("sigma", [FIB, TM])
 def test_language_applies_sigma_once_per_window(monkeypatch, sigma):
-    """Only the maximal windows go through the substitution, each once: far
+    """Only the maximal windows go through the rose map, each once: far
     fewer applications than factors, where a worklist over all factors makes
     one application per factor."""
+    windows = image_windows(sigma.rose_map, 10)
     words = []
-    apply = Substitution.apply
+    map_path = GraphMap.map_path
 
-    def counting(self, word):
-        words.append(word)
-        return apply(self, word)
+    def counting(self, path):
+        words.append(path)
+        return map_path(self, path)
 
-    monkeypatch.setattr(Substitution, "apply", counting)
+    monkeypatch.setattr(GraphMap, "map_path", counting)
     lang = sigma.language(10)
+    assert set(words) == windows
     assert len(set(words)) == len(words)
     assert all(len(w) <= 10 for w in words)
     assert 4 * len(words) < len(lang)
+
+
+def test_rose_map_is_built_on_first_use():
+    """Constructing a substitution builds no map; the rose map is built
+    once, on first use, and cached."""
+    sigma = Substitution.from_strings({"a": "ab", "b": "a"})
+    assert "rose_map" not in vars(sigma)
+    f = sigma.rose_map
+    assert sigma.rose_map is f
+    assert f == to_train_track(sigma)[0]
+    assert sigma == FIB and hash(sigma) == hash(FIB)
 
 
 @settings(max_examples=80)
@@ -158,7 +171,36 @@ def test_to_train_track_matrix_matches_random():
                   for x in letters}
         sigma = Substitution.from_strings(images)
         f, _ = to_train_track(sigma)
-        assert f.transition_matrix() == sigma.incidence_matrix()
+        counts = tuple(tuple(images[y].count(x) for y in letters) for x in letters)
+        assert f.transition_matrix() == sigma.incidence_matrix() == counts
+
+
+def letter_cycle_is_expanding(sigma):
+    """Reference: not expanding iff some letter cycles forever through
+    single-letter images."""
+    image = dict(zip(sigma.alphabet, sigma.images))
+    for x in sigma.alphabet:
+        seen = set()
+        while len(image[x]) == 1:
+            if x in seen:
+                return False
+            seen.add(x)
+            x = image[x][0]
+    return True
+
+
+def test_is_expanding_equals_letter_cycle_test():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(300):
+        letters = "abcd"[:rng.randint(1, 4)]
+        sigma = Substitution.from_strings(
+            {x: "".join(rng.choice(letters) for _ in range(rng.choice((1, 1, 2))))
+             for x in letters})
+        verdict = sigma.is_expanding()
+        assert verdict == letter_cycle_is_expanding(sigma)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_used_language_is_translated_language():
@@ -195,6 +237,10 @@ def test_ergodic_three_letter():
     f3 = [ia.midpoint(v) for v in by_val[1].letter_frequencies()]
     assert max(abs(x - y) for x, y in zip(f2, (0.5, 0.5, 0.0))) < 1e-10
     assert max(abs(x - 1 / 3) for x in f3) < 1e-10
+    # one tower on the rose map carries every measure
+    tower = by_val[0].kolmogorov.tower
+    assert all(mu.kolmogorov.tower is tower for mu in enum.measures)
+    assert tower.f is THREE.rose_map
 
 
 def test_ergodic_cab_variant():
