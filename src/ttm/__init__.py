@@ -22,8 +22,9 @@ from .maps import (
     is_expanding, is_homotopy_equivalence, is_train_track, power, used_language,
 )
 from .measures import (
-    FrequencyOracle, KolmogorovFunction, MeasureTable, frequency_oracle,
-    image_measure, recover_weights, verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, eigen_measures,
+    eigenvector_measure, frequency_oracle, image_measure, recover_weights,
+    verify_eigen_measure, verify_kolmogorov,
 )
 from .spectra import (
     BlockForm, Eigenpair, block_form, distinguished_eigenvectors, is_primitive,

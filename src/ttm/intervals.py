@@ -11,7 +11,8 @@ False only when it holds for every point of the interval(s); otherwise the
 answer is None ("inconclusive", the caller should refine and retry).
 
 The working precision defaults to 128 bits and can be set through the
-environment variable ``TTM_PRECISION_BITS``.
+environment variable ``TTM_PRECISION_BITS``; an unusable setting leaves the
+default in force here, and the command line refuses it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
+
+from .errors import PreconditionError
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -38,13 +41,19 @@ def precision_bits() -> int:
 
 
 def precision_from_env() -> int:
-    raw = os.environ.get("TTM_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
+    """``TTM_PRECISION_BITS`` (the default when unset); PreconditionError
+    unless it is an integer of at least 16."""
+    raw = os.environ.get("TTM_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
+    if not raw.strip().isdecimal() or int(raw) < 16:
+        raise PreconditionError(
+            f"TTM_PRECISION_BITS must be an integer of at least 16 (got {raw!r})")
     return int(raw)
 
 
-set_precision(precision_from_env())
+try:
+    set_precision(precision_from_env())
+except PreconditionError:   # reported by the command line
+    set_precision(DEFAULT_PRECISION_BITS)
 
 
 # -- constructors ------------------------------------------------------------
@@ -62,8 +71,11 @@ def from_fraction(q: Fraction):
 
 
 def coerce(x):
-    """Fractions as their tight enclosure; intervals unchanged."""
-    return from_fraction(x) if isinstance(x, Fraction) else x
+    """Fractions as their tight enclosure, certified roots (anything with an
+    ``interval()``) as their current enclosure; intervals unchanged."""
+    if isinstance(x, Fraction):
+        return from_fraction(x)
+    return x.interval() if hasattr(x, "interval") else x
 
 
 def from_endpoints(lo: Fraction, hi: Fraction):

@@ -548,9 +548,9 @@ def image_windows(f: GraphMap, max_length: int):
 def used_language(f: GraphMap, max_length: int) -> Language:
     """Reduced paths of length <= max_length occurring as subpaths of some
     iterated edge image (together with their reversals): the subpaths of the
-    image windows and their reversals."""
-    if not is_expanding(f):
-        raise PreconditionError("used language needs an expanding map")
+    image windows and their reversals.  Needs an expanding train track map
+    (iterated images of other maps need not be reduced)."""
+    require_expanding_train_track(f)
     paths = set()
     for w in image_windows(f, max_length):
         paths |= subpaths_up_to(w, max_length)

@@ -1,5 +1,10 @@
 """Kolmogorov functions: shift- and flip-invariant measures on path spaces.
 
+The measures of an expanding train track map f correspond to the
+non-negative eigenvectors of its transition matrix with eigenvalue above one:
+``eigenvector_measure`` builds one, ``eigen_measures`` all distinguished ones
+on one tower.  Substitution subshifts are the case of the rose map.
+
 A Kolmogorov function assigns a non-negative value to every non-trivial
 reduced path, symmetric under path reversal and satisfying the Kirchhoff
 rules: the value of a path equals the sum of the values of its one-edge
@@ -39,29 +44,29 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import intervals as ia
+from . import spectra
 from .errors import IncompleteTableError, PathError, PreconditionError
 from .graphs import (
     Graph, inverse, is_reduced, make_turn, reverse_path, subpaths_up_to,
 )
-from .maps import GraphMap
-from .towers import StationaryTower, WeightTower, repetition_bound
+from .maps import GraphMap, infinitely_legal_language
+from .towers import (
+    StationaryTower, VectorTower, WeightTower, repetition_bound,
+    weight_tower_from_vector,
+)
 
 
 class KolmogorovFunction:
-    """Measure evaluator attached to a weight tower on a stationary tower."""
+    """Measure evaluator attached to a weight tower (and its tower)."""
 
-    def __init__(self, tower: StationaryTower, weights: WeightTower):
-        self.tower = tower
+    def __init__(self, weights: WeightTower):
+        self.tower = weights.tower
         self.weights = weights
-        self.graph = tower.graph
+        self.graph = self.tower.graph
         self._memo = {}      # validated path and its reversal -> value
         self._sweeps = {}    # (level, length) -> factor -> recipe
         self._values = {}    # (level, recipe) -> value
         self._scales = {}    # level -> lambda**-level
-
-    @property
-    def lam(self):
-        return self.weights.lam
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
@@ -154,7 +159,6 @@ class KolmogorovFunction:
         """Table over the infinitely legal language truncation only; paths
         outside it have measure zero and stay implicit, which keeps long
         tables linear in the language size."""
-        from .maps import infinitely_legal_language
         lang = infinitely_legal_language(self.tower.f, max_length,
                                          self.tower.pullbacks())
         entries = {p: self.eval(p) for p in lang.paths}
@@ -163,6 +167,29 @@ class KolmogorovFunction:
 
 # a factor absent from every level word has no preimage: the exact zero
 _ZERO_RECIPE = ((), ())
+
+
+# -- eigenvectors to measures ------------------------------------------------------
+
+
+def eigenvector_measure(tower: StationaryTower, vector, lam) -> KolmogorovFunction:
+    """The measure of an eigenvector of the tower map with eigenvalue ``lam``
+    (root, Fraction or interval); PreconditionError unless the eigenpair,
+    lam > 1 and the switch conditions are certified."""
+    return KolmogorovFunction(weight_tower_from_vector(VectorTower(tower, vector, lam)))
+
+
+def eigen_measures(f: GraphMap):
+    """``(measures, skipped)``: a ``(pair, measure)`` per distinguished
+    eigenpair above one, in ``spectra.distinguished_eigenvectors`` order and
+    on one tower of f (built at the first such pair), and the distinguished
+    eigenpairs at or below one."""
+    pairs = spectra.distinguished_eigenvectors(f.transition_matrix())
+    above = [pair.value.compare(1) > 0 for pair in pairs]
+    tower = StationaryTower(f) if any(above) else None
+    return ([(p, eigenvector_measure(tower, p.vector, p.value))
+             for p, up in zip(pairs, above) if up],
+            [p for p, up in zip(pairs, above) if not up])
 
 
 # -- tables ------------------------------------------------------------------------
@@ -428,7 +455,7 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     """Check that the pushforward equals lambda times the measure on all
     paths up to the bound, plus support containment in the infinitely legal
     language when one is supplied."""
-    lam = lam.interval() if hasattr(lam, "interval") else lam
+    lam = ia.coerce(lam)
     report = VerificationReport()
     worst = _Worst()
     for path in f.domain.reduced_paths(max_length):
@@ -488,9 +515,13 @@ class OracleEstimate:
     tail_bound: object     # interval upper bound on the truncation error
     iterations: int
 
-    def within(self, reference) -> bool:
-        """Is |reference - value| certifiably within the tail bound?"""
-        return (abs(reference - self.value) <= self.tail_bound) is not False
+    def excess(self, reference):
+        """|reference - value| beyond the tail bound."""
+        return abs(reference - self.value) - self.tail_bound
+
+    def within(self, reference, tol: float = 0.0):
+        """Is the excess at most ``tol``?  Tri-state: None when inconclusive."""
+        return self.excess(reference) <= tol
 
 
 class FrequencyOracle:
@@ -516,9 +547,8 @@ class FrequencyOracle:
         self.graph = f.domain
         self.vector = vector
         self.t = t
-        lam = lam if not hasattr(lam, "interval") else lam.interval()
-        self.lam = lam
-        self.scale = lam ** (-t)
+        self.lam = ia.coerce(lam)
+        self.scale = self.lam ** (-t)
         self.vec_total = ia.isum(vector[k] for k in range(self.graph.n_edges))
         self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
         self._counts = {}    # length -> oriented edge -> factor counts

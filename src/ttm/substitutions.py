@@ -9,16 +9,19 @@ incidence matrix.  ``Substitution`` keeps only the word-level API (``apply``,
 the language are those of its rose map (``Substitution.rose_map``), read back
 as words.
 
-Invariant measures of the subshift are the measures of the rose map: each
+Invariant measures of the subshift are the measures of the rose map
+(``measures.eigen_measures`` on ``Substitution.rose_map``): each
 distinguished eigenvector of the incidence matrix with eigenvalue above one
 yields a shift-invariant probability measure, and the letter frequencies are
-the eigenvector coordinates.  Word-level measures and path-level measures
+the eigenvector coordinates; ``ergodic_measures`` adds its preconditions and
+a bounded periodicity scan.  Word-level measures and path-level measures
 translate through a three-case rule: positive words carry the path value,
 inverse words mirror it, and mixed-sign words carry zero.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,8 +29,7 @@ from functools import cached_property
 from . import maps, spectra
 from .errors import PreconditionError
 from .graphs import Graph, is_positive, reverse_path, rose, subpaths_up_to
-from .measures import KolmogorovFunction, MeasureTable
-from .towers import StationaryTower, VectorTower, weight_tower_from_vector
+from .measures import KolmogorovFunction, MeasureTable, eigen_measures
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,6 @@ class SubshiftMeasure:
     sigma: Substitution
     eigenpair: spectra.Eigenpair
     kolmogorov: KolmogorovFunction
-    warnings: tuple = ()
 
     @property
     def eigenvalue(self):
@@ -147,11 +148,6 @@ class SubshiftMeasure:
 
     def letter_frequencies(self):
         return tuple(self.value((x,)) for x in self.sigma.alphabet)
-
-    def table(self, max_length: int) -> MeasureTable:
-        return classic_to_graph_table(
-            self.sigma, self.word_table(max_length),
-            self.kolmogorov.graph, max_length)
 
     def word_table(self, max_length: int) -> dict:
         lang = self.sigma.language(max_length)
@@ -183,25 +179,13 @@ def ergodic_measures(sigma: Substitution, periodicity_scan: int = 4) -> ErgodicE
     if not sigma.is_expanding():
         raise PreconditionError(
             "measure enumeration needs all iterated image lengths to diverge")
-    m = sigma.incidence_matrix()
-    bf = spectra.block_form(m)
-    pairs = spectra.distinguished_eigenvectors(m)
+    bf = spectra.block_form(sigma.incidence_matrix())
     warnings = [f"possible periodic word {w!r} in the subshift"
                 for w in _periodic_witnesses(sigma, periodicity_scan)]
-    tower = StationaryTower(sigma.rose_map)
-    measures = []
-    skipped = []
-    for pair in pairs:
-        if pair.value.compare(1) <= 0:
-            skipped.append(pair)
-            continue
-        vt = VectorTower(tower, pair.vector, pair.value)
-        wt = weight_tower_from_vector(tower, vt)
-        kf = KolmogorovFunction(tower, wt)
-        measures.append(SubshiftMeasure(sigma=sigma, eigenpair=pair,
-                                        kolmogorov=kf, warnings=tuple(warnings)))
-    return ErgodicEnumeration(measures=measures, skipped=skipped,
-                              block_form=bf, warnings=warnings)
+    measures, skipped = eigen_measures(sigma.rose_map)
+    return ErgodicEnumeration(
+        measures=[SubshiftMeasure(sigma, pair, kf) for pair, kf in measures],
+        skipped=skipped, block_form=bf, warnings=warnings)
 
 
 def _periodic_witnesses(sigma: Substitution, bound: int):
@@ -223,15 +207,6 @@ def _periodic_witnesses(sigma: Substitution, bound: int):
             out.append(w)
             for r in range(len(w)):
                 seen_rotations.add(w[r:] + w[:r])
-    return out
-
-
-def _words_up_to(alphabet, bound):
-    words = [()]
-    out = []
-    for _ in range(bound):
-        words = [w + (x,) for w in words for x in alphabet]
-        out.extend(words)
     return out
 
 
@@ -262,7 +237,8 @@ def graph_to_classic_table(sigma: Substitution, table: MeasureTable,
                            max_length: int) -> dict:
     """Restrict a path table to positive words."""
     out = {}
-    for w in sorted(_words_up_to(sigma.alphabet, max_length)):
+    for w in sorted(word for n in range(1, max_length + 1)
+                    for word in itertools.product(sigma.alphabet, repeat=n)):
         out[w] = table.value(word_to_path(sigma, w))
     return out
 

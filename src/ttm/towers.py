@@ -237,14 +237,13 @@ class VectorTower:
     """A non-negative eigenvector v with eigenvalue lambda > 1, read as the
     compatible family of level vectors v / lambda**n (never materialised).
 
-    ``lam`` may be a certified root (refinable) or a plain interval; the
-    vector is a tuple of intervals indexed by the positive edges.
+    ``lam`` (a certified root, a Fraction or an interval) is kept as its
+    enclosure; the vector is a tuple of intervals indexed by positive edges.
     """
 
     def __init__(self, tower: StationaryTower, vector, lam):
         self.tower = tower
-        self.lam_root = lam if hasattr(lam, "interval") else None
-        self.lam = lam.interval() if self.lam_root is not None else lam
+        self.lam = ia.coerce(lam)
         self.vector = tuple(vector)
         if len(self.vector) != tower.graph.n_edges:
             raise PreconditionError("need one coordinate per positive edge")
@@ -276,8 +275,7 @@ class VectorTower:
         return max(ia.sup_abs(v) for v in self.level_vector(n))
 
     def scaled(self, c):
-        return VectorTower(self.tower, tuple(v * c for v in self.vector),
-                           self.lam_root or self.lam)
+        return VectorTower(self.tower, tuple(v * c for v in self.vector), self.lam)
 
 
 @dataclass
@@ -315,8 +313,7 @@ def image_vector_tower(morphism: TowerMorphism, vt: VectorTower) -> VectorTower:
     """Push a vector tower through the morphism: level vectors multiply by the
     level transition matrix.  For the tower self-morphism this returns
     lambda times the input."""
-    return VectorTower(vt.tower, ia.matvec(morphism.matrix(), vt.vector),
-                       vt.lam_root or vt.lam)
+    return VectorTower(vt.tower, ia.matvec(morphism.matrix(), vt.vector), vt.lam)
 
 
 class WeightTower:
@@ -414,9 +411,8 @@ class WeightTower:
         return self.vt.eigen_residual()
 
 
-def weight_tower_from_vector(tower: StationaryTower, vt: VectorTower) -> WeightTower:
-    if vt.tower is not tower:
-        raise PreconditionError("vector tower belongs to a different tower")
+def weight_tower_from_vector(vt: VectorTower) -> WeightTower:
+    """The weight tower of a vector tower, its switch conditions certified."""
     wt = WeightTower(vt)
     if not wt.check_switch_conditions():
         raise PreconditionError("switch conditions failed certification")

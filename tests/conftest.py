@@ -4,13 +4,12 @@ import pytest
 from hypothesis import settings
 
 import ttm.intervals as ia
-from ttm.cli import build_measure
 from ttm.errors import GraphError, TTMError
 from ttm.graphs import Graph, rose
 from ttm.maps import GraphMap, is_expanding, is_train_track
-from ttm.measures import KolmogorovFunction
+from ttm.measures import eigen_measures, eigenvector_measure
 from ttm.polys import largest_real_root
-from ttm.towers import StationaryTower, VectorTower, weight_tower_from_vector
+from ttm.towers import StationaryTower
 
 # property tests replay the same examples on every run and store none
 settings.register_profile("repeatable", deadline=None, derandomize=True, database=None)
@@ -42,22 +41,28 @@ def golden_root():
     return largest_real_root((-1, -1, 1))
 
 
+def setup_of(kf):
+    """Tower, vector tower, weights and measure of a measure."""
+    return kf.tower, kf.weights.vt, kf.weights, kf
+
+
 @pytest.fixture(scope="session")
 def fib_setup(fibonacci, golden_root):
     """Tower, vector tower with v = (phi, 1), weights, measure."""
-    tower = StationaryTower(fibonacci)
-    vt = VectorTower(tower, (golden_root.interval(), ia.one()), golden_root)
-    wt = weight_tower_from_vector(tower, vt)
-    return tower, vt, wt, KolmogorovFunction(tower, wt)
+    return setup_of(eigenvector_measure(
+        StationaryTower(fibonacci), (golden_root.interval(), ia.one()), golden_root))
 
 
 @pytest.fixture(scope="session")
 def tm_setup(thue_morse):
     """Tower, vector tower with v = (1, 1), lambda = 2, weights, measure."""
-    tower = StationaryTower(thue_morse)
-    vt = VectorTower(tower, (ia.one(), ia.one()), ia.exact(2))
-    wt = weight_tower_from_vector(tower, vt)
-    return tower, vt, wt, KolmogorovFunction(tower, wt)
+    return setup_of(eigenvector_measure(
+        StationaryTower(thue_morse), (ia.one(), ia.one()), ia.exact(2)))
+
+
+def first_measure(f):
+    """The measure of the first distinguished eigenpair of f above one."""
+    return eigen_measures(f)[0][0][1]
 
 
 # -- random generation for the property suites ----------------------------------
@@ -120,7 +125,8 @@ def expanding_self_maps(seed, count, max_paths=1000):
                 or not is_train_track(f)[0] or not is_expanding(f)):
             continue
         try:
-            build_measure(f, "auto")
+            if not eigen_measures(f)[0]:
+                continue
         except TTMError:
             continue
         out.append(f)

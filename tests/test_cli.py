@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ttm.cli import main
+import ttm
+import ttm.intervals as ia
+from ttm.cli import main, pick_vector
+
+from conftest import rose_map
 
 FIB_DOC = """
 graph R { vertices: * ; edge a: * -> * ; edge b: * -> * ; }
@@ -64,6 +72,9 @@ def test_verify_switch_verdict(fib_file, capsys, tol, status):
     code, out, _ = run(capsys, "verify", fib_file, "--map", "f",
                        "--max-len", "2", "--tol", tol)
     assert f"switch conditions: {status} (" in out
+    # the oracle compares |eval - estimate| beyond the tail bound with --tol;
+    # single edges have tail bound 0, so at --tol 0 they cannot be proved
+    assert f"oracle agreement: {status} (" in out
     assert code == (0 if status == "pass" else 4)
 
 
@@ -210,3 +221,26 @@ def test_verify_reports_escalated_precision(fib_file, capsys, monkeypatch):
     assert code == 4
     assert f"inconclusive at {4 * before} bits: forced" in out
     assert ia.precision_bits() == before
+
+
+def test_pick_vector_auto_takes_largest_eigenvalue():
+    """a -> ab, b -> ba, c -> cccab has distinguished eigenvalues 2 and 3;
+    auto takes 3, rescaled so its smallest positive coordinate is one."""
+    vector, lam = pick_vector(rose_map("ab", "ba", "cccab"), "auto")
+    assert lam.compare(3) == 0
+    positive = [v for v in vector if (v > 0) is True]
+    assert len(positive) == 3
+    assert ia.contains_zero(min(positive, key=ia.midpoint) - ia.one())
+
+
+@pytest.mark.parametrize("bits", ["abc", "8"])
+def test_bad_precision_setting_exits_3(fib_file, bits):
+    src = str(Path(ttm.__file__).resolve().parents[1])
+    env = dict(os.environ, TTM_PRECISION_BITS=bits,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "ttm", "check", fib_file, "--map", "f"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "TTM_PRECISION_BITS" in proc.stderr
+    assert "Traceback" not in proc.stderr

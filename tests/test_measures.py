@@ -4,18 +4,20 @@ from fractions import Fraction
 import pytest
 
 import ttm.intervals as ia
-from ttm.cli import build_measure
 from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
 from ttm.maps import GraphMap, identity_map, infinitely_legal_language, used_language
 from ttm.measures import (
-    FrequencyOracle, KolmogorovFunction, MeasureTable, _common,
-    _definitely_less, _sub, frequency_oracle, image_measure, recover_weights,
+    FrequencyOracle, MeasureTable, _common, _definitely_less, _sub, eigen_measures,
+    eigenvector_measure, frequency_oracle, image_measure, recover_weights,
     verify_eigen_measure, verify_kolmogorov,
 )
-from ttm.towers import VectorTower
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps
+from ttm.spectra import distinguished_eigenvectors
+from ttm.substitutions import Substitution
+from ttm.towers import StationaryTower
+
+from conftest import A, Abar, B, Bbar, expanding_self_maps, first_measure, rose_map
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -83,11 +85,9 @@ def test_level_independence(fib_setup, rose2):
 
 
 def test_eval_linear_in_vector(fib_setup, golden_root):
-    from ttm.measures import KolmogorovFunction
-    from ttm.towers import weight_tower_from_vector
     tower, vt, _, kf = fib_setup
     scaled = vt.scaled(ia.exact(3))
-    kf3 = KolmogorovFunction(tower, weight_tower_from_vector(tower, scaled))
+    kf3 = eigenvector_measure(tower, scaled.vector, scaled.lam)
     for p in [(A,), (A, A), (A, B)]:
         assert ia.sup_abs(kf3.eval(p) - ia.exact(3) * kf.eval(p)) < 1e-12
 
@@ -100,6 +100,37 @@ def test_support_containment(fib_setup, fibonacci, rose2):
         if (kf.eval(p) > 0) is True:
             assert p in lang
             assert p in used
+
+
+# -- eigenvectors to measures ---------------------------------------------------------
+
+
+def test_eigen_measures_share_one_tower():
+    """red (a -> ab, b -> ba, c -> cccab) has two distinguished eigenpairs
+    above one; their measures sit on one tower, in distinguished order."""
+    red = rose_map("ab", "ba", "cccab")
+    measures, skipped = eigen_measures(red)
+    pairs = distinguished_eigenvectors(red.transition_matrix())
+    assert len(measures) == len(pairs) == 2 and skipped == []
+    assert measures[0][1].tower is measures[1][1].tower
+    assert measures[0][1].tower.f is red
+    for (pair, kf), want in zip(measures, pairs):
+        assert pair.value.compare(want.value) == 0
+        assert [v._mpi_ for v in kf.weights.vt.vector] == [v._mpi_ for v in want.vector]
+    assert sorted(pair.value.compare(2) for pair, _ in measures) == [0, 1]
+
+
+def test_eigen_measures_skip_eigenvalues_at_most_one():
+    """a -> ab, b -> b: the block of b is the one distinguished block, with
+    eigenvalue one.  The pair is skipped, and no tower is built (the map is
+    not expanding, so it has none)."""
+    sigma = Substitution.from_strings({"a": "ab", "b": "b"})
+    measures, skipped = eigen_measures(sigma.rose_map)
+    assert measures == []
+    assert len(skipped) == 1 and skipped[0].value.compare(1) == 0
+    assert skipped[0].support == frozenset({1})
+    with pytest.raises(PreconditionError):
+        StationaryTower(sigma.rose_map)
 
 
 # -- the batched engines against the per-path scans -----------------------------------
@@ -190,7 +221,8 @@ def test_engine_bit_identical_to_scan(name, f):
     """Sweep values equal the per-path scan endpoint for endpoint, at the
     chosen level and two levels higher, and eval keeps the scan's memo
     semantics (a path and its reversal share the first value computed)."""
-    tower, _, _, kf = build_measure(f, "auto")
+    kf = first_measure(f)
+    tower = kf.tower
     memo = {}
     for p in f.domain.reduced_paths(5):
         n = tower.level_for_length(len(p))
@@ -204,7 +236,7 @@ def test_engine_bit_identical_to_scan(name, f):
 
 @pytest.mark.parametrize("name,f", ENGINE_MAPS)
 def test_oracle_bit_identical_to_scan(name, f):
-    _, vt, _, _ = build_measure(f, "auto")
+    vt = first_measure(f).weights.vt
     for t in (3, 20):
         oracle = FrequencyOracle(f, vt.vector, vt.lam, t)
         for p in f.domain.reduced_paths(5):
@@ -301,8 +333,14 @@ def test_oracle_agrees(fib_setup, tm_setup, rose2):
         tower, vt, _, kf = setup
         for p in rose2.reduced_paths(4):
             est = frequency_oracle(tower.f, vt.vector, vt.lam, p, 25)
-            assert est.within(kf.eval(p)), p
+            # a single edge has tail bound 0: only a tolerance can prove it
+            assert est.within(kf.eval(p), 1e-12 if len(p) == 1 else 0.0) is True, p
+            assert est.within(kf.eval(p) + ia.one(), 1e-12) is False, p
             assert ia.sup_abs(kf.eval(p) - est.value) <= ia.sup_abs(est.tail_bound) + 1e-15
+    # with an irrational single-edge value and no tolerance nothing is proved
+    tower, vt, _, kf = fib_setup
+    est = frequency_oracle(tower.f, vt.vector, vt.lam, (A,), 25)
+    assert est.within(kf.eval((A,))) is None
 
 
 def test_oracle_monotone_convergence(fib_setup):
@@ -337,7 +375,7 @@ def test_oracle_and_eigen_equation_reducible_example():
         vt = kf.weights.vt
         for p in g.reduced_paths(3):
             est = frequency_oracle(f, vt.vector, vt.lam, p, 25)
-            assert est.within(kf.eval(p))
+            assert est.within(kf.eval(p), 1e-12 if len(p) == 1 else 0.0) is True, p
         report = verify_eigen_measure(f, kf, mu.eigenvalue, 3, 1e-12)
         assert report.passed
 

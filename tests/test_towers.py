@@ -4,16 +4,17 @@ import pytest
 
 import ttm.intervals as ia
 import ttm.towers
-from ttm.cli import build_measure
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
 from ttm.maps import GraphMap, junction_turns, matmul, power
+from ttm.measures import KolmogorovFunction, eigen_measures
+from ttm.spectra import distinguished_eigenvectors
 from ttm.towers import (
     StationaryTower, VectorTower, image_vector_tower, repetition_bound,
     tower_self_morphism, weight_tower_from_vector,
 )
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps, pullback_maps
+from conftest import A, Abar, B, Bbar, expanding_self_maps, first_measure, pullback_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -205,9 +206,34 @@ def weight_maps():
     return roses + expanding_self_maps(1414, 3)
 
 
+def three_step_measures(f):
+    """Reference: a fresh tower per distinguished eigenpair above one, then
+    vector tower, weight tower and evaluator, one step at a time."""
+    out = []
+    for pair in distinguished_eigenvectors(f.transition_matrix()):
+        if pair.value.compare(1) > 0:
+            tower = StationaryTower(f)
+            vt = VectorTower(tower, pair.vector, pair.value.interval())
+            out.append(KolmogorovFunction(weight_tower_from_vector(vt)))
+    return out
+
+
+@pytest.mark.parametrize("f", weight_maps())
+def test_eigen_measures_equal_three_step_chain(f):
+    """The constructor on one shared tower gives the same measures, endpoint
+    for endpoint, as the step-by-step chain on a tower per measure."""
+    measures, skipped = eigen_measures(f)
+    reference = three_step_measures(f)
+    assert len(measures) == len(reference) >= 1 and skipped == []
+    for (_, kf), ref in zip(measures, reference):
+        for p in f.domain.reduced_paths(4):
+            assert kf.eval(p)._mpi_ == ref.eval(p)._mpi_, p
+
+
 @pytest.mark.parametrize("f", weight_maps())
 def test_turn_weights_equal_hit_time_sums(f):
-    _, vt, wt, _ = build_measure(f, "auto")
+    wt = first_measure(f).weights
+    vt = wt.vt
     ref = hit_time_turn_weights(vt)
     assert list(wt.turn_weight) == list(ref)
     for t, w in ref.items():
