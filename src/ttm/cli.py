@@ -32,7 +32,7 @@ from .maps import (
     GraphMap, is_expanding, is_homotopy_equivalence, is_train_track,
 )
 from .measures import (
-    FrequencyOracle, VerificationReport, eigen_measures, eigenvector_measure,
+    FrequencyOracle, VerificationReport, eigenvector_measure, measure_pairs,
     verify_eigen_measure, verify_kolmogorov,
 )
 from .substitutions import ergodic_measures
@@ -76,16 +76,15 @@ def pick_vector(f: GraphMap, spec_text: str):
     """
     m = f.transition_matrix()
     if spec_text == "auto":
-        pairs = [p for p, _ in eigen_measures(f)[0]]
+        pairs = measure_pairs(f)[0]
         if not pairs:
             raise TTMError("no eigenvalue above one; no measure to build")
         by_value = functools.cmp_to_key(lambda p, q: p.value.compare(q.value))
         best = max(pairs, key=by_value)    # the first of the largest
         positive = [v for v in best.vector if (v > 0) is True]
         scale = min(positive, key=ia.midpoint)
-        vector = tuple(v / scale if (v > 0) is True else ia.zero()
-                       for v in best.vector)
-        return vector, best.value
+        return tuple(v / scale if (v > 0) is True else ia.zero()
+                     for v in best.vector), best.value
     try:
         coords = [Fraction(tok) for tok in spec_text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -126,11 +125,8 @@ def cmd_check(args) -> int:
         tower = StationaryTower(f)
         for level in range(args.rep_levels + 1):
             r = repetition_bound(tower, level, args.rep_cap)
-            if r.found:
-                out.append(f"repetition-bound[level {level}]: {r.bound}")
-            else:
-                out.append(f"repetition-bound[level {level}]: "
-                           f"not found within cap {args.rep_cap}")
+            out.append(f"repetition-bound[level {level}]: " + (
+                str(r.bound) if r.found else f"not found within cap {args.rep_cap}"))
     print("\n".join(out))
     return 0
 

@@ -179,17 +179,22 @@ def eigenvector_measure(tower: StationaryTower, vector, lam) -> KolmogorovFuncti
     return KolmogorovFunction(weight_tower_from_vector(VectorTower(tower, vector, lam)))
 
 
+def measure_pairs(f: GraphMap):
+    """``(above, skipped)``: f's distinguished eigenpairs above one (each with
+    a measure) and at or below one, in ``distinguished_eigenvectors`` order."""
+    above, skipped = [], []
+    for pair in spectra.distinguished_eigenvectors(f.transition_matrix()):
+        (above if pair.value.compare(1) > 0 else skipped).append(pair)
+    return above, skipped
+
+
 def eigen_measures(f: GraphMap):
-    """``(measures, skipped)``: a ``(pair, measure)`` per distinguished
-    eigenpair above one, in ``spectra.distinguished_eigenvectors`` order and
-    on one tower of f (built at the first such pair), and the distinguished
-    eigenpairs at or below one."""
-    pairs = spectra.distinguished_eigenvectors(f.transition_matrix())
-    above = [pair.value.compare(1) > 0 for pair in pairs]
-    tower = StationaryTower(f) if any(above) else None
-    return ([(p, eigenvector_measure(tower, p.vector, p.value))
-             for p, up in zip(pairs, above) if up],
-            [p for p, up in zip(pairs, above) if not up])
+    """``(measures, skipped)``: a ``(pair, measure)`` per pair above one of
+    ``measure_pairs``, on one tower of f, and the pairs at or below one."""
+    above, skipped = measure_pairs(f)
+    tower = StationaryTower(f) if above else None
+    return ([(p, eigenvector_measure(tower, p.vector, p.value)) for p in above],
+            skipped)
 
 
 # -- tables ------------------------------------------------------------------------

@@ -60,9 +60,9 @@ def tm_setup(thue_morse):
         StationaryTower(thue_morse), (ia.one(), ia.one()), ia.exact(2)))
 
 
-def first_measure(f):
-    """The measure of the first distinguished eigenpair of f above one."""
-    return eigen_measures(f)[0][0][1]
+def measures_of(f):
+    """The measure of every distinguished eigenpair of f above one."""
+    return [kf for _, kf in eigen_measures(f)[0]]
 
 
 # -- random generation for the property suites ----------------------------------

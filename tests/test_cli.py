@@ -223,9 +223,13 @@ def test_verify_reports_escalated_precision(fib_file, capsys, monkeypatch):
     assert ia.precision_bits() == before
 
 
-def test_pick_vector_auto_takes_largest_eigenvalue():
+def test_pick_vector_auto_takes_largest_eigenvalue(monkeypatch):
     """a -> ab, b -> ba, c -> cccab has distinguished eigenvalues 2 and 3;
-    auto takes 3, rescaled so its smallest positive coordinate is one."""
+    auto takes 3, rescaled so its smallest positive coordinate is one, and
+    builds no measure to choose."""
+    def no_measure(*args):
+        raise AssertionError("pick_vector built a measure")
+    monkeypatch.setattr(ttm.measures, "eigenvector_measure", no_measure)
     vector, lam = pick_vector(rose_map("ab", "ba", "cccab"), "auto")
     assert lam.compare(3) == 0
     positive = [v for v in vector if (v > 0) is True]

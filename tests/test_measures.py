@@ -17,7 +17,7 @@ from ttm.spectra import distinguished_eigenvectors
 from ttm.substitutions import Substitution
 from ttm.towers import StationaryTower
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps, first_measure, rose_map
+from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, rose_map
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -221,31 +221,32 @@ def test_engine_bit_identical_to_scan(name, f):
     """Sweep values equal the per-path scan endpoint for endpoint, at the
     chosen level and two levels higher, and eval keeps the scan's memo
     semantics (a path and its reversal share the first value computed)."""
-    kf = first_measure(f)
-    tower = kf.tower
-    memo = {}
-    for p in f.domain.reduced_paths(5):
-        n = tower.level_for_length(len(p))
-        if p not in memo:
-            memo[p] = memo[reverse_path(p)] = scan_eval_at_level(kf, p, n)
-        assert kf.eval(p)._mpi_ == memo[p]._mpi_, p
-        for level in (n, n + 2):
-            assert (kf.eval_at_level(p, level)._mpi_
-                    == scan_eval_at_level(kf, p, level)._mpi_), (p, level)
+    for kf in measures_of(f):
+        tower = kf.tower
+        memo = {}
+        for p in f.domain.reduced_paths(5):
+            n = tower.level_for_length(len(p))
+            if p not in memo:
+                memo[p] = memo[reverse_path(p)] = scan_eval_at_level(kf, p, n)
+            assert kf.eval(p)._mpi_ == memo[p]._mpi_, p
+            for level in (n, n + 2):
+                assert (kf.eval_at_level(p, level)._mpi_
+                        == scan_eval_at_level(kf, p, level)._mpi_), (p, level)
 
 
 @pytest.mark.parametrize("name,f", ENGINE_MAPS)
 def test_oracle_bit_identical_to_scan(name, f):
-    vt = first_measure(f).weights.vt
-    for t in (3, 20):
-        oracle = FrequencyOracle(f, vt.vector, vt.lam, t)
-        for p in f.domain.reduced_paths(5):
-            counts, value, tail = scan_oracle(f, vt.vector, vt.lam, p, t)
-            est = oracle.estimate(p)
-            assert oracle.counts(p) == counts, (p, t)
-            assert est.value._mpi_ == value._mpi_, (p, t)
-            assert est.tail_bound._mpi_ == tail._mpi_, (p, t)
-            assert est.iterations == t
+    for kf in measures_of(f):
+        vt = kf.weights.vt
+        for t in (3, 20):
+            oracle = FrequencyOracle(f, vt.vector, vt.lam, t)
+            for p in f.domain.reduced_paths(5):
+                counts, value, tail = scan_oracle(f, vt.vector, vt.lam, p, t)
+                est = oracle.estimate(p)
+                assert oracle.counts(p) == counts, (p, t)
+                assert est.value._mpi_ == value._mpi_, (p, t)
+                assert est.tail_bound._mpi_ == tail._mpi_, (p, t)
+                assert est.iterations == t
 
 
 def test_eval_at_level_rejects_empty_and_low_levels(fib_setup):

@@ -14,7 +14,7 @@ from ttm.towers import (
     tower_self_morphism, weight_tower_from_vector,
 )
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps, first_measure, pullback_maps
+from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -232,12 +232,12 @@ def test_eigen_measures_equal_three_step_chain(f):
 
 @pytest.mark.parametrize("f", weight_maps())
 def test_turn_weights_equal_hit_time_sums(f):
-    wt = first_measure(f).weights
-    vt = wt.vt
-    ref = hit_time_turn_weights(vt)
-    assert list(wt.turn_weight) == list(ref)
-    for t, w in ref.items():
-        assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+    for kf in measures_of(f):
+        wt = kf.weights
+        ref = hit_time_turn_weights(wt.vt)
+        assert list(wt.turn_weight) == list(ref)
+        for t, w in ref.items():
+            assert wt.turn_weight[t]._mpi_ == w._mpi_, t
 
 
 def test_switch_conditions(fib_setup, tm_setup):
