@@ -27,8 +27,8 @@ from .measures import (
     verify_eigen_measure, verify_kolmogorov,
 )
 from .spectra import (
-    BlockForm, Eigenpair, block_form, distinguished_eigenvectors, is_primitive,
-    nonneg_eigenvectors_for, pf_eigenpair,
+    BlockForm, Eigenpair, Spectrum, block_form, distinguished_eigenvectors,
+    is_primitive, nonneg_eigenvectors_for, pf_eigenpair, spectrum,
 )
 from .substitutions import Substitution, ergodic_measures, to_train_track
 from .towers import (

@@ -135,11 +135,11 @@ def cmd_spectrum(args) -> int:
     doc = load(args.file)
     f = doc.map(args.map)
     m = f.transition_matrix()
-    bf = spectra.block_form(m)
+    spec = spectra.spectrum(m)
+    bf = spec.form
     labels = f.domain.edge_labels
     blocks = []
-    for i, idx in enumerate(bf.blocks):
-        radius = spectra.spectral_radius_root(spectra.submatrix(m, idx))
+    for i, (idx, radius) in enumerate(zip(bf.blocks, spec.radii)):
         blocks.append({
             "indices": [labels[k] for k in idx],
             "kind": bf.kinds[i],
@@ -149,7 +149,7 @@ def cmd_spectrum(args) -> int:
     order = [[i, j] for i in range(len(bf.blocks))
              for j in sorted(bf.reach[i]) if i != j]
     distinguished = []
-    for pair in spectra.distinguished_eigenvectors(m):
+    for pair in spec.distinguished:
         distinguished.append({
             "eigenvalue": fmt(pair.interval(), exact=args.exact),
             "vector": {labels[k]: fmt(pair.vector[k], exact=args.exact)

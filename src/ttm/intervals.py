@@ -154,6 +154,12 @@ def matvec(m, vec):
     return tuple(out)
 
 
+def eigen_residual(m, vec, lam):
+    """``M v - lam v`` coordinatewise; every coordinate contains 0 when v is
+    an eigenvector of M with eigenvalue in ``lam``."""
+    return tuple(a - lam * v for a, v in zip(matvec(m, vec), vec))
+
+
 def geometric_tail(ratio, first_exponent: int):
     """Certified value of sum_{j>=0} ratio**(first_exponent + j) for 0 < ratio < 1.
 

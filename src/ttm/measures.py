@@ -132,6 +132,8 @@ class KolmogorovFunction:
     def _value(self, n: int, recipe):
         """Replay a recipe in the per-path summation order: edge terms in
         positive-edge order, then turn weights as met, then the level scale."""
+        if recipe is _ZERO_RECIPE:
+            return _EXACT_ZERO
         key = (n, recipe)
         value = self._values.get(key)
         if value is None:
@@ -165,8 +167,10 @@ class KolmogorovFunction:
         return MeasureTable(self.graph, entries, max_length, provenance="computed")
 
 
-# a factor absent from every level word has no preimage: the exact zero
+# a factor absent from every level word has no preimage: the exact zero,
+# one shared interval that the verify walk recognises by identity
 _ZERO_RECIPE = ((), ())
+_EXACT_ZERO = ia.zero()
 
 
 # -- eigenvectors to measures ------------------------------------------------------
@@ -333,6 +337,8 @@ class _Worst:
         self.inf = 0.0
 
     def add(self, x):
+        if x is _EXACT_ZERO:
+            return
         if isinstance(x, Fraction):
             mag = float(abs(x))
             self.sup = max(self.sup, mag)
@@ -389,6 +395,8 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0,
 
 
 def _sub(x, y):
+    if x is _EXACT_ZERO and y is _EXACT_ZERO:
+        return x
     x, y = _common(x, y)
     return x - y
 

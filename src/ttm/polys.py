@@ -6,7 +6,7 @@ done exactly, in plain integers where it matters for speed:
 * characteristic polynomials come from the Faddeev-LeVerrier recursion in
   integer arithmetic (each coefficient is an exact quotient of a trace by
   ``k``), which also yields the adjugate of ``x I - A`` as integer matrix
-  coefficients;
+  coefficients, evaluated one column at a time;
 * Sturm chains are kept as integer polynomials, each member scaled by a
   positive rational so its sign at every point is unchanged; signs at a
   rational ``n/d`` come from a homogeneous integer Horner sum.  Sturm counts
@@ -383,20 +383,15 @@ def char_poly_and_adjugate(a):
     return poly, bmats
 
 
-def adjugate_at(bmats, x):
-    """Interval evaluation of adj(x I - A) at an interval point x (Horner)."""
-    if not bmats:
-        return ()
-    n = len(bmats[0])
+def adjugate_column(bmats, x, j):
+    """Column j of adj(x I - A) at an interval point x, each entry a Horner
+    sum over the coefficient matrices of ``char_poly_and_adjugate``."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ia.zero()
-            for bm in reversed(bmats):
-                acc = acc * x + ia.exact(bm[i][j])
-            row.append(acc)
-        out.append(tuple(row))
+    for i in range(len(bmats[0])):
+        acc = ia.zero()
+        for bm in reversed(bmats):
+            acc = acc * x + ia.exact(bm[i][j])
+        out.append(acc)
     return tuple(out)
 
 

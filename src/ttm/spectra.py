@@ -11,6 +11,12 @@ coordinate sum 1 and supported exactly on the indices reachable from the
 block.  The cone of non-negative eigenvectors for a given eigenvalue is
 spanned by the distinguished eigenvectors with that eigenvalue.
 
+``spectrum`` computes all of this in one pass: the block form once, each
+diagonal block's characteristic polynomial and adjugate coefficients once,
+its radius from that polynomial, and each distinguished eigenvector from
+the same coefficients.  ``distinguished_eigenvectors`` and ``pf_eigenpair``
+(the distinguished pair of full support) read that pass.
+
 All eigen-data is certified: eigenvalues are isolated roots of exact integer
 characteristic polynomials, eigenvectors are interval evaluations of exact
 adjugate formulas, and every residual check is an interval containment.
@@ -30,7 +36,7 @@ from math import gcd, lcm
 from . import intervals as ia
 from .errors import SpectralError
 from .polys import (
-    CertifiedRoot, adjugate_at, char_poly_and_adjugate, char_poly_at,
+    CertifiedRoot, adjugate_column, char_poly_and_adjugate, char_poly_at,
     largest_real_root,
 )
 
@@ -182,12 +188,6 @@ class BlockForm:
         return tuple(tuple(self.matrix[p[r]][p[c]] for c in range(len(p)))
                      for r in range(len(p)))
 
-    def block_of_index(self, i: int) -> int:
-        for b, idx in enumerate(self.blocks):
-            if i in idx:
-                return b
-        raise SpectralError("index out of range")
-
 
 def _reachability(m, blocks):
     n = len(m)
@@ -302,91 +302,106 @@ class Eigenpair:
     def interval(self):
         return self.value.interval()
 
-    def residual(self, m):
-        """Interval evaluation of M v - lambda v (contains 0 when valid)."""
-        lam = self.interval()
-        mv = ia.matvec(m, self.vector)
-        return tuple(a - lam * v for a, v in zip(mv, self.vector))
-
     def check_residual(self, m) -> bool:
-        return all(ia.contains_zero(r) for r in self.residual(m))
+        return all(ia.contains_zero(r)
+                   for r in ia.eigen_residual(m, self.vector, self.interval()))
 
 
-def _vector_sum(vec):
-    return ia.isum(vec)
+@dataclass(frozen=True)
+class Spectrum:
+    """The spectral data of one matrix: its block form, the certified
+    spectral radius of each diagonal block, and the distinguished eigenpairs
+    in block order."""
+
+    form: BlockForm
+    radii: tuple
+    distinguished: tuple
+
+
+def spectrum(m) -> Spectrum:
+    """One pass over the matrix: the block form once, each diagonal block's
+    characteristic polynomial and radius once, and each distinguished
+    block's eigenvector from that block's adjugate coefficients.
+
+    Every distinguished pair is certified against ``M v = lambda v``; a
+    failed attempt refines the eigenvalue to twice the bits and retries.
+    """
+    bf = block_form(m)
+    adjugates, radii = [], []
+    for idx in bf.blocks:
+        poly, bmats = char_poly_and_adjugate(submatrix(bf.matrix, idx))
+        adjugates.append(bmats)
+        radii.append(spectral_radius_root(poly))
+    # all comparisons first: they refine the radii the vectors then read
+    winners = [b for b, root in enumerate(radii)
+               if root.compare(0) > 0 and all(root.compare(radii[j]) > 0
+                                              for j in bf.reach[b] if j != b)]
+    pairs = []
+    for b in winners:
+        bits = None
+        for attempt in range(6):
+            pair = _distinguished_vector(bf, b, radii[b], adjugates[b], bits)
+            if pair is not None and pair.check_residual(bf.matrix):
+                pairs.append(pair)
+                break
+            bits = (bits or ia.precision_bits()) * 2
+            radii[b].refine_bits(bits)
+        else:
+            raise SpectralError("could not certify distinguished eigenvector")
+    return Spectrum(form=bf, radii=tuple(radii), distinguished=tuple(pairs))
+
+
+def spectral_radius_root(poly) -> CertifiedRoot:
+    """Certified spectral radius of an irreducible or zero diagonal block
+    from its characteristic polynomial: exactly 0 when that is ``x**n``
+    (the zero block), else the largest real root."""
+    if not any(poly[:-1]):
+        return CertifiedRoot(poly, exact=0)
+    return largest_real_root(poly)
+
+
+def distinguished_eigenvectors(m):
+    """All distinguished eigenpairs of the matrix: one per distinguished
+    diagonal block, non-negative, coordinate sum 1, supported exactly on the
+    indices reachable from the block, certified against ``M v = lambda v``.
+    """
+    return list(spectrum(m).distinguished)
+
+
+def pf_eigenpair(block) -> Eigenpair:
+    """Perron-Frobenius eigenpair of a non-negative integer matrix: the
+    distinguished eigenpair of :func:`spectrum` whose support is every index.
+    It exists for every irreducible non-zero matrix (and for reducible ones
+    such as ``((2, 0), (1, 1))``); SpectralError when there is none.
+    """
+    pairs = spectrum(block).distinguished
+    full = [p for p in pairs if len(p.support) == len(block)]
+    if not full:
+        raise SpectralError("no non-negative eigenvector with full support")
+    return full[0]
 
 
 def _normalise(vec):
-    total = _vector_sum(vec)
+    total = ia.isum(vec)
     if not (total > 0):
         raise SpectralError("cannot normalise a vector without provably positive sum")
     return tuple(v / total if not ia.is_exact_zero(v) else ia.zero() for v in vec)
 
 
-def pf_eigenpair(block, bits=None) -> Eigenpair:
-    """Perron-Frobenius eigenpair of a primitive (more generally irreducible
-    non-zero) integer block: the spectral radius as a certified root of the
-    exact characteristic polynomial, with the positive eigenvector read off
-    a column of ``adj(lambda I - A)``, normalised to coordinate sum 1.
-    """
-    a = check_square_nonnegative(block)
-    n = len(a)
-    if n == 0:
-        raise SpectralError("empty block")
-    poly, bmats = char_poly_and_adjugate(a)
-    root = largest_real_root(poly)
-    if root.compare(0) <= 0:
-        raise SpectralError("block spectral radius is not positive")
-    for attempt in range(6):
-        lam = root.interval(bits)
-        adj = adjugate_at(bmats, lam)
-        col = _positive_column(adj, n)
-        if col is not None:
-            vec = _normalise(col)
-            pair = Eigenpair(value=root, vector=vec,
-                             support=frozenset(range(n)),
-                             block=tuple(range(n)))
-            if pair.check_residual(a):
-                return pair
-        bits = (bits or ia.precision_bits()) * 2
-        root.refine_bits(bits)
-    raise SpectralError("could not certify a positive eigenvector")
-
-
-def _positive_column(adj, n):
-    for j in range(n):
-        col = tuple(adj[i][j] for i in range(n))
+def _positive_column(bmats, lam):
+    """The first column of ``adj(lam I - A)`` with every entry positive,
+    evaluated one column at a time; None when there is none."""
+    for j in range(len(bmats[0])):
+        col = adjugate_column(bmats, lam, j)
         if all(c > 0 for c in col):
             return col
     return None
 
 
-def spectral_radius_root(block) -> CertifiedRoot:
-    """Certified spectral radius of an irreducible or zero diagonal block."""
-    a = check_square_nonnegative(block)
-    if all(x == 0 for row in a for x in row):
-        poly, _ = char_poly_and_adjugate(a)
-        return CertifiedRoot(poly, exact=0)
-    poly, _ = char_poly_and_adjugate(a)
-    return largest_real_root(poly)
-
-
-def distinguished_blocks(bf: BlockForm):
-    """Indices of diagonal blocks whose spectral radius is non-zero and
-    strictly dominates every other block they reach."""
-    radii = [spectral_radius_root(submatrix(bf.matrix, idx)) for idx in bf.blocks]
-    out = []
-    for i in range(len(bf.blocks)):
-        if radii[i].compare(0) <= 0:
-            continue
-        if all(radii[i].compare(radii[j]) > 0
-               for j in bf.reach[i] if j != i):
-            out.append(i)
-    return out, radii
-
-
-def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bits=None):
-    """Assemble the unique non-negative eigenvector attached to block b.
+def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bits):
+    """Assemble the unique non-negative eigenvector attached to block b,
+    whose ``adj(x I - A)`` coefficients are ``bmats``; None when the
+    eigenvalue enclosure is too wide to certify it.
 
     On the block itself it is the PF eigenvector; on the strictly-reachable
     indices it is the unique solution of ``(lambda I - R) w = C u`` where R
@@ -395,66 +410,31 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bits=None)
     is solved exactly through ``adj(lambda I - R) / charpoly_R(lambda)``.
     """
     m = bf.matrix
-    n = len(m)
-    block = list(bf.blocks[b])
+    block = bf.blocks[b]
     rest = sorted(i for j in bf.reach[b] if j != b for i in bf.blocks[j])
-    sub = submatrix(m, block)
-    poly_b, bmats_b = char_poly_and_adjugate(sub)
     lam = root.interval(bits)
-    adj_b = adjugate_at(bmats_b, lam)
-    u = _positive_column(adj_b, len(block))
+    u = _positive_column(bmats, lam)
     if u is None:
         return None
-    entries = {i: ia.zero() for i in range(n)}
+    vec = [ia.zero()] * len(m)
     for pos, i in enumerate(block):
-        entries[i] = u[pos]
+        vec[i] = u[pos]
     if rest:
-        r_mat = submatrix(m, rest)
-        poly_r, bmats_r = char_poly_and_adjugate(r_mat)
+        poly_r, bmats_r = char_poly_and_adjugate(submatrix(m, rest))
         denom = char_poly_at(poly_r, lam)
         if not (denom > 0):
             return None  # needs refinement
-        adj_r = adjugate_at(bmats_r, lam)
+        cols = [adjugate_column(bmats_r, lam, t) for t in range(len(rest))]
         rhs = ia.matvec([[m[i][j] for j in block] for i in rest], u)
         for pos, i in enumerate(rest):
             acc = ia.zero()
-            for t in range(len(rest)):
-                acc = acc + adj_r[pos][t] * rhs[t]
-            entries[i] = acc / denom
-    vec = tuple(entries[i] for i in range(n))
-    support = frozenset(
-        i for i in range(n)
-        if bf.block_of_index(i) in bf.reach[b])
-    for i in range(n):
-        if i in support:
-            if not (vec[i] > 0):
-                return None  # needs refinement
-        else:
-            assert ia.is_exact_zero(vec[i])
-    return Eigenpair(value=root, vector=_normalise(vec), support=support,
-                     block=tuple(block))
-
-
-def distinguished_eigenvectors(m):
-    """All distinguished eigenpairs of the matrix: one per distinguished
-    diagonal block, non-negative, coordinate sum 1, supported exactly on the
-    indices reachable from the block, certified against ``M v = lambda v``.
-    """
-    bf = block_form(m)
-    winners, radii = distinguished_blocks(bf)
-    out = []
-    for b in winners:
-        bits = None
-        for attempt in range(6):
-            pair = _distinguished_vector(bf, b, radii[b], bits)
-            if pair is not None and pair.check_residual(bf.matrix):
-                out.append(pair)
-                break
-            bits = (bits or ia.precision_bits()) * 2
-            radii[b].refine_bits(bits)
-        else:
-            raise SpectralError("could not certify distinguished eigenvector")
-    return out
+            for t, col in enumerate(cols):
+                acc = acc + col[pos] * rhs[t]
+            vec[i] = acc / denom
+    support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
+    if not all(vec[i] > 0 for i in support):
+        return None  # needs refinement
+    return Eigenpair(value=root, vector=_normalise(vec), support=support, block=block)
 
 
 def nonneg_eigenvectors_for(m, lam):

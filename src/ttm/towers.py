@@ -252,17 +252,10 @@ class VectorTower:
         for x in self.vector:
             if (x >= 0) is not True:
                 raise PreconditionError("eigenvector must be non-negative")
-        res = self.eigen_residual()
+        res = ia.eigen_residual(tower.f.transition_matrix(), self.vector, self.lam)
         if not all(ia.contains_zero(r) for r in res):
             raise PreconditionError(
                 "vector is not a certified eigenvector of the transition matrix")
-
-    def eigen_residual(self):
-        mv = ia.matvec(self.f_matrix(), self.vector)
-        return [a - self.lam * v for a, v in zip(mv, self.vector)]
-
-    def f_matrix(self):
-        return self.tower.f.transition_matrix()
 
     def level_scale(self, n: int):
         return self.lam ** (-n)
@@ -408,7 +401,8 @@ class WeightTower:
 
     def compatibility_residual(self):
         """Level compatibility of edge weights reduces to the eigen identity."""
-        return self.vt.eigen_residual()
+        return ia.eigen_residual(self.tower.f.transition_matrix(), self.vt.vector,
+                                 self.vt.lam)
 
 
 def weight_tower_from_vector(vt: VectorTower) -> WeightTower:

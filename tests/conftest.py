@@ -115,8 +115,10 @@ def random_tame_maps(seed: int, count: int, max_len=4):
 
 
 def expanding_self_maps(seed, count, max_paths=1000):
-    """Random expanding train track self-maps on graphs of valence >= 3
-    that carry a measure, with few reduced paths up to length five."""
+    """The first ``count`` random expanding train track self-maps on graphs
+    of valence >= 3 that carry a measure, with few reduced paths up to length
+    five, among the first 200 maps of the seed; raises when there are fewer,
+    so a test never runs on fewer maps than it asks for."""
     out = []
     for f in random_tame_maps(seed, 200):
         g = f.domain
@@ -131,8 +133,8 @@ def expanding_self_maps(seed, count, max_paths=1000):
             continue
         out.append(f)
         if len(out) == count:
-            break
-    return out
+            return out
+    raise ValueError(f"seed {seed} gives {len(out)} such maps, not {count}")
 
 
 def rose_map(*images):

@@ -178,7 +178,7 @@ def test_used_language_equals_rescan():
         if not is_train_track(f)[0]:
             with pytest.raises(PreconditionError):
                 used_language(f, 3)
-    for f in train_track + expanding_self_maps(2718, 20):
+    for f in train_track + expanding_self_maps(2718, 2):
         for max_length in range(6):
             expected = rescan_used_language(f, max_length)
             assert used_language(f, max_length).paths == expected

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttm.errors import SpectralError
+import ttm.intervals as ia
 from ttm.polys import (
-    CertifiedRoot, char_poly_and_adjugate, count_roots, largest_real_root,
-    poly_derivative, poly_divmod, poly_trim, square_free_part, sturm_chain,
+    CertifiedRoot, adjugate_column, char_poly_and_adjugate, count_roots,
+    largest_real_root, poly_derivative, poly_divmod, poly_trim, square_free_part,
+    sturm_chain,
 )
 from ttm.spectra import block_form, submatrix
 from ttm.textio import parse
@@ -180,3 +182,42 @@ def test_refine_finds_rational_midpoint_root():
     root = CertifiedRoot((-1, 2), Fraction(0), Fraction(1))   # 2x - 1
     root.refine(Fraction(1, 1024))
     assert root.exact == Fraction(1, 2) == root.lo == root.hi
+
+
+def reference_adjugate_at(bmats, x):
+    """Every entry of adj(x I - A) at an interval point, by Horner (the full
+    evaluator that ``adjugate_column`` replaced)."""
+    n = len(bmats[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ia.zero()
+            for bm in reversed(bmats):
+                acc = acc * x + ia.exact(bm[i][j])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def seeded_integer_matrices():
+    import random
+    rng = random.Random(7)
+    return [tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(n))
+            for n in range(1, 9) for _ in range(3)]
+
+
+@pytest.mark.parametrize("m", [((1, 1), (1, 0)), ((1, 1, 1), (1, 1, 1), (0, 0, 3))]
+                         + seeded_integer_matrices())
+def test_adjugate_column_equals_full_adjugate(m):
+    """Each column, evaluated alone, is the column of the full evaluation bit
+    for bit, at an exact point, a wide enclosure and the spectral radius."""
+    poly, bmats = char_poly_and_adjugate(m)
+    points = [ia.exact(2), ia.from_endpoints(Fraction(7, 3), Fraction(12, 5))]
+    if any(poly[:-1]):
+        points.append(largest_real_root(poly).interval())
+    for x in points:
+        full = reference_adjugate_at(bmats, x)
+        for j in range(len(m)):
+            assert ([c._mpi_ for c in adjugate_column(bmats, x, j)]
+                    == [row[j]._mpi_ for row in full])

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ttm.intervals as ia
+from ttm import spectra
+from ttm.cli import main
 from ttm.errors import SpectralError
+from ttm.polys import CertifiedRoot, char_poly_and_adjugate, largest_real_root
 from ttm.spectra import (
-    _pattern, _pattern_product, _power_is_normalised, block_form,
+    Eigenpair, _pattern, _pattern_product, _power_is_normalised, block_form,
     distinguished_eigenvectors, is_primitive, nonneg_eigenvectors_for,
     pf_eigenpair, spectral_radius_root, submatrix,
 )
@@ -191,6 +194,186 @@ def test_pf_eigenpair_symmetric_and_one_by_one():
         pf_eigenpair(((0,),))
 
 
+def reference_pf_eigenpair(block):
+    """``pf_eigenpair`` as it was before it read the spectral pass: its own
+    root, every entry of the adjugate and its own retry loop."""
+    n = len(block)
+    poly, bmats = char_poly_and_adjugate(block)
+    root = largest_real_root(poly)
+    if root.compare(0) <= 0:
+        raise SpectralError("block spectral radius is not positive")
+    bits = None
+    for attempt in range(6):
+        lam = root.interval(bits)
+        adj = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = ia.zero()
+                for bm in reversed(bmats):
+                    acc = acc * lam + ia.exact(bm[i][j])
+                row.append(acc)
+            adj.append(row)
+        for j in range(n):
+            col = tuple(adj[i][j] for i in range(n))
+            if all(c > 0 for c in col):
+                total = ia.isum(col)
+                vec = tuple(v / total if not ia.is_exact_zero(v) else ia.zero()
+                            for v in col)
+                pair = Eigenpair(value=root, vector=vec, support=frozenset(range(n)),
+                                 block=tuple(range(n)))
+                if pair.check_residual(block):
+                    return pair
+                break
+        bits = (bits or ia.precision_bits()) * 2
+        root.refine_bits(bits)
+    raise SpectralError("could not certify a positive eigenvector")
+
+
+@pytest.mark.parametrize("m", [FIB, ((1, 1), (1, 1)), ((3,),), ((0, 1), (1, 0)),
+                               ((2, 1, 0), (1, 1, 1), (0, 1, 2)), ((2, 0), (1, 1))])
+def test_pf_eigenpair_equals_reference(m):
+    """The full-support distinguished pair is the old routine's pair, bit for
+    bit: irreducible blocks, and a reducible matrix with a positive vector."""
+    pair, ref = pf_eigenpair(m), reference_pf_eigenpair(m)
+    assert pair.interval()._mpi_ == ref.interval()._mpi_
+    assert [v._mpi_ for v in pair.vector] == [v._mpi_ for v in ref.vector]
+    assert pair.support == frozenset(range(len(m)))
+
+
+@pytest.mark.parametrize("m", [((0,),), ((2, 0), (0, 2))])
+def test_pf_eigenpair_refuses_without_positive_vector(m):
+    with pytest.raises(SpectralError):
+        reference_pf_eigenpair(m)
+    with pytest.raises(SpectralError):
+        pf_eigenpair(m)
+
+
+def reference_distinguished_eigenvectors(m):
+    """``distinguished_eigenvectors`` before the single pass: radii from
+    their own polynomials, every adjugate entry evaluated, and the block's
+    polynomial taken again for its vector on every attempt."""
+    bf = block_form(m)
+    radii = []
+    for idx in bf.blocks:
+        sub = submatrix(m, idx)
+        poly = char_poly_and_adjugate(sub)[0]
+        radii.append(CertifiedRoot(poly, exact=0) if not any(map(any, sub))
+                     else largest_real_root(poly))
+    winners = [b for b in range(len(bf.blocks)) if radii[b].compare(0) > 0
+               and all(radii[b].compare(radii[j]) > 0 for j in bf.reach[b] if j != b)]
+
+    def adjugate(a, lam):
+        bmats = char_poly_and_adjugate(a)[1]
+        return [[_horner([bm[i][j] for bm in bmats], lam) for j in range(len(a))]
+                for i in range(len(a))]
+
+    def vector(b, lam):
+        block = bf.blocks[b]
+        rest = sorted(i for j in bf.reach[b] if j != b for i in bf.blocks[j])
+        adj_b = adjugate(submatrix(m, block), lam)
+        cols = [tuple(row[j] for row in adj_b) for j in range(len(block))]
+        u = next((c for c in cols if all(x > 0 for x in c)), None)
+        if u is None:
+            return None
+        entries = [ia.zero()] * len(m)
+        for pos, i in enumerate(block):
+            entries[i] = u[pos]
+        if rest:
+            denom = _horner(char_poly_and_adjugate(submatrix(m, rest))[0], lam)
+            if not (denom > 0):
+                return None
+            adj_r = adjugate(submatrix(m, rest), lam)
+            rhs = ia.matvec([[m[i][j] for j in block] for i in rest], u)
+            for pos, i in enumerate(rest):
+                acc = ia.zero()
+                for t in range(len(rest)):
+                    acc = acc + adj_r[pos][t] * rhs[t]
+                entries[i] = acc / denom
+        support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
+        if not all(entries[i] > 0 for i in support):
+            return None
+        total = ia.isum(entries)
+        return tuple(v / total if not ia.is_exact_zero(v) else ia.zero()
+                     for v in entries), support
+
+    out = []
+    for b in winners:
+        bits = None
+        for attempt in range(6):
+            got = vector(b, radii[b].interval(bits))
+            if got is not None and Eigenpair(radii[b], *got).check_residual(m):
+                out.append(Eigenpair(radii[b], *got))
+                break
+            bits = (bits or ia.precision_bits()) * 2
+            radii[b].refine_bits(bits)
+    return out
+
+
+def _horner(coeffs, x):
+    acc = ia.zero()
+    for c in reversed(coeffs):
+        acc = acc * x + ia.exact(c)
+    return acc
+
+
+def seeded_reducible_matrices():
+    """Sparse matrices, and matrices whose first two indices form a block of
+    irrational radius that reaches the n - 2 others, so the rest solve sums
+    at least three non-exact terms per coordinate."""
+    import random
+    rng = random.Random(11)
+    sparse = [tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n)) for _ in range(n))
+              for n in range(2, 8) for _ in range(6)]
+    headed = []
+    for n in range(5, 9):
+        m = [[rng.choice((0, 0, 1)) if r >= 2 and c >= 2 else 0 for c in range(n)]
+             for r in range(n)]
+        m[0][0], m[0][1], m[1][0], m[1][1] = 3, 1, 2, 5
+        for r in range(2, n):
+            m[r][0], m[r][1] = rng.randint(1, 2), rng.randint(0, 2)
+        headed.append(tuple(map(tuple, m)))
+    return sparse + headed
+
+
+@pytest.mark.parametrize("m", [FIB, THREE, THREE_CAB, ((2, 0), (1, 1))]
+                         + seeded_reducible_matrices())
+def test_distinguished_eigenvectors_equal_reference(m):
+    """Every distinguished pair of the single pass is the pair of the
+    earlier assembly, bit for bit, reachable-rest solves included."""
+    got, ref = distinguished_eigenvectors(m), reference_distinguished_eigenvectors(m)
+    assert [p.support for p in got] == [p.support for p in ref]
+    assert [p.interval()._mpi_ for p in got] == [p.interval()._mpi_ for p in ref]
+    assert ([[v._mpi_ for v in p.vector] for p in got]
+            == [[v._mpi_ for v in p.vector] for p in ref])
+
+
+def test_spectrum_job_computes_each_block_once(tmp_path, monkeypatch, capsys):
+    """One ``spectrum`` job on red (blocks {a, b} and {c}) takes each block's
+    characteristic polynomial and radius once; the only other polynomial is
+    the one of {a, b} reached from {c}, for the c-block's vector."""
+    calls = {"char_poly": [], "largest_root": 0}
+
+    def char_poly(a):
+        calls["char_poly"].append(tuple(tuple(row) for row in a))
+        return char_poly_and_adjugate(a)
+
+    def largest_root(p):
+        calls["largest_root"] += 1
+        return largest_real_root(p)
+
+    monkeypatch.setattr(spectra, "char_poly_and_adjugate", char_poly)
+    monkeypatch.setattr(spectra, "largest_real_root", largest_root)
+    path = tmp_path / "red.tt"
+    path.write_text("graph R3 { vertices: * ; edge a: * -> * ; edge b: * -> * ; "
+                    "edge c: * -> * ; }\n"
+                    "map red: R3 -> R3 { a -> a b ; b -> b a ; c -> c c c a b ; }\n")
+    assert main(["spectrum", str(path), "--map", "red"]) == 0
+    assert '"spectral_radius": "3.00000000000"' in capsys.readouterr().out
+    ab, c = ((1, 1), (1, 1)), ((3,),)
+    assert calls == {"char_poly": [ab, c, ab], "largest_root": 2}
+
+
 def test_collatz_wielandt_bracket():
     """Row sums bracket the spectral radius."""
     for m in (FIB, ((1, 1), (1, 1)), ((2, 1, 0), (1, 1, 1), (0, 1, 2))):
@@ -217,7 +400,7 @@ def test_power_iteration_cross_check():
                      for i in range(len(v))]
                 lam_est = max(w)
                 v = [x / lam_est for x in w]
-            root = spectral_radius_root(sub)
+            root = spectral_radius_root(char_poly_and_adjugate(sub)[0])
             root.refine_bits(64)
             assert root.lo - Fraction(1, 10 ** 6) <= Fraction(lam_est) \
                 <= root.hi + Fraction(1, 10 ** 6)

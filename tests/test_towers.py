@@ -108,7 +108,7 @@ def test_vector_tower_requires_expansion_eigenpair(fib_setup, golden_root):
 def test_vector_tower_levels(fib_setup):
     _, vt, _, _ = fib_setup
     # compatibility: M(f) (v / lam^{n+1}) = v / lam^n
-    m = vt.f_matrix()
+    m = vt.tower.f.transition_matrix()
     for n in range(4):
         high = vt.level_vector(n + 1)
         low = vt.level_vector(n)
