@@ -248,10 +248,10 @@ def _verify_once(f, args, tol):
 
     def report(label, rep, names, detail):
         status = "pass"
-        if names & {n for n, _, _ in rep.failures}:
+        if names & {n for n, _ in rep.failures}:
             status = "FAIL"
             failures.append(label)
-        elif names & {n for n, _, _ in rep.inconclusive}:
+        elif names & {n for n, _ in rep.inconclusive}:
             status = "INCONCLUSIVE"
             inconclusive.append(label)
         lines.append(f"{label}: {status} ({detail})")

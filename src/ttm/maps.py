@@ -16,12 +16,14 @@ layers reuse heavily.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MapError, PreconditionError
 from .graphs import (
     Graph, Language, inverse, is_reduced, make_turn, is_degenerate,
     reverse_path, subpaths_up_to, turns_of,
 )
+from .polys import char_poly_and_adjugate
 
 
 class GraphMap:
@@ -135,6 +137,56 @@ class GraphMap:
         for _ in range(t):
             p = self.map_path(p)
         return p
+
+    # -- cover search tables -------------------------------------------------------
+
+    @cached_property
+    def cover_starts(self):
+        """Start index of :func:`search_covers`: for each codomain edge x, the
+        pairs ``(e0, f(e0)[off:])`` whose image tail begins with x, in
+        (oriented edge, offset) order."""
+        starts = {}
+        for e0 in self.domain.oriented_edges:
+            img0 = self.image(e0)
+            for off in range(len(img0)):
+                starts.setdefault(img0[off], []).append((e0, img0[off:]))
+        return starts
+
+    @cached_property
+    def reduced_successors(self):
+        """Successor table of :func:`search_covers` over reduced domain paths:
+        for each oriented edge e, the pairs ``(d, f(d))`` with ``e d``
+        reduced, in ``directions_at`` order."""
+        g = self.domain
+        return tuple(tuple((d, self.image(d)) for d in g.extensions_right((e,)))
+                     for e in g.oriented_edges)
+
+
+def search_covers(f: GraphMap, successors, path):
+    """The covers of a non-empty codomain path: the domain paths d whose image
+    contains ``path`` in an occurrence that touches the first and last image
+    block, one per occurrence, in depth-first order over ``f.cover_starts``
+    and the successor table (``successors[e]`` lists the pairs ``(d, f(d))``
+    that may follow e, e.g. ``f.reduced_successors``).
+
+    A stack entry ``(cover, pos)`` has the image of ``cover`` (from the
+    occurrence start) matching ``path[:pos]``; a block is appended only while
+    ``pos < len(path)`` and only if it matches the path from ``pos`` on.
+    """
+    n = len(path)
+    covers = []
+    stack = [((), 0)]
+    while stack:
+        cover, pos = stack.pop()
+        if pos >= n:
+            covers.append(cover)
+            continue
+        nxt = successors[cover[-1]] if cover else f.cover_starts.get(path[0], ())
+        for d, block in reversed(nxt):
+            end = pos + len(block)
+            if path[pos:end] == block[:n - pos]:
+                stack.append((cover + (d,), end))
+    return covers
 
 
 def _same_graph(g1: Graph, g2: Graph) -> bool:
@@ -468,27 +520,6 @@ def abelianized_matrix(words, rank):
     return m
 
 
-def _det(mat) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for i in range(n):
-        p = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != i:
-            a[i], a[p] = a[p], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                c = a[r][i] * inv
-                for cidx in range(i, n):
-                    a[r][cidx] -= c * a[i][cidx]
-    return det
-
-
 def is_homotopy_equivalence(f: GraphMap) -> bool:
     """True iff the induced endomorphism of the fundamental group is an
     automorphism.
@@ -507,7 +538,9 @@ def abelianization_determinant(f: GraphMap) -> Fraction:
     words, rank = fundamental_group_images(f)
     if rank == 0:
         return Fraction(1)
-    return _det(abelianized_matrix(words, rank))
+    # det A = (-1)**n p(0) for the characteristic polynomial p of A
+    poly, _ = char_poly_and_adjugate(abelianized_matrix(words, rank))
+    return Fraction((-1) ** rank * poly[0])
 
 
 # -- languages -------------------------------------------------------------------
@@ -567,34 +600,27 @@ class LegalPullbacks:
     a finite state space and "pullable forever" is equivalent to reaching a
     pullback cycle.
 
-    Two tables, built once per map, drive the search.  The *start index*
-    lists, for each edge x, the pairs ``(e0, f(e0)[off:])`` whose image tail
-    begins with x: the possible first blocks of an occurrence of a path that
-    starts with x.  The *successor table* lists, for each edge e, the legal
-    continuations d (``d != e^-1`` and the turn ``(e^-1, d)`` legal) together
-    with their image blocks.  A cover search then only walks legal paths and
-    matches each appended block against the path at a running position.  The
-    successor table also decides legality of a path letter pair by letter
-    pair.  Verdicts and covers are memoised across queries; only legal paths
-    ever enter the verdict memo, so a query reads it before anything else.
+    The covers come from :func:`search_covers`, the one cover search, which
+    ``measures.image_measure`` also runs: both walk the map's start index
+    (``GraphMap.cover_starts``), and they differ only in the successor table.
+    The pushforward walks ``GraphMap.reduced_successors``; here each entry
+    keeps only the legal continuations d (the turn ``(e^-1, d)`` legal), so
+    the search only walks legal paths and the covers are kept as a set.  The
+    legal successor table also decides legality of a path letter pair by
+    letter pair.  Verdicts and covers are memoised across queries; only legal
+    paths ever enter the verdict memo, so a query reads it before anything
+    else.
     """
 
     def __init__(self, f: GraphMap):
         require_expanding_train_track(f)
         self.f = f
         self.da = DirectionAnalysis(f)
-        g = f.domain
         self._next = tuple(
-            tuple((d, f.image(d)) for d in g.directions_at(g.terminal(e))
-                  if d != inverse(e) and self.da.is_legal(make_turn(inverse(e), d)))
-            for e in g.oriented_edges)
+            tuple((d, block) for d, block in nxt
+                  if self.da.is_legal(make_turn(inverse(e), d)))
+            for e, nxt in enumerate(f.reduced_successors))
         self._legal_next = tuple(frozenset(d for d, _ in nxt) for nxt in self._next)
-        starts = {}
-        for e0 in g.oriented_edges:
-            img0 = f.image(e0)
-            for off in range(len(img0)):
-                starts.setdefault(img0[off], []).append((e0, img0[off:]))
-        self._starts = starts
         self._covers = {}
         self._verdict = {}
 
@@ -605,31 +631,9 @@ class LegalPullbacks:
         if not path:
             results = {(e0,) for e0 in self.f.domain.oriented_edges}
         else:
-            results = self._search_covers(path)
+            results = search_covers(self.f, self._next, path)
         self._covers[path] = frozenset(results)
         return self._covers[path]
-
-    def _search_covers(self, path):
-        """Depth-first search over legal covers, in the order of the start
-        index and the successor table.  A stack entry ``(cover, pos)`` has
-        the image of ``cover`` (from the occurrence start) matching
-        ``path[:pos]``; a block is appended only while ``pos < len(path)``
-        and only if it matches the path from ``pos`` on, so the occurrence
-        touches the first and last block."""
-        n = len(path)
-        starts, nxt = self._starts.get(path[0], ()), self._next
-        results = set()
-        stack = [((), 0)]
-        while stack:
-            cover, pos = stack.pop()
-            if pos >= n:
-                results.add(cover)
-                continue
-            for d, block in reversed(nxt[cover[-1]] if cover else starts):
-                end = pos + len(block)
-                if path[pos:end] == block[:n - pos]:
-                    stack.append((cover + (d,), end))
-        return results
 
     def is_infinitely_legal(self, path) -> bool:
         path = tuple(path)

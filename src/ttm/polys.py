@@ -386,13 +386,8 @@ def char_poly_and_adjugate(a):
 def adjugate_column(bmats, x, j):
     """Column j of adj(x I - A) at an interval point x, each entry a Horner
     sum over the coefficient matrices of ``char_poly_and_adjugate``."""
-    out = []
-    for i in range(len(bmats[0])):
-        acc = ia.zero()
-        for bm in reversed(bmats):
-            acc = acc * x + ia.exact(bm[i][j])
-        out.append(acc)
-    return tuple(out)
+    return tuple(char_poly_at([bm[i][j] for bm in bmats], x)
+                 for i in range(len(bmats[0])))
 
 
 def char_poly_at(poly, x):

@@ -324,7 +324,9 @@ def spectrum(m) -> Spectrum:
     block's eigenvector from that block's adjugate coefficients.
 
     Every distinguished pair is certified against ``M v = lambda v``; a
-    failed attempt refines the eigenvalue to twice the bits and retries.
+    failed attempt refines the eigenvalue to twice the bits and retries once
+    (the enclosure cannot get narrower than the working precision, so more
+    bits would repeat the second attempt).
     """
     bf = block_form(m)
     adjugates, radii = [], []
@@ -339,7 +341,7 @@ def spectrum(m) -> Spectrum:
     pairs = []
     for b in winners:
         bits = None
-        for attempt in range(6):
+        for _ in range(2):
             pair = _distinguished_vector(bf, b, radii[b], adjugates[b], bits)
             if pair is not None and pair.check_residual(bf.matrix):
                 pairs.append(pair)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,10 +8,11 @@ from ttm.graphs import (
     inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to,
 )
 from ttm.maps import (
-    GraphMap, LegalPullbacks, abelianization_determinant, compose,
-    identity_map, image_windows, infinitely_legal_language, is_expanding,
-    is_homotopy_equivalence, is_train_track, matmul, power, used_language,
+    GraphMap, LegalPullbacks, abelianization_determinant, abelianized_matrix, compose,
+    fundamental_group_images, identity_map, image_windows, infinitely_legal_language,
+    is_expanding, is_homotopy_equivalence, is_train_track, matmul, power, used_language,
 )
+from ttm.polys import char_poly_and_adjugate
 
 from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, pullback_maps, random_graph, random_map,
@@ -130,6 +132,52 @@ def test_abelianization_filter():
             continue
         if is_homotopy_equivalence(f):
             assert abs(abelianization_determinant(f)) == 1
+
+
+def elimination_det(mat) -> Fraction:
+    """Reference determinant: Gaussian elimination over the rationals."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for i in range(n):
+        p = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            c = a[r][i] / a[i][i]
+            for k in range(i, n):
+                a[r][k] -= c * a[i][k]
+    return det
+
+
+def test_char_poly_constant_is_signed_determinant():
+    """det A = (-1)**n p(0) for the characteristic polynomial p of A, on
+    seeded signed integer matrices of sizes 1 to 8."""
+    rng = random.Random(31337)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        poly, _ = char_poly_and_adjugate(m)
+        assert (-1) ** n * poly[0] == elimination_det(m), m
+
+
+def test_abelianization_determinant_equals_elimination():
+    """On seeded self-maps of several ranks, odd and even, the determinant
+    equals elimination on the abelianised matrix."""
+    ranks = set()
+    for f in random_tame_maps(20240924, 60):
+        if not f.is_self_map():
+            continue
+        words, rank = fundamental_group_images(f)
+        want = elimination_det(abelianized_matrix(words, rank)) if rank else 1
+        got = abelianization_determinant(f)
+        assert isinstance(got, Fraction) and got == want, f
+        ranks.add(rank)
+    assert {1, 2, 3} <= ranks
 
 
 def test_used_language(fibonacci, thue_morse, rose2):

@@ -6,7 +6,10 @@ import pytest
 import ttm.intervals as ia
 from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
-from ttm.maps import GraphMap, identity_map, infinitely_legal_language, used_language
+from ttm.maps import (
+    GraphMap, identity_map, infinitely_legal_language, search_covers, used_language,
+)
+from ttm import measures
 from ttm.measures import (
     FrequencyOracle, MeasureTable, _common, _definitely_less, _sub, eigen_measures,
     eigenvector_measure, frequency_oracle, image_measure, recover_weights,
@@ -17,7 +20,9 @@ from ttm.spectra import distinguished_eigenvectors
 from ttm.substitutions import Substitution
 from ttm.towers import StationaryTower
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, rose_map
+from conftest import (
+    A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps, rose_map,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -290,6 +295,9 @@ def test_verify_detects_corruption(fib_setup, rose2):
     assert not report.passed
 
 
+PULLBACK_MAPS = pullback_maps()
+
+
 # -- image measures -----------------------------------------------------------------------
 
 
@@ -315,6 +323,91 @@ def test_image_measure_thue_morse(tm_setup, thue_morse):
     for p in thue_morse.domain.reduced_paths(4):
         defect = image_measure(thue_morse, kf, p) - ia.exact(2) * kf.eval(p)
         assert ia.sup_abs(defect) < 1e-12
+
+
+def walk_image_measure(f, kf, path):
+    """Reference pushforward: every sub-edge ``(e, j)`` whose image letter is
+    ``path[0]``, in (oriented edge, offset) order, grows its parents by a
+    recursive walk over the reduced continuations in ``directions_at`` order,
+    and the measure is summed over the parents in that order."""
+    g = f.domain
+    parents = []
+
+    def walk(e, j, idx, cover):
+        img = f.image(e)
+        while idx < len(path) and j < len(img):
+            if img[j] != path[idx]:
+                return
+            j += 1
+            idx += 1
+        if idx == len(path):
+            parents.append(tuple(cover))
+            return
+        for d in g.directions_at(g.terminal(e)):
+            if d != inverse(e):
+                walk(d, 0, idx, cover + [d])
+
+    for e in g.oriented_edges:
+        for j, letter in enumerate(f.image(e)):
+            if letter == path[0]:
+                walk(e, j, 0, [e])
+    total = ia.zero()
+    for parent in parents:
+        total = total + kf.eval(parent)
+    return total
+
+
+def assert_pushforward_equals_walk(f, kf, max_length=4):
+    for p in f.codomain.reduced_paths(max_length):
+        assert image_measure(f, kf, p)._mpi_ == walk_image_measure(f, kf, p)._mpi_, p
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_image_measure_bit_identical_to_walk(name, f):
+    """The one cover search over the reduced successor table sums the same
+    parents in the same order as the recursive sub-edge walk."""
+    kfs = measures_of(f)
+    assert kfs
+    for kf in kfs:
+        assert_pushforward_equals_walk(f, kf)
+
+
+def test_image_measure_bit_identical_to_walk_off_self_maps(fib_setup, rose2):
+    """Also for maps that are neither expanding nor train track: the identity,
+    and a map from the rose to a three-petal rose (a -> a b, b -> c ~a)."""
+    kf = fib_setup[3]
+    assert_pushforward_equals_walk(identity_map(rose2), kf)
+    r3 = rose(3, ("a", "b", "c"))
+    assert_pushforward_equals_walk(GraphMap(rose2, r3, [0], [(0, 2), (4, 1)]), kf)
+
+
+def test_image_measure_counts_every_occurrence():
+    """On red (c -> c c c a b) the path c occurs three times in the image of
+    c, so the cover (c,) is summed three times; a set of covers would drop
+    two and break the eigen equation with lambda = 3."""
+    red = rose_map("ab", "ba", "cccab")
+    C = 4
+    covers = search_covers(red, red.reduced_successors, (C,))
+    assert covers.count((C,)) == 3
+    pair, kf = next((pair, kf) for pair, kf in eigen_measures(red)[0]
+                    if pair.value.compare(3) == 0)
+    assert (kf.eval((C,)) > 0) is True
+    total = image_measure(red, kf, (C,))
+    assert ia.sup_abs(total - ia.exact(3) * kf.eval((C,))) < 1e-12
+
+
+def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci,
+                                                             golden_root, monkeypatch):
+    calls = []
+
+    def counted(f, kf, path):
+        calls.append(tuple(path))
+        return image_measure(f, kf, path)
+
+    monkeypatch.setattr(measures, "image_measure", counted)
+    report = verify_eigen_measure(fibonacci, fib_setup[3], golden_root, 4, 1e-12)
+    assert report.passed
+    assert calls == fibonacci.domain.reduced_paths(4)
 
 
 def test_verify_eigen_measure(fib_setup, fibonacci, golden_root):

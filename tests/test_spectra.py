@@ -374,6 +374,22 @@ def test_spectrum_job_computes_each_block_once(tmp_path, monkeypatch, capsys):
     assert calls == {"char_poly": [ab, c, ab], "largest_root": 2}
 
 
+def test_spectrum_retries_once_before_giving_up(monkeypatch):
+    """An eigenvector that cannot be certified is tried at the working
+    precision and once at twice the bits: a root enclosure narrower than the
+    working precision would only repeat the second attempt."""
+    calls = []
+
+    def never(bf, b, root, bmats, bits):
+        calls.append(bits)
+        return None
+
+    monkeypatch.setattr(spectra, "_distinguished_vector", never)
+    with pytest.raises(SpectralError):
+        spectra.spectrum(FIB)
+    assert calls == [None, 2 * ia.precision_bits()]
+
+
 def test_collatz_wielandt_bracket():
     """Row sums bracket the spectral radius."""
     for m in (FIB, ((1, 1), (1, 1)), ((2, 1, 0), (1, 1, 1), (0, 1, 2))):
