@@ -116,11 +116,6 @@ def sup_abs(x) -> float:
     return float(mpmath.mpf(abs(x).b))
 
 
-def inf_abs(x) -> float:
-    """Lower bound on |x|, as a float (zero when x straddles zero)."""
-    return float(mpmath.mpf(abs(x).a))
-
-
 def midpoint(x) -> float:
     return float(mpmath.mpf(x.mid.a))
 

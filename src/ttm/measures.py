@@ -39,9 +39,12 @@ matrix, making their agreement a meaningful cross-validation.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from mpmath import libmp
 
 from . import intervals as ia
 from . import spectra
@@ -155,7 +158,7 @@ class KolmogorovFunction:
         entries = {}
         for p in self.graph.reduced_paths(max_length):
             entries[p] = self.eval(p)
-        return MeasureTable(self.graph, entries, max_length, provenance="computed")
+        return MeasureTable(self.graph, entries, max_length)
 
     def support_table(self, max_length: int) -> "MeasureTable":
         """Table over the infinitely legal language truncation only; paths
@@ -164,7 +167,7 @@ class KolmogorovFunction:
         lang = infinitely_legal_language(self.tower.f, max_length,
                                          self.tower.pullbacks())
         entries = {p: self.eval(p) for p in lang.paths}
-        return MeasureTable(self.graph, entries, max_length, provenance="computed")
+        return MeasureTable(self.graph, entries, max_length)
 
 
 # a factor absent from every level word has no preimage: the exact zero,
@@ -216,7 +219,6 @@ class MeasureTable:
     graph: Graph
     entries: dict
     max_length: int
-    provenance: str = "external"
 
     def __post_init__(self):
         fixed = {}
@@ -281,7 +283,7 @@ class MeasureTable:
             scale = 1 / total
         return MeasureTable(self.graph,
                             {p: v * scale for p, v in self.entries.items()},
-                            self.max_length, provenance=self.provenance)
+                            self.max_length)
 
 
 def _common(x, y):
@@ -302,10 +304,11 @@ def _definitely_less(x, y) -> bool:
 
 @dataclass
 class VerificationReport:
-    """Check outcomes with certified comparison semantics: a check fails only
-    when its violation is provably beyond the tolerance; a violation interval
-    straddling the tolerance is *inconclusive* (the caller should raise the
-    working precision and re-run)."""
+    """Check outcomes with certified comparison semantics.  ``record`` is the
+    one place a check's violations meet the tolerance: a check fails when its
+    violation is provably beyond it and is *inconclusive* when its violation
+    interval straddles it (the caller should raise the working precision and
+    re-run).  ``checks`` and ``max_violation`` are floats for display only."""
 
     checks: dict = field(default_factory=dict)
     max_violation: float = 0.0
@@ -317,81 +320,70 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures and not self.inconclusive
 
-    def record(self, name: str, violation, tol: float):
-        sup, inf = violation if isinstance(violation, tuple) else (violation, violation)
-        self.checks[name] = sup
-        self.max_violation = max(self.max_violation, sup)
-        if sup > tol:
-            if inf > tol:
-                self.failures.append((name, sup))
-            else:
-                self.inconclusive.append((name, sup))
+    def record(self, name: str, violations, tol: float):
+        """Record the check ``name`` from its violation values (intervals, or
+        Fractions, enclosed first), streamed.  The largest lower and upper
+        endpoints, from zero, are kept and compared with ``tol`` exactly; a
+        NaN ``tol`` raises PreconditionError."""
+        if math.isnan(tol):
+            raise PreconditionError(f"check {name!r} got a NaN tolerance")
+        lo = hi = libmp.fzero    # raw mpf endpoints, compared exactly
+        for v in violations:
+            a, b = (ia.from_fraction(v) if isinstance(v, Fraction) else v)._mpi_
+            if libmp.mpf_gt(a, lo):
+                lo = a
+            if libmp.mpf_gt(b, hi):
+                hi = b
+        shown = libmp.to_float(hi, rnd=libmp.round_nearest)
+        self.checks[name] = shown
+        self.max_violation = max(self.max_violation, shown)
+        bound = libmp.from_float(tol)
+        if libmp.mpf_gt(lo, bound):
+            self.failures.append((name, shown))
+        elif libmp.mpf_gt(hi, bound):
+            self.inconclusive.append((name, shown))
 
 
-class _Worst:
-    """Running maximum of |x| over exact or interval values, keeping both the
-    certified upper bound and the certified lower bound of the maximum."""
-
-    def __init__(self):
-        self.sup = 0.0
-        self.inf = 0.0
-
-    def add(self, x):
-        if x is _EXACT_ZERO:
-            return
-        if isinstance(x, Fraction):
-            mag = float(abs(x))
-            self.sup = max(self.sup, mag)
-            self.inf = max(self.inf, mag)
-            return
-        self.sup = max(self.sup, ia.sup_abs(x))
-        self.inf = max(self.inf, ia.inf_abs(x))
-
-    @property
-    def pair(self):
-        return (self.sup, self.inf)
-
-
-def verify_kolmogorov(source, max_length: int, tol: float = 0.0,
-                      graph: Graph = None) -> VerificationReport:
+def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> VerificationReport:
     """Check flip symmetry and both Kirchhoff rules on all reduced paths up
     to the bound; for tables, also audit subpath monotonicity.
 
     ``source`` is a KolmogorovFunction or a MeasureTable.  Values one edge
     longer than the bound must be available.
     """
-    if isinstance(source, KolmogorovFunction):
-        graph = source.graph
-        get = source.eval
-    else:
-        graph = source.graph
-        get = source.value
-        if max_length + 1 > source.max_length:
-            raise IncompleteTableError(
-                "Kirchhoff checks need values one edge beyond the bound")
+    graph, table = source.graph, isinstance(source, MeasureTable)
+    get = source.value if table else source.eval
+    if table and max_length + 1 > source.max_length:
+        raise IncompleteTableError(
+            "Kirchhoff checks need values one edge beyond the bound")
+
+    def kirchhoff(path, extended):
+        residual = get(path)
+        for longer in extended:
+            residual = _sub(residual, get(longer))
+        return residual
+
+    residuals = (
+        ("flip", lambda p: _sub(get(p), get(reverse_path(p)))),
+        ("kirchhoff-left",
+         lambda p: kirchhoff(p, ((e,) + p for e in graph.extensions_left(p)))),
+        ("kirchhoff-right",
+         lambda p: kirchhoff(p, (p + (e,) for e in graph.extensions_right(p)))),
+    )
     report = VerificationReport()
-    worst_flip = _Worst()
-    worst_left = _Worst()
-    worst_right = _Worst()
-    for path in graph.reduced_paths(max_length):
-        value = get(path)
-        worst_flip.add(_sub(value, get(reverse_path(path))))
-        left = value
-        for e0 in graph.extensions_left(path):
-            left = _sub(left, get((e0,) + path))
-        worst_left.add(left)
-        right = value
-        for e1 in graph.extensions_right(path):
-            right = _sub(right, get(path + (e1,)))
-        worst_right.add(right)
-    report.record("flip", worst_flip.pair, tol)
-    report.record("kirchhoff-left", worst_left.pair, tol)
-    report.record("kirchhoff-right", worst_right.pair, tol)
-    if isinstance(source, MeasureTable):
+    paths = graph.reduced_paths(max_length)
+    for name, residual in residuals:
+        report.record(name, _magnitudes(map(residual, paths)), tol)
+    if table:
         for path, sub in source.monotonicity_violations():
             report.flags.append(
                 ("monotonicity", graph.path_label(path), graph.path_label(sub)))
     return report
+
+
+def _magnitudes(residuals):
+    """|r| for each residual; the shared exact zero is skipped unread."""
+    return (abs(r) for r in residuals if r is not _EXACT_ZERO)
 
 
 def _sub(x, y):
@@ -433,10 +425,9 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     paths up to the bound."""
     lam = ia.coerce(lam)
     report = VerificationReport()
-    worst = _Worst()
-    for path in f.domain.reduced_paths(max_length):
-        worst.add(image_measure(f, kf, path) - lam * kf.eval(path))
-    report.record("eigen-equation", worst.pair, tol)
+    report.record("eigen-equation", _magnitudes(
+        image_measure(f, kf, path) - lam * kf.eval(path)
+        for path in f.domain.reduced_paths(max_length)), tol)
     return report
 
 
@@ -489,8 +480,11 @@ class OracleEstimate:
         return abs(reference - self.value) - self.tail_bound
 
     def within(self, reference, tol: float = 0.0):
-        """Is the excess at most ``tol``?  Tri-state: None when inconclusive."""
-        return self.excess(reference) <= tol
+        """Is the excess, floored at zero, at most ``tol``?  Tri-state: None
+        when inconclusive (the verdict of ``VerificationReport.record``)."""
+        report = VerificationReport()
+        report.record("oracle", [self.excess(reference)], tol)
+        return None if report.inconclusive else report.passed
 
 
 class FrequencyOracle:

@@ -154,6 +154,9 @@ class SubshiftMeasure:
         return {w: self.value(w) for w in sorted(lang)}
 
 
+PERIODICITY_SCAN = 4    # longest word the scan of ``ergodic_measures`` tries
+
+
 @dataclass
 class ErgodicEnumeration:
     measures: list
@@ -162,7 +165,7 @@ class ErgodicEnumeration:
     warnings: list = field(default_factory=list)
 
 
-def ergodic_measures(sigma: Substitution, periodicity_scan: int = 4) -> ErgodicEnumeration:
+def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     """Enumerate the candidate ergodic probability measures of the subshift:
     one per distinguished eigenvector of the incidence matrix with eigenvalue
     above one.
@@ -181,7 +184,7 @@ def ergodic_measures(sigma: Substitution, periodicity_scan: int = 4) -> ErgodicE
             "measure enumeration needs all iterated image lengths to diverge")
     bf = spectra.block_form(sigma.incidence_matrix())
     warnings = [f"possible periodic word {w!r} in the subshift"
-                for w in _periodic_witnesses(sigma, periodicity_scan)]
+                for w in _periodic_witnesses(sigma, PERIODICITY_SCAN)]
     measures, skipped = eigen_measures(sigma.rose_map)
     return ErgodicEnumeration(
         measures=[SubshiftMeasure(sigma, pair, kf) for pair, kf in measures],
@@ -230,7 +233,7 @@ def classic_to_graph_table(sigma: Substitution, word_values: dict, graph: Graph,
         p = word_to_path(sigma, w)
         entries[p] = v
         entries[reverse_path(p)] = v
-    return MeasureTable(graph, entries, max_length, provenance="external")
+    return MeasureTable(graph, entries, max_length)
 
 
 def graph_to_classic_table(sigma: Substitution, table: MeasureTable,

@@ -228,18 +228,10 @@ class _Parser:
         return None
 
     def edge_token(self, graph, tok):
-        text = tok.text
-        negative = False
-        if text.startswith("~"):
-            negative = True
-            text = text[1:]
-            if text.startswith("~"):
-                self.fail("double inversion '~~' is not a token; write the "
-                          "positive edge", tok)
-        if text not in graph.edge_labels:
-            self.fail(f"undeclared edge {text!r}", tok)
-        e = 2 * graph.edge_labels.index(text)
-        return e + 1 if negative else e
+        try:
+            return _edge(graph, tok.text)
+        except ParseError as exc:
+            self.fail(str(exc), tok)
 
     def parse_subst(self, doc):
         name = self.word("substitution name").text
@@ -326,21 +318,24 @@ def print_document(doc: InputDocument) -> str:
     return "\n\n".join(parts) + "\n"
 
 
+def _edge(graph: Graph, token: str) -> int:
+    """The oriented edge of an edge token: ``e`` or its inverse ``~e``."""
+    name = token[1:] if token.startswith("~") else token
+    if name.startswith("~"):
+        raise ParseError("double inversion '~~' is not a token; write the "
+                         "positive edge")
+    if name not in graph.edge_labels:
+        raise ParseError(f"undeclared edge {name!r}")
+    e = 2 * graph.edge_labels.index(name)
+    return e + 1 if name != token else e
+
+
 def parse_path(graph: Graph, text: str):
     """A path given as space-separated edge tokens."""
-    path = []
-    for tok in text.split():
-        negative = tok.startswith("~")
-        name = tok[1:] if negative else tok
-        if name.startswith("~"):
-            raise ParseError(f"double inversion in {tok!r}")
-        if name not in graph.edge_labels:
-            raise ParseError(f"undeclared edge {name!r}")
-        e = 2 * graph.edge_labels.index(name)
-        path.append(e + 1 if negative else e)
-    if not graph.is_path(tuple(path)):
+    path = tuple(_edge(graph, tok) for tok in text.split())
+    if not graph.is_path(path):
         raise ParseError(f"tokens do not form an edge path: {text!r}")
-    return tuple(path)
+    return path
 
 
 # -- measure tables as TSV --------------------------------------------------------------

@@ -446,6 +446,8 @@ def repetition_bound(tower: StationaryTower, n: int, cap: int,
     Windows range over infinitely legal level-n paths by default; the
     stricter variant quantifies over all legal ones.
     """
+    if cap < 0:
+        raise PreconditionError(f"the radius cap must be at least 0 (got {cap})")
     for rho in range(cap + 1):
         witness = _violating_pair(tower, n, rho, infinitely_legal)
         if witness is None:

@@ -164,6 +164,9 @@ def test_missing_map_exit_code(fib_file, capsys):
     ("verify", "--oracle-t", "-1"),
     ("measure", "--table-up-to", "0"),
     ("measure", "--table-up-to", "-1"),
+    ("check", "--rep-cap", "-1"),
+    ("check", "--rep-levels", "-1"),
+    ("verify", "--tol", "nan"),
 ])
 def test_length_bounds_rejected(fib_file, capsys, argv):
     command, *flags = argv

@@ -11,7 +11,7 @@ from ttm.maps import (
 )
 from ttm import measures
 from ttm.measures import (
-    FrequencyOracle, MeasureTable, _common, _definitely_less, _sub, eigen_measures,
+    FrequencyOracle, MeasureTable, VerificationReport, _common, _definitely_less, _sub, eigen_measures,
     eigenvector_measure, frequency_oracle, image_measure, recover_weights,
     verify_eigen_measure, verify_kolmogorov,
 )
@@ -290,12 +290,41 @@ def test_verify_detects_corruption(fib_setup, rose2):
     entries = {p: kf.eval(p) for p in rose2.reduced_paths(4)}
     entries[(A, B)] = entries[(A, B)] + ia.one()
     entries[reverse_path((A, B))] = entries[(A, B)]
-    bad = MeasureTable(rose2, entries, 4, provenance="computed")
+    bad = MeasureTable(rose2, entries, 4)
     report = verify_kolmogorov(bad, 3, 1e-9)
     assert not report.passed
 
 
 PULLBACK_MAPS = pullback_maps()
+
+
+# 1e-12 and values within half an ulp of it; all exact at 128 bits
+TOL = 1e-12
+BELOW = Fraction(TOL) - Fraction(1, 2 ** 100)
+NEAR = Fraction(TOL) + Fraction(1, 2 ** 100)
+NEARER = Fraction(TOL) + Fraction(1, 2 ** 99)
+
+
+@pytest.mark.parametrize("violations, tol, verdict, shown", [
+    # both endpoints round to the double TOL, but the lower one is above it
+    ([ia.from_endpoints(NEAR, NEARER)], TOL, "fail", TOL),
+    # the largest lower and upper endpoints come from different values
+    ([ia.from_endpoints(BELOW, BELOW), ia.exact(0),
+      ia.from_endpoints(Fraction(0), NEAR)], TOL, "inconclusive", TOL),
+    ([Fraction(0)], 0.0, "pass", 0.0),
+])
+def test_record_compares_exact_endpoints(violations, tol, verdict, shown):
+    report = VerificationReport()
+    report.record("c", iter(violations), tol)
+    got = ("fail" if report.failures else
+           "inconclusive" if report.inconclusive else "pass")
+    assert got == verdict
+    assert report.checks["c"] == report.max_violation == shown
+
+
+def test_record_refuses_nan_tolerance():
+    with pytest.raises(PreconditionError):
+        VerificationReport().record("c", [], math.nan)
 
 
 # -- image measures -----------------------------------------------------------------------

@@ -338,6 +338,11 @@ def test_repetition_bounds_fibonacci(fib_setup):
     assert all(r.status == "found" for r in results.values())
 
 
+def test_repetition_bound_refuses_negative_cap(fib_setup):
+    with pytest.raises(PreconditionError):
+        repetition_bound(fib_setup[0], 0, -1)
+
+
 def test_repetition_bound_witness(rose2):
     """Two edges with identical images defeat small windows and the search
     reports the violating pair."""
