@@ -172,8 +172,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _measure_rows(graph, kf, paths, exact):
-    rows = []
+def _value_texts(kf, paths, exact):
+    texts = []
     shown = {}   # most values repeat (every zero row is one object)
     for p in paths:
         value = kf.eval(p)
@@ -181,8 +181,8 @@ def _measure_rows(graph, kf, paths, exact):
         if text is None:
             text = shown[value._mpi_] = (fmt_exact_fraction(value) if exact
                                          else fmt(value))
-        rows.append((p, text))
-    return rows
+        texts.append(text)
+    return texts
 
 
 def _require_length(flag: str, value: int, least: int) -> None:
@@ -193,28 +193,34 @@ def _require_length(flag: str, value: int, least: int) -> None:
 def cmd_measure(args) -> int:
     if args.table_up_to is not None:
         _require_length("--table-up-to", args.table_up_to, 1)
+    elif not args.paths:
+        raise TTMError("measure needs --paths or --table-up-to")
+    elif not args.paths.replace(",", "").strip():
+        raise TTMError(f"--paths names no path (got {args.paths!r})")
     doc = load(args.file)
     f = doc.map(args.map)
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
     graph = f.domain
     if args.table_up_to is not None:
-        paths = sorted(graph.reduced_paths(args.table_up_to),
-                       key=lambda p: (len(p), graph.path_label(p)))
-    elif args.paths:
+        paths = graph.reduced_paths(args.table_up_to)
+    else:
         paths = [parse_path(graph, chunk)
                  for chunk in args.paths.split(",") if chunk.strip()]
-    else:
-        raise TTMError("measure needs --paths or --table-up-to")
-    rows = _measure_rows(graph, kf, paths, args.exact)
+    keyed = [(len(p), graph.path_label(p), p) for p in paths]
+    if args.table_up_to is not None:
+        keyed.sort()
+    labels = [label for _, label, _ in keyed]
+    paths = [p for _, _, p in keyed]
+    del keyed    # release the sort keys before the values are evaluated
+    rows = zip(labels, _value_texts(kf, paths, args.exact))
     if args.format == "json":
         payload = {
             "schema": 1,
-            "values": [{"path": graph.path_label(p), "value": v}
-                       for p, v in rows],
+            "values": [{"path": label, "value": v} for label, v in rows],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        sys.stdout.write(format_table_tsv(graph, rows))
+        sys.stdout.write(format_table_tsv(rows))
     return 0
 
 
@@ -327,11 +333,14 @@ def make_parser() -> argparse.ArgumentParser:
         description="Train track maps, graph towers, and invariant measures.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="train track / expanding / pi1 report")
+    p = sub.add_parser("check",
+                       help="train track / expanding / pi1 / repetition report")
     p.add_argument("file")
     p.add_argument("--map", required=True)
-    p.add_argument("--rep-cap", type=int, default=6)
-    p.add_argument("--rep-levels", type=int, default=2)
+    p.add_argument("--rep-cap", type=int, default=6,
+                   help="largest window radius tried per level (default 6)")
+    p.add_argument("--rep-levels", type=int, default=2,
+                   help="report repetition bounds of tower levels 0..N (default 2)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="block eigenvalue data as JSON")

@@ -372,6 +372,6 @@ def parse_table_tsv(graph: Graph, text: str, max_length: int = None):
     return MeasureTable(graph, entries, max_length or longest)
 
 
-def format_table_tsv(graph: Graph, rows) -> str:
-    """Rows of ``(path, value string)`` as TSV text."""
-    return "".join(f"{graph.path_label(p)}\t{v}\n" for p, v in rows)
+def format_table_tsv(rows) -> str:
+    """Rows of ``(path label, value string)`` as TSV text."""
+    return "".join(f"{label}\t{v}\n" for label, v in rows)

@@ -178,45 +178,42 @@ class StationaryTower:
 
     def legal_windows(self, center, radius: int, n: int,
                       infinitely_legal: bool = False):
-        """The windows of ``windows(center, radius, n)`` whose image is
-        reduced (the legal level-n windows), in the same order, as
-        ``(window, image)`` pairs; with ``infinitely_legal`` only those
-        whose image is infinitely legal.
+        """The windows of ``windows(center, radius, n)`` whose image lies in
+        the window language, in the same order, as ``(window, image)``
+        pairs.  The language is the reduced paths (the legal level-n
+        windows), or with ``infinitely_legal`` the infinitely legal paths.
 
         Lefts and rights grow one short edge at a time, carrying their image
-        letters, and an extension is dropped as soon as its image letter
-        cancels against the adjacent one.  A window's image is reduced iff
-        its left half with the centre and its centre with the right half
-        are, and a prefix that cancels keeps cancelling however it is
-        extended, so the survivors are exactly the legal windows and keep
-        the order of the full lists.
+        letters, and an extension is kept only while its image with the
+        centre letter stays in the language; a whole window is kept only if
+        its image is in it.  Both languages are closed under subpaths, so a
+        half that leaves the language never returns, and the survivors are
+        exactly the windows in the language, in the order of the full lists.
         """
-        c = self.image_letter(center, n)
+        ok = self.pullbacks().is_infinitely_legal if infinitely_legal else is_reduced
+        c = (self.image_letter(center, n),)
         lefts = [((), ())]
         for _ in range(radius):
             nxt = []
             for p, img in lefts:
-                bad = inverse(img[0] if img else c)
                 for q in self.predecessors(p[0] if p else center, n):
-                    x = self.image_letter(q, n)
-                    if x != bad:
-                        nxt.append(((q,) + p, (x,) + img))
+                    ext = (self.image_letter(q, n),) + img
+                    if ok(ext + c):
+                        nxt.append(((q,) + p, ext))
             lefts = nxt
         rights = [((), ())]
         for _ in range(radius):
             nxt = []
             for p, img in rights:
-                bad = inverse(img[-1] if img else c)
                 for q in self.successors(p[-1] if p else center, n):
-                    x = self.image_letter(q, n)
-                    if x != bad:
-                        nxt.append((p + (q,), img + (x,)))
+                    ext = img + (self.image_letter(q, n),)
+                    if ok(c + ext):
+                        nxt.append((p + (q,), ext))
             rights = nxt
-        pullbacks = self.pullbacks() if infinitely_legal else None
         for l, limg in lefts:
             for r, rimg in rights:
-                img = limg + (c,) + rimg
-                if pullbacks is None or pullbacks.is_infinitely_legal(img):
+                img = limg + c + rimg
+                if ok(img):
                     yield l + (center,) + r, img
 
     # -- languages --------------------------------------------------------------
@@ -428,13 +425,6 @@ class RepetitionSearch:
     @property
     def found(self) -> bool:
         return self.bound is not None
-
-    status_found = "found"
-    status_not_found = "not-found-within-cap"
-
-    @property
-    def status(self) -> str:
-        return self.status_found if self.found else self.status_not_found
 
 
 def repetition_bound(tower: StationaryTower, n: int, cap: int,

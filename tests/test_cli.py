@@ -167,6 +167,8 @@ def test_missing_map_exit_code(fib_file, capsys):
     ("check", "--rep-cap", "-1"),
     ("check", "--rep-levels", "-1"),
     ("verify", "--tol", "nan"),
+    ("measure", "--paths", " "),
+    ("measure", "--paths", ","),
 ])
 def test_length_bounds_rejected(fib_file, capsys, argv):
     command, *flags = argv
@@ -240,14 +242,44 @@ def test_pick_vector_auto_takes_largest_eigenvalue(monkeypatch):
     assert ia.contains_zero(min(positive, key=ia.midpoint) - ia.one())
 
 
+def run_module(*argv, timeout=120, **env):
+    """Run ``python -m ttm`` in a fresh interpreter, killed after ``timeout``
+    seconds, with extra environment variables."""
+    src = str(Path(ttm.__file__).resolve().parents[1])
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "ttm", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.mark.parametrize("bits", ["abc", "8"])
 def test_bad_precision_setting_exits_3(fib_file, bits):
-    src = str(Path(ttm.__file__).resolve().parents[1])
-    env = dict(os.environ, TTM_PRECISION_BITS=bits,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "ttm", "check", fib_file, "--map", "f"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module("check", fib_file, "--map", "f", TTM_PRECISION_BITS=bits)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "TTM_PRECISION_BITS" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+Q2_DOC = """
+graph R4 { vertices: * ; edge a: * -> * ; edge b: * -> * ; edge c: * -> * ; edge d: * -> * ; }
+map q2: R4 -> R4 { a -> a c ; b -> a ; c -> b d ; d -> a ; }
+"""
+
+
+def test_check_q2_default_arguments_finishes(tmp_path):
+    """The repetition windows of q2 multiply fast with the radius, so they
+    must be pruned as they grow, not filtered once complete.  A fresh
+    process under a timeout turns a runaway search into a failure."""
+    path = tmp_path / "q2.tt"
+    path.write_text(Q2_DOC)
+    proc = run_module("check", str(path), "--map", "q2", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "train-track: yes",
+        "expanding: yes",
+        "homotopy-equivalence: no",
+        "repetition-bound[level 0]: 0",
+        "repetition-bound[level 1]: not found within cap 6",
+        "repetition-bound[level 2]: not found within cap 6",
+    ]

@@ -113,8 +113,8 @@ def test_value_literals():
 def test_table_tsv_round_trip():
     doc = parse(FIB_DOC)
     g = doc.graph("R")
-    rows = [((0,), "9"), ((2,), "18"), ((0, 2), "9")]
-    text = format_table_tsv(g, rows)
+    rows = [("a", "9"), ("b", "18"), ("a b", "9")]
+    text = format_table_tsv(rows)
     table = parse_table_tsv(g, text)
     assert table.value((0,)) == 9
     assert table.value((0, 2)) == 9

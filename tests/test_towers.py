@@ -335,7 +335,7 @@ def test_repetition_bounds_fibonacci(fib_setup):
     assert results[1].bound == 1
     assert results[2].bound == 3
     assert results[3].bound == 6
-    assert all(r.status == "found" for r in results.values())
+    assert all(r.found for r in results.values())
 
 
 def test_repetition_bound_refuses_negative_cap(fib_setup):
@@ -352,7 +352,6 @@ def test_repetition_bound_witness(rose2):
     tower = StationaryTower(f)
     r = repetition_bound(tower, 1, 0)
     assert not r.found
-    assert r.status == "not-found-within-cap"
     assert r.witness is not None
     w1, w2 = r.witness
     assert tower.path_image(w1, 1) == tower.path_image(w2, 1)
@@ -415,15 +414,22 @@ PULLBACK_MAPS = pullback_maps()
 WINDOW_CAPS = {"q2": 3, "red": 6}
 
 
-@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
-def test_legal_windows_are_the_reduced_windows_in_order(name, f):
+@pytest.mark.parametrize("name,f,infinitely_legal", [
+    pytest.param(name, f, il, id=name + ("-infinitely-legal" if il else ""))
+    for il in (False, True) for name, f in PULLBACK_MAPS])
+def test_legal_windows_are_the_reduced_windows_in_order(name, f, infinitely_legal):
+    """The pruned windows are the full list filtered to reduced images, or to
+    reduced and infinitely legal ones, in the same order."""
     tower = StationaryTower(f)
     for n in range(3):
         for center in tower.short_edges(n):
             for rho in range(3):
                 want = [(w, tower.path_image(w, n)) for w in tower.windows(center, rho, n)]
                 want = [(w, img) for w, img in want if is_reduced(img)]
-                assert list(tower.legal_windows(center, rho, n)) == want
+                if infinitely_legal:
+                    want = [(w, img) for w, img in want
+                            if tower.pullbacks().is_infinitely_legal(img)]
+                assert list(tower.legal_windows(center, rho, n, infinitely_legal)) == want
 
 
 @pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
