@@ -34,7 +34,7 @@ from .maps import (
 )
 from .measures import (
     FrequencyOracle, VerificationReport, eigenvector_measure, measure_pairs,
-    verify_eigen_measure, verify_kolmogorov,
+    verify_eigen_measure, verify_kolmogorov, verify_oracle,
 )
 from .substitutions import ergodic_measures
 from .textio import format_table_tsv, parse, parse_path
@@ -172,17 +172,30 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _value_texts(kf, paths, exact):
+def _value_texts(values, exact):
     texts = []
     shown = {}   # most values repeat (every zero row is one object)
-    for p in paths:
-        value = kf.eval(p)
+    for value in values:
         text = shown.get(value._mpi_)
         if text is None:
             text = shown[value._mpi_] = (fmt_exact_fraction(value) if exact
                                          else fmt(value))
         texts.append(text)
     return texts
+
+
+def _table_rows(graph, max_length):
+    """``(label, path)`` for every reduced path up to the bound, by length
+    and then by label; each label is its parent's plus one edge label."""
+    names = [" " + graph.edge_label(e) for e in graph.oriented_edges]
+    successors = [graph.extensions_right((e,)) for e in graph.oriented_edges]
+    level = sorted((name[1:], (e,)) for e, name in enumerate(names))
+    rows = list(level)
+    for _ in range(max_length - 1):
+        level = sorted((label + names[d], p + (d,))
+                       for label, p in level for d in successors[p[-1]])
+        rows.extend(level)
+    return rows
 
 
 def _require_length(flag: str, value: int, least: int) -> None:
@@ -202,17 +215,15 @@ def cmd_measure(args) -> int:
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
     graph = f.domain
     if args.table_up_to is not None:
-        paths = graph.reduced_paths(args.table_up_to)
+        table = _table_rows(graph, args.table_up_to)
+        labels = (label for label, _ in table)
+        values = (kf._walked(p) for _, p in table)
     else:
         paths = [parse_path(graph, chunk)
                  for chunk in args.paths.split(",") if chunk.strip()]
-    keyed = [(len(p), graph.path_label(p), p) for p in paths]
-    if args.table_up_to is not None:
-        keyed.sort()
-    labels = [label for _, label, _ in keyed]
-    paths = [p for _, _, p in keyed]
-    del keyed    # release the sort keys before the values are evaluated
-    rows = zip(labels, _value_texts(kf, paths, args.exact))
+        labels = map(graph.path_label, paths)
+        values = map(kf.eval, paths)
+    rows = zip(labels, _value_texts(values, args.exact))
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -234,21 +245,18 @@ def cmd_verify(args) -> int:
     tol = args.tol
     # interval comparison against the tolerance is tri-state; an inconclusive
     # suite (too-wide intervals, not a provable violation) doubles the
-    # working precision and reruns before giving a verdict; the caller's
-    # precision is restored afterwards
-    entry_bits = ia.precision_bits()
-    try:
-        for attempt in range(3):
+    # working precision and reruns before giving a verdict; each run's
+    # precision is scoped to that run
+    bits = ia.precision_bits()
+    for attempt in range(3):
+        with ia.working_precision(bits):
             lines, failures, inconclusive = _verify_once(f, args, tol)
-            if not inconclusive or attempt == 2:
-                break
-            ia.set_precision(ia.precision_bits() * 2)
-        print("\n".join(lines))
-        if inconclusive:
-            print(f"inconclusive at {ia.precision_bits()} bits: "
-                  + ", ".join(inconclusive))
-    finally:
-        ia.set_precision(entry_bits)
+        if not inconclusive or attempt == 2:
+            break
+        bits *= 2
+    print("\n".join(lines))
+    if inconclusive:
+        print(f"inconclusive at {bits} bits: " + ", ".join(inconclusive))
     return 0 if not failures and not inconclusive else EXIT_VERIFICATION
 
 
@@ -285,14 +293,8 @@ def _verify_once(f, args, tol):
            f"max violation {erep.checks['eigen-equation']:.3e}")
 
     # the oracle's violation is |eval - estimate| beyond the tail bound
-    worst = 0.0
-    excess = []
     oracle = FrequencyOracle(f, vt.vector, vt.lam, args.oracle_t)
-    for p in f.domain.reduced_paths(min(args.max_len, 4)):
-        value, est = kf.eval(p), oracle.estimate(p)
-        worst = max(worst, ia.sup_abs(value - est.value))
-        excess.append(est.excess(value))
-    rep.record("oracle", excess, tol)
+    rep, worst = verify_oracle(kf, oracle, min(args.max_len, 4), tol)
     report("oracle agreement", rep, {"oracle"},
            f"max |eval - estimate| {worst:.3e} at t={args.oracle_t}")
     return lines, failures, inconclusive

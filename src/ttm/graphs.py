@@ -205,7 +205,8 @@ class Graph:
     # -- path enumeration ----------------------------------------------------------
 
     def reduced_paths(self, max_length: int, start=None):
-        """All non-trivial reduced paths of length <= max_length.
+        """All non-trivial reduced paths of length <= max_length, by length
+        and then by edge ids.
 
         ``start`` restricts the initial vertex.  Intended for desk-scale
         graphs; the count grows exponentially in ``max_length``.

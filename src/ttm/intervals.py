@@ -18,6 +18,7 @@ default in force here, and the command line refuses it.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -38,6 +39,19 @@ def set_precision(bits: int) -> None:
 
 def precision_bits() -> int:
     return iv.prec
+
+
+@contextmanager
+def working_precision(bits: int):
+    """Run the block at ``bits`` of working precision and restore the
+    caller's interval and mpmath precisions on the way out, also when the
+    block raises."""
+    saved = iv.prec, mpmath.mp.prec
+    try:
+        set_precision(bits)
+        yield
+    finally:
+        iv.prec, mpmath.mp.prec = saved
 
 
 def precision_from_env() -> int:

@@ -30,6 +30,23 @@ weights as met, then the level scale) and memoised by level and recipe, so
 values are bit-identical to the per-path definition and equal recipes share
 one interval.
 
+Walks skip what is known to be zero.  ``support(L)`` is the key set of the
+length-L sweep: every other path of length L is the exact zero.
+``_walked`` evaluates a path that a walker made, with no path checks and no
+memo entry for a zero; the CLI tables evaluate their rows with it.  Each
+verify suite visits only the paths whose residual can differ from the exact
+zero, in the order of the full walk over ``Graph.reduced_paths``, so the
+memo keeps the same first values and the reports are those of the full
+walk:
+
+* flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
+* the eigen equation: S(L) and the reduced factors of the images of its
+  paths, up to the bound (a path with a cover in the support is one);
+* the oracle: S(L) and the paths with a non-zero occurrence count.
+
+The walks use no property of the measure they check.  Measure tables,
+which are external data, are still checked on every reduced path.
+
 An independent frequency oracle estimates the same values from occurrence
 counts in iterate images alone, with a certified geometric tail bound.  It
 batches its own block recursion per path length but never touches the tower,
@@ -66,8 +83,9 @@ class KolmogorovFunction:
         self.tower = weights.tower
         self.weights = weights
         self.graph = self.tower.graph
-        self._memo = {}      # validated path and its reversal -> value
+        self._memo = {}      # evaluated path and its reversal -> value
         self._sweeps = {}    # (level, length) -> factor -> recipe
+        self._lengths = {}   # length -> (level_for_length, its sweep)
         self._values = {}    # (level, recipe) -> value
         self._scales = {}    # level -> lambda**-level
 
@@ -97,11 +115,44 @@ class KolmogorovFunction:
             raise PathError("Kolmogorov functions take non-trivial paths")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        key = (n, len(path))
-        sweep = self._sweeps.get(key)
+        return self._value(n, self._sweep_at(n, len(path)).get(path, _ZERO_RECIPE))
+
+    def support(self, length: int):
+        """The paths of this length with a non-zero recipe: the keys of the
+        sweep at ``level_for_length(length)``.  Every other path of this
+        length evaluates to the exact zero.  The set is closed under
+        reversal; it may hold unreduced junction windows, which callers
+        drop."""
+        return self._length_sweep(length)[1].keys()
+
+    def _walked(self, path):
+        """``eval`` of a reduced path that a walker made (``reduced_paths``,
+        a table, a support): no path checks, one level and sweep lookup per
+        length, and the exact zero returned without a memo entry.  A non-zero
+        value goes through the memo, so a path and its reversal share the
+        first value computed, as under ``eval``."""
+        level, sweep = self._length_sweep(len(path))
+        recipe = sweep.get(path)
+        if recipe is None:
+            return _EXACT_ZERO
+        value = self._memo.get(path)
+        if value is None:
+            value = self._memo[path] = self._memo[reverse_path(path)] = \
+                self._value(level, recipe)
+        return value
+
+    def _length_sweep(self, length: int):
+        got = self._lengths.get(length)
+        if got is None:
+            level = self.tower.level_for_length(length)
+            got = self._lengths[length] = (level, self._sweep_at(level, length))
+        return got
+
+    def _sweep_at(self, n: int, length: int):
+        sweep = self._sweeps.get((n, length))
         if sweep is None:
-            sweep = self._sweeps[key] = self._sweep(n, len(path))
-        return self._value(n, sweep.get(path, _ZERO_RECIPE))
+            sweep = self._sweeps[(n, length)] = self._sweep(n, length)
+        return sweep
 
     def _sweep(self, n: int, length: int):
         """Recipe of every length-``length`` factor of the level-n words.
@@ -345,14 +396,19 @@ class VerificationReport:
 
 
 def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> VerificationReport:
-    """Check flip symmetry and both Kirchhoff rules on all reduced paths up
+    """Check flip symmetry and both Kirchhoff rules on the reduced paths up
     to the bound; for tables, also audit subpath monotonicity.
 
     ``source`` is a KolmogorovFunction or a MeasureTable.  Values one edge
-    longer than the bound must be available.
+    longer than the bound must be available.  A table, being external data,
+    is checked on every reduced path.  A measure is checked on its walk set
+    (``_kirchhoff_walk``): every other reduced path has the exact zero as
+    its value and as the values of its one-edge extensions, so its three
+    residuals are the exact zero, which no check reads.
     """
+    _require_bound(max_length)
     graph, table = source.graph, isinstance(source, MeasureTable)
-    get = source.value if table else source.eval
+    get = source.value if table else source._walked
     if table and max_length + 1 > source.max_length:
         raise IncompleteTableError(
             "Kirchhoff checks need values one edge beyond the bound")
@@ -371,7 +427,8 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
          lambda p: kirchhoff(p, (p + (e,) for e in graph.extensions_right(p)))),
     )
     report = VerificationReport()
-    paths = graph.reduced_paths(max_length)
+    paths = (graph.reduced_paths(max_length) if table
+             else _kirchhoff_walk(source, max_length))
     for name, residual in residuals:
         report.record(name, _magnitudes(map(residual, paths)), tol)
     if table:
@@ -379,6 +436,34 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
             report.flags.append(
                 ("monotonicity", graph.path_label(path), graph.path_label(sub)))
     return report
+
+
+def _require_bound(max_length: int):
+    if max_length < 1:
+        raise PreconditionError(f"length bound must be at least 1 (got {max_length})")
+
+
+def _walk_order(paths):
+    """Reduced paths in ``Graph.reduced_paths`` order (by length, then by
+    edge ids), so a walk evaluates its paths in the order of the full walk
+    and the memo keeps the same first values."""
+    return sorted(paths, key=lambda p: (len(p), p))
+
+
+def _kirchhoff_walk(kf: KolmogorovFunction, max_length: int):
+    """The reduced paths p up to the bound that are in the support, or whose
+    one-edge extension on either side is: S(L) and the paths q[1:], q[:-1]
+    for q in S(L + 1), where S is ``kf.support``."""
+    walk = set()
+    for length in range(1, max_length + 2):
+        for q in kf.support(length):
+            if is_reduced(q):
+                if length <= max_length:
+                    walk.add(q)
+                if length > 1:
+                    walk.add(q[1:])
+                    walk.add(q[:-1])
+    return _walk_order(walk)
 
 
 def _magnitudes(residuals):
@@ -409,26 +494,54 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
     path = tuple(path)
     if not f.codomain.is_path(path) or not is_reduced(path) or not path:
         raise PathError("image measure takes non-trivial reduced codomain paths")
-    f.require_tame("image measure")
-    if kf.graph._endpoints != f.domain._endpoints:
-        raise PreconditionError("the measure lives on a different graph "
-                                "than the map's domain")
+    _require_pushforward(f, kf)
     total = ia.zero()
     for parent in search_covers(f, f.reduced_successors, path):
         total = total + kf.eval(parent)
     return total
 
 
+def _require_pushforward(f: GraphMap, kf: KolmogorovFunction):
+    f.require_tame("image measure")
+    if kf.graph._endpoints != f.domain._endpoints:
+        raise PreconditionError("the measure lives on a different graph "
+                                "than the map's domain")
+
+
 def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
                          max_length: int, tol: float) -> VerificationReport:
-    """Check that the pushforward equals lambda times the measure on all
-    paths up to the bound."""
+    """Check that the pushforward equals lambda times the measure on the
+    reduced paths up to the bound.
+
+    The paths checked are the walk set of ``_pushforward_walk``; every other
+    reduced path has the exact zero as its value and as the value of each
+    of its covers, so its residual is exactly [0, 0].
+    """
+    _require_bound(max_length)
+    _require_pushforward(f, kf)
+    if not f.is_self_map():
+        raise PreconditionError("the eigen equation needs a self-map")
     lam = ia.coerce(lam)
     report = VerificationReport()
     report.record("eigen-equation", _magnitudes(
-        image_measure(f, kf, path) - lam * kf.eval(path)
-        for path in f.domain.reduced_paths(max_length)), tol)
+        image_measure(f, kf, path) - lam * kf._walked(path)
+        for path in _pushforward_walk(f, kf, max_length)), tol)
     return report
+
+
+def _pushforward_walk(f: GraphMap, kf: KolmogorovFunction, max_length: int):
+    """The support paths up to the bound and the reduced factors, up to the
+    bound, of their images.  A cover of p is at most |p| edges long (edge
+    images are non-empty) and p is a factor of its image, so a path with a
+    cover in the support is in this set."""
+    walk = set()
+    for length in range(1, max_length + 1):
+        for d in kf.support(length):
+            if is_reduced(d):
+                walk.add(d)
+                walk.update(x for x in subpaths_up_to(f.map_path(d), max_length)
+                            if is_reduced(x))
+    return _walk_order(walk)
 
 
 # -- weight recovery -------------------------------------------------------------------
@@ -523,12 +636,25 @@ class FrequencyOracle:
         path = tuple(path)
         if not path:
             raise PathError("frequency oracle takes non-trivial paths")
-        counts = self._counts.get(len(path))
-        if counts is None:
-            counts = self._counts[len(path)] = self._factor_counts(len(path))
+        counts = self._length_counts(len(path))
         rev = reverse_path(path)
         return tuple(counts[e][path] + counts[e][rev]
                      for e in self.graph.positive_edges)
+
+    def support(self, length: int) -> set:
+        """The paths of this length with a non-zero count, closed under
+        reversal."""
+        counts = self._length_counts(length)
+        out = set()
+        for e in self.graph.positive_edges:
+            out.update(counts[e])
+        return out | {reverse_path(p) for p in out}
+
+    def _length_counts(self, length: int):
+        counts = self._counts.get(length)
+        if counts is None:
+            counts = self._counts[length] = self._factor_counts(length)
+        return counts
 
     def estimate(self, path) -> OracleEstimate:
         path = tuple(path)
@@ -585,6 +711,35 @@ class FrequencyOracle:
 
 def _factors(word, length: int) -> Counter:
     return Counter(word[i:i + length] for i in range(len(word) - length + 1))
+
+
+def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: int,
+                  tol: float):
+    """Compare the measure with the oracle's estimates on the reduced paths
+    up to the bound: the check ``oracle`` records ``|eval - estimate|``
+    beyond the tail bound.  Returns the report and the largest
+    ``|eval - estimate|`` (a float, for display).
+
+    The paths compared are the two supports, the measure's and the
+    oracle's non-zero counts.  On every other reduced path both values are
+    exactly zero, so the distance is zero and the excess is minus the tail
+    bound, which is not positive (the bound is a product of non-negative
+    terms: the oracle's vector is the measure's, certified non-negative);
+    no check reads it.
+    """
+    _require_bound(max_length)
+    walk = set()
+    for length in range(1, max_length + 1):
+        walk.update(p for p in kf.support(length) if is_reduced(p))
+        walk.update(p for p in oracle.support(length) if is_reduced(p))
+    worst, excess = 0.0, []
+    for p in _walk_order(walk):
+        value, est = kf._walked(p), oracle.estimate(p)
+        worst = max(worst, ia.sup_abs(value - est.value))
+        excess.append(est.excess(value))
+    report = VerificationReport()
+    report.record("oracle", excess, tol)
+    return report, worst
 
 
 def frequency_oracle(f: GraphMap, vector, lam, path, t: int) -> OracleEstimate:

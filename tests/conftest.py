@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -118,7 +119,14 @@ def expanding_self_maps(seed, count, max_paths=1000):
     """The first ``count`` random expanding train track self-maps on graphs
     of valence >= 3 that carry a measure, with few reduced paths up to length
     five, among the first 200 maps of the seed; raises when there are fewer,
-    so a test never runs on fewer maps than it asks for."""
+    so a test never runs on fewer maps than it asks for.  The search runs
+    once per argument tuple and session (several modules ask for the same
+    draws)."""
+    return list(_expanding_self_maps(seed, count, max_paths))
+
+
+@functools.cache
+def _expanding_self_maps(seed, count, max_paths):
     out = []
     for f in random_tame_maps(seed, 200):
         g = f.domain
@@ -133,7 +141,7 @@ def expanding_self_maps(seed, count, max_paths=1000):
             continue
         out.append(f)
         if len(out) == count:
-            return out
+            return tuple(out)
     raise ValueError(f"seed {seed} gives {len(out)} such maps, not {count}")
 
 

@@ -228,6 +228,30 @@ def test_verify_reports_escalated_precision(fib_file, capsys, monkeypatch):
     assert ia.precision_bits() == before
 
 
+def test_verify_restores_precision_when_a_run_raises(fib_file, capsys, monkeypatch):
+    """The escalated rerun raises: the error exits 3 and the caller's
+    interval and mpmath precisions are both back."""
+    import mpmath
+    import ttm.cli as cli
+    import ttm.intervals as ia
+    real = cli._verify_once
+    calls = []
+
+    def raises_on_rerun(f, args, tol):
+        calls.append((ia.precision_bits(), mpmath.mp.prec))
+        if len(calls) == 2:
+            raise ttm.PreconditionError("forced")
+        lines, failures, inconclusive = real(f, args, tol)
+        return lines, failures, inconclusive + ["forced"]
+
+    monkeypatch.setattr(cli, "_verify_once", raises_on_rerun)
+    before = (ia.precision_bits(), mpmath.mp.prec)
+    code, out, err = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "2")
+    assert code == 3 and out == "" and "forced" in err
+    assert calls == [before, (2 * before[0], 2 * before[0])]
+    assert (ia.precision_bits(), mpmath.mp.prec) == before
+
+
 def test_pick_vector_auto_takes_largest_eigenvalue(monkeypatch):
     """a -> ab, b -> ba, c -> cccab has distinguished eigenvalues 2 and 3;
     auto takes 3, rescaled so its smallest positive coordinate is one, and

@@ -73,6 +73,15 @@ def test_path_validation(rose2):
         theta.check_path((0, 2))
 
 
+def test_reduced_paths_by_length_then_edge_ids(rose2):
+    """The support walks sort their paths by (length, edge ids) to visit
+    them in the order of ``reduced_paths``."""
+    theta = Graph(2, [(0, 1), (0, 1), (1, 0)])
+    for g in (rose2, theta, rose(3)):
+        paths = g.reduced_paths(4)
+        assert paths == sorted(paths, key=lambda p: (len(p), p))
+
+
 def test_language_laminary(rose2, fibonacci):
     from ttm.maps import used_language
     lang = used_language(fibonacci, 3)

@@ -427,6 +427,9 @@ def test_image_measure_counts_every_occurrence():
 
 def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci,
                                                              golden_root, monkeypatch):
+    """The eigen walk pushes each walked path forward once, in the order of
+    the full walk over the reduced paths, and every reduced path it skips
+    has the residual exactly [0, 0], which no check reads."""
     calls = []
 
     def counted(f, kf, path):
@@ -434,9 +437,18 @@ def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci
         return image_measure(f, kf, path)
 
     monkeypatch.setattr(measures, "image_measure", counted)
-    report = verify_eigen_measure(fibonacci, fib_setup[3], golden_root, 4, 1e-12)
+    kf = fib_setup[3]
+    report = verify_eigen_measure(fibonacci, kf, golden_root, 4, 1e-12)
     assert report.passed
-    assert calls == fibonacci.domain.reduced_paths(4)
+    assert calls and len(set(calls)) == len(calls)
+    everything = fibonacci.domain.reduced_paths(4)
+    walked = set(calls)
+    assert calls == [p for p in everything if p in walked]
+    lam = golden_root.interval()
+    skipped = [p for p in everything if p not in walked]
+    assert skipped
+    for p in skipped:
+        assert ia.is_exact_zero(image_measure(fibonacci, kf, p) - lam * kf.eval(p)), p
 
 
 def test_verify_eigen_measure(fib_setup, fibonacci, golden_root):
