@@ -32,8 +32,8 @@ one interval.
 
 Walks skip what is known to be zero.  ``support(L)`` is the key set of the
 length-L sweep: every other path of length L is the exact zero.
-``_walked`` evaluates a path that a walker made, with no path checks and no
-memo entry for a zero; the CLI tables evaluate their rows with it.  Each
+``eval`` checks its path and hands it to ``_walked``, which the walks and
+the CLI tables call directly on the paths they made.  Each
 verify suite visits only the paths whose residual can differ from the exact
 zero, in the order of the full walk over ``Graph.reduced_paths``, so the
 memo keeps the same first values and the reports are those of the full
@@ -42,7 +42,8 @@ walk:
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
 * the eigen equation: S(L) and the reduced factors of the images of its
   paths, up to the bound (a path with a cover in the support is one);
-* the oracle: S(L) and the paths with a non-zero occurrence count.
+* the oracle: S(L) and the paths with a non-zero occurrence count, when
+  the oracle's tail bounds are non-negative (every path otherwise).
 
 The walks use no property of the measure they check.  Measure tables,
 which are external data, are still checked on every reduced path.
@@ -92,17 +93,11 @@ class KolmogorovFunction:
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
         path = tuple(path)
-        value = self._memo.get(path)
-        if value is not None:
-            return value
         if not path:
             raise PathError("Kolmogorov functions take non-trivial paths")
         if not self.graph.is_path(path) or not is_reduced(path):
             raise PathError("Kolmogorov functions take reduced edge paths")
-        value = self.eval_at_level(path, self.tower.level_for_length(len(path)))
-        self._memo[path] = value
-        self._memo[reverse_path(path)] = value
-        return value
+        return self._walked(path)
 
     def eval_at_level(self, path, n: int):
         """Sum the weights of all legal level-n preimages of the path.
@@ -126,11 +121,11 @@ class KolmogorovFunction:
         return self._length_sweep(length)[1].keys()
 
     def _walked(self, path):
-        """``eval`` of a reduced path that a walker made (``reduced_paths``,
-        a table, a support): no path checks, one level and sweep lookup per
-        length, and the exact zero returned without a memo entry.  A non-zero
+        """``eval`` without the path checks, for a reduced path that a walker
+        made (``reduced_paths``, a support): the recipe at
+        ``level_for_length``, the exact zero when there is none.  A non-zero
         value goes through the memo, so a path and its reversal share the
-        first value computed, as under ``eval``."""
+        first value computed."""
         level, sweep = self._length_sweep(len(path))
         recipe = sweep.get(path)
         if recipe is None:
@@ -723,17 +718,23 @@ def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: i
     The paths compared are the two supports, the measure's and the
     oracle's non-zero counts.  On every other reduced path both values are
     exactly zero, so the distance is zero and the excess is minus the tail
-    bound, which is not positive (the bound is a product of non-negative
-    terms: the oracle's vector is the measure's, certified non-negative);
-    no check reads it.
+    bound; no check reads it when the bound's lower endpoint is at least
+    zero.  An oracle with a tail bound that may be negative (a vector of
+    negative total) is compared on every reduced path.
     """
     _require_bound(max_length)
-    walk = set()
-    for length in range(1, max_length + 1):
-        walk.update(p for p in kf.support(length) if is_reduced(p))
-        walk.update(p for p in oracle.support(length) if is_reduced(p))
+    lengths = range(1, max_length + 1)
+    if all(libmp.mpf_ge(oracle._tail(length)._mpi_[0], libmp.fzero)
+           for length in lengths):
+        walk = set()
+        for length in lengths:
+            walk.update(p for p in kf.support(length) if is_reduced(p))
+            walk.update(p for p in oracle.support(length) if is_reduced(p))
+        walk = _walk_order(walk)
+    else:
+        walk = kf.graph.reduced_paths(max_length)
     worst, excess = 0.0, []
-    for p in _walk_order(walk):
+    for p in walk:
         value, est = kf._walked(p), oracle.estimate(p)
         worst = max(worst, ia.sup_abs(value - est.value))
         excess.append(est.excess(value))

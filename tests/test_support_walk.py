@@ -193,6 +193,28 @@ def test_oracle_walks_its_own_support(tol):
     assert (A,) not in broken().support(1)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 0.0], ids=["tol-1e-12", "tol-0"])
+def test_oracle_with_a_negative_tail_bound_walks_every_path(tol):
+    """A vector of negative total makes the tail bound negative, so a path
+    outside both supports has a positive excess, minus the bound.  With the
+    measure's length-2 support emptied and the oracle at t = 0 counting no
+    length-2 path, only a walk over every reduced path sees that excess."""
+    make, _ = fib_maker()
+
+    def build():
+        kf = make()
+        kf._length_sweep(2)[1].clear()
+        return kf
+
+    vt = make().weights.vt
+    oracle = FrequencyOracle(MAPS["fibonacci"], [-x for x in vt.vector], vt.lam, 0)
+    assert (oracle._tail(2) < 0) is True and not oracle.support(2)
+    report, worst = verify_oracle(build(), oracle, 2, tol)
+    full, full_worst = full_oracle(build(), oracle, 2, tol)
+    assert outcome(report) == outcome(full) and worst == full_worst
+    assert report.checks["oracle"] == ia.sup_abs(oracle._tail(2))
+
+
 # -- the table evaluator ----------------------------------------------------------------
 
 
