@@ -14,8 +14,8 @@ from .errors import (
     PreconditionError, SpectralError, TTMError,
 )
 from .graphs import (
-    Graph, Language, inverse, is_reduced, make_turn, reduce_path,
-    reverse_path, rose, turns_of,
+    Graph, Language, inverse, is_reduced, make_turn, reverse_path, rose,
+    turns_of,
 )
 from .maps import (
     DirectionAnalysis, GraphMap, compose, identity_map, infinitely_legal_language,
@@ -28,12 +28,12 @@ from .measures import (
 )
 from .spectra import (
     BlockForm, Eigenpair, Spectrum, block_form, distinguished_eigenvectors,
-    is_primitive, nonneg_eigenvectors_for, pf_eigenpair, spectrum,
+    is_primitive, pf_eigenpair, spectrum,
 )
 from .substitutions import Substitution, ergodic_measures, to_train_track
 from .towers import (
-    StationaryTower, VectorTower, WeightTower, image_vector_tower,
-    repetition_bound, tower_self_morphism, weight_tower_from_vector,
+    StationaryTower, VectorTower, WeightTower, repetition_bound,
+    weight_tower_from_vector,
 )
 
 __version__ = "0.1.0"

@@ -416,11 +416,6 @@ def blow_up_map(f: GraphMap) -> BlowUpMap:
     return BlowUpMap(map=bmap, domain=dom, codomain=cod, illegal_turns=illegal)
 
 
-def contract(bu: BlowUp) -> Graph:
-    """Collapse all local edges; recovers the base graph."""
-    return bu.base
-
-
 def contract_map(bm: BlowUpMap) -> GraphMap:
     """Collapse local edges in a blow-up map; recovers the base map."""
     dom = bm.domain

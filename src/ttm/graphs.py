@@ -6,7 +6,7 @@ edges are small integers: the pair for unoriented edge ``k`` is ``2k``
 ``e ^ 1`` and the positive section is the set of even ids.  Fixing the section
 once makes transition-matrix row/column order deterministic everywhere.
 
-Edge paths are plain tuples of oriented edge ids.  Reversal and free reduction
+Edge paths are plain tuples of oriented edge ids.  Reversal and reducedness
 are independent of the ambient graph; adjacency validation is not and lives on
 :class:`Graph`.
 
@@ -40,21 +40,6 @@ def reverse_path(path: Path) -> Path:
 def is_reduced(path: Path) -> bool:
     """True iff no adjacent pair cancels (e followed by its inverse)."""
     return all(path[i + 1] != inverse(path[i]) for i in range(len(path) - 1))
-
-
-def reduce_path(path: Path) -> Path:
-    """Free reduction: iterated cancellation of adjacent inverse pairs.
-
-    Idempotent, length non-increasing, identity on reduced input.  The result
-    may be the empty path.
-    """
-    stack = []
-    for e in path:
-        if stack and stack[-1] == inverse(e):
-            stack.pop()
-        else:
-            stack.append(e)
-    return tuple(stack)
 
 
 def make_turn(d1: int, d2: int) -> Turn:
@@ -242,9 +227,6 @@ class Graph:
 
     # -- misc ---------------------------------------------------------------------
 
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges
-
     def rank(self) -> int:
         """Rank of the (free) fundamental group."""
         return self.n_edges - self.n_vertices + 1
@@ -272,12 +254,6 @@ class Language:
 
     def __contains__(self, path):
         return tuple(path) in self.paths
-
-    def up_to(self, length: int):
-        if length > self.max_length:
-            raise PathError(
-                f"language only complete up to {self.max_length}, asked for {length}")
-        return Language(frozenset(p for p in self.paths if len(p) <= length), length)
 
     def laminary_violations(self, graph: Graph):
         """Check closure under reversal/subpaths and bi-extendability.

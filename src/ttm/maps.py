@@ -15,7 +15,6 @@ layers reuse heavily.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import MapError, PreconditionError
@@ -23,7 +22,6 @@ from .graphs import (
     Graph, Language, inverse, is_reduced, make_turn, is_degenerate,
     reverse_path, subpaths_up_to, turns_of,
 )
-from .polys import char_poly_and_adjugate
 
 
 class GraphMap:
@@ -511,15 +509,6 @@ def subgroup_is_whole_group(words, rank) -> bool:
     return all(at_base.get(k) == base for k in range(1, rank + 1))
 
 
-def abelianized_matrix(words, rank):
-    """Signed letter-count matrix of the words (rows = generators)."""
-    m = [[0] * len(words) for _ in range(rank)]
-    for j, w in enumerate(words):
-        for letter in w:
-            m[abs(letter) - 1][j] += 1 if letter > 0 else -1
-    return m
-
-
 def is_homotopy_equivalence(f: GraphMap) -> bool:
     """True iff the induced endomorphism of the fundamental group is an
     automorphism.
@@ -532,15 +521,6 @@ def is_homotopy_equivalence(f: GraphMap) -> bool:
         raise MapError("homotopy equivalence test needs a self-map")
     words, rank = fundamental_group_images(f)
     return subgroup_is_whole_group(words, rank)
-
-
-def abelianization_determinant(f: GraphMap) -> Fraction:
-    words, rank = fundamental_group_images(f)
-    if rank == 0:
-        return Fraction(1)
-    # det A = (-1)**n p(0) for the characteristic polynomial p of A
-    poly, _ = char_poly_and_adjugate(abelianized_matrix(words, rank))
-    return Fraction((-1) ** rank * poly[0])
 
 
 # -- languages -------------------------------------------------------------------

@@ -92,12 +92,7 @@ class KolmogorovFunction:
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
-        path = tuple(path)
-        if not path:
-            raise PathError("Kolmogorov functions take non-trivial paths")
-        if not self.graph.is_path(path) or not is_reduced(path):
-            raise PathError("Kolmogorov functions take reduced edge paths")
-        return self._walked(path)
+        return self._walked(self._checked(path))
 
     def eval_at_level(self, path, n: int):
         """Sum the weights of all legal level-n preimages of the path.
@@ -105,12 +100,22 @@ class KolmogorovFunction:
         Needs the level-n long edges at least as long as the path, so that a
         preimage crosses at most one unsubdivided vertex.
         """
-        path = tuple(path)
-        if not path:
-            raise PathError("Kolmogorov functions take non-trivial paths")
+        path = self._checked(path)
+        if n < 0:
+            raise PreconditionError(f"tower levels start at 0 (got {n})")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
         return self._value(n, self._sweep_at(n, len(path)).get(path, _ZERO_RECIPE))
+
+    def _checked(self, path):
+        """The path as a tuple; PathError unless it is a non-trivial reduced
+        edge path of the graph."""
+        path = tuple(path)
+        if not path:
+            raise PathError("Kolmogorov functions take non-trivial paths")
+        if not self.graph.is_path(path) or not is_reduced(path):
+            raise PathError("Kolmogorov functions take reduced edge paths")
+        return path
 
     def support(self, length: int):
         """The paths of this length with a non-zero recipe: the keys of the
@@ -197,14 +202,6 @@ class KolmogorovFunction:
                 scale = self._scales[n] = self.weights.vt.level_scale(n)
             value = self._values[key] = total * scale
         return value
-
-    def table(self, max_length: int) -> "MeasureTable":
-        """Table over every reduced path up to the bound (exponentially many;
-        keep the bound small)."""
-        entries = {}
-        for p in self.graph.reduced_paths(max_length):
-            entries[p] = self.eval(p)
-        return MeasureTable(self.graph, entries, max_length)
 
     def support_table(self, max_length: int) -> "MeasureTable":
         """Table over the infinitely legal language truncation only; paths
@@ -311,25 +308,6 @@ class MeasureTable:
                 if sval is not None and _definitely_less(sval, value):
                     out.append((path, sub))
         return out
-
-    def normalized(self):
-        """Scale so the single-edge cylinder values over the positive section
-        sum to one (probability normalisation)."""
-        total = None
-        for e in self.graph.positive_edges:
-            v = self.value((e,))
-            total = v if total is None else total + v
-        if isinstance(total, Fraction):
-            if total == 0:
-                raise PreconditionError("cannot normalise the zero table")
-            scale = Fraction(1) / total
-        else:
-            if not (total > 0):
-                raise PreconditionError("cannot normalise the zero table")
-            scale = 1 / total
-        return MeasureTable(self.graph,
-                            {p: v * scale for p, v in self.entries.items()},
-                            self.max_length)
 
 
 def _common(x, y):
@@ -543,18 +521,18 @@ def _pushforward_walk(f: GraphMap, kf: KolmogorovFunction, max_length: int):
 
 
 def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: int,
-                    infinitely_legal: bool = True, enforce_bound: bool = True):
+                    enforce_bound: bool = True):
     """Reconstruct the level-m short-edge weights from measured cylinder
     values: the weight of a short edge is the sum of the table values over
-    the *distinct* images of the radius-rho windows centred on it (identical
-    images from different windows are counted once).
+    the *distinct* infinitely legal images of the radius-rho windows centred
+    on it (identical images from different windows are counted once).
 
     ``rho`` must be at least the level's repetition bound, otherwise windows
     centred on different edges can read the same word and the sums
     double-count; pass ``enforce_bound=False`` to experiment below the bound.
     """
     if enforce_bound:
-        search = repetition_bound(tower, m, rho, infinitely_legal)
+        search = repetition_bound(tower, m, rho)
         if not search.found:
             raise PreconditionError(
                 f"radius {rho} is below the repetition bound of level {m}")
@@ -564,8 +542,7 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
             f"{table.max_length}")
     out = {}
     for center in tower.short_edges(m):
-        images = {img for _, img in tower.legal_windows(center, rho, m,
-                                                        infinitely_legal)}
+        images = {img for _, img in tower.legal_windows(center, rho, m)}
         total = None
         for img in sorted(images):
             v = ia.coerce(table.value(img))

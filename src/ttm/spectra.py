@@ -30,7 +30,6 @@ iterated image of B".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import intervals as ia
@@ -177,11 +176,6 @@ class BlockForm:
     def permutation(self):
         """Concatenated block indices: new position -> original index."""
         return tuple(i for b in self.blocks for i in b)
-
-    def dominates(self, i: int, j: int) -> bool:
-        """Block order: does block i reach block j (i != j counts; a block
-        trivially reaches itself)?"""
-        return j in self.reach[i]
 
     def permuted_matrix(self):
         p = self.permutation
@@ -354,8 +348,8 @@ def spectrum(m) -> Spectrum:
 
 
 def spectral_radius_root(poly) -> CertifiedRoot:
-    """Certified spectral radius of an irreducible or zero diagonal block
-    from its characteristic polynomial: exactly 0 when that is ``x**n``
+    """Certified spectral radius of an irreducible or zero diagonal block,
+    read off its characteristic polynomial: exactly 0 when that is ``x**n``
     (the zero block), else the largest real root."""
     if not any(poly[:-1]):
         return CertifiedRoot(poly, exact=0)
@@ -438,31 +432,3 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bit
         return None  # needs refinement
     return Eigenpair(value=root, vector=_normalise(vec), support=support, block=block)
 
-
-def nonneg_eigenvectors_for(m, lam):
-    """Generators of the cone of non-negative eigenvectors with the given
-    eigenvalue: the distinguished eigenpairs whose eigenvalue matches.
-
-    ``lam`` may be a Fraction/int, a CertifiedRoot, or an interval pair
-    ``(lo, hi)`` of rationals isolating the intended eigenvalue.  Raises when
-    no block spectral radius matches.
-    """
-    pairs = distinguished_eigenvectors(m)
-    matching = [p for p in pairs if _matches_eigenvalue(p.value, lam)]
-    if not matching:
-        raise SpectralError("no distinguished block carries that eigenvalue")
-    return matching
-
-
-def _matches_eigenvalue(root: CertifiedRoot, lam) -> bool:
-    if isinstance(lam, CertifiedRoot):
-        return root.compare(lam) == 0
-    if isinstance(lam, (int, Fraction)):
-        return root.compare(Fraction(lam)) == 0
-    lo, hi = lam
-    lo, hi = Fraction(lo), Fraction(hi)
-    root.refine_to_exclude(lo)
-    root.refine_to_exclude(hi)
-    if root.exact is not None:
-        return lo <= root.exact <= hi
-    return lo <= root.lo and root.hi <= hi

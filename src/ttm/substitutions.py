@@ -5,31 +5,27 @@ word.  Identifying the alphabet with the positive edges of a one-vertex graph
 (the rose) turns it into a self-map whose edge images cross only positively
 oriented edges, which is automatically a train track map with the same
 incidence matrix.  ``Substitution`` keeps only the word-level API (``apply``,
-``iterate``, ``composed_with``); the expansion test, the incidence matrix and
-the language are those of its rose map (``Substitution.rose_map``), read back
-as words.
+``iterate``); the expansion test, the incidence matrix and the language are
+those of its rose map (``Substitution.rose_map``), read back as words.
 
 Invariant measures of the subshift are the measures of the rose map
 (``measures.eigen_measures`` on ``Substitution.rose_map``): each
 distinguished eigenvector of the incidence matrix with eigenvalue above one
 yields a shift-invariant probability measure, and the letter frequencies are
 the eigenvector coordinates; ``ergodic_measures`` adds its preconditions and
-a bounded periodicity scan.  Word-level measures and path-level measures
-translate through a three-case rule: positive words carry the path value,
-inverse words mirror it, and mixed-sign words carry zero.
+a bounded periodicity scan.  A word's cylinder value is the value of its
+positive path (``SubshiftMeasure.value``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import maps, spectra
 from .errors import PreconditionError
-from .graphs import Graph, is_positive, reverse_path, rose, subpaths_up_to
-from .measures import KolmogorovFunction, MeasureTable, eigen_measures
+from .graphs import is_positive, rose, subpaths_up_to
+from .measures import KolmogorovFunction, eigen_measures
 
 
 @dataclass(frozen=True)
@@ -78,12 +74,6 @@ class Substitution:
 
     def incidence_matrix(self):
         return self.rose_map.transition_matrix()
-
-    def composed_with(self, other: "Substitution") -> "Substitution":
-        if self.alphabet != other.alphabet:
-            raise PreconditionError("substitutions over different alphabets")
-        return Substitution(self.alphabet,
-                            tuple(self.apply(w) for w in other.images))
 
     def is_expanding(self) -> bool:
         """Do all iterated image lengths go to infinity?"""
@@ -148,11 +138,6 @@ class SubshiftMeasure:
 
     def letter_frequencies(self):
         return tuple(self.value((x,)) for x in self.sigma.alphabet)
-
-    def word_table(self, max_length: int) -> dict:
-        lang = self.sigma.language(max_length)
-        return {w: self.value(w) for w in sorted(lang)}
-
 
 PERIODICITY_SCAN = 4    # longest word the scan of ``ergodic_measures`` tries
 
@@ -219,38 +204,3 @@ def _is_primitive_word(w) -> bool:
             return False
     return True
 
-
-# -- classic word tables vs path tables ----------------------------------------------
-
-
-def classic_to_graph_table(sigma: Substitution, word_values: dict, graph: Graph,
-                           max_length: int) -> MeasureTable:
-    """Turn a word table into a path table on the one-vertex graph: positive
-    paths carry the word value, inverse paths mirror it, mixed-sign paths are
-    zero (and stay implicit)."""
-    entries = {}
-    for w, v in word_values.items():
-        p = word_to_path(sigma, w)
-        entries[p] = v
-        entries[reverse_path(p)] = v
-    return MeasureTable(graph, entries, max_length)
-
-
-def graph_to_classic_table(sigma: Substitution, table: MeasureTable,
-                           max_length: int) -> dict:
-    """Restrict a path table to positive words."""
-    out = {}
-    for w in sorted(word for n in range(1, max_length + 1)
-                    for word in itertools.product(sigma.alphabet, repeat=n)):
-        out[w] = table.value(word_to_path(sigma, w))
-    return out
-
-
-def graph_value_of_word_table(sigma: Substitution, word_values: dict, path):
-    """Three-case evaluation of a word table on an arbitrary reduced path."""
-    if all(is_positive(e) for e in path):
-        return word_values.get(path_to_word(sigma, path), Fraction(0))
-    rev = reverse_path(path)
-    if all(is_positive(e) for e in rev):
-        return word_values.get(path_to_word(sigma, rev), Fraction(0))
-    return Fraction(0)

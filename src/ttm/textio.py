@@ -48,11 +48,6 @@ class InputDocument:
     maps: dict = field(default_factory=dict)       # name -> (GraphMap, dom, cod)
     substitutions: dict = field(default_factory=dict)
 
-    def graph(self, name: str) -> Graph:
-        if name not in self.graphs:
-            raise ParseError(f"unknown graph {name!r}")
-        return self.graphs[name]
-
     def map(self, name: str) -> GraphMap:
         if name not in self.maps:
             raise ParseError(f"no map named {name!r} in the input")
@@ -339,37 +334,6 @@ def parse_path(graph: Graph, text: str):
 
 
 # -- measure tables as TSV --------------------------------------------------------------
-
-
-def parse_value(text: str):
-    """Exact rational ``p/q``, integer, or decimal literal."""
-    from fractions import Fraction
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad value literal {text!r}") from exc
-
-
-def parse_table_tsv(graph: Graph, text: str, max_length: int = None):
-    """Measure table from tab-separated ``path<TAB>value`` lines.
-
-    Paths use the edge-token syntax; values are exact rationals or decimals.
-    The completeness bound defaults to the longest listed path.
-    """
-    from .measures import MeasureTable
-    entries = {}
-    longest = 0
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("\t") if "\t" in line else line.rsplit(None, 1)
-        if len(parts) != 2:
-            raise ParseError("expected 'path<TAB>value'", ln, 1)
-        path = parse_path(graph, parts[0])
-        entries[path] = parse_value(parts[1])
-        longest = max(longest, len(path))
-    return MeasureTable(graph, entries, max_length or longest)
 
 
 def format_table_tsv(rows) -> str:

@@ -92,14 +92,6 @@ class StationaryTower:
             raise MapError("levels must satisfy 0 <= m <= n")
         return power(self.f, n - m)
 
-    def level_graph(self, n: int):
-        """The level-n graph materialised in short-edge dialect (the base
-        graph subdivided at iterate preimages of vertices), as the short form
-        of the n-th power.  Levels grow exponentially; the virtual addressing
-        above is preferred for anything quantitative."""
-        from .dialects import to_short
-        return to_short(power(self.f, n))
-
     # -- virtual short-edge structure -------------------------------------------
 
     def short_edges(self, n: int):
@@ -176,21 +168,18 @@ class StationaryTower:
             rights = nxt
         return [l + (center,) + r for l in lefts for r in rights]
 
-    def legal_windows(self, center, radius: int, n: int,
-                      infinitely_legal: bool = False):
-        """The windows of ``windows(center, radius, n)`` whose image lies in
-        the window language, in the same order, as ``(window, image)``
-        pairs.  The language is the reduced paths (the legal level-n
-        windows), or with ``infinitely_legal`` the infinitely legal paths.
+    def legal_windows(self, center, radius: int, n: int):
+        """The windows of ``windows(center, radius, n)`` whose image is
+        infinitely legal, in the same order, as ``(window, image)`` pairs.
 
         Lefts and rights grow one short edge at a time, carrying their image
         letters, and an extension is kept only while its image with the
-        centre letter stays in the language; a whole window is kept only if
-        its image is in it.  Both languages are closed under subpaths, so a
-        half that leaves the language never returns, and the survivors are
-        exactly the windows in the language, in the order of the full lists.
+        centre letter stays infinitely legal; a whole window is kept only if
+        its image is.  The infinitely legal paths are closed under subpaths,
+        so a half that leaves them never returns, and the survivors are
+        exactly the infinitely legal windows, in the order of the full lists.
         """
-        ok = self.pullbacks().is_infinitely_legal if infinitely_legal else is_reduced
+        ok = self.pullbacks().is_infinitely_legal
         c = (self.image_letter(center, n),)
         lefts = [((), ())]
         for _ in range(radius):
@@ -256,55 +245,6 @@ class VectorTower:
 
     def level_scale(self, n: int):
         return self.lam ** (-n)
-
-    def level_vector(self, n: int):
-        s = self.level_scale(n)
-        return tuple(v * s for v in self.vector)
-
-    def sup_norm_level(self, n: int) -> float:
-        return max(ia.sup_abs(v) for v in self.level_vector(n))
-
-    def scaled(self, c):
-        return VectorTower(self.tower, tuple(v * c for v in self.vector), self.lam)
-
-
-@dataclass
-class TowerMorphism:
-    """A self-morphism of the stationary tower: the same map on every level.
-
-    The level map must commute with the tower maps; powers of the defining
-    map (including the identity) do so on the nose, and anything else is
-    checked against the transition matrices.
-    """
-
-    tower: StationaryTower
-    level_map: GraphMap
-
-    def __post_init__(self):
-        from .maps import matmul
-        mg = self.matrix()
-        mf = self.tower.f.transition_matrix()
-        if matmul(mg, mf) != matmul(mf, mg):
-            raise PreconditionError(
-                "level map does not commute with the tower maps")
-
-    def matrix(self):
-        return self.level_map.transition_matrix()
-
-
-def tower_self_morphism(tower: StationaryTower,
-                        level_map: GraphMap = None) -> TowerMorphism:
-    """The canonical self-morphism (every level mapped by the defining map),
-    or a caller-supplied commuting level map such as the identity."""
-    return TowerMorphism(tower, level_map if level_map is not None else tower.f)
-
-
-def image_vector_tower(morphism: TowerMorphism, vt: VectorTower) -> VectorTower:
-    """Push a vector tower through the morphism: level vectors multiply by the
-    level transition matrix.  For the tower self-morphism this returns
-    lambda times the input."""
-    return VectorTower(vt.tower, ia.matvec(morphism.matrix(), vt.vector), vt.lam)
-
 
 class WeightTower:
     """Level-0 edge and turn weights of the weight tower induced by a vector
@@ -427,28 +367,26 @@ class RepetitionSearch:
         return self.bound is not None
 
 
-def repetition_bound(tower: StationaryTower, n: int, cap: int,
-                     infinitely_legal: bool = True) -> RepetitionSearch:
+def repetition_bound(tower: StationaryTower, n: int, cap: int) -> RepetitionSearch:
     """Search for the least radius rho <= cap such that any two level-n
     windows of length 2 rho + 1 with the same image pin the same middle
     (oriented) short edge.
 
-    Windows range over infinitely legal level-n paths by default; the
-    stricter variant quantifies over all legal ones.
+    Windows range over the level-n paths whose image is infinitely legal.
     """
     if cap < 0:
         raise PreconditionError(f"the radius cap must be at least 0 (got {cap})")
     for rho in range(cap + 1):
-        witness = _violating_pair(tower, n, rho, infinitely_legal)
+        witness = _violating_pair(tower, n, rho)
         if witness is None:
             return RepetitionSearch(level=n, cap=cap, bound=rho)
     return RepetitionSearch(level=n, cap=cap, witness=witness)
 
 
-def _violating_pair(tower, n, rho, infinitely_legal):
+def _violating_pair(tower, n, rho):
     seen = {}
     for center in tower.short_edges(n):
-        for w, img in tower.legal_windows(center, rho, n, infinitely_legal):
+        for w, img in tower.legal_windows(center, rho, n):
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
             seen[img] = (center, w)

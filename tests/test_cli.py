@@ -159,6 +159,18 @@ def test_missing_map_exit_code(fib_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, kind):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin1.tt"
+        path.write_bytes(FIB_DOC.replace("fib over", "fib\xe9 over").encode("latin-1"))
+    code, out, err = run(capsys, "check", str(path), "--map", "f")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--max-len", "0"),
     ("verify", "--oracle-t", "-1"),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ttm.dialects import (
-    blow_up, blow_up_map, blowup_isomorphism, contract, contract_map,
+    blow_up, blow_up_map, blowup_isomorphism, contract_map,
     keyed_edge_bijection, maps_equal_via, to_long, to_long_map, to_short,
 )
 from ttm.errors import GraphError, PathError
@@ -46,7 +46,7 @@ def test_to_long_collapses_chain():
     assert lf.graph.n_vertices == 1
     assert lf.graph.n_edges == 2
     # Euler characteristic is preserved
-    assert lf.graph.euler_characteristic() == g.euler_characteristic()
+    assert lf.graph.n_vertices - lf.graph.n_edges == g.n_vertices - g.n_edges
     p = (2, 4, 6)  # c1 c2 c3
     assert lf.to_base_path(lf.to_long_path(p)) == p
     with pytest.raises(PathError):
@@ -173,7 +173,7 @@ def test_blow_up_structure_conditions():
     bu = blow_up(theta)
     assert bu.check_structure() == []
     # every vertex meets exactly one non-local edge: checked inside
-    assert contract(bu) is theta
+    assert bu.base is theta
 
 
 def test_blow_up_identity_map(rose2):
@@ -212,7 +212,7 @@ def test_blow_up_path_translation(rose2):
 
 def test_blowup_contract_roundtrip(rose2):
     bu = blow_up(rose2)
-    bu2 = blow_up(contract(bu))
+    bu2 = blow_up(bu.base)
     vmap, emap = blowup_isomorphism(bu, bu2)
     assert len(vmap) == bu.graph.n_vertices
     assert len(emap) == 2 * bu.graph.n_edges
@@ -232,7 +232,7 @@ def _check_laws(f):
         assert maps_equal_via(long_f, long_sf, bij)
     bm = blow_up_map(f)
     assert contract_map(bm) == f
-    bu2 = blow_up(contract(bm.domain))
+    bu2 = blow_up(bm.domain.base)
     blowup_isomorphism(bm.domain, bu2)
 
 

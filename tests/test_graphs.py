@@ -2,8 +2,8 @@ import pytest
 
 from ttm.errors import GraphError, PathError
 from ttm.graphs import (
-    Graph, Language, inverse, is_reduced, make_turn, reduce_path,
-    reverse_path, rose, subpaths_up_to, turns_of,
+    Graph, Language, inverse, is_reduced, make_turn, reverse_path, rose,
+    subpaths_up_to, turns_of,
 )
 
 from conftest import A, Abar, B, Bbar
@@ -34,17 +34,6 @@ def test_is_reduced():
     assert is_reduced((A, B))
     assert not is_reduced((A, Abar))
     assert not is_reduced((A, B, Bbar, A))
-
-
-def test_reduce():
-    assert reduce_path((A, Abar)) == ()
-    assert reduce_path((A, B, Bbar, A)) == (A, A)
-    assert reduce_path((A, B)) == (A, B)
-    # idempotent and length non-increasing
-    for p in [(A, Abar, A), (B, A, Abar, Bbar), (A, B, A)]:
-        r = reduce_path(p)
-        assert reduce_path(r) == r
-        assert len(r) <= len(p)
 
 
 def test_turns_of():

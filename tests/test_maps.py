@@ -8,8 +8,8 @@ from ttm.graphs import (
     inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to,
 )
 from ttm.maps import (
-    GraphMap, LegalPullbacks, abelianization_determinant, abelianized_matrix, compose,
-    fundamental_group_images, identity_map, image_windows, infinitely_legal_language,
+    GraphMap, LegalPullbacks, compose, identity_map, image_windows,
+    infinitely_legal_language,
     is_expanding, is_homotopy_equivalence, is_train_track, matmul, power, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
@@ -125,15 +125,6 @@ def test_homotopy_equivalence_on_theta():
     assert is_homotopy_equivalence(f)
 
 
-def test_abelianization_filter():
-    """Folding says yes implies |det| of the abelianised map is 1."""
-    for f in random_tame_maps(20240924, 60):
-        if not f.is_self_map() or not f.images_nontrivial():
-            continue
-        if is_homotopy_equivalence(f):
-            assert abs(abelianization_determinant(f)) == 1
-
-
 def elimination_det(mat) -> Fraction:
     """Reference determinant: Gaussian elimination over the rationals."""
     n = len(mat)
@@ -163,21 +154,6 @@ def test_char_poly_constant_is_signed_determinant():
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         poly, _ = char_poly_and_adjugate(m)
         assert (-1) ** n * poly[0] == elimination_det(m), m
-
-
-def test_abelianization_determinant_equals_elimination():
-    """On seeded self-maps of several ranks, odd and even, the determinant
-    equals elimination on the abelianised matrix."""
-    ranks = set()
-    for f in random_tame_maps(20240924, 60):
-        if not f.is_self_map():
-            continue
-        words, rank = fundamental_group_images(f)
-        want = elimination_det(abelianized_matrix(words, rank)) if rank else 1
-        got = abelianization_determinant(f)
-        assert isinstance(got, Fraction) and got == want, f
-        ranks.add(rank)
-    assert {1, 2, 3} <= ranks
 
 
 def test_used_language(fibonacci, thue_morse, rose2):

@@ -18,7 +18,7 @@ from ttm.measures import (
 
 from ttm.spectra import distinguished_eigenvectors
 from ttm.substitutions import Substitution
-from ttm.towers import StationaryTower
+from ttm.towers import StationaryTower, VectorTower
 
 from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps, rose_map,
@@ -91,7 +91,7 @@ def test_level_independence(fib_setup, rose2):
 
 def test_eval_linear_in_vector(fib_setup, golden_root):
     tower, vt, _, kf = fib_setup
-    scaled = vt.scaled(ia.exact(3))
+    scaled = VectorTower(tower, tuple(v * ia.exact(3) for v in vt.vector), vt.lam)
     kf3 = eigenvector_measure(tower, scaled.vector, scaled.lam)
     for p in [(A,), (A, A), (A, B)]:
         assert ia.sup_abs(kf3.eval(p) - ia.exact(3) * kf.eval(p)) < 1e-12
@@ -260,6 +260,10 @@ def test_eval_at_level_rejects_empty_and_low_levels(fib_setup):
         kf.eval_at_level((), 3)
     with pytest.raises(PreconditionError):
         kf.eval_at_level((A, B, A), tower.level_for_length(3) - 1)
+    with pytest.raises(PathError):
+        kf.eval_at_level((Abar, A), 3)      # unreduced
+    with pytest.raises(PreconditionError):
+        kf.eval_at_level((A,), -1)
 
 
 def test_engine_shares_equal_values(fib_setup):
@@ -617,13 +621,6 @@ def test_figure4_inconsistency_flagged(rose2):
     label = rose2.path_label(word_path("bbbaa"))
     assert any(flag[1] == label for flag in report.flags
                if flag[0] == "monotonicity")
-
-
-def test_table_normalisation(rose2, fib_setup):
-    kf = fib_setup[3]
-    table = kf.table(2).normalized()
-    total = table.value((A,)) + table.value((B,))
-    assert ia.contains_zero(total - ia.one())
 
 
 def test_table_incomplete_error(rose2):

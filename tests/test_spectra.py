@@ -11,8 +11,8 @@ from ttm.errors import SpectralError
 from ttm.polys import CertifiedRoot, char_poly_and_adjugate, largest_real_root
 from ttm.spectra import (
     Eigenpair, _pattern, _pattern_product, _power_is_normalised, block_form,
-    distinguished_eigenvectors, is_primitive, nonneg_eigenvectors_for,
-    pf_eigenpair, spectral_radius_root, submatrix,
+    distinguished_eigenvectors, is_primitive, pf_eigenpair,
+    spectral_radius_root, submatrix,
 )
 
 FIB = ((1, 1), (1, 0))
@@ -46,8 +46,8 @@ def test_block_form_three_letter():
     assert bf.kinds == ("primitive", "primitive")
     assert bf.power_used == 1
     # the c-block dominates the ab-block
-    assert bf.dominates(1, 0)
-    assert not bf.dominates(0, 1)
+    assert 0 in bf.reach[1]
+    assert 1 not in bf.reach[0]
     # permuted matrix is upper block triangular
     pm = bf.permuted_matrix()
     assert pm == THREE
@@ -451,25 +451,6 @@ def test_distinguished_cab_variant():
     assert len(pairs) == 1
     assert pairs[0].value.compare(2) == 0
     assert mids(pairs[0].vector)[2] == 0.0
-
-
-def test_nonneg_eigenvectors_for():
-    gens = nonneg_eigenvectors_for(THREE, 3)
-    assert len(gens) == 1
-    assert max(abs(x - 1 / 3) for x in mids(gens[0].vector)) < 1e-12
-    gens2 = nonneg_eigenvectors_for(THREE, (Fraction(19, 10), Fraction(21, 10)))
-    assert len(gens2) == 1
-    assert mids(gens2[0].vector)[2] == 0.0
-    with pytest.raises(SpectralError):
-        nonneg_eigenvectors_for(THREE, 5)
-
-
-def test_nonneg_eigenvectors_for_algebraic_eigenvalue():
-    from ttm.polys import largest_real_root
-    phi_root = largest_real_root((-1, -1, 1))
-    gens = nonneg_eigenvectors_for(FIB, phi_root)
-    assert len(gens) == 1
-    assert abs(ia.midpoint(gens[0].interval()) - PHI) < 1e-12
 
 
 def test_distinct_supports_and_normalisation():

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,9 +10,8 @@ from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import verify_eigen_measure, verify_kolmogorov
 from ttm.substitutions import (
-    Substitution, _is_primitive_word, _periodic_witnesses,
-    classic_to_graph_table, ergodic_measures, graph_to_classic_table,
-    graph_value_of_word_table, path_to_word, to_train_track, word_to_path,
+    Substitution, _is_primitive_word, _periodic_witnesses, ergodic_measures,
+    path_to_word, to_train_track, word_to_path,
 )
 
 from conftest import A, Abar, B, Bbar
@@ -42,7 +40,8 @@ def test_composition_multiplies_incidence():
                              for _ in range(rng.randint(1, 3)))
                   for x in letters}
         sigma = Substitution.from_strings(images)
-        square = sigma.composed_with(sigma)
+        square = Substitution(sigma.alphabet,
+                              tuple(sigma.apply(w) for w in sigma.images))
         from ttm.maps import matmul
         assert square.incidence_matrix() == matmul(
             sigma.incidence_matrix(), sigma.incidence_matrix())
@@ -284,37 +283,6 @@ def test_periodicity_warning():
     assert enum.warnings
     aperiodic = ergodic_measures(TM)
     assert not aperiodic.warnings
-
-
-def test_classic_bridge_round_trip():
-    enum = ergodic_measures(FIB)
-    mu = enum.measures[0]
-    word_values = mu.word_table(3)
-    # graph -> classic -> graph is the identity on positive words
-    f, g = to_train_track(FIB)
-    table = classic_to_graph_table(FIB, word_values, g, 3)
-    back = graph_to_classic_table(FIB, table, 3)
-    for w, v in word_values.items():
-        assert ia.contains_zero(_as_iv(back[w]) - _as_iv(v))
-    # mixed-sign paths carry zero
-    assert graph_value_of_word_table(FIB, word_values, (A, Bbar)) == 0
-    # inverse paths mirror
-    p = word_to_path(FIB, ("a", "b"))
-    assert table.value(reverse_path(p)) is table.value(p) or \
-        ia.contains_zero(_as_iv(table.value(reverse_path(p))) - _as_iv(table.value(p)))
-
-
-def _as_iv(x):
-    return ia.from_fraction(x) if isinstance(x, Fraction) else x
-
-
-def test_classic_table_satisfies_kirchhoff():
-    enum = ergodic_measures(FIB)
-    mu = enum.measures[0]
-    f, g = to_train_track(FIB)
-    table = classic_to_graph_table(FIB, mu.word_table(4), g, 4)
-    report = verify_kolmogorov(table, 3, 1e-12)
-    assert report.passed
 
 
 def test_path_word_round_trip():

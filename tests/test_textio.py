@@ -1,13 +1,9 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttm.errors import ParseError
-from ttm.textio import (
-    PUNCT, format_table_tsv, parse, parse_path, parse_table_tsv, parse_value,
-    print_document, tokenize,
-)
+from ttm.textio import PUNCT, parse, parse_path, print_document, tokenize
 
 FIB_DOC = """
 # Fibonacci example
@@ -29,7 +25,7 @@ subst fib over a b { a -> a b ; b -> a }
 
 def test_parse_fibonacci():
     doc = parse(FIB_DOC)
-    g = doc.graph("R")
+    g = doc.graphs["R"]
     assert g.n_vertices == 1 and g.n_edges == 2
     f = doc.map("f")
     assert f.edge_image == ((0, 2), (0,))
@@ -94,31 +90,12 @@ def test_invalid_graph_reported():
 
 def test_parse_path_tokens():
     doc = parse(FIB_DOC)
-    g = doc.graph("R")
+    g = doc.graphs["R"]
     assert parse_path(g, "a ~b a") == (0, 3, 0)
     with pytest.raises(ParseError):
         parse_path(g, "a ~~b")
     with pytest.raises(ParseError):
         parse_path(g, "a c")
-
-
-def test_value_literals():
-    assert parse_value("3/4") == Fraction(3, 4)
-    assert parse_value("9") == Fraction(9)
-    assert parse_value("0.5") == Fraction(1, 2)
-    with pytest.raises(ParseError):
-        parse_value("phi")
-
-
-def test_table_tsv_round_trip():
-    doc = parse(FIB_DOC)
-    g = doc.graph("R")
-    rows = [("a", "9"), ("b", "18"), ("a b", "9")]
-    text = format_table_tsv(rows)
-    table = parse_table_tsv(g, text)
-    assert table.value((0,)) == 9
-    assert table.value((0, 2)) == 9
-    assert table.max_length == 2
 
 
 # -- tokenizer ---------------------------------------------------------------------

@@ -6,12 +6,11 @@ import ttm.intervals as ia
 import ttm.towers
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
-from ttm.maps import GraphMap, junction_turns, matmul, power
+from ttm.maps import GraphMap, junction_turns, power
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
 from ttm.towers import (
-    StationaryTower, VectorTower, image_vector_tower, repetition_bound,
-    tower_self_morphism, weight_tower_from_vector,
+    StationaryTower, VectorTower, repetition_bound, weight_tower_from_vector,
 )
 
 from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps
@@ -71,19 +70,6 @@ def test_subdivision_counts(fib_setup):
     assert len(tower.word(B, 2)) == 2
 
 
-def test_level_graph_matches_virtual_structure(fib_setup):
-    tower = fib_setup[0]
-    for n in range(4):
-        sf = tower.level_graph(n)
-        # one short edge per virtual address, mapped to the same letters
-        assert sf.pieces == tuple(len(tower.word(2 * k, n))
-                                  for k in range(tower.graph.n_edges))
-        for k in range(tower.graph.n_edges):
-            for i in range(sf.pieces[k]):
-                short = sf.piece_edge[(2 * k, i)]
-                assert sf.map.image(short) == (tower.image_letter((2 * k, i), n),)
-
-
 def test_image_at_level(fib_setup):
     tower = fib_setup[0]
     # words refine consistently between levels
@@ -109,16 +95,19 @@ def test_vector_tower_levels(fib_setup):
     _, vt, _, _ = fib_setup
     # compatibility: M(f) (v / lam^{n+1}) = v / lam^n
     m = vt.tower.f.transition_matrix()
+    def level_vector(n):
+        return tuple(v * vt.level_scale(n) for v in vt.vector)
+
     for n in range(4):
-        high = vt.level_vector(n + 1)
-        low = vt.level_vector(n)
+        high = level_vector(n + 1)
+        low = level_vector(n)
         for i in range(2):
             acc = ia.zero()
             for j in range(2):
                 acc = acc + ia.exact(m[i][j]) * high[j]
             assert ia.contains_zero(acc - low[i])
     # sup norm of the level vectors tends to zero
-    assert vt.sup_norm_level(40) < 1e-8
+    assert max(ia.sup_abs(v) for v in level_vector(40)) < 1e-8
 
 
 def test_turn_weights_fibonacci(fib_setup):
@@ -306,28 +295,6 @@ def _level_preimages(tower, path, m, n):
     return [p for p in out if tower.is_level_path_legal(p, n)]
 
 
-def test_tower_self_morphism(fib_setup, golden_root):
-    tower, vt, _, _ = fib_setup
-    morphism = tower_self_morphism(tower)
-    image = image_vector_tower(morphism, vt)
-    lam = golden_root.interval()
-    for got, v in zip(image.vector, vt.vector):
-        assert ia.contains_zero(got - lam * v)
-    # commuting powers: M(g) M(f^{k}) = M(f^{k}) M(g)
-    mg = morphism.matrix()
-    mf2 = power(tower.f, 2).transition_matrix()
-    assert matmul(mg, mf2) == matmul(mf2, mg)
-
-
-def test_identity_morphism_fixes_vector_tower(fib_setup):
-    from ttm.maps import identity_map
-    tower, vt, _, _ = fib_setup
-    ident = tower_self_morphism(tower, identity_map(tower.graph))
-    image = image_vector_tower(ident, vt)
-    for got, v in zip(image.vector, vt.vector):
-        assert ia.contains_zero(got - v)
-
-
 def test_repetition_bounds_fibonacci(fib_setup):
     tower = fib_setup[0]
     results = {n: repetition_bound(tower, n, 7) for n in range(4)}
@@ -368,39 +335,27 @@ def test_repetition_bound_searches_each_radius_once(monkeypatch, cap):
     radii = []
     search = ttm.towers._violating_pair
 
-    def counting(tower, n, rho, infinitely_legal):
+    def counting(tower, n, rho):
         radii.append(rho)
-        return search(tower, n, rho, infinitely_legal)
+        return search(tower, n, rho)
 
     monkeypatch.setattr(ttm.towers, "_violating_pair", counting)
     r = repetition_bound(tower, 1, cap)
     assert not r.found and r.witness is not None
     assert radii == list(range(cap + 1))
-    assert r.witness == search(tower, 1, cap, True)
-
-
-def test_repetition_bound_legal_mode(fib_setup):
-    """The strict mode quantifies over more windows, so its bound is at
-    least the infinitely-legal one."""
-    tower = fib_setup[0]
-    strict = repetition_bound(tower, 1, 7, infinitely_legal=False)
-    weak = repetition_bound(tower, 1, 7, infinitely_legal=True)
-    assert strict.found and weak.found
-    assert strict.bound >= weak.bound
+    assert r.witness == search(tower, 1, cap)
 
 
 # -- pruned window scan vs the full window scan -------------------------------------------
 
 
-def windows_violating_pair(tower, n, rho, infinitely_legal):
+def windows_violating_pair(tower, n, rho):
     """Reference scan: every window, mapped letter by letter, filtered after."""
     seen = {}
     for center in tower.short_edges(n):
         for w in tower.windows(center, rho, n):
             img = tower.path_image(w, n)
-            if not is_reduced(img):
-                continue
-            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
+            if not is_reduced(img) or not tower.pullbacks().is_infinitely_legal(img):
                 continue
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
@@ -414,34 +369,30 @@ PULLBACK_MAPS = pullback_maps()
 WINDOW_CAPS = {"q2": 3, "red": 6}
 
 
-@pytest.mark.parametrize("name,f,infinitely_legal", [
-    pytest.param(name, f, il, id=name + ("-infinitely-legal" if il else ""))
-    for il in (False, True) for name, f in PULLBACK_MAPS])
-def test_legal_windows_are_the_reduced_windows_in_order(name, f, infinitely_legal):
-    """The pruned windows are the full list filtered to reduced images, or to
-    reduced and infinitely legal ones, in the same order."""
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS,
+                         ids=[n + "-infinitely-legal" for n, _ in PULLBACK_MAPS])
+def test_legal_windows_are_the_reduced_windows_in_order(name, f):
+    """The pruned windows are the full list filtered to reduced and
+    infinitely legal images, in the same order."""
     tower = StationaryTower(f)
     for n in range(3):
         for center in tower.short_edges(n):
             for rho in range(3):
                 want = [(w, tower.path_image(w, n)) for w in tower.windows(center, rho, n)]
-                want = [(w, img) for w, img in want if is_reduced(img)]
-                if infinitely_legal:
-                    want = [(w, img) for w, img in want
-                            if tower.pullbacks().is_infinitely_legal(img)]
-                assert list(tower.legal_windows(center, rho, n, infinitely_legal)) == want
+                want = [(w, img) for w, img in want if is_reduced(img)
+                        and tower.pullbacks().is_infinitely_legal(img)]
+                assert list(tower.legal_windows(center, rho, n)) == want
 
 
 @pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
 def test_pruned_repetition_search_equals_full_scan(monkeypatch, name, f):
     """Bound and witness agree with the full window scan at levels 0-3 and
-    every cap up to 8, over infinitely legal and over all legal windows."""
+    every cap up to 8."""
     tower, reference = StationaryTower(f), StationaryTower(f)
-    for infinitely_legal in (True, False):
-        for n in range(4):
-            for cap in range(WINDOW_CAPS.get(name, 8) + 1):
-                got = repetition_bound(tower, n, cap, infinitely_legal)
-                with monkeypatch.context() as m:
-                    m.setattr(ttm.towers, "_violating_pair", windows_violating_pair)
-                    want = repetition_bound(reference, n, cap, infinitely_legal)
-                assert got == want, (n, cap, infinitely_legal)
+    for n in range(4):
+        for cap in range(WINDOW_CAPS.get(name, 8) + 1):
+            got = repetition_bound(tower, n, cap)
+            with monkeypatch.context() as m:
+                m.setattr(ttm.towers, "_violating_pair", windows_violating_pair)
+                want = repetition_bound(reference, n, cap)
+            assert got == want, (n, cap)
