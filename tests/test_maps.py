@@ -8,9 +8,8 @@ from ttm.graphs import (
     inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to,
 )
 from ttm.maps import (
-    GraphMap, LegalPullbacks, compose, identity_map, image_windows,
-    infinitely_legal_language,
-    is_expanding, is_homotopy_equivalence, is_train_track, matmul, power, used_language,
+    GraphMap, LegalPullbacks, compose, fundamental_group_images, identity_map,
+    image_windows, infinitely_legal_language, is_expanding, is_homotopy_equivalence, is_train_track, matmul, power, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
 
@@ -125,6 +124,26 @@ def test_homotopy_equivalence_on_theta():
     assert is_homotopy_equivalence(f)
 
 
+def abelianized_matrix(words, rank):
+    """Signed letter-count matrix of fundamental group words (rows =
+    generators, numbered from 1; negative letters are inverses)."""
+    m = [[0] * len(words) for _ in range(rank)]
+    for j, w in enumerate(words):
+        for letter in w:
+            m[abs(letter) - 1][j] += 1 if letter > 0 else -1
+    return m
+
+
+def test_abelianization_filter():
+    """Folding says yes implies |det| of the abelianised map is 1."""
+    for f in random_tame_maps(20240924, 60):
+        if not f.is_self_map() or not f.images_nontrivial():
+            continue
+        if is_homotopy_equivalence(f):
+            words, rank = fundamental_group_images(f)
+            assert abs(elimination_det(abelianized_matrix(words, rank))) == 1
+
+
 def elimination_det(mat) -> Fraction:
     """Reference determinant: Gaussian elimination over the rationals."""
     n = len(mat)
@@ -154,6 +173,32 @@ def test_char_poly_constant_is_signed_determinant():
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         poly, _ = char_poly_and_adjugate(m)
         assert (-1) ** n * poly[0] == elimination_det(m), m
+
+
+def test_abelianization_determinant_equals_elimination():
+    """On seeded self-maps of several ranks, odd and even, the determinant of
+    the abelianised fundamental group images, read off the characteristic
+    polynomial, equals elimination; on one-vertex graphs the abelianised
+    matrix is the signed letter count of the edge images."""
+    ranks = set()
+    for f in random_tame_maps(20240924, 60):
+        if not f.is_self_map():
+            continue
+        words, rank = fundamental_group_images(f)
+        assert rank == f.domain.rank()
+        if not rank:
+            continue
+        m = abelianized_matrix(words, rank)
+        poly, _ = char_poly_and_adjugate(m)
+        assert (-1) ** rank * poly[0] == elimination_det(m), f
+        if f.domain.n_vertices == 1:
+            signed = [[0] * rank for _ in range(rank)]
+            for j in range(rank):
+                for e in f.image(2 * j):
+                    signed[e >> 1][j] += -1 if e & 1 else 1
+            assert m == signed, f
+        ranks.add(rank)
+    assert {1, 2, 3} <= ranks
 
 
 def test_used_language(fibonacci, thue_morse, rose2):

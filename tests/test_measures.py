@@ -623,6 +623,21 @@ def test_figure4_inconsistency_flagged(rose2):
                if flag[0] == "monotonicity")
 
 
+def test_table_normalisation(fibonacci, fib_setup):
+    """Scaling a measure so its single-edge cylinders over the positive
+    edges sum to one gives the probability measure of eigen_measures, whose
+    single-edge cylinders sum to one on every map."""
+    kf = fib_setup[3]
+    total = kf.eval((A,)) + kf.eval((B,))
+    (prob,) = measures_of(fibonacci)
+    for p in fibonacci.domain.reduced_paths(2):
+        assert ia.contains_zero(kf.eval(p) / total - prob.eval(p)), p
+    for _, f in PULLBACK_MAPS:
+        for m in measures_of(f):
+            mass = ia.isum(m.eval((e,)) for e in f.domain.positive_edges)
+            assert ia.contains_zero(mass - ia.one())
+
+
 def test_table_incomplete_error(rose2):
     table = figure4_table(rose2, 3)
     with pytest.raises(IncompleteTableError):

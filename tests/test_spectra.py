@@ -453,6 +453,27 @@ def test_distinguished_cab_variant():
     assert mids(pairs[0].vector)[2] == 0.0
 
 
+def test_nonneg_eigenvectors_for():
+    """The non-negative eigenvectors for an eigenvalue are generated by the
+    distinguished eigenpairs carrying it: one each for 3 and 2, none for 5."""
+    pairs = distinguished_eigenvectors(THREE)
+    gens = [p for p in pairs if p.value.compare(3) == 0]
+    assert len(gens) == 1
+    assert max(abs(x - 1 / 3) for x in mids(gens[0].vector)) < 1e-12
+    gens2 = [p for p in pairs if p.value.compare(Fraction(19, 10)) > 0
+             and p.value.compare(Fraction(21, 10)) < 0]
+    assert len(gens2) == 1
+    assert mids(gens2[0].vector)[2] == 0.0
+    assert not [p for p in pairs if p.value.compare(5) == 0]
+
+
+def test_nonneg_eigenvectors_for_algebraic_eigenvalue():
+    phi_root = largest_real_root((-1, -1, 1))
+    gens = [p for p in distinguished_eigenvectors(FIB) if p.value.compare(phi_root) == 0]
+    assert len(gens) == 1
+    assert abs(ia.midpoint(gens[0].interval()) - PHI) < 1e-12
+
+
 def test_distinct_supports_and_normalisation():
     pairs = distinguished_eigenvectors(THREE)
     supports = {p.support for p in pairs}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -8,7 +9,7 @@ import ttm.intervals as ia
 from ttm.errors import PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
-from ttm.measures import verify_eigen_measure, verify_kolmogorov
+from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, verify_kolmogorov
 from ttm.substitutions import (
     Substitution, _is_primitive_word, _periodic_witnesses, ergodic_measures,
     path_to_word, to_train_track, word_to_path,
@@ -283,6 +284,40 @@ def test_periodicity_warning():
     assert enum.warnings
     aperiodic = ergodic_measures(TM)
     assert not aperiodic.warnings
+
+
+def test_classic_bridge_round_trip():
+    """The word measure of the subshift and the path measure of its train
+    track map agree: positive paths carry the word value, inverse paths
+    mirror it, mixed-sign paths and words outside the language carry zero."""
+    mu = ergodic_measures(FIB).measures[0]
+    f, g = to_train_track(FIB)
+    (pair, kf), = eigen_measures(f)[0]
+    assert pair.value.compare(mu.eigenvalue) == 0
+    lang = FIB.language(3)
+    for n in range(1, 4):
+        for w in itertools.product(FIB.alphabet, repeat=n):
+            p = word_to_path(FIB, w)
+            assert path_to_word(FIB, p) == w
+            if w not in lang:
+                assert ia.is_exact_zero(mu.value(w)), w
+                continue
+            assert ia.contains_zero(kf.eval(p) - mu.value(w)), w
+            assert ia.contains_zero(kf.eval(reverse_path(p)) - mu.value(w)), w
+    assert ia.is_exact_zero(kf.eval((A, Bbar)))
+
+
+def test_classic_table_satisfies_kirchhoff():
+    """The word values, mirrored onto inverse paths, form a path table on
+    the train track graph that passes the Kirchhoff check."""
+    mu = ergodic_measures(FIB).measures[0]
+    f, g = to_train_track(FIB)
+    entries = {}
+    for w in FIB.language(4):
+        p = word_to_path(FIB, w)
+        entries[p] = entries[reverse_path(p)] = mu.value(w)
+    report = verify_kolmogorov(MeasureTable(g, entries, 4), 3, 1e-12)
+    assert report.passed
 
 
 def test_path_word_round_trip():

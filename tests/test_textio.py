@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttm.errors import ParseError
-from ttm.textio import PUNCT, parse, parse_path, print_document, tokenize
+from ttm.textio import (
+    PUNCT, format_table_tsv, parse, parse_path, print_document, tokenize,
+)
 
 FIB_DOC = """
 # Fibonacci example
@@ -96,6 +98,17 @@ def test_parse_path_tokens():
         parse_path(g, "a ~~b")
     with pytest.raises(ParseError):
         parse_path(g, "a c")
+
+
+def test_table_tsv_round_trip():
+    """One ``label<TAB>value`` line per row; the labels read back as paths."""
+    g = parse(FIB_DOC).graphs["R"]
+    rows = [("a", "9"), ("b", "18"), ("a b", "9")]
+    text = format_table_tsv(rows)
+    assert text == "a\t9\nb\t18\na b\t9\n"
+    back = {parse_path(g, label): value
+            for label, value in (line.split("\t") for line in text.splitlines())}
+    assert back == {(0,): "9", (2,): "18", (0, 2): "9"}
 
 
 # -- tokenizer ---------------------------------------------------------------------

@@ -4,9 +4,12 @@ import pytest
 
 import ttm.intervals as ia
 import ttm.towers
+from ttm.dialects import to_short
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
-from ttm.maps import GraphMap, junction_turns, power
+from ttm.maps import (
+    GraphMap, identity_map, infinitely_legal_language, junction_turns, matmul, power,
+)
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
 from ttm.towers import (
@@ -68,6 +71,21 @@ def test_subdivision_counts(fib_setup):
     tower = fib_setup[0]
     assert len(tower.word(A, 2)) == 3
     assert len(tower.word(B, 2)) == 2
+
+
+def test_level_graph_matches_virtual_structure(fib_setup):
+    """The level-n graph materialised in short-edge dialect (the short form
+    of the n-th power) has one short edge per virtual address, mapped to the
+    same letters."""
+    tower = fib_setup[0]
+    for n in range(4):
+        sf = to_short(power(tower.f, n))
+        assert sf.pieces == tuple(len(tower.word(2 * k, n))
+                                  for k in range(tower.graph.n_edges))
+        for k in range(tower.graph.n_edges):
+            for i in range(sf.pieces[k]):
+                short = sf.piece_edge[(2 * k, i)]
+                assert sf.map.image(short) == (tower.image_letter((2 * k, i), n),)
 
 
 def test_image_at_level(fib_setup):
@@ -295,6 +313,29 @@ def _level_preimages(tower, path, m, n):
     return [p for p in out if tower.is_level_path_legal(p, n)]
 
 
+def test_tower_self_morphism(fib_setup, golden_root):
+    """The defining map, applied on every level, is a self-morphism of the
+    tower: it commutes with the tower maps and multiplies the vector of the
+    vector tower by lambda."""
+    tower, vt, _, _ = fib_setup
+    mf = tower.f.transition_matrix()
+    lam = golden_root.interval()
+    for got, v in zip(ia.matvec(mf, vt.vector), vt.vector):
+        assert ia.contains_zero(got - lam * v)
+    # commuting powers: M(f) M(f^2) = M(f^2) M(f)
+    mf2 = power(tower.f, 2).transition_matrix()
+    assert matmul(mf, mf2) == matmul(mf2, mf)
+
+
+def test_identity_morphism_fixes_vector_tower(fib_setup):
+    tower, vt, _, _ = fib_setup
+    mi = identity_map(tower.graph).transition_matrix()
+    mf = tower.f.transition_matrix()
+    assert matmul(mi, mf) == matmul(mf, mi)
+    for got, v in zip(ia.matvec(mi, vt.vector), vt.vector):
+        assert ia.contains_zero(got - v)
+
+
 def test_repetition_bounds_fibonacci(fib_setup):
     tower = fib_setup[0]
     results = {n: repetition_bound(tower, n, 7) for n in range(4)}
@@ -346,16 +387,32 @@ def test_repetition_bound_searches_each_radius_once(monkeypatch, cap):
     assert r.witness == search(tower, 1, cap)
 
 
+def test_repetition_bound_legal_mode(monkeypatch, fib_setup):
+    """A stricter search over every window with a reduced image quantifies
+    over more windows, so its bound is at least the infinitely legal one."""
+    tower = fib_setup[0]
+    weak = repetition_bound(tower, 1, 7)
+    with monkeypatch.context() as m:
+        m.setattr(ttm.towers, "_violating_pair",
+                  lambda tower, n, rho: windows_violating_pair(tower, n, rho, False))
+        strict = repetition_bound(StationaryTower(tower.f), 1, 7)
+    assert strict.found and weak.found
+    assert strict.bound >= weak.bound
+
+
 # -- pruned window scan vs the full window scan -------------------------------------------
 
 
-def windows_violating_pair(tower, n, rho):
-    """Reference scan: every window, mapped letter by letter, filtered after."""
+def windows_violating_pair(tower, n, rho, infinitely_legal=True):
+    """Reference scan: every window, mapped letter by letter, filtered after
+    to the reduced images, infinitely legal ones unless told otherwise."""
     seen = {}
     for center in tower.short_edges(n):
         for w in tower.windows(center, rho, n):
             img = tower.path_image(w, n)
-            if not is_reduced(img) or not tower.pullbacks().is_infinitely_legal(img):
+            if not is_reduced(img):
+                continue
+            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
                 continue
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
@@ -369,18 +426,26 @@ PULLBACK_MAPS = pullback_maps()
 WINDOW_CAPS = {"q2": 3, "red": 6}
 
 
-@pytest.mark.parametrize("name,f", PULLBACK_MAPS,
-                         ids=[n + "-infinitely-legal" for n, _ in PULLBACK_MAPS])
-def test_legal_windows_are_the_reduced_windows_in_order(name, f):
+@pytest.mark.parametrize("name,f,query", [
+    pytest.param(name, f, query, id=name + ("-infinitely-legal" if query else ""))
+    for query in (False, True) for name, f in PULLBACK_MAPS])
+def test_legal_windows_are_the_reduced_windows_in_order(name, f, query):
     """The pruned windows are the full list filtered to reduced and
-    infinitely legal images, in the same order."""
+    infinitely legal images, in the same order.  Infinite legality is decided
+    by the pullback query, or by membership in the enumerated infinitely
+    legal language."""
     tower = StationaryTower(f)
+    if query:
+        legal = tower.pullbacks().is_infinitely_legal
+    else:
+        language = infinitely_legal_language(f, 5).paths   # windows have <= 5 edges
+        legal = language.__contains__
     for n in range(3):
         for center in tower.short_edges(n):
             for rho in range(3):
                 want = [(w, tower.path_image(w, n)) for w in tower.windows(center, rho, n)]
-                want = [(w, img) for w, img in want if is_reduced(img)
-                        and tower.pullbacks().is_infinitely_legal(img)]
+                want = [(w, img) for w, img in want if is_reduced(img)]
+                want = [(w, img) for w, img in want if legal(img)]
                 assert list(tower.legal_windows(center, rho, n)) == want
 
 
