@@ -343,14 +343,12 @@ def make_parser() -> argparse.ArgumentParser:
                    help="largest window radius tried per level (default 6)")
     p.add_argument("--rep-levels", type=int, default=2,
                    help="report repetition bounds of tower levels 0..N (default 2)")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="block eigenvalue data as JSON")
     p.add_argument("file")
     p.add_argument("--map", required=True)
     p.add_argument("--exact", action="store_true",
                    help="print outward interval endpoints")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("measure", help="cylinder values of the measure")
     p.add_argument("file")
@@ -363,7 +361,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--exact", action="store_true",
                    help="print exact interval endpoints as fractions")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("file")
@@ -372,21 +369,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--oracle-t", type=int, default=20)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ergodic", help="measures of a substitution subshift")
     p.add_argument("file")
     p.add_argument("--subst", required=True)
     p.add_argument("--exact", action="store_true")
-    p.set_defaults(func=cmd_ergodic)
     return ap
 
 
+# built on the first call and shared by every later one
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         ia.precision_from_env()   # refuse a bad setting; a valid one is in force
-        return args.func(args)
+        # looked up at each call, so a replaced ``cmd_<name>`` takes effect
+        return globals()["cmd_" + args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -28,13 +28,13 @@ from .maps import GraphMap
 
 @dataclass
 class LongForm:
-    """A graph collapsed to long edges, with path translations both ways."""
+    """A graph collapsed to long edges, with the translation of long paths to
+    base paths."""
 
     base: Graph
     graph: Graph
     chains: tuple              # per long positive edge: path of base edges
     vertex_to_base: tuple      # long vertex -> base vertex
-    _edge_of_dir: dict = None  # base direction -> oriented long edge starting with it
 
     def chain(self, e: int):
         c = self.chains[e >> 1]
@@ -44,25 +44,6 @@ class LongForm:
         out = []
         for e in path:
             out.extend(self.chain(e))
-        return tuple(out)
-
-    def to_long_path(self, base_path):
-        """Translate a base path whose endpoints are intrinsic vertices."""
-        base_path = self.base.check_path(base_path)
-        remaining = tuple(base_path)
-        out = []
-        while remaining:
-            d = remaining[0]
-            le = self._edge_of_dir.get(d)
-            if le is None:
-                raise PathError(
-                    "path does not start at an intrinsic vertex; long-edge "
-                    "translation needs intrinsic endpoints")
-            c = self.chain(le)
-            if remaining[:len(c)] != c:
-                raise PathError("path leaves its chain midway")
-            out.append(le)
-            remaining = remaining[len(c):]
         return tuple(out)
 
 
@@ -79,12 +60,8 @@ def to_long(g: Graph) -> LongForm:
                          "valence-2 vertices")
     if len(intrinsic) == g.n_vertices:
         chains = tuple((2 * k,) for k in range(g.n_edges))
-        lf = LongForm(base=g, graph=g, chains=chains,
-                      vertex_to_base=tuple(g.vertices))
-        lf._edge_of_dir = {c[0]: 2 * k for k, c in enumerate(chains)}
-        lf._edge_of_dir.update(
-            {reverse_path(c)[0]: 2 * k + 1 for k, c in enumerate(chains)})
-        return lf
+        return LongForm(base=g, graph=g, chains=chains,
+                        vertex_to_base=tuple(g.vertices))
     vertex_index = {v: i for i, v in enumerate(intrinsic)}
     seen = set()
     raw_chains = []
@@ -115,13 +92,8 @@ def to_long(g: Graph) -> LongForm:
     long_graph = Graph(len(intrinsic), endpoints,
                        vertex_labels=tuple(g.vertex_labels[v] for v in intrinsic),
                        edge_labels=labels)
-    lf = LongForm(base=g, graph=long_graph, chains=chains,
-                  vertex_to_base=tuple(intrinsic))
-    lf._edge_of_dir = {}
-    for k, c in enumerate(chains):
-        lf._edge_of_dir[c[0]] = 2 * k
-        lf._edge_of_dir[reverse_path(c)[0]] = 2 * k + 1
-    return lf
+    return LongForm(base=g, graph=long_graph, chains=chains,
+                    vertex_to_base=tuple(intrinsic))
 
 
 def to_long_map(f: GraphMap) -> tuple:

@@ -154,18 +154,28 @@ class GraphMap:
     def reduced_successors(self):
         """Successor table of :func:`search_covers` over reduced domain paths:
         for each oriented edge e, the pairs ``(d, f(d))`` with ``e d``
-        reduced, in ``directions_at`` order."""
+        reduced, in ``directions_at`` order, indexed by the first edge of a
+        non-trivial ``f(d)``."""
         g = self.domain
-        return tuple(tuple((d, self.image(d)) for d in g.extensions_right((e,)))
-                     for e in g.oriented_edges)
+        table = []
+        for e in g.oriented_edges:
+            index = {}
+            for d in g.extensions_right((e,)):
+                block = self.image(d)
+                if block:
+                    index.setdefault(block[0], []).append((d, block))
+            table.append(index)
+        return tuple(table)
 
 
 def search_covers(f: GraphMap, successors, path):
     """The covers of a non-empty codomain path: the domain paths d whose image
     contains ``path`` in an occurrence that touches the first and last image
     block, one per occurrence, in depth-first order over ``f.cover_starts``
-    and the successor table (``successors[e]`` lists the pairs ``(d, f(d))``
-    that may follow e, e.g. ``f.reduced_successors``).
+    and the successor table (``successors[e]`` indexes the pairs
+    ``(d, f(d))`` that may follow e by the first edge of ``f(d)``, e.g.
+    ``f.reduced_successors``); only blocks that start with the next edge of
+    the path are tried.
 
     A stack entry ``(cover, pos)`` has the image of ``cover`` (from the
     occurrence start) matching ``path[:pos]``; a block is appended only while
@@ -179,7 +189,7 @@ def search_covers(f: GraphMap, successors, path):
         if pos >= n:
             covers.append(cover)
             continue
-        nxt = successors[cover[-1]] if cover else f.cover_starts.get(path[0], ())
+        nxt = (successors[cover[-1]] if cover else f.cover_starts).get(path[pos], ())
         for d, block in reversed(nxt):
             end = pos + len(block)
             if path[pos:end] == block[:n - pos]:
@@ -293,14 +303,6 @@ class DirectionAnalysis:
             return None
         pre, _ = self.orbit(turn)
         return len(pre)
-
-    def is_legal_path(self, path) -> bool:
-        """A path is legal iff every turn it crosses is legal (train track
-        maps keep edges legal, so this is equivalent to all iterated images
-        staying reduced)."""
-        if not is_reduced(path):
-            return False
-        return all(self.is_legal(t) for t in turns_of(path))
 
 
 def junction_turns(f: GraphMap, e: int):
@@ -597,10 +599,12 @@ class LegalPullbacks:
         self.f = f
         self.da = DirectionAnalysis(f)
         self._next = tuple(
-            tuple((d, block) for d, block in nxt
-                  if self.da.is_legal(make_turn(inverse(e), d)))
+            {x: [(d, block) for d, block in pairs
+                 if self.da.is_legal(make_turn(inverse(e), d))]
+             for x, pairs in nxt.items()}
             for e, nxt in enumerate(f.reduced_successors))
-        self._legal_next = tuple(frozenset(d for d, _ in nxt) for nxt in self._next)
+        self._legal_next = tuple(frozenset(d for pairs in nxt.values() for d, _ in pairs)
+                                 for nxt in self._next)
         self._covers = {}
         self._verdict = {}
 
@@ -620,8 +624,8 @@ class LegalPullbacks:
         good = self._verdict
         if path in good:
             return good[path]
-        # successor-table legality: on paths of the graph this agrees with
-        # DirectionAnalysis.is_legal_path
+        # successor-table legality: on paths of the graph, a path is legal iff
+        # it is reduced and every turn it crosses is legal
         legal_next = self._legal_next
         if not all(path[i + 1] in legal_next[path[i]] for i in range(len(path) - 1)):
             return False

@@ -79,9 +79,6 @@ class Substitution:
         """Do all iterated image lengths go to infinity?"""
         return maps.is_expanding(self.rose_map)
 
-    def is_primitive(self) -> bool:
-        return spectra.is_primitive(self.incidence_matrix())
-
     def language(self, max_length: int):
         """All factors of length <= max_length of the iterated letter images:
         the factors of the image windows of the rose map, read as words."""

@@ -59,200 +59,202 @@ class InputDocument:
         return self.substitutions[name]
 
 
+def token_strings(text: str):
+    """The texts of the tokens of :func:`tokenize`, from the same scan."""
+    return [t for raw in text.splitlines()
+            for t in _TOKEN.findall(raw.split("#", 1)[0])]
+
+
+_END = ""                         # end sentinel: no token is empty
+_NOT_NAME = frozenset(PUNCT + (_END,))
+
+
 class _Parser:
+    """One pass over the token strings; ``i`` indexes the next unread one.
+    Line and column come from :func:`tokenize` only when an error is raised."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = token_strings(text) + [_END, ";"]   # the ";" ends every search
+        self.i = 0
+        self.names = {}           # graph name -> (vertex index, edge token index)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expect=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input"
-                             if expect is None else f"expected {expect!r} at end of input")
-        self.pos += 1
-        if expect is not None and tok.text != expect:
-            raise ParseError(f"expected {expect!r}, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        if tok is None:
+    def fail(self, message, k=None):
+        """Raise at token ``k`` (default: the next unread one); at the end of
+        input, without a position."""
+        k = self.i if k is None else k
+        if self.toks[k] == _END:
             raise ParseError(message)
+        tok = tokenize(self.text)[k]
         raise ParseError(message, tok.line, tok.column)
 
+    def take(self, expect):
+        t = self.toks[self.i]
+        if t != expect:
+            self.fail(f"expected {expect!r}, found {t!r}" if t
+                      else f"expected {expect!r} at end of input")
+        self.i += 1
+
     def word(self, what="name"):
-        tok = self.next(None)
-        if tok.text in PUNCT:
-            self.fail(f"expected {what}, found {tok.text!r}", tok)
-        return tok
+        t = self.toks[self.i]
+        if t in _NOT_NAME:
+            self.fail(f"expected {what}, found {t!r}" if t else "unexpected end of input")
+        self.i += 1
+        return t
+
+    def keyword(self, kw):
+        if self.word(kw) != kw:
+            self.fail(f"expected {kw!r}", self.i - 1)
+
+    def unknown(self, k, what, message):
+        """Raise at token ``k``, which names nothing declared: as a
+        punctuation mark if it is one, else with ``message``."""
+        self.i = k
+        self.word(what)
+        self.fail(message, k)
 
     # -- document ------------------------------------------------------------
 
     def document(self) -> InputDocument:
         doc = InputDocument()
-        while self.peek() is not None:
-            tok = self.word("declaration")
-            if tok.text == "graph":
-                self.parse_graph(doc)
-            elif tok.text == "map":
-                self.parse_map(doc)
-            elif tok.text == "subst":
-                self.parse_subst(doc)
-            else:
-                self.fail(f"unknown declaration {tok.text!r}", tok)
+        parsers = {"graph": self.parse_graph, "map": self.parse_map,
+                   "subst": self.parse_subst}
+        while self.toks[self.i] != _END:
+            t = self.word("declaration")
+            if t not in parsers:
+                self.fail(f"unknown declaration {t!r}", self.i - 1)
+            parsers[t](doc)
         return doc
 
     def parse_graph(self, doc):
-        name = self.word("graph name").text
-        self.next("{")
-        self.next_keyword("vertices")
-        self.next(":")
+        toks = self.toks
+        name = self.word("graph name")
+        self.take("{")
+        self.keyword("vertices")
+        self.take(":")
         vertex_names = []
-        while self.peek() and self.peek().text != ";":
-            vertex_names.append(self.word("vertex name").text)
-        self.next(";")
-        if len(set(vertex_names)) != len(vertex_names) or not vertex_names:
-            self.fail("vertex names must be distinct and non-empty")
+        while toks[self.i] not in (";", _END):
+            vertex_names.append(self.word("vertex name"))
+        self.take(";")
         vindex = {v: i for i, v in enumerate(vertex_names)}
-        edges = []
-        edge_names = []
-        while self.peek() and self.peek().text == "edge":
-            self.next("edge")
-            etok = self.word("edge name")
-            if etok.text.startswith("~"):
-                self.fail("edge declarations name the positive orientation", etok)
-            self.next(":")
-            utok = self.word("vertex")
-            self.next("->")
-            wtok = self.word("vertex")
-            self.next(";")
-            for t in (utok, wtok):
-                if t.text not in vindex:
-                    self.fail(f"undeclared vertex {t.text!r}", t)
-            if etok.text in edge_names:
-                self.fail(f"duplicate edge {etok.text!r}", etok)
-            edge_names.append(etok.text)
-            edges.append((vindex[utok.text], vindex[wtok.text]))
-        self.next("}")
+        if len(vindex) != len(vertex_names) or not vertex_names:
+            self.fail("vertex names must be distinct and non-empty")
+        edges, eindex = [], {}
+        while toks[self.i] == "edge":
+            k = self.i = self.i + 1
+            e = self.word("edge name")
+            if e.startswith("~"):
+                self.fail("edge declarations name the positive orientation", k)
+            self.take(":")
+            u = self.word("vertex")
+            self.take("->")
+            w = self.word("vertex")
+            self.take(";")
+            for j, v in ((k + 2, u), (k + 4, w)):
+                if v not in vindex:
+                    self.fail(f"undeclared vertex {v!r}", j)
+            if e in eindex:
+                self.fail(f"duplicate edge {e!r}", k)
+            eindex[e] = 2 * len(edges)
+            eindex["~" + e] = 2 * len(edges) + 1
+            edges.append((vindex[u], vindex[w]))
+        self.take("}")
         try:
             doc.graphs[name] = Graph(len(vertex_names), edges,
-                                     tuple(vertex_names), tuple(edge_names))
+                                     tuple(vertex_names), tuple(eindex)[::2])
         except Exception as exc:
             raise ParseError(f"invalid graph {name!r}: {exc}") from exc
-
-    def next_keyword(self, kw):
-        tok = self.word(kw)
-        if tok.text != kw:
-            self.fail(f"expected {kw!r}", tok)
-        return tok
+        self.names[name] = (vindex, eindex)
 
     def parse_map(self, doc):
-        name = self.word("map name").text
-        self.next(":")
-        dom_tok = self.word("graph name")
-        self.next("->")
-        cod_tok = self.word("graph name")
-        for t in (dom_tok, cod_tok):
-            if t.text not in doc.graphs:
-                self.fail(f"undeclared graph {t.text!r}", t)
-        dom = doc.graphs[dom_tok.text]
-        cod = doc.graphs[cod_tok.text]
-        self.next("{")
-        vimg = {}
-        eimg = {}
-        while self.peek() and self.peek().text != "}":
-            tok = self.word("assignment")
-            if tok.text == "vertex":
-                vtok = self.word("vertex name")
-                self.next("->")
-                wtok = self.word("vertex name")
-                self.next(";")
-                if vtok.text not in dom.vertex_labels:
-                    self.fail(f"undeclared vertex {vtok.text!r}", vtok)
-                if wtok.text not in cod.vertex_labels:
-                    self.fail(f"undeclared vertex {wtok.text!r}", wtok)
-                vimg[dom.vertex_labels.index(vtok.text)] = \
-                    cod.vertex_labels.index(wtok.text)
-            else:
-                e = self.edge_token(dom, tok)
-                if e % 2 == 1:
-                    self.fail("edge images are declared on positive edges", tok)
-                self.next("->")
-                path = []
-                while self.peek() and self.peek().text != ";":
-                    ttok = self.word("edge token")
-                    path.append(self.edge_token(cod, ttok))
-                self.next(";")
-                if (e >> 1) in eimg:
-                    self.fail(f"duplicate image for edge {tok.text!r}", tok)
-                eimg[e >> 1] = tuple(path)
-        self.next("}")
+        toks = self.toks
+        name = self.word("map name")
+        self.take(":")
+        k = self.i
+        dom_name = self.word("graph name")
+        self.take("->")
+        cod_name = self.word("graph name")
+        for j, g in ((k, dom_name), (k + 2, cod_name)):
+            if g not in doc.graphs:
+                self.fail(f"undeclared graph {g!r}", j)
+        dom, cod = doc.graphs[dom_name], doc.graphs[cod_name]
+        (dom_v, dom_e), (cod_v, cod_e) = self.names[dom_name], self.names[cod_name]
+        self.take("{")
+        vimg, eimg = {}, {}
+        while toks[self.i] not in ("}", _END):
+            k = self.i
+            if self.word("assignment") == "vertex":
+                v = self.word("vertex name")
+                self.take("->")
+                w = self.word("vertex name")
+                self.take(";")
+                for j, x, index in ((k + 1, v, dom_v), (k + 3, w, cod_v)):
+                    if x not in index:
+                        self.fail(f"undeclared vertex {x!r}", j)
+                vimg[dom_v[v]] = cod_v[w]
+                continue
+            e = dom_e.get(toks[k])
+            if e is None:
+                self.unknown(k, "assignment", _edge_error(toks[k]))
+            if e % 2 == 1:
+                self.fail("edge images are declared on positive edges", k)
+            self.take("->")
+            start = self.i
+            i = min(toks.index(";", start), len(toks) - 2)
+            path = tuple(map(cod_e.get, toks[start:i]))
+            if None in path:
+                j = start + path.index(None)
+                self.unknown(j, "edge token", _edge_error(toks[j]))
+            self.i = i
+            self.take(";")
+            if (e >> 1) in eimg:
+                self.fail(f"duplicate image for edge {toks[k]!r}", k)
+            eimg[e >> 1] = path
+        self.take("}")
         missing = [dom.edge_labels[k] for k in range(dom.n_edges) if k not in eimg]
         if missing:
             self.fail(f"map {name!r} misses images for edges {missing}")
-        full_vimg = []
         for v in range(dom.n_vertices):
-            if v in vimg:
-                full_vimg.append(vimg[v])
-            else:
-                inferred = self.infer_vertex_image(dom, cod, eimg, v)
-                if inferred is None:
+            if v not in vimg:
+                # the start of the image of an edge leaving v, or the end of one entering
+                vimg[v] = next((cod.initial(p[0]) if d % 2 == 0 else cod.terminal(p[-1])
+                                for d in dom.directions_at(v) if (p := eimg[d >> 1])), None)
+                if vimg[v] is None:
                     self.fail(f"map {name!r} misses the image of vertex "
                               f"{dom.vertex_labels[v]!r}")
-                full_vimg.append(inferred)
         try:
-            gm = GraphMap(dom, cod, full_vimg, [eimg[k] for k in range(dom.n_edges)],
-                          name=name)
+            gm = GraphMap(dom, cod, [vimg[v] for v in range(dom.n_vertices)],
+                          [eimg[k] for k in range(dom.n_edges)], name=name)
         except Exception as exc:
             raise ParseError(f"invalid map {name!r}: {exc}") from exc
-        doc.maps[name] = (gm, dom_tok.text, cod_tok.text)
-
-    @staticmethod
-    def infer_vertex_image(dom, cod, eimg, v):
-        for d in dom.directions_at(v):
-            path = eimg.get(d >> 1)
-            if not path:
-                continue
-            if d % 2 == 0:
-                return cod.initial(path[0])
-            return cod.terminal(path[-1])
-        return None
-
-    def edge_token(self, graph, tok):
-        try:
-            return _edge(graph, tok.text)
-        except ParseError as exc:
-            self.fail(str(exc), tok)
+        doc.maps[name] = (gm, dom_name, cod_name)
 
     def parse_subst(self, doc):
-        name = self.word("substitution name").text
-        self.next_keyword("over")
+        toks = self.toks
+        name = self.word("substitution name")
+        self.keyword("over")
         letters = []
-        while self.peek() and self.peek().text != "{":
-            letters.append(self.word("letter").text)
-        self.next("{")
+        while toks[self.i] not in ("{", _END):
+            letters.append(self.word("letter"))
+        self.take("{")
+        known = set(letters)
         images = {}
-        while self.peek() and self.peek().text != "}":
-            ltok = self.word("letter")
-            if ltok.text not in letters:
-                self.fail(f"undeclared letter {ltok.text!r}", ltok)
-            self.next("->")
-            word = []
-            while self.peek() and self.peek().text not in (";", "}"):
-                wtok = self.word("letter")
-                if wtok.text not in letters:
-                    self.fail(f"undeclared letter {wtok.text!r}", wtok)
-                word.append(wtok.text)
-            if self.peek() and self.peek().text == ";":
-                self.next(";")
-            if ltok.text in images:
-                self.fail(f"duplicate image for letter {ltok.text!r}", ltok)
-            images[ltok.text] = tuple(word)
-        self.next("}")
+        while toks[self.i] not in ("}", _END):
+            k = self.i
+            x = self.word("letter")
+            if x not in known:
+                self.fail(f"undeclared letter {x!r}", k)
+            self.take("->")
+            start = i = self.i
+            while toks[i] not in (";", "}", _END):
+                if toks[i] not in known:
+                    self.unknown(i, "letter", f"undeclared letter {toks[i]!r}")
+                i += 1
+            self.i = i + (toks[i] == ";")
+            if x in images:
+                self.fail(f"duplicate image for letter {x!r}", k)
+            images[x] = tuple(toks[start:i])
+        self.take("}")
         missing = [x for x in letters if x not in images]
         if missing:
             self.fail(f"substitution {name!r} misses images for {missing}")
@@ -274,10 +276,9 @@ def print_graph(name: str, g: Graph) -> str:
     lines = [f"graph {name} {{"]
     lines.append("  vertices: " + " ".join(g.vertex_labels) + " ;")
     for k in range(g.n_edges):
-        e = 2 * k
         lines.append(f"  edge {g.edge_labels[k]}: "
-                     f"{g.vertex_labels[g.initial(e)]} -> "
-                     f"{g.vertex_labels[g.terminal(e)]} ;")
+                     f"{g.vertex_labels[g.initial(2 * k)]} -> "
+                     f"{g.vertex_labels[g.terminal(2 * k)]} ;")
     lines.append("}")
     return "\n".join(lines)
 
@@ -303,31 +304,29 @@ def print_subst(name: str, s: Substitution) -> str:
 
 
 def print_document(doc: InputDocument) -> str:
-    parts = []
-    for name, g in doc.graphs.items():
-        parts.append(print_graph(name, g))
-    for name, (gm, dom, cod) in doc.maps.items():
-        parts.append(print_map(name, gm, dom, cod))
-    for name, s in doc.substitutions.items():
-        parts.append(print_subst(name, s))
+    parts = ([print_graph(name, g) for name, g in doc.graphs.items()]
+             + [print_map(name, *m) for name, m in doc.maps.items()]
+             + [print_subst(name, s) for name, s in doc.substitutions.items()])
     return "\n\n".join(parts) + "\n"
 
 
-def _edge(graph: Graph, token: str) -> int:
-    """The oriented edge of an edge token: ``e`` or its inverse ``~e``."""
+def _edge_error(token: str) -> str:
+    """Why an edge token names no edge of its graph."""
     name = token[1:] if token.startswith("~") else token
     if name.startswith("~"):
-        raise ParseError("double inversion '~~' is not a token; write the "
-                         "positive edge")
-    if name not in graph.edge_labels:
-        raise ParseError(f"undeclared edge {name!r}")
-    e = 2 * graph.edge_labels.index(name)
-    return e + 1 if name != token else e
+        return "double inversion '~~' is not a token; write the positive edge"
+    return f"undeclared edge {name!r}"
 
 
 def parse_path(graph: Graph, text: str):
     """A path given as space-separated edge tokens."""
-    path = tuple(_edge(graph, tok) for tok in text.split())
+    path = []
+    for tok in text.split():
+        name = tok[1:] if tok.startswith("~") else tok
+        if name.startswith("~") or name not in graph.edge_labels:
+            raise ParseError(_edge_error(tok))
+        path.append(2 * graph.edge_labels.index(name) + (name != tok))
+    path = tuple(path)
     if not graph.is_path(path):
         raise ParseError(f"tokens do not form an edge path: {text!r}")
     return path

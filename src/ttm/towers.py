@@ -27,7 +27,7 @@ from . import intervals as ia
 from .errors import MapError, PreconditionError
 from .graphs import inverse, is_reduced, make_turn, reverse_path
 from .maps import (
-    DirectionAnalysis, GraphMap, LegalPullbacks, junction_turns, power,
+    DirectionAnalysis, GraphMap, LegalPullbacks, junction_turns,
     require_expanding_train_track,
 )
 
@@ -85,12 +85,6 @@ class StationaryTower:
         while self.minlength(n) < max(1, length):
             n += 1
         return n
-
-    def level_map(self, m: int, n: int) -> GraphMap:
-        """The map from level n to level m (the (n-m)-th iterate), m <= n."""
-        if not 0 <= m <= n:
-            raise MapError("levels must satisfy 0 <= m <= n")
-        return power(self.f, n - m)
 
     # -- virtual short-edge structure -------------------------------------------
 

@@ -159,6 +159,20 @@ def test_missing_map_exit_code(fib_file, capsys):
     assert code == 2
 
 
+def test_error_in_an_unused_declaration_exits_2(tmp_path, capsys):
+    """The whole document is validated before a command runs: an undeclared
+    edge in the last of 30 maps fails ``check`` of the first one."""
+    rose = "graph R { vertices: * ; edge a: * -> * ; edge b: * -> * ; }\n"
+    maps = [f"map m{k}: R -> R {{ a -> a b ; b -> a ; }}\n" for k in range(30)]
+    good, bad = tmp_path / "good.tt", tmp_path / "bad.tt"
+    good.write_text(rose + "".join(maps))
+    bad.write_text(rose + "".join(maps[:29]) + "map m29: R -> R { a -> a b ; b -> a c ; }\n")
+    assert run(capsys, "check", str(good), "--map", "m0")[0] == 0
+    code, out, err = run(capsys, "check", str(bad), "--map", "m0")
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 31, col 37: undeclared edge 'c'\n"
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
 def test_unreadable_input_file_exit_code(tmp_path, capsys, kind):
     if kind == "directory":
@@ -202,6 +216,19 @@ def test_bad_vector_rejected(fib_file, capsys, vector):
                          "--vector", vector, "--paths", "a")
     assert code == 3
     assert "vector" in err
+
+
+def test_parser_built_once_and_commands_looked_up_at_each_call(fib_file, capsys,
+                                                               monkeypatch):
+    """``main`` reuses one argument parser and finds the subcommand by name
+    each time, so a replaced ``cmd_check`` runs on the next call."""
+    import ttm.cli as cli
+    assert run(capsys, "check", fib_file, "--map", "f")[0] == 0
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.map) or 0)
+    assert run(capsys, "check", fib_file, "--map", "bad") == (0, "", "")
+    assert seen == ["bad"] and cli._parser() is parser
 
 
 def test_verify_restores_precision(fib_file, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from ttm.dialects import (
     keyed_edge_bijection, maps_equal_via, to_long, to_long_map, to_short,
 )
 from ttm.errors import GraphError, PathError
-from ttm.graphs import Graph, reverse_path, rose
+from ttm.graphs import Graph, is_reduced, reverse_path, rose
 from ttm.maps import GraphMap, identity_map
 
 from conftest import A, Abar, B, Bbar, random_tame_maps
@@ -35,7 +35,7 @@ def projected_long_key(lf, sf):
 def test_to_long_rose_unchanged(rose2):
     lf = to_long(rose2)
     assert lf.graph is rose2
-    assert lf.to_long_path((A, B)) == (A, B)
+    assert lf.to_base_path((A, B)) == (A, B)
 
 
 def test_to_long_collapses_chain():
@@ -48,9 +48,8 @@ def test_to_long_collapses_chain():
     # Euler characteristic is preserved
     assert lf.graph.n_vertices - lf.graph.n_edges == g.n_vertices - g.n_edges
     p = (2, 4, 6)  # c1 c2 c3
-    assert lf.to_base_path(lf.to_long_path(p)) == p
-    with pytest.raises(PathError):
-        lf.to_long_path((2,))  # ends at a valence-2 vertex
+    assert lf.to_base_path((2,)) == p   # the chain is the second long edge
+    assert lf.to_base_path((3,)) == reverse_path(p)
 
 
 def test_to_long_rejects_circle():
@@ -256,11 +255,11 @@ def test_path_translation_cycles_random():
             assert bu.to_base_path(bu.to_blowup_path(p)) == p
         intrinsic = [v for v in g.vertices if g.valence(v) >= 3]
         if intrinsic:
+            # every reduced long path is a reduced base path between the
+            # intrinsic vertices its ends stand for
             lf = to_long(g)
-            for p in paths:
-                if g.path_initial(p) in intrinsic and g.path_terminal(p) in intrinsic:
-                    try:
-                        lp = lf.to_long_path(p)
-                    except PathError:
-                        continue  # leaves its chain midway
-                    assert lf.to_base_path(lp) == p
+            for lp in lf.graph.reduced_paths(3):
+                p = lf.to_base_path(lp)
+                assert g.is_path(p) and is_reduced(p)
+                assert g.path_initial(p) == lf.vertex_to_base[lf.graph.path_initial(lp)]
+                assert g.path_terminal(p) == lf.vertex_to_base[lf.graph.path_terminal(lp)]

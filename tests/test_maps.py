@@ -5,7 +5,7 @@ import pytest
 
 from ttm.errors import MapError, PreconditionError
 from ttm.graphs import (
-    inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to,
+    inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to, turns_of,
 )
 from ttm.maps import (
     GraphMap, LegalPullbacks, compose, fundamental_group_images, identity_map,
@@ -274,8 +274,8 @@ def test_infinitely_legal(fibonacci, rose2):
     assert lang.paths - used.paths == {(A, Bbar), (B, Abar)}
     # unreduced paths never qualify
     assert not pb.is_infinitely_legal((A, Abar))
-    # bb is legal but dies under pullback
-    assert pb.da.is_legal_path((B, B))
+    # bb is legal (its one turn is) but dies under pullback
+    assert all(pb.da.is_legal(t) for t in turns_of((B, B)))
     assert not pb.is_infinitely_legal((B, B))
 
 
@@ -323,7 +323,7 @@ class RecursivePullbacks(LegalPullbacks):
 
     def is_infinitely_legal(self, path) -> bool:
         path = tuple(path)
-        if not self.da.is_legal_path(path):
+        if not is_reduced(path) or not all(self.da.is_legal(t) for t in turns_of(path)):
             return False
         colour = {}
         good = self._verdict

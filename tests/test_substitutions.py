@@ -10,6 +10,7 @@ from ttm.errors import PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, verify_kolmogorov
+from ttm.spectra import is_primitive
 from ttm.substitutions import (
     Substitution, _is_primitive_word, _periodic_witnesses, ergodic_measures,
     path_to_word, to_train_track, word_to_path,
@@ -269,7 +270,7 @@ def test_ergodic_measures_satisfy_eigen_equation():
 
 def test_primitive_case_matches_pf_vector():
     for sigma in (FIB, TM):
-        assert sigma.is_primitive()
+        assert is_primitive(sigma.incidence_matrix())
         enum = ergodic_measures(sigma)
         assert len(enum.measures) == 1
         from ttm.spectra import pf_eigenpair

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ttm.errors import ParseError
 from ttm.textio import (
-    PUNCT, format_table_tsv, parse, parse_path, print_document, tokenize,
+    PUNCT, format_table_tsv, parse, parse_path, print_document, token_strings, tokenize,
 )
 
 FIB_DOC = """
@@ -144,6 +144,14 @@ DOC_CHARS = st.sampled_from(list("ab~*-->{};:,# \t\n\r\x0b\x0c\x1c\x85\u00a0\u20
 @given(st.one_of(st.text(DOC_CHARS, max_size=60), st.text(max_size=60)))
 def test_tokenize_matches_character_scanner(text):
     assert [(t.text, t.line, t.column) for t in tokenize(text)] == scanning_tokenize(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(DOC_CHARS, max_size=60), st.text(max_size=60)))
+def test_token_strings_are_the_token_texts(text):
+    """The parser's flat token strings are the texts of the positioned
+    tokens it recovers error positions from."""
+    assert token_strings(text) == [t.text for t in tokenize(text)]
 
 
 def test_tokenize_positions():

