@@ -76,13 +76,13 @@ def is_primitive(m) -> bool:
     """Some power of the (non-negative square) matrix is entrywise positive.
 
     That holds iff the matrix is non-zero, irreducible (one strongly
-    connected component) and aperiodic (period 1); see Seneta,
+    connected component) and aperiodic (one cyclic class); see Seneta,
     *Non-negative Matrices and Markov Chains*.
     """
     m = check_square_nonnegative(m)
     if not any(any(row) for row in m) or len(strongly_connected_components(m)) != 1:
         return False
-    return block_period(m, range(len(m))) == 1
+    return len(_cyclic_classes(m, range(len(m)))) == 1
 
 
 def strongly_connected_components(m):
@@ -138,27 +138,26 @@ def strongly_connected_components(m):
     return components
 
 
-def block_period(m, indices) -> int:
-    """Period (gcd of cycle lengths) of an irreducible diagonal block."""
-    sub = submatrix(m, indices)
-    n = len(sub)
-    if all(x == 0 for row in sub for x in row):
-        return 1
-    succ = [[r for r in range(n) if sub[r][c]] for c in range(n)]
-    level = {0: 0}
-    order = [0]
+def _cyclic_classes(m, indices):
+    """Cyclic classes of an irreducible non-zero diagonal block: its indices
+    grouped by BFS level modulo the period p (the gcd of its cycle lengths).
+    Every arc of the block goes from class c to class c + 1 (mod p), so
+    there are exactly p classes."""
+    level = {indices[0]: 0}
+    order = [indices[0]]
     g = 0
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in succ[v]:
-            if w in level:
-                g = gcd(g, level[v] + 1 - level[w])
-            else:
-                level[w] = level[v] + 1
-                order.append(w)
-    return abs(g) or 1
+    for v in order:
+        for w in indices:
+            if m[w][v]:
+                if w in level:
+                    g = gcd(g, level[v] + 1 - level[w])
+                else:
+                    level[w] = level[v] + 1
+                    order.append(w)
+    classes = [[] for _ in range(g)]
+    for v in indices:
+        classes[level[v] % g].append(v)
+    return classes
 
 
 @dataclass(frozen=True)
@@ -205,73 +204,49 @@ def _reachability(m, blocks):
     return tuple(frozenset(r) for r in reach)
 
 
-def _power_is_normalised(m) -> bool:
-    """Diagonal blocks primitive or 1x1 zero; off-diagonal blocks of the SCC
-    decomposition entirely zero or entirely positive."""
-    blocks = strongly_connected_components(m)
-    for idx in blocks:
-        sub = submatrix(m, idx)
-        if len(idx) == 1 and sub[0][0] == 0:
-            continue
-        if not is_primitive(sub):
-            return False
-    for bi in blocks:
-        for bj in blocks:
-            if bi is bj:
-                continue
-            vals = [m[r][c] for r in bi for c in bj]
-            if any(vals) and not all(vals):
-                return False
-    return True
-
-
 def block_form(m) -> BlockForm:
     """SCC block decomposition plus the least power after which every
     diagonal block is primitive or zero and every off-diagonal block is zero
     or positive.
 
-    The search runs over multiples of the lcm of the block periods (powers
+    The search runs over multiples k of the lcm of the block periods (powers
     that are not multiples split an imprimitive block into periodic pieces),
     capped by the product of that lcm with a Wielandt-style positivity bound.
+    For such k the blocks of M**k are the cyclic classes of the blocks of M
+    (and the zero blocks), each primitive or zero (Perron-Frobenius), so only
+    the blocks between classes are tested.
     """
     m = check_square_nonnegative(m)
     n = len(m)
     if n == 0:
         raise SpectralError("empty matrix")
     blocks = strongly_connected_components(m)
-    kinds = []
-    periods = []
+    kinds, periods, classes = [], [], []
     for idx in blocks:
-        sub = submatrix(m, idx)
-        if len(idx) == 1 and sub[0][0] == 0:
+        if len(idx) == 1 and m[idx[0]][idx[0]] == 0:
+            cyclic = [idx]
             kinds.append("zero")
-            periods.append(1)
-        elif is_primitive(sub):
-            kinds.append("primitive")
-            periods.append(1)
         else:
-            kinds.append("imprimitive")
-            periods.append(block_period(m, idx))
-    base = lcm(*periods) if periods else 1
+            cyclic = _cyclic_classes(m, idx)
+            kinds.append("primitive" if len(cyclic) == 1 else "imprimitive")
+        periods.append(len(cyclic))
+        classes += cyclic
+    base = lcm(*periods)
     cap = base * (2 * ((n - 1) ** 2 + 1) + n + 1)
+    masks = [sum(1 << i for i in c) for c in classes]
     # the pattern of M**k is the k-th boolean power of the pattern of M,
     # and normalisation depends on the pattern alone
     step = pattern = _pattern(m)
     for _ in range(base - 1):
         step = _pattern_product(step, pattern)
-    power_used = None
-    power = step
-    k = base
-    while k <= cap:
-        if _power_is_normalised([[row >> j & 1 for j in range(n)] for row in power]):
-            power_used = k
-            break
-        power = _pattern_product(power, step)
-        k += base
-    if power_used is None:
-        raise SpectralError("no normalising power found below the proved cap")
+    power, k = step, base
+    while not all({power[r] & mask for r in rows} in ({0}, {mask})
+                  for rows, own in zip(classes, masks) for mask in masks if mask != own):
+        power, k = _pattern_product(power, step), k + base
+        if k > cap:
+            raise SpectralError("no normalising power found below the proved cap")
     return BlockForm(matrix=m, blocks=tuple(blocks), kinds=tuple(kinds),
-                     periods=tuple(periods), power_used=power_used,
+                     periods=tuple(periods), power_used=k,
                      reach=_reachability(m, blocks))
 
 

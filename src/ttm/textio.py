@@ -8,8 +8,9 @@ with ``{ } ; : ,`` and ``->`` standing alone.  Three declaration forms:
     subst s over a b { a -> a b ; b -> a ; ... }
 
 The inverse of edge token ``e`` is written ``~e``.  Graphs referenced by maps
-must be declared first; edge tokens must be declared.  Errors carry line and
-column positions.
+must be declared first; edge tokens must be declared.  Names are unique per
+declaration kind, and each vertex, edge or letter has at most one image.
+Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class _Parser:
         self.i += 1
         return t
 
+    def new_name(self, kind, taken):
+        """The name of a declaration; no earlier one of its kind has it."""
+        name = self.word(kind + " name")
+        if name in taken:
+            self.fail(f"duplicate {kind} {name!r}", self.i - 1)
+        return name
+
     def keyword(self, kw):
         if self.word(kw) != kw:
             self.fail(f"expected {kw!r}", self.i - 1)
@@ -128,7 +136,7 @@ class _Parser:
 
     def parse_graph(self, doc):
         toks = self.toks
-        name = self.word("graph name")
+        name = self.new_name("graph", doc.graphs)
         self.take("{")
         self.keyword("vertices")
         self.take(":")
@@ -168,7 +176,7 @@ class _Parser:
 
     def parse_map(self, doc):
         toks = self.toks
-        name = self.word("map name")
+        name = self.new_name("map", doc.maps)
         self.take(":")
         k = self.i
         dom_name = self.word("graph name")
@@ -191,6 +199,8 @@ class _Parser:
                 for j, x, index in ((k + 1, v, dom_v), (k + 3, w, cod_v)):
                     if x not in index:
                         self.fail(f"undeclared vertex {x!r}", j)
+                if dom_v[v] in vimg:
+                    self.fail(f"duplicate image for vertex {v!r}", k + 1)
                 vimg[dom_v[v]] = cod_v[w]
                 continue
             e = dom_e.get(toks[k])
@@ -231,7 +241,7 @@ class _Parser:
 
     def parse_subst(self, doc):
         toks = self.toks
-        name = self.word("substitution name")
+        name = self.new_name("substitution", doc.substitutions)
         self.keyword("over")
         letters = []
         while toks[self.i] not in ("{", _END):

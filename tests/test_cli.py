@@ -12,6 +12,8 @@ from ttm.cli import main, pick_vector
 
 from conftest import rose_map
 
+DATA = Path(__file__).resolve().parent / "data"
+
 FIB_DOC = """
 graph R { vertices: * ; edge a: * -> * ; edge b: * -> * ; }
 map f: R -> R { vertex * -> * ; a -> a b ; b -> a ; }
@@ -121,6 +123,15 @@ def test_spectrum(fib_file, capsys):
     assert payload["distinguished"][0]["eigenvalue"].startswith("1.6180339887")
 
 
+def test_spectrum_of_an_imprimitive_block(capsys):
+    """The period-2 block {a, b}, reached from the aperiodic block {c, d}:
+    the report, ``power_used`` 4 included, is byte for byte the recorded one."""
+    code, out, err = run(capsys, "spectrum", str(DATA / "periodic.tt"), "--map", "p")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "periodic.spectrum.json").read_text()
+    assert json.loads(out)["power_used"] == 4
+
+
 def test_ergodic(fib_file, capsys):
     code, out, _ = run(capsys, "ergodic", fib_file, "--subst", "three")
     assert code == 0
@@ -171,6 +182,18 @@ def test_error_in_an_unused_declaration_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(bad), "--map", "m0")
     assert (code, out) == (2, "")
     assert err == "parse error: line 31, col 37: undeclared edge 'c'\n"
+
+
+def test_duplicate_declaration_exits_2(tmp_path, capsys):
+    """A second graph of the same name is a parse error, not a silent
+    replacement of the first."""
+    path = tmp_path / "dup.tt"
+    path.write_text("graph R { vertices: * ; edge a: * -> * ; }\n"
+                    "map f: R -> R { a -> a a ; }\n"
+                    "graph R { vertices: * ; edge b: * -> * ; }\n")
+    code, out, err = run(capsys, "spectrum", str(path), "--map", "f")
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 3, col 7: duplicate graph 'R'\n"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +10,9 @@ from ttm.cli import main
 from ttm.errors import SpectralError
 from ttm.polys import CertifiedRoot, char_poly_and_adjugate, largest_real_root
 from ttm.spectra import (
-    Eigenpair, _pattern, _pattern_product, _power_is_normalised, block_form,
-    distinguished_eigenvectors, is_primitive, pf_eigenpair,
-    spectral_radius_root, submatrix,
+    BlockForm, Eigenpair, _cyclic_classes, _pattern, _pattern_product, _reachability,
+    block_form, check_square_nonnegative, distinguished_eigenvectors, is_primitive,
+    pf_eigenpair, spectral_radius_root, strongly_connected_components, submatrix,
 )
 
 FIB = ((1, 1), (1, 0))
@@ -77,6 +77,101 @@ def sparse_matrices(draw):
     return tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
 
 
+def block_period(m, indices) -> int:
+    """Reference: period (gcd of cycle lengths) of an irreducible diagonal
+    block, from BFS levels."""
+    sub = submatrix(m, indices)
+    n = len(sub)
+    if all(x == 0 for row in sub for x in row):
+        return 1
+    succ = [[r for r in range(n) if sub[r][c]] for c in range(n)]
+    level = {0: 0}
+    order = [0]
+    g = 0
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        for w in succ[v]:
+            if w in level:
+                g = gcd(g, level[v] + 1 - level[w])
+            else:
+                level[w] = level[v] + 1
+                order.append(w)
+    return abs(g) or 1
+
+
+def reference_is_primitive(m) -> bool:
+    """Reference: non-zero, one strongly connected component, period 1."""
+    m = check_square_nonnegative(m)
+    if not any(any(row) for row in m) or len(strongly_connected_components(m)) != 1:
+        return False
+    return block_period(m, range(len(m))) == 1
+
+
+def _power_is_normalised(m) -> bool:
+    """Reference: diagonal blocks primitive or 1x1 zero; off-diagonal blocks
+    of the SCC decomposition entirely zero or entirely positive."""
+    blocks = strongly_connected_components(m)
+    for idx in blocks:
+        sub = submatrix(m, idx)
+        if len(idx) == 1 and sub[0][0] == 0:
+            continue
+        if not reference_is_primitive(sub):
+            return False
+    for bi in blocks:
+        for bj in blocks:
+            if bi is bj:
+                continue
+            vals = [m[r][c] for r in bi for c in bj]
+            if any(vals) and not all(vals):
+                return False
+    return True
+
+
+def reference_block_form(m) -> BlockForm:
+    """``block_form`` as it was before it read the cyclic classes: each
+    block's kind from a primitivity test, and at every candidate power the
+    SCCs of the power's pattern with every diagonal block tested again."""
+    m = check_square_nonnegative(m)
+    n = len(m)
+    if n == 0:
+        raise SpectralError("empty matrix")
+    blocks = strongly_connected_components(m)
+    kinds = []
+    periods = []
+    for idx in blocks:
+        sub = submatrix(m, idx)
+        if len(idx) == 1 and sub[0][0] == 0:
+            kinds.append("zero")
+            periods.append(1)
+        elif reference_is_primitive(sub):
+            kinds.append("primitive")
+            periods.append(1)
+        else:
+            kinds.append("imprimitive")
+            periods.append(block_period(m, idx))
+    base = lcm(*periods) if periods else 1
+    cap = base * (2 * ((n - 1) ** 2 + 1) + n + 1)
+    step = pattern = _pattern(m)
+    for _ in range(base - 1):
+        step = _pattern_product(step, pattern)
+    power_used = None
+    power = step
+    k = base
+    while k <= cap:
+        if _power_is_normalised([[row >> j & 1 for j in range(n)] for row in power]):
+            power_used = k
+            break
+        power = _pattern_product(power, step)
+        k += base
+    if power_used is None:
+        raise SpectralError("no normalising power found below the proved cap")
+    return BlockForm(matrix=m, blocks=tuple(blocks), kinds=tuple(kinds),
+                     periods=tuple(periods), power_used=power_used,
+                     reach=_reachability(m, blocks))
+
+
 @settings(max_examples=120)
 @given(sparse_matrices())
 def test_block_form_power_from_patterns_matches_integer_powers(m):
@@ -124,6 +219,81 @@ def chorded_cycles(draw):
 @given(st.one_of(sparse_matrices(), chorded_cycles()))
 def test_is_primitive_by_period_equals_wielandt_powers(m):
     assert is_primitive(m) == wielandt_is_primitive(m)
+
+
+@st.composite
+def coupled_cycles(draw):
+    """A direct sum of 1- to 5-cycles with a few random couplings between
+    them and at most one self-loop: most draws keep a block of period above
+    one, so ``power_used > 1``."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = sum(lengths)
+    m = [[0] * n for _ in range(n)]
+    cycle_of = [k for k, size in enumerate(lengths) for _ in range(size)]
+    start = 0
+    for size in lengths:
+        for c in range(size):
+            m[start + (c + 1) % size][start + c] = 1
+        start += size
+    index = st.integers(0, n - 1)
+    for r, c in draw(st.lists(st.tuples(index, index), max_size=3)):
+        if cycle_of[r] != cycle_of[c]:
+            m[r][c] += 1
+    for v in draw(st.lists(index, max_size=1)):
+        m[v][v] += 1
+    return tuple(tuple(row) for row in m)
+
+
+def assert_block_form_equals_reference(m):
+    """Kinds and periods from one BFS per block, and a power search on the
+    blocks between cyclic classes, give the earlier search's block form, or
+    the same error."""
+    try:
+        ref = reference_block_form(m)
+    except SpectralError as exc:
+        ref = str(exc)
+    try:
+        got = block_form(m)
+    except SpectralError as exc:
+        got = str(exc)
+    assert got == ref
+
+
+@settings(max_examples=300)
+@given(st.one_of(sparse_matrices(), chorded_cycles()))
+def test_block_form_equals_reference(m):
+    assert_block_form_equals_reference(m)
+
+
+@settings(max_examples=1000)
+@given(coupled_cycles())
+def test_block_form_equals_reference_on_coupled_cycles(m):
+    assert_block_form_equals_reference(m)
+
+
+@settings(max_examples=300)
+@given(st.one_of(sparse_matrices(), chorded_cycles(), coupled_cycles()))
+def test_cyclic_classes_of_every_block(m):
+    """The classes partition the block, there are as many as the gcd of its
+    closed-walk lengths up to 2n, and every arc steps one class forward."""
+    for idx in strongly_connected_components(m):
+        if len(idx) == 1 and m[idx[0]][idx[0]] == 0:
+            continue
+        classes = _cyclic_classes(m, idx)
+        assert all(classes) and sorted(i for c in classes for i in c) == list(idx)
+        n = len(idx)
+        pattern = power = _pattern(submatrix(m, idx))
+        g = 0
+        for t in range(1, 2 * n + 1):
+            if any(power[i] >> i & 1 for i in range(n)):
+                g = gcd(g, t)
+            power = _pattern_product(power, pattern)
+        assert len(classes) == g
+        class_of = {i: c for c, members in enumerate(classes) for i in members}
+        for r in idx:
+            for c in idx:
+                if m[r][c]:
+                    assert class_of[r] == (class_of[c] + 1) % g
 
 
 def test_is_primitive_edge_cases():

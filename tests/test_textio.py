@@ -85,6 +85,35 @@ def test_missing_image_rejected():
         """)
 
 
+R_DOC = "graph R { vertices: v ; edge a: v -> v ; }\n"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    (R_DOC + "map f: R -> R { a -> a ; }\ngraph R { vertices: w ; edge b: w -> w ; }",
+     "duplicate graph 'R'", 3, 7),
+    (R_DOC + "map f: R -> R { a -> a ; }\nmap f: R -> R { a -> a a ; }",
+     "duplicate map 'f'", 3, 5),
+    ("subst s over a { a -> a }\n  subst s over b { b -> b b }",
+     "duplicate substitution 's'", 2, 9),
+    (R_DOC + "map f: R -> R { vertex v -> v ; a -> a ;\n vertex v -> v ; }",
+     "duplicate image for vertex 'v'", 3, 9),
+])
+def test_duplicate_declarations_rejected(text, message, line, column):
+    """A repeated name of one declaration kind, or a second image of a
+    vertex, is an error at the repeated name, like a second edge image."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, col {column}: {message}", line, column)
+
+
+def test_names_are_unique_per_declaration_kind():
+    """A graph, a map and a substitution may share a name."""
+    doc = parse(R_DOC + "map R: R -> R { a -> a a ; }\nsubst R over a { a -> a a }")
+    assert doc.map("R").edge_image == ((0, 0),)
+    assert doc.substitution("R").images == (("a", "a"),)
+
+
 def test_invalid_graph_reported():
     with pytest.raises(ParseError):
         parse("graph G { vertices: u v ; edge a: u -> v ; }")  # valence 1

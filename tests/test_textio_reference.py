@@ -2,9 +2,11 @@
 
 ``ReferenceParser`` below is that parser as it was: it walks ``Token``
 objects through bounds-checked ``peek``/``next``/``word`` calls and resolves
-names with ``tuple.index`` and ``in`` scans.  On token-level mutations of
-committed, hand-written and generated documents, ``parse`` must give the same
-document or raise the same error, message, line and column included.
+names with ``tuple.index`` and ``in`` scans.  It has since taken the rules
+that a declaration name is unique per kind and a vertex has one image.  On
+token-level mutations of committed, hand-written and generated documents,
+``parse`` must give the same document or raise the same error, message,
+line and column included.
 """
 
 from pathlib import Path
@@ -74,7 +76,7 @@ class ReferenceParser:
         return doc
 
     def parse_graph(self, doc):
-        name = self.word("graph name").text
+        name = self.declared_name("graph", doc.graphs)
         self.next("{")
         self.next_keyword("vertices")
         self.next(":")
@@ -111,6 +113,12 @@ class ReferenceParser:
         except Exception as exc:
             raise ParseError(f"invalid graph {name!r}: {exc}") from exc
 
+    def declared_name(self, kind, declared):
+        tok = self.word(kind + " name")
+        if tok.text in declared:
+            self.fail(f"duplicate {kind} {tok.text!r}", tok)
+        return tok.text
+
     def next_keyword(self, kw):
         tok = self.word(kw)
         if tok.text != kw:
@@ -118,7 +126,7 @@ class ReferenceParser:
         return tok
 
     def parse_map(self, doc):
-        name = self.word("map name").text
+        name = self.declared_name("map", doc.maps)
         self.next(":")
         dom_tok = self.word("graph name")
         self.next("->")
@@ -142,8 +150,10 @@ class ReferenceParser:
                     self.fail(f"undeclared vertex {vtok.text!r}", vtok)
                 if wtok.text not in cod.vertex_labels:
                     self.fail(f"undeclared vertex {wtok.text!r}", wtok)
-                vimg[dom.vertex_labels.index(vtok.text)] = \
-                    cod.vertex_labels.index(wtok.text)
+                v = dom.vertex_labels.index(vtok.text)
+                if v in vimg:
+                    self.fail(f"duplicate image for vertex {vtok.text!r}", vtok)
+                vimg[v] = cod.vertex_labels.index(wtok.text)
             else:
                 e = self.edge_token(dom, tok)
                 if e % 2 == 1:
@@ -196,7 +206,7 @@ class ReferenceParser:
             self.fail(str(exc), tok)
 
     def parse_subst(self, doc):
-        name = self.word("substitution name").text
+        name = self.declared_name("substitution", doc.substitutions)
         self.next_keyword("over")
         letters = []
         while self.peek() and self.peek().text != "{":
@@ -322,6 +332,10 @@ GRAPH = "graph G { vertices: v ; edge a: v -> v ; edge b: v -> v ; }\n"
     "subst s over a b { a -> a b }",
     "subst s over a a { a -> a }",
     "graph G { vertices: u v ; edge a: u -> v ; }",
+    GRAPH + "graph G { vertices: w ; edge a: w -> w ; }",
+    GRAPH + "map f: G -> G { a -> a ; b -> b ; }\nmap f: G -> G { a -> b ; b -> a ; }",
+    "subst s over a { a -> a }\nsubst s over a b { a -> b ; b -> a }",
+    GRAPH + "map f: G -> G { vertex v -> v ; a -> a ; vertex v -> v ; b -> b ; }",
 ])
 def test_reference_agrees_on_semantic_errors(text):
     assert outcome(parse, text)[0] == "error"
