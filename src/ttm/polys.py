@@ -180,10 +180,14 @@ class CertifiedRoot:
     exact arithmetic, so enclosures can be tightened indefinitely.
     """
 
-    def __init__(self, poly, lo=None, hi=None, exact=None):
+    def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None):
         self.poly = poly_trim(tuple(Fraction(c) for c in poly))
-        self.sqfree = square_free_part(self.poly)
-        self._chain = sturm_chain(self.sqfree)
+        # a caller that built the Sturm chain of the square-free part hands
+        # it in; its first member is that part (a positive integer multiple)
+        if chain is None:
+            chain = sturm_chain(square_free_part(self.poly))
+        self._chain = chain
+        self.sqfree = self._chain[0]
         if exact is not None:
             self.exact = Fraction(exact)
             if poly_eval(self.poly, self.exact) != 0:
@@ -207,7 +211,7 @@ class CertifiedRoot:
         differs from the sign at ``lo``."""
         if self.exact is not None:
             return self
-        sqfree = self._chain[0]
+        sqfree = self.sqfree
         sign_lo = _sign_at(sqfree, self.lo)
         while self.hi - self.lo > max_width:
             mid = (self.lo + self.hi) / 2
@@ -312,15 +316,15 @@ def largest_real_root(p) -> CertifiedRoot:
     for _ in range(20000):
         # invariant: the largest root lies in (cut, hi], hi is not a root
         if count_roots(p, cut, hi, chain) == 1 and poly_eval(p, cut) != 0:
-            root = CertifiedRoot(p, cut, hi)
+            root = CertifiedRoot(p, cut, hi, chain=chain)
             for n in _integer_candidates(cut, hi):
                 if poly_eval(p, Fraction(n)) == 0:
-                    return CertifiedRoot(p, exact=Fraction(n))
+                    return CertifiedRoot(p, exact=Fraction(n), chain=chain)
             return root
         mid = (cut + hi) / 2
         if poly_eval(p, mid) == 0:
             if count_roots(p, mid, hi, chain) == 0:
-                return CertifiedRoot(p, exact=mid)
+                return CertifiedRoot(p, exact=mid, chain=chain)
             cut = mid
             continue
         if count_roots(p, mid, hi, chain) >= 1:

@@ -179,12 +179,15 @@ def _periodic_witnesses(sigma: Substitution, bound: int):
     if bound <= 0:
         return []
     depth = 2 * bound + 2
-    lang = sigma.language(depth)
+    # a length-depth factor lies in an image window of length <= depth, so
+    # it is that window: the windows of length depth are all such factors
+    lang = {path_to_word(sigma, p)
+            for p in maps.image_windows(sigma.rose_map, depth) if len(p) == depth}
     out = []
     seen_rotations = set()
     # a witness is a prefix of its first window, so it lies in the
-    # factor-closed language and the short words of lang are all candidates
-    for w in sorted(w for w in lang if len(w) <= bound):
+    # factor-closed language and its short words are all candidates
+    for w in sorted(sigma.language(bound)):
         if w in seen_rotations or not _is_primitive_word(w):
             continue
         repeated = w * ((depth // len(w)) + 2)

@@ -22,6 +22,7 @@ Weight data lives at level 0 and scales by ``lambda**-n`` across levels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import intervals as ia
 from .errors import MapError, PreconditionError
@@ -247,7 +248,9 @@ class WeightTower:
     Turn weights follow the closed form: a junction turn of an edge image
     contributes ``lambda**-(k+1) v(e)`` for every orbit step k at which its
     direction orbit sits on the target turn; eventual periodicity turns the
-    tail into a geometric series.  Illegal turns get weight exactly zero.
+    tail into a geometric series.  Sums are accumulated only on the turns
+    that some orbit visits; every other turn, illegal ones included, gets
+    the same exact zero.
     """
 
     def __init__(self, vt: VectorTower):
@@ -256,12 +259,15 @@ class WeightTower:
         self.lam = vt.lam
         graph = self.tower.graph
         self.edge_weight = {e: vt.vector[e >> 1] for e in graph.oriented_edges}
-        self.turn_weight = {t: ia.zero() for t in graph.all_turns()}
         da = self.tower.directions
         lam_inv = 1 / self.lam
+        power = cache(lambda k: lam_inv ** k)
+        geometric = cache(lambda q: ia.one() - power(q))
         # one orbit walk per junction turn adds its term to every turn the
         # orbit visits (a turn at most once); each turn's interval sum is
-        # taken in (e, tau) order
+        # taken in (e, tau) order, and only visited turns get a sum
+        zero = ia.zero()
+        sums = {}
         for e in graph.positive_edges:
             v_e = vt.vector[e >> 1]
             for tau in junction_turns(self.tower.f, e):
@@ -269,11 +275,13 @@ class WeightTower:
                     continue  # the orbit and every turn on it are illegal
                 pre, cyc = da.orbit(tau)
                 for k, t in enumerate(pre):
-                    self.turn_weight[t] = self.turn_weight[t] + lam_inv ** (k + 1) * v_e
-                q = len(cyc)
+                    sums[t] = sums.get(t, zero) + power(k + 1) * v_e
                 for j, t in enumerate(cyc):
-                    tail = lam_inv ** (len(pre) + j + 1) / (ia.one() - lam_inv ** q)
-                    self.turn_weight[t] = self.turn_weight[t] + tail * v_e
+                    tail = power(len(pre) + j + 1) / geometric(len(cyc))
+                    sums[t] = sums.get(t, zero) + tail * v_e
+        # every unvisited turn shares one exact zero
+        self._zero = zero
+        self.turn_weight = {t: sums.get(t, zero) for t in graph.all_turns()}
 
     # -- level access -----------------------------------------------------------
 
@@ -302,7 +310,10 @@ class WeightTower:
     def switch_residuals(self):
         """Interval residuals of the switch conditions at every direction:
         the weight of the edge leaving a vertex minus the total weight of the
-        local edges (turns) at that direction."""
+        local edges (turns) at that direction.  The turn weights are added
+        in the order of the directions at the vertex, skipping the shared
+        exact zero of the unvisited turns: adding an exact zero is exact at
+        working precision, so the residuals are those of the full sums."""
         graph = self.tower.graph
         out = {}
         for v in graph.vertices:
@@ -310,7 +321,9 @@ class WeightTower:
                 acc = ia.zero()
                 for d2 in graph.directions_at(v):
                     if d2 != d:
-                        acc = acc + self.turn_weight[make_turn(d, d2)]
+                        w = self.turn_weight[make_turn(d, d2)]
+                        if w is not self._zero:
+                            acc = acc + w
                 out[d] = self.edge_weight[d] - acc
         return out
 

@@ -142,6 +142,20 @@ def test_ergodic(fib_file, capsys):
     assert freqs[1].startswith("0.3333333333")
 
 
+@pytest.mark.parametrize("name", ["i12", "b20"])
+@pytest.mark.parametrize("command, flag", [("ergodic", "--subst"), ("spectrum", "--map")])
+def test_seeded_substitution_reports(capsys, name, command, flag):
+    """Two of the seeded bench substitutions (irreducible on 12 letters,
+    block triangular on 20), whose reports the bench judges only against
+    its own first pass: byte for byte the recorded ones.  Both periodicity
+    scans warn."""
+    code, out, err = run(capsys, command, str(DATA / "subs20.tt"), flag, name)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"subs20.{name}.{command}.json").read_text()
+    if command == "ergodic":
+        assert json.loads(out)["warnings"]
+
+
 def test_verify_doubles_precision_when_inconclusive(fib_file, capsys):
     import ttm.intervals as ia
     old = ia.precision_bits()

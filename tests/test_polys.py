@@ -184,6 +184,39 @@ def test_refine_finds_rational_midpoint_root():
     assert root.exact == Fraction(1, 2) == root.lo == root.hi
 
 
+@pytest.mark.parametrize("poly, exact", [
+    ((-1, -1, 1), None),                # x^2 - x - 1: irrational, isolated
+    ((-3, 1, -3, 1), Fraction(3)),      # (x - 3)(x^2 + 1): integer candidate
+    ((0, 0, 1), Fraction(0)),           # x^2: double root hit by a midpoint
+])
+def test_largest_real_root_builds_one_sturm_chain(monkeypatch, poly, exact):
+    """The chain of the bisection is the one the certified root keeps, also
+    when the root comes out exact."""
+    import ttm.polys as polys
+    calls = []
+    build = polys.sturm_chain
+
+    def counting(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(polys, "sturm_chain", counting)
+    root = largest_real_root(poly)
+    assert len(calls) == 1
+    assert root.exact == exact
+    assert root._chain == build(square_free_part(poly))
+
+
+def test_a_handed_chain_keeps_both_root_checks():
+    chain = sturm_chain(square_free_part((-1, -1, 1)))
+    with pytest.raises(SpectralError, match="isolate"):
+        CertifiedRoot((-1, -1, 1), Fraction(-2), Fraction(2), chain=chain)
+    with pytest.raises(SpectralError, match="not a root"):
+        CertifiedRoot((-1, -1, 1), exact=Fraction(2), chain=chain)
+    root = CertifiedRoot((-1, -1, 1), Fraction(1), Fraction(2), chain=chain)
+    assert float(root) == pytest.approx((1 + 5 ** 0.5) / 2)
+
+
 def reference_adjugate_at(bmats, x):
     """Every entry of adj(x I - A) at an interval point, by Horner (the full
     evaluator that ``adjugate_column`` replaced)."""

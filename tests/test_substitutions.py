@@ -142,9 +142,21 @@ def test_rose_map_is_built_on_first_use():
 
 
 @settings(max_examples=80)
-@given(expanding_substitutions(), st.integers(1, 3))
+@given(expanding_substitutions(), st.integers(1, 4))
 def test_periodic_scan_equals_alphabet_enumeration(sigma, bound):
     assert _periodic_witnesses(sigma, bound) == enumerating_witnesses(sigma, bound)
+
+
+@settings(max_examples=40)
+@given(expanding_substitutions())
+def test_longest_factors_are_the_longest_windows(sigma):
+    """The factors of length d are the image windows of length d, read as
+    words: a factor lies in a window of length <= d, so it is that window."""
+    for d in range(1, 11):
+        factors = {w for w in sigma.language(d) if len(w) == d}
+        windows = {path_to_word(sigma, p)
+                   for p in image_windows(sigma.rose_map, d) if len(p) == d}
+        assert factors == windows, d
 
 
 @pytest.mark.parametrize("rules", [

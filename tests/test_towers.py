@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -246,6 +247,87 @@ def test_turn_weights_equal_hit_time_sums(f):
         assert list(wt.turn_weight) == list(ref)
         for t, w in ref.items():
             assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+
+
+def dense_turn_weights(vt):
+    """Reference: the dense accumulation, an interval zero on every turn and
+    each orbit term added in (e, tau) order, every power taken afresh."""
+    tower = vt.tower
+    graph, da = tower.graph, tower.directions
+    lam_inv = 1 / vt.lam
+    out = {t: ia.zero() for t in graph.all_turns()}
+    for e in graph.positive_edges:
+        v_e = vt.vector[e >> 1]
+        for tau in junction_turns(tower.f, e):
+            if not da.is_legal(tau):
+                continue
+            pre, cyc = da.orbit(tau)
+            for k, t in enumerate(pre):
+                out[t] = out[t] + lam_inv ** (k + 1) * v_e
+            q = len(cyc)
+            for j, t in enumerate(cyc):
+                tail = lam_inv ** (len(pre) + j + 1) / (ia.one() - lam_inv ** q)
+                out[t] = out[t] + tail * v_e
+    return out
+
+
+def dense_switch_residuals(wt, turn_weight):
+    """Reference: every turn weight at a direction added, zeros included."""
+    graph = wt.tower.graph
+    out = {}
+    for v in graph.vertices:
+        for d in graph.directions_at(v):
+            acc = ia.zero()
+            for d2 in graph.directions_at(v):
+                if d2 != d:
+                    acc = acc + turn_weight[make_turn(d, d2)]
+            out[d] = wt.edge_weight[d] - acc
+    return out
+
+
+def block_triangular_roses(seed):
+    """Rose maps of seeded substitutions on 12-20 letters: one diagonal block
+    per entry of the shape, each block a cycle of letters with images of
+    length 2-4, and every block but the first also mapping into the one
+    before it (block triangular incidence)."""
+    rng = random.Random(seed)
+    out = []
+    for sizes in ([12], [6, 6], [6, 5, 5], [5, 5, 5, 5]):
+        images, offset = [], 0
+        for b, size in enumerate(sizes):
+            for i in range(size):
+                image = [offset + (i + 1) % size] + [
+                    offset + rng.randrange(size) for _ in range(rng.randint(1, 3))]
+                rng.shuffle(image)
+                if b > 0 and rng.random() < 0.5:
+                    image.append(offset - 1 - rng.randrange(sizes[b - 1]))
+                images.append(tuple(2 * x for x in image))
+            offset += size
+        g = rose(offset, tuple(f"x{i}" for i in range(offset)))
+        out.append(GraphMap(g, g, [0], images))
+    return out
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("f", weight_maps() + block_triangular_roses(17))
+def test_sparse_turn_weights_equal_dense_sums(f, bits):
+    """Sums on the visited turns only, one shared exact zero elsewhere and a
+    switch check that skips it give every turn weight and every residual of
+    the dense loops endpoint for endpoint."""
+    with ia.working_precision(bits):
+        measures = measures_of(f)
+        assert measures
+        for kf in measures:
+            wt = kf.weights
+            ref = dense_turn_weights(wt.vt)
+            assert list(wt.turn_weight) == list(ref)
+            for t, w in ref.items():
+                assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+            residuals = wt.switch_residuals()
+            ref_residuals = dense_switch_residuals(wt, ref)
+            assert list(residuals) == list(ref_residuals)
+            for d, r in ref_residuals.items():
+                assert residuals[d]._mpi_ == r._mpi_, d
 
 
 def test_switch_conditions(fib_setup, tm_setup):
