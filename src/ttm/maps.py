@@ -62,19 +62,24 @@ class GraphMap:
 
     # -- application ---------------------------------------------------------
 
+    @cached_property
+    def oriented_images(self):
+        """The image path of each oriented edge, indexed by edge id."""
+        return tuple(p for q in self.edge_image for p in (q, reverse_path(q)))
+
     def image(self, e: int):
         """Image path of an oriented edge."""
-        p = self.edge_image[e >> 1]
-        return p if e % 2 == 0 else reverse_path(p)
+        return self.oriented_images[e]
 
     def vertex(self, v: int) -> int:
         return self.vertex_image[v]
 
     def map_path(self, path):
         """Image of an edge path; concatenation only, no free reduction."""
+        images = self.oriented_images
         out = []
         for e in path:
-            out.extend(self.image(e))
+            out += images[e]
         return tuple(out)
 
     # -- structural properties -------------------------------------------------
@@ -152,10 +157,9 @@ class GraphMap:
 
     @cached_property
     def reduced_successors(self):
-        """Successor table of :func:`search_covers` over reduced domain paths:
-        for each oriented edge e, the pairs ``(d, f(d))`` with ``e d``
-        reduced, in ``directions_at`` order, indexed by the first edge of a
-        non-trivial ``f(d)``."""
+        """Successor table of :func:`search_covers`: for each oriented edge
+        e, the pairs ``(d, f(d))`` with ``e d`` reduced, in ``directions_at``
+        order, indexed by the first edge of a non-trivial ``f(d)``."""
         g = self.domain
         table = []
         for e in g.oriented_edges:
@@ -168,18 +172,13 @@ class GraphMap:
         return tuple(table)
 
 
-def search_covers(f: GraphMap, successors, path):
-    """The covers of a non-empty codomain path: the domain paths d whose image
-    contains ``path`` in an occurrence that touches the first and last image
-    block, one per occurrence, in depth-first order over ``f.cover_starts``
-    and the successor table (``successors[e]`` indexes the pairs
-    ``(d, f(d))`` that may follow e by the first edge of ``f(d)``, e.g.
-    ``f.reduced_successors``); only blocks that start with the next edge of
-    the path are tried.
-
-    A stack entry ``(cover, pos)`` has the image of ``cover`` (from the
-    occurrence start) matching ``path[:pos]``; a block is appended only while
-    ``pos < len(path)`` and only if it matches the path from ``pos`` on.
+def search_covers(f: GraphMap, path):
+    """The covers of a non-empty codomain path: the reduced domain paths d
+    whose image holds ``path`` in an occurrence touching the first and last
+    image block, one per occurrence, depth first over ``f.cover_starts`` and
+    ``f.reduced_successors``, trying only blocks that start with the next
+    edge of the path.  A stack entry ``(cover, pos)`` has the image of
+    ``cover`` (from the occurrence start) matching ``path[:pos]``.
     """
     n = len(path)
     covers = []
@@ -189,7 +188,7 @@ def search_covers(f: GraphMap, successors, path):
         if pos >= n:
             covers.append(cover)
             continue
-        nxt = (successors[cover[-1]] if cover else f.cover_starts).get(path[pos], ())
+        nxt = (f.reduced_successors[cover[-1]] if cover else f.cover_starts).get(path[pos], ())
         for d, block in reversed(nxt):
             end = pos + len(block)
             if path[pos:end] == block[:n - pos]:
@@ -528,17 +527,15 @@ def is_homotopy_equivalence(f: GraphMap) -> bool:
 # -- languages -------------------------------------------------------------------
 
 
-def image_windows(f: GraphMap, max_length: int):
-    """The windows of the iterated edge images: factors of length
-    ``min(max_length, len(W))`` of the image ``W`` of a positive edge or of a
-    window, found by a worklist that maps each window once.
+def image_windows(f: GraphMap, starts, max_length: int):
+    """The windows of the start paths and of their iterated images: factors
+    of length ``min(max_length, len(W))`` of a start or of the image ``W`` of
+    a window, found by a worklist that maps each window once.
 
-    Every subpath of length <= max_length of an iterated image lies in a
-    window, and the image of a subpath is a subpath of the image of its
-    window (``map_path`` concatenates without reduction), so the subpaths of
-    the windows are the whole fixpoint.  Positive edges suffice: the image of
-    a reversed path is the reversed image, so starting from the negative
-    edges as well would only add the reversals of the windows.
+    Every subpath of length <= max_length of a start or of an iterated image
+    of one lies in a window, and the image of a subpath is a subpath of the
+    image of its window (``map_path`` concatenates without reduction), so
+    the subpaths of the windows are the whole fixpoint.
     """
     windows = set()
     if max_length < 1:
@@ -553,8 +550,8 @@ def image_windows(f: GraphMap, max_length: int):
                 windows.add(w)
                 todo.append(w)
 
-    for e in f.domain.positive_edges:
-        visit(f.image(e))
+    for s in starts:
+        visit(s)
     while todo:
         visit(f.map_path(todo.pop()))
     return windows
@@ -562,122 +559,74 @@ def image_windows(f: GraphMap, max_length: int):
 
 def used_language(f: GraphMap, max_length: int) -> Language:
     """Reduced paths of length <= max_length occurring as subpaths of some
-    iterated edge image (together with their reversals): the subpaths of the
-    image windows and their reversals.  Needs an expanding train track map
-    (iterated images of other maps need not be reduced)."""
+    iterated edge image: the subpaths of the windows of the positive edge
+    images and their reversals (the image of a reversed path is the reversed
+    image).  Needs an expanding train track map (iterated images of other
+    maps need not be reduced)."""
     require_expanding_train_track(f)
     paths = set()
-    for w in image_windows(f, max_length):
+    for w in image_windows(f, f.edge_image, max_length):
         paths |= subpaths_up_to(w, max_length)
     paths |= {reverse_path(p) for p in paths}
     return Language(frozenset(paths), max_length)
 
 
+def legal_seeds(f: GraphMap):
+    """The infinitely legal paths of length <= 2: the legal ones that remain
+    when every path that is no factor of the image of a kept path is
+    dropped, until none is.  A kept path lies in a k-th iterate image of a
+    legal path for every k; and a member has a minimal cover (a path whose
+    image holds it touching the first and last block) among the members, no
+    longer than itself, so no member is dropped."""
+    da = DirectionAnalysis(f)
+    kept = {p for p in f.domain.reduced_paths(2) if all(map(da.is_legal, turns_of(p)))}
+    while True:
+        covered = set().union(*(subpaths_up_to(f.map_path(p), 2) for p in kept))
+        if kept <= covered:
+            return frozenset(kept)
+        kept &= covered
+
+
 class LegalPullbacks:
-    """Backward-occurrence machinery used to decide infinite legality.
+    """Infinite legality, read off the image windows of the seeds.
 
-    For a reduced path p, a *minimal cover* is a legal path d with p occurring
-    inside the image of d, touching the first and last image block.  Minimal
-    covers never get longer than max(1, len(p)), so iterated pullback explores
-    a finite state space and "pullable forever" is equivalent to reaching a
-    pullback cycle.
+    The image of an infinitely legal path is infinitely legal, so the
+    windows of :func:`legal_seeds` stay in the language.  Conversely a
+    member has a minimal cover among the members, no longer than itself, and
+    a chain of such covers cannot cycle through a path of length >= 3 (the
+    iterate images of an interior edge would stay inside it, against
+    expansion), so it reaches a seed.  A member of length n therefore lies
+    in a window of ``image_windows(f, seeds, n)``, and is that window.
 
-    The covers come from :func:`search_covers`, the one cover search, which
-    ``measures.image_measure`` also runs: both walk the map's start index
-    (``GraphMap.cover_starts``), and they differ only in the successor table.
-    The pushforward walks ``GraphMap.reduced_successors``; here each entry
-    keeps only the legal continuations d (the turn ``(e^-1, d)`` legal), so
-    the search only walks legal paths and the covers are kept as a set.  The
-    legal successor table also decides legality of a path letter pair by
-    letter pair.  Verdicts and covers are memoised across queries; only legal
-    paths ever enter the verdict memo, so a query reads it before anything
-    else.
+    The name is that of the backward cover search this replaced: the
+    benchmark tracer (``bench/tracer.py``) times
+    ``LegalPullbacks.is_infinitely_legal`` by it.
     """
 
     def __init__(self, f: GraphMap):
         require_expanding_train_track(f)
         self.f = f
-        self.da = DirectionAnalysis(f)
-        self._next = tuple(
-            {x: [(d, block) for d, block in pairs
-                 if self.da.is_legal(make_turn(inverse(e), d))]
-             for x, pairs in nxt.items()}
-            for e, nxt in enumerate(f.reduced_successors))
-        self._legal_next = tuple(frozenset(d for pairs in nxt.values() for d, _ in pairs)
-                                 for nxt in self._next)
-        self._covers = {}
-        self._verdict = {}
+        self.seeds = legal_seeds(f)
+        self._by_length = {}
 
-    def minimal_covers(self, path):
-        path = tuple(path)
-        if path in self._covers:
-            return self._covers[path]
-        if not path:
-            results = {(e0,) for e0 in self.f.domain.oriented_edges}
-        else:
-            results = search_covers(self.f, self._next, path)
-        self._covers[path] = frozenset(results)
-        return self._covers[path]
+    def paths_of_length(self, n: int):
+        """The infinitely legal paths of length n, built on first use."""
+        paths = self._by_length.get(n)
+        if paths is None:
+            paths = self._by_length[n] = frozenset(
+                w for w in image_windows(self.f, self.seeds, n) if len(w) == n)
+        return paths
 
     def is_infinitely_legal(self, path) -> bool:
-        path = tuple(path)
-        good = self._verdict
-        if path in good:
-            return good[path]
-        # successor-table legality: on paths of the graph, a path is legal iff
-        # it is reduced and every turn it crosses is legal
-        legal_next = self._legal_next
-        if not all(path[i + 1] in legal_next[path[i]] for i in range(len(path) - 1)):
-            return False
-        # cycle detection in the pullback graph reachable from `path`
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {}
-
-        def dfs(p):
-            if p in good:
-                return good[p]
-            state = colour.get(p, WHITE)
-            if state == GREY:
-                return True  # cycle
-            colour[p] = GREY
-            result = False
-            for c in self.minimal_covers(p):
-                if c in good and good[c]:
-                    result = True
-                    break
-                if colour.get(c) == GREY:
-                    result = True
-                    break
-                if dfs(c):
-                    result = True
-                    break
-            colour[p] = BLACK
-            good[p] = result
-            return result
-
-        return dfs(path)
+        return tuple(path) in self.paths_of_length(len(path))
 
 
 def infinitely_legal_language(f: GraphMap, max_length: int,
                               pullbacks: LegalPullbacks | None = None) -> Language:
     """Truncation of the language of paths that are subpaths of arbitrarily
-    high iterate images of legal paths.
-
-    Built by one-edge extension: the language is closed under subpaths, so
-    every member of length l+1 extends a member of length l.
-    """
+    high iterate images of legal paths: the members of lengths 1 to
+    max_length."""
     if pullbacks is None:
         pullbacks = LegalPullbacks(f)
-    frontier = [(e,) for e in f.domain.oriented_edges
-                if pullbacks.is_infinitely_legal((e,))]
-    collected = set(frontier)
-    for _ in range(max_length - 1):
-        nxt = []
-        for p in frontier:
-            for e1 in f.domain.extensions_right(p):
-                q = p + (e1,)
-                if pullbacks.is_infinitely_legal(q):
-                    nxt.append(q)
-        collected.update(nxt)
-        frontier = nxt
-    return Language(frozenset(collected), max_length)
+    paths = frozenset().union(*map(pullbacks.paths_of_length, range(1, max_length + 1)))
+    return Language(paths, max_length)

@@ -460,16 +460,15 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
     The domain is subdivided at preimages of vertices; every subdivided-sense
     preimage of the path contributes the measure of the smallest full-edge
     domain path containing it.  Those parents are the covers of
-    :func:`ttm.maps.search_covers` over the reduced successor table, the
-    search that ``LegalPullbacks`` runs over its legal one; each occurrence
-    counts, in the order the search returns them.
+    :func:`ttm.maps.search_covers`; each occurrence counts, in the order the
+    search returns them.
     """
     path = tuple(path)
     if not f.codomain.is_path(path) or not is_reduced(path) or not path:
         raise PathError("image measure takes non-trivial reduced codomain paths")
     _require_pushforward(f, kf)
     total = ia.zero()
-    for parent in search_covers(f, f.reduced_successors, path):
+    for parent in search_covers(f, path):
         total = total + kf.eval(parent)
     return total
 

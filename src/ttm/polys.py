@@ -91,18 +91,6 @@ def poly_gcd(a, b):
     return tuple(c / lead for c in a)
 
 
-def square_free_part(p):
-    p = poly_trim(tuple(Fraction(c) for c in p))
-    if poly_degree(p) <= 1:
-        return p
-    g = poly_gcd(p, poly_derivative(p))
-    if poly_degree(g) == 0:
-        return p
-    q, r = poly_divmod(p, g)
-    assert is_zero_poly(r)
-    return q
-
-
 def _integer_multiple(p):
     """The positive rational multiple of p with coprime integer coefficients;
     it has the sign of p at every point."""
@@ -125,9 +113,10 @@ def _sign_at(p, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p):
-    """Sturm sequence of p with every member an integer polynomial (a
-    positive multiple of the rational member, so sign counts agree)."""
+def _remainder_chain(p):
+    """The remainder sequence of (p, p') with each remainder negated, every
+    member an integer polynomial (a positive multiple of the rational
+    member, so sign counts agree)."""
     chain = [_integer_multiple(p)]
     if poly_degree(chain[0]) == 0:
         return chain
@@ -135,9 +124,26 @@ def sturm_chain(p):
     while True:
         _, r = poly_divmod(chain[-2], chain[-1])
         if is_zero_poly(r):
-            break
+            return chain
         chain.append(_integer_multiple(tuple(-c for c in r)))
-    return chain
+
+
+def sturm_chain(p):
+    """Sturm sequence of the square-free part of p, every member an integer
+    polynomial.
+
+    The last member of the remainder sequence of (p, p') is a multiple of
+    gcd(p, p').  When it is constant, p is square-free and the sequence is
+    its Sturm chain; otherwise the square-free part is p divided by the
+    monic last member, and the chain is that of the quotient.
+    """
+    chain = _remainder_chain(p)
+    last = chain[-1]
+    if poly_degree(last) == 0:
+        return chain
+    q, r = poly_divmod(p, tuple(Fraction(c, last[-1]) for c in last))
+    assert is_zero_poly(r)
+    return _remainder_chain(q)
 
 
 def _sign_variations(chain, x: Fraction) -> int:
@@ -157,7 +163,7 @@ def count_roots(p, lo: Fraction, hi: Fraction, chain=None) -> int:
     if lo >= hi:
         return 0
     if chain is None:
-        chain = sturm_chain(square_free_part(p))
+        chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -182,10 +188,10 @@ class CertifiedRoot:
 
     def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None):
         self.poly = poly_trim(tuple(Fraction(c) for c in poly))
-        # a caller that built the Sturm chain of the square-free part hands
-        # it in; its first member is that part (a positive integer multiple)
+        # a caller that built the Sturm chain hands it in; its first member
+        # is the square-free part (a positive integer multiple)
         if chain is None:
-            chain = sturm_chain(square_free_part(self.poly))
+            chain = sturm_chain(self.poly)
         self._chain = chain
         self.sqfree = self._chain[0]
         if exact is not None:
@@ -307,7 +313,7 @@ def largest_real_root(p) -> CertifiedRoot:
     Integer roots are recognised and returned exactly.
     """
     p = poly_trim(tuple(Fraction(c) for c in p))
-    chain = sturm_chain(square_free_part(p))
+    chain = sturm_chain(p)
     bound = cauchy_bound(p)
     lo, hi = -bound - 1, bound + 1
     if count_roots(p, lo, hi, chain) == 0:

@@ -85,7 +85,7 @@ class Substitution:
         if not self.is_expanding():
             raise PreconditionError("language needs an expanding substitution")
         found = set()
-        for p in maps.image_windows(self.rose_map, max_length):
+        for p in maps.image_windows(self.rose_map, self.rose_map.edge_image, max_length):
             found |= subpaths_up_to(path_to_word(self, p), max_length)
         return frozenset(found)
 
@@ -181,8 +181,8 @@ def _periodic_witnesses(sigma: Substitution, bound: int):
     depth = 2 * bound + 2
     # a length-depth factor lies in an image window of length <= depth, so
     # it is that window: the windows of length depth are all such factors
-    lang = {path_to_word(sigma, p)
-            for p in maps.image_windows(sigma.rose_map, depth) if len(p) == depth}
+    windows = maps.image_windows(sigma.rose_map, sigma.rose_map.edge_image, depth)
+    lang = {path_to_word(sigma, p) for p in windows if len(p) == depth}
     out = []
     seen_rotations = set()
     # a witness is a prefix of its first window, so it lies in the

@@ -383,3 +383,24 @@ def test_check_q2_default_arguments_finishes(tmp_path):
         "repetition-bound[level 1]: not found within cap 6",
         "repetition-bound[level 2]: not found within cap 6",
     ]
+
+
+BENCH_MAPS = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "maps.tt"
+
+
+def test_deep_q2_check_is_pinned(capsys):
+    """The deepest repetition search on the benchmark maps, byte for byte as
+    the backward pullback search printed it: every window at levels 1-3 and
+    radii up to 8 is kept or dropped by infinite legality."""
+    code, out, err = run(capsys, "check", str(BENCH_MAPS), "--map", "q2",
+                         "--rep-levels", "3", "--rep-cap", "8")
+    assert (code, err) == (0, "")
+    assert out == (
+        "train-track: yes\n"
+        "expanding: yes\n"
+        "homotopy-equivalence: no\n"
+        "repetition-bound[level 0]: 0\n"
+        "repetition-bound[level 1]: not found within cap 8\n"
+        "repetition-bound[level 2]: not found within cap 8\n"
+        "repetition-bound[level 3]: not found within cap 8\n"
+    )

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from ttm.graphs import (
     inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to, turns_of,
 )
 from ttm.maps import (
-    GraphMap, LegalPullbacks, compose, fundamental_group_images, identity_map,
-    image_windows, infinitely_legal_language, is_expanding, is_homotopy_equivalence, is_train_track, matmul, power, used_language,
+    DirectionAnalysis, GraphMap, LegalPullbacks, compose, fundamental_group_images,
+    identity_map, image_windows, infinitely_legal_language, is_expanding,
+    is_homotopy_equivalence, is_train_track, legal_seeds, matmul, power, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
 
@@ -17,6 +19,7 @@ from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, pullback_maps, random_graph, random_map,
     random_tame_maps,
 )
+from pullback_reference import BackwardPullbacks, backward_language
 
 
 def test_edge_image_of_inverse(fibonacci):
@@ -257,11 +260,11 @@ def test_image_windows(fibonacci):
     """Windows are as long as the image they are cut from allows (b -> a
     gives the window a), and each one is a subpath of an iterated positive
     edge image."""
-    windows = image_windows(fibonacci, 3)
+    windows = image_windows(fibonacci, fibonacci.edge_image, 3)
     assert windows == {(A,), (A, B), (A, B, A), (B, A, A), (A, A, B), (B, A, B)}
     deep = {w for e in (A, B) for w in subpaths_up_to(fibonacci.iterate_image(e, 8), 3)}
     assert windows <= deep
-    assert image_windows(fibonacci, 0) == set()
+    assert image_windows(fibonacci, fibonacci.edge_image, 0) == set()
 
 
 def test_infinitely_legal(fibonacci, rose2):
@@ -274,8 +277,8 @@ def test_infinitely_legal(fibonacci, rose2):
     assert lang.paths - used.paths == {(A, Bbar), (B, Abar)}
     # unreduced paths never qualify
     assert not pb.is_infinitely_legal((A, Abar))
-    # bb is legal (its one turn is) but dies under pullback
-    assert all(pb.da.is_legal(t) for t in turns_of((B, B)))
+    # bb is legal (its one turn is) but lies in no image of a legal path
+    assert all(DirectionAnalysis(fibonacci).is_legal(t) for t in turns_of((B, B)))
     assert not pb.is_infinitely_legal((B, B))
 
 
@@ -290,10 +293,10 @@ def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
                 assert image in lang.paths
 
 
-# -- indexed cover search vs the recursive reference ------------------------------------
+# -- backward references: indexed cover search vs recursive, forward vs backward --------
 
 
-class RecursivePullbacks(LegalPullbacks):
+class RecursivePullbacks(BackwardPullbacks):
     """Reference pullbacks: covers grown recursively by image concatenation
     from every (edge, image offset) start, legality by turn orbits, and the
     verdict memo read only after the legality check."""
@@ -349,20 +352,82 @@ class RecursivePullbacks(LegalPullbacks):
 PULLBACK_MAPS = pullback_maps()
 
 
+def membership_paths(g):
+    """Every reduced path of length <= 5 and the unreduced (e, ~e)."""
+    return g.reduced_paths(5) + [(e, inverse(e)) for e in g.oriented_edges]
+
+
 @pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
 def test_indexed_pullbacks_equal_recursive_reference(name, f):
-    """The start index, the successor table and the memo-first verdict give
-    the covers, verdicts and languages of the recursive search."""
-    g = f.domain
-    paths = g.reduced_paths(5) + [(e, inverse(e)) for e in g.oriented_edges]
-    pb, ref = LegalPullbacks(f), RecursivePullbacks(f)
+    """The backward reference's start index, successor table and memo-first
+    verdict give the covers, verdicts and languages of the recursive
+    search."""
+    paths = membership_paths(f.domain)
+    pb, ref = BackwardPullbacks(f), RecursivePullbacks(f)
     for p in paths:
         assert pb.minimal_covers(p) == ref.minimal_covers(p), p
-    pb, ref = LegalPullbacks(f), RecursivePullbacks(f)
+    pb, ref = BackwardPullbacks(f), RecursivePullbacks(f)
     for p in paths:
         assert pb.is_infinitely_legal(p) == ref.is_infinitely_legal(p), p
-    assert (infinitely_legal_language(f, 6, LegalPullbacks(f))
-            == infinitely_legal_language(f, 6, RecursivePullbacks(f)))
+    assert (backward_language(BackwardPullbacks(f), 6)
+            == backward_language(RecursivePullbacks(f), 6))
+
+
+def assert_forward_equals_backward(f, max_length):
+    forward, backward = LegalPullbacks(f), BackwardPullbacks(f)
+    for p in membership_paths(f.domain):
+        assert forward.is_infinitely_legal(p) == backward.is_infinitely_legal(p), p
+    for n in range(1, max_length + 1):
+        assert (infinitely_legal_language(f, n, forward)
+                == backward_language(backward, n)), n
+
+
+@functools.cache
+def random_train_track_maps():
+    """The expanding train track self-maps among the first 100 maps of four
+    seeds."""
+    return [f for seed in (2718, 1414, 99, 7) for f in random_tame_maps(seed, 100)
+            if f.is_self_map() and is_expanding(f) and is_train_track(f)[0]]
+
+
+def test_forward_legality_equals_backward_on_random_maps():
+    """Membership in the windows of the seeds is the backward pullback
+    verdict, and the forward languages are the backward ones up to length
+    7, on 27 random maps, 6 of them on graphs with more than one vertex."""
+    drawn = random_train_track_maps()
+    assert (len(drawn), sum(f.domain.n_vertices > 1 for f in drawn)) == (27, 6)
+    for f in drawn:
+        assert_forward_equals_backward(f, 7)
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_forward_legality_equals_backward_on_named_maps(name, f):
+    assert_forward_equals_backward(f, 9)
+
+
+def test_legal_seeds_are_the_short_infinitely_legal_paths():
+    """The seed iteration keeps exactly the backward verdicts among the legal
+    paths of length <= 2, and its result is a fixpoint: the factors of length
+    <= 2 of the images of the seeds are the seeds.  On q one pass is not
+    enough: it keeps paths that the later passes drop."""
+    q = dict(PULLBACK_MAPS)["q"]
+    for f in [f for _, f in PULLBACK_MAPS] + random_train_track_maps():
+        seeds = legal_seeds(f)
+        backward = BackwardPullbacks(f)
+        short = [p for p in f.domain.reduced_paths(2) if backward.is_infinitely_legal(p)]
+        assert seeds == frozenset(short)
+        images = set()
+        for p in seeds:
+            images |= subpaths_up_to(f.map_path(p), 2)
+        assert images == seeds
+    da = DirectionAnalysis(q)
+    legal = {p for p in q.domain.reduced_paths(2) if all(da.is_legal(t) for t in turns_of(p))}
+    one_pass = set()
+    for p in legal:
+        one_pass |= subpaths_up_to(q.map_path(p), 2)
+    assert len(legal) == 52
+    assert len(one_pass & legal) == 46
+    assert len(legal_seeds(q)) == 34
 
 
 def test_language_preconditions(rose2):

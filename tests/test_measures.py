@@ -420,7 +420,7 @@ def test_image_measure_counts_every_occurrence():
     two and break the eigen equation with lambda = 3."""
     red = rose_map("ab", "ba", "cccab")
     C = 4
-    covers = search_covers(red, red.reduced_successors, (C,))
+    covers = search_covers(red, (C,))
     assert covers.count((C,)) == 3
     pair, kf = next((pair, kf) for pair, kf in eigen_measures(red)[0]
                     if pair.value.compare(3) == 0)

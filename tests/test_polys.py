@@ -1,8 +1,10 @@
 """Integer kernels of ``ttm.polys`` against test-local copies of the rational
-versions they replace: Faddeev-LeVerrier over ``Fraction`` and root
-refinement by Sturm counts.  Both must agree bit for bit."""
+versions they replace: Faddeev-LeVerrier over ``Fraction``, the Sturm chain
+of the square-free part and root refinement by Sturm counts.  They must
+agree bit for bit."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from ttm.errors import SpectralError
 import ttm.intervals as ia
 from ttm.polys import (
     CertifiedRoot, adjugate_column, char_poly_and_adjugate, count_roots,
-    largest_real_root, poly_derivative, poly_divmod, poly_trim, square_free_part,
+    largest_real_root, poly_degree, poly_derivative, poly_divmod, poly_gcd, poly_trim,
     sturm_chain,
 )
 from ttm.spectra import block_form, submatrix
@@ -49,6 +51,27 @@ def fraction_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def square_free_part(p):
+    """p divided by the monic gcd of p and p'."""
+    p = poly_trim(tuple(Fraction(c) for c in p))
+    if poly_degree(p) <= 1:
+        return p
+    g = poly_gcd(p, poly_derivative(p))
+    if poly_degree(g) == 0:
+        return p
+    q, r = poly_divmod(p, g)
+    assert all(c == 0 for c in r)
+    return q
+
+
+def primitive(p):
+    """The positive rational multiple of p with coprime integer coefficients."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints) if g > 1 else tuple(ints)
 
 
 def fraction_sturm_chain(p):
@@ -141,6 +164,28 @@ def test_integer_sturm_counts_match_rational(m, lo, hi):
     ref = fraction_sturm_chain(square_free_part(poly))
     expected = fraction_count(ref, lo, hi) if lo < hi else 0
     assert count_roots(poly, lo, hi, chain) == expected
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@settings(max_examples=60)
+@given(irreducible_blocks(), st.sampled_from([(1,), (-1, 1), (0, 0, 1), (1, -2, 1)]))
+def test_sturm_chain_is_the_chain_of_the_square_free_part(m, factor):
+    """One remainder sequence gives the chain of a square-free polynomial;
+    a repeated factor costs a second one on the quotient.  Either way the
+    members are the rational Sturm chain of the square-free part, each made
+    a primitive integer polynomial."""
+    poly, _ = char_poly_and_adjugate(m)
+    for p in (poly, poly_mul(poly, factor), poly_mul(poly, poly)):
+        chain = sturm_chain(p)
+        assert chain == [primitive(q) for q in fraction_sturm_chain(square_free_part(p))]
+        assert chain == sturm_chain(square_free_part(p))
 
 
 def bench_block_polys():

@@ -114,7 +114,7 @@ def test_language_applies_sigma_once_per_window(monkeypatch, sigma):
     """Only the maximal windows go through the rose map, each once: far
     fewer applications than factors, where a worklist over all factors makes
     one application per factor."""
-    windows = image_windows(sigma.rose_map, 10)
+    windows = image_windows(sigma.rose_map, sigma.rose_map.edge_image, 10)
     words = []
     map_path = GraphMap.map_path
 
@@ -155,7 +155,7 @@ def test_longest_factors_are_the_longest_windows(sigma):
     for d in range(1, 11):
         factors = {w for w in sigma.language(d) if len(w) == d}
         windows = {path_to_word(sigma, p)
-                   for p in image_windows(sigma.rose_map, d) if len(p) == d}
+                   for p in image_windows(sigma.rose_map, sigma.rose_map.edge_image, d) if len(p) == d}
         assert factors == windows, d
 
 

@@ -18,6 +18,7 @@ from ttm.towers import (
 )
 
 from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps
+from pullback_reference import backward_pullbacks
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -488,14 +489,16 @@ def test_repetition_bound_legal_mode(monkeypatch, fib_setup):
 
 def windows_violating_pair(tower, n, rho, infinitely_legal=True):
     """Reference scan: every window, mapped letter by letter, filtered after
-    to the reduced images, infinitely legal ones unless told otherwise."""
+    to the reduced images, infinitely legal ones (by the backward pullback
+    reference) unless told otherwise."""
+    legal = backward_pullbacks(tower.f).is_infinitely_legal
     seen = {}
     for center in tower.short_edges(n):
         for w in tower.windows(center, rho, n):
             img = tower.path_image(w, n)
             if not is_reduced(img):
                 continue
-            if infinitely_legal and not tower.pullbacks().is_infinitely_legal(img):
+            if infinitely_legal and not legal(img):
                 continue
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
@@ -515,11 +518,11 @@ WINDOW_CAPS = {"q2": 3, "red": 6}
 def test_legal_windows_are_the_reduced_windows_in_order(name, f, query):
     """The pruned windows are the full list filtered to reduced and
     infinitely legal images, in the same order.  Infinite legality is decided
-    by the pullback query, or by membership in the enumerated infinitely
-    legal language."""
+    by the backward pullback reference, or by membership in the enumerated
+    infinitely legal language."""
     tower = StationaryTower(f)
     if query:
-        legal = tower.pullbacks().is_infinitely_legal
+        legal = backward_pullbacks(f).is_infinitely_legal
     else:
         language = infinitely_legal_language(f, 5).paths   # windows have <= 5 edges
         legal = language.__contains__
