@@ -90,6 +90,9 @@ class Graph:
             f"e{i}" for i in range(self.n_edges))
         if len(self.vertex_labels) != self.n_vertices or len(self.edge_labels) != self.n_edges:
             raise GraphError("label count mismatch")
+        # the terminal and the initial vertex of each oriented edge, by id
+        self._heads = tuple(v for a, b in self._endpoints for v in (b, a))
+        self._tails = tuple(v for a, b in self._endpoints for v in (a, b))
         # directions[v] = tuple of oriented edges with initial vertex v
         at = [[] for _ in range(self.n_vertices)]
         for k, (a, b) in enumerate(self._endpoints):
@@ -136,11 +139,10 @@ class Graph:
         return range(2 * self.n_edges)
 
     def terminal(self, e: int) -> int:
-        a, b = self._endpoints[e >> 1]
-        return b if e % 2 == 0 else a
+        return self._heads[e]
 
     def initial(self, e: int) -> int:
-        return self.terminal(inverse(e))
+        return self._tails[e]
 
     def valence(self, v: int) -> int:
         return len(self._directions[v])
@@ -171,10 +173,10 @@ class Graph:
     # -- path validation ---------------------------------------------------------
 
     def is_path(self, path: Path) -> bool:
-        if any(not (0 <= e < 2 * self.n_edges) for e in path):
+        if path and not (0 <= min(path) and max(path) < 2 * self.n_edges):
             return False
-        return all(self.terminal(path[i]) == self.initial(path[i + 1])
-                   for i in range(len(path) - 1))
+        heads, tails = self._heads, self._tails
+        return all(heads[a] == tails[b] for a, b in zip(path, path[1:]))
 
     def check_path(self, path: Path) -> Path:
         if not self.is_path(path):

@@ -46,16 +46,12 @@ class GraphMap:
         for v in self.vertex_image:
             if not (0 <= v < codomain.n_vertices):
                 raise MapError("vertex image out of range")
-        for k, p in enumerate(self.edge_image):
+        heads, tails = codomain._heads, codomain._tails
+        for k, ((u, w), p) in enumerate(zip(domain._endpoints, self.edge_image)):
             if not codomain.is_path(p):
                 raise MapError(f"image of edge {domain.edge_labels[k]} is not a path")
-            e = 2 * k
-            u, w = domain.initial(e), domain.terminal(e)
-            pu = self.vertex_image[u]
-            pw = self.vertex_image[w]
-            iu = codomain.initial(p[0]) if p else pu
-            iw = codomain.terminal(p[-1]) if p else pu
-            if (iu, iw) != (pu, pw):
+            pu, pw = self.vertex_image[u], self.vertex_image[w]
+            if ((tails[p[0]], heads[p[-1]]) if p else (pu, pu)) != (pu, pw):
                 raise MapError(
                     f"image of edge {domain.edge_labels[k]} does not run between "
                     "the images of its endpoints")
@@ -437,77 +433,57 @@ def fundamental_group_images(f: GraphMap):
     return words, rank
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.get(root, root) != root:
-            root = self.parent[root]
-        while self.parent.get(x, x) != x:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        a, b = self.find(a), self.find(b)
-        if a != b:
-            self.parent[a] = b
-        return b
-
-
-def _folded_wedge(words):
-    """Stallings graph of the subgroup generated by ``words``: wedge the
-    loops at a basepoint and fold until no state carries two equal-letter
-    edges.  Returns ``(transitions, find)`` with
-    ``transitions[state][signed letter] -> state`` an immersion.
-    """
-    uf = _UnionFind()
-    edges = []
-    fresh = [1]  # state 0 is the basepoint
-
-    def new_state():
-        fresh[0] += 1
-        return fresh[0] - 1
-
-    for w in words:
-        cur = 0
-        for i, letter in enumerate(w):
-            target = 0 if i == len(w) - 1 else new_state()
-            edges.append((cur, letter, target))
-            edges.append((target, -letter, cur))
-            cur = target
-    while True:
-        out = {}
-        clash = None
-        for u, letter, v in edges:
-            u, v = uf.find(u), uf.find(v)
-            key = (u, letter)
-            if key in out and out[key] != v:
-                clash = (out[key], v)
-                break
-            out[key] = v
-        if clash is None:
-            transitions = {}
-            for (u, letter), v in out.items():
-                transitions.setdefault(u, {})[letter] = v
-            return transitions, uf.find
-        uf.union(*clash)
-
-
 def subgroup_is_whole_group(words, rank) -> bool:
     """Does the subgroup generated by the words equal the whole free group?
 
-    Membership of a basis letter is a labelled loop at the basepoint of the
-    folded graph, and containing every basis letter is equivalent to being
-    the whole group.
+    The words are wedged as loops at the basepoint, state 0, and folded
+    (Stallings) by a worklist: each state has one signed letter -> state
+    dict, a second edge with a letter already there queues its target and
+    the first one for merging, and a merge moves the smaller dict into the
+    larger.  Membership of a basis letter is then a labelled loop at the
+    basepoint, and containing every basis letter is equivalent to being the
+    whole group.
     """
     if rank == 0:
         return True
-    transitions, find = _folded_wedge(words)
+    out = [{}]       # out[state]: signed letter -> state (not yet merged away)
+    parent = [0]     # merged states point towards their representative
+    clashes = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def add(u, letter, v):
+        w = out[u].setdefault(letter, v)
+        if w != v:
+            clashes.append((w, v))
+
+    for word in words:
+        cur = 0
+        for i, letter in enumerate(word):
+            if i == len(word) - 1:
+                target = 0
+            else:
+                target = len(out)
+                out.append({})
+                parent.append(target)
+            add(cur, letter, target)
+            add(target, -letter, cur)
+            cur = target
+    while clashes:
+        a, b = map(find, clashes.pop())
+        if a != b:
+            if len(out[a]) < len(out[b]):
+                a, b = b, a
+            parent[b] = a
+            for letter, v in out[b].items():
+                add(a, letter, v)
+            out[b] = None
     base = find(0)
-    at_base = transitions.get(base, {})
-    return all(at_base.get(k) == base for k in range(1, rank + 1))
+    at_base = out[base]
+    return all(k in at_base and find(at_base[k]) == base for k in range(1, rank + 1))
 
 
 def is_homotopy_equivalence(f: GraphMap) -> bool:

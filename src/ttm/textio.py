@@ -61,9 +61,15 @@ class InputDocument:
 
 
 def token_strings(text: str):
-    """The texts of the tokens of :func:`tokenize`, from the same scan."""
-    return [t for raw in text.splitlines()
-            for t in _TOKEN.findall(raw.split("#", 1)[0])]
+    """The texts of the tokens of :func:`tokenize`: comments cut per line,
+    the marks padded with spaces, then one whitespace split.  ``str.split``
+    and the regex ``\\s`` share one whitespace test, and every line
+    boundary is whitespace; ``->`` occurrences cannot overlap."""
+    if "#" in text:
+        text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    for mark in PUNCT:
+        text = text.replace(mark, f" {mark} ")
+    return text.split()
 
 
 _END = ""                         # end sentinel: no token is empty

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import intervals as ia
-from .errors import MapError, PreconditionError
-from .graphs import inverse, is_reduced, make_turn, reverse_path
+from .errors import PreconditionError
+from .graphs import inverse, make_turn, reverse_path
 from .maps import (
     DirectionAnalysis, GraphMap, LegalPullbacks, junction_turns,
     require_expanding_train_track,
@@ -105,19 +105,6 @@ class StationaryTower:
         e, j = se
         return self.word(e, n)[j]
 
-    def image_at_level(self, se, n: int, m: int):
-        """Image of a level-n short edge at level m (a single level-m short
-        edge, since level-n subdivision points sit over level-m ones)."""
-        e, j = se
-        w = self.word(e, n - m)
-        total = 0
-        for letter in w:
-            step = len(self.word(letter, m))
-            if j < total + step:
-                return (letter, j - total)
-            total += step
-        raise MapError("offset out of range")
-
     def successors(self, se, n: int):
         """Level-n short edges that can follow ``se`` on a reduced path."""
         e, j = se
@@ -132,17 +119,6 @@ class StationaryTower:
 
     def path_image(self, path, n: int):
         return tuple(self.image_letter(se, n) for se in path)
-
-    def crossed_turns(self, path, n: int):
-        """Base-graph turns this level-n path crosses at unsubdivided
-        vertices (in order)."""
-        out = []
-        for i in range(len(path) - 1):
-            e, j = path[i]
-            if j == len(self.word(e, n)) - 1:
-                e2, _ = path[i + 1]
-                out.append(make_turn(inverse(e), e2))
-        return out
 
     def windows(self, center, radius: int, n: int):
         """All reduced level-n paths of length 2*radius + 1 centred on the
@@ -206,9 +182,6 @@ class StationaryTower:
         if self._pullbacks is None:
             self._pullbacks = LegalPullbacks(self.f)
         return self._pullbacks
-
-    def is_level_path_legal(self, path, n: int) -> bool:
-        return is_reduced(self.path_image(path, n))
 
 
 # -- vector and weight towers -----------------------------------------------------
@@ -291,20 +264,6 @@ class WeightTower:
     def turn_weight_at(self, turn, n: int):
         return self.turn_weight[make_turn(*turn)] * self.vt.level_scale(n)
 
-    def level_path_weight(self, path, n: int):
-        """Weight of a level-n path: the common short-edge weight when it
-        stays inside one subdivided edge, the crossed turn weight when it
-        passes one unsubdivided vertex.  More than one crossing is out of
-        range for the weight of a path."""
-        crossed = self.tower.crossed_turns(path, n)
-        if len(crossed) > 1:
-            raise PreconditionError(
-                "path weight needs at most one unsubdivided-vertex crossing; "
-                "use a higher level")
-        if crossed:
-            return self.turn_weight_at(crossed[0], n)
-        return self.edge_weight_at(path[0][0], n)
-
     # -- structural checks ---------------------------------------------------------
 
     def switch_residuals(self):
@@ -329,24 +288,6 @@ class WeightTower:
 
     def check_switch_conditions(self) -> bool:
         return all(ia.contains_zero(r) for r in self.switch_residuals().values())
-
-    def check_illegal_zero(self) -> bool:
-        da = self.tower.directions
-        return all(ia.is_exact_zero(w) for t, w in self.turn_weight.items()
-                   if not da.is_legal(t))
-
-    def check_turn_bounds(self):
-        """Turn weights never exceed the adjacent edge weights."""
-        for (d1, d2), w in self.turn_weight.items():
-            for d in (d1, d2):
-                if (w <= self.edge_weight[d]) is False:
-                    return False
-        return True
-
-    def compatibility_residual(self):
-        """Level compatibility of edge weights reduces to the eigen identity."""
-        return ia.eigen_residual(self.tower.f.transition_matrix(), self.vt.vector,
-                                 self.vt.lam)
 
 
 def weight_tower_from_vector(vt: VectorTower) -> WeightTower:

@@ -1,10 +1,11 @@
 import pytest
 
-from ttm.errors import GraphError, PathError
+from ttm.errors import GraphError, MapError, PathError
 from ttm.graphs import (
     Graph, Language, inverse, is_reduced, make_turn, reverse_path, rose,
     subpaths_up_to, turns_of,
 )
+from ttm.maps import GraphMap
 
 from conftest import A, Abar, B, Bbar
 
@@ -60,6 +61,14 @@ def test_path_validation(rose2):
     assert not theta.is_path((0, 2))  # x then y does not match endpoints
     with pytest.raises(PathError):
         theta.check_path((0, 2))
+    # ids outside 0 .. 2 n_edges - 1 are no edges, though -1 would index the
+    # endpoint tables like 5, which may follow 0 and be the image of 0
+    assert theta.is_path((0, 5))
+    GraphMap(theta, theta, [1, 0], [(5,), (3,), (1,)])
+    for bad in (-1, 2 * theta.n_edges):
+        assert not theta.is_path((bad,)) and not theta.is_path((0, bad))
+        with pytest.raises(MapError):
+            GraphMap(theta, theta, [1, 0], [(bad,), (3,), (1,)])
 
 
 def test_reduced_paths_by_length_then_edge_ids(rose2):

@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,11 @@ from ttm.graphs import (
 from ttm.maps import (
     DirectionAnalysis, GraphMap, LegalPullbacks, compose, fundamental_group_images,
     identity_map, image_windows, infinitely_legal_language, is_expanding,
-    is_homotopy_equivalence, is_train_track, legal_seeds, matmul, power, used_language,
+    is_homotopy_equivalence, is_train_track, legal_seeds, matmul, power,
+    subgroup_is_whole_group, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
+from ttm.textio import parse
 
 from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, pullback_maps, random_graph, random_map,
@@ -441,3 +445,107 @@ def test_language_preconditions(rose2):
 def test_power(fibonacci):
     f3 = power(fibonacci, 3)
     assert f3.edge_image[0] == fibonacci.iterate_image(A, 3)
+
+
+# -- Stallings folding against the restart-scan reference ------------------------------
+
+
+def restart_scan_is_whole_group(words, rank):
+    """The folding the worklist replaced: wedge the loops at state 0, then
+    rescan every edge after each merge until no state carries two
+    equal-letter edges; a basis letter is in the subgroup iff it labels a
+    loop at the basepoint."""
+    if rank == 0:
+        return True
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    edges, fresh = [], 1
+    for w in words:
+        cur = 0
+        for i, letter in enumerate(w):
+            if i == len(w) - 1:
+                target = 0
+            else:
+                target, fresh = fresh, fresh + 1
+            edges += [(cur, letter, target), (target, -letter, cur)]
+            cur = target
+    while True:
+        out, clash = {}, None
+        for u, letter, v in edges:
+            key, v = (find(u), letter), find(v)
+            if out.setdefault(key, v) != v:
+                clash = (out[key], v)
+                break
+        if clash is None:
+            break
+        parent[clash[0]] = clash[1]
+    base = find(0)
+    return all(out.get((base, k)) == base for k in range(1, rank + 1))
+
+
+def random_word_lists(seed, count):
+    """Lists of random words of 1 to 6 signed letters, of rank 0 to 4;
+    letters next to their inverses are kept, so words cancel freely."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rank = rng.randrange(5)
+        letters = [s * k for k in range(1, rank + 1) for s in (1, -1)]
+        n_words = rng.randrange(rank + 3) if rank else 0
+        out.append(([tuple(rng.choice(letters) for _ in range(rng.randrange(1, 7)))
+                     for _ in range(n_words)], rank))
+    return out
+
+
+BASIC_SUBGROUPS = [
+    ([], 0, True), ([(1,)], 1, True), ([(1, 1)], 1, False), ([(-1,)], 1, True),
+    ([(1, 1), (2,)], 2, False),                     # <a^2, b>
+    ([(1, 2), (2, 1)], 2, False),                   # <ab, ba>
+    ([(1, 2), (2,)], 2, True),                      # <ab, b>
+    ([(1, 2, -2), (2,)], 2, True),                  # a b ~b cancels freely to a
+    ([(1, 2, -2, -1), (2,)], 2, False),             # the trivial word and b
+    ([(2, 1, -2), (2,)], 2, True),                  # a conjugate of a, and b
+    ([(1, 2, 3), (2, 3), (3,)], 3, True),
+    ([(1, 2), (2, 1), (3,)], 3, False),
+]
+
+
+@pytest.mark.parametrize("words, rank, whole", BASIC_SUBGROUPS)
+def test_subgroup_is_whole_group_on_basic_subgroups(words, rank, whole):
+    assert subgroup_is_whole_group(words, rank) is whole
+    assert restart_scan_is_whole_group(words, rank) is whole
+
+
+def test_folding_equals_restart_scan_on_random_words():
+    lists = random_word_lists(19830, 400)
+    verdicts = [subgroup_is_whole_group(w, r) for w, r in lists]
+    assert verdicts == [restart_scan_is_whole_group(w, r) for w, r in lists]
+    assert True in verdicts and False in verdicts
+
+
+def bench_workloads():
+    """``bench/workloads.py``, which imports nothing of this package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_folding_equals_restart_scan_on_maps():
+    """Every self-map of ``random_tame_maps`` and of the seeded bench
+    documents of two seeds gets the reference's verdict."""
+    workloads = bench_workloads()
+    maps = [f for f in random_tame_maps(20240924, 200) if f.is_self_map()]
+    for seed in (1, 7):
+        doc = parse(workloads.random_maps_text(seed, 30))
+        maps += [m for m, _, _ in doc.maps.values()]
+    verdicts = [is_homotopy_equivalence(f) for f in maps]
+    assert verdicts == [restart_scan_is_whole_group(*fundamental_group_images(f))
+                        for f in maps]
+    assert True in verdicts and False in verdicts

@@ -1,6 +1,6 @@
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ttm.errors import ParseError
 from ttm.textio import (
@@ -114,6 +114,19 @@ def test_names_are_unique_per_declaration_kind():
     assert doc.substitution("R").images == (("a", "a"),)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("graph G { vertices: v ; edge a: v ->", "unexpected end of input"),
+    (R_DOC + "map f: R -> R { vertex v ->", "unexpected end of input"),
+    (R_DOC + "map f: R -> R { a -> a", "expected ';' at end of input"),
+])
+def test_declarations_cut_off_at_end_of_input(text, message):
+    """A declaration cut off at the end of input is an error without a
+    position."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, None, None)
+
+
 def test_invalid_graph_reported():
     with pytest.raises(ParseError):
         parse("graph G { vertices: u v ; edge a: u -> v ; }")  # valence 1
@@ -177,6 +190,15 @@ def test_tokenize_matches_character_scanner(text):
 
 @settings(max_examples=300)
 @given(st.one_of(st.text(DOC_CHARS, max_size=60), st.text(max_size=60)))
+@example("a->b")
+@example("-->")
+@example("->->")
+@example("->>")
+@example("x#y->z")
+@example("a ->\r\nb;c\r\n")
+@example("a\x1e# b -> c\nd{")
+@example("a\u2028#b\u2029c:d")
+@example("a\x1fb")
 def test_token_strings_are_the_token_texts(text):
     """The parser's flat token strings are the texts of the positioned
     tokens it recovers error positions from."""

@@ -91,13 +91,24 @@ def test_level_graph_matches_virtual_structure(fib_setup):
                 assert sf.map.image(short) == (tower.image_letter((2 * k, i), n),)
 
 
+def image_at_level(tower, se, n, m):
+    """Image of a level-n short edge at level m: one level-m short edge,
+    since level-n subdivision points sit over level-m ones."""
+    e, j = se
+    for letter in tower.word(e, n - m):
+        if j < len(tower.word(letter, m)):
+            return (letter, j)
+        j -= len(tower.word(letter, m))
+    raise AssertionError("offset out of range")
+
+
 def test_image_at_level(fib_setup):
     tower = fib_setup[0]
     # words refine consistently between levels
     for n, m in [(2, 1), (3, 1), (3, 2), (4, 0)]:
         for e in tower.graph.oriented_edges:
             for j in range(len(tower.word(e, n))):
-                se = tower.image_at_level((e, j), n, m)
+                se = image_at_level(tower, (e, j), n, m)
                 # mapping down to level 0 in two hops agrees with one hop
                 letter_direct = tower.image_letter((e, j), n)
                 letter_via = tower.image_letter(se, m)
@@ -342,17 +353,22 @@ def test_switch_conditions(fib_setup, tm_setup):
 def test_illegal_turns_have_zero_weight(fib_setup, tm_setup):
     for setup in (fib_setup, tm_setup):
         wt = setup[2]
-        assert wt.check_illegal_zero()
+        da = wt.tower.directions
+        assert all(ia.is_exact_zero(w) for t, w in wt.turn_weight.items()
+                   if not da.is_legal(t))
 
 
 def test_turn_weight_bounded_by_edge_weights(fib_setup, tm_setup):
     for setup in (fib_setup, tm_setup):
-        assert setup[2].check_turn_bounds()
+        wt = setup[2]
+        assert all((w <= wt.edge_weight[d]) is not False
+                   for turn, w in wt.turn_weight.items() for d in turn)
 
 
 def test_compatibility_is_eigen_identity(fib_setup):
     _, _, wt, _ = fib_setup
-    assert all(ia.contains_zero(r) for r in wt.compatibility_residual())
+    residual = ia.eigen_residual(wt.tower.f.transition_matrix(), wt.vt.vector, wt.vt.lam)
+    assert all(map(ia.contains_zero, residual))
 
 
 def test_weight_determination_identity(fib_setup):
@@ -367,19 +383,29 @@ def test_weight_determination_identity(fib_setup):
         n = max(n, m)
         for center in tower.short_edges(m):
             windows = [w for w in tower.windows(center, r, m)
-                       if tower.is_level_path_legal(w, m)]
+                       if is_reduced(tower.path_image(w, m))]
             total = ia.zero()
             for w in windows:
                 for lifted in _level_preimages(tower, w, m, n):
-                    total = total + wt.level_path_weight(lifted, n)
+                    total = total + level_path_weight(wt, lifted, n)
             target = wt.edge_weight_at(center[0], m)
             assert ia.sup_abs(total - target) < 1e-12, (m, r, center)
+
+
+def level_path_weight(wt, path, n):
+    """Weight of a level-n path crossing at most one unsubdivided vertex:
+    that turn's weight, else the common short-edge weight."""
+    word = wt.tower.word
+    crossed = [make_turn(e ^ 1, path[i + 1][0]) for i, (e, j) in enumerate(path[:-1])
+               if j == len(word(e, n)) - 1]
+    assert len(crossed) <= 1
+    return wt.turn_weight_at(crossed[0], n) if crossed else wt.edge_weight_at(path[0][0], n)
 
 
 def _level_preimages(tower, path, m, n):
     """Legal level-n paths mapping onto the given level-m path."""
     starts = [se for se in tower.short_edges(n)
-              if tower.image_at_level(se, n, m) == path[0]]
+              if image_at_level(tower, se, n, m) == path[0]]
     out = []
 
     def extend(prefix, idx):
@@ -387,14 +413,14 @@ def _level_preimages(tower, path, m, n):
             out.append(tuple(prefix))
             return
         for nxt in tower.successors(prefix[-1], n):
-            if tower.image_at_level(nxt, n, m) == path[idx]:
+            if image_at_level(tower, nxt, n, m) == path[idx]:
                 prefix.append(nxt)
                 extend(prefix, idx + 1)
                 prefix.pop()
 
     for s in starts:
         extend([s], 1)
-    return [p for p in out if tower.is_level_path_legal(p, n)]
+    return [p for p in out if is_reduced(tower.path_image(p, n))]
 
 
 def test_tower_self_morphism(fib_setup, golden_root):
