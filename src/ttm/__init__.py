@@ -14,12 +14,11 @@ from .errors import (
     PreconditionError, SpectralError, TTMError,
 )
 from .graphs import (
-    Graph, Language, inverse, is_reduced, make_turn, reverse_path, rose,
-    turns_of,
+    Graph, inverse, is_reduced, make_turn, reverse_path, rose, turns_of,
 )
 from .maps import (
     DirectionAnalysis, GraphMap, compose, identity_map, infinitely_legal_language,
-    is_expanding, is_homotopy_equivalence, is_train_track, power, used_language,
+    is_expanding, is_homotopy_equivalence, is_train_track, used_language,
 )
 from .measures import (
     FrequencyOracle, KolmogorovFunction, MeasureTable, eigen_measures,

@@ -1,4 +1,4 @@
-"""Graphs with oriented-edge involution, reduced edge paths, turns, languages.
+"""Graphs with oriented-edge involution, reduced edge paths and turns.
 
 An unoriented edge is stored as a pair of oppositely oriented edges.  Oriented
 edges are small integers: the pair for unoriented edge ``k`` is ``2k``
@@ -14,8 +14,6 @@ All objects here are immutable after construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import GraphError, PathError
 
@@ -178,11 +176,6 @@ class Graph:
         heads, tails = self._heads, self._tails
         return all(heads[a] == tails[b] for a, b in zip(path, path[1:]))
 
-    def check_path(self, path: Path) -> Path:
-        if not self.is_path(path):
-            raise PathError(f"not an edge path in this graph: {path!r}")
-        return tuple(path)
-
     def path_initial(self, path: Path) -> int:
         return self.initial(path[0])
 
@@ -191,19 +184,15 @@ class Graph:
 
     # -- path enumeration ----------------------------------------------------------
 
-    def reduced_paths(self, max_length: int, start=None):
+    def reduced_paths(self, max_length: int):
         """All non-trivial reduced paths of length <= max_length, by length
         and then by edge ids.
 
-        ``start`` restricts the initial vertex.  Intended for desk-scale
-        graphs; the count grows exponentially in ``max_length``.
+        Intended for desk-scale graphs; the count grows exponentially in
+        ``max_length``.
         """
-        out = []
-        frontier = []
-        for e in self.oriented_edges:
-            if start is None or self.initial(e) == start:
-                frontier.append((e,))
-        out.extend(frontier)
+        frontier = [(e,) for e in self.oriented_edges]
+        out = list(frontier)
         for _ in range(max_length - 1):
             nxt = []
             for p in frontier:
@@ -240,49 +229,6 @@ class Graph:
 def rose(n_petals: int, edge_labels=None) -> Graph:
     """One-vertex graph with ``n_petals`` loops."""
     return Graph(1, [(0, 0)] * n_petals, vertex_labels=("*",), edge_labels=edge_labels)
-
-
-@dataclass(frozen=True)
-class Language:
-    """A finite set of reduced paths, complete up to ``max_length``.
-
-    Languages produced in this package are truncations of laminary languages:
-    closed under reversal and subpaths, and every member shorter than the
-    bound extends on both sides within the set.
-    """
-
-    paths: frozenset
-    max_length: int
-
-    def __contains__(self, path):
-        return tuple(path) in self.paths
-
-    def laminary_violations(self, graph: Graph):
-        """Check closure under reversal/subpaths and bi-extendability.
-
-        Returns a list of human-readable problems (empty = laminary up to the
-        bound, in the exact truncated sense).
-        """
-        problems = []
-        for p in self.paths:
-            if not p:
-                problems.append("contains the empty path")
-                continue
-            if not is_reduced(p):
-                problems.append(f"unreduced member {p}")
-            if reverse_path(p) not in self.paths:
-                problems.append(f"reversal of {p} missing")
-            if len(p) > 1:
-                if p[:-1] not in self.paths or p[1:] not in self.paths:
-                    problems.append(f"subpath of {p} missing")
-            if len(p) < self.max_length:
-                if not any(((e0,) + p) in self.paths
-                           for e0 in graph.extensions_left(p)):
-                    problems.append(f"{p} has no left extension")
-                if not any((p + (e1,)) in self.paths
-                           for e1 in graph.extensions_right(p)):
-                    problems.append(f"{p} has no right extension")
-        return problems
 
 
 def subpaths_up_to(path: Path, max_length: int):

@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .errors import MapError, PreconditionError
 from .graphs import (
-    Graph, Language, inverse, is_reduced, make_turn, is_degenerate,
-    reverse_path, subpaths_up_to, turns_of,
+    Graph, inverse, is_reduced, make_turn, is_degenerate, reverse_path,
+    subpaths_up_to, turns_of,
 )
 
 
@@ -211,15 +211,6 @@ def compose(g: GraphMap, f: GraphMap) -> GraphMap:
     vimg = tuple(g.vertex_image[v] for v in f.vertex_image)
     eimg = tuple(g.map_path(p) for p in f.edge_image)
     return GraphMap(f.domain, g.codomain, vimg, eimg)
-
-
-def power(f: GraphMap, t: int) -> GraphMap:
-    if t < 0:
-        raise MapError("negative power")
-    out = identity_map(f.domain)
-    for _ in range(t):
-        out = compose(f, out)
-    return out
 
 
 def matmul(a, b):
@@ -533,7 +524,7 @@ def image_windows(f: GraphMap, starts, max_length: int):
     return windows
 
 
-def used_language(f: GraphMap, max_length: int) -> Language:
+def used_language(f: GraphMap, max_length: int) -> frozenset:
     """Reduced paths of length <= max_length occurring as subpaths of some
     iterated edge image: the subpaths of the windows of the positive edge
     images and their reversals (the image of a reversed path is the reversed
@@ -543,8 +534,7 @@ def used_language(f: GraphMap, max_length: int) -> Language:
     paths = set()
     for w in image_windows(f, f.edge_image, max_length):
         paths |= subpaths_up_to(w, max_length)
-    paths |= {reverse_path(p) for p in paths}
-    return Language(frozenset(paths), max_length)
+    return frozenset(paths | {reverse_path(p) for p in paths})
 
 
 def legal_seeds(f: GraphMap):
@@ -598,11 +588,10 @@ class LegalPullbacks:
 
 
 def infinitely_legal_language(f: GraphMap, max_length: int,
-                              pullbacks: LegalPullbacks | None = None) -> Language:
+                              pullbacks: LegalPullbacks | None = None) -> frozenset:
     """Truncation of the language of paths that are subpaths of arbitrarily
     high iterate images of legal paths: the members of lengths 1 to
     max_length."""
     if pullbacks is None:
         pullbacks = LegalPullbacks(f)
-    paths = frozenset().union(*map(pullbacks.paths_of_length, range(1, max_length + 1)))
-    return Language(paths, max_length)
+    return frozenset().union(*map(pullbacks.paths_of_length, range(1, max_length + 1)))

@@ -209,7 +209,7 @@ class KolmogorovFunction:
         tables linear in the language size."""
         lang = infinitely_legal_language(self.tower.f, max_length,
                                          self.tower.pullbacks())
-        entries = {p: self.eval(p) for p in lang.paths}
+        entries = {p: self.eval(p) for p in lang}
         return MeasureTable(self.graph, entries, max_length)
 
 
@@ -273,12 +273,11 @@ class MeasureTable:
         self.entries = fixed
 
     def value(self, path):
-        path = tuple(path)
-        if path in self.entries:
-            return self.entries[path]
-        rev = reverse_path(path)
-        if rev in self.entries:
-            return self.entries[rev]
+        """The recorded value of a path or its reversal; zero for an unlisted
+        path within the bound, IncompleteTableError beyond it."""
+        value = self.recorded(path)
+        if value is not None:
+            return value
         if len(path) > self.max_length:
             raise IncompleteTableError(
                 f"table complete only up to length {self.max_length}")
@@ -519,8 +518,7 @@ def _pushforward_walk(f: GraphMap, kf: KolmogorovFunction, max_length: int):
 # -- weight recovery -------------------------------------------------------------------
 
 
-def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: int,
-                    enforce_bound: bool = True):
+def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: int):
     """Reconstruct the level-m short-edge weights from measured cylinder
     values: the weight of a short edge is the sum of the table values over
     the *distinct* infinitely legal images of the radius-rho windows centred
@@ -528,13 +526,12 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
 
     ``rho`` must be at least the level's repetition bound, otherwise windows
     centred on different edges can read the same word and the sums
-    double-count; pass ``enforce_bound=False`` to experiment below the bound.
+    double-count; PreconditionError below the bound, IncompleteTableError
+    when the table stops short of the window length ``2 rho + 1``.
     """
-    if enforce_bound:
-        search = repetition_bound(tower, m, rho)
-        if not search.found:
-            raise PreconditionError(
-                f"radius {rho} is below the repetition bound of level {m}")
+    if not repetition_bound(tower, m, rho).found:
+        raise PreconditionError(
+            f"radius {rho} is below the repetition bound of level {m}")
     if 2 * rho + 1 > table.max_length:
         raise IncompleteTableError(
             f"windows of length {2 * rho + 1} exceed the table bound "

@@ -171,16 +171,6 @@ class BlockForm:
     power_used: int          # least power normalising the block structure
     reach: tuple             # reach[i] = frozenset of block indices reachable from block i
 
-    @property
-    def permutation(self):
-        """Concatenated block indices: new position -> original index."""
-        return tuple(i for b in self.blocks for i in b)
-
-    def permuted_matrix(self):
-        p = self.permutation
-        return tuple(tuple(self.matrix[p[r]][p[c]] for c in range(len(p)))
-                     for r in range(len(p)))
-
 
 def _reachability(m, blocks):
     n = len(m)

@@ -117,9 +117,6 @@ class StationaryTower:
         rev = self.reverse_short(se, n)
         return [self.reverse_short(t, n) for t in self.successors(rev, n)]
 
-    def path_image(self, path, n: int):
-        return tuple(self.image_letter(se, n) for se in path)
-
     def windows(self, center, radius: int, n: int):
         """All reduced level-n paths of length 2*radius + 1 centred on the
         given short edge."""
@@ -255,14 +252,6 @@ class WeightTower:
         # every unvisited turn shares one exact zero
         self._zero = zero
         self.turn_weight = {t: sums.get(t, zero) for t in graph.all_turns()}
-
-    # -- level access -----------------------------------------------------------
-
-    def edge_weight_at(self, e: int, n: int):
-        return self.edge_weight[e] * self.vt.level_scale(n)
-
-    def turn_weight_at(self, turn, n: int):
-        return self.turn_weight[make_turn(*turn)] * self.vt.level_scale(n)
 
     # -- structural checks ---------------------------------------------------------
 

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 import ttm.intervals as ia
 from ttm.errors import GraphError, TTMError
-from ttm.graphs import Graph, rose
+from ttm.graphs import Graph, is_reduced, reverse_path, rose
 from ttm.maps import GraphMap, is_expanding, is_train_track
 from ttm.measures import eigen_measures, eigenvector_measure
 from ttm.polys import largest_real_root
@@ -66,6 +66,19 @@ def measures_of(f):
     return [kf for _, kf in eigen_measures(f)[0]]
 
 
+def laminary_violations(paths, max_length: int, graph: Graph):
+    """The members that keep a set of paths from being a laminary language
+    truncated at ``max_length``: empty or unreduced ones, those whose
+    reversal or maximal proper subpaths are missing, and those shorter than
+    the bound without a left and a right extension in the set."""
+    return [p for p in paths
+            if not p or not is_reduced(p) or reverse_path(p) not in paths
+            or len(p) > 1 and not {p[:-1], p[1:]} <= paths
+            or len(p) < max_length and not (
+                any((e0,) + p in paths for e0 in graph.extensions_left(p))
+                and any(p + (e1,) in paths for e1 in graph.extensions_right(p)))]
+
+
 # -- random generation for the property suites ----------------------------------
 
 
@@ -81,8 +94,8 @@ def random_graph(rng: random.Random, max_vertices=4, max_edges=6) -> Graph:
 
 
 def reduced_paths_between(g: Graph, u: int, w: int, max_len: int):
-    return [p for p in g.reduced_paths(max_len, start=u)
-            if g.path_terminal(p) == w]
+    return [p for p in g.reduced_paths(max_len)
+            if g.path_initial(p) == u and g.path_terminal(p) == w]
 
 
 def random_map(rng: random.Random, dom: Graph, cod: Graph, max_len=4):

@@ -10,7 +10,7 @@ table, so the equivalence tests compare two independent routes.
 
 import functools
 
-from ttm.graphs import Language, inverse, make_turn
+from ttm.graphs import inverse, make_turn
 from ttm.maps import DirectionAnalysis, GraphMap, require_expanding_train_track
 
 
@@ -101,7 +101,7 @@ class BackwardPullbacks:
         return dfs(path)
 
 
-def backward_language(pullbacks, max_length: int) -> Language:
+def backward_language(pullbacks, max_length: int) -> frozenset:
     """The infinitely legal paths of length 1 to max_length, by one-edge
     extension: the language is closed under subpaths, so every member of
     length l+1 extends a member of length l."""
@@ -112,7 +112,7 @@ def backward_language(pullbacks, max_length: int) -> Language:
         frontier = [p + (e1,) for p in frontier for e1 in g.extensions_right(p)
                     if pullbacks.is_infinitely_legal(p + (e1,))]
         collected.update(frontier)
-    return Language(frozenset(collected), max_length)
+    return frozenset(collected)
 
 
 @functools.cache

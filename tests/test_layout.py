@@ -1,10 +1,15 @@
 """Module layering of ``ttm``: every import sits at module level, and the
-dependencies that the unreached-code trim removed stay removed."""
+dependencies, names and parameters that the unreached-code trims removed
+stay removed."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+import ttm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ttm"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
@@ -14,6 +19,17 @@ REMOVED_DEPENDENCIES = {
     "towers": {"dialects", "maps.matmul"},
     "textio": {"measures"},
     "maps": {"polys"},
+}
+
+# module -> names ("Class.attr" for members, "function(parameter)" for
+# parameters) that no command, benchmark job or tracer reached
+REMOVED_NAMES = {
+    "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
+    "maps": {"power"},
+    "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
+               "WeightTower.turn_weight_at"},
+    "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
+    "measures": {"recover_weights(enforce_bound)"},
 }
 
 
@@ -56,3 +72,19 @@ def test_imports_at_module_level(module):
 def test_removed_dependencies_stay_removed(module):
     used = ttm_imports(tree_of(module))
     assert not used & REMOVED_DEPENDENCIES[module], sorted(used)
+
+
+@pytest.mark.parametrize("module,name", [
+    pytest.param(module, name, id=f"{module}.{name}")
+    for module in sorted(REMOVED_NAMES) for name in sorted(REMOVED_NAMES[module])])
+def test_removed_names_stay_removed(module, name):
+    owner = importlib.import_module(f"ttm.{module}")
+    path, _, parameter = name.rstrip(")").partition("(")
+    *owners, attr = path.split(".")
+    for o in owners:
+        owner = getattr(owner, o)
+    if parameter:
+        assert parameter not in inspect.signature(getattr(owner, attr)).parameters
+    else:
+        assert not hasattr(owner, attr)
+        assert owners or not hasattr(ttm, attr), "still exported by ttm"

@@ -8,20 +8,20 @@ import pytest
 
 from ttm.errors import MapError, PreconditionError
 from ttm.graphs import (
-    inverse, is_reduced, make_turn, reverse_path, rose, subpaths_up_to, turns_of,
+    inverse, is_reduced, reverse_path, rose, subpaths_up_to, turns_of,
 )
 from ttm.maps import (
     DirectionAnalysis, GraphMap, LegalPullbacks, compose, fundamental_group_images,
     identity_map, image_windows, infinitely_legal_language, is_expanding,
-    is_homotopy_equivalence, is_train_track, legal_seeds, matmul, power,
+    is_homotopy_equivalence, is_train_track, legal_seeds, matmul,
     subgroup_is_whole_group, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
 from ttm.textio import parse
 
 from conftest import (
-    A, Abar, B, Bbar, expanding_self_maps, pullback_maps, random_graph, random_map,
-    random_tame_maps,
+    A, Abar, B, Bbar, expanding_self_maps, laminary_violations, pullback_maps,
+    random_graph, random_map, random_tame_maps,
 )
 from pullback_reference import BackwardPullbacks, backward_language
 
@@ -210,21 +210,21 @@ def test_abelianization_determinant_equals_elimination():
 
 def test_used_language(fibonacci, thue_morse, rose2):
     lang = used_language(fibonacci, 2)
-    positives = {p for p in lang.paths if all(e % 2 == 0 for e in p)}
+    positives = {p for p in lang if all(e % 2 == 0 for e in p)}
     assert positives == {(A,), (B,), (A, B), (B, A), (A, A)}
-    assert (B, B) not in lang.paths
-    assert all(reverse_path(p) in lang.paths for p in lang.paths)
+    assert (B, B) not in lang
+    assert all(reverse_path(p) in lang for p in lang)
     tm = used_language(thue_morse, 2)
-    assert (B, B) in tm.paths and (A, A) in tm.paths
+    assert (B, B) in tm and (A, A) in tm
 
 
 def test_used_language_f_invariant(fibonacci, thue_morse):
     for f in (fibonacci, thue_morse):
         lang = used_language(f, 6)
-        for p in lang.paths:
+        for p in lang:
             image = f.map_path(p)
             if len(image) <= 6:
-                assert image in lang.paths
+                assert image in lang
 
 
 def rescan_used_language(f, max_length):
@@ -257,7 +257,7 @@ def test_used_language_equals_rescan():
     for f in train_track + expanding_self_maps(2718, 2):
         for max_length in range(6):
             expected = rescan_used_language(f, max_length)
-            assert used_language(f, max_length).paths == expected
+            assert used_language(f, max_length) == expected
 
 
 def test_image_windows(fibonacci):
@@ -275,10 +275,10 @@ def test_infinitely_legal(fibonacci, rose2):
     pb = LegalPullbacks(fibonacci)
     lang = infinitely_legal_language(fibonacci, 2, pb)
     used = used_language(fibonacci, 2)
-    assert used.paths <= lang.paths
+    assert used <= lang
     # the difference at length 2 is exactly the diagonal pair a ~b / b ~a,
     # whose common turn is fixed by the direction map
-    assert lang.paths - used.paths == {(A, Bbar), (B, Abar)}
+    assert lang - used == {(A, Bbar), (B, Abar)}
     # unreduced paths never qualify
     assert not pb.is_infinitely_legal((A, Abar))
     # bb is legal (its one turn is) but lies in no image of a legal path
@@ -290,67 +290,14 @@ def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
     for f in (fibonacci, thue_morse):
         pb = LegalPullbacks(f)
         lang = infinitely_legal_language(f, 5, pb)
-        assert lang.laminary_violations(f.domain) == []
-        for p in lang.paths:
+        assert laminary_violations(lang, 5, f.domain) == []
+        for p in lang:
             image = f.map_path(p)
             if len(image) <= 5:
-                assert image in lang.paths
+                assert image in lang
 
 
-# -- backward references: indexed cover search vs recursive, forward vs backward --------
-
-
-class RecursivePullbacks(BackwardPullbacks):
-    """Reference pullbacks: covers grown recursively by image concatenation
-    from every (edge, image offset) start, legality by turn orbits, and the
-    verdict memo read only after the legality check."""
-
-    def minimal_covers(self, path):
-        path = tuple(path)
-        if path not in self._covers:
-            results = set()
-            for e0 in self.f.domain.oriented_edges:
-                img0 = self.f.image(e0)
-                for off in range(len(img0)):
-                    self._extend((e0,), img0[off:], path, results)
-            self._covers[path] = frozenset(results)
-        return self._covers[path]
-
-    def _extend(self, cover, avail, path, results):
-        k = min(len(avail), len(path))
-        if avail[:k] != path[:k]:
-            return
-        if len(avail) >= len(path):
-            results.add(cover)
-            return
-        g, last = self.f.domain, cover[-1]
-        for d in g.directions_at(g.terminal(last)):
-            if d != inverse(last) and self.da.is_legal(make_turn(inverse(last), d)):
-                self._extend(cover + (d,), avail + self.f.image(d), path, results)
-
-    def is_infinitely_legal(self, path) -> bool:
-        path = tuple(path)
-        if not is_reduced(path) or not all(self.da.is_legal(t) for t in turns_of(path)):
-            return False
-        colour = {}
-        good = self._verdict
-
-        def dfs(p):
-            if p in good:
-                return good[p]
-            if colour.get(p) == "grey":
-                return True
-            colour[p] = "grey"
-            result = False
-            for c in self.minimal_covers(p):
-                if (c in good and good[c]) or colour.get(c) == "grey" or dfs(c):
-                    result = True
-                    break
-            colour[p] = "black"
-            good[p] = result
-            return result
-
-        return dfs(path)
+# -- forward infinite legality vs the backward reference ------------------------------
 
 
 PULLBACK_MAPS = pullback_maps()
@@ -359,22 +306,6 @@ PULLBACK_MAPS = pullback_maps()
 def membership_paths(g):
     """Every reduced path of length <= 5 and the unreduced (e, ~e)."""
     return g.reduced_paths(5) + [(e, inverse(e)) for e in g.oriented_edges]
-
-
-@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
-def test_indexed_pullbacks_equal_recursive_reference(name, f):
-    """The backward reference's start index, successor table and memo-first
-    verdict give the covers, verdicts and languages of the recursive
-    search."""
-    paths = membership_paths(f.domain)
-    pb, ref = BackwardPullbacks(f), RecursivePullbacks(f)
-    for p in paths:
-        assert pb.minimal_covers(p) == ref.minimal_covers(p), p
-    pb, ref = BackwardPullbacks(f), RecursivePullbacks(f)
-    for p in paths:
-        assert pb.is_infinitely_legal(p) == ref.is_infinitely_legal(p), p
-    assert (backward_language(BackwardPullbacks(f), 6)
-            == backward_language(RecursivePullbacks(f), 6))
 
 
 def assert_forward_equals_backward(f, max_length):
@@ -443,8 +374,9 @@ def test_language_preconditions(rose2):
 
 
 def test_power(fibonacci):
-    f3 = power(fibonacci, 3)
-    assert f3.edge_image[0] == fibonacci.iterate_image(A, 3)
+    """Composing a map with itself gives the iterate images."""
+    f3 = compose(fibonacci, compose(fibonacci, fibonacci))
+    assert f3.edge_image == (fibonacci.iterate_image(A, 3), fibonacci.iterate_image(B, 3))
 
 
 # -- Stallings folding against the restart-scan reference ------------------------------

@@ -21,7 +21,7 @@ from ttm.substitutions import Substitution
 from ttm.towers import StationaryTower, VectorTower
 
 from conftest import (
-    A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps, rose_map,
+    A, Abar, B, Bbar, measures_of, pullback_maps, rose_map,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -210,12 +210,10 @@ def scan_oracle(f, vector, lam, path, t):
 
 
 def engine_maps():
-    r2, r3 = rose(2, ("a", "b")), rose(3, ("a", "b", "c"))
-    a, b, c = 0, 2, 4
-    return ([("fibonacci", GraphMap(r2, r2, [0], [(a, b), (a,)])),
-             ("thue-morse", GraphMap(r2, r2, [0], [(a, b), (b, a)])),
-             ("tribonacci", GraphMap(r3, r3, [0], [(a, b), (a, c), (a,)]))]
-            + [(f"random-{k}", f) for k, f in enumerate(expanding_self_maps(1414, 3))])
+    """The Fibonacci, Thue-Morse and tribonacci roses and the random maps
+    among the pullback maps."""
+    return [(name, f) for name, f in pullback_maps()
+            if name in ("fibonacci", "thue-morse", "tribonacci") or name.startswith("random")]
 
 
 ENGINE_MAPS = engine_maps()
@@ -554,9 +552,11 @@ def test_recovery_below_bound_double_counts(fib_setup):
     wrap-around and the block parsing of the same nine-letter word claim it."""
     tower, vt, _, kf = fib_setup
     table = kf.support_table(9)
-    recovered = recover_weights(table, tower, 3, 4, enforce_bound=False)
-    worst = max(ia.sup_abs(v - vt.vector[e >> 1] * vt.level_scale(3))
-                for (e, _), v in recovered.items())
+    # the sums of recover_weights, taken below the bound that it enforces
+    worst = max(ia.sup_abs(ia.isum(table.value(img) for img in sorted(
+                    {img for _, img in tower.legal_windows(center, 4, 3)}))
+                           - vt.vector[center[0] >> 1] * vt.level_scale(3))
+                for center in tower.short_edges(3))
     assert worst > 0.1
 
 
@@ -642,3 +642,10 @@ def test_table_incomplete_error(rose2):
     table = figure4_table(rose2, 3)
     with pytest.raises(IncompleteTableError):
         table.value(word_path("aaaa"))
+
+
+def test_table_recorded_zero_beyond_bound(rose2):
+    """A recorded zero past the bound is returned for the path and its reversal."""
+    path = word_path("aaaa")
+    table = MeasureTable(rose2, {path: Fraction(0)}, 3)
+    assert table.value(path) == table.value(reverse_path(path)) == table.recorded(path) == 0

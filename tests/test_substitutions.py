@@ -224,7 +224,7 @@ def test_used_language_is_translated_language():
         p = word_to_path(FIB, w)
         expected.add(p)
         expected.add(reverse_path(p))
-    assert lang.paths == frozenset(expected)
+    assert lang == frozenset(expected)
 
 
 def test_ergodic_fibonacci():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -9,7 +10,7 @@ from ttm.dialects import to_short
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
 from ttm.maps import (
-    GraphMap, identity_map, infinitely_legal_language, junction_turns, matmul, power,
+    GraphMap, compose, identity_map, infinitely_legal_language, junction_turns, matmul,
 )
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
@@ -17,10 +18,20 @@ from ttm.towers import (
     StationaryTower, VectorTower, repetition_bound, weight_tower_from_vector,
 )
 
-from conftest import A, Abar, B, Bbar, expanding_self_maps, measures_of, pullback_maps
+from conftest import A, Abar, B, Bbar, measures_of, pullback_maps
 from pullback_reference import backward_pullbacks
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def power(f, t):
+    """The t-th iterate of a self-map, by composition."""
+    return functools.reduce(compose, [f] * t, identity_map(f.domain))
+
+
+def path_image(tower, path, n):
+    """The level-0 image of a level-n short-edge path, letter by letter."""
+    return tuple(tower.image_letter(se, n) for se in path)
 
 
 def test_preconditions(rose2):
@@ -219,12 +230,8 @@ def hit_time_turn_weights(vt):
 
 
 def weight_maps():
-    r2, r3 = rose(2, ("a", "b")), rose(3, ("a", "b", "c"))
-    a, b, c = 0, 2, 4
-    roses = [GraphMap(r2, r2, [0], [(a, b), (a,)]), GraphMap(r2, r2, [0], [(a, b), (b, a)]),
-             GraphMap(r3, r3, [0], [(a, b), (a, c), (a,)]),
-             GraphMap(r3, r3, [0], [(a, b), (b, a), (c, c, c, a, b)])]
-    return roses + expanding_self_maps(1414, 3)
+    """The pullback maps but q and q2."""
+    return [f for name, f in pullback_maps() if name not in ("q", "q2")]
 
 
 def three_step_measures(f):
@@ -383,12 +390,12 @@ def test_weight_determination_identity(fib_setup):
         n = max(n, m)
         for center in tower.short_edges(m):
             windows = [w for w in tower.windows(center, r, m)
-                       if is_reduced(tower.path_image(w, m))]
+                       if is_reduced(path_image(tower, w, m))]
             total = ia.zero()
             for w in windows:
                 for lifted in _level_preimages(tower, w, m, n):
                     total = total + level_path_weight(wt, lifted, n)
-            target = wt.edge_weight_at(center[0], m)
+            target = wt.edge_weight[center[0]] * vt.level_scale(m)
             assert ia.sup_abs(total - target) < 1e-12, (m, r, center)
 
 
@@ -399,7 +406,8 @@ def level_path_weight(wt, path, n):
     crossed = [make_turn(e ^ 1, path[i + 1][0]) for i, (e, j) in enumerate(path[:-1])
                if j == len(word(e, n)) - 1]
     assert len(crossed) <= 1
-    return wt.turn_weight_at(crossed[0], n) if crossed else wt.edge_weight_at(path[0][0], n)
+    weight = wt.turn_weight[crossed[0]] if crossed else wt.edge_weight[path[0][0]]
+    return weight * wt.vt.level_scale(n)
 
 
 def _level_preimages(tower, path, m, n):
@@ -420,7 +428,7 @@ def _level_preimages(tower, path, m, n):
 
     for s in starts:
         extend([s], 1)
-    return [p for p in out if is_reduced(tower.path_image(p, n))]
+    return [p for p in out if is_reduced(path_image(tower, p, n))]
 
 
 def test_tower_self_morphism(fib_setup, golden_root):
@@ -472,7 +480,7 @@ def test_repetition_bound_witness(rose2):
     assert not r.found
     assert r.witness is not None
     w1, w2 = r.witness
-    assert tower.path_image(w1, 1) == tower.path_image(w2, 1)
+    assert path_image(tower, w1, 1) == path_image(tower, w2, 1)
     assert w1[len(w1) // 2] != w2[len(w2) // 2]
 
 
@@ -521,7 +529,7 @@ def windows_violating_pair(tower, n, rho, infinitely_legal=True):
     seen = {}
     for center in tower.short_edges(n):
         for w in tower.windows(center, rho, n):
-            img = tower.path_image(w, n)
+            img = path_image(tower, w, n)
             if not is_reduced(img):
                 continue
             if infinitely_legal and not legal(img):
@@ -550,12 +558,12 @@ def test_legal_windows_are_the_reduced_windows_in_order(name, f, query):
     if query:
         legal = backward_pullbacks(f).is_infinitely_legal
     else:
-        language = infinitely_legal_language(f, 5).paths   # windows have <= 5 edges
+        language = infinitely_legal_language(f, 5)   # windows have <= 5 edges
         legal = language.__contains__
     for n in range(3):
         for center in tower.short_edges(n):
             for rho in range(3):
-                want = [(w, tower.path_image(w, n)) for w in tower.windows(center, rho, n)]
+                want = [(w, path_image(tower, w, n)) for w in tower.windows(center, rho, n)]
                 want = [(w, img) for w, img in want if is_reduced(img)]
                 want = [(w, img) for w, img in want if legal(img)]
                 assert list(tower.legal_windows(center, rho, n)) == want
