@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 parse error, 3 precondition violated (including a
 ``TTM_PRECISION_BITS`` that is not an integer of at least 16), 4 verification
 failure.  The working precision (bits) comes from ``TTM_PRECISION_BITS``
-(default 128).  Outputs are deterministic: values are printed at a fixed
-certified digit count and sort orders are fixed.
+(default 128).  Outputs are deterministic: values are printed at
+``intervals.DIGITS`` certified significant digits and sort orders are fixed.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
-DIGITS = 12
-
 
 def fmt(x, exact: bool = False) -> str:
-    return ia.format_interval(x, digits=DIGITS, exact_endpoints=exact)
+    return ia.format_interval(x, exact_endpoints=exact)
 
 
 def fmt_exact_fraction(x) -> str:

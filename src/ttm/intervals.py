@@ -27,6 +27,7 @@ from mpmath import iv
 from .errors import PreconditionError
 
 DEFAULT_PRECISION_BITS = 128
+DIGITS = 12    # significant digits of every printed value
 
 
 def set_precision(bits: int) -> None:
@@ -181,21 +182,21 @@ def geometric_tail(ratio, first_exponent: int):
 
 # -- printing ------------------------------------------------------------------
 
-def format_interval(x, digits: int = 12, exact_endpoints: bool = False) -> str:
+def format_interval(x, exact_endpoints: bool = False) -> str:
     """Deterministic decimal rendering of an interval.
 
-    Prints the midpoint truncated to ``digits`` significant digits.  When the
+    Prints the midpoint truncated to ``DIGITS`` significant digits.  When the
     interval is wider than the printed resolution the rendering carries a
     trailing ``±`` width marker so that no false precision leaks out.
     With ``exact_endpoints`` the outward endpoint pair is printed instead.
     """
     if exact_endpoints:
         a, b = endpoints(x)
-        return "[%s, %s]" % (mpmath.nstr(a, digits + 5), mpmath.nstr(b, digits + 5))
+        return "[%s, %s]" % (mpmath.nstr(a, DIGITS + 5), mpmath.nstr(b, DIGITS + 5))
     mid = mpmath.mpf(x.mid.a)
     w = mpmath.mpf(x.delta.b)
-    body = mpmath.nstr(mid, digits, strip_zeros=False)
+    body = mpmath.nstr(mid, DIGITS, strip_zeros=False)
     scale = max(abs(mid), mpmath.mpf(1))
-    if w > scale * mpmath.mpf(10) ** (-digits):
+    if w > scale * mpmath.mpf(10) ** (-DIGITS):
         return "%s±%s" % (body, mpmath.nstr(w, 3))
     return body

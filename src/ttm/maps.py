@@ -9,8 +9,10 @@ cancellation occurred.
 Self-map analysis works through the direction map ``Df`` (an edge goes to the
 first edge of its image).  A turn is *legal* when no ``Df`` iterate makes it
 degenerate; since direction orbits are eventually periodic this is decided by
-a finite orbit walk, memoised in a legality table that the tower and measure
-layers reuse heavily.
+a finite orbit walk.  The walks are memoised in one direction analysis per
+map (``GraphMap.directions``), and legality is read off the memoised orbit,
+with no separate table; the train track test, the legal seeds and the tower
+layers all share it.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class GraphMap:
 
     def vertex(self, v: int) -> int:
         return self.vertex_image[v]
+
+    @cached_property
+    def directions(self) -> DirectionAnalysis:
+        """The direction analysis of this self-map, built on first use."""
+        return DirectionAnalysis(self)
 
     def map_path(self, path):
         """Image of an edge path; concatenation only, no free reduction."""
@@ -231,16 +238,15 @@ class DirectionAnalysis:
 
     ``Df(e)`` is the first edge of the image of ``e``.  Orbits of turns under
     Df are eventually periodic; a turn is illegal iff its orbit ever becomes
-    degenerate.  Build once per map, then read-only.
+    degenerate, which the memoised orbit records as its last turn.  Read it
+    as ``f.directions``, the one analysis of the map.
     """
 
     def __init__(self, f: GraphMap):
         f.require_tame("direction analysis")
         if not f.is_self_map():
             raise MapError("direction analysis needs a self-map")
-        self.f = f
         self.df = tuple(f.image(e)[0] for e in f.domain.oriented_edges)
-        self._legal = {}
         self._orbit = {}
 
     def map_turn(self, turn):
@@ -276,24 +282,11 @@ class DirectionAnalysis:
         return result
 
     def is_legal(self, turn) -> bool:
-        turn = make_turn(*turn)
-        if turn not in self._legal:
-            _, cyc = self.orbit(turn)
-            self._legal[turn] = not (len(cyc) == 1 and is_degenerate(cyc[0]))
-        return self._legal[turn]
+        return not is_degenerate(self.orbit(turn)[1][-1])
 
     def death_time(self, turn):
         """Least k with Df^k(turn) degenerate, or None for legal turns."""
-        turn = make_turn(*turn)
-        if self.is_legal(turn):
-            return None
-        pre, _ = self.orbit(turn)
-        return len(pre)
-
-
-def junction_turns(f: GraphMap, e: int):
-    """Turns crossed by the image path of e (at its interior vertices)."""
-    return turns_of(f.image(e))
+        return None if self.is_legal(turn) else len(self.orbit(turn)[0])
 
 
 def is_train_track(f: GraphMap):
@@ -304,10 +297,10 @@ def is_train_track(f: GraphMap):
     the witness edge ``e`` under the t-th power is unreduced.
     """
     f.require_tame("train track test")
-    da = DirectionAnalysis(f)
+    da = f.directions
     worst = None
     for e in f.domain.positive_edges:
-        for turn in junction_turns(f, e):
+        for turn in turns_of(f.image(e)):
             k = da.death_time(turn)
             if k is not None:
                 # the degenerate image shows up one application later
@@ -544,8 +537,8 @@ def legal_seeds(f: GraphMap):
     legal path for every k; and a member has a minimal cover (a path whose
     image holds it touching the first and last block) among the members, no
     longer than itself, so no member is dropped."""
-    da = DirectionAnalysis(f)
-    kept = {p for p in f.domain.reduced_paths(2) if all(map(da.is_legal, turns_of(p)))}
+    kept = {p for p in f.domain.reduced_paths(2)
+            if all(map(f.directions.is_legal, turns_of(p)))}
     while True:
         covered = set().union(*(subpaths_up_to(f.map_path(p), 2) for p in kept))
         if kept <= covered:

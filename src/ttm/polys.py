@@ -11,9 +11,10 @@ done exactly, in plain integers where it matters for speed:
   positive rational so its sign at every point is unchanged; signs at a
   rational ``n/d`` come from a homogeneous integer Horner sum.  Sturm counts
   serve root isolation only;
-* refinement of an isolated simple root bisects on the sign of the integer
-  square-free part at the midpoint against its sign at the left endpoint,
-  which picks the same half as a Sturm count would.
+* every root test reads the sign of the integer square-free part, which has
+  the roots of the polynomial; refinement of an isolated simple root bisects
+  on that sign at the midpoint against the left endpoint, which picks the
+  same half as a Sturm count would.
 
 A certified root is carried as an isolating rational interval (or an exact
 rational) and can be refined on demand and converted to an outward-rounded
@@ -32,13 +33,6 @@ from .errors import SpectralError
 # coefficient of x**k, integer or Fraction.
 
 _ZERO = (Fraction(0),)
-
-
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_degree(p) -> int:
@@ -196,14 +190,14 @@ class CertifiedRoot:
         self.sqfree = self._chain[0]
         if exact is not None:
             self.exact = Fraction(exact)
-            if poly_eval(self.poly, self.exact) != 0:
+            if _sign_at(self.sqfree, self.exact):
                 raise SpectralError("claimed exact root is not a root")
             self.lo = self.hi = self.exact
             return
         self.exact = None
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        if poly_eval(self.poly, self.lo) == 0 or poly_eval(self.poly, self.hi) == 0:
+        if not (_sign_at(self.sqfree, self.lo) and _sign_at(self.sqfree, self.hi)):
             raise SpectralError("isolating interval endpoints must not be roots")
         if count_roots(self.poly, self.lo, self.hi, self._chain) != 1:
             raise SpectralError("interval does not isolate exactly one root")
@@ -241,7 +235,7 @@ class CertifiedRoot:
         root itself, making the root exact)."""
         if self.exact is not None:
             return self
-        if self.lo < x < self.hi and poly_eval(self.poly, x) == 0:
+        if self.lo < x < self.hi and not _sign_at(self.sqfree, x):
             self.exact = x
             self.lo = self.hi = x
             return self
@@ -314,6 +308,7 @@ def largest_real_root(p) -> CertifiedRoot:
     """
     p = poly_trim(tuple(Fraction(c) for c in p))
     chain = sturm_chain(p)
+    sqfree = chain[0]
     bound = cauchy_bound(p)
     lo, hi = -bound - 1, bound + 1
     if count_roots(p, lo, hi, chain) == 0:
@@ -321,14 +316,14 @@ def largest_real_root(p) -> CertifiedRoot:
     cut = lo
     for _ in range(20000):
         # invariant: the largest root lies in (cut, hi], hi is not a root
-        if count_roots(p, cut, hi, chain) == 1 and poly_eval(p, cut) != 0:
+        if count_roots(p, cut, hi, chain) == 1 and _sign_at(sqfree, cut):
             root = CertifiedRoot(p, cut, hi, chain=chain)
             for n in _integer_candidates(cut, hi):
-                if poly_eval(p, Fraction(n)) == 0:
+                if not _sign_at(sqfree, Fraction(n)):
                     return CertifiedRoot(p, exact=Fraction(n), chain=chain)
             return root
         mid = (cut + hi) / 2
-        if poly_eval(p, mid) == 0:
+        if not _sign_at(sqfree, mid):
             if count_roots(p, mid, hi, chain) == 0:
                 return CertifiedRoot(p, exact=mid, chain=chain)
             cut = mid

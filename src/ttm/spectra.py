@@ -75,14 +75,12 @@ def _pattern_product(a, b):
 def is_primitive(m) -> bool:
     """Some power of the (non-negative square) matrix is entrywise positive.
 
-    That holds iff the matrix is non-zero, irreducible (one strongly
-    connected component) and aperiodic (one cyclic class); see Seneta,
-    *Non-negative Matrices and Markov Chains*.
+    That holds iff the matrix is non-empty and its block form has a single
+    block, of kind primitive: non-zero, irreducible (one strongly connected
+    component) and aperiodic (one cyclic class); see Seneta, *Non-negative
+    Matrices and Markov Chains*.
     """
-    m = check_square_nonnegative(m)
-    if not any(any(row) for row in m) or len(strongly_connected_components(m)) != 1:
-        return False
-    return len(_cyclic_classes(m, range(len(m)))) == 1
+    return bool(m) and block_form(m).kinds == ("primitive",)
 
 
 def strongly_connected_components(m):

@@ -96,7 +96,7 @@ def to_train_track(sigma: Substitution):
     equals the transition matrix, and positivity of the images makes the map
     a train track map outright."""
     g = rose(len(sigma.alphabet), edge_labels=tuple(str(x) for x in sigma.alphabet))
-    eimg = tuple(tuple(2 * sigma.index(x) for x in w) for w in sigma.images)
+    eimg = tuple(word_to_path(sigma, w) for w in sigma.images)
     return maps.GraphMap(g, g, [0], eimg, name="subst"), g
 
 

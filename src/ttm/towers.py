@@ -26,11 +26,8 @@ from functools import cache
 
 from . import intervals as ia
 from .errors import PreconditionError
-from .graphs import inverse, make_turn, reverse_path
-from .maps import (
-    DirectionAnalysis, GraphMap, LegalPullbacks, junction_turns,
-    require_expanding_train_track,
-)
+from .graphs import inverse, make_turn, reverse_path, turns_of
+from .maps import GraphMap, LegalPullbacks, require_expanding_train_track
 
 
 class StationaryTower:
@@ -48,7 +45,7 @@ class StationaryTower:
                 "(no valence-2 vertices); collapse them first")
         self.f = f
         self.graph = f.domain
-        self.directions = DirectionAnalysis(f)
+        self.directions = f.directions
         self._words = {}
         self._minlength = {}
         self._pullbacks = None
@@ -240,7 +237,7 @@ class WeightTower:
         sums = {}
         for e in graph.positive_edges:
             v_e = vt.vector[e >> 1]
-            for tau in junction_turns(self.tower.f, e):
+            for tau in turns_of(self.tower.f.image(e)):
                 if not da.is_legal(tau):
                     continue  # the orbit and every turn on it are illegal
                 pre, cyc = da.orbit(tau)

@@ -93,19 +93,19 @@ def random_graph(rng: random.Random, max_vertices=4, max_edges=6) -> Graph:
             continue
 
 
-def reduced_paths_between(g: Graph, u: int, w: int, max_len: int):
-    return [p for p in g.reduced_paths(max_len)
-            if g.path_initial(p) == u and g.path_terminal(p) == w]
-
-
 def random_map(rng: random.Random, dom: Graph, cod: Graph, max_len=4):
-    """A graph map with reduced non-trivial edge images, or None."""
+    """A graph map with reduced non-trivial edge images, or None.  The
+    candidates for an edge image are the codomain's reduced paths between
+    the vertex images, in ``reduced_paths`` order."""
+    between = {}
+    for p in cod.reduced_paths(max_len):
+        between.setdefault((cod.path_initial(p), cod.path_terminal(p)), []).append(p)
     for _ in range(60):
         vimg = [rng.randrange(cod.n_vertices) for _ in dom.vertices]
         eimg = []
         for k in range(dom.n_edges):
             u, w = vimg[dom.initial(2 * k)], vimg[dom.terminal(2 * k)]
-            cands = reduced_paths_between(cod, u, w, max_len)
+            cands = between.get((u, w))
             if not cands:
                 eimg = None
                 break

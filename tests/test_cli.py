@@ -9,6 +9,7 @@ import pytest
 import ttm
 import ttm.intervals as ia
 from ttm.cli import main, pick_vector
+from ttm.maps import DirectionAnalysis
 
 from conftest import rose_map
 
@@ -404,3 +405,25 @@ def test_deep_q2_check_is_pinned(capsys):
         "repetition-bound[level 2]: not found within cap 8\n"
         "repetition-bound[level 3]: not found within cap 8\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--map", "f", "--rep-levels", "3", "--rep-cap", "8"),
+    ("measure", "--map", "f", "--table-up-to", "3"),
+    ("verify", "--map", "f"),
+    ("ergodic", "--subst", "three"),
+], ids=lambda argv: argv[0])
+def test_one_direction_analysis_per_command(fib_file, capsys, monkeypatch, argv):
+    """Every layer of a command reads the one ``GraphMap.directions`` of its
+    map: the train track test, the tower, its weights and the legal seeds."""
+    built = []
+    init = DirectionAnalysis.__init__
+
+    def counting_init(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(DirectionAnalysis, "__init__", counting_init)
+    code, _, err = run(capsys, argv[0], fib_file, *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(built) == 1

@@ -7,10 +7,10 @@ from ttm.dialects import (
     keyed_edge_bijection, maps_equal_via, to_long, to_long_map, to_short,
 )
 from ttm.errors import GraphError, PathError
-from ttm.graphs import Graph, is_reduced, reverse_path, rose
+from ttm.graphs import Graph, is_reduced, reverse_path
 from ttm.maps import GraphMap, identity_map
 
-from conftest import A, Abar, B, Bbar, random_tame_maps
+from conftest import A, Abar, B, random_tame_maps
 
 
 def long_key(lf):

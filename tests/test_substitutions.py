@@ -16,7 +16,7 @@ from ttm.substitutions import (
     path_to_word, to_train_track, word_to_path,
 )
 
-from conftest import A, Abar, B, Bbar
+from conftest import A, Bbar
 
 FIB = Substitution.from_strings({"a": "ab", "b": "a"})
 TM = Substitution.from_strings({"a": "ab", "b": "ba"})

@@ -8,9 +8,9 @@ import ttm.intervals as ia
 import ttm.towers
 from ttm.dialects import to_short
 from ttm.errors import PreconditionError
-from ttm.graphs import is_degenerate, is_reduced, make_turn, rose
+from ttm.graphs import is_degenerate, is_reduced, make_turn, rose, turns_of
 from ttm.maps import (
-    GraphMap, compose, identity_map, infinitely_legal_language, junction_turns, matmul,
+    GraphMap, compose, identity_map, infinitely_legal_language, matmul,
 )
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
@@ -218,7 +218,7 @@ def hit_time_turn_weights(vt):
         if da.is_legal(target):
             for e in graph.positive_edges:
                 v_e = vt.vector[e >> 1]
-                for tau in junction_turns(tower.f, e):
+                for tau in turns_of(tower.f.image(e)):
                     kind, data = hit_times(da, tau, target)
                     if kind == "once":
                         acc = acc + lam_inv ** (data + 1) * v_e
@@ -277,7 +277,7 @@ def dense_turn_weights(vt):
     out = {t: ia.zero() for t in graph.all_turns()}
     for e in graph.positive_edges:
         v_e = vt.vector[e >> 1]
-        for tau in junction_turns(tower.f, e):
+        for tau in turns_of(tower.f.image(e)):
             if not da.is_legal(tau):
                 continue
             pre, cyc = da.orbit(tau)
