@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 success, 2 parse error, 3 precondition violated (including a
 ``TTM_PRECISION_BITS`` that is not an integer of at least 16), 4 verification
 failure.  The working precision (bits) comes from ``TTM_PRECISION_BITS``
-(default 128).  Outputs are deterministic: values are printed at
-``intervals.DIGITS`` certified significant digits and sort orders are fixed.
+(default 128), applied at import.  Outputs are deterministic: values are
+printed at ``intervals.DIGITS`` certified significant digits and sort orders
+are fixed.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .towers import StationaryTower, repetition_bound
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
-
-
-def fmt(x, exact: bool = False) -> str:
-    return ia.format_interval(x, exact_endpoints=exact)
 
 
 def fmt_exact_fraction(x) -> str:
@@ -138,22 +135,23 @@ def cmd_spectrum(args) -> int:
     m = f.transition_matrix()
     spec = spectra.spectrum(m)
     bf = spec.form
-    labels = f.domain.edge_labels
+    labels, exact = f.domain.edge_labels, args.exact
     blocks = []
     for i, (idx, radius) in enumerate(zip(bf.blocks, spec.radii)):
         blocks.append({
             "indices": [labels[k] for k in idx],
             "kind": bf.kinds[i],
             "period": bf.periods[i],
-            "spectral_radius": fmt(radius.interval(), exact=args.exact),
+            "spectral_radius": ia.format_interval(radius.interval(),
+                                                  exact_endpoints=exact),
         })
     order = [[i, j] for i in range(len(bf.blocks))
              for j in sorted(bf.reach[i]) if i != j]
     distinguished = []
     for pair in spec.distinguished:
         distinguished.append({
-            "eigenvalue": fmt(pair.interval(), exact=args.exact),
-            "vector": {labels[k]: fmt(pair.vector[k], exact=args.exact)
+            "eigenvalue": ia.format_interval(pair.interval(), exact_endpoints=exact),
+            "vector": {labels[k]: ia.format_interval(pair.vector[k], exact_endpoints=exact)
                        for k in range(len(labels))},
             "support": [labels[k] for k in sorted(pair.support)],
         })
@@ -177,7 +175,7 @@ def _value_texts(values, exact):
         text = shown.get(value._mpi_)
         if text is None:
             text = shown[value._mpi_] = (fmt_exact_fraction(value) if exact
-                                         else fmt(value))
+                                         else ia.format_interval(value))
         texts.append(text)
     return texts
 
@@ -302,12 +300,14 @@ def cmd_ergodic(args) -> int:
     doc = load(args.file)
     sigma = doc.substitution(args.subst)
     enum = ergodic_measures(sigma)
+    exact = args.exact
     measures = []
     for mu in enum.measures:
         freqs = mu.letter_frequencies()
         measures.append({
-            "eigenvalue": fmt(mu.eigenpair.interval(), exact=args.exact),
-            "frequencies": {str(x): fmt(v, exact=args.exact)
+            "eigenvalue": ia.format_interval(mu.eigenpair.interval(),
+                                             exact_endpoints=exact),
+            "frequencies": {str(x): ia.format_interval(v, exact_endpoints=exact)
                             for x, v in zip(sigma.alphabet, freqs)},
             "support": [str(sigma.alphabet[k])
                         for k in sorted(mu.eigenpair.support)],
@@ -316,7 +316,7 @@ def cmd_ergodic(args) -> int:
         "schema": 1,
         "alphabet": [str(x) for x in sigma.alphabet],
         "measures": measures,
-        "skipped_eigenvalues": [fmt(p.interval()) for p in enum.skipped],
+        "skipped_eigenvalues": [ia.format_interval(p.interval()) for p in enum.skipped],
         "power_used": enum.block_form.power_used,
         "warnings": list(enum.warnings),
     }
@@ -382,7 +382,9 @@ _parser = functools.cache(make_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        ia.precision_from_env()   # refuse a bad setting; a valid one is in force
+        # refuse a bad setting; a valid one is applied only at import, so a
+        # call runs at the precision in force and a later setting is only checked
+        ia.precision_from_env()
         # looked up at each call, so a replaced ``cmd_<name>`` takes effect
         return globals()["cmd_" + args.command](args)
     except ParseError as exc:

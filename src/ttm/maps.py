@@ -8,15 +8,16 @@ cancellation occurred.
 
 Self-map analysis works through the direction map ``Df`` (an edge goes to the
 first edge of its image).  A turn is *legal* when no ``Df`` iterate makes it
-degenerate; since direction orbits are eventually periodic this is decided by
-a finite orbit walk.  The walks are memoised in one direction analysis per
-map (``GraphMap.directions``), and legality is read off the memoised orbit,
-with no separate table; the train track test, the legal seeds and the tower
-layers all share it.
+degenerate; eventually periodic direction orbits decide this by a finite
+walk.  The map owns its analyses, each built once, on first use: the
+memoised orbits (``GraphMap.directions``), read by the train track test, the
+legal seeds and the towers, and the infinitely legal language
+(``GraphMap.legal``), read by the truncations, tower windows and tables.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 from .errors import MapError, PreconditionError
@@ -76,6 +77,11 @@ class GraphMap:
     def directions(self) -> DirectionAnalysis:
         """The direction analysis of this self-map, built on first use."""
         return DirectionAnalysis(self)
+
+    @cached_property
+    def legal(self) -> LegalPullbacks:
+        """The infinitely legal language of this self-map, built on first use."""
+        return LegalPullbacks(self)
 
     def map_path(self, path):
         """Image of an edge path; concatenation only, no free reduction."""
@@ -556,15 +562,14 @@ class LegalPullbacks:
     iterate images of an interior edge would stay inside it, against
     expansion), so it reaches a seed.  A member of length n therefore lies
     in a window of ``image_windows(f, seeds, n)``, and is that window.
-
-    The name is that of the backward cover search this replaced: the
-    benchmark tracer (``bench/tracer.py``) times
+    Read it as ``f.legal``.  The name is that of the backward cover search
+    this replaced: the benchmark tracer (``bench/tracer.py``) times
     ``LegalPullbacks.is_infinitely_legal`` by it.
     """
 
     def __init__(self, f: GraphMap):
         require_expanding_train_track(f)
-        self.f = f
+        self.f = weakref.proxy(f)    # f owns this (f.legal): no reference cycle
         self.seeds = legal_seeds(f)
         self._by_length = {}
 
@@ -580,11 +585,8 @@ class LegalPullbacks:
         return tuple(path) in self.paths_of_length(len(path))
 
 
-def infinitely_legal_language(f: GraphMap, max_length: int,
-                              pullbacks: LegalPullbacks | None = None) -> frozenset:
+def infinitely_legal_language(f: GraphMap, max_length: int) -> frozenset:
     """Truncation of the language of paths that are subpaths of arbitrarily
     high iterate images of legal paths: the members of lengths 1 to
-    max_length."""
-    if pullbacks is None:
-        pullbacks = LegalPullbacks(f)
-    return frozenset().union(*map(pullbacks.paths_of_length, range(1, max_length + 1)))
+    max_length, read off ``f.legal``."""
+    return frozenset().union(*map(f.legal.paths_of_length, range(1, max_length + 1)))

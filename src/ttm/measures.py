@@ -85,14 +85,13 @@ class KolmogorovFunction:
         self.weights = weights
         self.graph = self.tower.graph
         self._memo = {}      # evaluated path and its reversal -> value
-        self._sweeps = {}    # (level, length) -> factor -> recipe
         self._lengths = {}   # length -> (level_for_length, its sweep)
         self._values = {}    # (level, recipe) -> value
         self._scales = {}    # level -> lambda**-level
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
-        return self._walked(self._checked(path))
+        return self._walked(_checked(self.graph, path, "a Kolmogorov function"))
 
     def eval_at_level(self, path, n: int):
         """Sum the weights of all legal level-n preimages of the path.
@@ -100,22 +99,10 @@ class KolmogorovFunction:
         Needs the level-n long edges at least as long as the path, so that a
         preimage crosses at most one unsubdivided vertex.
         """
-        path = self._checked(path)
-        if n < 0:
-            raise PreconditionError(f"tower levels start at 0 (got {n})")
+        path = _checked(self.graph, path, "a Kolmogorov function")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        return self._value(n, self._sweep_at(n, len(path)).get(path, _ZERO_RECIPE))
-
-    def _checked(self, path):
-        """The path as a tuple; PathError unless it is a non-trivial reduced
-        edge path of the graph."""
-        path = tuple(path)
-        if not path:
-            raise PathError("Kolmogorov functions take non-trivial paths")
-        if not self.graph.is_path(path) or not is_reduced(path):
-            raise PathError("Kolmogorov functions take reduced edge paths")
-        return path
+        return self._value(n, self._sweep(n, len(path)).get(path, _ZERO_RECIPE))
 
     def support(self, length: int):
         """The paths of this length with a non-zero recipe: the keys of the
@@ -145,14 +132,8 @@ class KolmogorovFunction:
         got = self._lengths.get(length)
         if got is None:
             level = self.tower.level_for_length(length)
-            got = self._lengths[length] = (level, self._sweep_at(level, length))
+            got = self._lengths[length] = (level, self._sweep(level, length))
         return got
-
-    def _sweep_at(self, n: int, length: int):
-        sweep = self._sweeps.get((n, length))
-        if sweep is None:
-            sweep = self._sweeps[(n, length)] = self._sweep(n, length)
-        return sweep
 
     def _sweep(self, n: int, length: int):
         """Recipe of every length-``length`` factor of the level-n words.
@@ -207,10 +188,18 @@ class KolmogorovFunction:
         """Table over the infinitely legal language truncation only; paths
         outside it have measure zero and stay implicit, which keeps long
         tables linear in the language size."""
-        lang = infinitely_legal_language(self.tower.f, max_length,
-                                         self.tower.pullbacks())
+        lang = infinitely_legal_language(self.tower.f, max_length)
         entries = {p: self.eval(p) for p in lang}
         return MeasureTable(self.graph, entries, max_length)
+
+
+def _checked(graph: Graph, path, who: str):
+    """The path as a tuple; PathError unless it is a non-trivial reduced
+    edge path of the graph."""
+    path = tuple(path)
+    if not path or not graph.is_path(path) or not is_reduced(path):
+        raise PathError(f"{who} takes non-trivial reduced edge paths of its graph")
+    return path
 
 
 # a factor absent from every level word has no preimage: the exact zero,
@@ -462,9 +451,7 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
     :func:`ttm.maps.search_covers`; each occurrence counts, in the order the
     search returns them.
     """
-    path = tuple(path)
-    if not f.codomain.is_path(path) or not is_reduced(path) or not path:
-        raise PathError("image measure takes non-trivial reduced codomain paths")
+    path = _checked(f.codomain, path, "the image measure")
     _require_pushforward(f, kf)
     total = ia.zero()
     for parent in search_covers(f, path):
@@ -587,11 +574,15 @@ class FrequencyOracle:
     """
 
     def __init__(self, f: GraphMap, vector, lam, t: int):
+        if t < 0:
+            raise PreconditionError(f"oracle iterates start at 0 (got {t})")
         self.f = f
         self.graph = f.domain
         self.vector = vector
         self.t = t
         self.lam = ia.coerce(lam)
+        if not (self.lam > 1):
+            raise PreconditionError("eigenvalue must certifiably exceed 1")
         self.scale = self.lam ** (-t)
         self.vec_total = ia.isum(vector[k] for k in range(self.graph.n_edges))
         self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
@@ -601,9 +592,7 @@ class FrequencyOracle:
     def counts(self, path) -> tuple:
         """Occurrences of the path and its reverse in the t-th iterate image
         of each positive edge."""
-        path = tuple(path)
-        if not path:
-            raise PathError("frequency oracle takes non-trivial paths")
+        path = _checked(self.graph, path, "the frequency oracle")
         counts = self._length_counts(len(path))
         rev = reverse_path(path)
         return tuple(counts[e][path] + counts[e][rev]

@@ -15,7 +15,6 @@ Errors carry line and column positions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -24,9 +23,6 @@ from .maps import GraphMap
 from .substitutions import Substitution
 
 PUNCT = ("->", "{", "}", ";", ":", ",")
-# ``->`` or one punctuation character, else a maximal run of characters that
-# are neither whitespace nor punctuation and do not start ``->``
-_TOKEN = re.compile(r"->|[{};:,]|(?:(?!->)[^\s{};:,])+")
 
 
 @dataclass
@@ -37,10 +33,17 @@ class Token:
 
 
 def tokenize(text: str):
-    """Tokens of a document with 1-based line and column positions."""
-    return [Token(m.group(), ln, m.start() + 1)
-            for ln, raw in enumerate(text.splitlines(), start=1)
-            for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+    """Tokens of a document with 1-based line and column positions: the
+    :func:`token_strings` of each line, each found in the line after the one
+    before (only whitespace lies between them)."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        col = 0
+        for tok in token_strings(raw):
+            col = raw.index(tok, col)
+            out.append(Token(tok, ln, col + 1))
+            col += len(tok)
+    return out
 
 
 @dataclass
@@ -62,9 +65,8 @@ class InputDocument:
 
 def token_strings(text: str):
     """The texts of the tokens of :func:`tokenize`: comments cut per line,
-    the marks padded with spaces, then one whitespace split.  ``str.split``
-    and the regex ``\\s`` share one whitespace test, and every line
-    boundary is whitespace; ``->`` occurrences cannot overlap."""
+    the marks padded with spaces, then one whitespace split.  Every line
+    boundary is whitespace, and ``->`` occurrences cannot overlap."""
     if "#" in text:
         text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
     for mark in PUNCT:

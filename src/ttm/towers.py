@@ -27,7 +27,7 @@ from functools import cache
 from . import intervals as ia
 from .errors import PreconditionError
 from .graphs import inverse, make_turn, reverse_path, turns_of
-from .maps import GraphMap, LegalPullbacks, require_expanding_train_track
+from .maps import GraphMap, require_expanding_train_track
 
 
 class StationaryTower:
@@ -45,10 +45,8 @@ class StationaryTower:
                 "(no valence-2 vertices); collapse them first")
         self.f = f
         self.graph = f.domain
-        self.directions = f.directions
         self._words = {}
         self._minlength = {}
-        self._pullbacks = None
 
     # -- iterate words ---------------------------------------------------------
 
@@ -59,6 +57,8 @@ class StationaryTower:
             return (e,)
         w = self._words.get((e, n))
         if w is None:
+            if n < 0:
+                raise PreconditionError(f"tower levels start at 0 (got {n})")
             if e % 2:
                 w = reverse_path(self.word(e ^ 1, n))
             else:
@@ -144,7 +144,7 @@ class StationaryTower:
         so a half that leaves them never returns, and the survivors are
         exactly the infinitely legal windows, in the order of the full lists.
         """
-        ok = self.pullbacks().is_infinitely_legal
+        ok = self.f.legal.is_infinitely_legal
         c = (self.image_letter(center, n),)
         lefts = [((), ())]
         for _ in range(radius):
@@ -169,13 +169,6 @@ class StationaryTower:
                 img = limg + c + rimg
                 if ok(img):
                     yield l + (center,) + r, img
-
-    # -- languages --------------------------------------------------------------
-
-    def pullbacks(self) -> LegalPullbacks:
-        if self._pullbacks is None:
-            self._pullbacks = LegalPullbacks(self.f)
-        return self._pullbacks
 
 
 # -- vector and weight towers -----------------------------------------------------
@@ -226,7 +219,7 @@ class WeightTower:
         self.lam = vt.lam
         graph = self.tower.graph
         self.edge_weight = {e: vt.vector[e >> 1] for e in graph.oriented_edges}
-        da = self.tower.directions
+        da = self.tower.f.directions
         lam_inv = 1 / self.lam
         power = cache(lambda k: lam_inv ** k)
         geometric = cache(lambda q: ia.one() - power(q))

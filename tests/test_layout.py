@@ -26,14 +26,15 @@ REMOVED_DEPENDENCIES = {
 # parameters) that no command, benchmark job or tracer reached
 REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
-    "maps": {"power", "junction_turns"},
+    "maps": {"power", "junction_turns", "infinitely_legal_language(pullbacks)"},
     "polys": {"poly_eval"},
     "intervals": {"format_interval(digits)"},
-    "cli": {"DIGITS"},
+    "cli": {"DIGITS", "fmt"},
+    "textio": {"_TOKEN"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
-               "WeightTower.turn_weight_at"},
+               "WeightTower.turn_weight_at", "StationaryTower.pullbacks"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
-    "measures": {"recover_weights(enforce_bound)"},
+    "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at"},
 }
 
 

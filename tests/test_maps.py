@@ -1,6 +1,8 @@
 import functools
+import gc
 import importlib.util
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from ttm.textio import parse
 
 from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, laminary_violations, pullback_maps,
-    random_graph, random_map, random_tame_maps,
+    random_graph, random_map, random_tame_maps, rose_map,
 )
 from pullback_reference import BackwardPullbacks, backward_language
 
@@ -272,8 +274,9 @@ def test_image_windows(fibonacci):
 
 
 def test_infinitely_legal(fibonacci, rose2):
-    pb = LegalPullbacks(fibonacci)
-    lang = infinitely_legal_language(fibonacci, 2, pb)
+    pb = fibonacci.legal
+    assert isinstance(pb, LegalPullbacks) and pb is fibonacci.legal
+    lang = infinitely_legal_language(fibonacci, 2)
     used = used_language(fibonacci, 2)
     assert used <= lang
     # the difference at length 2 is exactly the diagonal pair a ~b / b ~a,
@@ -286,10 +289,25 @@ def test_infinitely_legal(fibonacci, rose2):
     assert not pb.is_infinitely_legal((B, B))
 
 
+def test_a_map_and_its_analyses_make_no_reference_cycle():
+    """``f.directions`` and ``f.legal`` hold no strong reference back to the
+    map, so it is freed when its last reference goes, without a garbage
+    collection."""
+    f = rose_map("ab", "a")
+    assert f.legal.is_infinitely_legal((A, B))
+    assert all(map(f.directions.is_legal, turns_of((A, B))))
+    gone = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
     for f in (fibonacci, thue_morse):
-        pb = LegalPullbacks(f)
-        lang = infinitely_legal_language(f, 5, pb)
+        lang = infinitely_legal_language(f, 5)
         assert laminary_violations(lang, 5, f.domain) == []
         for p in lang:
             image = f.map_path(p)
@@ -309,12 +327,11 @@ def membership_paths(g):
 
 
 def assert_forward_equals_backward(f, max_length):
-    forward, backward = LegalPullbacks(f), BackwardPullbacks(f)
+    forward, backward = f.legal, BackwardPullbacks(f)
     for p in membership_paths(f.domain):
         assert forward.is_infinitely_legal(p) == backward.is_infinitely_legal(p), p
     for n in range(1, max_length + 1):
-        assert (infinitely_legal_language(f, n, forward)
-                == backward_language(backward, n)), n
+        assert infinitely_legal_language(f, n) == backward_language(backward, n), n
 
 
 @functools.cache

@@ -9,7 +9,7 @@ from ttm.graphs import inverse, make_turn, reverse_path, rose
 from ttm.maps import (
     GraphMap, identity_map, infinitely_legal_language, search_covers, used_language,
 )
-from ttm import measures
+from ttm import maps, measures
 from ttm.measures import (
     FrequencyOracle, MeasureTable, VerificationReport, _common, _definitely_less, _sub, eigen_measures,
     eigenvector_measure, frequency_oracle, image_measure, recover_weights,
@@ -97,9 +97,24 @@ def test_eval_linear_in_vector(fib_setup, golden_root):
         assert ia.sup_abs(kf3.eval(p) - ia.exact(3) * kf.eval(p)) < 1e-12
 
 
+def test_one_map_builds_its_legal_language_once(monkeypatch):
+    """The infinitely legal language belongs to the map (``f.legal``): two
+    truncations, the legal windows of a tower and the support table of a
+    measure on another tower build the legal seeds once between them."""
+    built = []
+    seeds = maps.legal_seeds
+    monkeypatch.setattr(maps, "legal_seeds", lambda f: built.append(f) or seeds(f))
+    f = rose_map("ab", "a")
+    assert infinitely_legal_language(f, 3) < infinitely_legal_language(f, 4)
+    assert list(StationaryTower(f).legal_windows((A, 0), 1, 1))
+    (_, kf), = eigen_measures(f)[0]
+    assert kf.tower.f is f and kf.support_table(4).entries
+    assert built == [f]
+
+
 def test_support_containment(fib_setup, fibonacci, rose2):
     kf = fib_setup[3]
-    lang = infinitely_legal_language(fibonacci, 4, fib_setup[0].pullbacks())
+    lang = infinitely_legal_language(fibonacci, 4)
     used = used_language(fibonacci, 4)
     for p in rose2.reduced_paths(4):
         if (kf.eval(p) > 0) is True:
@@ -480,6 +495,38 @@ def test_oracle_agrees(fib_setup, tm_setup, rose2):
     assert est.within(kf.eval((A,))) is None
 
 
+def test_oracle_refuses_negative_iterates_and_small_eigenvalues(fib_setup):
+    """A negative t or an eigenvalue not certainly above one gives a wrong
+    estimate with a zero tail bound (at t = -3, cylinder a reads 2.618...
+    against the value 0.618...), so both are refused."""
+    tower, vt, _, _ = fib_setup
+    with pytest.raises(PreconditionError, match=r"start at 0 \(got -3\)"):
+        FrequencyOracle(tower.f, vt.vector, vt.lam, -3)
+    with pytest.raises(PreconditionError, match=r"start at 0 \(got -3\)"):
+        frequency_oracle(tower.f, vt.vector, vt.lam, (A,), -3)
+    straddling = ia.from_endpoints(Fraction(1, 2), Fraction(3, 2))
+    for lam in (1, Fraction(1), Fraction(1, 2), ia.one(), straddling):
+        with pytest.raises(PreconditionError, match="exceed 1"):
+            FrequencyOracle(tower.f, vt.vector, lam, 5)
+        with pytest.raises(PreconditionError, match="exceed 1"):
+            frequency_oracle(tower.f, vt.vector, lam, (A,), 5)
+
+
+@pytest.mark.parametrize("path", [(), (7,), (A, Abar), (A, 9)],
+                         ids=["empty", "edge-7", "unreduced", "edge-9"])
+def test_oracle_refuses_what_is_no_reduced_path(fib_setup, path):
+    """Edge ids 7 and 9 name no edge of the 2-edge rose: an error, not a
+    count of 0 occurrences."""
+    tower, vt, _, _ = fib_setup
+    oracle = FrequencyOracle(tower.f, vt.vector, vt.lam, 5)
+    with pytest.raises(PathError):
+        oracle.counts(path)
+    with pytest.raises(PathError):
+        oracle.estimate(path)
+    with pytest.raises(PathError):
+        frequency_oracle(tower.f, vt.vector, vt.lam, path, 5)
+
+
 def test_oracle_monotone_convergence(fib_setup):
     tower, vt, _, kf = fib_setup
     last = None
@@ -545,6 +592,12 @@ def test_recovery_guard_rails(fib_setup):
         recover_weights(small, tower, 2, 3)
     with pytest.raises(PreconditionError):
         recover_weights(kf.support_table(9), tower, 3, 4)
+
+
+def test_recovery_refuses_negative_level(fib_setup):
+    tower, _, _, kf = fib_setup
+    with pytest.raises(PreconditionError, match=r"tower levels start at 0 \(got -1\)"):
+        recover_weights(kf.support_table(3), tower, -1, 1)
 
 
 def test_recovery_below_bound_double_counts(fib_setup):

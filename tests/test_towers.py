@@ -210,7 +210,7 @@ def hit_times(da, source_turn, target_turn):
 def hit_time_turn_weights(vt):
     """Reference turn weights: one hit-time query per (target, e, tau)."""
     tower = vt.tower
-    graph, da = tower.graph, tower.directions
+    graph, da = tower.graph, tower.f.directions
     lam_inv = 1 / vt.lam
     out = {}
     for target in graph.all_turns():
@@ -272,7 +272,7 @@ def dense_turn_weights(vt):
     """Reference: the dense accumulation, an interval zero on every turn and
     each orbit term added in (e, tau) order, every power taken afresh."""
     tower = vt.tower
-    graph, da = tower.graph, tower.directions
+    graph, da = tower.graph, tower.f.directions
     lam_inv = 1 / vt.lam
     out = {t: ia.zero() for t in graph.all_turns()}
     for e in graph.positive_edges:
@@ -360,7 +360,7 @@ def test_switch_conditions(fib_setup, tm_setup):
 def test_illegal_turns_have_zero_weight(fib_setup, tm_setup):
     for setup in (fib_setup, tm_setup):
         wt = setup[2]
-        da = wt.tower.directions
+        da = wt.tower.f.directions
         assert all(ia.is_exact_zero(w) for t, w in wt.turn_weight.items()
                    if not da.is_legal(t))
 
@@ -467,6 +467,19 @@ def test_repetition_bounds_fibonacci(fib_setup):
 def test_repetition_bound_refuses_negative_cap(fib_setup):
     with pytest.raises(PreconditionError):
         repetition_bound(fib_setup[0], 0, -1)
+
+
+def test_repetition_bound_refuses_negative_level(fib_setup):
+    with pytest.raises(PreconditionError, match=r"tower levels start at 0 \(got -1\)"):
+        repetition_bound(fib_setup[0], -1, 2)
+
+
+def test_word_refuses_negative_level(fib_setup):
+    tower = fib_setup[0]
+    for e in (A, Bbar):
+        with pytest.raises(PreconditionError, match=r"tower levels start at 0 \(got -1\)"):
+            tower.word(e, -1)
+    assert tower.word(A, 0) == (A,)
 
 
 def test_repetition_bound_witness(rose2):
