@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -234,8 +233,8 @@ def cmd_measure(args) -> int:
 def cmd_verify(args) -> int:
     _require_length("--max-len", args.max_len, 1)
     _require_length("--oracle-t", args.oracle_t, 0)
-    if math.isnan(args.tol):
-        raise TTMError("--tol must be a number (got nan)")
+    if not args.tol >= 0:
+        raise TTMError(f"--tol must be a non-negative number (got {args.tol})")
     doc = load(args.file)
     f = doc.map(args.map)
     tol = args.tol

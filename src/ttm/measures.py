@@ -30,20 +30,20 @@ weights as met, then the level scale) and memoised by level and recipe, so
 values are bit-identical to the per-path definition and equal recipes share
 one interval.
 
-Walks skip what is known to be zero.  ``support(L)`` is the key set of the
-length-L sweep: every other path of length L is the exact zero.
-``eval`` checks its path and hands it to ``_walked``, which the walks and
-the CLI tables call directly on the paths they made.  Each
-verify suite visits only the paths whose residual can differ from the exact
-zero, in the order of the full walk over ``Graph.reduced_paths``, so the
-memo keeps the same first values and the reports are those of the full
-walk:
+Walks skip what is known to be zero.  The sweep keeps only reduced
+factors, and ``support(L)`` is its key set: every other reduced path of
+length L is the exact zero.  ``eval`` checks its path and hands it to
+``_walked``, which the walks and the CLI tables call directly on the paths
+they made.  Each verify suite hands ``_walk`` the paths whose residual can
+differ from the exact zero; it visits them in the order of the full walk
+over ``Graph.reduced_paths``, so the memo keeps the same first values and
+the reports are those of the full walk:
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
 * the eigen equation: S(L) and the reduced factors of the images of its
   paths, up to the bound (a path with a cover in the support is one);
-* the oracle: S(L) and the paths with a non-zero occurrence count, when
-  the oracle's tail bounds are non-negative (every path otherwise).
+* the oracle: S(L) and the paths with a non-zero occurrence count (its
+  vector is non-negative, so its tail bounds are too).
 
 The walks use no property of the measure they check.  Measure tables,
 which are external data, are still checked on every reduced path.
@@ -57,7 +57,6 @@ matrix, making their agreement a meaningful cross-validation.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -72,7 +71,7 @@ from .graphs import (
 )
 from .maps import GraphMap, infinitely_legal_language, search_covers
 from .towers import (
-    StationaryTower, VectorTower, WeightTower, repetition_bound,
+    StationaryTower, VectorTower, WeightTower, eigen_data, repetition_bound,
     weight_tower_from_vector,
 )
 
@@ -105,11 +104,10 @@ class KolmogorovFunction:
         return self._value(n, self._sweep(n, len(path)).get(path, _ZERO_RECIPE))
 
     def support(self, length: int):
-        """The paths of this length with a non-zero recipe: the keys of the
-        sweep at ``level_for_length(length)``.  Every other path of this
-        length evaluates to the exact zero.  The set is closed under
-        reversal; it may hold unreduced junction windows, which callers
-        drop."""
+        """The reduced paths of this length with a non-zero recipe: the keys
+        of the sweep at ``level_for_length(length)``.  Every other reduced
+        path of this length evaluates to the exact zero.  The set is closed
+        under reversal."""
         return self._length_sweep(length)[1].keys()
 
     def _walked(self, path):
@@ -136,7 +134,8 @@ class KolmogorovFunction:
         return got
 
     def _sweep(self, n: int, length: int):
-        """Recipe of every length-``length`` factor of the level-n words.
+        """Recipe of every reduced length-``length`` factor of the level-n
+        words (a junction window across a cancelling pair is dropped).
 
         A recipe is the pair (edge counts, crossed turns): the occurrences of
         the factor or its reverse inside each positive edge's word, and the
@@ -162,7 +161,7 @@ class KolmogorovFunction:
                 for cut in range(1, length):
                     crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
         return {p: (tuple(counts.get(p, {}).items()), tuple(crossed.get(p, ())))
-                for p in counts.keys() | crossed.keys()}
+                for p in counts.keys() | crossed.keys() if is_reduced(p)}
 
     def _value(self, n: int, recipe):
         """Replay a recipe in the per-path summation order: edge terms in
@@ -221,8 +220,14 @@ def eigenvector_measure(tower: StationaryTower, vector, lam) -> KolmogorovFuncti
 def measure_pairs(f: GraphMap):
     """``(above, skipped)``: f's distinguished eigenpairs above one (each with
     a measure) and at or below one, in ``distinguished_eigenvectors`` order."""
+    return split_at_one(spectra.distinguished_eigenvectors(f.transition_matrix()))
+
+
+def split_at_one(pairs):
+    """``(above, skipped)``: the eigenpairs with eigenvalue above one and at
+    or below one, each in the given order."""
     above, skipped = [], []
-    for pair in spectra.distinguished_eigenvectors(f.transition_matrix()):
+    for pair in pairs:
         (above if pair.value.compare(1) > 0 else skipped).append(pair)
     return above, skipped
 
@@ -253,13 +258,8 @@ class MeasureTable:
     max_length: int
 
     def __post_init__(self):
-        fixed = {}
-        for path, value in self.entries.items():
-            path = tuple(path)
-            if not self.graph.is_path(path) or not is_reduced(path) or not path:
-                raise PathError(f"table key is not a reduced path: {path}")
-            fixed[path] = value
-        self.entries = fixed
+        self.entries = {_checked(self.graph, path, "a measure table"): value
+                        for path, value in self.entries.items()}
 
     def value(self, path):
         """The recorded value of a path or its reversal; zero for an unlisted
@@ -336,9 +336,9 @@ class VerificationReport:
         """Record the check ``name`` from its violation values (intervals, or
         Fractions, enclosed first), streamed.  The largest lower and upper
         endpoints, from zero, are kept and compared with ``tol`` exactly; a
-        NaN ``tol`` raises PreconditionError."""
-        if math.isnan(tol):
-            raise PreconditionError(f"check {name!r} got a NaN tolerance")
+        NaN or negative ``tol`` raises PreconditionError."""
+        if not tol >= 0:
+            raise PreconditionError(f"check {name!r} got a NaN or negative tolerance")
         lo = hi = libmp.fzero    # raw mpf endpoints, compared exactly
         for v in violations:
             a, b = (ia.from_fraction(v) if isinstance(v, Fraction) else v)._mpi_
@@ -362,9 +362,10 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
 
     ``source`` is a KolmogorovFunction or a MeasureTable.  Values one edge
     longer than the bound must be available.  A table, being external data,
-    is checked on every reduced path.  A measure is checked on its walk set
-    (``_kirchhoff_walk``): every other reduced path has the exact zero as
-    its value and as the values of its one-edge extensions, so its three
+    is checked on every reduced path.  A measure is checked on the walk of
+    its support S up to the bound and of q[1:] and q[:-1] for q in S up to
+    one edge beyond: every other reduced path has the exact zero as its
+    value and as the values of its one-edge extensions, so its three
     residuals are the exact zero, which no check reads.
     """
     _require_bound(max_length)
@@ -388,8 +389,9 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
          lambda p: kirchhoff(p, (p + (e,) for e in graph.extensions_right(p)))),
     )
     report = VerificationReport()
-    paths = (graph.reduced_paths(max_length) if table
-             else _kirchhoff_walk(source, max_length))
+    paths = (graph.reduced_paths(max_length) if table else _walk(
+        p for length in range(1, max_length + 2) for q in source.support(length)
+        for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length))
     for name, residual in residuals:
         report.record(name, _magnitudes(map(residual, paths)), tol)
     if table:
@@ -404,27 +406,11 @@ def _require_bound(max_length: int):
         raise PreconditionError(f"length bound must be at least 1 (got {max_length})")
 
 
-def _walk_order(paths):
-    """Reduced paths in ``Graph.reduced_paths`` order (by length, then by
-    edge ids), so a walk evaluates its paths in the order of the full walk
-    and the memo keeps the same first values."""
-    return sorted(paths, key=lambda p: (len(p), p))
-
-
-def _kirchhoff_walk(kf: KolmogorovFunction, max_length: int):
-    """The reduced paths p up to the bound that are in the support, or whose
-    one-edge extension on either side is: S(L) and the paths q[1:], q[:-1]
-    for q in S(L + 1), where S is ``kf.support``."""
-    walk = set()
-    for length in range(1, max_length + 2):
-        for q in kf.support(length):
-            if is_reduced(q):
-                if length <= max_length:
-                    walk.add(q)
-                if length > 1:
-                    walk.add(q[1:])
-                    walk.add(q[:-1])
-    return _walk_order(walk)
+def _walk(paths):
+    """The reduced paths among ``paths``, once each, in ``Graph.reduced_paths``
+    order (by length, then by edge ids), so a suite evaluates them in the
+    order of the full walk and the memo keeps the same first values."""
+    return sorted({p for p in paths if is_reduced(p)}, key=lambda p: (len(p), p))
 
 
 def _magnitudes(residuals):
@@ -453,6 +439,12 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
     """
     path = _checked(f.codomain, path, "the image measure")
     _require_pushforward(f, kf)
+    return _pushforward(f, kf, path)
+
+
+def _pushforward(f: GraphMap, kf: KolmogorovFunction, path):
+    """``image_measure`` without its checks: the covers' values summed in
+    search order."""
     total = ia.zero()
     for parent in search_covers(f, path):
         total = total + kf.eval(parent)
@@ -471,35 +463,24 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     """Check that the pushforward equals lambda times the measure on the
     reduced paths up to the bound.
 
-    The paths checked are the walk set of ``_pushforward_walk``; every other
-    reduced path has the exact zero as its value and as the value of each
-    of its covers, so its residual is exactly [0, 0].
+    The paths checked are the walk of the support paths d up to the bound
+    and of the factors, up to the bound, of their images f(d).  A cover of
+    p is at most |p| edges long (edge images are non-empty) and p is a
+    factor of its image, so a path with a cover in the support is walked;
+    every other reduced path has the exact zero as its value and as the
+    value of each of its covers, so its residual is exactly [0, 0].
     """
     _require_bound(max_length)
     _require_pushforward(f, kf)
     if not f.is_self_map():
         raise PreconditionError("the eigen equation needs a self-map")
     lam = ia.coerce(lam)
+    walk = _walk(x for length in range(1, max_length + 1) for d in kf.support(length)
+                 for x in (d, *subpaths_up_to(f.map_path(d), max_length)))
     report = VerificationReport()
     report.record("eigen-equation", _magnitudes(
-        image_measure(f, kf, path) - lam * kf._walked(path)
-        for path in _pushforward_walk(f, kf, max_length)), tol)
+        _pushforward(f, kf, path) - lam * kf._walked(path) for path in walk), tol)
     return report
-
-
-def _pushforward_walk(f: GraphMap, kf: KolmogorovFunction, max_length: int):
-    """The support paths up to the bound and the reduced factors, up to the
-    bound, of their images.  A cover of p is at most |p| edges long (edge
-    images are non-empty) and p is a factor of its image, so a path with a
-    cover in the support is in this set."""
-    walk = set()
-    for length in range(1, max_length + 1):
-        for d in kf.support(length):
-            if is_reduced(d):
-                walk.add(d)
-                walk.update(x for x in subpaths_up_to(f.map_path(d), max_length)
-                            if is_reduced(x))
-    return _walk_order(walk)
 
 
 # -- weight recovery -------------------------------------------------------------------
@@ -571,6 +552,8 @@ class FrequencyOracle:
 
     Only the map's edge images and the vector enter: no tower and no weights,
     so agreement with the tower evaluator is an independent cross-check.
+    The vector and lam follow the rule of ``VectorTower`` (PreconditionError
+    otherwise), so every tail bound is non-negative.
     """
 
     def __init__(self, f: GraphMap, vector, lam, t: int):
@@ -578,13 +561,10 @@ class FrequencyOracle:
             raise PreconditionError(f"oracle iterates start at 0 (got {t})")
         self.f = f
         self.graph = f.domain
-        self.vector = vector
+        self.vector, self.lam = eigen_data(self.graph, vector, lam)
         self.t = t
-        self.lam = ia.coerce(lam)
-        if not (self.lam > 1):
-            raise PreconditionError("eigenvalue must certifiably exceed 1")
         self.scale = self.lam ** (-t)
-        self.vec_total = ia.isum(vector[k] for k in range(self.graph.n_edges))
+        self.vec_total = ia.isum(self.vector)
         self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
         self._counts = {}    # length -> oriented edge -> factor counts
         self._tails = {}     # length -> tail bound
@@ -677,26 +657,16 @@ def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: i
     beyond the tail bound.  Returns the report and the largest
     ``|eval - estimate|`` (a float, for display).
 
-    The paths compared are the two supports, the measure's and the
-    oracle's non-zero counts.  On every other reduced path both values are
-    exactly zero, so the distance is zero and the excess is minus the tail
-    bound; no check reads it when the bound's lower endpoint is at least
-    zero.  An oracle with a tail bound that may be negative (a vector of
-    negative total) is compared on every reduced path.
+    The paths compared are the walk of the two supports, the measure's and
+    the oracle's non-zero counts.  On every other reduced path both values
+    are exactly zero, so the distance is zero and the excess is minus the
+    tail bound, which is non-negative (the oracle's vector is): no check
+    reads it.
     """
     _require_bound(max_length)
-    lengths = range(1, max_length + 1)
-    if all(libmp.mpf_ge(oracle._tail(length)._mpi_[0], libmp.fzero)
-           for length in lengths):
-        walk = set()
-        for length in lengths:
-            walk.update(p for p in kf.support(length) if is_reduced(p))
-            walk.update(p for p in oracle.support(length) if is_reduced(p))
-        walk = _walk_order(walk)
-    else:
-        walk = kf.graph.reduced_paths(max_length)
     worst, excess = 0.0, []
-    for p in walk:
+    for p in _walk(q for length in range(1, max_length + 1)
+                   for support in (kf.support, oracle.support) for q in support(length)):
         value, est = kf._walked(p), oracle.estimate(p)
         worst = max(worst, ia.sup_abs(value - est.value))
         excess.append(est.excess(value))

@@ -9,7 +9,7 @@ incidence matrix.  ``Substitution`` keeps only the word-level API (``apply``,
 those of its rose map (``Substitution.rose_map``), read back as words.
 
 Invariant measures of the subshift are the measures of the rose map
-(``measures.eigen_measures`` on ``Substitution.rose_map``): each
+(as ``measures.eigen_measures`` builds them on ``Substitution.rose_map``): each
 distinguished eigenvector of the incidence matrix with eigenvalue above one
 yields a shift-invariant probability measure, and the letter frequencies are
 the eigenvector coordinates; ``ergodic_measures`` adds its preconditions and
@@ -25,7 +25,8 @@ from functools import cached_property
 from . import maps, spectra
 from .errors import PreconditionError
 from .graphs import is_positive, rose, subpaths_up_to
-from .measures import KolmogorovFunction, eigen_measures
+from .measures import KolmogorovFunction, eigenvector_measure, split_at_one
+from .towers import StationaryTower
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,15 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     if not sigma.is_expanding():
         raise PreconditionError(
             "measure enumeration needs all iterated image lengths to diverge")
-    bf = spectra.block_form(sigma.incidence_matrix())
+    spec = spectra.spectrum(sigma.incidence_matrix())
     warnings = [f"possible periodic word {w!r} in the subshift"
                 for w in _periodic_witnesses(sigma, PERIODICITY_SCAN)]
-    measures, skipped = eigen_measures(sigma.rose_map)
+    above, skipped = split_at_one(spec.distinguished)
+    tower = StationaryTower(sigma.rose_map) if above else None
     return ErgodicEnumeration(
-        measures=[SubshiftMeasure(sigma, pair, kf) for pair, kf in measures],
-        skipped=skipped, block_form=bf, warnings=warnings)
+        measures=[SubshiftMeasure(sigma, p, eigenvector_measure(tower, p.vector, p.value))
+                  for p in above],
+        skipped=skipped, block_form=spec.form, warnings=warnings)
 
 
 def _periodic_witnesses(sigma: Substitution, bound: int):

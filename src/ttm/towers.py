@@ -174,6 +174,20 @@ class StationaryTower:
 # -- vector and weight towers -----------------------------------------------------
 
 
+def eigen_data(graph, vector, lam):
+    """``(vector, lam)`` as a tuple and an enclosure; PreconditionError
+    unless the vector has one certified non-negative coordinate per positive
+    edge of the graph and lam certifiably exceeds 1."""
+    vector, lam = tuple(vector), ia.coerce(lam)
+    if len(vector) != graph.n_edges:
+        raise PreconditionError("need one coordinate per positive edge")
+    if not (lam > 1):
+        raise PreconditionError("eigenvalue must certifiably exceed 1")
+    if not all((x >= 0) is True for x in vector):
+        raise PreconditionError("eigenvector must be non-negative")
+    return vector, lam
+
+
 class VectorTower:
     """A non-negative eigenvector v with eigenvalue lambda > 1, read as the
     compatible family of level vectors v / lambda**n (never materialised).
@@ -184,15 +198,7 @@ class VectorTower:
 
     def __init__(self, tower: StationaryTower, vector, lam):
         self.tower = tower
-        self.lam = ia.coerce(lam)
-        self.vector = tuple(vector)
-        if len(self.vector) != tower.graph.n_edges:
-            raise PreconditionError("need one coordinate per positive edge")
-        if not (self.lam > 1):
-            raise PreconditionError("eigenvalue must certifiably exceed 1")
-        for x in self.vector:
-            if (x >= 0) is not True:
-                raise PreconditionError("eigenvector must be non-negative")
+        self.vector, self.lam = eigen_data(tower.graph, vector, lam)
         res = ia.eigen_residual(tower.f.transition_matrix(), self.vector, self.lam)
         if not all(ia.contains_zero(r) for r in res):
             raise PreconditionError(

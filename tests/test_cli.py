@@ -66,12 +66,23 @@ def test_verify_fails_on_bad_map(fib_file, capsys):
     assert code == 3  # precondition: not a train track map
 
 
-@pytest.mark.parametrize("tol,status", [("-1", "FAIL"), ("0", "INCONCLUSIVE"),
+@pytest.mark.parametrize("tol,status", [("1e-12", "FAIL"), ("0", "INCONCLUSIVE"),
                                         ("1e-12", "pass")])
-def test_verify_switch_verdict(fib_file, capsys, tol, status):
+def test_verify_switch_verdict(fib_file, capsys, monkeypatch, tol, status):
     """The switch suite follows the verdict rule of the other suites: a
     violation provably beyond the tolerance fails, one whose interval
-    straddles it is inconclusive."""
+    straddles it is inconclusive.  The failing measure has the weight of the
+    edge a raised by 1/1000, which breaks the switch condition at a and
+    moves the value of (a,) away from the oracle's estimate."""
+    if status == "FAIL":
+        build = ttm.cli.eigenvector_measure
+
+        def perturbed(*args):
+            kf = build(*args)
+            kf.weights.edge_weight[0] = kf.weights.edge_weight[0] + ia.exact(1) / 1000
+            return kf
+
+        monkeypatch.setattr(ttm.cli, "eigenvector_measure", perturbed)
     code, out, _ = run(capsys, "verify", fib_file, "--map", "f",
                        "--max-len", "2", "--tol", tol)
     assert f"switch conditions: {status} (" in out
@@ -231,6 +242,7 @@ def test_unreadable_input_file_exit_code(tmp_path, capsys, kind):
     ("check", "--rep-cap", "-1"),
     ("check", "--rep-levels", "-1"),
     ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"),
     ("measure", "--paths", " "),
     ("measure", "--paths", ","),
 ])

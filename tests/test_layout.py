@@ -34,7 +34,8 @@ REMOVED_NAMES = {
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
                "WeightTower.turn_weight_at", "StationaryTower.pullbacks"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
-    "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at"},
+    "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
+                 "_walk_order", "_kirchhoff_walk", "_pushforward_walk"},
 }
 
 

@@ -344,6 +344,12 @@ def test_record_refuses_nan_tolerance():
         VerificationReport().record("c", [], math.nan)
 
 
+def test_record_refuses_negative_tolerance():
+    """Below a negative tolerance even the exact zero would fail."""
+    with pytest.raises(PreconditionError):
+        VerificationReport().record("c", [Fraction(0)], -1.0)
+
+
 # -- image measures -----------------------------------------------------------------------
 
 
@@ -444,19 +450,23 @@ def test_image_measure_counts_every_occurrence():
 
 def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci,
                                                              golden_root, monkeypatch):
-    """The eigen walk pushes each walked path forward once, in the order of
-    the full walk over the reduced paths, and every reduced path it skips
-    has the residual exactly [0, 0], which no check reads."""
-    calls = []
+    """The eigen walk checks the map once and pushes each walked path
+    forward once, in the order of the full walk over the reduced paths, and
+    every reduced path it skips has the residual exactly [0, 0], which no
+    check reads."""
+    calls, tame = [], []
+    pushforward, require_tame = measures._pushforward, GraphMap.require_tame
 
     def counted(f, kf, path):
         calls.append(tuple(path))
-        return image_measure(f, kf, path)
+        return pushforward(f, kf, path)
 
-    monkeypatch.setattr(measures, "image_measure", counted)
+    monkeypatch.setattr(measures, "_pushforward", counted)
+    monkeypatch.setattr(GraphMap, "require_tame",
+                        lambda f, *what: tame.append(f) or require_tame(f, *what))
     kf = fib_setup[3]
     report = verify_eigen_measure(fibonacci, kf, golden_root, 4, 1e-12)
-    assert report.passed
+    assert report.passed and tame == [fibonacci]
     assert calls and len(set(calls)) == len(calls)
     everything = fibonacci.domain.reduced_paths(4)
     walked = set(calls)
@@ -493,6 +503,19 @@ def test_oracle_agrees(fib_setup, tm_setup, rose2):
     tower, vt, _, kf = fib_setup
     est = frequency_oracle(tower.f, vt.vector, vt.lam, (A,), 25)
     assert est.within(kf.eval((A,))) is None
+
+
+def test_oracle_refuses_vectors_that_are_not_non_negative(fib_setup):
+    """The oracle takes the vector rule of ``VectorTower``: one certified
+    non-negative coordinate per positive edge.  A negated vector would give
+    a negative tail bound, a short one would be indexed past its end and a
+    long one would be read only in part."""
+    tower, vt, _, _ = fib_setup
+    for vector in ([-x for x in vt.vector], vt.vector[:1], vt.vector + (ia.one(),)):
+        with pytest.raises(PreconditionError):
+            FrequencyOracle(tower.f, vector, vt.lam, 5)
+        with pytest.raises(PreconditionError):
+            frequency_oracle(tower.f, vector, vt.lam, (A,), 5)
 
 
 def test_oracle_refuses_negative_iterates_and_small_eigenvalues(fib_setup):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
+from ttm import spectra
 from ttm.errors import PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
@@ -261,6 +262,26 @@ def test_ergodic_cab_variant():
     assert len(enum.measures) == 1
     freqs = [ia.midpoint(v) for v in enum.measures[0].letter_frequencies()]
     assert max(abs(x - y) for x, y in zip(freqs, (0.5, 0.5, 0.0))) < 1e-10
+
+
+@pytest.mark.parametrize("sigma", [FIB, THREE, THREE_CAB], ids=["fib", "three", "cab"])
+def test_ergodic_measures_build_the_block_form_once(sigma, monkeypatch):
+    """The enumeration reads its block form off the one spectrum that its
+    measures come from, and splits that spectrum's pairs as
+    ``eigen_measures`` does."""
+    calls = []
+    block_form = spectra.block_form
+    monkeypatch.setattr(spectra, "block_form",
+                        lambda m: calls.append(m) or block_form(m))
+    enum = ergodic_measures(sigma)
+    assert len(calls) == 1
+    assert enum.block_form == block_form(sigma.incidence_matrix())
+    measures, skipped = eigen_measures(sigma.rose_map)
+    assert (len(enum.measures), len(enum.skipped)) == (len(measures), len(skipped))
+    got = [mu.eigenpair for mu in enum.measures] + enum.skipped
+    for a, b in zip(got, [pair for pair, _ in measures] + skipped):
+        assert (a.vector, a.support, a.block) == (b.vector, b.support, b.block)
+        assert a.value.compare(b.value) == 0
 
 
 def test_ergodic_measures_satisfy_kirchhoff_and_normalise():

@@ -12,7 +12,7 @@ import pytest
 import ttm.intervals as ia
 from ttm.cli import _table_rows
 from ttm.errors import PreconditionError
-from ttm.graphs import is_reduced, reverse_path
+from ttm.graphs import is_reduced, make_turn, reverse_path
 from ttm.maps import GraphMap
 from ttm.measures import (
     _EXACT_ZERO, FrequencyOracle, VerificationReport, _magnitudes, _sub, eigen_measures,
@@ -21,7 +21,7 @@ from ttm.measures import (
 )
 from ttm.towers import StationaryTower
 
-from conftest import A, Bbar, pullback_maps, rose_map
+from conftest import A, Abar, B, Bbar, pullback_maps, rose_map
 
 
 # -- the full walks, as the suites ran them over every reduced path ---------------------
@@ -193,28 +193,6 @@ def test_oracle_walks_its_own_support(tol):
     assert (A,) not in broken().support(1)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 0.0], ids=["tol-1e-12", "tol-0"])
-def test_oracle_with_a_negative_tail_bound_walks_every_path(tol):
-    """A vector of negative total makes the tail bound negative, so a path
-    outside both supports has a positive excess, minus the bound.  With the
-    measure's length-2 support emptied and the oracle at t = 0 counting no
-    length-2 path, only a walk over every reduced path sees that excess."""
-    make, _ = fib_maker()
-
-    def build():
-        kf = make()
-        kf._length_sweep(2)[1].clear()
-        return kf
-
-    vt = make().weights.vt
-    oracle = FrequencyOracle(MAPS["fibonacci"], [-x for x in vt.vector], vt.lam, 0)
-    assert (oracle._tail(2) < 0) is True and not oracle.support(2)
-    report, worst = verify_oracle(build(), oracle, 2, tol)
-    full, full_worst = full_oracle(build(), oracle, 2, tol)
-    assert outcome(report) == outcome(full) and worst == full_worst
-    assert report.checks["oracle"] == ia.sup_abs(oracle._tail(2))
-
-
 # -- the table evaluator ----------------------------------------------------------------
 
 
@@ -250,6 +228,20 @@ def test_zero_recipe_paths_extend_to_zero_recipe_paths(name, f):
         for q in kf.support(length + 1):
             if is_reduced(q):
                 assert q[1:] in shorter and q[:-1] in shorter, q
+
+
+def test_support_holds_only_reduced_paths(fib_setup):
+    """On Fibonacci the turn {a, b} is illegal: the level-n words of a-bar
+    and b end in a-bar and start with a, so every window across that
+    junction backtracks.  The sweep drops those windows, so the support
+    holds only reduced paths and no walk has to filter it."""
+    tower, _, _, kf = fib_setup
+    assert not tower.f.directions.is_legal(make_turn(A, B))
+    for length in range(2, 7):
+        n = tower.level_for_length(length)
+        window = tower.word(Abar, n)[-1:] + tower.word(B, n)[:length - 1]
+        assert not is_reduced(window) and window not in kf.support(length)
+        assert all(is_reduced(p) for p in kf.support(length))
 
 
 def test_support_holds_every_non_zero_path(fib_setup, rose2):
