@@ -29,10 +29,9 @@ from .spectra import (
     BlockForm, Eigenpair, Spectrum, block_form, distinguished_eigenvectors,
     is_primitive, pf_eigenpair, spectrum,
 )
-from .substitutions import Substitution, ergodic_measures, to_train_track
+from .substitutions import Substitution, ergodic_measures
 from .towers import (
-    StationaryTower, VectorTower, WeightTower, repetition_bound,
-    weight_tower_from_vector,
+    StationaryTower, WeightTower, repetition_bound, weight_tower_from_vector,
 )
 
 __version__ = "0.1.0"

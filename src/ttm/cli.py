@@ -233,8 +233,8 @@ def cmd_measure(args) -> int:
 def cmd_verify(args) -> int:
     _require_length("--max-len", args.max_len, 1)
     _require_length("--oracle-t", args.oracle_t, 0)
-    if not args.tol >= 0:
-        raise TTMError(f"--tol must be a non-negative number (got {args.tol})")
+    if not 0 <= args.tol < float("inf"):
+        raise TTMError(f"--tol must be a finite non-negative number (got {args.tol})")
     doc = load(args.file)
     f = doc.map(args.map)
     tol = args.tol
@@ -257,7 +257,7 @@ def cmd_verify(args) -> int:
 
 def _verify_once(f, args, tol):
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
-    vt = kf.weights.vt
+    wt = kf.weights
     lines, failures, inconclusive = [], [], []
 
     def report(label, rep, names, detail):
@@ -278,17 +278,17 @@ def _verify_once(f, args, tol):
            f"max violation {kirch:.3e}")
 
     rep = VerificationReport()
-    rep.record("switch", (abs(r) for r in kf.weights.switch_residuals().values()),
+    rep.record("switch", (abs(r) for r in wt.switch_residuals().values()),
                tol)
     report("switch conditions", rep, {"switch"},
            f"max violation {rep.checks['switch']:.3e}")
 
-    erep = verify_eigen_measure(f, kf, vt.lam, args.max_len, tol)
+    erep = verify_eigen_measure(f, kf, wt.lam, args.max_len, tol)
     report("eigen equation (pushforward = lambda * measure)", erep, {"eigen-equation"},
            f"max violation {erep.checks['eigen-equation']:.3e}")
 
     # the oracle's violation is |eval - estimate| beyond the tail bound
-    oracle = FrequencyOracle(f, vt.vector, vt.lam, args.oracle_t)
+    oracle = FrequencyOracle(f, wt.vector, wt.lam, args.oracle_t)
     rep, worst = verify_oracle(kf, oracle, min(args.max_len, 4), tol)
     report("oracle agreement", rep, {"oracle"},
            f"max |eval - estimate| {worst:.3e} at t={args.oracle_t}")

@@ -7,6 +7,8 @@
 * blow-up dialect: every vertex opens into a complete graph on its
   directions (local vertices / local edges), with one non-local edge per
   original edge; a turn of the base graph is realised by a local edge.
+  Blow-up vertex and non-local edge ids are the base direction and edge
+  ids, so no translation table is needed for them.
 
 Round trips (collapse after blow-up, and the idempotence laws between long
 and short) hold on the nose up to canonical relabelling; the helpers at the
@@ -242,14 +244,6 @@ class BlowUp:
     n_nonlocal: int
     local_index: dict        # normalised turn -> positive local edge id
 
-    def local_vertex(self, d: int) -> int:
-        """The blow-up vertex sitting on base direction d."""
-        return d
-
-    def nonlocal_edge(self, e: int) -> int:
-        """Oriented blow-up edge over the oriented base edge."""
-        return e
-
     def is_local(self, e: int) -> bool:
         return (e >> 1) >= self.n_nonlocal
 
@@ -260,16 +254,6 @@ class BlowUp:
             raise GraphError("directions do not share a base vertex")
         pos = self.local_index[turn]
         return pos if turn == (d1, d2) else inverse(pos)
-
-    def base_edge(self, e: int) -> int:
-        if self.is_local(e):
-            raise GraphError("local edges have no base edge")
-        return e
-
-    def turn_of_local(self, e: int):
-        v1 = self.graph.initial(e)
-        v2 = self.graph.terminal(e)
-        return make_turn(v1, v2)
 
     # -- path translation ------------------------------------------------------
 
@@ -282,7 +266,7 @@ class BlowUp:
             if i:
                 prev = base_path[i - 1]
                 out.append(self.local_edge(inverse(prev), e))
-            out.append(self.nonlocal_edge(e))
+            out.append(e)
         return tuple(out)
 
     def to_base_path(self, blow_path):
@@ -300,7 +284,7 @@ class BlowUp:
                     raise PathError("two consecutive local edges")
                 prev_local = True
             else:
-                out.append(self.base_edge(e))
+                out.append(e)
                 prev_local = False
         return tuple(out)
 
@@ -364,24 +348,11 @@ def blow_up_map(f: GraphMap) -> BlowUpMap:
     dom = blow_up(f.domain)
     cod = blow_up(f.codomain) if f.domain is not f.codomain else dom
     df = {d: f.image(d)[0] for d in f.domain.oriented_edges}
-    vimg = tuple(cod.local_vertex(df[d]) for d in f.domain.oriented_edges)
-    eimg = []
-    for k in range(dom.graph.n_edges):
-        e = 2 * k
-        if not dom.is_local(e):
-            base = f.image(dom.base_edge(e))
-            path = []
-            for i, x in enumerate(base):
-                if i:
-                    path.append(cod.local_edge(inverse(base[i - 1]), x))
-                path.append(cod.nonlocal_edge(x))
-            eimg.append(tuple(path))
-        else:
-            d1, d2 = dom.turn_of_local(e)
-            if df[d1] == df[d2]:
-                eimg.append(())          # contracted: illegal local edge
-            else:
-                eimg.append((cod.local_edge(df[d1], df[d2]),))
+    vimg = tuple(df[d] for d in f.domain.oriented_edges)
+    eimg = [cod.to_blowup_path(f.image(2 * k)) for k in range(dom.n_nonlocal)]
+    for k in range(dom.n_nonlocal, dom.graph.n_edges):
+        d1, d2 = dom.graph.initial(2 * k), dom.graph.terminal(2 * k)
+        eimg.append(() if df[d1] == df[d2] else (cod.local_edge(df[d1], df[d2]),))
     illegal = frozenset(t for t in f.domain.all_turns()
                         if df[t[0]] == df[t[1]])
     bmap = GraphMap(dom.graph, cod.graph, vimg, eimg, name=f.name)
@@ -390,18 +361,9 @@ def blow_up_map(f: GraphMap) -> BlowUpMap:
 
 def contract_map(bm: BlowUpMap) -> GraphMap:
     """Collapse local edges in a blow-up map; recovers the base map."""
-    dom = bm.domain
-    cod = bm.codomain
-    g = dom.base
-    vimg = []
-    for v in g.vertices:
-        d = g.directions_at(v)[0]
-        image_dir = bm.map.vertex(dom.local_vertex(d))
-        vimg.append(cod.base.initial(image_dir))
-    eimg = []
-    for k in range(g.n_edges):
-        blown = bm.map.edge_image[bm.domain.nonlocal_edge(2 * k) >> 1]
-        eimg.append(cod.to_base_path(blown))
+    cod, g = bm.codomain, bm.domain.base
+    vimg = [cod.base.initial(bm.map.vertex(g.directions_at(v)[0])) for v in g.vertices]
+    eimg = [cod.to_base_path(bm.map.edge_image[k]) for k in range(g.n_edges)]
     return GraphMap(g, cod.base, vimg, eimg, name=bm.map.name)
 
 
@@ -412,11 +374,8 @@ def blowup_isomorphism(bu1: BlowUp, bu2: BlowUp):
     the structures do not match."""
     if bu1.base._endpoints != bu2.base._endpoints:
         raise GraphError("blow-ups of different base graphs")
-    vmap = {bu1.local_vertex(d): bu2.local_vertex(d)
-            for d in bu1.base.oriented_edges}
-    emap = {}
-    for e in bu1.base.oriented_edges:
-        emap[bu1.nonlocal_edge(e)] = bu2.nonlocal_edge(e)
+    vmap = {d: d for d in bu1.base.oriented_edges}
+    emap = {e: e for e in bu1.base.oriented_edges}
     for turn in bu1.base.all_turns():
         emap[bu1.local_edge(*turn)] = bu2.local_edge(*turn)
         emap[inverse(bu1.local_edge(*turn))] = inverse(bu2.local_edge(*turn))

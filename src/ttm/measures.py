@@ -71,8 +71,7 @@ from .graphs import (
 )
 from .maps import GraphMap, infinitely_legal_language, search_covers
 from .towers import (
-    StationaryTower, VectorTower, WeightTower, eigen_data, repetition_bound,
-    weight_tower_from_vector,
+    StationaryTower, WeightTower, eigen_data, repetition_bound, weight_tower_from_vector,
 )
 
 
@@ -179,7 +178,7 @@ class KolmogorovFunction:
                 total = total + self.weights.turn_weight[turn]
             scale = self._scales.get(n)
             if scale is None:
-                scale = self._scales[n] = self.weights.vt.level_scale(n)
+                scale = self._scales[n] = self.weights.level_scale(n)
             value = self._values[key] = total * scale
         return value
 
@@ -214,7 +213,7 @@ def eigenvector_measure(tower: StationaryTower, vector, lam) -> KolmogorovFuncti
     """The measure of an eigenvector of the tower map with eigenvalue ``lam``
     (root, Fraction or interval); PreconditionError unless the eigenpair,
     lam > 1 and the switch conditions are certified."""
-    return KolmogorovFunction(weight_tower_from_vector(VectorTower(tower, vector, lam)))
+    return KolmogorovFunction(weight_tower_from_vector(tower, vector, lam))
 
 
 def measure_pairs(f: GraphMap):
@@ -336,9 +335,10 @@ class VerificationReport:
         """Record the check ``name`` from its violation values (intervals, or
         Fractions, enclosed first), streamed.  The largest lower and upper
         endpoints, from zero, are kept and compared with ``tol`` exactly; a
-        NaN or negative ``tol`` raises PreconditionError."""
-        if not tol >= 0:
-            raise PreconditionError(f"check {name!r} got a NaN or negative tolerance")
+        NaN, negative or infinite ``tol`` raises PreconditionError."""
+        if not 0 <= tol < float("inf"):
+            raise PreconditionError(
+                f"check {name!r} got a NaN, negative or infinite tolerance")
         lo = hi = libmp.fzero    # raw mpf endpoints, compared exactly
         for v in violations:
             a, b = (ia.from_fraction(v) if isinstance(v, Fraction) else v)._mpi_
@@ -552,7 +552,7 @@ class FrequencyOracle:
 
     Only the map's edge images and the vector enter: no tower and no weights,
     so agreement with the tower evaluator is an independent cross-check.
-    The vector and lam follow the rule of ``VectorTower`` (PreconditionError
+    The vector and lam follow the rule of ``WeightTower`` (PreconditionError
     otherwise), so every tail bound is non-negative.
     """
 

@@ -6,7 +6,8 @@ word.  Identifying the alphabet with the positive edges of a one-vertex graph
 oriented edges, which is automatically a train track map with the same
 incidence matrix.  ``Substitution`` keeps only the word-level API (``apply``,
 ``iterate``); the expansion test, the incidence matrix and the language are
-those of its rose map (``Substitution.rose_map``), read back as words.
+those of its rose map, read back as words.  ``Substitution.rose_map`` is the
+one builder of that map.
 
 Invariant measures of the subshift are the measures of the rose map
 (as ``measures.eigen_measures`` builds them on ``Substitution.rose_map``): each
@@ -70,8 +71,11 @@ class Substitution:
 
     @cached_property
     def rose_map(self) -> maps.GraphMap:
-        """The substitution as a self-map of the rose (built on first use)."""
-        return to_train_track(self)[0]
+        """The substitution as a self-map of the rose, one positive edge per
+        letter (built on first use)."""
+        g = rose(len(self.alphabet), edge_labels=tuple(str(x) for x in self.alphabet))
+        eimg = tuple(word_to_path(self, w) for w in self.images)
+        return maps.GraphMap(g, g, [0], eimg, name="subst")
 
     def incidence_matrix(self):
         return self.rose_map.transition_matrix()
@@ -89,16 +93,6 @@ class Substitution:
         for p in maps.image_windows(self.rose_map, self.rose_map.edge_image, max_length):
             found |= subpaths_up_to(path_to_word(self, p), max_length)
         return frozenset(found)
-
-
-def to_train_track(sigma: Substitution):
-    """The substitution as a self-map of the one-vertex graph whose positive
-    edges are the letters.  Returns ``(map, graph)``; the incidence matrix
-    equals the transition matrix, and positivity of the images makes the map
-    a train track map outright."""
-    g = rose(len(sigma.alphabet), edge_labels=tuple(str(x) for x in sigma.alphabet))
-    eimg = tuple(word_to_path(sigma, w) for w in sigma.images)
-    return maps.GraphMap(g, g, [0], eimg, name="subst"), g
 
 
 def word_to_path(sigma: Substitution, word):

@@ -171,7 +171,7 @@ class StationaryTower:
                     yield l + (center,) + r, img
 
 
-# -- vector and weight towers -----------------------------------------------------
+# -- weight towers ----------------------------------------------------------------
 
 
 def eigen_data(graph, vector, lam):
@@ -188,12 +188,20 @@ def eigen_data(graph, vector, lam):
     return vector, lam
 
 
-class VectorTower:
-    """A non-negative eigenvector v with eigenvalue lambda > 1, read as the
-    compatible family of level vectors v / lambda**n (never materialised).
+class WeightTower:
+    """The weight tower of a certified non-negative eigenvector v of the
+    transition matrix with eigenvalue lambda > 1 (PreconditionError
+    otherwise): level-0 edge and turn weights; level n is never
+    materialised, its values are the level-0 ones times ``level_scale(n)``.
 
     ``lam`` (a certified root, a Fraction or an interval) is kept as its
     enclosure; the vector is a tuple of intervals indexed by positive edges.
+    Turn weights follow the closed form: a junction turn of an edge image
+    contributes ``lambda**-(k+1) v(e)`` for every orbit step k at which its
+    direction orbit sits on the target turn; eventual periodicity turns the
+    tail into a geometric series.  Sums are accumulated only on the turns
+    that some orbit visits; every other turn, illegal ones included, gets
+    the same exact zero.
     """
 
     def __init__(self, tower: StationaryTower, vector, lam):
@@ -203,29 +211,9 @@ class VectorTower:
         if not all(ia.contains_zero(r) for r in res):
             raise PreconditionError(
                 "vector is not a certified eigenvector of the transition matrix")
-
-    def level_scale(self, n: int):
-        return self.lam ** (-n)
-
-class WeightTower:
-    """Level-0 edge and turn weights of the weight tower induced by a vector
-    tower; level-n values are the level-0 values divided by lambda**n.
-
-    Turn weights follow the closed form: a junction turn of an edge image
-    contributes ``lambda**-(k+1) v(e)`` for every orbit step k at which its
-    direction orbit sits on the target turn; eventual periodicity turns the
-    tail into a geometric series.  Sums are accumulated only on the turns
-    that some orbit visits; every other turn, illegal ones included, gets
-    the same exact zero.
-    """
-
-    def __init__(self, vt: VectorTower):
-        self.vt = vt
-        self.tower = vt.tower
-        self.lam = vt.lam
-        graph = self.tower.graph
-        self.edge_weight = {e: vt.vector[e >> 1] for e in graph.oriented_edges}
-        da = self.tower.f.directions
+        graph = tower.graph
+        self.edge_weight = {e: self.vector[e >> 1] for e in graph.oriented_edges}
+        da = tower.f.directions
         lam_inv = 1 / self.lam
         power = cache(lambda k: lam_inv ** k)
         geometric = cache(lambda q: ia.one() - power(q))
@@ -235,8 +223,8 @@ class WeightTower:
         zero = ia.zero()
         sums = {}
         for e in graph.positive_edges:
-            v_e = vt.vector[e >> 1]
-            for tau in turns_of(self.tower.f.image(e)):
+            v_e = self.vector[e >> 1]
+            for tau in turns_of(tower.f.image(e)):
                 if not da.is_legal(tau):
                     continue  # the orbit and every turn on it are illegal
                 pre, cyc = da.orbit(tau)
@@ -248,6 +236,9 @@ class WeightTower:
         # every unvisited turn shares one exact zero
         self._zero = zero
         self.turn_weight = {t: sums.get(t, zero) for t in graph.all_turns()}
+
+    def level_scale(self, n: int):
+        return self.lam ** (-n)
 
     # -- structural checks ---------------------------------------------------------
 
@@ -271,14 +262,12 @@ class WeightTower:
                 out[d] = self.edge_weight[d] - acc
         return out
 
-    def check_switch_conditions(self) -> bool:
-        return all(ia.contains_zero(r) for r in self.switch_residuals().values())
 
-
-def weight_tower_from_vector(vt: VectorTower) -> WeightTower:
-    """The weight tower of a vector tower, its switch conditions certified."""
-    wt = WeightTower(vt)
-    if not wt.check_switch_conditions():
+def weight_tower_from_vector(tower: StationaryTower, vector, lam) -> WeightTower:
+    """The weight tower of an eigenvector (PreconditionError unless
+    ``WeightTower`` accepts it), its switch conditions certified."""
+    wt = WeightTower(tower, vector, lam)
+    if not all(ia.contains_zero(r) for r in wt.switch_residuals().values()):
         raise PreconditionError("switch conditions failed certification")
     return wt
 

@@ -43,8 +43,9 @@ def golden_root():
 
 
 def setup_of(kf):
-    """Tower, vector tower, weights and measure of a measure."""
-    return kf.tower, kf.weights.vt, kf.weights, kf
+    """Tower, weight tower (in both the vector and the weights slot) and
+    measure of a measure."""
+    return kf.tower, kf.weights, kf.weights, kf
 
 
 @pytest.fixture(scope="session")

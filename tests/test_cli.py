@@ -243,6 +243,7 @@ def test_unreadable_input_file_exit_code(tmp_path, capsys, kind):
     ("check", "--rep-levels", "-1"),
     ("verify", "--tol", "nan"),
     ("verify", "--tol", "-1"),
+    ("verify", "--tol", "inf"),
     ("measure", "--paths", " "),
     ("measure", "--paths", ","),
 ])

@@ -7,7 +7,7 @@ from ttm.dialects import (
     keyed_edge_bijection, maps_equal_via, to_long, to_long_map, to_short,
 )
 from ttm.errors import GraphError, PathError
-from ttm.graphs import Graph, is_reduced, reverse_path
+from ttm.graphs import Graph, is_reduced, make_turn, reverse_path, turns_of
 from ttm.maps import GraphMap, identity_map
 
 from conftest import A, Abar, B, random_tame_maps
@@ -198,6 +198,27 @@ def test_blow_up_fibonacci(fibonacci):
                        for i in range(len(img) - 1))
     # the contracted round trip returns the original map
     assert contract_map(bm) == fibonacci
+
+
+def test_blow_up_map_images_random():
+    """The non-local edges of a blown-up edge image are the base image, its
+    local edges, read through their endpoints, are the turns that image
+    crosses, in order, and a domain local edge is contracted exactly when
+    its turn is illegal."""
+    contracted = set()
+    for f in random_tame_maps(112358, 30):
+        bm = blow_up_map(f)
+        cod = bm.codomain
+        for e in f.domain.positive_edges:
+            img = bm.map.image(e)
+            assert tuple(x for x in img if not cod.is_local(x)) == f.image(e)
+            assert [make_turn(cod.graph.initial(x), cod.graph.terminal(x))
+                    for x in img if cod.is_local(x)] == turns_of(f.image(e))
+        for turn, k in bm.domain.local_index.items():
+            empty = bm.map.image(k) == ()
+            contracted.add(empty)
+            assert empty == (turn in bm.illegal_turns)
+    assert contracted == {True, False}
 
 
 def test_blow_up_path_translation(rose2):

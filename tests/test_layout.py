@@ -32,7 +32,12 @@ REMOVED_NAMES = {
     "cli": {"DIGITS", "fmt"},
     "textio": {"_TOKEN"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
-               "WeightTower.turn_weight_at", "StationaryTower.pullbacks"},
+               "WeightTower.turn_weight_at", "StationaryTower.pullbacks",
+               "VectorTower", "WeightTower.check_switch_conditions",
+               "weight_tower_from_vector(vt)"},
+    "dialects": {"BlowUp.local_vertex", "BlowUp.nonlocal_edge", "BlowUp.base_edge",
+                 "BlowUp.turn_of_local"},
+    "substitutions": {"to_train_track"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk"},

@@ -17,8 +17,8 @@ from ttm.measures import (
 )
 
 from ttm.spectra import distinguished_eigenvectors
-from ttm.substitutions import Substitution
-from ttm.towers import StationaryTower, VectorTower
+from ttm.substitutions import Substitution, ergodic_measures
+from ttm.towers import StationaryTower, WeightTower
 
 from conftest import (
     A, Abar, B, Bbar, measures_of, pullback_maps, rose_map,
@@ -91,7 +91,7 @@ def test_level_independence(fib_setup, rose2):
 
 def test_eval_linear_in_vector(fib_setup, golden_root):
     tower, vt, _, kf = fib_setup
-    scaled = VectorTower(tower, tuple(v * ia.exact(3) for v in vt.vector), vt.lam)
+    scaled = WeightTower(tower, tuple(v * ia.exact(3) for v in vt.vector), vt.lam)
     kf3 = eigenvector_measure(tower, scaled.vector, scaled.lam)
     for p in [(A,), (A, A), (A, B)]:
         assert ia.sup_abs(kf3.eval(p) - ia.exact(3) * kf.eval(p)) < 1e-12
@@ -136,7 +136,7 @@ def test_eigen_measures_share_one_tower():
     assert measures[0][1].tower.f is red
     for (pair, kf), want in zip(measures, pairs):
         assert pair.value.compare(want.value) == 0
-        assert [v._mpi_ for v in kf.weights.vt.vector] == [v._mpi_ for v in want.vector]
+        assert [v._mpi_ for v in kf.weights.vector] == [v._mpi_ for v in want.vector]
     assert sorted(pair.value.compare(2) for pair, _ in measures) == [0, 1]
 
 
@@ -181,7 +181,7 @@ def scan_eval_at_level(kf, path, n):
             for cut in range(1, len(path)):
                 if w1[-cut:] == path[:cut] and w2[:len(path) - cut] == path[cut:]:
                     total = total + tw
-    return total * weights.vt.level_scale(n)
+    return total * weights.level_scale(n)
 
 
 def scan_oracle(f, vector, lam, path, t):
@@ -255,11 +255,11 @@ def test_engine_bit_identical_to_scan(name, f):
 @pytest.mark.parametrize("name,f", ENGINE_MAPS)
 def test_oracle_bit_identical_to_scan(name, f):
     for kf in measures_of(f):
-        vt = kf.weights.vt
+        wt = kf.weights
         for t in (3, 20):
-            oracle = FrequencyOracle(f, vt.vector, vt.lam, t)
+            oracle = FrequencyOracle(f, wt.vector, wt.lam, t)
             for p in f.domain.reduced_paths(5):
-                counts, value, tail = scan_oracle(f, vt.vector, vt.lam, p, t)
+                counts, value, tail = scan_oracle(f, wt.vector, wt.lam, p, t)
                 est = oracle.estimate(p)
                 assert oracle.counts(p) == counts, (p, t)
                 assert est.value._mpi_ == value._mpi_, (p, t)
@@ -348,6 +348,12 @@ def test_record_refuses_negative_tolerance():
     """Below a negative tolerance even the exact zero would fail."""
     with pytest.raises(PreconditionError):
         VerificationReport().record("c", [Fraction(0)], -1.0)
+
+
+def test_record_refuses_infinite_tolerance():
+    """Below an infinite tolerance any violation would pass."""
+    with pytest.raises(PreconditionError):
+        VerificationReport().record("c", [ia.exact(10 ** 9)], math.inf)
 
 
 # -- image measures -----------------------------------------------------------------------
@@ -506,7 +512,7 @@ def test_oracle_agrees(fib_setup, tm_setup, rose2):
 
 
 def test_oracle_refuses_vectors_that_are_not_non_negative(fib_setup):
-    """The oracle takes the vector rule of ``VectorTower``: one certified
+    """The oracle takes the vector rule of ``WeightTower``: one certified
     non-negative coordinate per positive edge.  A negated vector would give
     a negative tail bound, a short one would be indexed past its end and a
     long one would be read only in part."""
@@ -572,16 +578,15 @@ def test_oracle_and_eigen_equation_reducible_example():
     """Cross-validation on the three-letter substitution with a reducible
     incidence matrix: both measures agree with the counting oracle and are
     projectively invariant under the pushforward."""
-    from ttm.substitutions import Substitution, ergodic_measures, to_train_track
     three = Substitution.from_strings({"a": "ab", "b": "ba", "c": "cccab"})
-    f, g = to_train_track(three)
+    f = three.rose_map
     enum = ergodic_measures(three)
     assert len(enum.measures) == 2
     for mu in enum.measures:
         kf = mu.kolmogorov
-        vt = kf.weights.vt
-        for p in g.reduced_paths(3):
-            est = frequency_oracle(f, vt.vector, vt.lam, p, 25)
+        wt = kf.weights
+        for p in f.domain.reduced_paths(3):
+            est = frequency_oracle(f, wt.vector, wt.lam, p, 25)
             assert est.within(kf.eval(p), 1e-12 if len(p) == 1 else 0.0) is True, p
         report = verify_eigen_measure(f, kf, mu.eigenvalue, 3, 1e-12)
         assert report.passed

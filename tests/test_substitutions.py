@@ -14,7 +14,7 @@ from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, ver
 from ttm.spectra import is_primitive
 from ttm.substitutions import (
     Substitution, _is_primitive_word, _periodic_witnesses, ergodic_measures,
-    path_to_word, to_train_track, word_to_path,
+    path_to_word, word_to_path,
 )
 
 from conftest import A, Bbar
@@ -138,7 +138,6 @@ def test_rose_map_is_built_on_first_use():
     assert "rose_map" not in vars(sigma)
     f = sigma.rose_map
     assert sigma.rose_map is f
-    assert f == to_train_track(sigma)[0]
     assert sigma == FIB and hash(sigma) == hash(FIB)
 
 
@@ -170,7 +169,7 @@ def test_periodic_scan_on_periodic_examples(rules):
 
 
 def test_to_train_track():
-    f, g = to_train_track(FIB)
+    f = FIB.rose_map
     assert f.transition_matrix() == FIB.incidence_matrix()
     from ttm.maps import is_train_track
     assert is_train_track(f)[0]
@@ -184,7 +183,7 @@ def test_to_train_track_matrix_matches_random():
                              for _ in range(rng.randint(1, 4)))
                   for x in letters}
         sigma = Substitution.from_strings(images)
-        f, _ = to_train_track(sigma)
+        f = sigma.rose_map
         counts = tuple(tuple(images[y].count(x) for y in letters) for x in letters)
         assert f.transition_matrix() == sigma.incidence_matrix() == counts
 
@@ -218,7 +217,7 @@ def test_is_expanding_equals_letter_cycle_test():
 
 
 def test_used_language_is_translated_language():
-    f, g = to_train_track(FIB)
+    f = FIB.rose_map
     lang = used_language(f, 5)
     expected = set()
     for w in FIB.language(5):
@@ -296,7 +295,7 @@ def test_ergodic_measures_satisfy_kirchhoff_and_normalise():
 def test_ergodic_measures_satisfy_eigen_equation():
     enum = ergodic_measures(TM)
     mu = enum.measures[0]
-    f, _ = to_train_track(TM)
+    f = TM.rose_map
     report = verify_eigen_measure(f, mu.kolmogorov, mu.eigenvalue, 3, 1e-12)
     assert report.passed
 
@@ -325,7 +324,7 @@ def test_classic_bridge_round_trip():
     track map agree: positive paths carry the word value, inverse paths
     mirror it, mixed-sign paths and words outside the language carry zero."""
     mu = ergodic_measures(FIB).measures[0]
-    f, g = to_train_track(FIB)
+    f = FIB.rose_map
     (pair, kf), = eigen_measures(f)[0]
     assert pair.value.compare(mu.eigenvalue) == 0
     lang = FIB.language(3)
@@ -345,12 +344,11 @@ def test_classic_table_satisfies_kirchhoff():
     """The word values, mirrored onto inverse paths, form a path table on
     the train track graph that passes the Kirchhoff check."""
     mu = ergodic_measures(FIB).measures[0]
-    f, g = to_train_track(FIB)
     entries = {}
     for w in FIB.language(4):
         p = word_to_path(FIB, w)
         entries[p] = entries[reverse_path(p)] = mu.value(w)
-    report = verify_kolmogorov(MeasureTable(g, entries, 4), 3, 1e-12)
+    report = verify_kolmogorov(MeasureTable(FIB.rose_map.domain, entries, 4), 3, 1e-12)
     assert report.passed
 
 

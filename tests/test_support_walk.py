@@ -83,8 +83,8 @@ def outcome(report):
 def all_suites(f, kf, lam, max_length, tol, walked, oracle_of=None, t=20):
     """The three suites in the order ``verify`` runs them, on one measure
     (so the memo sees the same sequence of first evaluations)."""
-    vt = kf.weights.vt
-    oracle = FrequencyOracle(oracle_of or f, vt.vector, vt.lam, t)
+    wt = kf.weights
+    oracle = FrequencyOracle(oracle_of or f, wt.vector, wt.lam, t)
     if walked:
         kolmogorov, eigen, agree = verify_kolmogorov, verify_eigen_measure, verify_oracle
     else:
@@ -184,12 +184,12 @@ def test_oracle_walks_its_own_support(tol):
     support puts in the walk."""
     make, _ = fib_maker()
     broken = without(make, (A,))
-    vt = broken().weights.vt
-    oracle = FrequencyOracle(MAPS["fibonacci"], vt.vector, vt.lam, 20)
+    wt = broken().weights
+    oracle = FrequencyOracle(MAPS["fibonacci"], wt.vector, wt.lam, 20)
     report, worst = verify_oracle(broken(), oracle, 4, tol)
     full, full_worst = full_oracle(broken(), oracle, 4, tol)
     assert outcome(report) == outcome(full) and worst == full_worst
-    assert report.failures and abs(worst - ia.midpoint(vt.vector[0])) < 1e-9
+    assert report.failures and abs(worst - ia.midpoint(wt.vector[0])) < 1e-9
     assert (A,) not in broken().support(1)
 
 
