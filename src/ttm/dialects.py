@@ -10,10 +10,9 @@
   Blow-up vertex and non-local edge ids are the base direction and edge
   ids, so no translation table is needed for them.
 
-Round trips (collapse after blow-up, and the idempotence laws between long
-and short) hold on the nose up to canonical relabelling; the helpers at the
-bottom produce and verify those relabelling isomorphisms through
-orientation-equivariant edge keys.
+Each presentation translates paths to and from its base.  The round-trip
+laws between the presentations (collapse after blow-up, and the
+idempotence of the long and the short form) are checked by the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class LongForm:
     """A graph collapsed to long edges, with the translation of long paths to
     base paths."""
 
-    base: Graph
     graph: Graph
     chains: tuple              # per long positive edge: path of base edges
     vertex_to_base: tuple      # long vertex -> base vertex
@@ -53,17 +51,13 @@ def to_long(g: Graph) -> LongForm:
     """Collapse every maximal chain through valence-2 vertices to one edge.
 
     A graph that is a single circle has no intrinsic vertex and is rejected.
-    Graphs without valence-2 vertices come back unchanged (the translations
-    are identities), which makes the idempotence law nominal.
+    A graph without valence-2 vertices gives an equal graph, with one-edge
+    chains.
     """
     intrinsic = [v for v in g.vertices if g.valence(v) >= 3]
     if not intrinsic:
         raise GraphError("no intrinsic vertex: the graph is a circle of "
                          "valence-2 vertices")
-    if len(intrinsic) == g.n_vertices:
-        chains = tuple((2 * k,) for k in range(g.n_edges))
-        return LongForm(base=g, graph=g, chains=chains,
-                        vertex_to_base=tuple(g.vertices))
     vertex_index = {v: i for i, v in enumerate(intrinsic)}
     seen = set()
     raw_chains = []
@@ -83,18 +77,14 @@ def to_long(g: Graph) -> LongForm:
             for e in reverse_path(tuple(chain)):
                 seen.add(e)
             raw_chains.append(tuple(chain))
-    canonical = {}
-    for c in raw_chains:
-        r = reverse_path(c)
-        canonical[min(c, r)] = min(c, r)
-    chains = tuple(sorted(canonical))
+    chains = tuple(sorted({min(c, reverse_path(c)) for c in raw_chains}))
     endpoints = [(vertex_index[g.initial(c[0])], vertex_index[g.terminal(c[-1])])
                  for c in chains]
     labels = tuple("+".join(g.edge_label(e) for e in c) for c in chains)
     long_graph = Graph(len(intrinsic), endpoints,
                        vertex_labels=tuple(g.vertex_labels[v] for v in intrinsic),
                        edge_labels=labels)
-    return LongForm(base=g, graph=long_graph, chains=chains,
+    return LongForm(graph=long_graph, chains=chains,
                     vertex_to_base=tuple(intrinsic))
 
 
@@ -105,8 +95,6 @@ def to_long_map(f: GraphMap) -> tuple:
     if not f.images_nontrivial():
         raise PreconditionError("long-edge dialect needs no contracted edges")
     lf = to_long(f.domain)
-    if lf.graph is f.domain:
-        return f, lf
     vimg = tuple(f.vertex(v) for v in lf.vertex_to_base)
     eimg = tuple(f.map_path(c) for c in lf.chains)
     return GraphMap(lf.graph, f.codomain, vimg, eimg, name=f.name), lf
@@ -123,10 +111,10 @@ class ShortForm:
     along parents (weights, for instance) needs no duplication.
     """
 
-    base_map: GraphMap
     map: GraphMap
-    pieces: tuple            # per base positive edge: tuple of its piece count
+    pieces: tuple            # per base positive edge: its piece count
     piece_edge: dict         # (base positive edge, index) -> positive short edge
+    parents: dict            # oriented short edge -> (base oriented edge, index)
 
     @property
     def graph(self) -> Graph:
@@ -134,10 +122,6 @@ class ShortForm:
 
     def piece_count(self, e: int) -> int:
         return self.pieces[e >> 1]
-
-    def parent(self, short_e: int):
-        """(base oriented edge, index) of an oriented short edge."""
-        return self._parents[short_e]
 
     def to_short_path(self, base_path):
         out = []
@@ -155,7 +139,7 @@ class ShortForm:
         out = []
         i = 0
         while i < len(short_path):
-            e, idx = self.parent(short_path[i])
+            e, idx = self.parents[short_path[i]]
             k = self.piece_count(e)
             if idx != 0:
                 raise PathError("short path starts inside a subdivided edge")
@@ -170,59 +154,36 @@ class ShortForm:
 def to_short(f: GraphMap) -> ShortForm:
     """Subdivide the domain at preimages of codomain vertices.
 
-    Maps that are already short come back identically (the subdivision adds
-    no vertices), making the idempotence law nominal.
+    The base vertices keep their ids; the interior vertices of each edge
+    follow, in edge order.  A map that is already short gives an equal map.
     """
     if not f.images_nontrivial():
         raise PreconditionError("short-edge dialect rejects contracted edges")
-    g = f.domain
-    lengths = [len(f.edge_image[k]) for k in range(g.n_edges)]
-    if all(l == 1 for l in lengths):
-        sf = ShortForm(base_map=f, map=f,
-                       pieces=tuple(lengths),
-                       piece_edge={(2 * k, 0): 2 * k for k in range(g.n_edges)})
-        sf._parents = {e: (e, 0) for e in g.oriented_edges}
-        return sf
-    n_vertices = g.n_vertices
+    g, cod = f.domain, f.codomain
     vertex_labels = list(g.vertex_labels)
-    endpoints = []
-    edge_labels = []
-    piece_edge = {}
-    for k in range(g.n_edges):
-        e = 2 * k
-        l = lengths[k]
-        first = g.initial(e)
-        interior = []
-        for i in range(1, l):
-            interior.append(n_vertices)
-            vertex_labels.append(f"{g.edge_labels[k]}.{i}")
-            n_vertices += 1
-        stops = [first] + interior + [g.terminal(e)]
-        for i in range(l):
-            piece_edge[(e, i)] = 2 * len(endpoints)
+    vimg = list(f.vertex_image)
+    endpoints, edge_labels, eimg = [], [], []
+    piece_edge, parents = {}, {}
+    for k, img in enumerate(f.edge_image):
+        e, n, label = 2 * k, len(img), g.edge_labels[k]
+        stops = [g.initial(e)]
+        for i in range(1, n):
+            stops.append(len(vertex_labels))
+            vertex_labels.append(f"{label}.{i}")
+            vimg.append(cod.terminal(img[i - 1]))
+        stops.append(g.terminal(e))
+        for i, x in enumerate(img):
+            se = 2 * len(endpoints)
+            piece_edge[(e, i)] = se
+            parents[se] = (e, i)
+            parents[inverse(se)] = (inverse(e), n - 1 - i)
             endpoints.append((stops[i], stops[i + 1]))
-            edge_labels.append(g.edge_labels[k] if l == 1
-                               else f"{g.edge_labels[k]}.{i}")
-    short_graph = Graph(n_vertices, endpoints, tuple(vertex_labels),
-                        tuple(edge_labels))
-    vimg = [f.vertex(v) for v in g.vertices]
-    for k in range(g.n_edges):
-        img = f.edge_image[k]
-        for i in range(1, lengths[k]):
-            vimg.append(f.codomain.terminal(img[i - 1]))
-    eimg = []
-    for k in range(g.n_edges):
-        for i in range(lengths[k]):
-            eimg.append((f.edge_image[k][i],))
-    short_map = GraphMap(short_graph, f.codomain, vimg, eimg, name=f.name)
-    sf = ShortForm(base_map=f, map=short_map, pieces=tuple(lengths),
-                   piece_edge=piece_edge)
-    parents = {}
-    for (e, i), se in piece_edge.items():
-        parents[se] = (e, i)
-        parents[inverse(se)] = (inverse(e), lengths[e >> 1] - 1 - i)
-    sf._parents = parents
-    return sf
+            edge_labels.append(label if n == 1 else f"{label}.{i}")
+            eimg.append((x,))
+    short_graph = Graph(len(vertex_labels), endpoints, vertex_labels, edge_labels)
+    return ShortForm(map=GraphMap(short_graph, cod, vimg, eimg, name=f.name),
+                     pieces=tuple(len(p) for p in f.edge_image),
+                     piece_edge=piece_edge, parents=parents)
 
 
 # -- blow-up dialect ----------------------------------------------------------------
@@ -288,25 +249,6 @@ class BlowUp:
                 prev_local = False
         return tuple(out)
 
-    def check_structure(self):
-        """Verify the blow-up structure conditions; returns problems found."""
-        problems = []
-        g = self.graph
-        # every vertex meets exactly one non-local edge
-        for v in g.vertices:
-            nl = [d for d in g.directions_at(v) if not self.is_local(d)]
-            if len(nl) != 1:
-                problems.append(f"vertex {v} meets {len(nl)} non-local edges")
-        # local classes are complete graphs over the direction classes
-        for v in self.base.vertices:
-            dirs = self.base.directions_at(v)
-            for i in range(len(dirs)):
-                for j in range(i + 1, len(dirs)):
-                    if make_turn(dirs[i], dirs[j]) not in self.local_index:
-                        problems.append(
-                            f"missing local edge for {(dirs[i], dirs[j])}")
-        return problems
-
 
 def blow_up(g: Graph) -> BlowUp:
     """Blow-up graph: local vertices = base directions (ids coincide), then
@@ -365,58 +307,3 @@ def contract_map(bm: BlowUpMap) -> GraphMap:
     vimg = [cod.base.initial(bm.map.vertex(g.directions_at(v)[0])) for v in g.vertices]
     eimg = [cod.to_base_path(bm.map.edge_image[k]) for k in range(g.n_edges)]
     return GraphMap(g, cod.base, vimg, eimg, name=bm.map.name)
-
-
-def blowup_isomorphism(bu1: BlowUp, bu2: BlowUp):
-    """Canonical isomorphism between two blow-ups of equal bases: vertices
-    correspond through the base direction they sit on, edges through their
-    base edge or turn.  Returns (vertex map, oriented edge map); raises if
-    the structures do not match."""
-    if bu1.base._endpoints != bu2.base._endpoints:
-        raise GraphError("blow-ups of different base graphs")
-    vmap = {d: d for d in bu1.base.oriented_edges}
-    emap = {e: e for e in bu1.base.oriented_edges}
-    for turn in bu1.base.all_turns():
-        emap[bu1.local_edge(*turn)] = bu2.local_edge(*turn)
-        emap[inverse(bu1.local_edge(*turn))] = inverse(bu2.local_edge(*turn))
-    for e, e2 in emap.items():
-        if vmap[bu1.graph.initial(e)] != bu2.graph.initial(e2) \
-                or vmap[bu1.graph.terminal(e)] != bu2.graph.terminal(e2):
-            raise GraphError("claimed blow-up isomorphism breaks incidence")
-    return vmap, emap
-
-
-# -- keyed comparisons (for the round-trip laws) -----------------------------------------
-
-
-def keyed_edge_bijection(g1: Graph, key1, g2: Graph, key2):
-    """Match oriented edges of two graphs through orientation-equivariant
-    keys: ``key(e)`` must satisfy key(reverse) = reversed key.  Returns the
-    oriented-edge bijection or raises."""
-    table = {}
-    for e in g2.oriented_edges:
-        k = key2(e)
-        if k in table:
-            raise GraphError(f"duplicate edge key {k}")
-        table[k] = e
-    out = {}
-    for e in g1.oriented_edges:
-        k = key1(e)
-        if k not in table:
-            raise GraphError(f"unmatched edge key {k}")
-        out[e] = table[k]
-    if len(set(out.values())) != 2 * g2.n_edges or g1.n_edges != g2.n_edges:
-        raise GraphError("edge keys do not biject")
-    return out
-
-
-def maps_equal_via(f1: GraphMap, f2: GraphMap, domain_edge_map,
-                   codomain_edge_map=None) -> bool:
-    """Are two maps equal after the given oriented-edge identification of
-    their domains (and optionally codomains)?"""
-    cmap = codomain_edge_map or {e: e for e in f1.codomain.oriented_edges}
-    for e in f1.domain.oriented_edges:
-        p1 = tuple(cmap[x] for x in f1.image(e))
-        if p1 != f2.image(domain_edge_map[e]):
-            return False
-    return True

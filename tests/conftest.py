@@ -50,14 +50,14 @@ def setup_of(kf):
 
 @pytest.fixture(scope="session")
 def fib_setup(fibonacci, golden_root):
-    """Tower, vector tower with v = (phi, 1), weights, measure."""
+    """The ``setup_of`` tuple of the measure of v = (phi, 1)."""
     return setup_of(eigenvector_measure(
         StationaryTower(fibonacci), (golden_root.interval(), ia.one()), golden_root))
 
 
 @pytest.fixture(scope="session")
 def tm_setup(thue_morse):
-    """Tower, vector tower with v = (1, 1), lambda = 2, weights, measure."""
+    """The ``setup_of`` tuple of the measure of v = (1, 1), lambda = 2."""
     return setup_of(eigenvector_measure(
         StationaryTower(thue_morse), (ia.one(), ia.one()), ia.exact(2)))
 

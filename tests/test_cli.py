@@ -255,6 +255,25 @@ def test_length_bounds_rejected(fib_file, capsys, argv):
     assert flags[0] in err
 
 
+VALENCE_2_DOC = """
+graph G { vertices: u w ; edge a: u -> w ; edge b: w -> u ; edge c: u -> u ; }
+map f: G -> G { a -> c a ; b -> b c ; c -> c a b ; }
+"""
+
+
+@pytest.mark.parametrize("argv", [("check",), ("measure", "--table-up-to", "2"),
+                                  ("verify",)])
+def test_valence_2_vertex_exits_3(tmp_path, capsys, argv):
+    """Towers need a long-edge base graph; an expanding train track map on a
+    graph with a valence-2 vertex is refused before any output."""
+    path = tmp_path / "v2.tt"
+    path.write_text(VALENCE_2_DOC)
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(path), "--map", "f", *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: stationary towers need a long-edge base graph")
+
+
 def test_oracle_t_zero_accepted(fib_file, capsys):
     code, _, _ = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "2",
                      "--oracle-t", "0")

@@ -5,6 +5,8 @@ trims removed stay removed."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,9 @@ REMOVED_NAMES = {
                "VectorTower", "WeightTower.check_switch_conditions",
                "weight_tower_from_vector(vt)"},
     "dialects": {"BlowUp.local_vertex", "BlowUp.nonlocal_edge", "BlowUp.base_edge",
-                 "BlowUp.turn_of_local"},
+                 "BlowUp.turn_of_local", "blowup_isomorphism", "keyed_edge_bijection",
+                 "maps_equal_via", "BlowUp.check_structure", "ShortForm.base_map",
+                 "ShortForm.parent", "LongForm.base"},
     "substitutions": {"to_train_track"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
@@ -98,7 +102,16 @@ def test_removed_names_stay_removed(module, name):
         assert parameter not in inspect.signature(getattr(owner, attr)).parameters
     else:
         assert not hasattr(owner, attr)
+        assert attr not in getattr(owner, "__dataclass_fields__", {})
         assert owners or not hasattr(ttm, attr), "still exported by ttm"
+
+
+def test_cli_does_not_load_dialects():
+    """The presentations are library surface only: no command reaches them."""
+    probe = "import sys, ttm.cli; print('ttm.dialects' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # the package re-exports its names; the acceptance suite is kept as written

@@ -434,7 +434,7 @@ def _level_preimages(tower, path, m, n):
 def test_tower_self_morphism(fib_setup, golden_root):
     """The defining map, applied on every level, is a self-morphism of the
     tower: it commutes with the tower maps and multiplies the vector of the
-    vector tower by lambda."""
+    weight tower by lambda."""
     tower, vt, _, _ = fib_setup
     mf = tower.f.transition_matrix()
     lam = golden_root.interval()
