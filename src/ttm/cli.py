@@ -24,8 +24,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import intervals as ia
 from . import spectra
 from .errors import ParseError, TTMError
@@ -46,11 +44,9 @@ EXIT_VERIFICATION = 4
 
 
 def fmt_exact_fraction(x) -> str:
-    """Outward endpoints as exact fractions (mpf values are dyadic)."""
+    """Outward endpoints as exact fractions (the endpoints are dyadic)."""
     lo, hi = ia.endpoints(x)
-    flo = Fraction(*mpmath.libmp.to_rational(lo._mpf_))
-    fhi = Fraction(*mpmath.libmp.to_rational(hi._mpf_))
-    return f"[{flo}, {fhi}]"
+    return f"[{lo}, {hi}]"
 
 
 def load(path: str):
@@ -171,19 +167,22 @@ def _value_texts(values, exact):
     texts = []
     shown = {}   # most values repeat (every zero row is one object)
     for value in values:
-        text = shown.get(value._mpi_)
+        text = shown.get(value)
         if text is None:
-            text = shown[value._mpi_] = (fmt_exact_fraction(value) if exact
-                                         else ia.format_interval(value))
+            text = shown[value] = (fmt_exact_fraction(value) if exact
+                                   else ia.format_interval(value))
         texts.append(text)
     return texts
 
 
 def _table_rows(graph, max_length):
     """``(label, path)`` for every reduced path up to the bound, by length
-    and then by label; each label is its parent's plus one edge label."""
+    and then by label; each label is its parent's plus one edge label.  The
+    successors of an edge are in label order, so each level comes out
+    nearly sorted and its sort takes about linear time."""
     names = [" " + graph.edge_label(e) for e in graph.oriented_edges]
-    successors = [graph.extensions_right((e,)) for e in graph.oriented_edges]
+    successors = [sorted(graph.extensions_right((e,)), key=names.__getitem__)
+                  for e in graph.oriented_edges]
     level = sorted((name[1:], (e,)) for e, name in enumerate(names))
     rows = list(level)
     for _ in range(max_length - 1):

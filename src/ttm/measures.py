@@ -61,8 +61,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import libmp
-
 from . import intervals as ia
 from . import spectra
 from .errors import IncompleteTableError, PathError, PreconditionError
@@ -339,20 +337,14 @@ class VerificationReport:
         if not 0 <= tol < float("inf"):
             raise PreconditionError(
                 f"check {name!r} got a NaN, negative or infinite tolerance")
-        lo = hi = libmp.fzero    # raw mpf endpoints, compared exactly
-        for v in violations:
-            a, b = (ia.from_fraction(v) if isinstance(v, Fraction) else v)._mpi_
-            if libmp.mpf_gt(a, lo):
-                lo = a
-            if libmp.mpf_gt(b, hi):
-                hi = b
-        shown = libmp.to_float(hi, rnd=libmp.round_nearest)
+        lo, hi = ia.max_endpoints(ia.coerce(v) for v in violations)
+        shown = float(hi)
         self.checks[name] = shown
         self.max_violation = max(self.max_violation, shown)
-        bound = libmp.from_float(tol)
-        if libmp.mpf_gt(lo, bound):
+        bound = ia.from_float(tol)
+        if lo > bound:
             self.failures.append((name, shown))
-        elif libmp.mpf_gt(hi, bound):
+        elif hi > bound:
             self.inconclusive.append((name, shown))
 
 

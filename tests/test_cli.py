@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,21 @@ def test_spectrum(fib_file, capsys):
     assert payload["power_used"] == 1
     assert payload["blocks"][0]["kind"] == "primitive"
     assert payload["distinguished"][0]["eigenvalue"].startswith("1.6180339887")
+
+
+def test_spectrum_exact_endpoints_enclose_the_golden_ratio(capsys):
+    """``--exact`` rounds the endpoints outward: x**2 - x - 1 is negative at
+    the printed lower endpoint of the radius and positive at the upper one,
+    so the printed pair holds phi; the coordinate a = phi - 1 is held too."""
+    maps = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "maps.tt"
+    code, out, _ = run(capsys, "spectrum", str(maps), "--map", "f", "--exact")
+    assert code == 0
+    payload = json.loads(out)
+    brackets = [payload["blocks"][0]["spectral_radius"],
+                payload["distinguished"][0]["vector"]["a"]]
+    for text, shift in zip(brackets, (0, 1)):
+        lo, hi = (Fraction(t) + shift for t in text.strip("[]").split(", "))
+        assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1, text
 
 
 def test_spectrum_of_an_imprimitive_block(capsys):
@@ -339,26 +355,25 @@ def test_verify_reports_escalated_precision(fib_file, capsys, monkeypatch):
 
 def test_verify_restores_precision_when_a_run_raises(fib_file, capsys, monkeypatch):
     """The escalated rerun raises: the error exits 3 and the caller's
-    interval and mpmath precisions are both back."""
-    import mpmath
+    precision is back."""
     import ttm.cli as cli
     import ttm.intervals as ia
     real = cli._verify_once
     calls = []
 
     def raises_on_rerun(f, args, tol):
-        calls.append((ia.precision_bits(), mpmath.mp.prec))
+        calls.append(ia.precision_bits())
         if len(calls) == 2:
             raise ttm.PreconditionError("forced")
         lines, failures, inconclusive = real(f, args, tol)
         return lines, failures, inconclusive + ["forced"]
 
     monkeypatch.setattr(cli, "_verify_once", raises_on_rerun)
-    before = (ia.precision_bits(), mpmath.mp.prec)
+    before = ia.precision_bits()
     code, out, err = run(capsys, "verify", fib_file, "--map", "f", "--max-len", "2")
     assert code == 3 and out == "" and "forced" in err
-    assert calls == [before, (2 * before[0], 2 * before[0])]
-    assert (ia.precision_bits(), mpmath.mp.prec) == before
+    assert calls == [before, 2 * before]
+    assert ia.precision_bits() == before
 
 
 def test_pick_vector_auto_takes_largest_eigenvalue(monkeypatch):

@@ -1,0 +1,223 @@
+"""The interval kernel against mpmath's interval context, bit for bit.
+
+``ttm.intervals`` ports mpmath's ``mpi_*``/``mpf_*`` routines; mpmath stays
+a test dependency as the reference.  Every operation is drawn over both
+signs, zero, point intervals, big mantissas and int operands at 64, 128,
+256 and 512 bits, and its endpoints must equal mpmath's exactly.  The
+``--exact`` printing rounds outward on purpose, so it is checked against a
+directed decimal rounding instead.
+"""
+
+from contextlib import contextmanager
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv, libmp
+
+import ttm.intervals as ia
+from ttm.intervals import Interval
+
+PRECISIONS = (64, 128, 256, 512)
+
+
+@contextmanager
+def both_at(prec):
+    """The kernel and the reference at ``prec`` bits, restored afterwards."""
+    saved = iv.prec, mpmath.mp.prec
+    try:
+        iv.prec = mpmath.mp.prec = prec
+        with ia.working_precision(prec):
+            yield
+    finally:
+        iv.prec, mpmath.mp.prec = saved
+
+
+def pair(f):
+    """A raw mpf as the kernel's (mantissa, exponent) pair."""
+    sign, man, exp, _ = f
+    assert man or f == libmp.fzero, "finite endpoints only"
+    return (-man if sign else man, exp) if man else (0, 0)
+
+
+def kernel(v):
+    """The kernel interval with the endpoints of the mpmath interval v."""
+    a, b = v._mpi_
+    return Interval(pair(a), pair(b))
+
+
+def same(got, want):
+    return (got._lo, got._hi) == tuple(pair(f) for f in want._mpi_)
+
+
+small = st.integers(-40, 40)
+big = st.integers(-(2 ** 600), 2 ** 600)
+dyadic = st.one_of(
+    st.just((0, 0)),
+    st.tuples(small, st.integers(-8, 8)),
+    st.tuples(big, st.integers(-1500, 1500)))
+
+
+@st.composite
+def intervals(draw):
+    """An mpmath interval: ordered dyadic endpoints, sometimes equal."""
+    a, b = (libmp.from_man_exp(*draw(dyadic)) for _ in range(2))
+    if draw(st.booleans()):
+        b = a
+    if libmp.mpf_gt(a, b):
+        a, b = b, a
+    return iv.make_mpf((a, b))
+
+
+ints = st.one_of(small, big, st.sampled_from([0, 1, -1, 2 ** 64 + 1, -(3 ** 90)]))
+precs = st.sampled_from(PRECISIONS)
+
+
+def excludes_zero(v):
+    a, b = v._mpi_
+    return libmp.mpf_sign(a) * libmp.mpf_sign(b) > 0
+
+
+@settings(max_examples=400)
+@given(precs, intervals(), intervals())
+def test_binary_operations(prec, x, y):
+    with both_at(prec):
+        X, Y = kernel(x), kernel(y)
+        assert same(X + Y, x + y)
+        assert same(X - Y, x - y)
+        assert same(X * Y, x * y)
+        if excludes_zero(y):
+            assert same(X / Y, x / y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                X / Y
+        assert (X < Y, X <= Y, X > Y, X >= Y) == (x < y, x <= y, x > y, x >= y)
+        assert (X == Y) == (x == y) and (X != Y) == (x != y)
+        assert (Y in X) == (y in x)
+
+
+@settings(max_examples=400)
+@given(precs, intervals(), ints)
+def test_int_operands(prec, x, n):
+    with both_at(prec):
+        X = kernel(x)
+        assert same(X + n, x + n) and same(n + X, n + x)
+        assert same(X - n, x - n) and same(n - X, n - x)
+        assert same(X * n, x * n) and same(n * X, n * x)
+        if n:
+            assert same(X / n, x / n)
+        if excludes_zero(x):
+            assert same(n / X, n / x)
+        assert (X < n, X <= n, X > n, X >= n) == (x < n, x <= n, x > n, x >= n)
+        assert (X == n) == (x == n)
+        assert (n in X) == (n in x)
+
+
+@settings(max_examples=300)
+@given(precs, intervals(), st.integers(-25, 25))
+def test_integer_powers(prec, x, n):
+    with both_at(prec):
+        X = kernel(x)
+        if n >= 0 or excludes_zero(x):
+            assert same(X ** n, x ** n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                X ** n
+
+
+@settings(max_examples=400)
+@given(precs, intervals())
+def test_unary_operations_and_measurements(prec, x):
+    with both_at(prec):
+        X = kernel(x)
+        assert same(-X, -x)
+        assert same(abs(X), abs(x))
+        assert same(X.mid, x.mid) and same(X.delta, x.delta)
+        assert same(X.a, x.a) and same(X.b, x.b)
+        assert ia.contains_zero(X) == (0 in x)
+        assert ia.is_exact_zero(X) == (x.a == 0 and x.b == 0)
+        assert ia.midpoint(X) == float(mpmath.mpf(x.mid.a))
+        assert ia.width(X) == float(mpmath.mpf(x.delta.b))
+        assert ia.sup_abs(X) == float(mpmath.mpf(abs(x).b))
+        assert ia.format_interval(X) == reference_format(x)
+
+
+def reference_format(x):
+    """The default rendering as it was written over mpmath."""
+    mid = mpmath.mpf(x.mid.a)
+    w = mpmath.mpf(x.delta.b)
+    body = mpmath.nstr(mid, ia.DIGITS, strip_zeros=False)
+    scale = max(abs(mid), mpmath.mpf(1))
+    if w > scale * mpmath.mpf(10) ** (-ia.DIGITS):
+        return "%s±%s" % (body, mpmath.nstr(w, 3))
+    return body
+
+
+@settings(max_examples=300)
+@given(precs, ints, ints, st.integers(1, 2 ** 200))
+def test_constructors(prec, n, p, q):
+    with both_at(prec):
+        assert same(ia.exact(n), iv.mpf(n))
+        lo, hi = sorted((Fraction(p, q), Fraction(n, q + 1)))
+        for r in (lo, hi):
+            want = iv.mpf(r.numerator)
+            if r.denominator != 1:
+                want = want / iv.mpf(r.denominator)
+            assert same(ia.from_fraction(r), want)
+        a, b = iv.mpf(lo.numerator) / lo.denominator, iv.mpf(hi.numerator) / hi.denominator
+        assert same(ia.from_endpoints(lo, hi), iv.mpf([a.a, b.b]))
+        assert ia.endpoints(ia.from_endpoints(lo, hi))[0] <= lo
+
+
+@settings(max_examples=300)
+@given(precs, intervals())
+def test_exact_endpoints_round_outward(prec, x):
+    """``--exact`` prints the lower endpoint rounded down and the upper one
+    rounded up at 17 significant digits, laid out as mpmath lays out a
+    value of 17 digits."""
+    with both_at(prec):
+        text = ia.format_interval(kernel(x), exact_endpoints=True)
+        lo, hi = ia.endpoints(kernel(x))
+        assert text == "[%s, %s]" % (directed(lo, ROUND_FLOOR), directed(hi, ROUND_CEILING))
+        printed = [Fraction(Decimal(t)) for t in text[1:-1].split(", ")]
+        assert printed[0] <= lo and hi <= printed[1]
+
+
+def directed(value: Fraction, rounding) -> str:
+    """``value`` at DIGITS + 5 significant digits rounded by ``rounding``,
+    printed by mpmath.nstr at a precision that keeps those digits."""
+    if not value:
+        return "0.0"
+    digits = ia.DIGITS + 5
+    shown = Context(prec=digits, rounding=rounding).plus(exact_decimal(value))
+    with mpmath.workprec(400):
+        return mpmath.nstr(mpmath.mpf(str(shown)), digits)
+
+
+def exact_decimal(value: Fraction) -> Decimal:
+    """The exact decimal of a dyadic fraction."""
+    k = value.denominator.bit_length() - 1
+    assert value.denominator == 1 << k
+    return Decimal(value.numerator * 5 ** k).scaleb(-k, Context(prec=10 ** 6))
+
+
+def test_hash_agrees_with_equal_numbers():
+    """Point intervals hash as the int or Fraction they equal, so ``==`` with
+    an int and ``hash`` agree; every interval is a usable dict key."""
+    for q in (Fraction(3), Fraction(-7, 8), Fraction(5, 2 ** 70), Fraction(0)):
+        v = ia.from_fraction(q)
+        assert v.a == v.b and hash(v) == hash(q)
+    assert ia.exact(5) == 5 and hash(ia.exact(5)) == hash(5)
+    x = ia.from_fraction(Fraction(1, 3))
+    assert {x: 1}[ia.from_fraction(Fraction(1, 3))] == 1
+
+
+def test_exact_above_the_precision_is_an_enclosure():
+    """An integer wider than the precision becomes its outward enclosure."""
+    with ia.working_precision(16):
+        v = ia.exact(2 ** 40 + 1)
+        lo, hi = ia.endpoints(v)
+        assert lo < 2 ** 40 + 1 < hi and v.a != v.b
+        assert v == 2 ** 40 + 1    # the int is enclosed the same way

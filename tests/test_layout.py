@@ -114,6 +114,32 @@ def test_cli_does_not_load_dialects():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_runtime_does_not_load_mpmath():
+    """The interval kernel is the package's own: neither importing the
+    command line nor running a command loads mpmath, the tests' reference."""
+    probe = "import sys, ttm.cli; print(any(m.startswith('mpmath') for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    maps = TESTS.parent / "bench" / "inputs" / "maps.tt"
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ttm", "spectrum",
+                           str(maps), "--map", "q2"], cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and '"distinguished"' in proc.stdout, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "ttm.intervals" in imported
+    assert [m for m in imported if m.startswith("mpmath")] == []
+
+
+def test_no_module_imports_mpmath():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        names += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in names if m.partition(".")[0] == "mpmath"], path.name
+
+
 # the package re-exports its names; the acceptance suite is kept as written
 UNUSED_IMPORTS_ALLOWED = {SRC / "__init__.py", TESTS / "test_acceptance.py"}
 

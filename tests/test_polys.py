@@ -297,5 +297,4 @@ def test_adjugate_column_equals_full_adjugate(m):
     for x in points:
         full = reference_adjugate_at(bmats, x)
         for j in range(len(m)):
-            assert ([c._mpi_ for c in adjugate_column(bmats, x, j)]
-                    == [row[j]._mpi_ for row in full])
+            assert list(adjugate_column(bmats, x, j)) == [row[j] for row in full]

@@ -210,7 +210,7 @@ def test_table_rows_and_values_equal_eval(name):
     for make, _ in measure_makers(f):
         walked, checked = make(), make()
         for _, p in rows:
-            assert walked._walked(p)._mpi_ == checked.eval(p)._mpi_, p
+            assert walked._walked(p) == checked.eval(p), p
 
 
 # -- the closure property ------------------------------------------------------------------

@@ -255,7 +255,7 @@ def test_eigen_measures_equal_three_step_chain(f):
     assert len(measures) == len(reference) >= 1 and skipped == []
     for (_, kf), ref in zip(measures, reference):
         for p in f.domain.reduced_paths(4):
-            assert kf.eval(p)._mpi_ == ref.eval(p)._mpi_, p
+            assert kf.eval(p) == ref.eval(p), p
 
 
 @pytest.mark.parametrize("f", weight_maps())
@@ -265,7 +265,7 @@ def test_turn_weights_equal_hit_time_sums(f):
         ref = hit_time_turn_weights(wt)
         assert list(wt.turn_weight) == list(ref)
         for t, w in ref.items():
-            assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+            assert wt.turn_weight[t] == w, t
 
 
 def dense_turn_weights(wt):
@@ -341,12 +341,12 @@ def test_sparse_turn_weights_equal_dense_sums(f, bits):
             ref = dense_turn_weights(wt)
             assert list(wt.turn_weight) == list(ref)
             for t, w in ref.items():
-                assert wt.turn_weight[t]._mpi_ == w._mpi_, t
+                assert wt.turn_weight[t] == w, t
             residuals = wt.switch_residuals()
             ref_residuals = dense_switch_residuals(wt, ref)
             assert list(residuals) == list(ref_residuals)
             for d, r in ref_residuals.items():
-                assert residuals[d]._mpi_ == r._mpi_, d
+                assert residuals[d] == r, d
 
 
 def test_switch_conditions(fib_setup, tm_setup):
