@@ -8,12 +8,14 @@ Subcommands:
 * ``verify``    Kirchhoff, flip, switch, eigen-equation, oracle agreement
 * ``ergodic``   candidate ergodic probability measures of a substitution subshift
 
-Exit codes: 0 success, 2 parse error, 3 precondition violated (including a
-``TTM_PRECISION_BITS`` that is not an integer of at least 16), 4 verification
-failure.  The working precision (bits) comes from ``TTM_PRECISION_BITS``
-(default 128), applied at import.  Outputs are deterministic: values are
-printed at ``intervals.DIGITS`` certified significant digits and sort orders
-are fixed.
+Exit codes: 0 success, 1 the reader closed standard output early (a broken
+pipe, as in ``ttm ... | head``), 2 parse error, 3 precondition violated
+(including a ``TTM_PRECISION_BITS`` that is not an integer of at least 16),
+4 verification failure.  The working precision (bits) comes from
+``TTM_PRECISION_BITS`` (default 128), applied at import.  Outputs are
+deterministic: a value prints as its midpoint rounded to ``intervals.DIGITS``
+significant digits, with a ``±`` width when the interval is wider than that,
+and sort orders are fixed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import intervals as ia
@@ -38,6 +42,7 @@ from .substitutions import ergodic_measures
 from .textio import format_table_tsv, parse, parse_path
 from .towers import StationaryTower, repetition_bound
 
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
@@ -163,33 +168,91 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _value_texts(values, exact):
-    texts = []
-    shown = {}   # most values repeat (every zero row is one object)
-    for value in values:
-        text = shown.get(value)
-        if text is None:
-            text = shown[value] = (fmt_exact_fraction(value) if exact
-                                   else ia.format_interval(value))
-        texts.append(text)
-    return texts
+def _text_of(exact):
+    """Value -> its printed text, formatted once per distinct value (most
+    values repeat, and every zero row is the one shared zero)."""
+    shown = {}
+
+    def text(value):
+        got = shown.get(value)
+        if got is None:
+            got = shown[value] = (fmt_exact_fraction(value) if exact
+                                  else ia.format_interval(value))
+        return got
+    return text
 
 
-def _table_rows(graph, max_length):
-    """``(label, path)`` for every reduced path up to the bound, by length
-    and then by label; each label is its parent's plus one edge label.  The
-    successors of an edge are in label order, so each level comes out
-    nearly sorted and its sort takes about linear time."""
+def _table_levels(kf, max_length, text):
+    """The table of every reduced path up to the bound, one length at a time:
+    ``(labels, values, zero)`` with the path labels in order, ``(index,
+    value text)`` of the support rows, and the text of every other row (the
+    exact zero; None when there is no other row).
+
+    A level is its labels and their last edges; the next one appends each
+    successor of the last edge to each label.  Only the support paths are
+    evaluated, and a zero row costs no evaluator call and no hashing.
+    """
+    graph = kf.graph
     names = [" " + graph.edge_label(e) for e in graph.oriented_edges]
     successors = [sorted(graph.extensions_right((e,)), key=names.__getitem__)
                   for e in graph.oriented_edges]
-    level = sorted((name[1:], (e,)) for e, name in enumerate(names))
-    rows = list(level)
-    for _ in range(max_length - 1):
-        level = sorted((label + names[d], p + (d,))
-                       for label, p in level for d in successors[p[-1]])
-        rows.extend(level)
-    return rows
+    # Edge names are distinct and none starts with "~", so a label names one
+    # path and the label order is the (label, path) order.  Extending each
+    # label of a sorted level by the successors of its last edge, in name
+    # order, keeps the level sorted.  Labels that differ before one ends
+    # keep that difference.  Where label p is a prefix of label q, p's
+    # extensions read a space where q's read a name character, and the space
+    # sorts first unless that character is a control character; only then
+    # is the level sorted again.
+    ordered = all(c > " " for name in names for c in name[1:])
+    # every sweep runs (and can fail) before the first row is written
+    supports = [kf.support(k) for k in range(1, max_length + 1)]
+
+    def levels():
+        lasts = sorted(graph.oriented_edges, key=names.__getitem__)
+        labels = [names[e][1:] for e in lasts]
+        for k, support in enumerate(supports, 1):
+            if k > 1:
+                labels = [label + names[d] for label, e in zip(labels, lasts)
+                          for d in successors[e]]
+                lasts = [d for e in lasts for d in successors[e]]
+                if not ordered:
+                    order = sorted(range(len(labels)), key=labels.__getitem__)
+                    labels = [labels[i] for i in order]
+                    lasts = [lasts[i] for i in order]
+            # the support is evaluated in row order and zero rows never
+            # touch the memo, so a path and its reversal share the value
+            # computed first, the one ``eval`` on every row in order gives
+            values = [(bisect_left(labels, label), text(kf._walked(p))) for label, p
+                      in sorted((graph.path_label(p), p) for p in support)]
+            zero = text(ia.zero()) if len(values) < len(labels) else None
+            yield labels, values, zero
+    return levels()
+
+
+_JSON_ROW = '    {{\n      "path": {},\n      "value": {}\n    }}'
+
+
+def _write_table(levels, json_form):
+    """Write each ``(labels, values, zero)`` level as it comes (see
+    ``_table_levels``): TSV lines, or the text ``json.dumps({"schema": 1,
+    "values": rows}, indent=2, sort_keys=True)`` prints for all the rows,
+    byte for byte (ASCII escapes, keys in order)."""
+    write = sys.stdout.write
+    if not json_form:
+        for labels, values, zero in levels:
+            write(format_table_tsv(labels, values, zero))
+        return
+    write('{\n  "schema": 1,\n  "values": [')
+    sep = "\n"
+    for labels, values, zero in levels:
+        if labels:
+            texts = [json.dumps(zero)] * len(labels)
+            for i, value in values:
+                texts[i] = json.dumps(value)
+            write(sep + ",\n".join(map(_JSON_ROW.format, map(json.dumps, labels), texts)))
+            sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def _require_length(flag: str, value: int, least: int) -> None:
@@ -207,25 +270,16 @@ def cmd_measure(args) -> int:
     doc = load(args.file)
     f = doc.map(args.map)
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
-    graph = f.domain
+    text = _text_of(args.exact)
     if args.table_up_to is not None:
-        table = _table_rows(graph, args.table_up_to)
-        labels = (label for label, _ in table)
-        values = (kf._walked(p) for _, p in table)
+        levels = _table_levels(kf, args.table_up_to, text)
     else:
+        graph = f.domain
         paths = [parse_path(graph, chunk)
                  for chunk in args.paths.split(",") if chunk.strip()]
-        labels = map(graph.path_label, paths)
-        values = map(kf.eval, paths)
-    rows = zip(labels, _value_texts(values, args.exact))
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "values": [{"path": label, "value": v} for label, v in rows],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(format_table_tsv(rows))
+        levels = [([graph.path_label(p) for p in paths],
+                   [(i, text(kf.eval(p))) for i, p in enumerate(paths)], None)]
+    _write_table(levels, args.format == "json")
     return 0
 
 
@@ -384,7 +438,18 @@ def main(argv=None) -> int:
         # call runs at the precision in force and a later setting is only checked
         ia.precision_from_env()
         # looked up at each call, so a replaced ``cmd_<name>`` takes effect
-        return globals()["cmd_" + args.command](args)
+        code = globals()["cmd_" + args.command](args)
+        # a reader that closed the pipe early shows here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has all it wanted (``ttm ... | head``); what is still
+        # buffered goes to the null device, so the flush at exit cannot
+        # raise again, as the SIGPIPE note of the ``signal`` docs does
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -353,6 +353,21 @@ def parse_path(graph: Graph, text: str):
 # -- measure tables as TSV --------------------------------------------------------------
 
 
-def format_table_tsv(rows) -> str:
-    """Rows of ``(path label, value string)`` as TSV text."""
-    return "".join(f"{label}\t{v}\n" for label, v in rows)
+def format_table_tsv(labels, values, default=None) -> str:
+    """TSV text of a table, one ``label<TAB>value`` line per label in order.
+
+    ``values`` gives ``(index, value string)`` for some rows, in index order;
+    every other row has the value ``default``, and each run of those rows is
+    joined in one call.  The command line writes a measure table through
+    this one path length at a time, its support rows in ``values``.
+    """
+    tail = f"\t{default}\n"
+    out, start = [], 0
+    for i, value in values:
+        if start < i:
+            out.append(tail.join(labels[start:i]) + tail)
+        out.append(f"{labels[i]}\t{value}\n")
+        start = i + 1
+    if start < len(labels):
+        out.append(tail.join(labels[start:]) + tail)
+    return "".join(out)

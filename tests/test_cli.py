@@ -112,9 +112,16 @@ def test_measure_deterministic(fib_file, capsys):
 
 
 def test_measure_explicit_vector(fib_file, capsys):
+    """A failing check leaves standard output empty, also for a table, which
+    is written one length at a time: every check runs before the first row."""
     code, out, _ = run(capsys, "measure", fib_file, "--map", "f",
                        "--vector", "1,1", )
-    assert code == 3  # (1,1) is not an eigenvector
+    assert code == 3 and out == ""  # no --paths and no --table-up-to
+    for form in ("tsv", "json"):
+        code, out, err = run(capsys, "measure", fib_file, "--map", "f", "--vector", "1,1",
+                             "--table-up-to", "3", "--format", form)
+        assert code == 3 and out == ""
+        assert "not an exact eigenvector" in err
 
 
 def test_measure_json(fib_file, capsys):
@@ -398,6 +405,37 @@ def run_module(*argv, timeout=120, **env):
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "ttm", *argv], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_broken_pipe_exits_1_quietly():
+    """A reader that stops early ends the command with exit code 1 and
+    nothing on standard error: a table read up to its first row (as by
+    ``head -1``), and a report written into a pipe with no reader at all."""
+    src = str(Path(ttm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # buffered, as by default: an unbuffered stream drops the rest of a
+    # write that the reader cut short, so only the next write would fail
+    env.pop("PYTHONUNBUFFERED", None)
+    ttm_argv = [sys.executable, "-m", "ttm"]
+    table = ["measure", str(BENCH_MAPS), "--map", "f", "--table-up-to", "9"]
+    with subprocess.Popen(ttm_argv + table, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        # the table (about 1 MB) outgrows the pipe, so the writer is still
+        # writing when the reader goes
+        assert proc.stdout.readline() == b"a\t1.61803398875\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(ttm_argv + ["spectrum", str(BENCH_MAPS), "--map", "q2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("bits", ["abc", "8"])

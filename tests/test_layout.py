@@ -31,8 +31,8 @@ REMOVED_NAMES = {
     "maps": {"power", "junction_turns", "infinitely_legal_language(pullbacks)"},
     "polys": {"poly_eval"},
     "intervals": {"format_interval(digits)"},
-    "cli": {"DIGITS", "fmt"},
-    "textio": {"_TOKEN"},
+    "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
+    "textio": {"_TOKEN", "format_table_tsv(rows)"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
                "WeightTower.turn_weight_at", "StationaryTower.pullbacks",
                "VectorTower", "WeightTower.check_switch_conditions",

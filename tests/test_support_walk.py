@@ -7,18 +7,25 @@ checks, failures, inconclusive checks and verdicts, on correct measures and
 on broken ones, at a tolerance and at tolerance zero.
 """
 
+import contextlib
+import io
+import json
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 import ttm.intervals as ia
-from ttm.cli import _table_rows
+from ttm.cli import fmt_exact_fraction, main, pick_vector
 from ttm.errors import PreconditionError
 from ttm.graphs import is_reduced, make_turn, reverse_path
 from ttm.maps import GraphMap
 from ttm.measures import (
-    _EXACT_ZERO, FrequencyOracle, VerificationReport, _magnitudes, _sub, eigen_measures,
-    eigenvector_measure, image_measure, verify_eigen_measure, verify_kolmogorov,
-    verify_oracle,
+    _EXACT_ZERO, FrequencyOracle, KolmogorovFunction, VerificationReport, _magnitudes, _sub,
+    eigen_measures, eigenvector_measure, image_measure, verify_eigen_measure,
+    verify_kolmogorov, verify_oracle,
 )
+from ttm.textio import parse
 from ttm.towers import StationaryTower
 
 from conftest import A, Abar, B, Bbar, pullback_maps, rose_map
@@ -196,21 +203,102 @@ def test_oracle_walks_its_own_support(tol):
 # -- the table evaluator ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "tribonacci", "red"])
-def test_table_rows_and_values_equal_eval(name):
-    """The table rows are the reduced paths by length and then label, each
-    labelled as ``path_label`` does, and the walked evaluator gives every
-    row the value ``eval`` gives it in row order, endpoint for endpoint."""
-    f = MAPS[name]
+BENCH_MAPS = Path(__file__).resolve().parents[1] / "bench" / "inputs" / "maps.tt"
+
+# Edge names that stress the label order and the JSON escapes: a name that
+# is a prefix of others, a digit, a capital (it sorts before the small
+# letters) and a non-ASCII name; and names with a control character, which
+# sorts before the space that joins a label, so that "a\x01 b" comes before
+# "a b" although "a" comes before "a\x01".
+NAMES_DOC = """
+graph S { vertices: * ; edge a: * -> * ; edge ab: * -> * ; edge a1: * -> * ;
+          edge B: * -> * ; edge \u00e9t\u00e9: * -> * ; }
+map s: S -> S { a -> a ab ; ab -> a a1 ; a1 -> a B ; B -> a \u00e9t\u00e9 ; \u00e9t\u00e9 -> a ; }
+"""
+CONTROL_DOC = """
+graph C { vertices: * ; edge a: * -> * ; edge a\x01: * -> * ; edge b: * -> * ; }
+map c: C -> C { a -> a a\x01 ; a\x01 -> b ; b -> a ; }
+"""
+TABLE_CASES = {"fibonacci": (None, "f", 6), "tribonacci": (None, "t", 5),
+               "red": (None, "red", 5), "q": (None, "q", 5),
+               "names": (NAMES_DOC, "s", 4), "control-names": (CONTROL_DOC, "c", 5)}
+
+
+def reference_table(f, max_length, form, exact):
+    """The table as plain code prints it: every reduced path by length and
+    then label, ``eval`` on each in that order on a fresh measure."""
     graph = f.domain
-    rows = _table_rows(graph, 6)
-    assert [p for _, p in rows] == sorted(
-        graph.reduced_paths(6), key=lambda p: (len(p), graph.path_label(p), p))
-    assert all(label == graph.path_label(p) for label, p in rows)
-    for make, _ in measure_makers(f):
-        walked, checked = make(), make()
-        for _, p in rows:
-            assert walked._walked(p) == checked.eval(p), p
+    kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, "auto"))
+    paths = sorted(graph.reduced_paths(max_length), key=lambda p: (len(p), graph.path_label(p)))
+    show = fmt_exact_fraction if exact else ia.format_interval
+    rows = [(graph.path_label(p), show(kf.eval(p))) for p in paths]
+    if form == "json":
+        payload = {"schema": 1, "values": [{"path": label, "value": v} for label, v in rows]}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return "".join(f"{label}\t{v}\n" for label, v in rows)
+
+
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_table_rows_and_values_equal_eval(name, tmp_path, capsys):
+    """The streamed table, as TSV, as JSON and with ``--exact``, is byte for
+    byte the table of the reference: the rows in the same order and every
+    value the one ``eval`` gives in row order, so the memo keeps the same
+    first values."""
+    doc, map_name, max_length = TABLE_CASES[name]
+    path = BENCH_MAPS
+    if doc is not None:
+        path = tmp_path / "table.tt"
+        path.write_text(doc, encoding="utf-8")
+    f = parse(path.read_text(encoding="utf-8")).map(map_name)
+    for form, exact in (("tsv", False), ("json", False), ("tsv", True)):
+        argv = ["measure", str(path), "--map", map_name, "--table-up-to", str(max_length),
+                "--format", form] + ["--exact"] * exact
+        assert main(argv) == 0
+        assert capsys.readouterr().out == reference_table(f, max_length, form, exact)
+
+
+@pytest.mark.parametrize("map_name,max_length", [("f", 9), ("q", 5), ("red", 5)])
+def test_table_walks_only_the_support(map_name, max_length, monkeypatch, capsys):
+    """A table evaluates the support paths of each length, once each and in
+    row order, and no other row: the zero rows cost no evaluator call."""
+    walked_paths = []
+    walked = KolmogorovFunction._walked
+
+    def counted(kf, path):
+        walked_paths.append(path)
+        return walked(kf, path)
+    monkeypatch.setattr(KolmogorovFunction, "_walked", counted)
+    argv = ["measure", str(BENCH_MAPS), "--map", map_name,
+            "--table-up-to", str(max_length)]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.count("\n")
+    f = parse(BENCH_MAPS.read_text(encoding="utf-8")).map(map_name)
+    kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, "auto"))
+    label = f.domain.path_label
+    expected = [p for k in range(1, max_length + 1)
+                for p in sorted(kf.support(k), key=label)]
+    assert walked_paths == expected
+    assert len(walked_paths) < rows
+
+
+class Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_table_memory_holds_one_level():
+    """The traced peak of a 39,364-row table written into a sink that keeps
+    nothing: one level of labels and the support, about 3.7 MB, where the
+    whole table with its row texts and its output string took 13.4 MB."""
+    argv = ["measure", str(BENCH_MAPS), "--map", "f", "--table-up-to", "9"]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
 
 
 # -- the closure property ------------------------------------------------------------------
