@@ -79,8 +79,7 @@ def pick_vector(f: GraphMap, spec_text: str):
         best = max(pairs, key=by_value)    # the first of the largest
         positive = [v for v in best.vector if (v > 0) is True]
         scale = min(positive, key=ia.midpoint)
-        return tuple(v / scale if (v > 0) is True else ia.zero()
-                     for v in best.vector), best.value
+        return tuple(v / scale for v in best.vector), best.value
     try:
         coords = [Fraction(tok) for tok in spec_text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -261,6 +260,8 @@ def _require_length(flag: str, value: int, least: int) -> None:
 
 
 def cmd_measure(args) -> int:
+    if args.table_up_to is not None and args.paths is not None:
+        raise TTMError("give --paths or --table-up-to, not both")
     if args.table_up_to is not None:
         _require_length("--table-up-to", args.table_up_to, 1)
     elif not args.paths:

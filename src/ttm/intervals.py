@@ -15,6 +15,9 @@ each endpoint and each printed digit equals the reference's at the same
 precision.  The one departure: dividing by an interval that contains zero
 raises ZeroDivisionError, where the reference returns infinite endpoints.
 
+Intervals take ints and Fractions as operands, enclosed on contact, while two
+Fractions stay exact: an exact table of cylinder values keeps exact residuals.
+
 Comparisons follow tri-state semantics: an interval predicate is True or
 False only when it holds for every point of the interval(s); otherwise the
 answer is None ("inconclusive", the caller should refine and retry).
@@ -232,7 +235,7 @@ def _fraction(x) -> Fraction:
 
 # -- interval operations ------------------------------------------------------------
 #
-# Each takes intervals (ints already enclosed) and the precision in bits.
+# Each takes intervals (exact operands already enclosed) and the precision in bits.
 
 
 def _add(s, t, p):
@@ -358,11 +361,14 @@ def _less_equal(s, t, p):
 
 
 def _operand(t):
-    """An interval as it is, an int as its enclosure, else NotImplemented."""
+    """An interval as it is, an int or a Fraction as its enclosure, else
+    NotImplemented."""
     if type(t) is Interval:
         return t
     if isinstance(t, int):
         return _from_int(t, _prec)
+    if isinstance(t, Fraction):
+        return from_fraction(t)
     return NotImplemented
 
 
@@ -392,8 +398,9 @@ class Interval:
 
     Immutable and hashable.  ``==`` compares the endpoints exactly, as
     ``mpi_eq``; ``<``, ``<=``, ``>`` and ``>=`` are tri-state.
-    Python ints mix in as their enclosure at the working precision.  Build
-    intervals with the constructors below, not from pairs.
+    Python ints and Fractions mix in on either side, and in ``in``, as their
+    enclosure at the working precision.  Build intervals with the
+    constructors below, not from pairs.
     """
 
     __slots__ = ("_lo", "_hi")
@@ -437,10 +444,10 @@ class Interval:
         return _hash(lo) if lo[1] else hash(lo[0])
 
     def __contains__(s, t):
-        """``t in s``: t (an interval or an int) lies inside s."""
+        """``t in s``: t (an interval, an int or a Fraction) lies inside s."""
         t = _operand(t)
         if t is NotImplemented:
-            raise TypeError("only intervals and ints can lie in an interval")
+            raise TypeError("only intervals, ints and Fractions can lie in an interval")
         return _cmp(s._lo, t._lo) <= 0 and _cmp(t._hi, s._hi) <= 0
 
     # -- endpoints and measurements, as point intervals
@@ -507,10 +514,11 @@ def from_float(x: float):
 
 
 def coerce(x):
-    """Fractions as their tight enclosure, certified roots (anything with an
-    ``interval()``) as their current enclosure; intervals unchanged."""
-    if isinstance(x, Fraction):
-        return from_fraction(x)
+    """An operand as the operators take it, a certified root (anything with
+    an ``interval()``) as its current enclosure."""
+    t = _operand(x)
+    if t is not NotImplemented:
+        return t
     return x.interval() if hasattr(x, "interval") else x
 
 
@@ -574,25 +582,17 @@ def max_endpoints(values):
 # -- aggregation ---------------------------------------------------------------
 
 def isum(values):
-    """Interval sum of an iterable (empty sum is exact 0)."""
-    total = zero()
-    for v in values:
-        total = total + v
-    return total
+    """Interval sum of an iterable, in order (empty sum is exact 0).  The
+    shared exact zero is skipped unread: adding it to a sum already rounded
+    at the working precision changes no bit."""
+    return sum((v for v in values if v is not _ZERO_INTERVAL), zero())
 
 
 def matvec(m, vec):
     """M v for a non-negative integer matrix and an interval vector: each
     coordinate sums ``m[i][j] * vec[j]`` over the non-zero entries of its
     row, in column order (a zero row gives exact 0)."""
-    out = []
-    for row in m:
-        acc = zero()
-        for a, v in zip(row, vec):
-            if a:
-                acc = acc + exact(a) * v
-        out.append(acc)
-    return tuple(out)
+    return tuple(isum(exact(a) * v for a, v in zip(row, vec) if a) for row in m)
 
 
 def eigen_residual(m, vec, lam):

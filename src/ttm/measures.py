@@ -98,7 +98,7 @@ class KolmogorovFunction:
         path = _checked(self.graph, path, "a Kolmogorov function")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        return self._value(n, self._sweep(n, len(path)).get(path, _ZERO_RECIPE))
+        return self._value(n, self._sweep(n, len(path)).get(path, ((), ())))
 
     def support(self, length: int):
         """The reduced paths of this length with a non-zero recipe: the keys
@@ -162,9 +162,9 @@ class KolmogorovFunction:
 
     def _value(self, n: int, recipe):
         """Replay a recipe in the per-path summation order: edge terms in
-        positive-edge order, then turn weights as met, then the level scale."""
-        if recipe is _ZERO_RECIPE:
-            return _EXACT_ZERO
+        positive-edge order, then turn weights as met, then the level scale.
+        The empty recipe replays to the exact zero: a product with an exact
+        zero factor is the shared ``ia.zero()``."""
         key = (n, recipe)
         value = self._values.get(key)
         if value is None:
@@ -198,9 +198,8 @@ def _checked(graph: Graph, path, who: str):
     return path
 
 
-# a factor absent from every level word has no preimage: the exact zero,
-# one shared interval that the verify walk recognises by identity
-_ZERO_RECIPE = ((), ())
+# the value of a path with no preimage, and every product with an exact zero
+# factor: the one interval ``ia.zero()``, which the verify walk skips unread
 _EXACT_ZERO = ia.zero()
 
 
@@ -247,7 +246,9 @@ class MeasureTable:
 
     Absent reduced paths within the bound are zeros (external listings, like
     hand-made integer tables, customarily omit them).  Values are Fractions
-    for exact external data or intervals for computed data.
+    for exact external data or intervals for computed data; the interval
+    operators take both, and two Fractions stay exact, so an exact table
+    has exact residuals.
     """
 
     graph: Graph
@@ -290,22 +291,9 @@ class MeasureTable:
                 if sub == path:
                     continue
                 sval = self.recorded(sub)
-                if sval is not None and _definitely_less(sval, value):
+                if sval is not None and (sval < value) is True:
                     out.append((path, sub))
         return out
-
-
-def _common(x, y):
-    """Both values exact when both are Fractions, both intervals otherwise."""
-    if isinstance(x, Fraction) == isinstance(y, Fraction):
-        return x, y    # both exact, or neither needs an enclosure
-    return ia.coerce(x), ia.coerce(y)
-
-
-def _definitely_less(x, y) -> bool:
-    """x < y certainly."""
-    x, y = _common(x, y)
-    return (x < y) is True
 
 
 # -- verification --------------------------------------------------------------------
@@ -411,9 +399,9 @@ def _magnitudes(residuals):
 
 
 def _sub(x, y):
+    """x - y; two shared exact zeros give the shared exact zero."""
     if x is _EXACT_ZERO and y is _EXACT_ZERO:
         return x
-    x, y = _common(x, y)
     return x - y
 
 
@@ -499,11 +487,7 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
     out = {}
     for center in tower.short_edges(m):
         images = {img for _, img in tower.legal_windows(center, rho, m)}
-        total = None
-        for img in sorted(images):
-            v = ia.coerce(table.value(img))
-            total = v if total is None else total + v
-        out[center] = total if total is not None else ia.zero()
+        out[center] = ia.isum(table.value(img) for img in sorted(images))
     return out
 
 
@@ -625,15 +609,11 @@ class FrequencyOracle:
     def _tail(self, length: int):
         tail = self._tails.get(length)
         if tail is None:
-            margin = length - 1
-            if margin:
-                # new straddling occurrences at step s+1: per junction at most
-                # 2(len-1) of them (path and reverse), junction count
-                # max |f(e)| - 1
-                per_step = ia.exact(2 * margin * max(0, self.max_img - 1)) * self.vec_total
-                tail = per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
-            else:
-                tail = ia.zero()
+            # new straddling occurrences at step s+1: per junction at most
+            # 2(len-1) of them (path and reverse), junction count
+            # max |f(e)| - 1 (none on single edges: the tail is exact 0)
+            per_step = ia.exact(2 * (length - 1) * max(0, self.max_img - 1)) * self.vec_total
+            tail = per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
             self._tails[length] = tail
         return tail
 

@@ -250,8 +250,6 @@ class CertifiedRoot:
         if bits is None:
             bits = ia.precision_bits() - 16
         self.refine_bits(bits)
-        if self.exact is not None:
-            return ia.from_fraction(self.exact)
         return ia.from_endpoints(self.lo, self.hi)
 
     def __float__(self):

@@ -344,7 +344,7 @@ def _normalise(vec):
     total = ia.isum(vec)
     if not (total > 0):
         raise SpectralError("cannot normalise a vector without provably positive sum")
-    return tuple(v / total if not ia.is_exact_zero(v) else ia.zero() for v in vec)
+    return tuple(v / total for v in vec)
 
 
 def _positive_column(bmats, lam):
@@ -386,10 +386,7 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bit
         cols = [adjugate_column(bmats_r, lam, t) for t in range(len(rest))]
         rhs = ia.matvec([[m[i][j] for j in block] for i in rest], u)
         for pos, i in enumerate(rest):
-            acc = ia.zero()
-            for t, col in enumerate(cols):
-                acc = acc + col[pos] * rhs[t]
-            vec[i] = acc / denom
+            vec[i] = ia.isum(col[pos] * r for col, r in zip(cols, rhs)) / denom
     support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
     if not all(vec[i] > 0 for i in support):
         return None  # needs refinement

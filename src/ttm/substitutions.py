@@ -180,11 +180,12 @@ def _periodic_witnesses(sigma: Substitution, bound: int):
     # it is that window: the windows of length depth are all such factors
     windows = maps.image_windows(sigma.rose_map, sigma.rose_map.edge_image, depth)
     lang = {path_to_word(sigma, p) for p in windows if len(p) == depth}
+    # a witness is a prefix of its first window, so the prefixes of the
+    # windows up to the bound are all the candidates
+    candidates = {w[:k] for w in lang for k in range(1, bound + 1)}
     out = []
     seen_rotations = set()
-    # a witness is a prefix of its first window, so it lies in the
-    # factor-closed language and its short words are all candidates
-    for w in sorted(sigma.language(bound)):
+    for w in sorted(candidates):
         if w in seen_rotations or not _is_primitive_word(w):
             continue
         repeated = w * ((depth // len(w)) + 2)

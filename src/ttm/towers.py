@@ -234,7 +234,6 @@ class WeightTower:
                     tail = power(len(pre) + j + 1) / geometric(len(cyc))
                     sums[t] = sums.get(t, zero) + tail * v_e
         # every unvisited turn shares one exact zero
-        self._zero = zero
         self.turn_weight = {t: sums.get(t, zero) for t in graph.all_turns()}
 
     def level_scale(self, n: int):
@@ -245,21 +244,15 @@ class WeightTower:
     def switch_residuals(self):
         """Interval residuals of the switch conditions at every direction:
         the weight of the edge leaving a vertex minus the total weight of the
-        local edges (turns) at that direction.  The turn weights are added
-        in the order of the directions at the vertex, skipping the shared
-        exact zero of the unvisited turns: adding an exact zero is exact at
-        working precision, so the residuals are those of the full sums."""
+        local edges (turns) at that direction, the turn weights added in the
+        order of the directions at the vertex."""
         graph = self.tower.graph
         out = {}
         for v in graph.vertices:
             for d in graph.directions_at(v):
-                acc = ia.zero()
-                for d2 in graph.directions_at(v):
-                    if d2 != d:
-                        w = self.turn_weight[make_turn(d, d2)]
-                        if w is not self._zero:
-                            acc = acc + w
-                out[d] = self.edge_weight[d] - acc
+                out[d] = self.edge_weight[d] - ia.isum(
+                    self.turn_weight[make_turn(d, d2)]
+                    for d2 in graph.directions_at(v) if d2 != d)
         return out
 
 

@@ -124,6 +124,14 @@ def test_measure_explicit_vector(fib_file, capsys):
         assert "not an exact eigenvector" in err
 
 
+def test_measure_paths_and_table_exclusive(fib_file, capsys):
+    """``--paths`` beside ``--table-up-to`` is refused, not ignored."""
+    code, out, err = run(capsys, "measure", fib_file, "--map", "f",
+                         "--table-up-to", "2", "--paths", "a")
+    assert (code, out) == (3, "")
+    assert err == "error: give --paths or --table-up-to, not both\n"
+
+
 def test_measure_json(fib_file, capsys):
     code, out, _ = run(capsys, "measure", fib_file, "--map", "f",
                        "--paths", "a,b", "--format", "json")

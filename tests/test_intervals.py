@@ -3,7 +3,8 @@
 ``ttm.intervals`` ports mpmath's ``mpi_*``/``mpf_*`` routines; mpmath stays
 a test dependency as the reference.  Every operation is drawn over both
 signs, zero, point intervals, big mantissas and int operands at 64, 128,
-256 and 512 bits, and its endpoints must equal mpmath's exactly.  The
+256 and 512 bits, and its endpoints must equal mpmath's exactly; a
+Fraction operand must act as its ``from_fraction`` enclosure.  The
 ``--exact`` printing rounds outward on purpose, so it is checked against a
 directed decimal rounding instead.
 """
@@ -11,6 +12,7 @@ directed decimal rounding instead.
 from contextlib import contextmanager
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
+import operator
 
 import mpmath
 import pytest
@@ -113,6 +115,63 @@ def test_int_operands(prec, x, n):
         assert (X < n, X <= n, X > n, X >= n) == (x < n, x <= n, x > n, x >= n)
         assert (X == n) == (x == n)
         assert (n in X) == (n in x)
+
+
+rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(5, 8), Fraction(-3, 1024),
+                     Fraction(2 ** 70 + 1, 3 ** 50)]),
+    st.builds(lambda m, e: m * Fraction(2) ** e, small, st.integers(-60, 60)),
+    st.builds(Fraction, st.integers(-(10 ** 40), 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+def endpoints_of(v):
+    assert type(v) is Interval
+    return v._lo, v._hi
+
+
+@settings(max_examples=400)
+@given(precs, intervals(), rationals)
+def test_fraction_operands(prec, x, q):
+    """A Fraction on either side of an operator, a comparison or ``in`` is
+    its ``from_fraction`` enclosure, bit for bit."""
+    with both_at(prec):
+        X, Q = kernel(x), ia.from_fraction(q)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert endpoints_of(op(X, q)) == endpoints_of(op(X, Q))
+            assert endpoints_of(op(q, X)) == endpoints_of(op(Q, X))
+        if q:
+            assert endpoints_of(X / q) == endpoints_of(X / Q)
+        if excludes_zero(x):
+            assert endpoints_of(q / X) == endpoints_of(Q / X)
+        assert ((X < q, X <= q, X > q, X >= q, X == q, X != q)
+                == (X < Q, X <= Q, X > Q, X >= Q, X == Q, X != Q))
+        assert ((q < X, q <= X, q > X, q >= X, q == X, q != X)
+                == (Q < X, Q <= X, Q > X, Q >= X, Q == X, Q != X))
+        assert (q in X) == (Q in X)
+        den = q.denominator
+        if not den & (den - 1) and abs(q.numerator).bit_length() <= prec:   # dyadic
+            assert Q == q and hash(Q) == hash(q)
+            assert Q._lo == Q._hi
+
+
+@settings(max_examples=200)
+@given(precs, st.lists(st.one_of(intervals(), st.just(None)), max_size=6))
+def test_isum_skips_exact_zeros_bit_for_bit(prec, xs):
+    """``isum`` skips the shared exact zero and still equals the plain
+    left-to-right sum from ``zero()``, endpoint for endpoint."""
+    with both_at(prec):
+        values = [ia.zero() if x is None else kernel(x) for x in xs]
+        plain = ia.zero()
+        for v in values:
+            plain = plain + v
+        assert endpoints_of(ia.isum(values)) == endpoints_of(plain)
+
+
+def test_foreign_operands_rejected():
+    with pytest.raises(TypeError, match="intervals, ints and Fractions"):
+        1.5 in ia.one()
+    with pytest.raises(TypeError):
+        ia.one() + 1.5
 
 
 @settings(max_examples=300)

@@ -44,7 +44,8 @@ REMOVED_NAMES = {
     "substitutions": {"to_train_track"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
-                 "_walk_order", "_kirchhoff_walk", "_pushforward_walk"},
+                 "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
+                 "_common", "_definitely_less", "_ZERO_RECIPE"},
 }
 
 

@@ -11,7 +11,7 @@ from ttm.maps import (
 )
 from ttm import maps, measures
 from ttm.measures import (
-    FrequencyOracle, MeasureTable, VerificationReport, _common, _definitely_less, _sub, eigen_measures,
+    FrequencyOracle, MeasureTable, VerificationReport, _sub, eigen_measures,
     eigenvector_measure, frequency_oracle, image_measure, recover_weights,
     verify_eigen_measure, verify_kolmogorov,
 )
@@ -680,17 +680,17 @@ def test_figure4_short_lengths_exact(rose2):
 
 
 def test_exact_pairs_stay_exact():
-    """Two Fractions compare and subtract exactly; a Fraction against an
-    interval is enclosed first."""
+    """Two Fractions compare and subtract exactly through the operators; a
+    Fraction meeting an interval is enclosed on contact."""
     third = Fraction(1, 3)
-    assert _common(third, third) == (third, third)
-    assert _sub(third, third) == 0 and isinstance(_sub(third, third), Fraction)
-    assert not _definitely_less(third, third)
-    x, y = _common(third, ia.one())
-    assert not isinstance(x, Fraction) and ia.contains_zero(x - ia.one() / 3)
-    assert y == ia.one()
-    assert _definitely_less(third, ia.one()) and not _definitely_less(ia.one(), third)
-    assert ia.coerce(ia.one()) is not None and ia.coerce(Fraction(2)) == ia.exact(2)
+    assert type(third - third) is Fraction and third - third == 0
+    assert type(_sub(third, third)) is Fraction and _sub(third, third) == 0
+    assert (third < third) is False
+    x = third - ia.one()
+    assert type(x) is ia.Interval and ia.contains_zero(x + ia.one() * 2 / 3)
+    assert x == ia.from_fraction(third) - ia.one()
+    assert (third < ia.one()) is True and (ia.one() < third) is False
+    assert ia.coerce(ia.one()) is ia.one() and ia.coerce(Fraction(2)) == ia.exact(2)
 
 
 def test_figure4_inconsistency_flagged(rose2):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
-from ttm import spectra
+from ttm import maps, spectra
 from ttm.errors import PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, verify_kolmogorov
 from ttm.spectra import is_primitive
 from ttm.substitutions import (
-    Substitution, _is_primitive_word, _periodic_witnesses, ergodic_measures,
-    path_to_word, word_to_path,
+    PERIODICITY_SCAN, Substitution, _is_primitive_word, _periodic_witnesses,
+    ergodic_measures, path_to_word, word_to_path,
 )
 
 from conftest import A, Bbar
@@ -281,6 +281,18 @@ def test_ergodic_measures_build_the_block_form_once(sigma, monkeypatch):
     for a, b in zip(got, [pair for pair, _ in measures] + skipped):
         assert (a.vector, a.support, a.block) == (b.vector, b.support, b.block)
         assert a.value.compare(b.value) == 0
+
+
+@pytest.mark.parametrize("sigma", [FIB, TM, THREE], ids=["fib", "tm", "three"])
+def test_ergodic_measures_build_the_language_once(sigma, monkeypatch):
+    """The periodicity scan reads its candidate words off the windows that
+    it already built, with no second language fixpoint."""
+    calls = []
+    windows = maps.image_windows
+    monkeypatch.setattr(maps, "image_windows",
+                        lambda *args: calls.append(args[2]) or windows(*args))
+    ergodic_measures(sigma)
+    assert calls == [2 * PERIODICITY_SCAN + 2]
 
 
 def test_ergodic_measures_satisfy_kirchhoff_and_normalise():
