@@ -47,6 +47,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFICATION = 4
 
+# the most short edges of a tower level that ``check`` builds whole (f of
+# bench/inputs/maps.tt has 57,314 at level 20 and 18,454,930 at level 32)
+MAX_SHORT_EDGES = 10 ** 6
+
 
 def fmt_exact_fraction(x) -> str:
     """Outward endpoints as exact fractions (the endpoints are dyadic)."""
@@ -119,6 +123,7 @@ def cmd_check(args) -> int:
     out.append("homotopy-equivalence: "
                + ("yes" if is_homotopy_equivalence(f) else "no"))
     if ok and expanding:
+        _require_short_edges(f, args.rep_levels)
         tower = StationaryTower(f)
         for level in range(args.rep_levels + 1):
             r = repetition_bound(tower, level, args.rep_cap)
@@ -126,6 +131,19 @@ def cmd_check(args) -> int:
                 str(r.bound) if r.found else f"not found within cap {args.rep_cap}"))
     print("\n".join(out))
     return 0
+
+
+def _require_short_edges(f, levels: int) -> None:
+    """TTMError when a level up to ``levels`` has more than ``MAX_SHORT_EDGES``
+    short edges, sum |f^n(e)| over the oriented edges by integer recursion."""
+    edges = f.domain.positive_edges
+    lengths = [1] * len(edges)     # |f^n(e)| of each positive edge e, at e >> 1
+    for n in range(levels + 1):
+        count = 2 * sum(lengths)
+        if count > MAX_SHORT_EDGES:
+            raise TTMError(f"--rep-levels {levels}: tower level {n} has {count} short "
+                           f"edges, more than the {MAX_SHORT_EDGES} that check searches")
+        lengths = [sum(lengths[x >> 1] for x in f.image(e)) for e in edges]
 
 
 def cmd_spectrum(args) -> int:
@@ -219,9 +237,6 @@ def _table_levels(kf, max_length, text):
                     order = sorted(range(len(labels)), key=labels.__getitem__)
                     labels = [labels[i] for i in order]
                     lasts = [lasts[i] for i in order]
-            # the support is evaluated in row order and zero rows never
-            # touch the memo, so a path and its reversal share the value
-            # computed first, the one ``eval`` on every row in order gives
             values = [(bisect_left(labels, label), text(kf._walked(p))) for label, p
                       in sorted((graph.path_label(p), p) for p in support)]
             zero = text(ia.zero()) if len(values) < len(labels) else None

@@ -337,11 +337,6 @@ def _pow_int(s, n, p):
     return Interval(_ZERO, _pow(neg if _cmp(neg, sb) >= 0 else sb, n, p, True))
 
 
-def _equal(s, t, p):
-    """mpi_eq: the same endpoints."""
-    return s._lo == t._lo and s._hi == t._hi
-
-
 def _less(s, t, p):
     """mpi_lt: s < t for every point (True), for none (False), else None."""
     if _cmp(s._hi, t._lo) < 0:
@@ -397,9 +392,10 @@ class Interval:
     """The closed interval [lo, hi] with normal dyadic endpoint pairs.
 
     Immutable and hashable.  ``==`` compares the endpoints exactly, as
-    ``mpi_eq``; ``<``, ``<=``, ``>`` and ``>=`` are tri-state.
-    Python ints and Fractions mix in on either side, and in ``in``, as their
-    enclosure at the working precision.  Build intervals with the
+    ``mpi_eq``, and an int or a Fraction equals only its point interval;
+    ``<``, ``<=``, ``>`` and ``>=`` are tri-state.  Python ints and
+    Fractions mix in on either side of the other operators, and in ``in``,
+    as their enclosure at the working precision.  Build intervals with the
     constructors below, not from pairs.
     """
 
@@ -413,9 +409,16 @@ class Interval:
     __sub__, __rsub__ = _operator(_sub), _operator(_sub, reflected=True)
     __mul__ = __rmul__ = _operator(_mul)
     __truediv__, __rtruediv__ = _operator(_div), _operator(_div, reflected=True)
-    __eq__ = _operator(_equal)
     __lt__, __gt__ = _operator(_less), _operator(_less, reflected=True)
     __le__, __ge__ = _operator(_less_equal), _operator(_less_equal, reflected=True)
+
+    def __eq__(s, t):
+        """Equal endpoints (mpi_eq); an int or a Fraction is only its point."""
+        if type(t) is Interval:
+            return s._lo == t._lo and s._hi == t._hi
+        if isinstance(t, (int, Fraction)):
+            return s._lo == s._hi and _fraction(s._lo) == t
+        return NotImplemented
 
     def __pow__(s, n):
         if not isinstance(n, int):
@@ -539,11 +542,6 @@ def one():
 
 def contains_zero(x) -> bool:
     return x._lo[0] <= 0 <= x._hi[0]
-
-
-def is_exact_zero(x) -> bool:
-    """True iff x is the degenerate interval [0, 0]."""
-    return not x._lo[0] and not x._hi[0]
 
 
 # -- measurements -------------------------------------------------------------

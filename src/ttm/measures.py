@@ -24,24 +24,25 @@ each positive edge's word and its reverse, counting that edge for the factor
 read, and every junction ``(e1, e2, cut)`` appends its crossed turn to the
 factor ``w1[-cut:] + w2[:L-cut]``.  The result is a *recipe* per factor that
 occurs (edge counts, turns in the order met); a path absent from the sweep
-has the empty recipe, the exact zero.  A recipe is replayed in the order a
-per-path scan would sum it (edge terms in positive-edge order, then the turn
-weights as met, then the level scale) and memoised by level and recipe, so
-values are bit-identical to the per-path definition and equal recipes share
-one interval.
+has the empty recipe, the exact zero.  A path and its reversal share the
+recipe of the one smaller in tuple order, replayed in the order a per-path
+scan of it would sum it (edge terms in positive-edge order, then the turn
+weights as met, then the level scale) and cached by level and recipe: a
+value depends only on the level and on {p, p-bar}, not on call history.
 
-Walks skip what is known to be zero.  The sweep keeps only reduced
-factors, and ``support(L)`` is its key set: every other reduced path of
-length L is the exact zero.  ``eval`` checks its path and hands it to
-``_walked``, which the walks and the CLI tables call directly on the paths
-they made.  Each verify suite hands ``_walk`` the paths whose residual can
-differ from the exact zero; it visits them in the order of the full walk
-over ``Graph.reduced_paths``, so the memo keeps the same first values and
-the reports are those of the full walk:
+No walk filters for reducedness.  The level words are iterate images of an
+expanding train track map, so they, their images and the oracle's counted
+factors are reduced; the sweep drops each junction whose words or their
+images cancel at the seam (an illegal turn, of weight zero), so every window
+and its image are reduced too.  ``support(L)`` is the sweep's key set: every
+other reduced path of length L is the exact zero.  ``eval`` checks its path
+and hands it to ``_walked``, which the walks and the CLI tables call on the
+paths they made.  Each verify suite evaluates the set of paths whose residual
+can be non-zero, in any order (its verdict and violation are maxima):
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
-* the eigen equation: S(L) and the reduced factors of the images of its
-  paths, up to the bound (a path with a cover in the support is one);
+* the eigen equation: S(L) and the factors of the images of its paths, up
+  to the bound (a path with a cover in the support is one);
 * the oracle: S(L) and the paths with a non-zero occurrence count (its
   vector is non-negative, so its tail bounds are too).
 
@@ -60,6 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from . import intervals as ia
 from . import spectra
@@ -80,10 +82,10 @@ class KolmogorovFunction:
         self.tower = weights.tower
         self.weights = weights
         self.graph = self.tower.graph
-        self._memo = {}      # evaluated path and its reversal -> value
-        self._lengths = {}   # length -> (level_for_length, its sweep)
+        # length -> (level_for_length, its sweep); level -> lambda**-level
+        self._length_sweep = cache(self._level_sweep)
+        self._scale = cache(weights.level_scale)
         self._values = {}    # (level, recipe) -> value
-        self._scales = {}    # level -> lambda**-level
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
@@ -98,46 +100,35 @@ class KolmogorovFunction:
         path = _checked(self.graph, path, "a Kolmogorov function")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        return self._value(n, self._sweep(n, len(path)).get(path, ((), ())))
+        return self._value(n, self._sweep(n, len(path)).get(path, _NO_RECIPE))
 
     def support(self, length: int):
-        """The reduced paths of this length with a non-zero recipe: the keys
-        of the sweep at ``level_for_length(length)``.  Every other reduced
-        path of this length evaluates to the exact zero.  The set is closed
-        under reversal."""
+        """The paths of this length with a non-zero recipe (the sweep's keys),
+        reduced and closed under reversal; every other reduced path of this
+        length evaluates to the exact zero."""
         return self._length_sweep(length)[1].keys()
 
     def _walked(self, path):
         """``eval`` without the path checks, for a reduced path that a walker
-        made (``reduced_paths``, a support): the recipe at
-        ``level_for_length``, the exact zero when there is none.  A non-zero
-        value goes through the memo, so a path and its reversal share the
-        first value computed."""
+        made: the value of its recipe at ``level_for_length``."""
         level, sweep = self._length_sweep(len(path))
-        recipe = sweep.get(path)
-        if recipe is None:
-            return _EXACT_ZERO
-        value = self._memo.get(path)
-        if value is None:
-            value = self._memo[path] = self._memo[reverse_path(path)] = \
-                self._value(level, recipe)
-        return value
+        return self._value(level, sweep.get(path, _NO_RECIPE))
 
-    def _length_sweep(self, length: int):
-        got = self._lengths.get(length)
-        if got is None:
-            level = self.tower.level_for_length(length)
-            got = self._lengths[length] = (level, self._sweep(level, length))
-        return got
+    def _level_sweep(self, length: int):
+        level = self.tower.level_for_length(length)
+        return level, self._sweep(level, length)
 
     def _sweep(self, n: int, length: int):
-        """Recipe of every reduced length-``length`` factor of the level-n
-        words (a junction window across a cancelling pair is dropped).
+        """Recipe of every length-``length`` factor of the level-n words.
 
         A recipe is the pair (edge counts, crossed turns): the occurrences of
         the factor or its reverse inside each positive edge's word, and the
         turn of every junction ``(e1, e2, cut)`` whose straddling window reads
-        the factor, in the order the per-path scan would meet them.
+        the factor, in the order the per-path scan would meet them.  A
+        junction is dropped when ``w1 w2`` or its image backtracks at the
+        seam (this covers ``e2 == inverse(e1)``): its turn is illegal, of
+        weight zero.  A factor whose reversal is smaller in tuple order gets
+        the reversal's recipe object.
         """
         tower, graph = self.tower, self.graph
         counts = {}
@@ -147,18 +138,24 @@ class KolmogorovFunction:
                 for i in range(len(word) - length + 1):
                     per_edge = counts.setdefault(word[i:i + length], {})
                     per_edge[e] = per_edge.get(e, 0) + 1
-        crossed = {}
+        crossed, df = {}, tower.f.directions.df
         for e1 in graph.oriented_edges:
             w1 = tower.word(e1, n)
             for e2 in graph.directions_at(graph.terminal(e1)):
-                if e2 == inverse(e1):
-                    continue
                 w2 = tower.word(e2, n)
-                turn = make_turn(inverse(e1), e2)
-                for cut in range(1, length):
-                    crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
-        return {p: (tuple(counts.get(p, {}).items()), tuple(crossed.get(p, ())))
-                for p in counts.keys() | crossed.keys() if is_reduced(p)}
+                a, b = inverse(w1[-1]), w2[0]
+                if a != b and df[a] != df[b]:
+                    turn = make_turn(inverse(e1), e2)
+                    for cut in range(1, length):
+                        crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
+        recipes = {}
+        for p in counts.keys() | crossed.keys():
+            if p not in recipes:
+                rev = reverse_path(p)
+                q = min(p, rev)
+                recipes[p] = recipes[rev] = (tuple(counts.get(q, {}).items()),
+                                             tuple(crossed.get(q, ())))
+        return recipes
 
     def _value(self, n: int, recipe):
         """Replay a recipe in the per-path summation order: edge terms in
@@ -174,10 +171,7 @@ class KolmogorovFunction:
                 total = total + ia.exact(count) * self.weights.edge_weight[e]
             for turn in turns:
                 total = total + self.weights.turn_weight[turn]
-            scale = self._scales.get(n)
-            if scale is None:
-                scale = self._scales[n] = self.weights.level_scale(n)
-            value = self._values[key] = total * scale
+            value = self._values[key] = total * self._scale(n)
         return value
 
     def support_table(self, max_length: int) -> "MeasureTable":
@@ -197,6 +191,8 @@ def _checked(graph: Graph, path, who: str):
         raise PathError(f"{who} takes non-trivial reduced edge paths of its graph")
     return path
 
+
+_NO_RECIPE = ((), ())    # a path with no preimage; it replays to the exact zero
 
 # the value of a path with no preimage, and every product with an exact zero
 # factor: the one interval ``ia.zero()``, which the verify walk skips unread
@@ -369,9 +365,9 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
          lambda p: kirchhoff(p, (p + (e,) for e in graph.extensions_right(p)))),
     )
     report = VerificationReport()
-    paths = (graph.reduced_paths(max_length) if table else _walk(
+    paths = (graph.reduced_paths(max_length) if table else {
         p for length in range(1, max_length + 2) for q in source.support(length)
-        for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length))
+        for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length})
     for name, residual in residuals:
         report.record(name, _magnitudes(map(residual, paths)), tol)
     if table:
@@ -384,13 +380,6 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
 def _require_bound(max_length: int):
     if max_length < 1:
         raise PreconditionError(f"length bound must be at least 1 (got {max_length})")
-
-
-def _walk(paths):
-    """The reduced paths among ``paths``, once each, in ``Graph.reduced_paths``
-    order (by length, then by edge ids), so a suite evaluates them in the
-    order of the full walk and the memo keeps the same first values."""
-    return sorted({p for p in paths if is_reduced(p)}, key=lambda p: (len(p), p))
 
 
 def _magnitudes(residuals):
@@ -455,8 +444,8 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     if not f.is_self_map():
         raise PreconditionError("the eigen equation needs a self-map")
     lam = ia.coerce(lam)
-    walk = _walk(x for length in range(1, max_length + 1) for d in kf.support(length)
-                 for x in (d, *subpaths_up_to(f.map_path(d), max_length)))
+    walk = {x for length in range(1, max_length + 1) for d in kf.support(length)
+            for x in (d, *subpaths_up_to(f.map_path(d), max_length))}
     report = VerificationReport()
     report.record("eigen-equation", _magnitudes(
         _pushforward(f, kf, path) - lam * kf._walked(path) for path in walk), tol)
@@ -542,7 +531,8 @@ class FrequencyOracle:
         self.scale = self.lam ** (-t)
         self.vec_total = ia.isum(self.vector)
         self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
-        self._counts = {}    # length -> oriented edge -> factor counts
+        # length -> oriented edge -> factor counts
+        self._length_counts = cache(self._factor_counts)
         self._tails = {}     # length -> tail bound
 
     def counts(self, path) -> tuple:
@@ -562,12 +552,6 @@ class FrequencyOracle:
         for e in self.graph.positive_edges:
             out.update(counts[e])
         return out | {reverse_path(p) for p in out}
-
-    def _length_counts(self, length: int):
-        counts = self._counts.get(length)
-        if counts is None:
-            counts = self._counts[length] = self._factor_counts(length)
-        return counts
 
     def estimate(self, path) -> OracleEstimate:
         path = tuple(path)
@@ -629,16 +613,18 @@ def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: i
     beyond the tail bound.  Returns the report and the largest
     ``|eval - estimate|`` (a float, for display).
 
-    The paths compared are the walk of the two supports, the measure's and
-    the oracle's non-zero counts.  On every other reduced path both values
-    are exactly zero, so the distance is zero and the excess is minus the
-    tail bound, which is non-negative (the oracle's vector is): no check
-    reads it.
+    The paths compared are the two supports, the measure's and the oracle's
+    non-zero counts; the oracle must count factors of the measure's map
+    (PreconditionError otherwise).  On every other reduced path both values
+    are exactly zero, so the excess is minus the tail bound, which is
+    non-negative (the oracle's vector is): no check reads it.
     """
     _require_bound(max_length)
+    if oracle.f != kf.tower.f:
+        raise PreconditionError("the oracle is built on another map than the measure")
     worst, excess = 0.0, []
-    for p in _walk(q for length in range(1, max_length + 1)
-                   for support in (kf.support, oracle.support) for q in support(length)):
+    for p in {q for length in range(1, max_length + 1)
+              for support in (kf.support, oracle.support) for q in support(length)}:
         value, est = kf._walked(p), oracle.estimate(p)
         worst = max(worst, ia.sup_abs(value - est.value))
         excess.append(est.excess(value))

@@ -11,6 +11,7 @@ import ttm
 import ttm.intervals as ia
 from ttm.cli import main, pick_vector
 from ttm.maps import DirectionAnalysis
+from ttm.towers import StationaryTower
 
 from conftest import rose_map
 
@@ -498,6 +499,25 @@ def test_deep_q2_check_is_pinned(capsys):
         "repetition-bound[level 2]: not found within cap 8\n"
         "repetition-bound[level 3]: not found within cap 8\n"
     )
+
+
+def test_check_refuses_levels_with_too_many_short_edges(capsys, monkeypatch):
+    """f has 1,028,458 short edges at level 26, above ``MAX_SHORT_EDGES``:
+    the count comes from the image lengths, so the refusal builds no word,
+    searches no level and prints nothing.  Level 25 is searched."""
+    built, word = [], StationaryTower.word
+
+    def counted(tower, e, n):
+        built.append(n)
+        return word(tower, e, n)
+    monkeypatch.setattr(StationaryTower, "word", counted)
+    code, out, err = run(capsys, "check", str(BENCH_MAPS), "--map", "f",
+                         "--rep-levels", "32", "--rep-cap", "0")
+    assert (code, out, built) == (3, "", [])
+    assert "--rep-levels 32: tower level 26 has 1028458 short edges" in err
+    code, out, err = run(capsys, "check", str(BENCH_MAPS), "--map", "f",
+                         "--rep-levels", "25", "--rep-cap", "0")
+    assert code == 0 and "repetition-bound[level 25]" in out
 
 
 @pytest.mark.parametrize("argv", [

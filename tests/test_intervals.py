@@ -154,6 +154,20 @@ def test_fraction_operands(prec, x, q):
             assert Q._lo == Q._hi
 
 
+@settings(max_examples=400)
+@given(precs, rationals)
+def test_an_exact_operand_equals_only_its_point(prec, q):
+    """``from_fraction(q) == q`` only when the enclosure is the point q, so
+    equal values hash alike and a set holding both has one member."""
+    with ia.working_precision(prec):
+        Q = ia.from_fraction(q)
+        point = Q._lo == Q._hi
+        assert (Q == q) == (q == Q) == point
+        assert (len({Q, q}) == 1) == point
+        n = q.numerator
+        assert (ia.exact(n) == n) == (ia.exact(n)._lo == ia.exact(n)._hi)
+
+
 @settings(max_examples=200)
 @given(precs, st.lists(st.one_of(intervals(), st.just(None)), max_size=6))
 def test_isum_skips_exact_zeros_bit_for_bit(prec, xs):
@@ -196,7 +210,6 @@ def test_unary_operations_and_measurements(prec, x):
         assert same(X.mid, x.mid) and same(X.delta, x.delta)
         assert same(X.a, x.a) and same(X.b, x.b)
         assert ia.contains_zero(X) == (0 in x)
-        assert ia.is_exact_zero(X) == (x.a == 0 and x.b == 0)
         assert ia.midpoint(X) == float(mpmath.mpf(x.mid.a))
         assert ia.width(X) == float(mpmath.mpf(x.delta.b))
         assert ia.sup_abs(X) == float(mpmath.mpf(abs(x).b))
@@ -279,4 +292,4 @@ def test_exact_above_the_precision_is_an_enclosure():
         v = ia.exact(2 ** 40 + 1)
         lo, hi = ia.endpoints(v)
         assert lo < 2 ** 40 + 1 < hi and v.a != v.b
-        assert v == 2 ** 40 + 1    # the int is enclosed the same way
+        assert v != 2 ** 40 + 1    # an int equals only its point interval

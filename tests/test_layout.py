@@ -30,7 +30,7 @@ REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
     "maps": {"power", "junction_turns", "infinitely_legal_language(pullbacks)"},
     "polys": {"poly_eval"},
-    "intervals": {"format_interval(digits)"},
+    "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
     "textio": {"_TOKEN", "format_table_tsv(rows)"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
@@ -45,7 +45,7 @@ REMOVED_NAMES = {
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
-                 "_common", "_definitely_less", "_ZERO_RECIPE"},
+                 "_common", "_definitely_less", "_ZERO_RECIPE", "_walk"},
 }
 
 

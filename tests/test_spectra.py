@@ -333,7 +333,7 @@ def test_matvec_equals_entrywise_loop():
             ref.append(acc)
         got = ia.matvec(m, vec)
         assert [(x.a, x.b) for x in got] == [(x.a, x.b) for x in ref]
-        assert ia.is_exact_zero(ia.matvec(((0, 0, 0, 0),), vec)[0])
+        assert ia.matvec(((0, 0, 0, 0),), vec)[0] == ia.zero()
 
 
 def test_block_form_reassembles():
@@ -393,7 +393,7 @@ def reference_pf_eigenpair(block):
             col = tuple(adj[i][j] for i in range(n))
             if all(c > 0 for c in col):
                 total = ia.isum(col)
-                vec = tuple(v / total if not ia.is_exact_zero(v) else ia.zero()
+                vec = tuple(v / total if v != ia.zero() else ia.zero()
                             for v in col)
                 pair = Eigenpair(value=root, vector=vec, support=frozenset(range(n)),
                                  block=tuple(range(n)))
@@ -469,7 +469,7 @@ def reference_distinguished_eigenvectors(m):
         if not all(entries[i] > 0 for i in support):
             return None
         total = ia.isum(entries)
-        return tuple(v / total if not ia.is_exact_zero(v) else ia.zero()
+        return tuple(v / total if v != ia.zero() else ia.zero()
                      for v in entries), support
 
     out = []

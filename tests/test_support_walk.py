@@ -20,6 +20,7 @@ from ttm.cli import fmt_exact_fraction, main, pick_vector
 from ttm.errors import PreconditionError
 from ttm.graphs import is_reduced, make_turn, reverse_path
 from ttm.maps import GraphMap
+from ttm import measures
 from ttm.measures import (
     _EXACT_ZERO, FrequencyOracle, KolmogorovFunction, VerificationReport, _magnitudes, _sub,
     eigen_measures, eigenvector_measure, image_measure, verify_eigen_measure,
@@ -87,11 +88,10 @@ def outcome(report):
             report.max_violation, verdicts)
 
 
-def all_suites(f, kf, lam, max_length, tol, walked, oracle_of=None, t=20):
-    """The three suites in the order ``verify`` runs them, on one measure
-    (so the memo sees the same sequence of first evaluations)."""
+def all_suites(f, kf, lam, max_length, tol, walked, t=20):
+    """The three suites in the order ``verify`` runs them, on one measure."""
     wt = kf.weights
-    oracle = FrequencyOracle(oracle_of or f, wt.vector, wt.lam, t)
+    oracle = FrequencyOracle(f, wt.vector, wt.lam, t)
     if walked:
         kolmogorov, eigen, agree = verify_kolmogorov, verify_eigen_measure, verify_oracle
     else:
@@ -104,7 +104,7 @@ def all_suites(f, kf, lam, max_length, tol, walked, oracle_of=None, t=20):
 def measure_makers(f):
     """One maker per measure of f: each call builds the measure afresh from
     the same (vector, lambda) intervals, so two calls give equal measures
-    with empty memos."""
+    with empty caches."""
     makers = []
     for pair, _ in eigen_measures(f)[0]:
         vector, lam = tuple(pair.vector), ia.coerce(pair.value)
@@ -242,8 +242,7 @@ def reference_table(f, max_length, form, exact):
 def test_table_rows_and_values_equal_eval(name, tmp_path, capsys):
     """The streamed table, as TSV, as JSON and with ``--exact``, is byte for
     byte the table of the reference: the rows in the same order and every
-    value the one ``eval`` gives in row order, so the memo keeps the same
-    first values."""
+    value the one ``eval`` gives."""
     doc, map_name, max_length = TABLE_CASES[name]
     path = BENCH_MAPS
     if doc is not None:
@@ -314,8 +313,44 @@ def test_zero_recipe_paths_extend_to_zero_recipe_paths(name, f):
     for length in range(1, 7):
         shorter = kf.support(length)
         for q in kf.support(length + 1):
-            if is_reduced(q):
-                assert q[1:] in shorter and q[:-1] in shorter, q
+            assert is_reduced(q), q
+            assert q[1:] in shorter and q[:-1] in shorter, q
+
+
+@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
+def test_walks_evaluate_only_reduced_paths(name, f, monkeypatch):
+    """The train track property replaces the reducedness filters: each
+    support is reduced and closed under reversal, and every path that the
+    three verify walks evaluate, push forward or estimate is reduced."""
+    seen = []
+    walked, estimate = KolmogorovFunction._walked, FrequencyOracle.estimate
+    pushforward = measures._pushforward
+    monkeypatch.setattr(KolmogorovFunction, "_walked",
+                        lambda kf, path: seen.append(path) or walked(kf, path))
+    monkeypatch.setattr(FrequencyOracle, "estimate",
+                        lambda oracle, path: seen.append(path) or estimate(oracle, path))
+    monkeypatch.setattr(measures, "_pushforward",
+                        lambda f, kf, path: seen.append(path) or pushforward(f, kf, path))
+    max_length = 4 if name == "q" else 5
+    for make, lam in measure_makers(f):
+        kf = make()
+        for length in range(1, max_length + 2):
+            support = kf.support(length)
+            assert all(is_reduced(p) and reverse_path(p) in support for p in support)
+        all_suites(f, kf, lam, max_length, 1e-12, walked=True)
+    assert seen and all(is_reduced(p) for p in seen)
+
+
+def test_oracle_of_another_map_is_refused():
+    """The oracle's support enters the walk unfiltered, so it must count
+    factors of the measure's own map."""
+    make, _ = fib_maker()
+    kf = make()
+    wt = kf.weights
+    oracle = FrequencyOracle(MAPS["thue-morse"], wt.vector, wt.lam, 6)
+    with pytest.raises(PreconditionError):
+        verify_oracle(kf, oracle, 3, 1e-12)
+    verify_oracle(kf, FrequencyOracle(MAPS["fibonacci"], wt.vector, wt.lam, 6), 3, 1e-12)
 
 
 def test_support_holds_only_reduced_paths(fib_setup):
@@ -340,7 +375,7 @@ def test_support_holds_every_non_zero_path(fib_setup, rose2):
         support = kf.support(len(p))
         assert (p in support) == (reverse_path(p) in support)
         assert p in support or kf.eval(p) is _EXACT_ZERO, p
-    assert (A, Bbar) in kf.support(2) and ia.is_exact_zero(kf.eval((A, Bbar)))
+    assert (A, Bbar) in kf.support(2) and kf.eval((A, Bbar)) == ia.zero()
 
 
 def test_oracle_support_is_the_non_zero_counts(fib_setup, rose2):

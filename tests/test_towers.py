@@ -361,7 +361,7 @@ def test_illegal_turns_have_zero_weight(fib_setup, tm_setup):
     for setup in (fib_setup, tm_setup):
         wt = setup[2]
         da = wt.tower.f.directions
-        assert all(ia.is_exact_zero(w) for t, w in wt.turn_weight.items()
+        assert all(w == ia.zero() for t, w in wt.turn_weight.items()
                    if not da.is_legal(t))
 
 
