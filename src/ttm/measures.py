@@ -82,7 +82,8 @@ class KolmogorovFunction:
         self.tower = weights.tower
         self.weights = weights
         self.graph = self.tower.graph
-        # length -> (level_for_length, its sweep); level -> lambda**-level
+        # (level, length) -> sweep; length -> (its level, sweep); level -> lambda**-n
+        self._sweeps = cache(self._sweep)
         self._length_sweep = cache(self._level_sweep)
         self._scale = cache(weights.level_scale)
         self._values = {}    # (level, recipe) -> value
@@ -100,7 +101,7 @@ class KolmogorovFunction:
         path = _checked(self.graph, path, "a Kolmogorov function")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        return self._value(n, self._sweep(n, len(path)).get(path, _NO_RECIPE))
+        return self._value(n, self._sweeps(n, len(path)).get(path, _NO_RECIPE))
 
     def support(self, length: int):
         """The paths of this length with a non-zero recipe (the sweep's keys),
@@ -116,7 +117,7 @@ class KolmogorovFunction:
 
     def _level_sweep(self, length: int):
         level = self.tower.level_for_length(length)
-        return level, self._sweep(level, length)
+        return level, self._sweeps(level, length)
 
     def _sweep(self, n: int, length: int):
         """Recipe of every length-``length`` factor of the level-n words.

@@ -1,20 +1,23 @@
 """Exact characteristic polynomials and certified real root isolation.
 
-Matrices here are small non-negative integer matrices, so everything can be
-done exactly, in plain integers where it matters for speed:
+Matrices here are small non-negative integer matrices, so all polynomial
+arithmetic is exact and in integers; only root endpoints and bisection
+midpoints are ``Fraction``s:
 
 * characteristic polynomials come from the Faddeev-LeVerrier recursion in
   integer arithmetic (each coefficient is an exact quotient of a trace by
   ``k``), which also yields the adjugate of ``x I - A`` as integer matrix
   coefficients, evaluated one column at a time;
-* Sturm chains are kept as integer polynomials, each member scaled by a
-  positive rational so its sign at every point is unchanged; signs at a
-  rational ``n/d`` come from a homogeneous integer Horner sum.  Sturm counts
-  serve root isolation only;
-* every root test reads the sign of the integer square-free part, which has
-  the roots of the polynomial; refinement of an isolated simple root bisects
-  on that sign at the midpoint against the left endpoint, which picks the
-  same half as a Sturm count would.
+* coefficients are ints (any other is a ``SpectralError``).  Division is
+  pseudo-division, scaled by a positive power of the divisor's leading
+  coefficient, so Sturm chains are primitive pseudo-remainder sequences with
+  the signs of the rational chains, and equal roots of two polynomials are
+  found through an integer common factor;
+* signs at a rational ``n/d`` come from a homogeneous integer Horner sum.
+  Sturm counts serve root isolation only; every root test reads the sign of
+  the square-free part, which has the roots of the polynomial; refinement of
+  an isolated simple root bisects on that sign at the midpoint against the
+  left endpoint, which picks the same half as a Sturm count would.
 
 A certified root is carried as an isolating rational interval (or an exact
 rational) and can be refined on demand and converted to an outward-rounded
@@ -24,15 +27,13 @@ enclosure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import intervals as ia
 from .errors import SpectralError
 
-# Polynomials are coefficient tuples, low degree first: p[k] is the
-# coefficient of x**k, integer or Fraction.
-
-_ZERO = (Fraction(0),)
+# Polynomials are tuples of int coefficients, low degree first: p[k] is the
+# coefficient of x**k.
 
 
 def poly_degree(p) -> int:
@@ -46,53 +47,40 @@ def poly_trim(p):
     return tuple(p[:poly_degree(p) + 1])
 
 
-def is_zero_poly(p) -> bool:
-    return all(c == 0 for c in p)
-
-
 def poly_derivative(p):
     return tuple(k * p[k] for k in range(1, len(p))) or (0,)
 
 
-def poly_divmod(a, b):
-    """Euclidean division over the rationals."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in poly_trim(b)]
-    if is_zero_poly(b):
-        raise ZeroDivisionError("polynomial division by zero")
+def _integer_poly(p):
+    """p trimmed, after checking that every coefficient is an int."""
+    if not all(isinstance(c, int) for c in p):
+        raise SpectralError("polynomial coefficients must be integers")
+    return poly_trim(p)
+
+
+def _primitive(p):
+    """p divided by the gcd of its coefficients (the zero polynomial stays)."""
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else tuple(p)
+
+
+def _pseudo_divmod(a, b):
+    """Pseudo-division of trimmed a by trimmed non-zero b: ``(q, r)`` with
+    ``s a = q b + r``, ``deg r < deg b`` and
+    ``s = |lead(b)|**max(0, deg a - deg b + 1)``.  As s > 0, r has the sign
+    of the rational remainder at every point."""
     db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while not is_zero_poly(a) and poly_degree(a) >= db:
-        da = poly_degree(a)
-        c = a[da] / b[db]
-        q[da - db] += c
-        for i in range(db + 1):
-            a[da - db + i] -= c * b[i]
-        a[da] = Fraction(0)
-    return poly_trim(tuple(q)), poly_trim(tuple(a))
-
-
-def poly_gcd(a, b):
-    """Monic gcd over the rationals."""
-    a = poly_trim(tuple(Fraction(c) for c in a))
-    b = poly_trim(tuple(Fraction(c) for c in b))
-    while not is_zero_poly(b):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if is_zero_poly(a):
-        return _ZERO
-    lead = a[poly_degree(a)]
-    return tuple(c / lead for c in a)
-
-
-def _integer_multiple(p):
-    """The positive rational multiple of p with coprime integer coefficients;
-    it has the sign of p at every point."""
-    p = poly_trim(tuple(Fraction(c) for c in p))
-    den = lcm(*(c.denominator for c in p))
-    ints = tuple(c.numerator * (den // c.denominator) for c in p)
-    g = gcd(*ints)
-    return tuple(c // g for c in ints) if g > 1 else ints
+    scale, sign = abs(b[db]), (1 if b[db] > 0 else -1)
+    r = list(a)
+    q = [0] * max(1, len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = sign * r[k + db]
+        q = [scale * x for x in q]
+        q[k] += c
+        r = [scale * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    return poly_trim(q), poly_trim(r[:db] or [0])
 
 
 def _sign_at(p, x: Fraction) -> int:
@@ -107,37 +95,47 @@ def _sign_at(p, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _remainder_chain(p):
-    """The remainder sequence of (p, p') with each remainder negated, every
-    member an integer polynomial (a positive multiple of the rational
-    member, so sign counts agree)."""
-    chain = [_integer_multiple(p)]
-    if poly_degree(chain[0]) == 0:
-        return chain
-    chain.append(_integer_multiple(poly_derivative(chain[0])))
-    while True:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if is_zero_poly(r):
-            return chain
-        chain.append(_integer_multiple(tuple(-c for c in r)))
+def _remainder_chain(a, b):
+    """The primitive pseudo-remainder sequence of (a, b), each remainder
+    negated, up to the last non-zero member: every member is the positive
+    multiple of the rational one with coprime integer coefficients, so sign
+    counts agree, and the last one has the common roots of a and b."""
+    chain = [_primitive(a)]
+    b = _primitive(b)
+    while any(b):
+        chain.append(b)
+        _, r = _pseudo_divmod(chain[-2], b)
+        b = _primitive(tuple(-c for c in r))
+    return chain
 
 
 def sturm_chain(p):
-    """Sturm sequence of the square-free part of p, every member an integer
-    polynomial.
+    """Sturm sequence of the square-free part of the integer polynomial p,
+    every member a primitive integer polynomial.
 
     The last member of the remainder sequence of (p, p') is a multiple of
     gcd(p, p').  When it is constant, p is square-free and the sequence is
-    its Sturm chain; otherwise the square-free part is p divided by the
-    monic last member, and the chain is that of the quotient.
+    its Sturm chain; otherwise the square-free part is the exact
+    pseudo-quotient of p by the last member, negated when that member leads
+    negative so that it keeps the sign of p, and the chain is that of the
+    quotient.
     """
-    chain = _remainder_chain(p)
+    p = _integer_poly(p)
+    chain = _remainder_chain(p, poly_derivative(p))
     last = chain[-1]
     if poly_degree(last) == 0:
         return chain
-    q, r = poly_divmod(p, tuple(Fraction(c, last[-1]) for c in last))
-    assert is_zero_poly(r)
-    return _remainder_chain(q)
+    q, r = _pseudo_divmod(chain[0], last)
+    assert not any(r)
+    if last[-1] < 0:
+        q = tuple(-c for c in q)
+    return _remainder_chain(q, poly_derivative(q))
+
+
+def _common_factor(a, b):
+    """A primitive integer polynomial with exactly the common complex roots
+    of a and b (a constant when there is none)."""
+    return _remainder_chain(a, b)[-1]
 
 
 def _sign_variations(chain, x: Fraction) -> int:
@@ -162,17 +160,15 @@ def count_roots(p, lo: Fraction, hi: Fraction, chain=None) -> int:
 
 
 def cauchy_bound(p) -> Fraction:
-    """All real roots lie in [-B, B]."""
-    p = poly_trim(p)
+    """All real roots of the integer polynomial p lie in [-B, B]."""
     d = poly_degree(p)
-    lead = abs(Fraction(p[d]))
-    if lead == 0:
+    if p[d] == 0:
         raise SpectralError("zero polynomial")
-    return 1 + max((abs(Fraction(c)) / lead for c in p[:d]), default=Fraction(0))
+    return 1 + Fraction(max((abs(c) for c in p[:d]), default=0), abs(p[d]))
 
 
 class CertifiedRoot:
-    """A single real root of a rational polynomial.
+    """A single real root of an integer polynomial.
 
     Carried either exactly (``exact`` is a Fraction) or as an open isolating
     interval ``(lo, hi)`` containing exactly one root of the polynomial, with
@@ -181,7 +177,7 @@ class CertifiedRoot:
     """
 
     def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None):
-        self.poly = poly_trim(tuple(Fraction(c) for c in poly))
+        self.poly = _integer_poly(poly)
         # a caller that built the Sturm chain hands it in; its first member
         # is the square-free part (a positive integer multiple)
         if chain is None:
@@ -261,7 +257,7 @@ class CertifiedRoot:
     def compare(self, other) -> int:
         """Exact three-way comparison (-1, 0, +1) with a Fraction, int, or
         another certified root.  Equality of two irrational roots is decided
-        through the gcd of their defining polynomials."""
+        through the common factor of their square-free parts, built once."""
         if isinstance(other, (int, Fraction)):
             x = Fraction(other)
             if self.exact is not None:
@@ -275,16 +271,17 @@ class CertifiedRoot:
                 (self.exact > other.exact) - (self.exact < other.exact))
         if other.exact is not None:
             return -((CertifiedRoot.compare(other, self)))
+        g = _common_factor(self.sqfree, other.sqfree)
+        chain = sturm_chain(g) if poly_degree(g) > 0 else None
         for _ in range(4096):
             if self.hi <= other.lo:
                 return -1
             if other.hi <= self.lo:
                 return 1
-            g = poly_gcd(self.sqfree, other.sqfree)
-            if poly_degree(g) > 0:
+            if chain is not None:
                 lo = max(self.lo, other.lo)
                 hi = min(self.hi, other.hi)
-                if count_roots(g, lo, hi) >= 1:
+                if count_roots(g, lo, hi, chain) >= 1:
                     # a common root inside both open isolating intervals is
                     # the root of each of them (endpoints are never roots)
                     return 0
@@ -304,7 +301,6 @@ def largest_real_root(p) -> CertifiedRoot:
 
     Integer roots are recognised and returned exactly.
     """
-    p = poly_trim(tuple(Fraction(c) for c in p))
     chain = sturm_chain(p)
     sqfree = chain[0]
     bound = cauchy_bound(p)

@@ -16,7 +16,7 @@ import operator
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, libmp
 
 import ttm.intervals as ia
@@ -52,6 +52,20 @@ def kernel(v):
 
 def same(got, want):
     return (got._lo, got._hi) == tuple(pair(f) for f in want._mpi_)
+
+
+def is_point(v, q):
+    """Whether the mpmath interval v is the single point q (an int or a
+    Fraction): the kernel's rule for ``==`` with an exact operand."""
+    a, b = v._mpi_
+    return a == b and Fraction(*libmp.to_rational(a)) == q
+
+
+# mpmath intervals built at 64 bits that enclose an exact operand without
+# being its point: mpmath's ``==`` calls them equal, the kernel does not
+with both_at(64):
+    ABOVE_2_200 = iv.mpf(2 ** 200 + 1)     # [2**200, 2**200 + 2**137]
+    THIRD = iv.mpf(1) / 3                  # the 64-bit enclosure of 1/3
 
 
 small = st.integers(-40, 40)
@@ -102,6 +116,7 @@ def test_binary_operations(prec, x, y):
 
 @settings(max_examples=400)
 @given(precs, intervals(), ints)
+@example(prec=64, x=ABOVE_2_200, n=2 ** 200 + 1)
 def test_int_operands(prec, x, n):
     with both_at(prec):
         X = kernel(x)
@@ -113,7 +128,7 @@ def test_int_operands(prec, x, n):
         if excludes_zero(x):
             assert same(n / X, n / x)
         assert (X < n, X <= n, X > n, X >= n) == (x < n, x <= n, x > n, x >= n)
-        assert (X == n) == (x == n)
+        assert (X == n) == (n == X) == (not X != n) == is_point(x, n)
         assert (n in X) == (n in x)
 
 
@@ -131,9 +146,11 @@ def endpoints_of(v):
 
 @settings(max_examples=400)
 @given(precs, intervals(), rationals)
+@example(prec=64, x=THIRD, q=Fraction(1, 3))
 def test_fraction_operands(prec, x, q):
-    """A Fraction on either side of an operator, a comparison or ``in`` is
-    its ``from_fraction`` enclosure, bit for bit."""
+    """A Fraction on either side of an operator, an order comparison or
+    ``in`` is its ``from_fraction`` enclosure, bit for bit; it is ``==``
+    only to its point."""
     with both_at(prec):
         X, Q = kernel(x), ia.from_fraction(q)
         for op in (operator.add, operator.sub, operator.mul):
@@ -143,10 +160,9 @@ def test_fraction_operands(prec, x, q):
             assert endpoints_of(X / q) == endpoints_of(X / Q)
         if excludes_zero(x):
             assert endpoints_of(q / X) == endpoints_of(Q / X)
-        assert ((X < q, X <= q, X > q, X >= q, X == q, X != q)
-                == (X < Q, X <= Q, X > Q, X >= Q, X == Q, X != Q))
-        assert ((q < X, q <= X, q > X, q >= X, q == X, q != X)
-                == (Q < X, Q <= X, Q > X, Q >= X, Q == X, Q != X))
+        assert (X < q, X <= q, X > q, X >= q) == (X < Q, X <= Q, X > Q, X >= Q)
+        assert (q < X, q <= X, q > X, q >= X) == (Q < X, Q <= X, Q > X, Q >= X)
+        assert (X == q) == (q == X) == (not X != q) == (not q != X) == is_point(x, q)
         assert (q in X) == (Q in X)
         den = q.denominator
         if not den & (den - 1) and abs(q.numerator).bit_length() <= prec:   # dyadic

@@ -29,7 +29,7 @@ REMOVED_DEPENDENCIES = {
 REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
     "maps": {"power", "junction_turns", "infinitely_legal_language(pullbacks)"},
-    "polys": {"poly_eval"},
+    "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
     "textio": {"_TOKEN", "format_table_tsv(rows)"},

@@ -4,6 +4,7 @@ of the square-free part and root refinement by Sturm counts.  They must
 agree bit for bit."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from pathlib import Path
 
@@ -13,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from ttm.errors import SpectralError
 import ttm.intervals as ia
 from ttm.polys import (
-    CertifiedRoot, adjugate_column, char_poly_and_adjugate, count_roots,
-    largest_real_root, poly_degree, poly_derivative, poly_divmod, poly_gcd, poly_trim,
-    sturm_chain,
+    CertifiedRoot, _common_factor, _pseudo_divmod, adjugate_column,
+    char_poly_and_adjugate, count_roots, largest_real_root, poly_degree,
+    poly_derivative, poly_trim, sturm_chain,
 )
 from ttm.spectra import block_form, submatrix
 from ttm.textio import parse
@@ -51,6 +52,32 @@ def fraction_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def poly_divmod(a, b):
+    """Euclidean division over the rationals."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in poly_trim(b)]
+    db = len(b) - 1
+    q = [Fraction(0)] * max(1, len(a) - db)
+    while any(a) and poly_degree(a) >= db:
+        da = poly_degree(a)
+        c = a[da] / b[db]
+        q[da - db] += c
+        for i in range(db + 1):
+            a[da - db + i] -= c * b[i]
+        a[da] = Fraction(0)
+    return poly_trim(tuple(q)), poly_trim(tuple(a))
+
+
+def poly_gcd(a, b):
+    """Monic gcd over the rationals."""
+    a = poly_trim(tuple(Fraction(c) for c in a))
+    b = poly_trim(tuple(Fraction(c) for c in b))
+    while any(b):
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    return tuple(c / a[-1] for c in a) if any(a) else (Fraction(0),)
 
 
 def square_free_part(p):
@@ -159,7 +186,7 @@ def test_faddeev_leverrier_rejects_non_integer_coefficient():
        st.fractions(-4, 4, max_denominator=64))
 def test_integer_sturm_counts_match_rational(m, lo, hi):
     poly, _ = char_poly_and_adjugate(m)
-    chain = sturm_chain(square_free_part(poly))
+    chain = sturm_chain(primitive(square_free_part(poly)))
     assert all(type(c) is int for q in chain for c in q)
     ref = fraction_sturm_chain(square_free_part(poly))
     expected = fraction_count(ref, lo, hi) if lo < hi else 0
@@ -174,6 +201,10 @@ def poly_mul(a, b):
     return tuple(out)
 
 
+def poly_add(a, b):
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
 @settings(max_examples=60)
 @given(irreducible_blocks(), st.sampled_from([(1,), (-1, 1), (0, 0, 1), (1, -2, 1)]))
 def test_sturm_chain_is_the_chain_of_the_square_free_part(m, factor):
@@ -185,7 +216,121 @@ def test_sturm_chain_is_the_chain_of_the_square_free_part(m, factor):
     for p in (poly, poly_mul(poly, factor), poly_mul(poly, poly)):
         chain = sturm_chain(p)
         assert chain == [primitive(q) for q in fraction_sturm_chain(square_free_part(p))]
-        assert chain == sturm_chain(square_free_part(p))
+        assert chain == sturm_chain(primitive(square_free_part(p)))
+
+
+# -- the integer kernel on general integer polynomials ---------------------------------
+
+
+coefficients = st.integers(-20, 20)
+
+
+@st.composite
+def integer_polys(draw):
+    """A non-zero integer polynomial of degree at most 8, leading coefficient
+    of either sign; half of them a polynomial of degree at most 4 times the
+    square of a factor of degree 1 or 2, so the square-free part is a proper
+    factor."""
+    if draw(st.booleans()):
+        return (tuple(draw(st.lists(coefficients, max_size=8)))
+                + (draw(coefficients.filter(bool)),))
+    a = draw(st.lists(coefficients, min_size=1, max_size=4)) + [draw(coefficients.filter(bool))]
+    f = draw(st.lists(coefficients, min_size=1, max_size=2)) + [draw(coefficients.filter(bool))]
+    return poly_mul(tuple(a), poly_mul(tuple(f), tuple(f)))
+
+
+@settings(max_examples=200)
+@given(integer_polys(), st.fractions(-25, 25, max_denominator=64),
+       st.fractions(-25, 25, max_denominator=64))
+def test_count_roots_matches_the_fraction_chain(p, lo, hi):
+    expected = fraction_count(fraction_sturm_chain(square_free_part(p)), lo, hi)
+    assert count_roots(p, lo, hi) == (expected if lo < hi else 0)
+
+
+@settings(max_examples=200)
+@given(integer_polys())
+def test_sturm_chain_is_the_primitive_fraction_chain(p):
+    """Also for a negative leading coefficient: the square-free part keeps
+    the sign of p."""
+    assert sturm_chain(p) == [primitive(q) for q in fraction_sturm_chain(square_free_part(p))]
+
+
+@settings(max_examples=200)
+@given(integer_polys(), integer_polys())
+def test_pseudo_division_identity(a, b):
+    """s a = q b + r with deg r < deg b and s = |lead b|**(deg a - deg b + 1)
+    positive (1 when deg a < deg b)."""
+    q, r = _pseudo_divmod(a, b)
+    s = abs(b[-1]) ** max(0, len(a) - len(b) + 1)
+    assert poly_trim(tuple(s * c for c in a)) == poly_trim(poly_add(poly_mul(q, b), r))
+    assert not any(r) or poly_degree(r) < poly_degree(b)
+
+
+@settings(max_examples=200)
+@given(integer_polys(), integer_polys(), integer_polys())
+def test_common_factor_has_the_degree_of_the_rational_gcd(a, b, c):
+    """Through a shared factor c too; the factor divides both."""
+    for x, y in ((a, b), (poly_mul(a, c), poly_mul(b, c)), (b, poly_mul(a, b))):
+        g = _common_factor(x, y)
+        assert poly_degree(g) == poly_degree(poly_gcd(x, y))
+        assert not any(_pseudo_divmod(x, g)[1]) and not any(_pseudo_divmod(y, g)[1])
+
+
+PHI_QUADRATIC = (-1, -1, 1)          # x^2 - x - 1: phi and -1/phi
+PHI_CUBIC = (-2, -3, 1, 1)           # x^3 + x^2 - 3x - 2 = (x + 2)(x^2 - x - 1)
+
+
+def test_compare_finds_equal_roots_of_different_polynomials():
+    phi = largest_real_root(PHI_QUADRATIC)
+    assert largest_real_root(PHI_CUBIC).compare(phi) == 0
+    assert phi.compare(largest_real_root(PHI_CUBIC)) == 0
+    # wide isolating intervals that overlap
+    assert (CertifiedRoot(PHI_QUADRATIC, Fraction(-1, 2), Fraction(3)).compare(
+        CertifiedRoot(PHI_CUBIC, Fraction(1), Fraction(5))) == 0)
+
+
+def test_compare_separates_phi_from_minus_one_over_phi():
+    for poly in (PHI_QUADRATIC, PHI_CUBIC):
+        # (-1/2, 3) isolates phi and (-1, 3/2) isolates -1/phi; they overlap
+        phi = CertifiedRoot(PHI_QUADRATIC, Fraction(-1, 2), Fraction(3))
+        conj = CertifiedRoot(poly, Fraction(-1), Fraction(3, 2))
+        assert phi.compare(conj) == 1 and conj.compare(phi) == -1
+
+
+def test_compare_irrational_with_exact_roots():
+    phi = largest_real_root(PHI_QUADRATIC)
+    two = largest_real_root(poly_mul((-2, 1), PHI_QUADRATIC))   # (x - 2)(x^2 - x - 1)
+    assert two.exact == 2
+    assert phi.compare(two) == -1 and two.compare(phi) == 1
+    assert phi.compare(1) == 1 and phi.compare(Fraction(13, 8)) == -1
+    assert phi.compare(Fraction(8, 5)) == 1
+
+
+def test_compare_builds_the_common_factor_chain_once(monkeypatch):
+    """sqrt(2) and sqrt(2.0001), the second a root of
+    (x^2 - 2)(10000 x^2 - 20001): their common factor x^2 - 2 has no root in
+    the overlap, and separating them takes several refinement passes; the
+    chain of the factor is built before the first."""
+    import ttm.polys as polys
+    root2 = CertifiedRoot((-2, 0, 1), Fraction(1), Fraction(2))
+    near = CertifiedRoot((40002, 0, -40001, 0, 10000), Fraction(141422, 100000), Fraction(2))
+    calls = []
+    build = polys.sturm_chain
+    monkeypatch.setattr(polys, "sturm_chain", lambda p: calls.append(p) or build(p))
+    assert root2.compare(near) == -1
+    assert len(calls) == 1 and calls[0] in ((-2, 0, 1), (2, 0, -1))
+    assert root2.hi - root2.lo == Fraction(1, 2 ** 15)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: largest_real_root((Fraction(1, 2), 1)),
+    lambda: CertifiedRoot((Fraction(-1, 2), 1), Fraction(0), Fraction(1)),
+    lambda: CertifiedRoot((-1, Fraction(2)), exact=Fraction(1, 2)),
+    lambda: sturm_chain((1.5, 1)),
+])
+def test_non_integer_coefficients_are_refused(make):
+    with pytest.raises(SpectralError, match="integers"):
+        make()
 
 
 def bench_block_polys():
@@ -249,11 +394,11 @@ def test_largest_real_root_builds_one_sturm_chain(monkeypatch, poly, exact):
     root = largest_real_root(poly)
     assert len(calls) == 1
     assert root.exact == exact
-    assert root._chain == build(square_free_part(poly))
+    assert root._chain == build(primitive(square_free_part(poly)))
 
 
 def test_a_handed_chain_keeps_both_root_checks():
-    chain = sturm_chain(square_free_part((-1, -1, 1)))
+    chain = sturm_chain(primitive(square_free_part((-1, -1, 1))))
     with pytest.raises(SpectralError, match="isolate"):
         CertifiedRoot((-1, -1, 1), Fraction(-2), Fraction(2), chain=chain)
     with pytest.raises(SpectralError, match="not a root"):
