@@ -51,6 +51,10 @@ EXIT_VERIFICATION = 4
 # bench/inputs/maps.tt has 57,314 at level 20 and 18,454,930 at level 32)
 MAX_SHORT_EDGES = 10 ** 6
 
+# the most rows ``measure --table-up-to`` writes (f of bench/inputs/maps.tt
+# has 39,364 up to length 9 and 6,973,568,800 up to length 20)
+MAX_TABLE_ROWS = 10 ** 7
+
 
 def fmt_exact_fraction(x) -> str:
     """Outward endpoints as exact fractions (the endpoints are dyadic)."""
@@ -274,6 +278,28 @@ def _require_length(flag: str, value: int, least: int) -> None:
         raise TTMError(f"{flag} must be at least {least} (got {value})")
 
 
+def _require_table_rows(graph, max_length: int) -> None:
+    """TTMError when the reduced paths up to ``max_length`` number more than
+    ``MAX_TABLE_ROWS``: the paths of each length are counted by their last
+    edge, by integer recursion over its successors.  A tower's graph has no
+    vertex of valence below 3, so the count at least doubles with each
+    length and passes the bound within 23 lengths."""
+    successors = [graph.extensions_right((e,)) for e in graph.oriented_edges]
+    counts = [1] * len(successors)
+    rows = 0
+    for length in range(1, max_length + 1):
+        rows += sum(counts)
+        if rows > MAX_TABLE_ROWS:
+            raise TTMError(f"--table-up-to {max_length}: the reduced paths up to "
+                           f"length {length} number {rows}, more than the "
+                           f"{MAX_TABLE_ROWS} rows that measure writes")
+        after = [0] * len(counts)
+        for e, count in enumerate(counts):
+            for d in successors[e]:
+                after[d] += count
+        counts = after
+
+
 def cmd_measure(args) -> int:
     if args.table_up_to is not None and args.paths is not None:
         raise TTMError("give --paths or --table-up-to, not both")
@@ -288,6 +314,7 @@ def cmd_measure(args) -> int:
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
     text = _text_of(args.exact)
     if args.table_up_to is not None:
+        _require_table_rows(f.domain, args.table_up_to)
         levels = _table_levels(kf, args.table_up_to, text)
     else:
         graph = f.domain

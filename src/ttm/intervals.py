@@ -17,6 +17,10 @@ raises ZeroDivisionError, where the reference returns infinite endpoints.
 
 Intervals take ints and Fractions as operands, enclosed on contact, while two
 Fractions stay exact: an exact table of cylinder values keeps exact residuals.
+So callers write plain arithmetic (``count * weight``, ``1 - x``, ``sum``).
+The shared exact zero ``zero()`` is every product with an exact zero factor;
+``zero() - zero()`` and ``abs(zero())`` return it and ``isum`` skips it, so
+no caller needs to test for it.
 
 Comparisons follow tri-state semantics: an interval predicate is True or
 False only when it holds for every point of the interval(s); otherwise the
@@ -244,6 +248,8 @@ def _add(s, t, p):
 
 
 def _sub(s, t, p):
+    if s is _ZERO_INTERVAL and t is _ZERO_INTERVAL:
+        return s
     (cm, ce), (dm, de) = t._lo, t._hi
     return Interval(_round(*_sum(*s._lo, -dm, de, p), p, False),
                     _round(*_sum(*s._hi, -cm, ce, p), p, True))
@@ -431,6 +437,8 @@ class Interval:
 
     def __abs__(s):
         """mpi_abs: the endpoints rounded outward, and 0 below when s holds 0."""
+        if s is _ZERO_INTERVAL:
+            return s
         p = _prec
         (am, ae), (bm, be) = s._lo, s._hi
         if am >= 0:
@@ -582,7 +590,9 @@ def max_endpoints(values):
 def isum(values):
     """Interval sum of an iterable, in order (empty sum is exact 0).  The
     shared exact zero is skipped unread: adding it to a sum already rounded
-    at the working precision changes no bit."""
+    at the working precision changes no bit.  This skip and ``zero() -
+    zero()`` and ``abs(zero())``, which return ``zero()`` itself, are the
+    only identity tests on the shared zero: callers use the operators."""
     return sum((v for v in values if v is not _ZERO_INTERVAL), zero())
 
 
@@ -590,7 +600,7 @@ def matvec(m, vec):
     """M v for a non-negative integer matrix and an interval vector: each
     coordinate sums ``m[i][j] * vec[j]`` over the non-zero entries of its
     row, in column order (a zero row gives exact 0)."""
-    return tuple(isum(exact(a) * v for a, v in zip(row, vec) if a) for row in m)
+    return tuple(isum(a * v for a, v in zip(row, vec) if a) for row in m)
 
 
 def eigen_residual(m, vec, lam):

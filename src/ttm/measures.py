@@ -62,6 +62,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import chain
+from operator import mul
 
 from . import intervals as ia
 from . import spectra
@@ -159,20 +161,18 @@ class KolmogorovFunction:
         return recipes
 
     def _value(self, n: int, recipe):
-        """Replay a recipe in the per-path summation order: edge terms in
-        positive-edge order, then turn weights as met, then the level scale.
-        The empty recipe replays to the exact zero: a product with an exact
-        zero factor is the shared ``ia.zero()``."""
+        """Replay a recipe as one running sum in the per-path summation
+        order: edge terms in positive-edge order, then turn weights as met,
+        then the level scale.  The counts are int operands; the empty recipe
+        sums to 0, and 0 times the scale is the exact zero."""
         key = (n, recipe)
         value = self._values.get(key)
         if value is None:
             edges, turns = recipe
-            total = ia.zero()
-            for e, count in edges:
-                total = total + ia.exact(count) * self.weights.edge_weight[e]
-            for turn in turns:
-                total = total + self.weights.turn_weight[turn]
-            value = self._values[key] = total * self._scale(n)
+            edge_weight, turn_weight = self.weights.edge_weight, self.weights.turn_weight
+            value = self._values[key] = sum(chain(
+                (count * edge_weight[e] for e, count in edges),
+                (turn_weight[turn] for turn in turns))) * self._scale(n)
         return value
 
     def support_table(self, max_length: int) -> "MeasureTable":
@@ -193,11 +193,10 @@ def _checked(graph: Graph, path, who: str):
     return path
 
 
-_NO_RECIPE = ((), ())    # a path with no preimage; it replays to the exact zero
-
-# the value of a path with no preimage, and every product with an exact zero
-# factor: the one interval ``ia.zero()``, which the verify walk skips unread
-_EXACT_ZERO = ia.zero()
+# a path with no preimage; it replays to the exact zero, the one shared
+# zero interval, which ``ttm.intervals`` keeps through ``-`` and ``abs`` and
+# ``isum`` skips unread
+_NO_RECIPE = ((), ())
 
 
 # -- eigenvectors to measures ------------------------------------------------------
@@ -343,7 +342,9 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
     its support S up to the bound and of q[1:] and q[:-1] for q in S up to
     one edge beyond: every other reduced path has the exact zero as its
     value and as the values of its one-edge extensions, so its three
-    residuals are the exact zero, which no check reads.
+    residuals are the exact zero, which no check reads.  On the walk, the
+    residual of exact zeros and its magnitude are the shared zero itself:
+    ``ttm.intervals`` keeps it through ``-`` and ``abs``.
     """
     _require_bound(max_length)
     graph, table = source.graph, isinstance(source, MeasureTable)
@@ -355,11 +356,11 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
     def kirchhoff(path, extended):
         residual = get(path)
         for longer in extended:
-            residual = _sub(residual, get(longer))
+            residual = residual - get(longer)
         return residual
 
     residuals = (
-        ("flip", lambda p: _sub(get(p), get(reverse_path(p)))),
+        ("flip", lambda p: get(p) - get(reverse_path(p))),
         ("kirchhoff-left",
          lambda p: kirchhoff(p, ((e,) + p for e in graph.extensions_left(p)))),
         ("kirchhoff-right",
@@ -370,7 +371,7 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
         p for length in range(1, max_length + 2) for q in source.support(length)
         for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length})
     for name, residual in residuals:
-        report.record(name, _magnitudes(map(residual, paths)), tol)
+        report.record(name, map(abs, map(residual, paths)), tol)
     if table:
         for path, sub in source.monotonicity_violations():
             report.flags.append(
@@ -381,18 +382,6 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
 def _require_bound(max_length: int):
     if max_length < 1:
         raise PreconditionError(f"length bound must be at least 1 (got {max_length})")
-
-
-def _magnitudes(residuals):
-    """|r| for each residual; the shared exact zero is skipped unread."""
-    return (abs(r) for r in residuals if r is not _EXACT_ZERO)
-
-
-def _sub(x, y):
-    """x - y; two shared exact zeros give the shared exact zero."""
-    if x is _EXACT_ZERO and y is _EXACT_ZERO:
-        return x
-    return x - y
 
 
 # -- image measures --------------------------------------------------------------------
@@ -415,10 +404,7 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
 def _pushforward(f: GraphMap, kf: KolmogorovFunction, path):
     """``image_measure`` without its checks: the covers' values summed in
     search order."""
-    total = ia.zero()
-    for parent in search_covers(f, path):
-        total = total + kf.eval(parent)
-    return total
+    return ia.isum(map(kf.eval, search_covers(f, path)))
 
 
 def _require_pushforward(f: GraphMap, kf: KolmogorovFunction):
@@ -448,8 +434,8 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     walk = {x for length in range(1, max_length + 1) for d in kf.support(length)
             for x in (d, *subpaths_up_to(f.map_path(d), max_length))}
     report = VerificationReport()
-    report.record("eigen-equation", _magnitudes(
-        _pushforward(f, kf, path) - lam * kf._walked(path) for path in walk), tol)
+    report.record("eigen-equation", (
+        abs(_pushforward(f, kf, path) - lam * kf._walked(path)) for path in walk), tol)
     return report
 
 
@@ -556,10 +542,7 @@ class FrequencyOracle:
 
     def estimate(self, path) -> OracleEstimate:
         path = tuple(path)
-        est = ia.zero()
-        for k, count in enumerate(self.counts(path)):
-            est = est + ia.exact(count) * self.vector[k]
-        est = est * self.scale
+        est = sum(map(mul, self.counts(path), self.vector)) * self.scale
         return OracleEstimate(value=est, tail_bound=self._tail(len(path)),
                               iterations=self.t)
 
@@ -597,7 +580,7 @@ class FrequencyOracle:
             # new straddling occurrences at step s+1: per junction at most
             # 2(len-1) of them (path and reverse), junction count
             # max |f(e)| - 1 (none on single edges: the tail is exact 0)
-            per_step = ia.exact(2 * (length - 1) * max(0, self.max_img - 1)) * self.vec_total
+            per_step = 2 * (length - 1) * max(0, self.max_img - 1) * self.vec_total
             tail = per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
             self._tails[length] = tail
         return tail

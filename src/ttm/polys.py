@@ -26,6 +26,7 @@ enclosure.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 from math import gcd
 
@@ -178,6 +179,8 @@ class CertifiedRoot:
 
     def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None):
         self.poly = _integer_poly(poly)
+        if not any(self.poly):
+            raise SpectralError("zero polynomial")
         # a caller that built the Sturm chain hands it in; its first member
         # is the square-free part (a positive integer multiple)
         if chain is None:
@@ -249,8 +252,10 @@ class CertifiedRoot:
         return ia.from_endpoints(self.lo, self.hi)
 
     def __float__(self):
-        self.refine_bits(60)
-        return float((self.lo + self.hi) / 2)
+        """The midpoint of a copy refined to 60 bits: converting (and so
+        ``repr``) leaves this root's enclosure as it was."""
+        r = copy(self).refine_bits(60)
+        return float((r.lo + r.hi) / 2)
 
     # -- exact comparisons ------------------------------------------------------
 
@@ -390,8 +395,9 @@ def adjugate_column(bmats, x, j):
 
 
 def char_poly_at(poly, x):
-    """Interval evaluation of an integer polynomial at an interval point."""
-    acc = ia.zero()
+    """Interval evaluation of an integer polynomial at an interval point,
+    by Horner's rule from 0 with the int coefficients as operands."""
+    acc = 0
     for c in reversed(poly):
-        acc = acc * x + ia.exact(int(c))
+        acc = acc * x + c
     return acc

@@ -216,7 +216,7 @@ class WeightTower:
         da = tower.f.directions
         lam_inv = 1 / self.lam
         power = cache(lambda k: lam_inv ** k)
-        geometric = cache(lambda q: ia.one() - power(q))
+        geometric = cache(lambda q: 1 - power(q))
         # one orbit walk per junction turn adds its term to every turn the
         # orbit visits (a turn at most once); each turn's interval sum is
         # taken in (e, tau) order, and only visited turns get a sum

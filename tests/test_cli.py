@@ -520,6 +520,36 @@ def test_check_refuses_levels_with_too_many_short_edges(capsys, monkeypatch):
     assert code == 0 and "repetition-bound[level 25]" in out
 
 
+@pytest.mark.parametrize("up_to", [20, 10 ** 9])
+def test_measure_refuses_tables_with_too_many_rows(capsys, monkeypatch, up_to):
+    """f has 2 (3**k - 1) reduced paths up to length k, 28,697,812 up to 15,
+    above ``MAX_TABLE_ROWS``: the count comes from the successors of the last
+    edges, so the refusal builds no word and prints nothing."""
+    built, word = [], StationaryTower.word
+
+    def counted(tower, e, n):
+        built.append(n)
+        return word(tower, e, n)
+    monkeypatch.setattr(StationaryTower, "word", counted)
+    code, out, err = run(capsys, "measure", str(BENCH_MAPS), "--map", "f",
+                         "--table-up-to", str(up_to))
+    assert (code, out, built) == (3, "", [])
+    assert (f"--table-up-to {up_to}: the reduced paths up to length 15 number "
+            f"28697812, more than the 10000000 rows") in err
+
+
+def test_table_row_count_is_exact(capsys, monkeypatch):
+    """The bound admits a table of exactly ``MAX_TABLE_ROWS`` rows: f up to
+    length 9 has 39,364."""
+    argv = ("measure", str(BENCH_MAPS), "--map", "f", "--table-up-to", "9")
+    monkeypatch.setattr(ttm.cli, "MAX_TABLE_ROWS", 39364)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count("\n") == 39364
+    monkeypatch.setattr(ttm.cli, "MAX_TABLE_ROWS", 39363)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "number 39364" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--map", "f", "--rep-levels", "3", "--rep-cap", "8"),
     ("measure", "--map", "f", "--table-up-to", "3"),

@@ -45,7 +45,8 @@ REMOVED_NAMES = {
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
-                 "_common", "_definitely_less", "_ZERO_RECIPE", "_walk"},
+                 "_common", "_definitely_less", "_ZERO_RECIPE", "_walk",
+                 "_EXACT_ZERO", "_sub", "_magnitudes"},
 }
 
 

@@ -333,6 +333,31 @@ def test_non_integer_coefficients_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CertifiedRoot((0,), exact=5),
+    lambda: CertifiedRoot((0, 0), exact=-3),
+    lambda: CertifiedRoot((0, 0, 0), Fraction(0), Fraction(1)),
+    lambda: CertifiedRoot((0,), exact=1, chain=[(0,)]),
+    lambda: CertifiedRoot((0, 0), Fraction(-1), Fraction(1), chain=[(0,)]),
+], ids=["exact", "exact-untrimmed", "isolating", "chain-exact", "chain-isolating"])
+def test_the_zero_polynomial_is_refused(make):
+    """Every rational is a root of the zero polynomial, so no root of it is
+    certified, as ``largest_real_root`` and ``cauchy_bound`` refuse it."""
+    with pytest.raises(SpectralError, match="zero polynomial"):
+        make()
+
+
+@pytest.mark.parametrize("poly", [(-1, -1, 1), (-1, -1, -1, 1)],
+                         ids=["phi", "tribonacci"])
+def test_printing_a_root_leaves_its_enclosure(poly):
+    """``repr`` and ``float`` refine a copy: a root printed first encloses
+    exactly as a fresh one."""
+    root = largest_real_root(poly)
+    assert repr(root).startswith("CertifiedRoot(~")
+    assert float(root) == pytest.approx(float(largest_real_root(poly)))
+    assert root.interval() == largest_real_root(poly).interval()
+
+
 def bench_block_polys():
     doc = parse(BENCH_MAPS.read_text(encoding="utf-8"))
     out = []
