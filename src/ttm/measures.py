@@ -21,24 +21,26 @@ depend on the level choice, which the test-suite spot-checks.
 Paths are not scanned one at a time.  The first path of length L at level n
 triggers one sweep over the level-n words: a window of length L slides over
 each positive edge's word and its reverse, counting that edge for the factor
-read, and every junction ``(e1, e2, cut)`` appends its crossed turn to the
-factor ``w1[-cut:] + w2[:L-cut]``.  The result is a *recipe* per factor that
-occurs (edge counts, turns in the order met); a path absent from the sweep
-has the empty recipe, the exact zero.  A path and its reversal share the
-recipe of the one smaller in tuple order, replayed in the order a per-path
-scan of it would sum it (edge terms in positive-edge order, then the turn
-weights as met, then the level scale) and cached by level and recipe: a
-value depends only on the level and on {p, p-bar}, not on call history.
+read, and every junction ``(e1, e2, cut)`` whose turn a direction orbit
+visits (``WeightTower.visited``; every other turn weighs the exact zero)
+appends that turn to the factor ``w1[-cut:] + w2[:L-cut]``.  The result is
+a *recipe* per factor that occurs (edge counts, turns in the order met).  A
+path and its reversal share the recipe of the one smaller in tuple order,
+replayed in the order a per-path scan of it would sum it (edge terms in
+positive-edge order, then the turn weights as met, then the level scale)
+and cached by level and recipe: a value depends only on the level and on
+{p, p-bar}, not on call history.
 
 No walk filters for reducedness.  The level words are iterate images of an
 expanding train track map, so they, their images and the oracle's counted
-factors are reduced; the sweep drops each junction whose words or their
-images cancel at the seam (an illegal turn, of weight zero), so every window
-and its image are reduced too.  ``support(L)`` is the sweep's key set: every
-other reduced path of length L is the exact zero.  ``eval`` checks its path
-and hands it to ``_walked``, which the walks and the CLI tables call on the
-paths they made.  Each verify suite evaluates the set of paths whose residual
-can be non-zero, in any order (its verdict and violation are maxima):
+factors are reduced; a visited turn is legal, so every window and its image
+are reduced too.  ``support(L)`` is the sweep's key set, the lamination's
+language (``maps.used_language``) for L >= 2 and every oriented edge for
+L = 1; every other reduced path of length L has the empty recipe, the exact
+zero.  ``eval`` checks its path and hands it to ``_walked``, which the walks
+and the CLI tables call on the paths they made.  Each verify suite evaluates
+the set of paths whose residual can be non-zero, in any order (its verdict
+and violation are maxima):
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
 * the eigen equation: S(L) and the factors of the images of its paths, up
@@ -46,8 +48,9 @@ can be non-zero, in any order (its verdict and violation are maxima):
 * the oracle: S(L) and the paths with a non-zero occurrence count (its
   vector is non-negative, so its tail bounds are too).
 
-The walks use no property of the measure they check.  Measure tables,
-which are external data, are still checked on every reduced path.
+The walks use no property of the measure they check, nor the support's
+closure under factors, which makes the first two walks S(L) itself.
+Measure tables, which are external data, are checked on every reduced path.
 
 An independent frequency oracle estimates the same values from occurrence
 counts in iterate images alone, with a certified geometric tail bound.  It
@@ -106,9 +109,8 @@ class KolmogorovFunction:
         return self._value(n, self._sweeps(n, len(path)).get(path, _NO_RECIPE))
 
     def support(self, length: int):
-        """The paths of this length with a non-zero recipe (the sweep's keys),
-        reduced and closed under reversal; every other reduced path of this
-        length evaluates to the exact zero."""
+        """The sweep's keys: the lamination's language of this length from
+        length 2 on, every oriented edge at 1; all else is the exact zero."""
         return self._length_sweep(length)[1].keys()
 
     def _walked(self, path):
@@ -128,10 +130,10 @@ class KolmogorovFunction:
         the factor or its reverse inside each positive edge's word, and the
         turn of every junction ``(e1, e2, cut)`` whose straddling window reads
         the factor, in the order the per-path scan would meet them.  A
-        junction is dropped when ``w1 w2`` or its image backtracks at the
-        seam (this covers ``e2 == inverse(e1)``): its turn is illegal, of
-        weight zero.  A factor whose reversal is smaller in tuple order gets
-        the reversal's recipe object.
+        junction is kept exactly when its turn is in ``weights.visited``, so
+        the keys are the lamination's language for ``length >= 2`` and every
+        oriented edge at length 1.  A factor whose reversal is smaller in
+        tuple order gets the reversal's recipe object.
         """
         tower, graph = self.tower, self.graph
         counts = {}
@@ -141,14 +143,13 @@ class KolmogorovFunction:
                 for i in range(len(word) - length + 1):
                     per_edge = counts.setdefault(word[i:i + length], {})
                     per_edge[e] = per_edge.get(e, 0) + 1
-        crossed, df = {}, tower.f.directions.df
+        crossed, visited = {}, self.weights.visited
         for e1 in graph.oriented_edges:
             w1 = tower.word(e1, n)
             for e2 in graph.directions_at(graph.terminal(e1)):
-                w2 = tower.word(e2, n)
-                a, b = inverse(w1[-1]), w2[0]
-                if a != b and df[a] != df[b]:
-                    turn = make_turn(inverse(e1), e2)
+                turn = make_turn(inverse(e1), e2)
+                if turn in visited:
+                    w2 = tower.word(e2, n)
                     for cut in range(1, length):
                         crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
         recipes = {}

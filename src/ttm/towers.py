@@ -195,13 +195,14 @@ class WeightTower:
     materialised, its values are the level-0 ones times ``level_scale(n)``.
 
     ``lam`` (a certified root, a Fraction or an interval) is kept as its
-    enclosure; the vector is a tuple of intervals indexed by positive edges.
-    Turn weights follow the closed form: a junction turn of an edge image
-    contributes ``lambda**-(k+1) v(e)`` for every orbit step k at which its
-    direction orbit sits on the target turn; eventual periodicity turns the
-    tail into a geometric series.  Sums are accumulated only on the turns
-    that some orbit visits; every other turn, illegal ones included, gets
-    the same exact zero.
+    enclosure; the vector, indexed by positive edges, keeps its coordinates
+    as given (intervals, or ints and Fractions, whose edge terms sum
+    exactly).  Turn weights follow the closed form: a junction turn of an
+    edge image contributes ``lambda**-(k+1) v(e)`` for every orbit step k
+    at which its direction orbit sits on the target turn; eventual
+    periodicity turns the tail into a geometric series.  Sums are
+    accumulated only on ``visited``, the turns that some orbit visits;
+    every other turn, illegal ones included, gets the same exact zero.
     """
 
     def __init__(self, tower: StationaryTower, vector, lam):
@@ -218,22 +219,20 @@ class WeightTower:
         power = cache(lambda k: lam_inv ** k)
         geometric = cache(lambda q: 1 - power(q))
         # one orbit walk per junction turn adds its term to every turn the
-        # orbit visits (a turn at most once); each turn's interval sum is
-        # taken in (e, tau) order, and only visited turns get a sum
+        # orbit visits (a turn at most once); each turn's sum is taken in
+        # (e, tau) order, and only visited turns get a sum
         zero = ia.zero()
         sums = {}
         for e in graph.positive_edges:
             v_e = self.vector[e >> 1]
             for tau in turns_of(tower.f.image(e)):
-                if not da.is_legal(tau):
-                    continue  # the orbit and every turn on it are illegal
                 pre, cyc = da.orbit(tau)
                 for k, t in enumerate(pre):
                     sums[t] = sums.get(t, zero) + power(k + 1) * v_e
                 for j, t in enumerate(cyc):
                     tail = power(len(pre) + j + 1) / geometric(len(cyc))
                     sums[t] = sums.get(t, zero) + tail * v_e
-        # every unvisited turn shares one exact zero
+        self.visited = frozenset(sums)
         self.turn_weight = {t: sums.get(t, zero) for t in graph.all_turns()}
 
     def level_scale(self, n: int):

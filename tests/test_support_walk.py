@@ -380,14 +380,15 @@ def test_support_holds_only_reduced_paths(fib_setup):
 
 
 def test_support_holds_every_non_zero_path(fib_setup, rose2):
-    """Off the support a path is the exact zero; on it a path may still be
-    zero (a junction window across an illegal turn, of weight zero)."""
+    """Off the support a path is the exact zero.  A junction window is kept
+    only at a turn that some direction orbit visits, so (A, Bbar), across
+    the legal but unvisited turn {Abar, Bbar}, is off the support."""
     kf = fib_setup[3]
     for p in rose2.reduced_paths(5):
         support = kf.support(len(p))
         assert (p in support) == (reverse_path(p) in support)
         assert p in support or kf.eval(p) is ia.zero(), p
-    assert (A, Bbar) in kf.support(2) and kf.eval((A, Bbar)) == ia.zero()
+    assert (A, Bbar) not in kf.support(2) and kf.eval((A, Bbar)) is ia.zero()
 
 
 def test_oracle_support_is_the_non_zero_counts(fib_setup, rose2):
