@@ -168,14 +168,6 @@ def cmd_spectrum(args) -> int:
         })
     order = [[i, j] for i in range(len(bf.blocks))
              for j in sorted(bf.reach[i]) if i != j]
-    distinguished = []
-    for pair in spec.distinguished:
-        distinguished.append({
-            "eigenvalue": ia.format_interval(pair.interval(), exact_endpoints=exact),
-            "vector": {labels[k]: ia.format_interval(pair.vector[k], exact_endpoints=exact)
-                       for k in range(len(labels))},
-            "support": [labels[k] for k in sorted(pair.support)],
-        })
     report = {
         "schema": 1,
         "matrix": [list(r) for r in m],
@@ -183,10 +175,20 @@ def cmd_spectrum(args) -> int:
         "blocks": blocks,
         "power_used": bf.power_used,
         "dominates": order,
-        "distinguished": distinguished,
+        "distinguished": [_eigenpair_json(pair, labels, "vector", exact)
+                          for pair in spec.distinguished],
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
+
+
+def _eigenpair_json(pair, labels, name, exact):
+    """An eigenpair as JSON: its eigenvalue, its coordinates by label under
+    ``name`` and the labels of its support."""
+    fmt = functools.partial(ia.format_interval, exact_endpoints=exact)
+    return {"eigenvalue": fmt(pair.interval()),
+            name: {label: fmt(v) for label, v in zip(labels, pair.vector)},
+            "support": [labels[k] for k in sorted(pair.support)]}
 
 
 def _text_of(exact):
@@ -395,22 +397,12 @@ def cmd_ergodic(args) -> int:
     doc = load(args.file)
     sigma = doc.substitution(args.subst)
     enum = ergodic_measures(sigma)
-    exact = args.exact
-    measures = []
-    for mu in enum.measures:
-        freqs = mu.letter_frequencies()
-        measures.append({
-            "eigenvalue": ia.format_interval(mu.eigenpair.interval(),
-                                             exact_endpoints=exact),
-            "frequencies": {str(x): ia.format_interval(v, exact_endpoints=exact)
-                            for x, v in zip(sigma.alphabet, freqs)},
-            "support": [str(sigma.alphabet[k])
-                        for k in sorted(mu.eigenpair.support)],
-        })
+    letters = [str(x) for x in sigma.alphabet]
     payload = {
         "schema": 1,
-        "alphabet": [str(x) for x in sigma.alphabet],
-        "measures": measures,
+        "alphabet": letters,
+        "measures": [_eigenpair_json(mu.eigenpair, letters, "frequencies", args.exact)
+                     for mu in enum.measures],
         "skipped_eigenvalues": [ia.format_interval(p.interval()) for p in enum.skipped],
         "power_used": enum.block_form.power_used,
         "warnings": list(enum.warnings),

@@ -43,8 +43,9 @@ the set of paths whose residual can be non-zero, in any order (its verdict
 and violation are maxima):
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
-* the eigen equation: S(L) and the factors of the images of its paths, up
-  to the bound (a path with a cover in the support is one);
+* the eigen equation: S(L) and the paths that its paths cover, up to the
+  bound: the factors of f(d) from its first image block to its last (a
+  path with a cover in the support is one);
 * the oracle: S(L) and the paths with a non-zero occurrence count (its
   vector is non-negative, so its tail bounds are too).
 
@@ -421,19 +422,27 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     reduced paths up to the bound.
 
     The paths checked are the walk of the support paths d up to the bound
-    and of the factors, up to the bound, of their images f(d).  A cover of
-    p is at most |p| edges long (edge images are non-empty) and p is a
-    factor of its image, so a path with a cover in the support is walked;
-    every other reduced path has the exact zero as its value and as the
-    value of each of its covers, so its residual is exactly [0, 0].
+    and of the paths that they cover: the factors of f(d), up to the bound,
+    that start in its first image block and end in its last (every factor
+    when |d| = 1).  A cover c of p is at most |p| edges long (edge images
+    are non-empty) and p is such a factor of f(c), as ``search_covers``
+    defines covers, so a path with a cover in the support is walked; every
+    other reduced path has the exact zero as its value and as the value of
+    each of its covers, so its residual is exactly [0, 0].
     """
     _require_bound(max_length)
     _require_pushforward(f, kf)
     if not f.is_self_map():
         raise PreconditionError("the eigen equation needs a self-map")
     lam = ia.coerce(lam)
-    walk = {x for length in range(1, max_length + 1) for d in kf.support(length)
-            for x in (d, *subpaths_up_to(f.map_path(d), max_length))}
+    walk = set()
+    for length in range(1, max_length + 1):
+        for d in kf.support(length):
+            image = f.map_path(d)
+            last = len(image) - len(f.image(d[-1]))    # where the last block starts
+            walk.add(d)
+            walk.update(image[i:j] for i in range(len(f.image(d[0])))
+                        for j in range(max(i, last) + 1, min(i + max_length, len(image)) + 1))
     report = VerificationReport()
     report.record("eigen-equation", (
         abs(_pushforward(f, kf, path) - lam * kf._walked(path)) for path in walk), tol)
@@ -498,7 +507,10 @@ class FrequencyOracle:
     recursion (occurrences in the image of a word are occurrences in its
     blocks plus junction straddles), so large t stays cheap.  The boundary
     strings of the recursion depend only on the path length, so it runs once
-    per length and counts every factor of that length at once.  The estimate
+    per length and counts every factor of that length at once.  The counts
+    are kept per positive edge and keyed by the pair {p, p-bar}, as the
+    smaller of the two in tuple order, so a path reads one key; a block
+    e-bar counts as e, its image being the reversed image of e.  The estimate
     increases in t to the true value; the tail bound is the geometric-series
     bound on the missing straddling mass, derived from the eigenvector
     identity alone.
@@ -527,18 +539,15 @@ class FrequencyOracle:
         """Occurrences of the path and its reverse in the t-th iterate image
         of each positive edge."""
         path = _checked(self.graph, path, "the frequency oracle")
-        counts = self._length_counts(len(path))
-        rev = reverse_path(path)
-        return tuple(counts[e][path] + counts[e][rev]
-                     for e in self.graph.positive_edges)
+        key = min(path, reverse_path(path))
+        return tuple(c[key] for c in self._length_counts(len(path)))
 
     def support(self, length: int) -> set:
         """The paths of this length with a non-zero count, closed under
         reversal."""
-        counts = self._length_counts(length)
         out = set()
-        for e in self.graph.positive_edges:
-            out.update(counts[e])
+        for c in self._length_counts(length):
+            out.update(c)
         return out | {reverse_path(p) for p in out}
 
     def estimate(self, path) -> OracleEstimate:
@@ -548,30 +557,33 @@ class FrequencyOracle:
                               iterations=self.t)
 
     def _factor_counts(self, length: int):
-        f, edges = self.f, self.graph.oriented_edges
+        """The factor counts of each positive edge's t-th iterate image, in
+        edge order; a block x counts as ``counts[x >> 1]`` (the image of
+        e-bar is the reversed image of e)."""
+        f, edges = self.f, self.graph.positive_edges
         margin = length - 1
         # explicit words until every block is long enough for boundary recursion
-        words = {e: (e,) for e in edges}
+        words = {e: (e,) for e in self.graph.oriented_edges}
         level = 0
-        while level < self.t and min(len(words[e]) for e in edges) < max(1, margin):
-            words = {e: f.map_path(words[e]) for e in edges}
+        while level < self.t and min(map(len, words.values())) < max(1, margin):
+            words = {e: f.map_path(w) for e, w in words.items()}
             level += 1
-        counts = {e: _factors(words[e], length) for e in edges}
-        prefixes = {e: words[e][:margin] for e in edges}
-        suffixes = {e: words[e][-margin:] if margin else () for e in edges}
+        counts = [_factors(words[e], length) for e in edges]
+        prefixes = {e: w[:margin] for e, w in words.items()}
+        suffixes = {e: w[len(w) - margin:] for e, w in words.items()}
         while level < self.t:
-            new_counts = {}
+            new_counts = []
             for e in edges:
                 img = f.image(e)
                 c = Counter()
                 for x in img:
-                    c.update(counts[x])
+                    c.update(counts[x >> 1])
                 for x, y in zip(img, img[1:]):
                     c.update(_factors(suffixes[x] + prefixes[y], length))
-                new_counts[e] = c
+                new_counts.append(c)
             counts = new_counts
-            prefixes = {e: prefixes[f.image(e)[0]] for e in edges}
-            suffixes = {e: suffixes[f.image(e)[-1]] for e in edges}
+            prefixes = {e: prefixes[f.image(e)[0]] for e in prefixes}
+            suffixes = {e: suffixes[f.image(e)[-1]] for e in suffixes}
             level += 1
         return counts
 
@@ -588,7 +600,9 @@ class FrequencyOracle:
 
 
 def _factors(word, length: int) -> Counter:
-    return Counter(word[i:i + length] for i in range(len(word) - length + 1))
+    """A reduced word's factors, each counted as the smaller of it and its reversal."""
+    windows = (word[i:i + length] for i in range(len(word) - length + 1))
+    return Counter(min(q, reverse_path(q)) for q in windows)
 
 
 def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: int,

@@ -13,9 +13,10 @@ Invariant measures of the subshift are the measures of the rose map
 (as ``measures.eigen_measures`` builds them on ``Substitution.rose_map``): each
 distinguished eigenvector of the incidence matrix with eigenvalue above one
 yields a shift-invariant probability measure, and the letter frequencies are
-the eigenvector coordinates; ``ergodic_measures`` adds its preconditions and
-a bounded periodicity scan.  A word's cylinder value is the value of its
-positive path (``SubshiftMeasure.value``).
+the eigenvector coordinates, read off the eigenpair; ``ergodic_measures``
+adds its preconditions and a bounded periodicity scan.  A word's cylinder
+value is the value of its positive path (``SubshiftMeasure.value``), from an
+evaluator built on the enumeration's one tower at the first such value.
 """
 
 from __future__ import annotations
@@ -112,15 +113,21 @@ def path_to_word(sigma: Substitution, path):
 @dataclass
 class SubshiftMeasure:
     """A shift-invariant probability measure on the substitution subshift,
-    evaluated on cylinders of finite words."""
+    evaluated on cylinders of finite words.  Its letter frequencies are the
+    eigenvector coordinates; the cylinder evaluator, with its certified
+    weight tower, is built on ``tower`` at the first cylinder value."""
 
     sigma: Substitution
     eigenpair: spectra.Eigenpair
-    kolmogorov: KolmogorovFunction
+    tower: StationaryTower
 
     @property
     def eigenvalue(self):
         return self.eigenpair.value
+
+    @cached_property
+    def kolmogorov(self) -> KolmogorovFunction:
+        return eigenvector_measure(self.tower, self.eigenpair.vector, self.eigenpair.value)
 
     def value(self, word):
         """Measure of the cylinder of a finite word."""
@@ -129,7 +136,7 @@ class SubshiftMeasure:
         return self.kolmogorov.eval(word_to_path(self.sigma, word))
 
     def letter_frequencies(self):
-        return tuple(self.value((x,)) for x in self.sigma.alphabet)
+        return self.eigenpair.vector
 
 PERIODICITY_SCAN = 4    # longest word the scan of ``ergodic_measures`` tries
 
@@ -165,8 +172,7 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     above, skipped = split_at_one(spec.distinguished)
     tower = StationaryTower(sigma.rose_map) if above else None
     return ErgodicEnumeration(
-        measures=[SubshiftMeasure(sigma, p, eigenvector_measure(tower, p.vector, p.value))
-                  for p in above],
+        measures=[SubshiftMeasure(sigma, p, tower) for p in above],
         skipped=skipped, block_form=spec.form, warnings=warnings)
 
 

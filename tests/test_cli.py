@@ -11,7 +11,7 @@ import ttm
 import ttm.intervals as ia
 from ttm.cli import main, pick_vector
 from ttm.maps import DirectionAnalysis
-from ttm.towers import StationaryTower
+from ttm.towers import StationaryTower, WeightTower
 
 from conftest import rose_map
 
@@ -184,6 +184,18 @@ def test_ergodic(fib_file, capsys):
     freqs = sorted(m["frequencies"]["c"] for m in payload["measures"])
     assert freqs[0] == "0.0"
     assert freqs[1].startswith("0.3333333333")
+
+
+def test_ergodic_builds_no_weight_tower(fib_file, capsys, monkeypatch):
+    """The frequencies are the certified eigenvectors' coordinates: printing
+    them builds no weight tower and no cylinder evaluator."""
+    built = []
+    init = WeightTower.__init__
+    monkeypatch.setattr(WeightTower, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    code, out, err = run(capsys, "ergodic", fib_file, "--subst", "three")
+    assert (code, err) == (0, "") and len(json.loads(out)["measures"]) == 2
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["i12", "b20"])

@@ -17,9 +17,13 @@ import random
 
 import pytest
 
-from ttm.graphs import reverse_path
+import ttm.intervals as ia
+from ttm import measures
+from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import is_expanding, used_language
-from ttm.measures import verify_eigen_measure, verify_kolmogorov
+from ttm.measures import (
+    KolmogorovFunction, image_measure, verify_eigen_measure, verify_kolmogorov,
+)
 
 from conftest import measures_of, pullback_maps, rose_map
 from test_measures import scan_eval_at_level
@@ -106,3 +110,75 @@ def test_support_values_are_positive(name):
             for length in range(1, 6):
                 for p in kf.support(length):
                     assert (kf.eval(p) > 0) is True, p
+
+
+
+class WithoutEdge(KolmogorovFunction):
+    """A measure with every path through one edge set to the exact zero: its
+    support is closed under factors but not under f, so paths off the
+    support can have non-zero eigen residuals."""
+
+    def __init__(self, weights, edge):
+        super().__init__(weights)
+        self.edge = edge
+
+    def keeps(self, path):
+        return all(e >> 1 != self.edge for e in path)
+
+    def support(self, length):
+        return [p for p in super().support(length) if self.keeps(p)]
+
+    def _walked(self, path):
+        return super()._walked(path) if self.keeps(path) else ia.zero()
+
+
+
+def eigen_walks(name, monkeypatch):
+    """``(f, lam, mu, walk)`` for each measure of the map and each of its
+    ``WithoutEdge`` measures: ``walk`` is the set of paths that
+    ``verify_eigen_measure`` evaluates at bound 6."""
+    f, kfs = language_measures(name)
+    walked = []
+    pushforward = measures._pushforward
+    monkeypatch.setattr(measures, "_pushforward",
+                        lambda f, kf, p: walked.append(p) or pushforward(f, kf, p))
+    for kf in kfs:
+        lam = kf.weights.lam
+        for mu in [kf] + [WithoutEdge(kf.weights, x) for x in range(f.domain.n_edges)]:
+            walked.clear()
+            assert verify_eigen_measure(f, mu, lam, 6, 1e-12).passed or mu is not kf
+            yield f, lam, mu, set(walked)
+
+
+def support_up_to_6(mu):
+    return {p for length in range(1, 7) for p in mu.support(length)}
+
+
+def eigen_residual(f, lam, mu, path):
+    return image_measure(f, mu, path) - lam * mu.eval(path)
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_eigen_walk_holds_every_non_zero_residual(name, monkeypatch):
+    """The eigen walk, the support and the paths that it covers, lies in the
+    walk of the support and every factor of its images up to the bound, and
+    holds each path of that walk whose eigen residual is not the exact zero:
+    on each measure, and on each measure with one edge's paths set to zero."""
+    for f, lam, mu, walk in eigen_walks(name, monkeypatch):
+        factors = {x for d in support_up_to_6(mu)
+                   for x in (d, *subpaths_up_to(f.map_path(d), 6))}
+        assert walk <= factors
+        for p in factors - walk:
+            assert ia.endpoints(eigen_residual(f, lam, mu, p)) == (0, 0), p
+
+
+def test_eigen_walk_leaves_the_support(monkeypatch):
+    """On 33 of the 39 maps, a measure with one edge's paths set to zero has
+    a walked path off its support with a non-zero eigen residual, so the
+    test above checks the covers and not the support alone; on the other
+    six, none has."""
+    leaving = [name for name in LANGUAGE_MAPS if any(
+        ia.endpoints(eigen_residual(f, lam, mu, p)) != (0, 0)
+        for f, lam, mu, walk in eigen_walks(name, monkeypatch)
+        for p in walk - support_up_to_6(mu))]
+    assert len(leaving) == 33

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +13,7 @@ from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, verify_kolmogorov
 from ttm.spectra import is_primitive
+from ttm.textio import parse
 from ttm.substitutions import (
     PERIODICITY_SCAN, Substitution, _is_primitive_word, _periodic_witnesses,
     ergodic_measures, path_to_word, word_to_path,
@@ -261,6 +263,24 @@ def test_ergodic_cab_variant():
     assert len(enum.measures) == 1
     freqs = [ia.midpoint(v) for v in enum.measures[0].letter_frequencies()]
     assert max(abs(x - y) for x, y in zip(freqs, (0.5, 0.5, 0.0))) < 1e-10
+
+
+SUBS20 = parse((Path(__file__).resolve().parent / "data" / "subs20.tt").read_text())
+
+
+@pytest.mark.parametrize("sigma", [FIB, TM, THREE, THREE_CAB,
+                                   SUBS20.substitution("i12"), SUBS20.substitution("b20")],
+                         ids=["fib", "tm", "three", "cab", "i12", "b20"])
+def test_letter_frequencies_are_the_eigenvector(sigma):
+    """A measure's letter frequencies are its eigenvector's coordinates, with
+    the endpoints of each letter's cylinder value (one edge at level 0)."""
+    enum = ergodic_measures(sigma)
+    assert enum.measures
+    for mu in enum.measures:
+        freqs = mu.letter_frequencies()
+        assert freqs is mu.eigenpair.vector
+        for x, v in zip(sigma.alphabet, freqs):
+            assert ia.endpoints(v) == ia.endpoints(mu.value((x,)))
 
 
 @pytest.mark.parametrize("sigma", [FIB, THREE, THREE_CAB], ids=["fib", "three", "cab"])
