@@ -562,6 +562,11 @@ class LegalPullbacks:
     iterate images of an interior edge would stay inside it, against
     expansion), so it reaches a seed.  A member of length n therefore lies
     in a window of ``image_windows(f, seeds, n)``, and is that window.
+
+    One window fixpoint, at the longest length N asked for so far, answers
+    every length n <= N by the length-n factors of its members: a member
+    lies in arbitrarily long iterate images of seeds, so it extends inside
+    the language to any longer length.
     Read it as ``f.legal``.  The name is that of the backward cover search
     this replaced: the benchmark tracer (``bench/tracer.py``) times
     ``LegalPullbacks.is_infinitely_legal`` by it.
@@ -571,15 +576,21 @@ class LegalPullbacks:
         require_expanding_train_track(f)
         self.f = weakref.proxy(f)    # f owns this (f.legal): no reference cycle
         self.seeds = legal_seeds(f)
+        self.built = 0               # the length of the fixpoint built so far
         self._by_length = {}
 
-    def paths_of_length(self, n: int):
-        """The infinitely legal paths of length n, built on first use."""
-        paths = self._by_length.get(n)
-        if paths is None:
-            paths = self._by_length[n] = frozenset(
-                w for w in image_windows(self.f, self.seeds, n) if len(w) == n)
-        return paths
+    def paths_of_length(self, n: int, longest: int = None):
+        """The infinitely legal paths of length n.  Past the built length N
+        the fixpoint is rebuilt at ``max(n, min(2 N, longest))``, so a
+        caller that will ask up to ``longest`` (default n) gets few builds."""
+        if n > self.built:
+            self.built = max(n, min(2 * self.built, longest or n))
+            self._by_length[self.built] = frozenset(
+                w for w in image_windows(self.f, self.seeds, self.built) if len(w) == self.built)
+        if n not in self._by_length and n > 0:
+            self._by_length[n] = frozenset(w[i:i + n] for w in self._by_length[self.built]
+                                           for i in range(self.built - n + 1))
+        return self._by_length.get(n, frozenset())
 
     def is_infinitely_legal(self, path) -> bool:
         return tuple(path) in self.paths_of_length(len(path))
@@ -588,5 +599,5 @@ class LegalPullbacks:
 def infinitely_legal_language(f: GraphMap, max_length: int) -> frozenset:
     """Truncation of the language of paths that are subpaths of arbitrarily
     high iterate images of legal paths: the members of lengths 1 to
-    max_length, read off ``f.legal``."""
-    return frozenset().union(*map(f.legal.paths_of_length, range(1, max_length + 1)))
+    max_length, read off ``f.legal``, the longest first (one fixpoint)."""
+    return frozenset().union(*map(f.legal.paths_of_length, range(max_length, 0, -1)))

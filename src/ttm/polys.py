@@ -84,10 +84,11 @@ def _pseudo_divmod(a, b):
     return poly_trim(q), poly_trim(r[:db] or [0])
 
 
-def _sign_at(p, x: Fraction) -> int:
-    """Sign of the integer polynomial p at x = n/d (d > 0), read off the
-    homogeneous sum d**deg * p(n/d) = sum_k p[k] n**k d**(deg - k)."""
-    n, d = x.numerator, x.denominator
+def _sign_at(p, x, d: int = 1) -> int:
+    """Sign of the integer polynomial p at x / d = n / d' (x an int or a
+    Fraction, d > 0, n/d' not reduced), read off the homogeneous integer sum
+    d'**deg * p(n/d') = sum_k p[k] n**k d'**(deg - k)."""
+    n, d = x.numerator, x.denominator * d
     acc = 0
     dk = 1
     for c in reversed(p):
@@ -207,22 +208,28 @@ class CertifiedRoot:
         """Bisect down to width ``max_width``.  The open interval holds one
         simple root of the square-free part and no root at its ends, so the
         root lies left of a non-root midpoint exactly when the sign there
-        differs from the sign at ``lo``."""
+        differs from the sign at ``lo``.  The ends are integers a < b over
+        one denominator d, all doubled at each step, so the midpoint is
+        ``a + b`` over d: a Fraction bisection's midpoints, with no gcd."""
         if self.exact is not None:
             return self
         sqfree = self.sqfree
+        d = self.lo.denominator * self.hi.denominator
+        a = self.lo.numerator * self.hi.denominator
+        b = self.hi.numerator * self.lo.denominator
         sign_lo = _sign_at(sqfree, self.lo)
-        while self.hi - self.lo > max_width:
-            mid = (self.lo + self.hi) / 2
-            sign = _sign_at(sqfree, mid)
+        while (b - a) * max_width.denominator > max_width.numerator * d:
+            mid = a + b
+            a, b, d = 2 * a, 2 * b, 2 * d
+            sign = _sign_at(sqfree, mid, d)
             if sign == 0:
-                self.exact = mid
-                self.lo = self.hi = mid
+                self.exact = self.lo = self.hi = Fraction(mid, d)
                 return self
             if sign != sign_lo:
-                self.hi = mid
+                b = mid
             else:
-                self.lo = mid
+                a = mid
+        self.lo, self.hi = Fraction(a, d), Fraction(b, d)
         return self
 
     def refine_bits(self, bits: int):

@@ -14,13 +14,16 @@ Invariant measures of the subshift are the measures of the rose map
 distinguished eigenvector of the incidence matrix with eigenvalue above one
 yields a shift-invariant probability measure, and the letter frequencies are
 the eigenvector coordinates, read off the eigenpair; ``ergodic_measures``
-adds its preconditions and a bounded periodicity scan.  A word's cylinder
-value is the value of its positive path (``SubshiftMeasure.value``), from an
-evaluator built on the enumeration's one tower at the first such value.
+adds its preconditions and a bounded periodicity scan, run unless the
+eigenvalue of a primitive substitution rules periodic points out.  A word's
+cylinder value is the value of its positive path (``SubshiftMeasure.value``),
+from an evaluator built on the enumeration's one tower at the first such
+value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -154,8 +157,12 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     one per distinguished eigenvector of the incidence matrix with eigenvalue
     above one.
 
-    Aperiodicity of the subshift is not decidable here; a bounded scan warns
-    about small periodic witnesses instead of silently assuming.  Distinguished
+    A primitive substitution has no periodic point unless its eigenvalue
+    lambda is an integer (its subshift is minimal, so a periodic point w^oo
+    would make sigma(w) a conjugate of some w^k, and the letter counts of w
+    an eigenvector for k; Queffelec, LNM 1294).  Otherwise a bounded scan
+    warns about small periodic witnesses instead of silently assuming
+    aperiodicity, which is not decided here.  Distinguished
     eigenvalues at or below one are reported in ``skipped``, never dropped
     silently.
     """
@@ -167,13 +174,20 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
         raise PreconditionError(
             "measure enumeration needs all iterated image lengths to diverge")
     spec = spectra.spectrum(sigma.incidence_matrix())
+    aperiodic = spec.form.kinds == ("primitive",) and not _is_integer(spec.radii[0])
     warnings = [f"possible periodic word {w!r} in the subshift"
-                for w in _periodic_witnesses(sigma, PERIODICITY_SCAN)]
+                for w in ([] if aperiodic else _periodic_witnesses(sigma, PERIODICITY_SCAN))]
     above, skipped = split_at_one(spec.distinguished)
     tower = StationaryTower(sigma.rose_map) if above else None
     return ErgodicEnumeration(
         measures=[SubshiftMeasure(sigma, p, tower) for p in above],
         skipped=skipped, block_form=spec.form, warnings=warnings)
+
+
+def _is_integer(root) -> bool:
+    """Is the certified root one of the integers in its enclosure?"""
+    return any(root.compare(k) == 0
+               for k in range(math.floor(root.lo), math.ceil(root.hi) + 1))
 
 
 def _periodic_witnesses(sigma: Substitution, bound: int):

@@ -21,8 +21,10 @@ Weight data lives at level 0 and scales by ``lambda**-n`` across levels:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, chain, groupby, tee
 
 from . import intervals as ia
 from .errors import PreconditionError
@@ -47,6 +49,7 @@ class StationaryTower:
         self.graph = f.domain
         self._words = {}
         self._minlength = {}
+        self._tables = {}
 
     # -- iterate words ---------------------------------------------------------
 
@@ -93,82 +96,50 @@ class StationaryTower:
             out.extend((e, j) for j in range(len(self.word(e, n))))
         return out
 
-    def reverse_short(self, se, n: int):
-        e, j = se
-        return (inverse(e), len(self.word(e, n)) - 1 - j)
-
-    def image_letter(self, se, n: int) -> int:
-        """Image of a level-n short edge under the full map to level 0."""
-        e, j = se
-        return self.word(e, n)[j]
-
-    def successors(self, se, n: int):
-        """Level-n short edges that can follow ``se`` on a reduced path."""
-        e, j = se
-        if j + 1 < len(self.word(e, n)):
-            return [(e, j + 1)]
-        v = self.graph.terminal(e)
-        return [(d, 0) for d in self.graph.directions_at(v) if d != inverse(e)]
-
-    def predecessors(self, se, n: int):
-        rev = self.reverse_short(se, n)
-        return [self.reverse_short(t, n) for t in self.successors(rev, n)]
+    def level_tables(self, n: int):
+        """``(starts, letters, exits, entries)`` of level n, built once:
+        short edge ``(e, j)`` is number ``starts[e] + j``, with image letter
+        ``letters[i]``.  A reduced path steps from i to i + 1 inside an edge,
+        from the last number i of an edge to each of ``exits[i]``, and into
+        its first number i from each of ``entries[i]`` (``directions_at``
+        order)."""
+        tables = self._tables.get(n)
+        if tables is None:
+            g = self.graph
+            words = [self.word(e, n) for e in g.oriented_edges]
+            starts = tuple(accumulate(map(len, words), initial=0))
+            tables = self._tables[n] = (
+                starts, tuple(chain.from_iterable(words)),
+                {starts[e + 1] - 1: tuple(starts[d] for d in g.directions_at(g.terminal(e))
+                                          if d != inverse(e))
+                 for e in g.oriented_edges},
+                {starts[e]: tuple(starts[inverse(d) + 1] - 1
+                                  for d in g.directions_at(g.initial(e)) if d != e)
+                 for e in g.oriented_edges})
+        return tables
 
     def windows(self, center, radius: int, n: int):
         """All reduced level-n paths of length 2*radius + 1 centred on the
-        given short edge."""
-        lefts = [()]
-        for _ in range(radius):
-            nxt = []
-            for p in lefts:
-                anchor = p[0] if p else center
-                nxt.extend((q,) + p for q in self.predecessors(anchor, n))
-            lefts = nxt
-        rights = [()]
-        for _ in range(radius):
-            nxt = []
-            for p in rights:
-                anchor = p[-1] if p else center
-                nxt.extend(p + (q,) for q in self.successors(anchor, n))
-            rights = nxt
-        return [l + (center,) + r for l in lefts for r in rights]
+        given short edge, in scan order (see ``_extend``)."""
+        return [w for w, _ in self._grown(center, radius, n, None)]
 
     def legal_windows(self, center, radius: int, n: int):
         """The windows of ``windows(center, radius, n)`` whose image is
         infinitely legal, in the same order, as ``(window, image)`` pairs.
+        They grow one short edge on each side at a time, and only while
+        their image stays infinitely legal: the infinitely legal paths are
+        closed under subpaths, so a window that leaves them never returns."""
+        return self._grown(center, radius, n, self.f.legal)
 
-        Lefts and rights grow one short edge at a time, carrying their image
-        letters, and an extension is kept only while its image with the
-        centre letter stays infinitely legal; a whole window is kept only if
-        its image is.  The infinitely legal paths are closed under subpaths,
-        so a half that leaves them never returns, and the survivors are
-        exactly the infinitely legal windows, in the order of the full lists.
-        """
-        ok = self.f.legal.is_infinitely_legal
-        c = (self.image_letter(center, n),)
-        lefts = [((), ())]
-        for _ in range(radius):
-            nxt = []
-            for p, img in lefts:
-                for q in self.predecessors(p[0] if p else center, n):
-                    ext = (self.image_letter(q, n),) + img
-                    if ok(ext + c):
-                        nxt.append(((q,) + p, ext))
-            lefts = nxt
-        rights = [((), ())]
-        for _ in range(radius):
-            nxt = []
-            for p, img in rights:
-                for q in self.successors(p[-1] if p else center, n):
-                    ext = img + (self.image_letter(q, n),)
-                    if ok(c + ext):
-                        nxt.append((p + (q,), ext))
-            rights = nxt
-        for l, limg in lefts:
-            for r, rimg in rights:
-                img = limg + c + rimg
-                if ok(img):
-                    yield l + (center,) + r, img
+    def _grown(self, center, radius, n, legal):
+        starts, letters, _, _ = tables = self.level_tables(n)
+        c = starts[center[0]] + center[1]
+        windows = [((c,), (letters[c],))]
+        if legal and not legal.is_infinitely_legal((letters[c],)):
+            windows = []
+        for k in range(radius):
+            windows = _extend(windows, k, tables, legal and legal.paths_of_length(2 * k + 3))
+        return [(_short_edges(starts, w), img) for w, img in windows]
 
 
 # -- weight towers ----------------------------------------------------------------
@@ -286,22 +257,58 @@ def repetition_bound(tower: StationaryTower, n: int, cap: int) -> RepetitionSear
     windows of length 2 rho + 1 with the same image pin the same middle
     (oriented) short edge.
 
-    Windows range over the level-n paths whose image is infinitely legal.
+    Windows range over the level-n paths whose image is infinitely legal,
+    in ``legal_windows`` order, centre by centre.  Each radius is scanned
+    only up to its first violation, the witness at the cap.  The windows of
+    radius rho + 1 extend those of radius rho lazily, as the scan asks for
+    them, and reuse the ones the scan of rho built, so no window is built
+    twice.  The language is asked for lengths up to ``2 cap + 1``, and
+    built geometrically towards it.
     """
     if cap < 0:
         raise PreconditionError(f"the radius cap must be at least 0 (got {cap})")
+    starts, letters, _, _ = tables = tower.level_tables(n)
+    legal, longest = tower.f.legal, 2 * cap + 1
+    single = legal.paths_of_length(1, longest)
+    windows = (((c,), (x,)) for c, x in enumerate(letters) if (x,) in single)
     for rho in range(cap + 1):
-        witness = _violating_pair(tower, n, rho)
+        if rho:
+            windows = _extend(windows, rho - 1, tables, legal.paths_of_length(2 * rho + 1, longest))
+        windows, scan = tee(windows)
+        witness = _first_violation(scan, rho)
         if witness is None:
             return RepetitionSearch(level=n, cap=cap, bound=rho)
-    return RepetitionSearch(level=n, cap=cap, witness=witness)
+    return RepetitionSearch(level=n, cap=cap, witness=tuple(
+        _short_edges(starts, w) for w in witness))
 
 
-def _violating_pair(tower, n, rho):
+def _short_edges(starts, window):
+    """The short edges ``(e, j)`` of a window of ``level_tables`` numbers."""
+    return tuple((e, i - starts[e]) for i in window for e in [bisect_right(starts, i) - 1])
+
+
+def _first_violation(windows, rho):
+    """``(earlier, window)``: the first window whose image an earlier window
+    with another centre (short edge ``rho``) had, and the last such earlier
+    window; None if there is none."""
     seen = {}
-    for center in tower.short_edges(n):
-        for w, img in tower.legal_windows(center, rho, n):
-            if img in seen and seen[img][0] != center:
-                return (seen[img][1], w)
-            seen[img] = (center, w)
+    for w, img in windows:
+        if img in seen and seen[img][rho] != w[rho]:
+            return seen[img], w
+        seen[img] = w
     return None
+
+
+def _extend(windows, k, tables, members):
+    """The extensions by a short edge on each side, with an image in
+    ``members`` (any for None), of radius-k windows in scan order (by
+    centre, left half, right half, each half read outwards), in scan order."""
+    _, letters, exits, entries = tables
+    for left, run in groupby(windows, lambda x: x[0][:k + 1]):
+        run = list(run)
+        for p in entries.get(left[0], (left[0] - 1,)):
+            for w, img in run:
+                for q in exits.get(w[-1], (w[-1] + 1,)):
+                    ext = (letters[p],) + img + (letters[q],)
+                    if members is None or ext in members:
+                        yield (p,) + w + (q,), ext

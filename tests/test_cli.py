@@ -9,6 +9,7 @@ import pytest
 
 import ttm
 import ttm.intervals as ia
+from ttm import maps
 from ttm.cli import main, pick_vector
 from ttm.maps import DirectionAnalysis
 from ttm.towers import StationaryTower, WeightTower
@@ -203,13 +204,14 @@ def test_ergodic_builds_no_weight_tower(fib_file, capsys, monkeypatch):
 def test_seeded_substitution_reports(capsys, name, command, flag):
     """Two of the seeded bench substitutions (irreducible on 12 letters,
     block triangular on 20), whose reports the bench judges only against
-    its own first pass: byte for byte the recorded ones.  Both periodicity
-    scans warn."""
+    its own first pass: byte for byte the recorded ones.  i12 is primitive
+    with an irrational eigenvalue (about 2.5725), so it has no periodic
+    point and no warning; b20 is not primitive, and its scan warns."""
     code, out, err = run(capsys, command, str(DATA / "subs20.tt"), flag, name)
     assert (code, err) == (0, "")
     assert out == (DATA / f"subs20.{name}.{command}.json").read_text()
     if command == "ergodic":
-        assert json.loads(out)["warnings"]
+        assert bool(json.loads(out)["warnings"]) == (name == "b20")
 
 
 def test_verify_doubles_precision_when_inconclusive(fib_file, capsys):
@@ -511,6 +513,25 @@ def test_deep_q2_check_is_pinned(capsys):
         "repetition-bound[level 2]: not found within cap 8\n"
         "repetition-bound[level 3]: not found within cap 8\n"
     )
+
+
+def test_check_builds_few_language_fixpoints(capsys, monkeypatch):
+    """The repetition search builds the language towards the longest window
+    it may read, ``2 cap + 1``: five fixpoints for red (lengths 1, 3, 6, 12
+    and 17, where one per window length made 13), and with a far cap none
+    longer than twice the longest window the search reads (13 for f, whose
+    level-3 bound is 6)."""
+    built, windows = [], maps.image_windows
+    monkeypatch.setattr(maps, "image_windows",
+                        lambda f, starts, n: built.append(n) or windows(f, starts, n))
+    code, _, _ = run(capsys, "check", str(BENCH_MAPS), "--map", "red",
+                     "--rep-levels", "3", "--rep-cap", "8")
+    assert code == 0 and built == [1, 3, 6, 12, 17]
+    built.clear()
+    code, out, _ = run(capsys, "check", str(BENCH_MAPS), "--map", "f",
+                       "--rep-levels", "3", "--rep-cap", "40")
+    assert code == 0 and out.endswith("repetition-bound[level 3]: 6\n")
+    assert built and max(built) <= 2 * 13
 
 
 def test_check_refuses_levels_with_too_many_short_edges(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ttm import maps
 from ttm.errors import MapError, PreconditionError
 from ttm.graphs import (
     inverse, is_reduced, reverse_path, rose, subpaths_up_to, turns_of,
@@ -313,6 +314,47 @@ def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
             image = f.map_path(p)
             if len(image) <= 5:
                 assert image in lang
+
+
+def language_maps():
+    """``pullback_maps()``, the rose maps of the 30 generated substitutions
+    and the expanding train track self-maps of a ``random_tame_maps`` draw."""
+    from test_generated_maps import GENERATED
+    tame = [f for f in random_tame_maps(5, 300)
+            if f.is_self_map() and is_train_track(f)[0] and is_expanding(f)]
+    return [f for _, f in pullback_maps()] + [rose_map(*im) for im in GENERATED] + tame
+
+
+def test_shorter_lengths_are_the_factors_of_the_built_length():
+    """One fixpoint at length 12 answers every length n <= 12 with the
+    length-n windows of the seeds, as a fixpoint at n would."""
+    maps = language_maps()
+    assert len(maps) >= 50
+    for f in maps:
+        legal = LegalPullbacks(f)
+        legal.paths_of_length(12)
+        for n in range(12, 0, -1):
+            assert legal.paths_of_length(n) == frozenset(
+                w for w in image_windows(f, legal.seeds, n) if len(w) == n), (f, n)
+        assert legal.built == 12
+
+
+def test_language_grows_geometrically_towards_the_longest_length(monkeypatch):
+    """A rising run of lengths builds the fixpoint at each length past the
+    built one, doubled but never beyond ``longest``; without ``longest``, at
+    the length asked."""
+    built = []
+    windows = image_windows
+    monkeypatch.setattr(maps, "image_windows",
+                        lambda f, starts, n: built.append(n) or windows(f, starts, n))
+    f = rose_map("ab", "a")
+    legal = f.legal
+    for n in range(1, 18, 2):
+        legal.paths_of_length(n, 17)
+    assert built == [1, 3, 6, 12, 17]
+    legal.paths_of_length(19)
+    legal.paths_of_length(5)
+    assert built == [1, 3, 6, 12, 17, 19]
 
 
 # -- forward infinite legality vs the backward reference ------------------------------

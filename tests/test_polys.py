@@ -399,6 +399,71 @@ def test_refine_finds_rational_midpoint_root():
     assert root.exact == Fraction(1, 2) == root.lo == root.hi
 
 
+def fraction_bisection(root, max_width):
+    """The Fraction loop that ``refine`` replaced: midpoint ``(lo + hi) / 2``,
+    its sign against the sign at lo; returns (lo, hi, exact)."""
+    def sign(x):
+        v = fraction_eval(root.sqfree, x)
+        return (v > 0) - (v < 0)
+    lo, hi = root.lo, root.hi
+    sign_lo = sign(lo)
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        if sign(mid) == 0:
+            return mid, mid, mid
+        if sign(mid) != sign_lo:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, None
+
+
+def seeded_polys(count=50):
+    """Integer polynomials of degree 2-8 with a real root that isolation does
+    not recognise as an integer, drawn by ``random.Random(38)``."""
+    import random
+    rng = random.Random(38)
+    out = []
+    while len(out) < count:
+        p = ([rng.randint(-20, 20) for _ in range(rng.randint(2, 8))]
+             + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+        try:
+            if largest_real_root(p).exact is None:
+                out.append(tuple(p))
+        except SpectralError:
+            continue
+    return out
+
+
+def test_integer_bisection_is_the_fraction_bisection():
+    """``refine`` keeps the very endpoints of the Fraction loop, refined
+    from each narrower interval at widths 2**-8 to 2**-200, and from the
+    isolating interval straight to 2**-200."""
+    for poly in seeded_polys():
+        root = largest_real_root(poly)
+        want = fraction_bisection(root, Fraction(1, 2 ** 200))
+        for bits in (8, 13, 32, 64, 113, 150, 200):
+            width = Fraction(1, 2 ** bits)
+            step = fraction_bisection(root, width)
+            assert (root.refine(width).lo, root.hi, root.exact) == step, (poly, bits)
+        assert step == want
+        fresh = largest_real_root(poly).refine(Fraction(1, 2 ** 200))
+        assert (fresh.lo, fresh.hi, fresh.exact) == want
+
+
+@pytest.mark.parametrize("poly, hi, exact", [
+    ((-1, 0, 4), 1, Fraction(1, 2)),      # 4x^2 - 1: the first midpoint
+    ((-5, 64), 2, Fraction(5, 64)),       # 64x - 5: the seventh midpoint
+    ((-1, -1, 1), 2, None),               # x^2 - x - 1: no midpoint is a root
+])
+def test_integer_bisection_stops_on_an_exact_midpoint(poly, hi, exact):
+    root = CertifiedRoot(poly, Fraction(0), Fraction(hi))
+    want = fraction_bisection(root, Fraction(1, 2 ** 40))
+    root.refine(Fraction(1, 2 ** 40))
+    assert (root.lo, root.hi, root.exact) == want
+    assert root.exact == exact
+
+
 @pytest.mark.parametrize("poly, exact", [
     ((-1, -1, 1), None),                # x^2 - x - 1: irrational, isolated
     ((-3, 1, -3, 1), Fraction(3)),      # (x - 3)(x^2 + 1): integer candidate

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
-from ttm import maps, spectra
+from ttm import maps, spectra, substitutions
 from ttm.errors import PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
@@ -303,16 +303,20 @@ def test_ergodic_measures_build_the_block_form_once(sigma, monkeypatch):
         assert a.value.compare(b.value) == 0
 
 
-@pytest.mark.parametrize("sigma", [FIB, TM, THREE], ids=["fib", "tm", "three"])
-def test_ergodic_measures_build_the_language_once(sigma, monkeypatch):
+@pytest.mark.parametrize("sigma, fixpoints", [(FIB, []), (TM, [10]), (THREE, [10])],
+                         ids=["fib", "tm", "three"])
+def test_ergodic_measures_build_the_language_once(sigma, fixpoints, monkeypatch):
     """The periodicity scan reads its candidate words off the windows that
-    it already built, with no second language fixpoint."""
+    it already built, with no second language fixpoint; where the
+    eigenvalue rules periodic points out (FIB: primitive, lambda = phi)
+    there is no scan and no fixpoint at all."""
     calls = []
     windows = maps.image_windows
     monkeypatch.setattr(maps, "image_windows",
                         lambda *args: calls.append(args[2]) or windows(*args))
     ergodic_measures(sigma)
-    assert calls == [2 * PERIODICITY_SCAN + 2]
+    assert calls == fixpoints
+    assert fixpoints in ([], [2 * PERIODICITY_SCAN + 2])
 
 
 def test_ergodic_measures_satisfy_kirchhoff_and_normalise():
@@ -349,6 +353,47 @@ def test_periodicity_warning():
     assert enum.warnings
     aperiodic = ergodic_measures(TM)
     assert not aperiodic.warnings
+
+
+@pytest.mark.parametrize("sigma, scans, witnesses", [
+    (FIB, False, []),
+    (SUBS20.substitution("i12"), False, []),
+    (TM, True, []),
+    (Substitution.from_strings({"a": "ab", "b": "ab"}), True, [("a", "b")]),
+    (SUBS20.substitution("b20"), True, [("x1", "x7", "x17")]),
+], ids=["fib", "i12", "tm", "ab-ab", "b20"])
+def test_periodicity_scan_runs_unless_the_eigenvalue_rules_it_out(
+        sigma, scans, witnesses, monkeypatch):
+    """A primitive substitution with an irrational eigenvalue (Fibonacci,
+    i12) has no periodic point: no scan, no warning.  An integer eigenvalue
+    (Thue-Morse and a -> ab, b -> ab, both 2; the second is the orbit of
+    (ab)^oo) or a substitution that is not primitive (b20) keeps the scan
+    and its warnings."""
+    calls = []
+    scan = substitutions._periodic_witnesses
+    monkeypatch.setattr(substitutions, "_periodic_witnesses",
+                        lambda *args: calls.append(args) or scan(*args))
+    enum = ergodic_measures(sigma)
+    assert bool(calls) == scans
+    assert enum.warnings == [f"possible periodic word {w!r} in the subshift"
+                             for w in witnesses]
+
+
+@settings(max_examples=60)
+@given(expanding_substitutions())
+def test_substitutions_without_a_scan_are_aperiodic(sigma):
+    """Where the eigenvalue rules periodic points out, the language has more
+    than n factors of each length n up to 12, as an aperiodic subshift must
+    (Morse-Hedlund); every other substitution is scanned."""
+    spec = spectra.spectrum(sigma.incidence_matrix())
+    if len(sigma.alphabet) < 2 or spec.form.kinds != ("primitive",):
+        return
+    if substitutions._is_integer(spec.radii[0]):
+        assert spec.radii[0].compare(round(float(spec.radii[0]))) == 0
+        return
+    language = sigma.language(12)
+    for n in range(1, 13):
+        assert sum(len(w) == n for w in language) > n
 
 
 def test_classic_bridge_round_trip():

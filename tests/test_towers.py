@@ -10,12 +10,14 @@ from ttm.dialects import to_short
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose, turns_of
 from ttm.maps import (
-    GraphMap, compose, identity_map, infinitely_legal_language, matmul,
+    GraphMap, compose, identity_map, infinitely_legal_language, is_expanding,
+    is_train_track, matmul,
 )
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
 from ttm.towers import (
-    StationaryTower, WeightTower, repetition_bound, weight_tower_from_vector,
+    RepetitionSearch, StationaryTower, WeightTower, repetition_bound,
+    weight_tower_from_vector,
 )
 
 from conftest import A, Abar, B, Bbar, measures_of, pullback_maps
@@ -31,7 +33,7 @@ def power(f, t):
 
 def path_image(tower, path, n):
     """The level-0 image of a level-n short-edge path, letter by letter."""
-    return tuple(tower.image_letter(se, n) for se in path)
+    return tuple(tower.word(e, n)[j] for e, j in path)
 
 
 def test_preconditions(rose2):
@@ -99,7 +101,7 @@ def test_level_graph_matches_virtual_structure(fib_setup):
         for k in range(tower.graph.n_edges):
             for i in range(sf.pieces[k]):
                 short = sf.piece_edge[(2 * k, i)]
-                assert sf.map.image(short) == (tower.image_letter((2 * k, i), n),)
+                assert sf.map.image(short) == (tower.word(2 * k, n)[i],)
 
 
 def image_at_level(tower, se, n, m):
@@ -121,8 +123,8 @@ def test_image_at_level(fib_setup):
             for j in range(len(tower.word(e, n))):
                 se = image_at_level(tower, (e, j), n, m)
                 # mapping down to level 0 in two hops agrees with one hop
-                letter_direct = tower.image_letter((e, j), n)
-                letter_via = tower.image_letter(se, m)
+                letter_direct = tower.word(e, n)[j]
+                letter_via = tower.word(se[0], m)[se[1]]
                 assert letter_direct == letter_via
 
 
@@ -420,7 +422,7 @@ def _level_preimages(tower, path, m, n):
         if idx == len(path):
             out.append(tuple(prefix))
             return
-        for nxt in tower.successors(prefix[-1], n):
+        for nxt in successors(tower, prefix[-1], n):
             if image_at_level(tower, nxt, n, m) == path[idx]:
                 prefix.append(nxt)
                 extend(prefix, idx + 1)
@@ -499,39 +501,75 @@ def test_repetition_bound_witness(rose2):
 
 @pytest.mark.parametrize("cap", [0, 2])
 def test_repetition_bound_searches_each_radius_once(monkeypatch, cap):
-    """A failed search reports the witness of its last radius, the cap,
-    without running the costliest radius again."""
+    """A failed search scans each radius 0..cap once, builds no window
+    twice, asks the language for no window longer than the cap's, and
+    reports the first violation of the full scan at the cap."""
     g = rose(3, ("a", "b", "c"))
     a, b, c = 0, 2, 4
-    tower = StationaryTower(GraphMap(g, g, [0], [(c,), (c,), (a, b, c)]))
-    radii = []
-    search = ttm.towers._violating_pair
+    f = GraphMap(g, g, [0], [(c,), (c,), (a, b, c)])
+    radii, built, lengths = [], [], []
+    scan, extend = ttm.towers._first_violation, ttm.towers._extend
 
-    def counting(tower, n, rho):
-        radii.append(rho)
-        return search(tower, n, rho)
+    def recording(windows, k, tables, members):
+        for w in extend(windows, k, tables, members):
+            built.append(w[0])
+            yield w
 
-    monkeypatch.setattr(ttm.towers, "_violating_pair", counting)
-    r = repetition_bound(tower, 1, cap)
-    assert not r.found and r.witness is not None
+    monkeypatch.setattr(ttm.towers, "_first_violation",
+                        lambda windows, rho: radii.append(rho) or scan(windows, rho))
+    monkeypatch.setattr(ttm.towers, "_extend", recording)
+    paths_of_length = f.legal.paths_of_length
+    f.legal.paths_of_length = lambda k, longest: (
+        lengths.append((k, longest)) or paths_of_length(k, longest))
+    r = repetition_bound(StationaryTower(f), 1, cap)
+    assert not r.found
     assert radii == list(range(cap + 1))
-    assert r.witness == search(tower, 1, cap)
+    assert len(built) == len(set(built)) and (cap == 0 or built)
+    assert max(lengths) == (2 * cap + 1, 2 * cap + 1)
+    assert {longest for _, longest in lengths} == {2 * cap + 1}
+    assert r.witness == windows_violating_pair(StationaryTower(f), 1, cap)
 
 
-def test_repetition_bound_legal_mode(monkeypatch, fib_setup):
+def test_repetition_bound_legal_mode(fib_setup):
     """A stricter search over every window with a reduced image quantifies
     over more windows, so its bound is at least the infinitely legal one."""
     tower = fib_setup[0]
     weak = repetition_bound(tower, 1, 7)
-    with monkeypatch.context() as m:
-        m.setattr(ttm.towers, "_violating_pair",
-                  lambda tower, n, rho: windows_violating_pair(tower, n, rho, False))
-        strict = repetition_bound(StationaryTower(tower.f), 1, 7)
+    strict = reference_repetition_bound(StationaryTower(tower.f), 1, 7, False)
     assert strict.found and weak.found
     assert strict.bound >= weak.bound
+    assert weak == reference_repetition_bound(StationaryTower(tower.f), 1, 7)
 
 
 # -- pruned window scan vs the full window scan -------------------------------------------
+
+
+def successors(tower, se, n):
+    """Level-n short edges that can follow ``se`` on a reduced path."""
+    e, j = se
+    if j + 1 < len(tower.word(e, n)):
+        return [(e, j + 1)]
+    v = tower.graph.terminal(e)
+    return [(d, 0) for d in tower.graph.directions_at(v) if d != e ^ 1]
+
+
+def reverse_short(tower, se, n):
+    e, j = se
+    return (e ^ 1, len(tower.word(e, n)) - 1 - j)
+
+
+def reference_windows(tower, center, radius, n):
+    """Every reduced level-n path of length 2 radius + 1 centred on the
+    short edge, lefts and rights grown separately, each one edge out at a
+    time, then paired."""
+    lefts = [()]
+    for _ in range(radius):
+        lefts = [(reverse_short(tower, q, n),) + p for p in lefts
+                 for q in successors(tower, reverse_short(tower, p[0] if p else center, n), n)]
+    rights = [()]
+    for _ in range(radius):
+        rights = [p + (q,) for p in rights for q in successors(tower, p[-1] if p else center, n)]
+    return [l + (center,) + r for l in lefts for r in rights]
 
 
 def windows_violating_pair(tower, n, rho, infinitely_legal=True):
@@ -541,7 +579,7 @@ def windows_violating_pair(tower, n, rho, infinitely_legal=True):
     legal = backward_pullbacks(tower.f).is_infinitely_legal
     seen = {}
     for center in tower.short_edges(n):
-        for w in tower.windows(center, rho, n):
+        for w in reference_windows(tower, center, rho, n):
             img = path_image(tower, w, n)
             if not is_reduced(img):
                 continue
@@ -553,10 +591,54 @@ def windows_violating_pair(tower, n, rho, infinitely_legal=True):
     return None
 
 
+def reference_repetition_bound(tower, n, cap, infinitely_legal=True,
+                               scan=windows_violating_pair):
+    """Reference search: the full scan at each radius 0..cap in turn."""
+    for rho in range(cap + 1):
+        witness = scan(tower, n, rho, infinitely_legal)
+        if witness is None:
+            return RepetitionSearch(level=n, cap=cap, bound=rho)
+    return RepetitionSearch(level=n, cap=cap, witness=witness)
+
+
+def signed_roses(seed, count):
+    """Expanding train track self-maps of the 2- and 3-petal roses, each
+    image a reduced word of 1-3 petals in either orientation.  Only maps
+    whose level-2 edges all have at least three short edges are kept: the
+    full reference scan enumerates every reduced window, and windows that
+    cross the vertex at most a few times keep it under a few seconds."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(2, 3)
+        g = rose(k, tuple("abc"[:k]))
+        images = []
+        while len(images) < k:
+            w = tuple(rng.randrange(2 * k) for _ in range(rng.randint(1, 3)))
+            if is_reduced(w):
+                images.append(w)
+        f = GraphMap(g, g, [0], images)
+        if (is_train_track(f)[0] and is_expanding(f)
+                and StationaryTower(f).minlength(2) >= 3):
+            out.append(f)
+    return out
+
+
 PULLBACK_MAPS = pullback_maps()
 # the windows of q2 (and of red at level 1) multiply so fast per radius that
 # their caps stop where the full reference scan still takes under a second
 WINDOW_CAPS = {"q2": 3, "red": 6}
+
+
+def test_windows_are_the_reference_windows():
+    """The tower's windows are every reduced window, in the reference order."""
+    for name, f in PULLBACK_MAPS:
+        tower = StationaryTower(f)
+        for n in range(3):
+            for center in tower.short_edges(n):
+                for rho in range(3):
+                    assert tower.windows(center, rho, n) == reference_windows(
+                        tower, center, rho, n), (name, n, center, rho)
 
 
 @pytest.mark.parametrize("name,f,query", [
@@ -576,21 +658,35 @@ def test_legal_windows_are_the_reduced_windows_in_order(name, f, query):
     for n in range(3):
         for center in tower.short_edges(n):
             for rho in range(3):
-                want = [(w, path_image(tower, w, n)) for w in tower.windows(center, rho, n)]
+                want = [(w, path_image(tower, w, n))
+                        for w in reference_windows(tower, center, rho, n)]
                 want = [(w, img) for w, img in want if is_reduced(img)]
                 want = [(w, img) for w, img in want if legal(img)]
                 assert list(tower.legal_windows(center, rho, n)) == want
 
 
 @pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
-def test_pruned_repetition_search_equals_full_scan(monkeypatch, name, f):
+def test_pruned_repetition_search_equals_full_scan(name, f):
     """Bound and witness agree with the full window scan at levels 0-3 and
     every cap up to 8."""
     tower, reference = StationaryTower(f), StationaryTower(f)
     for n in range(4):
         for cap in range(WINDOW_CAPS.get(name, 8) + 1):
             got = repetition_bound(tower, n, cap)
-            with monkeypatch.context() as m:
-                m.setattr(ttm.towers, "_violating_pair", windows_violating_pair)
-                want = repetition_bound(reference, n, cap)
-            assert got == want, (n, cap)
+            assert got == reference_repetition_bound(reference, n, cap), (n, cap)
+
+
+def test_repetition_search_equals_full_scan_on_signed_roses():
+    """Bound and witness agree with the full window scan on 100 seeded maps,
+    at levels 0-2 and caps 0-5, with bounds found and not found."""
+    outcomes = set()
+    for f in signed_roses(3, 100):
+        tower, reference = StationaryTower(f), StationaryTower(f)
+        scan = functools.cache(windows_violating_pair)    # each radius once per level
+        for n in range(3):
+            for cap in range(6):
+                got = repetition_bound(tower, n, cap)
+                want = reference_repetition_bound(reference, n, cap, scan=scan)
+                assert got == want, (f, n, cap)
+                outcomes.add(got.found)
+    assert outcomes == {True, False}
