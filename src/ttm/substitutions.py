@@ -17,19 +17,20 @@ the eigenvector coordinates, read off the eigenpair; ``ergodic_measures``
 adds its preconditions and a bounded periodicity scan, run unless the
 eigenvalue of a primitive substitution rules periodic points out.  A word's
 cylinder value is the value of its positive path (``SubshiftMeasure.value``),
-from an evaluator built on the enumeration's one tower at the first such
-value.
+from an evaluator built at the first such value on ``Substitution.tower``,
+the one tower that every measure of the substitution shares.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import maps, spectra
-from .errors import PreconditionError
-from .graphs import is_positive, rose, subpaths_up_to
+from .errors import PathError, PreconditionError
+from .graphs import is_positive, rose
 from .measures import KolmogorovFunction, eigenvector_measure, split_at_one
 from .towers import StationaryTower
 
@@ -81,6 +82,12 @@ class Substitution:
         eimg = tuple(word_to_path(self, w) for w in self.images)
         return maps.GraphMap(g, g, [0], eimg, name="subst")
 
+    @cached_property
+    def tower(self) -> StationaryTower:
+        """The stationary tower of the rose map, shared by every measure of
+        the substitution (built on first use)."""
+        return StationaryTower(self.rose_map)
+
     def incidence_matrix(self):
         return self.rose_map.transition_matrix()
 
@@ -90,17 +97,18 @@ class Substitution:
 
     def language(self, max_length: int):
         """All factors of length <= max_length of the iterated letter images:
-        the factors of the image windows of the rose map, read as words."""
-        if not self.is_expanding():
-            raise PreconditionError("language needs an expanding substitution")
-        found = set()
-        for p in maps.image_windows(self.rose_map, self.rose_map.edge_image, max_length):
-            found |= subpaths_up_to(path_to_word(self, p), max_length)
-        return frozenset(found)
+        the positive paths of the rose map's used language, read as words."""
+        lang = maps.used_language(self.rose_map, max_length)
+        return frozenset(path_to_word(self, p) for p in lang if is_positive(p[0]))
 
 
 def word_to_path(sigma: Substitution, word):
-    return tuple(2 * sigma.index(x) for x in word)
+    """The positive path of a word (raises on letters outside the alphabet)."""
+    try:
+        return tuple(2 * sigma.index(x) for x in word)
+    except ValueError:
+        bad = next(x for x in word if x not in sigma.alphabet)
+        raise PathError(f"word uses unknown letter {bad!r}") from None
 
 
 def path_to_word(sigma: Substitution, path):
@@ -118,11 +126,10 @@ class SubshiftMeasure:
     """A shift-invariant probability measure on the substitution subshift,
     evaluated on cylinders of finite words.  Its letter frequencies are the
     eigenvector coordinates; the cylinder evaluator, with its certified
-    weight tower, is built on ``tower`` at the first cylinder value."""
+    weight tower, is built on ``sigma.tower`` at the first cylinder value."""
 
     sigma: Substitution
     eigenpair: spectra.Eigenpair
-    tower: StationaryTower
 
     @property
     def eigenvalue(self):
@@ -130,7 +137,7 @@ class SubshiftMeasure:
 
     @cached_property
     def kolmogorov(self) -> KolmogorovFunction:
-        return eigenvector_measure(self.tower, self.eigenpair.vector, self.eigenpair.value)
+        return eigenvector_measure(self.sigma.tower, self.eigenpair.vector, self.eigenpair.value)
 
     def value(self, word):
         """Measure of the cylinder of a finite word."""
@@ -164,7 +171,8 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     warns about small periodic witnesses instead of silently assuming
     aperiodicity, which is not decided here.  Distinguished
     eigenvalues at or below one are reported in ``skipped``, never dropped
-    silently.
+    silently.  No tower is built here: each measure builds its evaluator, on
+    the substitution's one tower, at its first cylinder value.
     """
     if len(sigma.alphabet) < 2:
         raise PreconditionError(
@@ -178,9 +186,8 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
     warnings = [f"possible periodic word {w!r} in the subshift"
                 for w in ([] if aperiodic else _periodic_witnesses(sigma, PERIODICITY_SCAN))]
     above, skipped = split_at_one(spec.distinguished)
-    tower = StationaryTower(sigma.rose_map) if above else None
     return ErgodicEnumeration(
-        measures=[SubshiftMeasure(sigma, p, tower) for p in above],
+        measures=[SubshiftMeasure(sigma, p) for p in above],
         skipped=skipped, block_form=spec.form, warnings=warnings)
 
 
@@ -191,34 +198,18 @@ def _is_integer(root) -> bool:
 
 
 def _periodic_witnesses(sigma: Substitution, bound: int):
-    """Primitive words w of length <= bound whose periodic biinfinite repeat
-    looks like a subshift point at the scanned factor depth."""
+    """The least rotations of the primitive words w of length <= bound whose
+    periodic repeat has all its factors of length depth = 2 bound + 2 in the
+    language, that is, among the image windows of that length.  By Fine and
+    Wilf a window of w^oo has least period |w| and starts with a rotation of
+    w; a primitive w has |w| such windows, so w passes if its class counts |w|."""
     if bound <= 0:
         return []
     depth = 2 * bound + 2
-    # a length-depth factor lies in an image window of length <= depth, so
-    # it is that window: the windows of length depth are all such factors
-    windows = maps.image_windows(sigma.rose_map, sigma.rose_map.edge_image, depth)
-    lang = {path_to_word(sigma, p) for p in windows if len(p) == depth}
-    # a witness is a prefix of its first window, so the prefixes of the
-    # windows up to the bound are all the candidates
-    candidates = {w[:k] for w in lang for k in range(1, bound + 1)}
-    out = []
-    seen_rotations = set()
-    for w in sorted(candidates):
-        if w in seen_rotations or not _is_primitive_word(w):
-            continue
-        repeated = w * ((depth // len(w)) + 2)
-        if all(repeated[i:i + depth] in lang for i in range(len(w))):
-            out.append(w)
-            for r in range(len(w)):
-                seen_rotations.add(w[r:] + w[:r])
-    return out
-
-
-def _is_primitive_word(w) -> bool:
-    for p in range(1, len(w)):
-        if len(w) % p == 0 and w == w[:p] * (len(w) // p):
-            return False
-    return True
-
+    classes = Counter()
+    for u in maps.image_windows(sigma.rose_map, sigma.rose_map.edge_image, depth):
+        if len(u) == depth:
+            k = next((k for k in range(1, bound + 1) if u[k:] == u[:-k]), 0)
+            if k:
+                classes[min(path_to_word(sigma, u[i:k] + u[:i]) for i in range(k))] += 1
+    return sorted(w for w, n in classes.items() if n == len(w))

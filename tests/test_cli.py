@@ -189,11 +189,12 @@ def test_ergodic(fib_file, capsys):
 
 def test_ergodic_builds_no_weight_tower(fib_file, capsys, monkeypatch):
     """The frequencies are the certified eigenvectors' coordinates: printing
-    them builds no weight tower and no cylinder evaluator."""
+    them builds no stationary tower, no weight tower and no cylinder
+    evaluator."""
     built = []
-    init = WeightTower.__init__
-    monkeypatch.setattr(WeightTower, "__init__",
-                        lambda self, *args: built.append(args) or init(self, *args))
+    for cls in (StationaryTower, WeightTower):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__:
+                            built.append(type(self)) or init(self, *args))
     code, out, err = run(capsys, "ergodic", fib_file, "--subst", "three")
     assert (code, err) == (0, "") and len(json.loads(out)["measures"]) == 2
     assert built == []
@@ -591,7 +592,9 @@ def test_table_row_count_is_exact(capsys, monkeypatch):
 ], ids=lambda argv: argv[0])
 def test_one_direction_analysis_per_command(fib_file, capsys, monkeypatch, argv):
     """Every layer of a command reads the one ``GraphMap.directions`` of its
-    map: the train track test, the tower, its weights and the legal seeds."""
+    map: the train track test, the tower, its weights and the legal seeds.
+    ``ergodic`` builds none: a positive rose map needs no train track test,
+    and it reads no tower."""
     built = []
     init = DirectionAnalysis.__init__
 
@@ -602,4 +605,4 @@ def test_one_direction_analysis_per_command(fib_file, capsys, monkeypatch, argv)
     monkeypatch.setattr(DirectionAnalysis, "__init__", counting_init)
     code, _, err = run(capsys, argv[0], fib_file, *argv[1:])
     assert (code, err) == (0, "")
-    assert len(built) == 1
+    assert len(built) == (0 if argv[0] == "ergodic" else 1)

@@ -41,7 +41,7 @@ REMOVED_NAMES = {
                  "BlowUp.turn_of_local", "blowup_isomorphism", "keyed_edge_bijection",
                  "maps_equal_via", "BlowUp.check_structure", "ShortForm.base_map",
                  "ShortForm.parent", "LongForm.base"},
-    "substitutions": {"to_train_track"},
+    "substitutions": {"to_train_track", "_is_primitive_word", "SubshiftMeasure.tower"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",

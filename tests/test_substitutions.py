@@ -8,14 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ttm.intervals as ia
 from ttm import maps, spectra, substitutions
-from ttm.errors import PreconditionError
+from ttm.errors import PathError, PreconditionError
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, image_windows, used_language
 from ttm.measures import MeasureTable, eigen_measures, verify_eigen_measure, verify_kolmogorov
 from ttm.spectra import is_primitive
 from ttm.textio import parse
 from ttm.substitutions import (
-    PERIODICITY_SCAN, Substitution, _is_primitive_word, _periodic_witnesses,
+    PERIODICITY_SCAN, Substitution, _periodic_witnesses,
     ergodic_measures, path_to_word, word_to_path,
 )
 
@@ -77,23 +77,44 @@ def rescan_language(sigma, max_length):
         current = new
 
 
-def enumerating_witnesses(sigma, bound):
-    """Reference periodic scan over every alphabet word up to ``bound``."""
-    depth = 2 * bound + 2
-    lang = sigma.language(depth)
-    words, candidates = [()], []
-    for _ in range(bound):
-        words = [w + (x,) for w in words for x in sigma.alphabet]
-        candidates.extend(words)
+def is_primitive_word(w) -> bool:
+    """Is ``w`` no power of a shorter word?"""
+    return not any(len(w) % p == 0 and w == w[:p] * (len(w) // p)
+                   for p in range(1, len(w)))
+
+
+def scan_candidates(lang, candidates, depth):
+    """The primitive candidates whose repeat has every length-``depth``
+    window in ``lang``, one per rotation class (the least, in sorted order)."""
     out, seen_rotations = [], set()
     for w in sorted(candidates):
-        if w in seen_rotations or not _is_primitive_word(w):
+        if w in seen_rotations or not is_primitive_word(w):
             continue
         repeated = w * ((depth // len(w)) + 2)
         if all(repeated[i:i + depth] in lang for i in range(len(w))):
             out.append(w)
             seen_rotations.update(w[r:] + w[:r] for r in range(len(w)))
     return out
+
+
+def enumerating_witnesses(sigma, bound):
+    """Reference periodic scan over every alphabet word up to ``bound``."""
+    depth = 2 * bound + 2
+    words, candidates = [()], []
+    for _ in range(bound):
+        words = [w + (x,) for w in words for x in sigma.alphabet]
+        candidates.extend(words)
+    return scan_candidates(sigma.language(depth), candidates, depth)
+
+
+def prefix_witnesses(sigma, bound):
+    """Reference periodic scan over the prefixes, up to ``bound`` letters, of
+    the length-depth windows: a witness is a prefix of its first window."""
+    depth = 2 * bound + 2
+    windows = image_windows(sigma.rose_map, sigma.rose_map.edge_image, depth)
+    lang = {path_to_word(sigma, p) for p in windows if len(p) == depth}
+    candidates = {w[:k] for w in lang for k in range(1, bound + 1)}
+    return scan_candidates(lang, candidates, depth)
 
 
 @st.composite
@@ -147,6 +168,25 @@ def test_rose_map_is_built_on_first_use():
 @given(expanding_substitutions(), st.integers(1, 4))
 def test_periodic_scan_equals_alphabet_enumeration(sigma, bound):
     assert _periodic_witnesses(sigma, bound) == enumerating_witnesses(sigma, bound)
+
+
+@pytest.mark.parametrize("name", ["subs20", "periodic"])
+def test_periodic_scan_equals_prefix_scan_on_data_files(name):
+    """On the substitutions of the data files, and on their other rose maps
+    with positive images read as substitutions, the one pass over the
+    periodic windows finds the witnesses of the candidate-prefix scan.  The
+    12- and 20-letter ones are beyond the 2-5 letter strategy above."""
+    doc = parse((Path(__file__).resolve().parent / "data" / f"{name}.tt").read_text())
+    substs = list(doc.substitutions.values())
+    for map_name, (f, *_) in doc.maps.items():
+        labels = f.domain.edge_labels
+        if map_name not in doc.substitutions and all(e % 2 == 0 for p in f.edge_image for e in p):
+            substs.append(Substitution(labels, tuple(tuple(labels[e >> 1] for e in p)
+                                                     for p in f.edge_image)))
+    assert len(substs) == {"subs20": 2, "periodic": 1}[name]
+    for sigma in substs:
+        for bound in range(1, 6):
+            assert _periodic_witnesses(sigma, bound) == prefix_witnesses(sigma, bound), bound
 
 
 @settings(max_examples=40)
@@ -434,3 +474,14 @@ def test_path_word_round_trip():
     assert path_to_word(FIB, word_to_path(FIB, w)) == w
     with pytest.raises(PreconditionError):
         path_to_word(FIB, (A, Bbar))
+
+
+def test_unknown_letter_is_a_path_error():
+    """A word with a letter outside the alphabet is refused with a package
+    error naming the letter, by the path translation and by the cylinder
+    value alike."""
+    with pytest.raises(PathError, match="unknown letter 'z'"):
+        word_to_path(FIB, ("a", "z", "b"))
+    mu = ergodic_measures(FIB).measures[0]
+    with pytest.raises(PathError, match="unknown letter 'z'"):
+        mu.value(("z",))
