@@ -17,8 +17,8 @@ from .graphs import (
     Graph, inverse, is_reduced, make_turn, reverse_path, rose, turns_of,
 )
 from .maps import (
-    DirectionAnalysis, GraphMap, compose, identity_map, infinitely_legal_language,
-    is_expanding, is_homotopy_equivalence, is_train_track, used_language,
+    DirectionAnalysis, GraphMap, compose, identity_map, is_expanding,
+    is_homotopy_equivalence, is_train_track, used_language,
 )
 from .measures import (
     FrequencyOracle, KolmogorovFunction, MeasureTable, eigen_measures,

@@ -10,9 +10,10 @@ Self-map analysis works through the direction map ``Df`` (an edge goes to the
 first edge of its image).  A turn is *legal* when no ``Df`` iterate makes it
 degenerate; eventually periodic direction orbits decide this by a finite
 walk.  The map owns its analyses, each built once, on first use: the
-memoised orbits (``GraphMap.directions``), read by the train track test, the
-legal seeds and the towers, and the infinitely legal language
-(``GraphMap.legal``), read by the truncations, tower windows and tables.
+memoised orbits (``GraphMap.directions``), read by the train track test and
+the towers, and the used language (``GraphMap.legal``), the subpaths of
+iterated edge images, read by ``used_language``, the tower windows, the
+repetition search and the support tables.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from functools import cached_property
 
 from .errors import MapError, PreconditionError
 from .graphs import (
-    Graph, inverse, is_reduced, make_turn, is_degenerate, reverse_path,
-    subpaths_up_to, turns_of,
+    Graph, inverse, is_reduced, make_turn, is_degenerate, reverse_path, turns_of,
 )
 
 
@@ -80,7 +80,8 @@ class GraphMap:
 
     @cached_property
     def legal(self) -> LegalPullbacks:
-        """The infinitely legal language of this self-map, built on first use."""
+        """The used language of this self-map (the lamination's), built on
+        first use."""
         return LegalPullbacks(self)
 
     def map_path(self, path):
@@ -525,79 +526,50 @@ def image_windows(f: GraphMap, starts, max_length: int):
 
 def used_language(f: GraphMap, max_length: int) -> frozenset:
     """Reduced paths of length <= max_length occurring as subpaths of some
-    iterated edge image: the subpaths of the windows of the positive edge
-    images and their reversals (the image of a reversed path is the reversed
-    image).  Needs an expanding train track map (iterated images of other
-    maps need not be reduced)."""
-    require_expanding_train_track(f)
-    paths = set()
-    for w in image_windows(f, f.edge_image, max_length):
-        paths |= subpaths_up_to(w, max_length)
-    return frozenset(paths | {reverse_path(p) for p in paths})
-
-
-def legal_seeds(f: GraphMap):
-    """The infinitely legal paths of length <= 2: the legal ones that remain
-    when every path that is no factor of the image of a kept path is
-    dropped, until none is.  A kept path lies in a k-th iterate image of a
-    legal path for every k; and a member has a minimal cover (a path whose
-    image holds it touching the first and last block) among the members, no
-    longer than itself, so no member is dropped."""
-    kept = {p for p in f.domain.reduced_paths(2)
-            if all(map(f.directions.is_legal, turns_of(p)))}
-    while True:
-        covered = set().union(*(subpaths_up_to(f.map_path(p), 2) for p in kept))
-        if kept <= covered:
-            return frozenset(kept)
-        kept &= covered
+    iterated edge image, the finite language of the attracting lamination:
+    the members of lengths 1 to max_length of ``f.legal``, the longest first
+    (one fixpoint).  Needs an expanding train track map (iterated images of
+    other maps need not be reduced)."""
+    return frozenset().union(*map(f.legal.paths_of_length, range(max_length, 0, -1)))
 
 
 class LegalPullbacks:
-    """Infinite legality, read off the image windows of the seeds.
+    """The used language of a self-map (see :func:`used_language`), one
+    window fixpoint for every length.
 
-    The image of an infinitely legal path is infinitely legal, so the
-    windows of :func:`legal_seeds` stay in the language.  Conversely a
-    member has a minimal cover among the members, no longer than itself, and
-    a chain of such covers cannot cycle through a path of length >= 3 (the
-    iterate images of an interior edge would stay inside it, against
-    expansion), so it reaches a seed.  A member of length n therefore lies
-    in a window of ``image_windows(f, seeds, n)``, and is that window.
+    The windows ``image_windows(f, f.edge_image, N)``, at the longest length
+    N asked for so far, answer every length n <= N: their length-n factors
+    are the length-n subpaths of the iterated positive edge images, and
+    their reversals those of the reversed edges.  The windows shorter than
+    N count too: they are whole images, such as the image of an edge that
+    occurs in no image, which need not be a factor of a longer window.
 
-    One window fixpoint, at the longest length N asked for so far, answers
-    every length n <= N by the length-n factors of its members: a member
-    lies in arbitrarily long iterate images of seeds, so it extends inside
-    the language to any longer length.
-    Read it as ``f.legal``.  The name is that of the backward cover search
-    this replaced: the benchmark tracer (``bench/tracer.py``) times
-    ``LegalPullbacks.is_infinitely_legal`` by it.
+    Read it as ``f.legal``.  The class and ``is_infinitely_legal`` keep the
+    names of the infinitely legal language that this replaced (a larger
+    one, on which every measure vanishes off this one): the benchmark
+    tracer (``bench/tracer.py``) times ``LegalPullbacks.is_infinitely_legal``
+    by them.
     """
 
     def __init__(self, f: GraphMap):
         require_expanding_train_track(f)
         self.f = weakref.proxy(f)    # f owns this (f.legal): no reference cycle
-        self.seeds = legal_seeds(f)
         self.built = 0               # the length of the fixpoint built so far
+        self._windows = set()
         self._by_length = {}
 
     def paths_of_length(self, n: int, longest: int = None):
-        """The infinitely legal paths of length n.  Past the built length N
-        the fixpoint is rebuilt at ``max(n, min(2 N, longest))``, so a
-        caller that will ask up to ``longest`` (default n) gets few builds."""
+        """The used paths of length n.  Past the built length N the fixpoint
+        is rebuilt at ``max(n, min(2 N, longest))``, so a caller that will
+        ask up to ``longest`` (default n) gets few builds."""
         if n > self.built:
             self.built = max(n, min(2 * self.built, longest or n))
-            self._by_length[self.built] = frozenset(
-                w for w in image_windows(self.f, self.seeds, self.built) if len(w) == self.built)
+            self._windows = image_windows(self.f, self.f.edge_image, self.built)
         if n not in self._by_length and n > 0:
-            self._by_length[n] = frozenset(w[i:i + n] for w in self._by_length[self.built]
-                                           for i in range(self.built - n + 1))
+            paths = {w[i:i + n] for w in self._windows for i in range(len(w) - n + 1)}
+            self._by_length[n] = frozenset(paths | set(map(reverse_path, paths)))
         return self._by_length.get(n, frozenset())
 
     def is_infinitely_legal(self, path) -> bool:
+        """Is the path in the used language?"""
         return tuple(path) in self.paths_of_length(len(path))
-
-
-def infinitely_legal_language(f: GraphMap, max_length: int) -> frozenset:
-    """Truncation of the language of paths that are subpaths of arbitrarily
-    high iterate images of legal paths: the members of lengths 1 to
-    max_length, read off ``f.legal``, the longest first (one fixpoint)."""
-    return frozenset().union(*map(f.legal.paths_of_length, range(max_length, 0, -1)))

@@ -75,7 +75,7 @@ from .errors import IncompleteTableError, PathError, PreconditionError
 from .graphs import (
     Graph, inverse, is_reduced, make_turn, reverse_path, subpaths_up_to,
 )
-from .maps import GraphMap, infinitely_legal_language, search_covers
+from .maps import GraphMap, search_covers, used_language
 from .towers import (
     StationaryTower, WeightTower, eigen_data, repetition_bound, weight_tower_from_vector,
 )
@@ -178,10 +178,10 @@ class KolmogorovFunction:
         return value
 
     def support_table(self, max_length: int) -> "MeasureTable":
-        """Table over the infinitely legal language truncation only; paths
-        outside it have measure zero and stay implicit, which keeps long
-        tables linear in the language size."""
-        lang = infinitely_legal_language(self.tower.f, max_length)
+        """Table over the used language truncation only (``used_language``,
+        the lamination's); paths outside it have measure zero and stay
+        implicit, which keeps long tables linear in the language size."""
+        lang = used_language(self.tower.f, max_length)
         entries = {p: self.eval(p) for p in lang}
         return MeasureTable(self.graph, entries, max_length)
 
@@ -455,8 +455,10 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
 def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: int):
     """Reconstruct the level-m short-edge weights from measured cylinder
     values: the weight of a short edge is the sum of the table values over
-    the *distinct* infinitely legal images of the radius-rho windows centred
-    on it (identical images from different windows are counted once).
+    the *distinct* images of the radius-rho windows centred on it that lie
+    in the used language (``legal_windows``; identical images from different
+    windows are counted once).  Every measure is zero off that language, so
+    the sum loses nothing.
 
     ``rho`` must be at least the level's repetition bound, otherwise windows
     centred on different edges can read the same word and the sums

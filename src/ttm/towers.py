@@ -124,11 +124,12 @@ class StationaryTower:
         return [w for w, _ in self._grown(center, radius, n, None)]
 
     def legal_windows(self, center, radius: int, n: int):
-        """The windows of ``windows(center, radius, n)`` whose image is
-        infinitely legal, in the same order, as ``(window, image)`` pairs.
-        They grow one short edge on each side at a time, and only while
-        their image stays infinitely legal: the infinitely legal paths are
-        closed under subpaths, so a window that leaves them never returns."""
+        """The windows of ``windows(center, radius, n)`` whose image lies in
+        the used language (``f.legal``, the subpaths of iterated edge
+        images), in the same order, as ``(window, image)`` pairs.  They grow
+        one short edge on each side at a time, and only while their image
+        stays in it: the language is closed under subpaths, so a window that
+        leaves it never returns."""
         return self._grown(center, radius, n, self.f.legal)
 
     def _grown(self, center, radius, n, legal):
@@ -257,13 +258,13 @@ def repetition_bound(tower: StationaryTower, n: int, cap: int) -> RepetitionSear
     windows of length 2 rho + 1 with the same image pin the same middle
     (oriented) short edge.
 
-    Windows range over the level-n paths whose image is infinitely legal,
-    in ``legal_windows`` order, centre by centre.  Each radius is scanned
-    only up to its first violation, the witness at the cap.  The windows of
-    radius rho + 1 extend those of radius rho lazily, as the scan asks for
-    them, and reuse the ones the scan of rho built, so no window is built
-    twice.  The language is asked for lengths up to ``2 cap + 1``, and
-    built geometrically towards it.
+    Windows range over the level-n paths whose image lies in the used
+    language (``f.legal``), in ``legal_windows`` order, centre by centre.
+    Each radius is scanned only up to its first violation, the witness at
+    the cap.  The windows of radius rho + 1 extend those of radius rho
+    lazily, as the scan asks for them, and reuse the ones the scan of rho
+    built, so no window is built twice.  The language is asked for lengths
+    up to ``2 cap + 1``, and built geometrically towards it.
     """
     if cap < 0:
         raise PreconditionError(f"the radius cap must be at least 0 (got {cap})")

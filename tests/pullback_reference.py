@@ -1,17 +1,41 @@
-"""The backward decision of infinite legality, kept as a test reference.
+"""Two test references for the languages of a self-map.
 
-``BackwardPullbacks`` decides whether a path is infinitely legal by pulling
-it back through minimal covers until it reaches a pullback cycle, the way
-``ttm.maps.LegalPullbacks`` did before infinite legality was read off the
-forward image windows.  It shares nothing with the forward decision but the
-map's cover start index (``GraphMap.cover_starts``) and reduced successor
-table, so the equivalence tests compare two independent routes.
+``rescan_used_language`` is the used language (the subpaths of iterated
+edge images, the one language of ``ttm.maps``) by a full rescan, which
+shares nothing with the window worklist but ``map_path``.
+
+``BackwardPullbacks`` decides whether a path is infinitely legal, a larger
+language that ``ttm.maps`` once kept: it pulls the path back through
+minimal covers until it reaches a pullback cycle.  It shares nothing with
+the library but the map's cover start index (``GraphMap.cover_starts``) and
+reduced successor table.  ``InfinitelyLegal`` puts it in the interface of
+``f.legal``, so the library's searches can run over the old language.
 """
 
 import functools
 
-from ttm.graphs import inverse, make_turn
+from ttm.graphs import inverse, make_turn, subpaths_up_to
 from ttm.maps import DirectionAnalysis, GraphMap, require_expanding_train_track
+
+
+def rescan_used_language(f: GraphMap, max_length: int) -> frozenset:
+    """Reference fixpoint over whole subpath sets: the subpaths of the images
+    of every oriented edge, then the subpaths of the image of each new
+    subpath, until no new subpath appears."""
+    found, new = set(), set()
+    for e in f.domain.oriented_edges:
+        new |= subpaths_up_to(f.image(e), max_length)
+    while new:
+        found |= new
+        new = set().union(*(subpaths_up_to(f.map_path(p), max_length) for p in new)) - found
+    return frozenset(found)
+
+
+@functools.cache
+def used_reference(f: GraphMap, length: int) -> frozenset:
+    """The rescanned used paths of exactly this length, once per map and
+    length."""
+    return frozenset(p for p in rescan_used_language(f, length) if len(p) == length)
 
 
 def search_legal_covers(f: GraphMap, successors, path):
@@ -101,21 +125,26 @@ class BackwardPullbacks:
         return dfs(path)
 
 
-def backward_language(pullbacks, max_length: int) -> frozenset:
-    """The infinitely legal paths of length 1 to max_length, by one-edge
-    extension: the language is closed under subpaths, so every member of
-    length l+1 extends a member of length l."""
-    g = pullbacks.f.domain
-    frontier = [(e,) for e in g.oriented_edges if pullbacks.is_infinitely_legal((e,))]
-    collected = set(frontier)
-    for _ in range(max_length - 1):
-        frontier = [p + (e1,) for p in frontier for e1 in g.extensions_right(p)
-                    if pullbacks.is_infinitely_legal(p + (e1,))]
-        collected.update(frontier)
-    return frozenset(collected)
+class InfinitelyLegal:
+    """The infinitely legal language in the interface of ``f.legal``:
+    ``paths_of_length`` by one-edge extension of the backward verdicts,
+    memoised per length, and ``is_infinitely_legal``.  The language is
+    closed under subpaths, so only the extensions whose last n edges are a
+    member of length n are decided.  Install it on a fresh map as
+    ``f.__dict__["legal"]`` to run a search over the old language."""
 
+    def __init__(self, f: GraphMap):
+        self.pullbacks = BackwardPullbacks(f)
+        self.is_infinitely_legal = self.pullbacks.is_infinitely_legal
+        g = f.domain
+        self._extensions = g.extensions_right
+        self._by_length = [frozenset(), frozenset(
+            (e,) for e in g.oriented_edges if self.is_infinitely_legal((e,)))]
 
-@functools.cache
-def backward_pullbacks(f: GraphMap) -> BackwardPullbacks:
-    """One shared reference per map, so its memos serve every query."""
-    return BackwardPullbacks(f)
+    def paths_of_length(self, n: int, longest: int = None) -> frozenset:
+        while len(self._by_length) <= n:
+            last = self._by_length[-1]
+            self._by_length.append(frozenset(
+                p + (e1,) for p in last for e1 in self._extensions(p)
+                if p[1:] + (e1,) in last and self.is_infinitely_legal(p + (e1,))))
+        return self._by_length[max(n, 0)]

@@ -28,7 +28,8 @@ REMOVED_DEPENDENCIES = {
 # parameters) that no command, benchmark job or tracer reached
 REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
-    "maps": {"power", "junction_turns", "infinitely_legal_language(pullbacks)"},
+    "maps": {"power", "junction_turns", "legal_seeds", "infinitely_legal_language",
+             "LegalPullbacks.seeds"},
     "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},

@@ -15,9 +15,8 @@ from ttm.graphs import (
 )
 from ttm.maps import (
     DirectionAnalysis, GraphMap, LegalPullbacks, compose, fundamental_group_images,
-    identity_map, image_windows, infinitely_legal_language, is_expanding,
-    is_homotopy_equivalence, is_train_track, legal_seeds, matmul,
-    subgroup_is_whole_group, used_language,
+    identity_map, image_windows, is_expanding, is_homotopy_equivalence,
+    is_train_track, matmul, subgroup_is_whole_group, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
 from ttm.textio import parse
@@ -26,7 +25,7 @@ from conftest import (
     A, Abar, B, Bbar, expanding_self_maps, laminary_violations, pullback_maps,
     random_graph, random_map, random_tame_maps, rose_map,
 )
-from pullback_reference import BackwardPullbacks, backward_language
+from pullback_reference import rescan_used_language
 
 
 def test_edge_image_of_inverse(fibonacci):
@@ -230,21 +229,6 @@ def test_used_language_f_invariant(fibonacci, thue_morse):
                 assert image in lang
 
 
-def rescan_used_language(f, max_length):
-    """Reference fixpoint: map the whole subpath set, from the images of
-    every oriented edge, until it stops growing."""
-    current = set()
-    for e in f.domain.oriented_edges:
-        current |= subpaths_up_to(f.image(e), max_length)
-    while True:
-        new = set(current)
-        for p in current:
-            new |= subpaths_up_to(f.map_path(p), max_length)
-        if new == current:
-            return frozenset(current)
-        current = new
-
-
 def test_used_language_equals_rescan():
     """The window worklist from the positive edges, closed under reversal,
     is the full-rescan fixpoint on expanding train track self-maps; maps that
@@ -275,14 +259,15 @@ def test_image_windows(fibonacci):
 
 
 def test_infinitely_legal(fibonacci, rose2):
+    """``f.legal`` is the map's one language, built once: its members are
+    the used language, so the diagonal pair a ~b / b ~a, infinitely legal
+    (its common turn is fixed by the direction map) but in no iterated edge
+    image, is not in it."""
     pb = fibonacci.legal
     assert isinstance(pb, LegalPullbacks) and pb is fibonacci.legal
-    lang = infinitely_legal_language(fibonacci, 2)
     used = used_language(fibonacci, 2)
-    assert used <= lang
-    # the difference at length 2 is exactly the diagonal pair a ~b / b ~a,
-    # whose common turn is fixed by the direction map
-    assert lang - used == {(A, Bbar), (B, Abar)}
+    assert {p for p in rose2.reduced_paths(2) if pb.is_infinitely_legal(p)} == used
+    assert not pb.is_infinitely_legal((A, Bbar)) and not pb.is_infinitely_legal((B, Abar))
     # unreduced paths never qualify
     assert not pb.is_infinitely_legal((A, Abar))
     # bb is legal (its one turn is) but lies in no image of a legal path
@@ -307,8 +292,9 @@ def test_a_map_and_its_analyses_make_no_reference_cycle():
 
 
 def test_infinitely_legal_f_invariant(fibonacci, thue_morse):
+    """On primitive maps the one language is laminary and closed under f."""
     for f in (fibonacci, thue_morse):
-        lang = infinitely_legal_language(f, 5)
+        lang = used_language(f, 5)
         assert laminary_violations(lang, 5, f.domain) == []
         for p in lang:
             image = f.map_path(p)
@@ -327,15 +313,17 @@ def language_maps():
 
 def test_shorter_lengths_are_the_factors_of_the_built_length():
     """One fixpoint at length 12 answers every length n <= 12 with the
-    length-n windows of the seeds, as a fixpoint at n would."""
+    length-n windows of the edge images and their reversals, as a fixpoint
+    at n would; among the maps are some with edges that occur in no image,
+    whose images are factors of no longer window."""
     maps = language_maps()
     assert len(maps) >= 50
     for f in maps:
         legal = LegalPullbacks(f)
         legal.paths_of_length(12)
         for n in range(12, 0, -1):
-            assert legal.paths_of_length(n) == frozenset(
-                w for w in image_windows(f, legal.seeds, n) if len(w) == n), (f, n)
+            windows = {w for w in image_windows(f, f.edge_image, n) if len(w) == n}
+            assert legal.paths_of_length(n) == windows | set(map(reverse_path, windows)), (f, n)
         assert legal.built == 12
 
 
@@ -357,7 +345,7 @@ def test_language_grows_geometrically_towards_the_longest_length(monkeypatch):
     assert built == [1, 3, 6, 12, 17, 19]
 
 
-# -- forward infinite legality vs the backward reference ------------------------------
+# -- the one language vs the rescan reference --------------------------------------------
 
 
 PULLBACK_MAPS = pullback_maps()
@@ -369,11 +357,13 @@ def membership_paths(g):
 
 
 def assert_forward_equals_backward(f, max_length):
-    forward, backward = f.legal, BackwardPullbacks(f)
+    """Membership in ``f.legal`` and the truncations ``used_language`` are
+    the full rescan of the subpath set (``rescan_used_language``)."""
+    reference = rescan_used_language(f, max_length)
     for p in membership_paths(f.domain):
-        assert forward.is_infinitely_legal(p) == backward.is_infinitely_legal(p), p
+        assert f.legal.is_infinitely_legal(p) == (p in reference), p
     for n in range(1, max_length + 1):
-        assert infinitely_legal_language(f, n) == backward_language(backward, n), n
+        assert used_language(f, n) == {p for p in reference if len(p) <= n}, n
 
 
 @functools.cache
@@ -385,9 +375,9 @@ def random_train_track_maps():
 
 
 def test_forward_legality_equals_backward_on_random_maps():
-    """Membership in the windows of the seeds is the backward pullback
-    verdict, and the forward languages are the backward ones up to length
-    7, on 27 random maps, 6 of them on graphs with more than one vertex."""
+    """The window fixpoint from the edge images is the rescanned language up
+    to length 7 on 27 random maps, 6 of them on graphs with more than one
+    vertex."""
     drawn = random_train_track_maps()
     assert (len(drawn), sum(f.domain.n_vertices > 1 for f in drawn)) == (27, 6)
     for f in drawn:
@@ -399,37 +389,12 @@ def test_forward_legality_equals_backward_on_named_maps(name, f):
     assert_forward_equals_backward(f, 9)
 
 
-def test_legal_seeds_are_the_short_infinitely_legal_paths():
-    """The seed iteration keeps exactly the backward verdicts among the legal
-    paths of length <= 2, and its result is a fixpoint: the factors of length
-    <= 2 of the images of the seeds are the seeds.  On q one pass is not
-    enough: it keeps paths that the later passes drop."""
-    q = dict(PULLBACK_MAPS)["q"]
-    for f in [f for _, f in PULLBACK_MAPS] + random_train_track_maps():
-        seeds = legal_seeds(f)
-        backward = BackwardPullbacks(f)
-        short = [p for p in f.domain.reduced_paths(2) if backward.is_infinitely_legal(p)]
-        assert seeds == frozenset(short)
-        images = set()
-        for p in seeds:
-            images |= subpaths_up_to(f.map_path(p), 2)
-        assert images == seeds
-    da = DirectionAnalysis(q)
-    legal = {p for p in q.domain.reduced_paths(2) if all(da.is_legal(t) for t in turns_of(p))}
-    one_pass = set()
-    for p in legal:
-        one_pass |= subpaths_up_to(q.map_path(p), 2)
-    assert len(legal) == 52
-    assert len(one_pass & legal) == 46
-    assert len(legal_seeds(q)) == 34
-
-
 def test_language_preconditions(rose2):
     non_expanding = GraphMap(rose2, rose2, [0], [(A, B), (B,)])
     with pytest.raises(PreconditionError):
         used_language(non_expanding, 3)
     with pytest.raises(PreconditionError):
-        infinitely_legal_language(non_expanding, 3)
+        non_expanding.legal
 
 
 def test_power(fibonacci):

@@ -6,9 +6,7 @@ import pytest
 import ttm.intervals as ia
 from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
-from ttm.maps import (
-    GraphMap, identity_map, infinitely_legal_language, search_covers, used_language,
-)
+from ttm.maps import GraphMap, identity_map, search_covers, used_language
 from ttm import maps, measures
 from ttm.measures import (
     FrequencyOracle, MeasureTable, VerificationReport, eigen_measures,
@@ -18,11 +16,12 @@ from ttm.measures import (
 
 from ttm.spectra import distinguished_eigenvectors
 from ttm.substitutions import Substitution, ergodic_measures
-from ttm.towers import StationaryTower, WeightTower
+from ttm.towers import StationaryTower, WeightTower, repetition_bound
 
 from conftest import (
     A, Abar, B, Bbar, measures_of, pullback_maps, rose_map,
 )
+from pullback_reference import InfinitelyLegal
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -98,27 +97,29 @@ def test_eval_linear_in_vector(fib_setup, golden_root):
 
 
 def test_one_map_builds_its_legal_language_once(monkeypatch):
-    """The infinitely legal language belongs to the map (``f.legal``): two
-    truncations, the legal windows of a tower and the support table of a
-    measure on another tower build the legal seeds once between them."""
-    built = []
-    seeds = maps.legal_seeds
-    monkeypatch.setattr(maps, "legal_seeds", lambda f: built.append(f) or seeds(f))
+    """The used language belongs to the map (``f.legal``): two truncations,
+    the legal windows of a tower and the support table of a measure on
+    another tower make one language between them, whose fixpoint is built
+    only at the two lengths that grew it."""
+    made, built = [], []
+    init, windows = maps.LegalPullbacks.__init__, maps.image_windows
+    monkeypatch.setattr(maps.LegalPullbacks, "__init__",
+                        lambda self, f: made.append(f) or init(self, f))
+    monkeypatch.setattr(maps, "image_windows",
+                        lambda f, starts, n: built.append(n) or windows(f, starts, n))
     f = rose_map("ab", "a")
-    assert infinitely_legal_language(f, 3) < infinitely_legal_language(f, 4)
+    assert used_language(f, 3) < used_language(f, 4)
     assert list(StationaryTower(f).legal_windows((A, 0), 1, 1))
     (_, kf), = eigen_measures(f)[0]
     assert kf.tower.f is f and kf.support_table(4).entries
-    assert built == [f]
+    assert made == [f] and built == [3, 4]
 
 
 def test_support_containment(fib_setup, fibonacci, rose2):
     kf = fib_setup[3]
-    lang = infinitely_legal_language(fibonacci, 4)
     used = used_language(fibonacci, 4)
     for p in rose2.reduced_paths(4):
         if (kf.eval(p) > 0) is True:
-            assert p in lang
             assert p in used
 
 
@@ -623,6 +624,36 @@ def test_recovery_reproduces_weights(fib_setup):
         for (e, _), value in recovered.items():
             target = vt.vector[e >> 1] * vt.level_scale(m)
             assert ia.sup_abs(value - target) < 1e-10
+
+
+def test_recovery_reads_no_value_off_the_used_language():
+    """On every measure of the bench maps, at levels 0-2 where the
+    repetition bound is found within radius 6 (24 cases), the support table
+    over the used language recovers the same weights, endpoint for endpoint,
+    as a table over the infinitely legal language, which is larger in 12 of
+    them: the windows that ``recover_weights`` sums have images in the
+    support table's language."""
+    recovered = smaller = 0
+    for name, f in pullback_maps():
+        old = InfinitelyLegal(f)
+        for kf in measures_of(f):
+            tower = kf.tower
+            for m in range(3):
+                rho = repetition_bound(tower, m, 6).bound
+                if rho is None:
+                    continue
+                length = 2 * rho + 1
+                table = kf.support_table(length)
+                wide = MeasureTable(f.domain, {p: kf.eval(p) for n in range(1, length + 1)
+                                               for p in old.paths_of_length(n)}, length)
+                assert table.entries.keys() <= wide.entries.keys(), (name, m)
+                smaller += len(table.entries) < len(wide.entries)
+                got, want = (recover_weights(t, tower, m, rho) for t in (table, wide))
+                assert got.keys() == want.keys()
+                for center, value in got.items():
+                    assert ia.endpoints(value) == ia.endpoints(want[center]), (name, m, center)
+                recovered += 1
+    assert (recovered, smaller) == (24, 12)
 
 
 def test_recovery_level0_is_identity(fib_setup):

@@ -10,8 +10,7 @@ from ttm.dialects import to_short
 from ttm.errors import PreconditionError
 from ttm.graphs import is_degenerate, is_reduced, make_turn, rose, turns_of
 from ttm.maps import (
-    GraphMap, compose, identity_map, infinitely_legal_language, is_expanding,
-    is_train_track, matmul,
+    GraphMap, compose, identity_map, is_expanding, is_train_track, matmul, used_language,
 )
 from ttm.measures import KolmogorovFunction, eigen_measures
 from ttm.spectra import distinguished_eigenvectors
@@ -21,7 +20,7 @@ from ttm.towers import (
 )
 
 from conftest import A, Abar, B, Bbar, measures_of, pullback_maps
-from pullback_reference import backward_pullbacks
+from pullback_reference import used_reference
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -532,7 +531,7 @@ def test_repetition_bound_searches_each_radius_once(monkeypatch, cap):
 
 def test_repetition_bound_legal_mode(fib_setup):
     """A stricter search over every window with a reduced image quantifies
-    over more windows, so its bound is at least the infinitely legal one."""
+    over more windows, so its bound is at least the used language's."""
     tower = fib_setup[0]
     weak = repetition_bound(tower, 1, 7)
     strict = reference_repetition_bound(StationaryTower(tower.f), 1, 7, False)
@@ -572,18 +571,18 @@ def reference_windows(tower, center, radius, n):
     return [l + (center,) + r for l in lefts for r in rights]
 
 
-def windows_violating_pair(tower, n, rho, infinitely_legal=True):
+def windows_violating_pair(tower, n, rho, used=True):
     """Reference scan: every window, mapped letter by letter, filtered after
-    to the reduced images, infinitely legal ones (by the backward pullback
+    to the reduced images, those in the used language (by the rescan
     reference) unless told otherwise."""
-    legal = backward_pullbacks(tower.f).is_infinitely_legal
+    language = used_reference(tower.f, 2 * rho + 1)
     seen = {}
     for center in tower.short_edges(n):
         for w in reference_windows(tower, center, rho, n):
             img = path_image(tower, w, n)
             if not is_reduced(img):
                 continue
-            if infinitely_legal and not legal(img):
+            if used and img not in language:
                 continue
             if img in seen and seen[img][0] != center:
                 return (seen[img][1], w)
@@ -591,11 +590,10 @@ def windows_violating_pair(tower, n, rho, infinitely_legal=True):
     return None
 
 
-def reference_repetition_bound(tower, n, cap, infinitely_legal=True,
-                               scan=windows_violating_pair):
+def reference_repetition_bound(tower, n, cap, used=True, scan=windows_violating_pair):
     """Reference search: the full scan at each radius 0..cap in turn."""
     for rho in range(cap + 1):
-        witness = scan(tower, n, rho, infinitely_legal)
+        witness = scan(tower, n, rho, used)
         if witness is None:
             return RepetitionSearch(level=n, cap=cap, bound=rho)
     return RepetitionSearch(level=n, cap=cap, witness=witness)
@@ -645,15 +643,15 @@ def test_windows_are_the_reference_windows():
     pytest.param(name, f, query, id=name + ("-infinitely-legal" if query else ""))
     for query in (False, True) for name, f in PULLBACK_MAPS])
 def test_legal_windows_are_the_reduced_windows_in_order(name, f, query):
-    """The pruned windows are the full list filtered to reduced and
-    infinitely legal images, in the same order.  Infinite legality is decided
-    by the backward pullback reference, or by membership in the enumerated
-    infinitely legal language."""
+    """The pruned windows are the full list filtered to reduced images in
+    the used language, in the same order.  Membership is decided by the
+    rescan reference (the ``infinitely-legal`` cases, named after the
+    language that they once read), or by the library's ``used_language``."""
     tower = StationaryTower(f)
     if query:
-        legal = backward_pullbacks(f).is_infinitely_legal
+        legal = lambda img: img in used_reference(f, len(img))
     else:
-        language = infinitely_legal_language(f, 5)   # windows have <= 5 edges
+        language = used_language(f, 5)   # windows have <= 5 edges
         legal = language.__contains__
     for n in range(3):
         for center in tower.short_edges(n):
