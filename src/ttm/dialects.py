@@ -17,7 +17,6 @@ idempotence of the long and the short form) are checked by the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import GraphError, PathError, PreconditionError
 from .graphs import Graph, inverse, is_reduced, make_turn, reverse_path
@@ -27,14 +26,14 @@ from .maps import GraphMap
 # -- long-edge dialect -------------------------------------------------------------
 
 
-@dataclass
 class LongForm:
     """A graph collapsed to long edges, with the translation of long paths to
     base paths."""
 
-    graph: Graph
-    chains: tuple              # per long positive edge: path of base edges
-    vertex_to_base: tuple      # long vertex -> base vertex
+    def __init__(self, graph: Graph, chains: tuple, vertex_to_base: tuple):
+        self.graph = graph
+        self.chains = chains                  # per long positive edge: path of base edges
+        self.vertex_to_base = vertex_to_base  # long vertex -> base vertex
 
     def chain(self, e: int):
         c = self.chains[e >> 1]
@@ -103,7 +102,6 @@ def to_long_map(f: GraphMap) -> tuple:
 # -- short-edge dialect -------------------------------------------------------------
 
 
-@dataclass
 class ShortForm:
     """A map subdivided so that every edge maps to a single edge.
 
@@ -111,10 +109,11 @@ class ShortForm:
     along parents (weights, for instance) needs no duplication.
     """
 
-    map: GraphMap
-    pieces: tuple            # per base positive edge: its piece count
-    piece_edge: dict         # (base positive edge, index) -> positive short edge
-    parents: dict            # oriented short edge -> (base oriented edge, index)
+    def __init__(self, map: GraphMap, pieces: tuple, piece_edge: dict, parents: dict):
+        self.map = map
+        self.pieces = pieces          # per base positive edge: its piece count
+        self.piece_edge = piece_edge  # (base positive edge, index) -> positive short edge
+        self.parents = parents        # oriented short edge -> (base oriented edge, index)
 
     @property
     def graph(self) -> Graph:
@@ -189,7 +188,6 @@ def to_short(f: GraphMap) -> ShortForm:
 # -- blow-up dialect ----------------------------------------------------------------
 
 
-@dataclass
 class BlowUp:
     """Blow-up of a graph: local vertices indexed by the base directions,
     one non-local edge per base edge, and complete local vertex graphs.
@@ -200,10 +198,11 @@ class BlowUp:
     non-local edge.
     """
 
-    base: Graph
-    graph: Graph
-    n_nonlocal: int
-    local_index: dict        # normalised turn -> positive local edge id
+    def __init__(self, base: Graph, graph: Graph, n_nonlocal: int, local_index: dict):
+        self.base = base
+        self.graph = graph
+        self.n_nonlocal = n_nonlocal
+        self.local_index = local_index    # normalised turn -> positive local edge id
 
     def is_local(self, e: int) -> bool:
         return (e >> 1) >= self.n_nonlocal
@@ -271,14 +270,15 @@ def blow_up(g: Graph) -> BlowUp:
                   local_index=local_index)
 
 
-@dataclass
 class BlowUpMap:
     """A map in blow-up dialect, with its legality classification."""
 
-    map: GraphMap
-    domain: BlowUp
-    codomain: BlowUp
-    illegal_turns: frozenset   # domain turns whose local edge is contracted
+    def __init__(self, map: GraphMap, domain: BlowUp, codomain: BlowUp,
+                 illegal_turns: frozenset):
+        self.map = map
+        self.domain = domain
+        self.codomain = codomain
+        self.illegal_turns = illegal_turns    # domain turns whose local edge is contracted
 
 
 def blow_up_map(f: GraphMap) -> BlowUpMap:

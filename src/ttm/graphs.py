@@ -74,47 +74,48 @@ class Graph:
     """
 
     def __init__(self, n_vertices, endpoints, vertex_labels=None, edge_labels=None):
-        self.n_vertices = int(n_vertices)
-        self._endpoints = tuple((int(a), int(b)) for a, b in endpoints)
-        self.n_edges = len(self._endpoints)
-        if self.n_vertices <= 0:
+        n = self.n_vertices = int(n_vertices)
+        if n <= 0:
             raise GraphError("graph needs at least one vertex")
-        for a, b in self._endpoints:
-            if not (0 <= a < self.n_vertices and 0 <= b < self.n_vertices):
+        # the endpoints, the initial and the terminal vertex of each oriented
+        # edge by id, and at[v] = the oriented edges with initial vertex v
+        ends, tails, heads = [], [], []
+        at = [[] for _ in range(n)]
+        for a, b in endpoints:
+            a, b = int(a), int(b)
+            if not (0 <= a < n and 0 <= b < n):
                 raise GraphError("edge endpoint out of range")
+            at[a].append(len(tails))
+            at[b].append(len(tails) + 1)
+            ends.append((a, b))
+            tails += (a, b)
+            heads += (b, a)
+        self._endpoints, self._tails, self._heads = tuple(ends), tuple(tails), tuple(heads)
+        self.n_edges = len(ends)
         self.vertex_labels = tuple(vertex_labels) if vertex_labels else tuple(
-            f"v{i}" for i in range(self.n_vertices))
+            f"v{i}" for i in range(n))
         self.edge_labels = tuple(edge_labels) if edge_labels else tuple(
             f"e{i}" for i in range(self.n_edges))
-        if len(self.vertex_labels) != self.n_vertices or len(self.edge_labels) != self.n_edges:
+        if len(self.vertex_labels) != n or len(self.edge_labels) != self.n_edges:
             raise GraphError("label count mismatch")
-        # the terminal and the initial vertex of each oriented edge, by id
-        self._heads = tuple(v for a, b in self._endpoints for v in (b, a))
-        self._tails = tuple(v for a, b in self._endpoints for v in (a, b))
-        # directions[v] = tuple of oriented edges with initial vertex v
-        at = [[] for _ in range(self.n_vertices)]
-        for k, (a, b) in enumerate(self._endpoints):
-            at[a].append(2 * k)
-            at[b].append(2 * k + 1)
-        self._directions = tuple(tuple(d) for d in at)
+        self._directions = tuple(map(tuple, at))
         self._check_valence()
         self._check_connected()
 
     # -- invariant checks ----------------------------------------------------
 
     def _check_valence(self):
-        for v in range(self.n_vertices):
-            if self.valence(v) < 2:
-                raise GraphError(
-                    f"vertex {self.vertex_labels[v]} has valence {self.valence(v)} < 2")
+        for v, ds in enumerate(self._directions):
+            if len(ds) < 2:
+                raise GraphError(f"vertex {self.vertex_labels[v]} has valence {len(ds)} < 2")
 
     def _check_connected(self):
+        heads, directions = self._heads, self._directions
         seen = {0}
         stack = [0]
         while stack:
-            v = stack.pop()
-            for d in self._directions[v]:
-                w = self.terminal(d)
+            for d in directions[stack.pop()]:
+                w = heads[d]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

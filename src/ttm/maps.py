@@ -39,25 +39,31 @@ class GraphMap:
                  name=None):
         self.domain = domain
         self.codomain = codomain
-        self.vertex_image = tuple(int(v) for v in vertex_image)
-        self.edge_image = tuple(tuple(p) for p in edge_image)
+        self.vertex_image = vi = tuple(map(int, vertex_image))
+        self.edge_image = tuple(map(tuple, edge_image))
         self.name = name
-        if len(self.vertex_image) != domain.n_vertices:
+        if len(vi) != domain.n_vertices:
             raise MapError("need one image per domain vertex")
         if len(self.edge_image) != domain.n_edges:
             raise MapError("need one image path per positive domain edge")
-        for v in self.vertex_image:
-            if not (0 <= v < codomain.n_vertices):
-                raise MapError("vertex image out of range")
-        heads, tails = codomain._heads, codomain._tails
-        for k, ((u, w), p) in enumerate(zip(domain._endpoints, self.edge_image)):
+        if not (0 <= min(vi) and max(vi) < codomain.n_vertices):
+            raise MapError("vertex image out of range")
+        # each image runs from the image of its edge's initial vertex to that
+        # of its terminal one, through adjacent edges
+        heads, tails, n = codomain._heads, codomain._tails, 2 * codomain.n_edges
+        for (u, w), p, label in zip(domain._endpoints, self.edge_image, domain.edge_labels):
+            v = vi[u]
+            for e in p:
+                if not 0 <= e < n or tails[e] != v:
+                    break
+                v = heads[e]
+            else:
+                if v == vi[w]:
+                    continue
             if not codomain.is_path(p):
-                raise MapError(f"image of edge {domain.edge_labels[k]} is not a path")
-            pu, pw = self.vertex_image[u], self.vertex_image[w]
-            if ((tails[p[0]], heads[p[-1]]) if p else (pu, pu)) != (pu, pw):
-                raise MapError(
-                    f"image of edge {domain.edge_labels[k]} does not run between "
-                    "the images of its endpoints")
+                raise MapError(f"image of edge {label} is not a path")
+            raise MapError(f"image of edge {label} does not run between "
+                           "the images of its endpoints")
 
     # -- application ---------------------------------------------------------
 

@@ -63,7 +63,6 @@ matrix, making their agreement a meaningful cross-validation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -238,7 +237,6 @@ def eigen_measures(f: GraphMap):
 # -- tables ------------------------------------------------------------------------
 
 
-@dataclass
 class MeasureTable:
     """Reduced-path -> value map, complete up to a length bound.
 
@@ -249,13 +247,11 @@ class MeasureTable:
     has exact residuals.
     """
 
-    graph: Graph
-    entries: dict
-    max_length: int
-
-    def __post_init__(self):
-        self.entries = {_checked(self.graph, path, "a measure table"): value
-                        for path, value in self.entries.items()}
+    def __init__(self, graph: Graph, entries: dict, max_length: int):
+        self.graph = graph
+        self.entries = {_checked(graph, path, "a measure table"): value
+                        for path, value in entries.items()}
+        self.max_length = max_length
 
     def value(self, path):
         """The recorded value of a path or its reversal; zero for an unlisted
@@ -297,7 +293,6 @@ class MeasureTable:
 # -- verification --------------------------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
     """Check outcomes with certified comparison semantics.  ``record`` is the
     one place a check's violations meet the tolerance: a check fails when its
@@ -305,11 +300,12 @@ class VerificationReport:
     interval straddles it (the caller should raise the working precision and
     re-run).  ``checks`` and ``max_violation`` are floats for display only."""
 
-    checks: dict = field(default_factory=dict)
-    max_violation: float = 0.0
-    failures: list = field(default_factory=list)
-    inconclusive: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = {}
+        self.max_violation = 0.0
+        self.failures = []
+        self.inconclusive = []
+        self.flags = []
 
     @property
     def passed(self) -> bool:
@@ -482,11 +478,11 @@ def recover_weights(table: MeasureTable, tower: StationaryTower, m: int, rho: in
 # -- the independent frequency oracle ----------------------------------------------------
 
 
-@dataclass
 class OracleEstimate:
-    value: object          # interval estimate
-    tail_bound: object     # interval upper bound on the truncation error
-    iterations: int
+    def __init__(self, value, tail_bound, iterations: int):
+        self.value = value                # interval estimate
+        self.tail_bound = tail_bound      # interval upper bound on the truncation error
+        self.iterations = iterations
 
     def excess(self, reference):
         """|reference - value| beyond the tail bound."""

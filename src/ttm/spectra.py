@@ -29,7 +29,6 @@ iterated image of B".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import intervals as ia
@@ -158,16 +157,25 @@ def _cyclic_classes(m, indices):
     return classes
 
 
-@dataclass(frozen=True)
 class BlockForm:
-    """Strongly-connected block structure of a non-negative integer matrix."""
+    """Strongly-connected block structure of a non-negative integer matrix.
+    Two block forms are equal when all their fields are."""
 
-    matrix: tuple
-    blocks: tuple            # index classes, upper-triangular order
-    kinds: tuple             # per block: "primitive" | "zero" | "imprimitive"
-    periods: tuple           # per block
-    power_used: int          # least power normalising the block structure
-    reach: tuple             # reach[i] = frozenset of block indices reachable from block i
+    def __init__(self, matrix: tuple, blocks: tuple, kinds: tuple, periods: tuple,
+                 power_used: int, reach: tuple):
+        self.matrix = matrix
+        self.blocks = blocks          # index classes, upper-triangular order
+        self.kinds = kinds            # per block: "primitive" | "zero" | "imprimitive"
+        self.periods = periods        # per block
+        self.power_used = power_used  # least power normalising the block structure
+        self.reach = reach            # reach[i] = frozenset of the blocks reachable from block i
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockForm):
+            return NotImplemented
+        return ((self.matrix, self.blocks, self.kinds, self.periods, self.power_used,
+                 self.reach) == (other.matrix, other.blocks, other.kinds, other.periods,
+                                 other.power_used, other.reach))
 
 
 def _reachability(m, blocks):
@@ -241,7 +249,6 @@ def block_form(m) -> BlockForm:
 # -- eigenpairs -----------------------------------------------------------------
 
 
-@dataclass
 class Eigenpair:
     """A certified eigenvalue with a non-negative eigenvector.
 
@@ -251,10 +258,12 @@ class Eigenpair:
     defining diagonal block (as an index tuple) when there is one.
     """
 
-    value: CertifiedRoot
-    vector: tuple
-    support: frozenset
-    block: tuple = None
+    def __init__(self, value: CertifiedRoot, vector: tuple, support: frozenset,
+                 block: tuple = None):
+        self.value = value
+        self.vector = vector
+        self.support = support
+        self.block = block
 
     def interval(self):
         return self.value.interval()
@@ -264,15 +273,15 @@ class Eigenpair:
                    for r in ia.eigen_residual(m, self.vector, self.interval()))
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """The spectral data of one matrix: its block form, the certified
     spectral radius of each diagonal block, and the distinguished eigenpairs
     in block order."""
 
-    form: BlockForm
-    radii: tuple
-    distinguished: tuple
+    def __init__(self, form: BlockForm, radii: tuple, distinguished: tuple):
+        self.form = form
+        self.radii = radii
+        self.distinguished = distinguished
 
 
 def spectrum(m) -> Spectrum:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import maps, spectra
@@ -35,26 +34,32 @@ from .measures import KolmogorovFunction, eigenvector_measure, split_at_one
 from .towers import StationaryTower
 
 
-@dataclass(frozen=True)
 class Substitution:
     """Letters to non-empty words; the incidence matrix counts letter
-    occurrences in the images."""
+    occurrences in the images.  Two substitutions are equal when their
+    alphabets and images are."""
 
-    alphabet: tuple
-    images: tuple     # tuple of words (tuples of letters), one per letter
-    _image: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = {x: i for i, x in enumerate(self.alphabet)}
-        if len(index) != len(self.alphabet):
+    def __init__(self, alphabet: tuple, images: tuple):
+        self.alphabet = alphabet
+        self.images = images      # tuple of words (tuples of letters), one per letter
+        index = {x: i for i, x in enumerate(alphabet)}
+        if len(index) != len(alphabet):
             raise PreconditionError("alphabet letters must be distinct")
-        for w in self.images:
+        for w in images:
             if not w:
                 raise PreconditionError("substitution images must be non-empty")
             for x in w:
                 if x not in index:
                     raise PreconditionError(f"image uses unknown letter {x!r}")
-        object.__setattr__(self, "_image", dict(zip(self.alphabet, self.images)))
+        self._image = dict(zip(alphabet, images))
+
+    def __eq__(self, other):
+        if not isinstance(other, Substitution):
+            return NotImplemented
+        return (self.alphabet, self.images) == (other.alphabet, other.images)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.images))
 
     @staticmethod
     def from_strings(rules: dict, alphabet=None) -> "Substitution":
@@ -121,15 +126,15 @@ def path_to_word(sigma: Substitution, path):
 # -- measures ----------------------------------------------------------------------
 
 
-@dataclass
 class SubshiftMeasure:
     """A shift-invariant probability measure on the substitution subshift,
     evaluated on cylinders of finite words.  Its letter frequencies are the
     eigenvector coordinates; the cylinder evaluator, with its certified
     weight tower, is built on ``sigma.tower`` at the first cylinder value."""
 
-    sigma: Substitution
-    eigenpair: spectra.Eigenpair
+    def __init__(self, sigma: Substitution, eigenpair: spectra.Eigenpair):
+        self.sigma = sigma
+        self.eigenpair = eigenpair
 
     @property
     def eigenvalue(self):
@@ -151,12 +156,13 @@ class SubshiftMeasure:
 PERIODICITY_SCAN = 4    # longest word the scan of ``ergodic_measures`` tries
 
 
-@dataclass
 class ErgodicEnumeration:
-    measures: list
-    skipped: list            # distinguished eigenpairs with eigenvalue <= 1
-    block_form: spectra.BlockForm
-    warnings: list = field(default_factory=list)
+    def __init__(self, measures: list, skipped: list, block_form: spectra.BlockForm,
+                 warnings: list = None):
+        self.measures = measures
+        self.skipped = skipped            # distinguished eigenpairs with eigenvalue <= 1
+        self.block_form = block_form
+        self.warnings = [] if warnings is None else warnings
 
 
 def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:

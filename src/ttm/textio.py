@@ -10,12 +10,17 @@ with ``{ } ; : ,`` and ``->`` standing alone.  Three declaration forms:
 The inverse of edge token ``e`` is written ``~e``.  Graphs referenced by maps
 must be declared first; edge tokens must be declared.  Names are unique per
 declaration kind, and each vertex, edge or letter has at most one image.
-Errors carry line and column positions.
+In a map body, ``vertex`` starts a vertex image unless ``->`` follows it, so
+an edge may be named ``vertex``.
+
+The parser reads a statement at a time, a declaration's head or one statement
+of its body: it finds the statement's end with ``list.index``, checks its
+shape by slice comparison and resolves its names by dictionary lookup.  A
+statement that fails this test is read again token by token, which raises the
+error of its first bad token.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .graphs import Graph
@@ -25,11 +30,11 @@ from .substitutions import Substitution
 PUNCT = ("->", "{", "}", ";", ":", ",")
 
 
-@dataclass
 class Token:
-    text: str
-    line: int
-    column: int
+    """The text of a token with its 1-based line and column."""
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text, self.line, self.column = text, line, column
 
 
 def tokenize(text: str):
@@ -46,11 +51,13 @@ def tokenize(text: str):
     return out
 
 
-@dataclass
 class InputDocument:
-    graphs: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)       # name -> (GraphMap, dom, cod)
-    substitutions: dict = field(default_factory=dict)
+    """The declarations of a document, by name."""
+
+    def __init__(self):
+        self.graphs = {}
+        self.maps = {}            # name -> (GraphMap, dom, cod)
+        self.substitutions = {}
 
     def map(self, name: str) -> GraphMap:
         if name not in self.maps:
@@ -76,17 +83,34 @@ def token_strings(text: str):
 
 _END = ""                         # end sentinel: no token is empty
 _NOT_NAME = frozenset(PUNCT + (_END,))
+# after the end sentinel: a mark that stops each ``list.index`` search, and
+# room for the names a map head or an edge declaration unpacks near the end
+_TAIL = [_END, "{", "}", ";", _END]
+_GRAPH = ["{", "vertices", ":"]   # the marks of ``graph G { vertices: ...``
+_MAP = [":", "->", "{"]           # the marks of ``map f: G -> H {``
+_EDGE = ["edge", ":", "->", ";"]  # the marks of ``edge e: u -> w ;``
+_VERTEX = ["->", ";"]             # the marks of ``vertex v -> w ;`` after ``v``
 
 
 class _Parser:
-    """One pass over the token strings; ``i`` indexes the next unread one.
-    Line and column come from :func:`tokenize` only when an error is raised."""
+    """One walk over the token strings, a statement at a time; ``i`` indexes
+    the next unread one.  A statement is a declaration head or one statement
+    of a body.  It is taken whole when it has its shape and every name in it
+    resolves; otherwise it is read again with the per-token helpers
+    (``take``, ``word``, ``unknown``, ``fail``), which raise the error of its
+    first bad token.  Line and column come from :func:`tokenize` only when an
+    error is raised."""
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = token_strings(text) + [_END, ";"]   # the ";" ends every search
+        self.toks = token_strings(text) + _TAIL
+        self.end = len(self.toks) - len(_TAIL)
         self.i = 0
         self.names = {}           # graph name -> (vertex index, edge token index)
+
+    def upto(self, mark, i):
+        """The index of the first ``mark`` from token ``i`` on, or of the end."""
+        return min(self.toks.index(mark, i), self.end)
 
     def fail(self, message, k=None):
         """Raise at token ``k`` (default: the next unread one); at the end of
@@ -122,6 +146,12 @@ class _Parser:
         if self.word(kw) != kw:
             self.fail(f"expected {kw!r}", self.i - 1)
 
+    def names_until(self, what, mark):
+        """Read names up to ``mark`` or the end, then ``mark``."""
+        while self.toks[self.i] not in (mark, _END):
+            self.word(what)
+        self.take(mark)
+
     def unknown(self, k, what, message):
         """Raise at token ``k``, which names nothing declared: as a
         punctuation mark if it is one, else with ``message``."""
@@ -143,37 +173,32 @@ class _Parser:
         return doc
 
     def parse_graph(self, doc):
-        toks = self.toks
-        name = self.new_name("graph", doc.graphs)
-        self.take("{")
-        self.keyword("vertices")
-        self.take(":")
-        vertex_names = []
-        while toks[self.i] not in (";", _END):
-            vertex_names.append(self.word("vertex name"))
-        self.take(";")
-        vindex = {v: i for i, v in enumerate(vertex_names)}
+        toks, i = self.toks, self.i
+        j = toks.index(";", i)
+        name, vertex_names = toks[i], toks[i + 4:j]
+        if (toks[i + 1:i + 4] != _GRAPH or name in _NOT_NAME or name in doc.graphs
+                or not _NOT_NAME.isdisjoint(vertex_names)):
+            self.new_name("graph", doc.graphs)
+            self.take("{")
+            self.keyword("vertices")
+            self.take(":")
+            self.names_until("vertex name", ";")
+        self.i = i = j + 1
+        vindex = {v: k for k, v in enumerate(vertex_names)}
         if len(vindex) != len(vertex_names) or not vertex_names:
             self.fail("vertex names must be distinct and non-empty")
         edges, eindex = [], {}
-        while toks[self.i] == "edge":
-            k = self.i = self.i + 1
-            e = self.word("edge name")
-            if e.startswith("~"):
-                self.fail("edge declarations name the positive orientation", k)
-            self.take(":")
-            u = self.word("vertex")
-            self.take("->")
-            w = self.word("vertex")
-            self.take(";")
-            for j, v in ((k + 2, u), (k + 4, w)):
-                if v not in vindex:
-                    self.fail(f"undeclared vertex {v!r}", j)
-            if e in eindex:
-                self.fail(f"duplicate edge {e!r}", k)
+        while toks[i] == "edge":
+            e, u, w = toks[i + 1:i + 6:2]
+            ends = vindex.get(u), vindex.get(w)
+            if (toks[i:i + 7:2] != _EDGE or e in _NOT_NAME or e[0] == "~"
+                    or None in ends or e in eindex):
+                self.bad_edge(i, vindex)
             eindex[e] = 2 * len(edges)
             eindex["~" + e] = 2 * len(edges) + 1
-            edges.append((vindex[u], vindex[w]))
+            edges.append(ends)
+            i += 7
+        self.i = i
         self.take("}")
         try:
             doc.graphs[name] = Graph(len(vertex_names), edges,
@@ -182,58 +207,65 @@ class _Parser:
             raise ParseError(f"invalid graph {name!r}: {exc}") from exc
         self.names[name] = (vindex, eindex)
 
-    def parse_map(self, doc):
+    def bad_edge(self, k, vindex):
+        """Raise the error of the edge declaration at token ``k``."""
         toks = self.toks
-        name = self.new_name("map", doc.maps)
+        self.i = k + 1
+        e = self.word("edge name")
+        if e.startswith("~"):
+            self.fail("edge declarations name the positive orientation", k + 1)
         self.take(":")
-        k = self.i
-        dom_name = self.word("graph name")
+        self.word("vertex")
         self.take("->")
-        cod_name = self.word("graph name")
-        for j, g in ((k, dom_name), (k + 2, cod_name)):
-            if g not in doc.graphs:
-                self.fail(f"undeclared graph {g!r}", j)
+        self.word("vertex")
+        self.take(";")
+        for j in (k + 3, k + 5):
+            if toks[j] not in vindex:
+                self.fail(f"undeclared vertex {toks[j]!r}", j)
+        self.fail(f"duplicate edge {e!r}", k + 1)
+
+    def parse_map(self, doc):
+        toks, i = self.toks, self.i
+        name, dom_name, cod_name = toks[i:i + 5:2]
+        if (toks[i + 1:i + 6:2] != _MAP or name in _NOT_NAME or name in doc.maps
+                or dom_name not in doc.graphs or cod_name not in doc.graphs):
+            self.new_name("map", doc.maps)
+            self.take(":")
+            self.word("graph name")
+            self.take("->")
+            self.word("graph name")
+            for j in (i + 2, i + 4):
+                if toks[j] not in doc.graphs:
+                    self.fail(f"undeclared graph {toks[j]!r}", j)
+            self.take("{")
         dom, cod = doc.graphs[dom_name], doc.graphs[cod_name]
         (dom_v, dom_e), (cod_v, cod_e) = self.names[dom_name], self.names[cod_name]
-        self.take("{")
-        vimg, eimg = {}, {}
-        while toks[self.i] not in ("}", _END):
-            k = self.i
-            if self.word("assignment") == "vertex":
-                v = self.word("vertex name")
-                self.take("->")
-                w = self.word("vertex name")
-                self.take(";")
-                for j, x, index in ((k + 1, v, dom_v), (k + 3, w, cod_v)):
-                    if x not in index:
-                        self.fail(f"undeclared vertex {x!r}", j)
-                if dom_v[v] in vimg:
-                    self.fail(f"duplicate image for vertex {v!r}", k + 1)
-                vimg[dom_v[v]] = cod_v[w]
+        vimg, eimg = [None] * dom.n_vertices, [None] * dom.n_edges
+        i += 6
+        while toks[i] not in ("}", _END):
+            if toks[i] == "vertex" and toks[i + 1] != "->":
+                v, w = dom_v.get(toks[i + 1]), cod_v.get(toks[i + 3])
+                if (toks[i + 2:i + 5:2] != _VERTEX or v is None or w is None
+                        or vimg[v] is not None):
+                    self.bad_vertex(i, dom_v, cod_v)
+                vimg[v] = w
+                i += 5
                 continue
-            e = dom_e.get(toks[k])
-            if e is None:
-                self.unknown(k, "assignment", _edge_error(toks[k]))
-            if e % 2 == 1:
-                self.fail("edge images are declared on positive edges", k)
-            self.take("->")
-            start = self.i
-            i = min(toks.index(";", start), len(toks) - 2)
-            path = tuple(map(cod_e.get, toks[start:i]))
-            if None in path:
-                j = start + path.index(None)
-                self.unknown(j, "edge token", _edge_error(toks[j]))
-            self.i = i
-            self.take(";")
-            if (e >> 1) in eimg:
-                self.fail(f"duplicate image for edge {toks[k]!r}", k)
+            j = toks.index(";", i)
+            e = dom_e.get(toks[i])
+            path = tuple(map(cod_e.get, toks[i + 2:j]))
+            if (toks[i + 1] != "->" or e is None or e % 2 == 1 or eimg[e >> 1] is not None
+                    or None in path):
+                self.bad_image(i, dom_e, cod_e)
             eimg[e >> 1] = path
+            i = j + 1
+        self.i = i
         self.take("}")
-        missing = [dom.edge_labels[k] for k in range(dom.n_edges) if k not in eimg]
-        if missing:
+        if None in eimg:
+            missing = [dom.edge_labels[k] for k, p in enumerate(eimg) if p is None]
             self.fail(f"map {name!r} misses images for edges {missing}")
         for v in range(dom.n_vertices):
-            if v not in vimg:
+            if vimg[v] is None:
                 # the start of the image of an edge leaving v, or the end of one entering
                 vimg[v] = next((cod.initial(p[0]) if d % 2 == 0 else cod.terminal(p[-1])
                                 for d in dom.directions_at(v) if (p := eimg[d >> 1])), None)
@@ -241,37 +273,64 @@ class _Parser:
                     self.fail(f"map {name!r} misses the image of vertex "
                               f"{dom.vertex_labels[v]!r}")
         try:
-            gm = GraphMap(dom, cod, [vimg[v] for v in range(dom.n_vertices)],
-                          [eimg[k] for k in range(dom.n_edges)], name=name)
+            gm = GraphMap(dom, cod, vimg, eimg, name=name)
         except Exception as exc:
             raise ParseError(f"invalid map {name!r}: {exc}") from exc
         doc.maps[name] = (gm, dom_name, cod_name)
 
-    def parse_subst(self, doc):
+    def bad_vertex(self, k, dom_v, cod_v):
+        """Raise the error of the vertex image at token ``k``."""
         toks = self.toks
-        name = self.new_name("substitution", doc.substitutions)
-        self.keyword("over")
-        letters = []
-        while toks[self.i] not in ("{", _END):
-            letters.append(self.word("letter"))
-        self.take("{")
+        self.i = k + 1
+        self.word("vertex name")
+        self.take("->")
+        self.word("vertex name")
+        self.take(";")
+        for j, index in ((k + 1, dom_v), (k + 3, cod_v)):
+            if toks[j] not in index:
+                self.fail(f"undeclared vertex {toks[j]!r}", j)
+        self.fail(f"duplicate image for vertex {toks[k + 1]!r}", k + 1)
+
+    def bad_image(self, k, dom_e, cod_e):
+        """Raise the error of the edge image at token ``k``."""
+        toks = self.toks
+        self.i = k
+        e = dom_e.get(self.word("assignment"))
+        if e is None:
+            self.fail(_edge_error(toks[k]), k)
+        if e % 2 == 1:
+            self.fail("edge images are declared on positive edges", k)
+        self.take("->")
+        j = self.upto(";", k + 2)
+        for t in range(k + 2, j):
+            if toks[t] not in cod_e:
+                self.unknown(t, "edge token", _edge_error(toks[t]))
+        self.i = j
+        self.take(";")
+        self.fail(f"duplicate image for edge {toks[k]!r}", k)
+
+    def parse_subst(self, doc):
+        toks, i = self.toks, self.i
+        j = toks.index("{", i)
+        name, letters = toks[i], toks[i + 2:j]
+        if (toks[i + 1] != "over" or name in _NOT_NAME or name in doc.substitutions
+                or not _NOT_NAME.isdisjoint(letters)):
+            self.new_name("substitution", doc.substitutions)
+            self.keyword("over")
+            self.names_until("letter", "{")
         known = set(letters)
         images = {}
-        while toks[self.i] not in ("}", _END):
-            k = self.i
-            x = self.word("letter")
-            if x not in known:
-                self.fail(f"undeclared letter {x!r}", k)
-            self.take("->")
-            start = i = self.i
-            while toks[i] not in (";", "}", _END):
-                if toks[i] not in known:
-                    self.unknown(i, "letter", f"undeclared letter {toks[i]!r}")
-                i += 1
-            self.i = i + (toks[i] == ";")
-            if x in images:
-                self.fail(f"duplicate image for letter {x!r}", k)
-            images[x] = tuple(toks[start:i])
+        i = j + 1
+        close = self.upto("}", i)
+        while i < close:
+            j = min(toks.index(";", i), close)
+            x, image = toks[i], toks[i + 2:j]
+            if (toks[i + 1] != "->" or x not in known or x in images
+                    or not known.issuperset(image)):
+                self.bad_letter_image(i, known)
+            images[x] = tuple(image)
+            i = j + (toks[j] == ";")
+        self.i = i
         self.take("}")
         missing = [x for x in letters if x not in images]
         if missing:
@@ -281,6 +340,19 @@ class _Parser:
                                                    tuple(images[x] for x in letters))
         except Exception as exc:
             raise ParseError(f"invalid substitution {name!r}: {exc}") from exc
+
+    def bad_letter_image(self, k, known):
+        """Raise the error of the letter image at token ``k``."""
+        toks = self.toks
+        self.i = k
+        x = self.word("letter")
+        if x not in known:
+            self.fail(f"undeclared letter {x!r}", k)
+        self.take("->")
+        for i in range(self.i, min(self.upto(";", k), self.upto("}", k))):
+            if toks[i] not in known:
+                self.unknown(i, "letter", f"undeclared letter {toks[i]!r}")
+        self.fail(f"duplicate image for letter {x!r}", k)
 
 
 def parse(text: str) -> InputDocument:

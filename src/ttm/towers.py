@@ -22,7 +22,6 @@ Weight data lives at level 0 and scales by ``lambda**-n`` across levels:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, groupby, tee
 
@@ -239,14 +238,21 @@ def weight_tower_from_vector(tower: StationaryTower, vector, lam) -> WeightTower
 # -- repetition bounds ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RepetitionSearch:
-    """Outcome of the bounded repetition-bound search at one level."""
+    """Outcome of the bounded repetition-bound search at one level.  Two
+    outcomes are equal when all their fields are."""
 
-    level: int
-    cap: int
-    bound: int = None          # least working radius, when found
-    witness: tuple = None      # a violating pair of windows at the cap
+    def __init__(self, level: int, cap: int, bound: int = None, witness: tuple = None):
+        self.level = level
+        self.cap = cap
+        self.bound = bound        # least working radius, when found
+        self.witness = witness    # a violating pair of windows at the cap
+
+    def __eq__(self, other):
+        if not isinstance(other, RepetitionSearch):
+            return NotImplemented
+        return ((self.level, self.cap, self.bound, self.witness)
+                == (other.level, other.cap, other.bound, other.witness))
 
     @property
     def found(self) -> bool:

@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -165,6 +167,17 @@ def rose_map(*images):
     letters = "abcdefgh"[:len(images)]
     g = rose(len(images), tuple(letters))
     return GraphMap(g, g, [0], [tuple(2 * letters.index(x) for x in w) for w in images])
+
+
+@functools.cache
+def bench_workloads():
+    """``bench/workloads.py``, loaded by path: the benchmark is not a package,
+    and its input generators import nothing from ``ttm``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pullback_maps():

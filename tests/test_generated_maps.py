@@ -9,7 +9,9 @@ the sweep replaced.
 
 On these maps and on ``pullback_maps`` (the benchmark roses and three
 seeded random maps), the support of every measure is the lamination's
-language, and its values are positive where the eigenvector is.  On them,
+language, and its values are positive where the eigenvector is, and
+printing then parsing gives back every map, as it does on the benchmark's
+substitution document.  On them,
 on signed roses and on random train track maps, the repetition bound over
 that language is the bound over the larger infinitely legal language.
 """
@@ -26,9 +28,10 @@ from ttm.maps import GraphMap, is_expanding, used_language
 from ttm.measures import (
     KolmogorovFunction, image_measure, verify_eigen_measure, verify_kolmogorov,
 )
+from ttm.textio import InputDocument, parse, print_document
 from ttm.towers import StationaryTower, repetition_bound
 
-from conftest import measures_of, pullback_maps, rose_map
+from conftest import bench_workloads, measures_of, pullback_maps, rose_map
 from pullback_reference import InfinitelyLegal
 from test_maps import random_train_track_maps
 from test_measures import scan_eval_at_level
@@ -117,6 +120,37 @@ def test_support_values_are_positive(name):
                 for p in kf.support(length):
                     assert (kf.eval(p) > 0) is True, p
 
+
+def assert_round_trip(doc):
+    """``parse`` of the printed document prints the same text and gives equal
+    maps and substitutions."""
+    text = print_document(doc)
+    back = parse(text)
+    assert print_document(back) == text
+    assert list(back.maps) == list(doc.maps)
+    assert list(back.substitutions) == list(doc.substitutions)
+    for name in doc.maps:
+        assert back.map(name) == doc.map(name), name
+    for name in doc.substitutions:
+        assert back.substitution(name) == doc.substitution(name), name
+
+
+def test_print_then_parse_gives_back_the_maps():
+    doc = InputDocument()
+    for k, f in enumerate(LANGUAGE_MAPS.values()):
+        doc.graphs[f"G{k}"] = f.domain
+        doc.maps[f"f{k}"] = (f, f"G{k}", f"G{k}")
+    assert len(doc.maps) == 39
+    assert_round_trip(doc)
+
+
+def test_print_then_parse_gives_back_the_bench_substitutions():
+    """The seed-1 substitution document of the benchmark: each substitution,
+    up to 20 letters, with its rose graph and rose map."""
+    doc = parse(bench_workloads().generate_substitutions(1)[0])
+    assert max(len(s.alphabet) for s in doc.substitutions.values()) == 20
+    assert len(doc.maps) == len(doc.substitutions) == 4
+    assert_round_trip(doc)
 
 
 def test_repetition_bound_is_the_infinitely_legal_bound():

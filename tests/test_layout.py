@@ -105,7 +105,8 @@ def test_removed_names_stay_removed(module, name):
         assert parameter not in inspect.signature(getattr(owner, attr)).parameters
     else:
         assert not hasattr(owner, attr)
-        assert attr not in getattr(owner, "__dataclass_fields__", {})
+        if isinstance(owner, type):   # nor as a field that the constructor takes
+            assert attr not in inspect.signature(owner).parameters
         assert owners or not hasattr(ttm, attr), "still exported by ttm"
 
 
@@ -135,12 +136,31 @@ def test_runtime_does_not_load_mpmath():
     assert [m for m in imported if m.startswith("mpmath")] == []
 
 
+def imported_packages(path):
+    """The top-level packages that a module imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    return {m.partition(".")[0] for m in names}
+
+
 def test_no_module_imports_mpmath():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-        names += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
-        assert not [m for m in names if m.partition(".")[0] == "mpmath"], path.name
+        assert "mpmath" not in imported_packages(path), path.name
+
+
+def test_cli_does_not_load_dataclasses():
+    """The records are plain classes: the command line pays neither the
+    import of ``dataclasses`` nor the decoration of its classes."""
+    probe = "import sys, ttm.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        assert "dataclasses" not in imported_packages(path), path.name
 
 
 # the package re-exports its names; the acceptance suite is kept as written

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ttm.errors import ParseError
+from ttm.graphs import Graph
+from ttm.maps import GraphMap
 from ttm.textio import (
-    PUNCT, format_table_tsv, parse, parse_path, print_document, token_strings, tokenize,
+    PUNCT, InputDocument, format_table_tsv, parse, parse_path, print_document,
+    token_strings, tokenize,
 )
 
 FIB_DOC = """
@@ -42,6 +45,21 @@ def test_print_parse_round_trip():
     assert print_document(doc2) == text
     assert doc2.map("f") == doc.map("f")
     assert doc2.substitution("fib") == doc.substitution("fib")
+
+
+def test_an_edge_named_vertex_round_trips():
+    """``vertex`` starts a vertex image only when ``->`` does not follow it,
+    so the printed image of an edge named ``vertex`` parses back."""
+    g = Graph(1, [(0, 0), (0, 0)], ("v",), ("vertex", "b"))
+    f = GraphMap(g, g, [0], [(0, 2), (2,)], name="f")
+    doc = InputDocument()
+    doc.graphs["G"] = g
+    doc.maps["f"] = (f, "G", "G")
+    text = print_document(doc)
+    assert "  vertex v -> v ;\n  vertex -> vertex b ;\n" in text
+    back = parse(text)
+    assert print_document(back) == text
+    assert back.map("f") == f
 
 
 def test_inverse_tokens():

@@ -3,10 +3,11 @@
 ``ReferenceParser`` below is that parser as it was: it walks ``Token``
 objects through bounds-checked ``peek``/``next``/``word`` calls and resolves
 names with ``tuple.index`` and ``in`` scans.  It has since taken the rules
-that a declaration name is unique per kind and a vertex has one image.  On
-token-level mutations of committed, hand-written and generated documents,
-``parse`` must give the same document or raise the same error, message,
-line and column included.
+that a declaration name is unique per kind, that a vertex has one image, and
+that ``vertex`` starts a vertex image only when ``->`` does not follow it.
+On token-level mutations of committed, hand-written and generated documents,
+and of the documents that the benchmark parses, ``parse`` must give the same
+document or raise the same error, message, line and column included.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ from ttm.maps import GraphMap
 from ttm.substitutions import Substitution
 from ttm.textio import PUNCT, InputDocument, parse, print_document, tokenize
 
-from conftest import random_tame_maps
+from conftest import bench_workloads, random_tame_maps
 from test_textio import FIB_DOC
 
 MAPS_TT = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "maps.tt").read_text()
@@ -141,7 +142,7 @@ class ReferenceParser:
         eimg = {}
         while self.peek() and self.peek().text != "}":
             tok = self.word("assignment")
-            if tok.text == "vertex":
+            if tok.text == "vertex" and (self.peek() is None or self.peek().text != "->"):
                 vtok = self.word("vertex name")
                 self.next("->")
                 wtok = self.word("vertex name")
@@ -272,6 +273,13 @@ SOURCES = (MAPS_TT, FIB_DOC, generated_document())
 NAMES = ("a", "~a", "~~a", "~", "b", "c", "zz", "*", "v0", "v1", "v9", "e0", "~e1",
          "R2", "G", "D0", "C1", "f", "over", "vertices", "vertex", "edge", "graph",
          "map", "subst")
+# the seed-1 documents of the benchmark: four of its random maps, and its
+# substitutions with their rose graphs and maps
+BENCH_SOURCES = (bench_workloads().random_maps_text(1, 4),
+                 bench_workloads().generate_substitutions(1)[0])
+BENCH_NAMES = ("v0", "v2", "v5", "e0", "~e3", "e9", "x0", "~x1", "x19", "x20", "*",
+               "G0", "G1", "R_b20", "m1", "b20", "over", "vertices", "vertex", "edge",
+               "map", "subst")
 
 
 def outcome(parser_parse, text):
@@ -305,16 +313,16 @@ def mutate(text, op, k, new):
 
 
 @st.composite
-def mutated_documents(draw):
-    text = draw(st.sampled_from(SOURCES))
+def mutated_documents(draw, sources=SOURCES, names=NAMES):
+    text = draw(st.sampled_from(sources))
     k = draw(st.integers(0, len(tokenize(text)) - 1))
     op = draw(st.sampled_from(("truncate", "delete", "duplicate", "swap", "replace")))
-    new = draw(st.sampled_from(PUNCT + NAMES))
+    new = draw(st.sampled_from(PUNCT + names))
     return mutate(text, op, k, new)
 
 
 def test_reference_agrees_on_the_sources():
-    for text in SOURCES:
+    for text in SOURCES + BENCH_SOURCES:
         assert outcome(parse, text) == outcome(reference_parse, text)
         assert outcome(parse, text)[0] == "ok"
 
@@ -336,6 +344,15 @@ GRAPH = "graph G { vertices: v ; edge a: v -> v ; edge b: v -> v ; }\n"
     GRAPH + "map f: G -> G { a -> a ; b -> b ; }\nmap f: G -> G { a -> b ; b -> a ; }",
     "subst s over a { a -> a }\nsubst s over a b { a -> b ; b -> a }",
     GRAPH + "map f: G -> G { vertex v -> v ; a -> a ; vertex v -> v ; b -> b ; }",
+    "graph G { vertices: v ; edge a: v -> v ; edge a: v -> v ; }",
+    "graph G { vertices: v ; edge ~a: v -> v ; edge b: v -> v ; }",
+    "graph G { vertices: v ; edge a: v -> w ; edge b: v -> v ; }",
+    GRAPH + "map f: G -> G { ~a -> a ; b -> b ; }",
+    "subst s over a b { a -> c ; b -> a }",
+    "subst s over a b { c -> a ; a -> b ; b -> a }",
+    GRAPH + "map f: G -> G { vertex -> a ; a -> a ; b -> b ; }",
+    GRAPH + "map f: G -> G { a -> a ; b -> b ; vertex",
+    GRAPH.replace("edge b", "edge vertex") + "map f: G -> G { vertex -> c ; a -> a ; }",
 ])
 def test_reference_agrees_on_semantic_errors(text):
     assert outcome(parse, text)[0] == "error"
@@ -345,4 +362,10 @@ def test_reference_agrees_on_semantic_errors(text):
 @settings(max_examples=1500)
 @given(mutated_documents())
 def test_parse_equals_reference_on_mutations(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+
+
+@settings(max_examples=200)
+@given(mutated_documents(BENCH_SOURCES, BENCH_NAMES))
+def test_parse_equals_reference_on_bench_mutations(text):
     assert outcome(parse, text) == outcome(reference_parse, text)
