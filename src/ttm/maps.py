@@ -552,9 +552,9 @@ class LegalPullbacks:
 
     Read it as ``f.legal``.  The class and ``is_infinitely_legal`` keep the
     names of the infinitely legal language that this replaced (a larger
-    one, on which every measure vanishes off this one): the benchmark
-    tracer (``bench/tracer.py``) times ``LegalPullbacks.is_infinitely_legal``
-    by them.
+    one, on which every measure vanishes off this one), as ``bench/tracer.py``
+    and ``tests/test_traced_names.py`` pin ``is_infinitely_legal``, which no
+    bench job calls.
     """
 
     def __init__(self, f: GraphMap):

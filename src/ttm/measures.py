@@ -20,34 +20,34 @@ depend on the level choice, which the test-suite spot-checks.
 
 Paths are not scanned one at a time.  The first path of length L at level n
 triggers one sweep over the level-n words: a window of length L slides over
-each positive edge's word and its reverse, counting that edge for the factor
-read, and every junction ``(e1, e2, cut)`` whose turn a direction orbit
-visits (``WeightTower.visited``; every other turn weighs the exact zero)
-appends that turn to the factor ``w1[-cut:] + w2[:L-cut]``.  The result is
-a *recipe* per factor that occurs (edge counts, turns in the order met).  A
-path and its reversal share the recipe of the one smaller in tuple order,
-replayed in the order a per-path scan of it would sum it (edge terms in
-positive-edge order, then the turn weights as met, then the level scale)
-and cached by level and recipe: a value depends only on the level and on
-{p, p-bar}, not on call history.
+the word of each positive edge of non-zero weight and its reverse, counting
+that edge for the factor read, and every junction ``(e1, e2, cut)`` whose
+turn has a non-zero weight (``WeightTower.visited``; every other turn weighs
+the exact zero) appends that turn to the factor ``w1[-cut:] + w2[:L-cut]``.
+The result is a *recipe* per factor that occurs (edge counts, turns in the
+order met).  A path and its reversal share the recipe of the one smaller in
+tuple order, replayed in the order a per-path scan of it would sum it (edge
+terms in positive-edge order, then the turn weights as met, then the level
+scale) and cached by level and recipe: a value depends only on the level and
+on {p, p-bar}, not on call history.
 
 No walk filters for reducedness.  The level words are iterate images of an
 expanding train track map, so they, their images and the oracle's counted
 factors are reduced; a visited turn is legal, so every window and its image
-are reduced too.  ``support(L)`` is the sweep's key set, the lamination's
-language (``maps.used_language``) for L >= 2 and every oriented edge for
-L = 1; every other reduced path of length L has the empty recipe, the exact
-zero.  ``eval`` checks its path and hands it to ``_walked``, which the walks
-and the CLI tables call on the paths they made.  Each verify suite evaluates
-the set of paths whose residual can be non-zero, in any order (its verdict
-and violation are maxima):
+are reduced too.  ``support(L)`` is the sweep's key set, the paths of length
+L whose value is not the exact zero: an edge of zero coordinate adds nothing,
+nor do the turns only its orbits visit.  Every other reduced path of length L
+has the empty recipe, the exact zero.  ``eval`` checks its path and hands it
+to ``_walked``, which the walks and the CLI tables call on the paths they
+made.  Each verify suite evaluates the set of paths whose residual can be
+non-zero, in any order (its verdict and violation are maxima):
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
 * the eigen equation: S(L) and the paths that its paths cover, up to the
   bound: the factors of f(d) from its first image block to its last (a
   path with a cover in the support is one);
-* the oracle: S(L) and the paths with a non-zero occurrence count (its
-  vector is non-negative, so its tail bounds are too).
+* the oracle: S(L) and the paths with a non-zero estimate (its vector is
+  non-negative, so its tail bounds are too).
 
 The walks use no property of the measure they check, nor the support's
 closure under factors, which makes the first two walks S(L) itself.
@@ -74,7 +74,7 @@ from .errors import IncompleteTableError, PathError, PreconditionError
 from .graphs import (
     Graph, inverse, is_reduced, make_turn, reverse_path, subpaths_up_to,
 )
-from .maps import GraphMap, search_covers, used_language
+from .maps import GraphMap, search_covers
 from .towers import (
     StationaryTower, WeightTower, eigen_data, repetition_bound, weight_tower_from_vector,
 )
@@ -109,8 +109,8 @@ class KolmogorovFunction:
         return self._value(n, self._sweeps(n, len(path)).get(path, _NO_RECIPE))
 
     def support(self, length: int):
-        """The sweep's keys: the lamination's language of this length from
-        length 2 on, every oriented edge at 1; all else is the exact zero."""
+        """The sweep's keys: the paths of this length whose value is not
+        the exact zero; all else is the exact zero."""
         return self._length_sweep(length)[1].keys()
 
     def _walked(self, path):
@@ -129,15 +129,17 @@ class KolmogorovFunction:
         A recipe is the pair (edge counts, crossed turns): the occurrences of
         the factor or its reverse inside each positive edge's word, and the
         turn of every junction ``(e1, e2, cut)`` whose straddling window reads
-        the factor, in the order the per-path scan would meet them.  A
-        junction is kept exactly when its turn is in ``weights.visited``, so
-        the keys are the lamination's language for ``length >= 2`` and every
-        oriented edge at length 1.  A factor whose reversal is smaller in
-        tuple order gets the reversal's recipe object.
+        the factor, in the order the per-path scan would meet them.  Edges
+        of weight zero are skipped and a junction is kept exactly when its
+        turn is in ``weights.visited``, so the keys are the factors of
+        non-zero value.  A factor whose reversal is smaller in tuple order
+        gets the reversal's recipe object.
         """
         tower, graph = self.tower, self.graph
         counts = {}
         for e in graph.positive_edges:
+            if self.weights.edge_weight[e] == 0:
+                continue
             # windows of the reversed word are the reversed windows
             for word in (tower.word(e, n), tower.word(inverse(e), n)):
                 for i in range(len(word) - length + 1):
@@ -177,11 +179,11 @@ class KolmogorovFunction:
         return value
 
     def support_table(self, max_length: int) -> "MeasureTable":
-        """Table over the used language truncation only (``used_language``,
-        the lamination's); paths outside it have measure zero and stay
-        implicit, which keeps long tables linear in the language size."""
-        lang = used_language(self.tower.f, max_length)
-        entries = {p: self.eval(p) for p in lang}
+        """Table over the support up to the bound, the paths with a
+        non-zero value; every other path has measure zero and stays
+        implicit, which keeps long tables linear in the support size."""
+        entries = {p: self._walked(p) for length in range(1, max_length + 1)
+                   for p in self.support(length)}
         return MeasureTable(self.graph, entries, max_length)
 
 
@@ -541,11 +543,12 @@ class FrequencyOracle:
         return tuple(c[key] for c in self._length_counts(len(path)))
 
     def support(self, length: int) -> set:
-        """The paths of this length with a non-zero count, closed under
-        reversal."""
+        """The paths of this length with a non-zero estimate (a count for
+        an edge of non-zero coordinate), closed under reversal."""
         out = set()
-        for c in self._length_counts(length):
-            out.update(c)
+        for c, x in zip(self._length_counts(length), self.vector):
+            if x != 0:
+                out.update(c)
         return out | {reverse_path(p) for p in out}
 
     def estimate(self, path) -> OracleEstimate:
@@ -610,8 +613,8 @@ def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: i
     beyond the tail bound.  Returns the report and the largest
     ``|eval - estimate|`` (a float, for display).
 
-    The paths compared are the two supports, the measure's and the oracle's
-    non-zero counts; the oracle must count factors of the measure's map
+    The paths compared are the two supports, the paths with a non-zero
+    value or estimate; the oracle must count factors of the measure's map
     (PreconditionError otherwise).  On every other reduced path both values
     are exactly zero, so the excess is minus the tail bound, which is
     non-negative (the oracle's vector is): no check reads it.

@@ -171,9 +171,9 @@ class WeightTower:
     exactly).  Turn weights follow the closed form: a junction turn of an
     edge image contributes ``lambda**-(k+1) v(e)`` for every orbit step k
     at which its direction orbit sits on the target turn; eventual
-    periodicity turns the tail into a geometric series.  Sums are
-    accumulated only on ``visited``, the turns that some orbit visits;
-    every other turn, illegal ones included, gets the same exact zero.
+    periodicity turns the tail into a geometric series.  Only the turns
+    that an orbit of an edge of non-zero coordinate visits (``visited``) get
+    a sum; every other turn, illegal ones included, gets the same exact zero.
     """
 
     def __init__(self, tower: StationaryTower, vector, lam):
@@ -196,6 +196,8 @@ class WeightTower:
         sums = {}
         for e in graph.positive_edges:
             v_e = self.vector[e >> 1]
+            if v_e == 0:
+                continue
             for tau in turns_of(tower.f.image(e)):
                 pre, cyc = da.orbit(tau)
                 for k, t in enumerate(pre):

@@ -516,6 +516,22 @@ def test_deep_q2_check_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("measure", "--table-up-to", "5"), "red.110.measure.tsv"),
+    (("measure", "--table-up-to", "5", "--format", "json"), "red.110.measure.json"),
+    (("verify", "--max-len", "6"), "red.110.verify.txt"),
+])
+def test_zero_coordinate_measure_is_pinned(capsys, argv, golden):
+    """Red's measure of the vector (1, 1, 0), whose edge c weighs zero, byte
+    for byte as recorded when its support still held the zero-valued paths
+    through c: the table rows and the verify lines do not change."""
+    command, *flags = argv
+    code, out, err = run(capsys, command, str(BENCH_MAPS), "--map", "red",
+                         "--vector", "1,1,0", *flags)
+    assert (code, err) == (0, "")
+    assert out == (DATA / golden).read_text()
+
+
 def test_check_builds_few_language_fixpoints(capsys, monkeypatch):
     """The repetition search builds the language towards the longest window
     it may read, ``2 cap + 1``: five fixpoints for red (lengths 1, 3, 6, 12

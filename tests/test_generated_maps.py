@@ -8,10 +8,12 @@ verify suites pass and the replayed values equal the per-path scan that
 the sweep replaced.
 
 On these maps and on ``pullback_maps`` (the benchmark roses and three
-seeded random maps), the support of every measure is the lamination's
-language, and its values are positive where the eigenvector is, and
-printing then parsing gives back every map, as it does on the benchmark's
-substitution document.  On them,
+seeded random maps), the support of every measure is the set of paths
+with a non-zero value: its values are positive, it lies in the
+lamination's language, and every path off it scans to the exact zero.  The
+measures agree with the frequency oracle, whose support is the set of its
+non-zero estimates, and printing then parsing gives back every map, as it
+does on the benchmark's substitution document.  On them,
 on signed roses and on random train track maps, the repetition bound over
 that language is the bound over the larger infinitely legal language.
 """
@@ -26,7 +28,8 @@ from ttm import measures
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, is_expanding, used_language
 from ttm.measures import (
-    KolmogorovFunction, image_measure, verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, image_measure, verify_eigen_measure,
+    verify_kolmogorov, verify_oracle,
 )
 from ttm.textio import InputDocument, parse, print_document
 from ttm.towers import StationaryTower, repetition_bound
@@ -93,32 +96,76 @@ def language_measures(name):
     return f, measures_of(f)
 
 
+def has_zero_coordinate(kf):
+    return any(x == 0 for x in kf.weights.vector)
+
+
 @pytest.mark.parametrize("name", LANGUAGE_MAPS)
 def test_support_is_the_language(name):
-    """From length 2 on, ``support(L)`` is the length-L part of
-    ``used_language``; ``support(1)`` is every oriented edge, which holds
-    the letters of the edge images and may hold more."""
+    """``support(1)`` is the set of edges with a non-zero coordinate.  From
+    length 2 on, ``support(L)`` lies in the length-L part of
+    ``used_language``, and is all of it when no coordinate is zero."""
     f, kfs = language_measures(name)
     language = used_language(f, 6)
     edges = {(e,) for e in f.domain.oriented_edges}
     assert edges >= {p for p in language if len(p) == 1}
     for kf in kfs:
-        assert set(kf.support(1)) == edges
+        assert set(kf.support(1)) == {p for p in edges if kf.weights.edge_weight[p[0]] != 0}
         for length in range(2, 7):
-            assert set(kf.support(length)) == {p for p in language if len(p) == length}, length
+            support, words = set(kf.support(length)), {p for p in language if len(p) == length}
+            assert support <= words and (support == words or has_zero_coordinate(kf)), length
 
 
 @pytest.mark.parametrize("name", LANGUAGE_MAPS)
 def test_support_values_are_positive(name):
-    """Every support value up to length 5 is certifiably positive when the
-    eigenvector is; a measure with a zero coordinate (red's first) is
-    skipped, as the paths of that edge are zero-valued."""
+    """Every support value up to length 6 is certifiably positive, on the
+    measures with a zero coordinate too: the support is the non-zero set."""
     f, kfs = language_measures(name)
     for kf in kfs:
-        if all((x > 0) is True for x in kf.weights.vector):
-            for length in range(1, 6):
-                for p in kf.support(length):
-                    assert (kf.eval(p) > 0) is True, p
+        for length in range(1, 7):
+            for p in kf.support(length):
+                assert (kf.eval(p) > 0) is True, p
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_paths_off_the_support_are_the_exact_zero(name):
+    """Every reduced path up to length 4 outside the support has the exact
+    zero as the value of the per-path scan, the reference that the sweep
+    replaced, at its level."""
+    f, kfs = language_measures(name)
+    for kf in kfs:
+        for p in f.domain.reduced_paths(4):
+            if p <= reverse_path(p) and p not in kf.support(len(p)):
+                level = kf.tower.level_for_length(len(p))
+                assert ia.endpoints(scan_eval_at_level(kf, p, level)) == (0, 0), p
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_measures_agree_with_the_oracle(name):
+    """Every measure lies within the oracle's tail bound plus 1e-12 of the
+    estimates at t = 20, up to length 4."""
+    f, kfs = language_measures(name)
+    for kf in kfs:
+        oracle = FrequencyOracle(f, kf.weights.vector, kf.weights.lam, 20)
+        assert verify_oracle(kf, oracle, 4, 1e-12)[0].passed
+
+
+def test_oracle_support_is_the_non_zero_estimates():
+    """``FrequencyOracle.support(L)`` is the set of paths of length L whose
+    estimate is not the exact zero, up to length 4 at t = 20: on red's
+    vector (1, 1, 0) and on the 15 of the 40 measures above that have a
+    zero coordinate."""
+    red = LANGUAGE_MAPS["red"]
+    cases = [(red, (1, 1, 0), 2)] + [
+        (f, kf.weights.vector, kf.weights.lam) for name in LANGUAGE_MAPS
+        for f, kfs in [language_measures(name)] for kf in kfs if has_zero_coordinate(kf)]
+    assert len(cases) == 16
+    for f, vector, lam in cases:
+        oracle = FrequencyOracle(f, vector, lam, 20)
+        for length in range(1, 5):
+            non_zero = {p for p in f.domain.reduced_paths(length) if len(p) == length
+                        and ia.endpoints(oracle.estimate(p).value) != (0, 0)}
+            assert oracle.support(length) == non_zero, (f, length)
 
 
 def assert_round_trip(doc):

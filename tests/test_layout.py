@@ -22,6 +22,7 @@ REMOVED_DEPENDENCIES = {
     "towers": {"dialects", "maps.matmul"},
     "textio": {"measures"},
     "maps": {"polys"},
+    "measures": {"maps.used_language"},
 }
 
 # module -> names ("Class.attr" for members, "function(parameter)" for
