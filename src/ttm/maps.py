@@ -157,60 +157,6 @@ class GraphMap:
             p = self.map_path(p)
         return p
 
-    # -- cover search tables -------------------------------------------------------
-
-    @cached_property
-    def cover_starts(self):
-        """Start index of :func:`search_covers`: for each codomain edge x, the
-        pairs ``(e0, f(e0)[off:])`` whose image tail begins with x, in
-        (oriented edge, offset) order."""
-        starts = {}
-        for e0 in self.domain.oriented_edges:
-            img0 = self.image(e0)
-            for off in range(len(img0)):
-                starts.setdefault(img0[off], []).append((e0, img0[off:]))
-        return starts
-
-    @cached_property
-    def reduced_successors(self):
-        """Successor table of :func:`search_covers`: for each oriented edge
-        e, the pairs ``(d, f(d))`` with ``e d`` reduced, in ``directions_at``
-        order, indexed by the first edge of a non-trivial ``f(d)``."""
-        g = self.domain
-        table = []
-        for e in g.oriented_edges:
-            index = {}
-            for d in g.extensions_right((e,)):
-                block = self.image(d)
-                if block:
-                    index.setdefault(block[0], []).append((d, block))
-            table.append(index)
-        return tuple(table)
-
-
-def search_covers(f: GraphMap, path):
-    """The covers of a non-empty codomain path: the reduced domain paths d
-    whose image holds ``path`` in an occurrence touching the first and last
-    image block, one per occurrence, depth first over ``f.cover_starts`` and
-    ``f.reduced_successors``, trying only blocks that start with the next
-    edge of the path.  A stack entry ``(cover, pos)`` has the image of
-    ``cover`` (from the occurrence start) matching ``path[:pos]``.
-    """
-    n = len(path)
-    covers = []
-    stack = [((), 0)]
-    while stack:
-        cover, pos = stack.pop()
-        if pos >= n:
-            covers.append(cover)
-            continue
-        nxt = (f.reduced_successors[cover[-1]] if cover else f.cover_starts).get(path[pos], ())
-        for d, block in reversed(nxt):
-            end = pos + len(block)
-            if path[pos:end] == block[:n - pos]:
-                stack.append((cover + (d,), end))
-    return covers
-
 
 def _same_graph(g1: Graph, g2: Graph) -> bool:
     return g1 is g2 or (g1._endpoints == g2._endpoints

@@ -43,9 +43,11 @@ made.  Each verify suite evaluates the set of paths whose residual can be
 non-zero, in any order (its verdict and violation are maxima):
 
 * flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
-* the eigen equation: S(L) and the paths that its paths cover, up to the
-  bound: the factors of f(d) from its first image block to its last (a
-  path with a cover in the support is one);
+* the eigen equation: S(L) and the paths that it covers, up to the bound.
+  One pass pushes S(L) forward, scattering each value mu(d) onto the
+  factors of f(d) from its first image block to its last; the sums give
+  f_* mu on every path with a cover in the support, and ``image_measure``
+  reads the same pass;
 * the oracle: S(L) and the paths with a non-zero estimate (its vector is
   non-negative, so its tail bounds are too).
 
@@ -74,7 +76,7 @@ from .errors import IncompleteTableError, PathError, PreconditionError
 from .graphs import (
     Graph, inverse, is_reduced, make_turn, reverse_path, subpaths_up_to,
 )
-from .maps import GraphMap, search_covers
+from .maps import GraphMap
 from .towers import (
     StationaryTower, WeightTower, eigen_data, repetition_bound, weight_tower_from_vector,
 )
@@ -92,6 +94,7 @@ class KolmogorovFunction:
         self._length_sweep = cache(self._level_sweep)
         self._scale = cache(weights.level_scale)
         self._values = {}    # (level, recipe) -> value
+        self._images = {}    # (map, bound) -> pushforward
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
@@ -177,6 +180,41 @@ class KolmogorovFunction:
                 (count * edge_weight[e] for e, count in edges),
                 (turn_weight[turn] for turn in turns))) * self._scale(n)
         return value
+
+    def _image_values(self, f: GraphMap, bound: int):
+        """The pushforward under f up to the bound, built once per map and
+        bound after checking f: each path p that the support covers, mapped
+        to the sum of its covers' values.
+
+        A cover of p is a domain path d with p a factor of f(d) from its
+        first image block to its last, once per occurrence; it has at most
+        |p| edges (edge images are non-empty).  Covers off the support are
+        the exact zero, which ``ia.isum`` skips, so one pass over the
+        support scatters each value onto the paths it covers.  Each p sums
+        in the order of the key ``(d[0], offset, *d[1:])``, in which a
+        depth-first search from its first edge, over edge ids in increasing
+        order, meets its covers (no cover at one offset is a prefix of
+        another).  Values are read once each, through ``eval``: the
+        validated route, which keeps ``verify``'s evaluations visible to a
+        tracer of the public evaluator.
+        """
+        pushed = self._images.get((f, bound))
+        if pushed is None:
+            f.require_tame("image measure")
+            if self.graph._endpoints != f.domain._endpoints:
+                raise PreconditionError("the measure lives on a different graph "
+                                        "than the map's domain")
+            covers = {}
+            for length in range(1, bound + 1):
+                for d in self.support(length):
+                    value, image = self.eval(d), f.map_path(d)
+                    last = len(image) - len(f.image(d[-1]))    # where the last block starts
+                    for i in range(len(f.image(d[0]))):
+                        for j in range(max(i, last) + 1, min(i + bound, len(image)) + 1):
+                            covers.setdefault(image[i:j], {})[(d[0], i, *d[1:])] = value
+            pushed = self._images[f, bound] = {
+                p: ia.isum(map(values.get, sorted(values))) for p, values in covers.items()}
+        return pushed
 
     def support_table(self, max_length: int) -> "MeasureTable":
         """Table over the support up to the bound, the paths with a
@@ -388,30 +426,15 @@ def _require_bound(max_length: int):
 
 
 def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
-    """Value of the pushforward measure on a codomain path.
-
-    The domain is subdivided at preimages of vertices; every subdivided-sense
-    preimage of the path contributes the measure of the smallest full-edge
-    domain path containing it.  Those parents are the covers of
-    :func:`ttm.maps.search_covers`; each occurrence counts, in the order the
-    search returns them.
+    """Value of the pushforward measure on a codomain path: the sum of the
+    measure over its covers, the domain paths d whose image holds the path
+    in an occurrence from f(d)'s first image block to its last, one term
+    per occurrence.  The first call at a length builds the pushforward of
+    every support path up to it (``KolmogorovFunction._image_values``), as
+    the first ``eval`` at a length builds that length's sweep.
     """
     path = _checked(f.codomain, path, "the image measure")
-    _require_pushforward(f, kf)
-    return _pushforward(f, kf, path)
-
-
-def _pushforward(f: GraphMap, kf: KolmogorovFunction, path):
-    """``image_measure`` without its checks: the covers' values summed in
-    search order."""
-    return ia.isum(map(kf.eval, search_covers(f, path)))
-
-
-def _require_pushforward(f: GraphMap, kf: KolmogorovFunction):
-    f.require_tame("image measure")
-    if kf.graph._endpoints != f.domain._endpoints:
-        raise PreconditionError("the measure lives on a different graph "
-                                "than the map's domain")
+    return kf._image_values(f, len(path)).get(path, ia.zero())
 
 
 def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
@@ -419,31 +442,21 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     """Check that the pushforward equals lambda times the measure on the
     reduced paths up to the bound.
 
-    The paths checked are the walk of the support paths d up to the bound
-    and of the paths that they cover: the factors of f(d), up to the bound,
-    that start in its first image block and end in its last (every factor
-    when |d| = 1).  A cover c of p is at most |p| edges long (edge images
-    are non-empty) and p is such a factor of f(c), as ``search_covers``
-    defines covers, so a path with a cover in the support is walked; every
-    other reduced path has the exact zero as its value and as the value of
-    each of its covers, so its residual is exactly [0, 0].
+    The paths checked are the support up to the bound and the paths that it
+    covers, read off one pass that pushes the support forward
+    (``KolmogorovFunction._image_values``).  Every other reduced path has
+    the exact zero as its value and as the value of each of its covers, so
+    its residual is exactly [0, 0].
     """
     _require_bound(max_length)
-    _require_pushforward(f, kf)
     if not f.is_self_map():
         raise PreconditionError("the eigen equation needs a self-map")
-    lam = ia.coerce(lam)
-    walk = set()
-    for length in range(1, max_length + 1):
-        for d in kf.support(length):
-            image = f.map_path(d)
-            last = len(image) - len(f.image(d[-1]))    # where the last block starts
-            walk.add(d)
-            walk.update(image[i:j] for i in range(len(f.image(d[0])))
-                        for j in range(max(i, last) + 1, min(i + max_length, len(image)) + 1))
+    lam, zero = ia.coerce(lam), ia.zero()
+    pushed = kf._image_values(f, max_length)
+    walk = pushed.keys() | {d for length in range(1, max_length + 1) for d in kf.support(length)}
     report = VerificationReport()
     report.record("eigen-equation", (
-        abs(_pushforward(f, kf, path) - lam * kf._walked(path)) for path in walk), tol)
+        abs(pushed.get(p, zero) - lam * kf._walked(p)) for p in walk), tol)
     return report
 
 

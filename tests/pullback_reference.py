@@ -1,15 +1,22 @@
-"""Two test references for the languages of a self-map.
+"""Test references for the languages and the covers of a self-map.
 
 ``rescan_used_language`` is the used language (the subpaths of iterated
 edge images, the one language of ``ttm.maps``) by a full rescan, which
 shares nothing with the window worklist but ``map_path``.
 
+``search_covers`` lists the covers of a path by a depth-first search, one
+per occurrence, over its own start index (``cover_starts``) and reduced
+successor table (``reduced_successors``).  ``ttm.measures`` reads the same
+relation the other way round, scattering each support path's value onto
+the paths that it covers, so the search is the independent reference for
+``image_measure`` and the eigen walk.
+
 ``BackwardPullbacks`` decides whether a path is infinitely legal, a larger
 language that ``ttm.maps`` once kept: it pulls the path back through
 minimal covers until it reaches a pullback cycle.  It shares nothing with
-the library but the map's cover start index (``GraphMap.cover_starts``) and
-reduced successor table.  ``InfinitelyLegal`` puts it in the interface of
-``f.legal``, so the library's searches can run over the old language.
+the library but the map's edge images and direction analysis.
+``InfinitelyLegal`` puts it in the interface of ``f.legal``, so the
+library's searches can run over the old language.
 """
 
 import functools
@@ -38,10 +45,47 @@ def used_reference(f: GraphMap, length: int) -> frozenset:
     return frozenset(p for p in rescan_used_language(f, length) if len(p) == length)
 
 
-def search_legal_covers(f: GraphMap, successors, path):
-    """The covers of a non-empty path, depth first over the start index and
-    the successor table ``successors[e]``, which indexes the pairs
-    ``(d, f(d))`` that may follow e by the first edge of ``f(d)``."""
+@functools.cache
+def cover_starts(f: GraphMap):
+    """Start index of the cover search: for each codomain edge x, the pairs
+    ``(e0, f(e0)[off:])`` whose image tail begins with x, in (oriented
+    edge, offset) order."""
+    starts = {}
+    for e0 in f.domain.oriented_edges:
+        img0 = f.image(e0)
+        for off in range(len(img0)):
+            starts.setdefault(img0[off], []).append((e0, img0[off:]))
+    return starts
+
+
+@functools.cache
+def reduced_successors(f: GraphMap):
+    """Successor table of the cover search: for each oriented edge e, the
+    pairs ``(d, f(d))`` with ``e d`` reduced, in ``directions_at`` order,
+    indexed by the first edge of a non-trivial ``f(d)``."""
+    g = f.domain
+    table = []
+    for e in g.oriented_edges:
+        index = {}
+        for d in g.extensions_right((e,)):
+            block = f.image(d)
+            if block:
+                index.setdefault(block[0], []).append((d, block))
+        table.append(index)
+    return tuple(table)
+
+
+def search_covers(f: GraphMap, path, successors=None):
+    """The covers of a non-empty codomain path: the domain paths d whose
+    image holds ``path`` in an occurrence touching the first and last image
+    block, one per occurrence, depth first over ``cover_starts`` and the
+    successor table ``successors[e]`` (by default ``reduced_successors``),
+    which indexes the pairs ``(d, f(d))`` that may follow e by the first
+    edge of ``f(d)``.  A stack entry ``(cover, pos)`` has the image of
+    ``cover`` (from the occurrence start) matching ``path[:pos]``."""
+    starts = cover_starts(f)
+    if successors is None:
+        successors = reduced_successors(f)
     n = len(path)
     covers = []
     stack = [((), 0)]
@@ -50,7 +94,7 @@ def search_legal_covers(f: GraphMap, successors, path):
         if pos >= n:
             covers.append(cover)
             continue
-        nxt = (successors[cover[-1]] if cover else f.cover_starts).get(path[pos], ())
+        nxt = (successors[cover[-1]] if cover else starts).get(path[pos], ())
         for d, block in reversed(nxt):
             end = pos + len(block)
             if path[pos:end] == block[:n - pos]:
@@ -80,7 +124,7 @@ class BackwardPullbacks:
             {x: [(d, block) for d, block in pairs
                  if self.da.is_legal(make_turn(inverse(e), d))]
              for x, pairs in nxt.items()}
-            for e, nxt in enumerate(f.reduced_successors))
+            for e, nxt in enumerate(reduced_successors(f)))
         self._legal_next = tuple(frozenset(d for pairs in nxt.values() for d, _ in pairs)
                                  for nxt in self._next)
         self._covers = {}
@@ -93,7 +137,7 @@ class BackwardPullbacks:
         if not path:
             results = {(e0,) for e0 in self.f.domain.oriented_edges}
         else:
-            results = search_legal_covers(self.f, self._next, path)
+            results = search_covers(self.f, path, self._next)
         self._covers[path] = frozenset(results)
         return self._covers[path]
 

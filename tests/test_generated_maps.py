@@ -13,18 +13,22 @@ with a non-zero value: its values are positive, it lies in the
 lamination's language, and every path off it scans to the exact zero.  The
 measures agree with the frequency oracle, whose support is the set of its
 non-zero estimates, and printing then parsing gives back every map, as it
-does on the benchmark's substitution document.  On them,
+does on the benchmark's substitution document.  The pushforward that
+``image_measure`` and the eigen walk read is, endpoint for endpoint, the
+sum over the covers that a recursive walk and the reference depth-first
+search find, on each measure and on each measure with one edge's paths set
+to zero.  On them,
 on signed roses and on random train track maps, the repetition bound over
 that language is the bound over the larger infinitely legal language.
 """
 
 import functools
 import random
+from unittest import mock
 
 import pytest
 
 import ttm.intervals as ia
-from ttm import measures
 from ttm.graphs import reverse_path, subpaths_up_to
 from ttm.maps import GraphMap, is_expanding, used_language
 from ttm.measures import (
@@ -35,9 +39,9 @@ from ttm.textio import InputDocument, parse, print_document
 from ttm.towers import StationaryTower, repetition_bound
 
 from conftest import bench_workloads, measures_of, pullback_maps, rose_map
-from pullback_reference import InfinitelyLegal
+from pullback_reference import InfinitelyLegal, search_covers
 from test_maps import random_train_track_maps
-from test_measures import scan_eval_at_level
+from test_measures import scan_eval_at_level, walk_image_measure, walk_parents
 from test_towers import signed_roses
 
 DRAWS, MAPS = 50, 30
@@ -242,21 +246,34 @@ class WithoutEdge(KolmogorovFunction):
 
 
 
-def eigen_walks(name, monkeypatch):
-    """``(f, lam, mu, walk)`` for each measure of the map and each of its
-    ``WithoutEdge`` measures: ``walk`` is the set of paths that
-    ``verify_eigen_measure`` evaluates at bound 6."""
+@functools.cache
+def measure_variants(name):
+    """``(f, [(lam, mu), ...])``: each measure of the map, then each of its
+    ``WithoutEdge`` measures."""
     f, kfs = language_measures(name)
-    walked = []
-    pushforward = measures._pushforward
-    monkeypatch.setattr(measures, "_pushforward",
-                        lambda f, kf, p: walked.append(p) or pushforward(f, kf, p))
-    for kf in kfs:
-        lam = kf.weights.lam
-        for mu in [kf] + [WithoutEdge(kf.weights, x) for x in range(f.domain.n_edges)]:
-            walked.clear()
-            assert verify_eigen_measure(f, mu, lam, 6, 1e-12).passed or mu is not kf
-            yield f, lam, mu, set(walked)
+    return f, [(kf.weights.lam, mu) for kf in kfs
+               for mu in [kf] + [WithoutEdge(kf.weights, x) for x in range(f.domain.n_edges)]]
+
+
+@functools.cache
+def eigen_walks(name):
+    """``(f, lam, mu, walk)`` for each of ``measure_variants``: ``walk`` is
+    the set of paths that ``verify_eigen_measure`` evaluates at bound 6, the
+    support and the paths of the one pushforward
+    (``KolmogorovFunction._image_values``) that it builds."""
+    f, variants = measure_variants(name)
+    pushed, walks = [], []
+    image_values = KolmogorovFunction._image_values
+    with mock.patch.object(KolmogorovFunction, "_image_values",
+                           lambda mu, f, bound: pushed.append(image_values(mu, f, bound))
+                           or pushed[-1]):
+        for lam, mu in variants:
+            pushed.clear()
+            assert (verify_eigen_measure(f, mu, lam, 6, 1e-12).passed
+                    or isinstance(mu, WithoutEdge))
+            (values,) = pushed
+            walks.append((f, lam, mu, set(values) | support_up_to_6(mu)))
+    return walks
 
 
 def support_up_to_6(mu):
@@ -268,12 +285,12 @@ def eigen_residual(f, lam, mu, path):
 
 
 @pytest.mark.parametrize("name", LANGUAGE_MAPS)
-def test_eigen_walk_holds_every_non_zero_residual(name, monkeypatch):
+def test_eigen_walk_holds_every_non_zero_residual(name):
     """The eigen walk, the support and the paths that it covers, lies in the
     walk of the support and every factor of its images up to the bound, and
     holds each path of that walk whose eigen residual is not the exact zero:
     on each measure, and on each measure with one edge's paths set to zero."""
-    for f, lam, mu, walk in eigen_walks(name, monkeypatch):
+    for f, lam, mu, walk in eigen_walks(name):
         factors = {x for d in support_up_to_6(mu)
                    for x in (d, *subpaths_up_to(f.map_path(d), 6))}
         assert walk <= factors
@@ -281,13 +298,39 @@ def test_eigen_walk_holds_every_non_zero_residual(name, monkeypatch):
             assert ia.endpoints(eigen_residual(f, lam, mu, p)) == (0, 0), p
 
 
-def test_eigen_walk_leaves_the_support(monkeypatch):
+def test_eigen_walk_leaves_the_support():
     """On 33 of the 39 maps, a measure with one edge's paths set to zero has
     a walked path off its support with a non-zero eigen residual, so the
     test above checks the covers and not the support alone; on the other
     six, none has."""
     leaving = [name for name in LANGUAGE_MAPS if any(
         ia.endpoints(eigen_residual(f, lam, mu, p)) != (0, 0)
-        for f, lam, mu, walk in eigen_walks(name, monkeypatch)
+        for f, lam, mu, walk in eigen_walks(name)
         for p in walk - support_up_to_6(mu))]
     assert len(leaving) == 33
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_eigen_walk_pushforward_is_the_cover_search(name):
+    """On each walked path, the pushforward that the eigen walk reads is the
+    sum of the measure over the reference search's covers, in search order,
+    endpoint for endpoint: on each measure and each ``WithoutEdge``
+    measure, whose covers off the support are exact zeros."""
+    for f, lam, mu, walk in eigen_walks(name):
+        pushed = mu._image_values(f, 6)
+        for p in walk:
+            reference = ia.isum(map(mu.eval, search_covers(f, p)))
+            assert ia.endpoints(pushed.get(p, ia.zero())) == ia.endpoints(reference), p
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_image_measure_bit_identical_to_walk(name):
+    """``image_measure`` sums the same parents in the same order as the
+    recursive sub-edge walk, on every reduced path up to length 4: on each
+    measure, and on each measure with one edge's paths set to zero."""
+    f, variants = measure_variants(name)
+    assert variants
+    for p in f.codomain.reduced_paths(4):
+        parents = walk_parents(f, p)
+        for _, mu in variants:
+            assert image_measure(f, mu, p) == walk_image_measure(f, mu, p, parents), p

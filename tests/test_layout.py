@@ -22,7 +22,7 @@ REMOVED_DEPENDENCIES = {
     "towers": {"dialects", "maps.matmul"},
     "textio": {"measures"},
     "maps": {"polys"},
-    "measures": {"maps.used_language"},
+    "measures": {"maps.used_language", "maps.search_covers"},
 }
 
 # module -> names ("Class.attr" for members, "function(parameter)" for
@@ -30,7 +30,8 @@ REMOVED_DEPENDENCIES = {
 REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
     "maps": {"power", "junction_turns", "legal_seeds", "infinitely_legal_language",
-             "LegalPullbacks.seeds"},
+             "LegalPullbacks.seeds", "search_covers", "GraphMap.cover_starts",
+             "GraphMap.reduced_successors"},
     "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
@@ -48,7 +49,8 @@ REMOVED_NAMES = {
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
                  "_common", "_definitely_less", "_ZERO_RECIPE", "_walk",
-                 "_EXACT_ZERO", "_sub", "_magnitudes"},
+                 "_EXACT_ZERO", "_sub", "_magnitudes", "_pushforward",
+                 "_require_pushforward"},
 }
 
 

@@ -6,12 +6,12 @@ import pytest
 import ttm.intervals as ia
 from ttm.errors import IncompleteTableError, PathError, PreconditionError
 from ttm.graphs import inverse, make_turn, reverse_path, rose
-from ttm.maps import GraphMap, identity_map, search_covers, used_language
-from ttm import maps, measures
+from ttm.maps import GraphMap, identity_map, used_language
+from ttm import maps
 from ttm.measures import (
-    FrequencyOracle, MeasureTable, VerificationReport, eigen_measures,
-    eigenvector_measure, frequency_oracle, image_measure, recover_weights,
-    verify_eigen_measure, verify_kolmogorov,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, VerificationReport,
+    eigen_measures, eigenvector_measure, frequency_oracle, image_measure,
+    recover_weights, verify_eigen_measure, verify_kolmogorov,
 )
 
 from ttm.spectra import distinguished_eigenvectors
@@ -21,7 +21,7 @@ from ttm.towers import StationaryTower, WeightTower, repetition_bound
 from conftest import (
     A, Abar, B, Bbar, measures_of, pullback_maps, rose_map,
 )
-from pullback_reference import InfinitelyLegal
+from pullback_reference import InfinitelyLegal, search_covers
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -403,11 +403,19 @@ def test_image_measure_thue_morse(tm_setup, thue_morse):
         assert ia.sup_abs(defect) < 1e-12
 
 
-def walk_image_measure(f, kf, path):
-    """Reference pushforward: every sub-edge ``(e, j)`` whose image letter is
-    ``path[0]``, in (oriented edge, offset) order, grows its parents by a
-    recursive walk over the reduced continuations in ``directions_at`` order,
-    and the measure is summed over the parents in that order."""
+def walk_image_measure(f, kf, path, parents=None):
+    """Reference pushforward: the measure summed over the path's
+    ``walk_parents`` (given, or found here) in their order."""
+    total = ia.zero()
+    for parent in walk_parents(f, path) if parents is None else parents:
+        total = total + kf.eval(parent)
+    return total
+
+
+def walk_parents(f, path):
+    """Every sub-edge ``(e, j)`` whose image letter is ``path[0]``, in
+    (oriented edge, offset) order, grows its parents by a recursive walk over
+    the reduced continuations in ``directions_at`` order."""
     g = f.domain
     parents = []
 
@@ -429,25 +437,12 @@ def walk_image_measure(f, kf, path):
         for j, letter in enumerate(f.image(e)):
             if letter == path[0]:
                 walk(e, j, 0, [e])
-    total = ia.zero()
-    for parent in parents:
-        total = total + kf.eval(parent)
-    return total
+    return parents
 
 
 def assert_pushforward_equals_walk(f, kf, max_length=4):
     for p in f.codomain.reduced_paths(max_length):
         assert image_measure(f, kf, p) == walk_image_measure(f, kf, p), p
-
-
-@pytest.mark.parametrize("name,f", PULLBACK_MAPS, ids=[n for n, _ in PULLBACK_MAPS])
-def test_image_measure_bit_identical_to_walk(name, f):
-    """The one cover search over the reduced successor table sums the same
-    parents in the same order as the recursive sub-edge walk."""
-    kfs = measures_of(f)
-    assert kfs
-    for kf in kfs:
-        assert_pushforward_equals_walk(f, kf)
 
 
 def test_image_measure_bit_identical_to_walk_off_self_maps(fib_setup, rose2):
@@ -476,26 +471,31 @@ def test_image_measure_counts_every_occurrence():
 
 def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci,
                                                              golden_root, monkeypatch):
-    """The eigen walk checks the map once and pushes each walked path
-    forward once, in no set order: reduced paths up to the bound, the
-    support among them.  Every reduced path it skips has the residual
-    exactly [0, 0], which no check reads."""
-    calls, tame = [], []
-    pushforward, require_tame = measures._pushforward, GraphMap.require_tame
+    """The eigen walk checks the map once and builds the pushforward once,
+    reading each support value once, in no set order: it walks reduced
+    paths up to the bound, the support among them.  Every reduced path it
+    skips has the residual exactly [0, 0], which no check reads."""
+    builds, reads, tame = [], [], []
+    image_values, evaluate = KolmogorovFunction._image_values, KolmogorovFunction.eval
+    require_tame = GraphMap.require_tame
 
-    def counted(f, kf, path):
-        calls.append(tuple(path))
-        return pushforward(f, kf, path)
+    def counted(kf, f, bound):
+        builds.append((f, bound))
+        return image_values(kf, f, bound)
 
-    monkeypatch.setattr(measures, "_pushforward", counted)
+    monkeypatch.setattr(KolmogorovFunction, "_image_values", counted)
+    monkeypatch.setattr(KolmogorovFunction, "eval",
+                        lambda kf, path: reads.append(tuple(path)) or evaluate(kf, path))
     monkeypatch.setattr(GraphMap, "require_tame",
                         lambda f, *what: tame.append(f) or require_tame(f, *what))
-    kf = fib_setup[3]
+    kf = KolmogorovFunction(fib_setup[1])    # no pushforward cached yet
     report = verify_eigen_measure(fibonacci, kf, golden_root, 4, 1e-12)
     assert report.passed and tame == [fibonacci]
-    assert calls and len(set(calls)) == len(calls)
+    assert builds == [(fibonacci, 4)]
+    support = {p for length in range(1, 5) for p in kf.support(length)}
+    assert reads and len(set(reads)) == len(reads) and set(reads) == support
     everything = fibonacci.domain.reduced_paths(4)
-    walked = set(calls)
+    walked = set(image_values(kf, fibonacci, 4)) | support
     assert walked <= set(everything)
     assert all(kf.support(length) <= walked for length in range(1, 5))
     lam = golden_root.interval()

@@ -20,7 +20,6 @@ from ttm.cli import fmt_exact_fraction, main, pick_vector
 from ttm.errors import PreconditionError
 from ttm.graphs import is_reduced, make_turn, reverse_path
 from ttm.maps import GraphMap
-from ttm import measures
 from ttm.measures import (
     FrequencyOracle, KolmogorovFunction, VerificationReport, eigen_measures,
     eigenvector_measure, image_measure, verify_eigen_measure, verify_kolmogorov,
@@ -336,13 +335,18 @@ def test_walks_evaluate_only_reduced_paths(name, f, monkeypatch):
     three verify walks evaluate, push forward or estimate is reduced."""
     seen = []
     walked, estimate = KolmogorovFunction._walked, FrequencyOracle.estimate
-    pushforward = measures._pushforward
+    image_values = KolmogorovFunction._image_values
+
+    def pushed(kf, f, bound):
+        values = image_values(kf, f, bound)
+        seen.extend(values)
+        return values
+
     monkeypatch.setattr(KolmogorovFunction, "_walked",
                         lambda kf, path: seen.append(path) or walked(kf, path))
     monkeypatch.setattr(FrequencyOracle, "estimate",
                         lambda oracle, path: seen.append(path) or estimate(oracle, path))
-    monkeypatch.setattr(measures, "_pushforward",
-                        lambda f, kf, path: seen.append(path) or pushforward(f, kf, path))
+    monkeypatch.setattr(KolmogorovFunction, "_image_values", pushed)
     max_length = 4 if name == "q" else 5
     for make, lam in measure_makers(f):
         kf = make()
