@@ -13,7 +13,9 @@ walk.  The map owns its analyses, each built once, on first use: the
 memoised orbits (``GraphMap.directions``), read by the train track test and
 the towers, and the used language (``GraphMap.legal``), the subpaths of
 iterated edge images, read by ``used_language``, the tower windows, the
-repetition search and the support tables.
+repetition search and the support tables.  Homotopy equivalence is decided by
+one Stallings fold of the map itself, whose result must cover the codomain
+once.
 """
 
 from __future__ import annotations
@@ -303,94 +305,29 @@ def require_expanding_train_track(f: GraphMap):
 # -- homotopy equivalence via Stallings folding ---------------------------------------
 
 
-def _spanning_tree(g: Graph):
-    """BFS tree: parent direction per vertex (None at the root)."""
-    parent = {0: None}
-    order = [0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for d in g.directions_at(v):
-            w = g.terminal(d)
-            if w not in parent:
-                parent[w] = d
-                order.append(w)
-    return parent
+def is_homotopy_equivalence(f: GraphMap) -> bool:
+    """True iff the induced endomorphism of the fundamental group is an
+    automorphism.
 
-
-def _tree_path(g: Graph, parent, v):
-    """Edge path from the root to v inside the tree."""
-    path = []
-    while parent[v] is not None:
-        d = parent[v]
-        path.append(d)
-        v = g.initial(d)
-    return tuple(reversed(path))
-
-
-def _loop_word(path, gen_of_edge):
-    """Collapse the spanning tree: a closed path becomes a word in the free
-    generators (non-tree positive edges), as a tuple of signed generator ids
-    (1-based, negative = inverse), freely reduced.
-    """
-    word = []
-    for e in path:
-        k = gen_of_edge.get(e >> 1)
-        if k is None:
-            continue
-        g = k + 1 if e % 2 == 0 else -(k + 1)
-        if word and word[-1] == -g:
-            word.pop()
-        else:
-            word.append(g)
-    return tuple(word)
-
-
-def fundamental_group_images(f: GraphMap):
-    """Words (in a fixed free basis of the fundamental group) generating the
-    image subgroup of the induced endomorphism, plus the rank."""
-    if not f.is_self_map():
-        raise MapError("fundamental group analysis needs a self-map")
-    g = f.domain
-    parent = _spanning_tree(g)
-    gen_of_edge = {}
-    for k in range(g.n_edges):
-        e = 2 * k
-        if parent.get(g.terminal(e)) == e or parent.get(g.initial(e)) == inverse(e):
-            continue  # tree edge
-        gen_of_edge[k] = len(gen_of_edge)
-    rank = len(gen_of_edge)
-    assert rank == g.rank()
-    base_paths = {v: _tree_path(g, parent, v) for v in g.vertices}
-    q = base_paths[f.vertex(0)]  # root .. image of root
-    words = []
-    for k in sorted(gen_of_edge):
-        e = 2 * k
-        loop = (q
-                + f.map_path(base_paths[g.initial(e)])
-                + f.image(e)
-                + reverse_path(f.map_path(base_paths[g.terminal(e)]))
-                + reverse_path(q))
-        words.append(_loop_word(loop, gen_of_edge))
-    return words, rank
-
-
-def subgroup_is_whole_group(words, rank) -> bool:
-    """Does the subgroup generated by the words equal the whole free group?
-
-    The words are wedged as loops at the basepoint, state 0, and folded
-    (Stallings) by a worklist: each state has one signed letter -> state
+    The map itself is folded (Stallings): each domain edge is subdivided
+    into the letters of its image, a contracted edge joins its two ends,
+    and a worklist folds the result: each state holds one letter -> state
     dict, a second edge with a letter already there queues its target and
     the first one for merging, and a merge moves the smaller dict into the
-    larger.  Membership of a basis letter is then a labelled loop at the
-    basepoint, and containing every basis letter is equivalent to being the
-    whole group.
+    larger.  Folding keeps the image of the fundamental group, and the
+    folded graph immerses in the codomain, so f_* is onto exactly when the
+    folded graph covers the codomain once: one state per codomain vertex,
+    each holding every direction at its vertex.  (When f_* is onto, the
+    folded graph's core covers the codomain once, and a tree hanging off
+    that core would repeat one of its directions, so no state of valence
+    one is left to prune.)  A surjective endomorphism of a free group is
+    injective (free groups are Hopfian), so surjectivity suffices.
     """
-    if rank == 0:
-        return True
-    out = [{}]       # out[state]: signed letter -> state (not yet merged away)
-    parent = [0]     # merged states point towards their representative
+    if not f.is_self_map():
+        raise MapError("homotopy equivalence test needs a self-map")
+    g = f.codomain
+    out = [{} for _ in f.domain.vertices]   # out[state]: letter -> state
+    parent = list(f.domain.vertices)        # merged states point towards their representative
     clashes = []
 
     def find(x):
@@ -403,17 +340,19 @@ def subgroup_is_whole_group(words, rank) -> bool:
         if w != v:
             clashes.append((w, v))
 
-    for word in words:
-        cur = 0
-        for i, letter in enumerate(word):
-            if i == len(word) - 1:
-                target = 0
+    for (u, w), p in zip(f.domain._endpoints, f.edge_image):
+        if not p:
+            clashes.append((u, w))
+        cur = u
+        for i, letter in enumerate(p):
+            if i == len(p) - 1:
+                target = w
             else:
                 target = len(out)
                 out.append({})
                 parent.append(target)
             add(cur, letter, target)
-            add(target, -letter, cur)
+            add(target, inverse(letter), cur)
             cur = target
     while clashes:
         a, b = map(find, clashes.pop())
@@ -424,23 +363,9 @@ def subgroup_is_whole_group(words, rank) -> bool:
             for letter, v in out[b].items():
                 add(a, letter, v)
             out[b] = None
-    base = find(0)
-    at_base = out[base]
-    return all(k in at_base and find(at_base[k]) == base for k in range(1, rank + 1))
-
-
-def is_homotopy_equivalence(f: GraphMap) -> bool:
-    """True iff the induced endomorphism of the fundamental group is an
-    automorphism.
-
-    Surjectivity is decided by Stallings folding of the image subgroup, and a
-    surjective endomorphism of a free group is automatically injective
-    (free groups are Hopfian), so surjectivity suffices.
-    """
-    if not f.is_self_map():
-        raise MapError("homotopy equivalence test needs a self-map")
-    words, rank = fundamental_group_images(f)
-    return subgroup_is_whole_group(words, rank)
+    stars = [star for star in out if star]
+    return (len(stars) == g.n_vertices
+            and all(len(star) == g.valence(g.initial(min(star))) for star in stars))
 
 
 # -- languages -------------------------------------------------------------------

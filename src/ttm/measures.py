@@ -94,7 +94,7 @@ class KolmogorovFunction:
         self._length_sweep = cache(self._level_sweep)
         self._scale = cache(weights.level_scale)
         self._values = {}    # (level, recipe) -> value
-        self._images = {}    # (map, bound) -> pushforward
+        self._images = {}    # map -> (bound, pushforward up to it)
 
     def eval(self, path):
         """Certified value of the measure on the cylinder of a reduced path."""
@@ -182,24 +182,25 @@ class KolmogorovFunction:
         return value
 
     def _image_values(self, f: GraphMap, bound: int):
-        """The pushforward under f up to the bound, built once per map and
-        bound after checking f: each path p that the support covers, mapped
-        to the sum of its covers' values.
+        """The pushforward under f up to at least the bound, built once per
+        map after checking f, and again only for a longer bound: each path p
+        that the support covers, mapped to the sum of its covers' values.
 
         A cover of p is a domain path d with p a factor of f(d) from its
         first image block to its last, once per occurrence; it has at most
-        |p| edges (edge images are non-empty).  Covers off the support are
-        the exact zero, which ``ia.isum`` skips, so one pass over the
-        support scatters each value onto the paths it covers.  Each p sums
-        in the order of the key ``(d[0], offset, *d[1:])``, in which a
-        depth-first search from its first edge, over edge ids in increasing
-        order, meets its covers (no cover at one offset is a prefix of
-        another).  Values are read once each, through ``eval``: the
-        validated route, which keeps ``verify``'s evaluations visible to a
-        tracer of the public evaluator.
+        |p| edges (edge images are non-empty), so the pass at a bound sums
+        each shorter path as the pass at its length would.  Covers off the
+        support are the exact zero, which ``ia.isum`` skips, so one pass
+        over the support scatters each value onto the paths it covers.
+        Each p sums in the order of the key ``(d[0], offset, *d[1:])``, in
+        which a depth-first search from its first edge, over edge ids in
+        increasing order, meets its covers (no cover at one offset is a
+        prefix of another).  Values are read once a pass, through ``eval``:
+        the validated route, which keeps ``verify``'s evaluations visible to
+        a tracer of the public evaluator.
         """
-        pushed = self._images.get((f, bound))
-        if pushed is None:
+        built, pushed = self._images.get(f, (0, None))
+        if bound > built:
             f.require_tame("image measure")
             if self.graph._endpoints != f.domain._endpoints:
                 raise PreconditionError("the measure lives on a different graph "
@@ -212,8 +213,9 @@ class KolmogorovFunction:
                     for i in range(len(f.image(d[0]))):
                         for j in range(max(i, last) + 1, min(i + bound, len(image)) + 1):
                             covers.setdefault(image[i:j], {})[(d[0], i, *d[1:])] = value
-            pushed = self._images[f, bound] = {
-                p: ia.isum(map(values.get, sorted(values))) for p, values in covers.items()}
+            pushed = {p: ia.isum(map(values.get, sorted(values)))
+                      for p, values in covers.items()}
+            self._images[f] = (bound, pushed)
         return pushed
 
     def support_table(self, max_length: int) -> "MeasureTable":
@@ -429,9 +431,10 @@ def image_measure(f: GraphMap, kf: KolmogorovFunction, path):
     """Value of the pushforward measure on a codomain path: the sum of the
     measure over its covers, the domain paths d whose image holds the path
     in an occurrence from f(d)'s first image block to its last, one term
-    per occurrence.  The first call at a length builds the pushforward of
-    every support path up to it (``KolmogorovFunction._image_values``), as
-    the first ``eval`` at a length builds that length's sweep.
+    per occurrence.  The first call past the longest length so far builds
+    the pushforward of every support path up to its length
+    (``KolmogorovFunction._image_values``), as the first ``eval`` at a
+    length builds that length's sweep; a shorter path reads the same pass.
     """
     path = _checked(f.codomain, path, "the image measure")
     return kf._image_values(f, len(path)).get(path, ia.zero())
@@ -442,18 +445,20 @@ def verify_eigen_measure(f: GraphMap, kf: KolmogorovFunction, lam,
     """Check that the pushforward equals lambda times the measure on the
     reduced paths up to the bound.
 
-    The paths checked are the support up to the bound and the paths that it
-    covers, read off one pass that pushes the support forward
-    (``KolmogorovFunction._image_values``).  Every other reduced path has
-    the exact zero as its value and as the value of each of its covers, so
-    its residual is exactly [0, 0].
+    The paths checked are the support up to the bound and the paths up to
+    the bound that it covers, read off one pass that pushes the support
+    forward (``KolmogorovFunction._image_values``; an earlier
+    ``image_measure`` call may have built it for a longer bound).  Every
+    other reduced path has the exact zero as its value and as the value of
+    each of its covers, so its residual is exactly [0, 0].
     """
     _require_bound(max_length)
     if not f.is_self_map():
         raise PreconditionError("the eigen equation needs a self-map")
     lam, zero = ia.coerce(lam), ia.zero()
     pushed = kf._image_values(f, max_length)
-    walk = pushed.keys() | {d for length in range(1, max_length + 1) for d in kf.support(length)}
+    walk = {p for p in pushed if len(p) <= max_length}
+    walk.update(d for length in range(1, max_length + 1) for d in kf.support(length))
     report = VerificationReport()
     report.record("eigen-equation", (
         abs(pushed.get(p, zero) - lam * kf._walked(p)) for p in walk), tol)

@@ -147,7 +147,7 @@ def _expanding_self_maps(seed, count, max_paths):
     for f in random_tame_maps(seed, 200):
         g = f.domain
         if (f.codomain is not g or any(g.valence(v) < 3 for v in g.vertices)
-                or len(g.reduced_paths(5)) > max_paths
+                or reduced_paths_exceed(g, 5, max_paths)
                 or not is_train_track(f)[0] or not is_expanding(f)):
             continue
         try:
@@ -159,6 +159,25 @@ def _expanding_self_maps(seed, count, max_paths):
         if len(out) == count:
             return tuple(out)
     raise ValueError(f"seed {seed} gives {len(out)} such maps, not {count}")
+
+
+def reduced_paths_exceed(g: Graph, max_length: int, bound: int) -> bool:
+    """Do the reduced paths of g up to ``max_length`` number more than
+    ``bound``?  The paths of each length are counted by their last edge, by
+    integer recursion over its successors (as ``cli._require_table_rows``
+    does), and the count stops once it passes the bound."""
+    successors = [g.extensions_right((e,)) for e in g.oriented_edges]
+    counts, total = [1] * len(successors), 0
+    for _ in range(max_length):
+        total += sum(counts)
+        if total > bound:
+            return True
+        after = [0] * len(counts)
+        for e, count in enumerate(counts):
+            for d in successors[e]:
+                after[d] += count
+        counts = after
+    return False
 
 
 def rose_map(*images):

@@ -31,7 +31,8 @@ REMOVED_NAMES = {
     "graphs": {"Language", "Graph.check_path", "Graph.reduced_paths(start)"},
     "maps": {"power", "junction_turns", "legal_seeds", "infinitely_legal_language",
              "LegalPullbacks.seeds", "search_covers", "GraphMap.cover_starts",
-             "GraphMap.reduced_successors"},
+             "GraphMap.reduced_successors", "_spanning_tree", "_tree_path", "_loop_word",
+             "fundamental_group_images", "subgroup_is_whole_group"},
     "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},

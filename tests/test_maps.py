@@ -1,10 +1,8 @@
 import functools
 import gc
-import importlib.util
 import random
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -14,17 +12,17 @@ from ttm.graphs import (
     inverse, is_reduced, reverse_path, rose, subpaths_up_to, turns_of,
 )
 from ttm.maps import (
-    DirectionAnalysis, GraphMap, LegalPullbacks, compose, fundamental_group_images,
-    identity_map, image_windows, is_expanding, is_homotopy_equivalence,
-    is_train_track, matmul, subgroup_is_whole_group, used_language,
+    DirectionAnalysis, GraphMap, LegalPullbacks, compose, identity_map, image_windows,
+    is_expanding, is_homotopy_equivalence, is_train_track, matmul, used_language,
 )
 from ttm.polys import char_poly_and_adjugate
 from ttm.textio import parse
 
 from conftest import (
-    A, Abar, B, Bbar, expanding_self_maps, laminary_violations, pullback_maps,
-    random_graph, random_map, random_tame_maps, rose_map,
+    A, Abar, B, Bbar, bench_workloads, expanding_self_maps, laminary_violations,
+    pullback_maps, random_graph, random_map, random_tame_maps, rose_map,
 )
+from pi1_reference import fundamental_group_images, subgroup_is_whole_group
 from pullback_reference import rescan_used_language
 
 
@@ -484,15 +482,6 @@ def test_folding_equals_restart_scan_on_random_words():
     assert True in verdicts and False in verdicts
 
 
-def bench_workloads():
-    """``bench/workloads.py``, which imports nothing of this package."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_folding_equals_restart_scan_on_maps():
     """Every self-map of ``random_tame_maps`` and of the seeded bench
     documents of two seeds gets the reference's verdict."""
@@ -504,4 +493,42 @@ def test_folding_equals_restart_scan_on_maps():
     verdicts = [is_homotopy_equivalence(f) for f in maps]
     assert verdicts == [restart_scan_is_whole_group(*fundamental_group_images(f))
                         for f in maps]
+    assert True in verdicts and False in verdicts
+
+
+def random_walk(rng, g, start, end, min_steps):
+    """A random walk in g from start that stops at its first visit to end
+    after at least ``min_steps`` edges: empty when start is end and
+    ``min_steps`` is 0, and unreduced wherever it steps back."""
+    path, v = [], start
+    while len(path) < min_steps or v != end:
+        e = rng.choice(g.directions_at(v))
+        path.append(e)
+        v = g.terminal(e)
+    return tuple(path)
+
+
+def random_walk_map(rng, g):
+    vimg = [rng.randrange(g.n_vertices) for _ in g.vertices]
+    return GraphMap(g, g, vimg, [random_walk(rng, g, vimg[u], vimg[w], rng.randrange(3))
+                                 for u, w in g._endpoints])
+
+
+def test_folding_the_map_equals_reference_on_random_walk_maps():
+    """Self-maps whose edge images are random walks between the vertex
+    images, many of them contracting an edge or unreduced, and the
+    composition of each with another such map get the verdict of the
+    fundamental group words: the fold of the map must join the ends of a
+    contracted edge and ask for a single covering, both one state per
+    vertex and every direction at each state."""
+    rng = random.Random(31415)
+    maps = []
+    for _ in range(600):
+        g = random_graph(rng)
+        f = random_walk_map(rng, g)
+        maps += [f, compose(random_walk_map(rng, g), f)]
+    assert sum(not f.images_nontrivial() for f in maps) > 300
+    assert sum(not f.images_reduced() for f in maps) > 300
+    verdicts = [is_homotopy_equivalence(f) for f in maps]
+    assert verdicts == [subgroup_is_whole_group(*fundamental_group_images(f)) for f in maps]
     assert True in verdicts and False in verdicts

@@ -505,6 +505,32 @@ def test_verify_eigen_measure_pushes_each_path_forward_once(fib_setup, fibonacci
         assert image_measure(fibonacci, kf, p) - lam * kf.eval(p) == ia.zero(), p
 
 
+def test_verify_eigen_measure_does_not_depend_on_a_longer_image_measure(monkeypatch):
+    """After ``image_measure`` of a length-6 path, which builds the map's
+    one pushforward at bound 6, ``verify_eigen_measure`` at bound 4 reads
+    that pass but walks the same paths and gives the same report as on a
+    fresh measure: at each measure's eigenvalue and at a wrong one."""
+    walked, reports = [], []
+    read = KolmogorovFunction._walked
+    monkeypatch.setattr(KolmogorovFunction, "_walked",
+                        lambda kf, path: walked.append(path) or read(kf, path))
+    for _, f in pullback_maps():
+        longest = f.domain.reduced_paths(6)[-1]
+        for kf in measures_of(f):
+            for lam in (kf.weights.lam, ia.exact(2)):
+                runs = []
+                for prime in (False, True):
+                    mu = KolmogorovFunction(kf.weights)
+                    if prime:
+                        image_measure(f, mu, longest)
+                    walked.clear()
+                    report = verify_eigen_measure(f, mu, lam, 4, 1e-12)
+                    runs.append((vars(report), set(walked)))
+                assert runs[0] == runs[1], f
+                reports.append(runs[0][0]["checks"])
+    assert len(reports) >= 20
+
+
 def test_verify_eigen_measure(fib_setup, fibonacci, golden_root):
     report = verify_eigen_measure(fibonacci, fib_setup[3], golden_root, 4, 1e-12)
     assert report.passed
