@@ -192,7 +192,7 @@ class Graph:
         Intended for desk-scale graphs; the count grows exponentially in
         ``max_length``.
         """
-        frontier = [(e,) for e in self.oriented_edges]
+        frontier = [(e,) for e in self.oriented_edges if max_length >= 1]
         out = list(frontier)
         for _ in range(max_length - 1):
             nxt = []

@@ -16,7 +16,9 @@ first tower level n whose long edges are at least that long: each occurrence
 of the path (or its reverse) inside a level-n word contributes the edge
 weight, and each occurrence straddling one unsubdivided vertex contributes
 the crossed turn weight, all scaled by lambda**-n.  The result does not
-depend on the level choice, which the test-suite spot-checks.
+depend on the level choice: a property test checks, on every reduced path
+up to length 5 of the generated maps' measures, that levels n and n + 1
+give overlapping enclosures and the same exact zeros.
 
 Paths are not scanned one at a time.  The first path of length L at level n
 triggers one sweep over the level-n words: a window of length L slides over
@@ -24,12 +26,13 @@ the word of each positive edge of non-zero weight and its reverse, counting
 that edge for the factor read, and every junction ``(e1, e2, cut)`` whose
 turn has a non-zero weight (``WeightTower.visited``; every other turn weighs
 the exact zero) appends that turn to the factor ``w1[-cut:] + w2[:L-cut]``.
-The result is a *recipe* per factor that occurs (edge counts, turns in the
-order met).  A path and its reversal share the recipe of the one smaller in
-tuple order, replayed in the order a per-path scan of it would sum it (edge
-terms in positive-edge order, then the turn weights as met, then the level
-scale) and cached by level and recipe: a value depends only on the level and
-on {p, p-bar}, not on call history.
+That gives a *recipe* per factor that occurs (edge counts, turns in the
+order met), and the sweep is the table of their values.  A path and its
+reversal share the value of the recipe of the one smaller in tuple order,
+summed once, when the sweep is built, in the order a per-path scan of it
+would sum it (edge terms in positive-edge order, then the turn weights as
+met, then the level scale): a value depends only on the level and on
+{p, p-bar}, not on call history.
 
 No walk filters for reducedness.  The level words are iterate images of an
 expanding train track map, so they, their images and the oracle's counted
@@ -37,8 +40,10 @@ factors are reduced; a visited turn is legal, so every window and its image
 are reduced too.  ``support(L)`` is the sweep's key set, the paths of length
 L whose value is not the exact zero: an edge of zero coordinate adds nothing,
 nor do the turns only its orbits visit.  Every other reduced path of length L
-has the empty recipe, the exact zero.  ``eval`` checks its path and hands it
-to ``_walked``, which the walks and the CLI tables call on the paths they
+is missing from the sweep and has the exact zero, the one shared zero
+interval, which ``ttm.intervals`` keeps through ``-`` and ``abs`` and
+``isum`` skips unread.  ``eval`` checks its path and hands it to
+``_walked``, which the walks and the CLI tables call on the paths they
 made.  Each verify suite evaluates the set of paths whose residual can be
 non-zero, in any order (its verdict and violation are maxima):
 
@@ -89,11 +94,10 @@ class KolmogorovFunction:
         self.tower = weights.tower
         self.weights = weights
         self.graph = self.tower.graph
-        # (level, length) -> sweep; length -> (its level, sweep); level -> lambda**-n
+        # (level, length) -> sweep; length -> the sweep at its level
         self._sweeps = cache(self._sweep)
-        self._length_sweep = cache(self._level_sweep)
-        self._scale = cache(weights.level_scale)
-        self._values = {}    # (level, recipe) -> value
+        self._length_sweep = cache(
+            lambda length: self._sweeps(self.tower.level_for_length(length), length))
         self._images = {}    # map -> (bound, pushforward up to it)
 
     def eval(self, path):
@@ -109,46 +113,44 @@ class KolmogorovFunction:
         path = _checked(self.graph, path, "a Kolmogorov function")
         if self.tower.minlength(n) < len(path):
             raise PreconditionError("level too low for this path length")
-        return self._value(n, self._sweeps(n, len(path)).get(path, _NO_RECIPE))
+        return self._sweeps(n, len(path)).get(path, ia.zero())
 
     def support(self, length: int):
         """The sweep's keys: the paths of this length whose value is not
         the exact zero; all else is the exact zero."""
-        return self._length_sweep(length)[1].keys()
+        return self._length_sweep(length).keys()
 
     def _walked(self, path):
         """``eval`` without the path checks, for a reduced path that a walker
-        made: the value of its recipe at ``level_for_length``."""
-        level, sweep = self._length_sweep(len(path))
-        return self._value(level, sweep.get(path, _NO_RECIPE))
-
-    def _level_sweep(self, length: int):
-        level = self.tower.level_for_length(length)
-        return level, self._sweeps(level, length)
+        made: its value in the sweep at ``level_for_length``."""
+        return self._length_sweep(len(path)).get(path, ia.zero())
 
     def _sweep(self, n: int, length: int):
-        """Recipe of every length-``length`` factor of the level-n words.
+        """Value of every length-``length`` factor of the level-n words.
 
-        A recipe is the pair (edge counts, crossed turns): the occurrences of
-        the factor or its reverse inside each positive edge's word, and the
-        turn of every junction ``(e1, e2, cut)`` whose straddling window reads
-        the factor, in the order the per-path scan would meet them.  Edges
-        of weight zero are skipped and a junction is kept exactly when its
-        turn is in ``weights.visited``, so the keys are the factors of
-        non-zero value.  A factor whose reversal is smaller in tuple order
-        gets the reversal's recipe object.
+        A factor's recipe is the pair (edge counts, crossed turns): the
+        occurrences of the factor or its reverse inside each positive edge's
+        word, and the turn of every junction ``(e1, e2, cut)`` whose
+        straddling window reads the factor, in the order the per-path scan
+        would meet them.  Edges of weight zero are skipped and a junction is
+        kept exactly when its turn is in ``weights.visited``, so the keys are
+        the factors of non-zero value.  A factor and its reversal get one
+        value, summed from the recipe of the one smaller in tuple order as
+        the scan sums it: edge terms in positive-edge order (int counts as
+        operands), then the turn weights as met, then times the level scale.
+        Equal recipes share that sum.
         """
-        tower, graph = self.tower, self.graph
+        tower, graph, weights = self.tower, self.graph, self.weights
         counts = {}
         for e in graph.positive_edges:
-            if self.weights.edge_weight[e] == 0:
+            if weights.edge_weight[e] == 0:
                 continue
             # windows of the reversed word are the reversed windows
             for word in (tower.word(e, n), tower.word(inverse(e), n)):
                 for i in range(len(word) - length + 1):
                     per_edge = counts.setdefault(word[i:i + length], {})
                     per_edge[e] = per_edge.get(e, 0) + 1
-        crossed, visited = {}, self.weights.visited
+        crossed, visited = {}, weights.visited
         for e1 in graph.oriented_edges:
             w1 = tower.word(e1, n)
             for e2 in graph.directions_at(graph.terminal(e1)):
@@ -157,29 +159,20 @@ class KolmogorovFunction:
                     w2 = tower.word(e2, n)
                     for cut in range(1, length):
                         crossed.setdefault(w1[-cut:] + w2[:length - cut], []).append(turn)
-        recipes = {}
+        edge_weight, turn_weight = weights.edge_weight, weights.turn_weight
+        scale, values, by_recipe = weights.level_scale(n), {}, {}
         for p in counts.keys() | crossed.keys():
-            if p not in recipes:
+            if p not in values:
                 rev = reverse_path(p)
                 q = min(p, rev)
-                recipes[p] = recipes[rev] = (tuple(counts.get(q, {}).items()),
-                                             tuple(crossed.get(q, ())))
-        return recipes
-
-    def _value(self, n: int, recipe):
-        """Replay a recipe as one running sum in the per-path summation
-        order: edge terms in positive-edge order, then turn weights as met,
-        then the level scale.  The counts are int operands; the empty recipe
-        sums to 0, and 0 times the scale is the exact zero."""
-        key = (n, recipe)
-        value = self._values.get(key)
-        if value is None:
-            edges, turns = recipe
-            edge_weight, turn_weight = self.weights.edge_weight, self.weights.turn_weight
-            value = self._values[key] = sum(chain(
-                (count * edge_weight[e] for e, count in edges),
-                (turn_weight[turn] for turn in turns))) * self._scale(n)
-        return value
+                recipe = (tuple(counts.get(q, {}).items()), tuple(crossed.get(q, ())))
+                value = by_recipe.get(recipe)
+                if value is None:
+                    value = by_recipe[recipe] = sum(chain(
+                        (count * edge_weight[e] for e, count in recipe[0]),
+                        (turn_weight[turn] for turn in recipe[1]))) * scale
+                values[p] = values[rev] = value
+        return values
 
     def _image_values(self, f: GraphMap, bound: int):
         """The pushforward under f up to at least the bound, built once per
@@ -234,12 +227,6 @@ def _checked(graph: Graph, path, who: str):
     if not path or not graph.is_path(path) or not is_reduced(path):
         raise PathError(f"{who} takes non-trivial reduced edge paths of its graph")
     return path
-
-
-# a path with no preimage; it replays to the exact zero, the one shared
-# zero interval, which ``ttm.intervals`` keeps through ``-`` and ``abs`` and
-# ``isum`` skips unread
-_NO_RECIPE = ((), ())
 
 
 # -- eigenvectors to measures ------------------------------------------------------

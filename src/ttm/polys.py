@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from copy import copy
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from . import intervals as ia
 from .errors import SpectralError
@@ -311,7 +311,9 @@ class CertifiedRoot:
 def largest_real_root(p) -> CertifiedRoot:
     """The maximal real root of p, isolated and certified.
 
-    Integer roots are recognised and returned exactly.
+    Integer roots are recognised and returned exactly, however wide the
+    isolating interval: a copy refined to width 1/2 holds at most one
+    integer, which is tested.  Any other root keeps its isolating interval.
     """
     chain = sturm_chain(p)
     sqfree = chain[0]
@@ -324,10 +326,10 @@ def largest_real_root(p) -> CertifiedRoot:
         # invariant: the largest root lies in (cut, hi], hi is not a root
         if count_roots(p, cut, hi, chain) == 1 and _sign_at(sqfree, cut):
             root = CertifiedRoot(p, cut, hi, chain=chain)
-            for n in _integer_candidates(cut, hi):
-                if not _sign_at(sqfree, Fraction(n)):
-                    return CertifiedRoot(p, exact=Fraction(n), chain=chain)
-            return root
+            n = Fraction(ceil(copy(root).refine(Fraction(1, 2)).lo))
+            if _sign_at(sqfree, n):
+                return root
+            return CertifiedRoot(p, exact=n, chain=chain)
         mid = (cut + hi) / 2
         if not _sign_at(sqfree, mid):
             if count_roots(p, mid, hi, chain) == 0:
@@ -339,17 +341,6 @@ def largest_real_root(p) -> CertifiedRoot:
         else:
             hi = mid
     raise SpectralError("root isolation did not converge")
-
-
-def _integer_candidates(lo: Fraction, hi: Fraction, cap: int = 64):
-    first = lo.numerator // lo.denominator
-    out = []
-    n = first
-    while n <= hi and len(out) < cap:
-        if lo < n < hi:
-            out.append(n)
-        n += 1
-    return out
 
 
 # -- integer matrices ------------------------------------------------------------

@@ -168,6 +168,25 @@ def test_spectrum_exact_endpoints_enclose_the_golden_ratio(capsys):
         assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1, text
 
 
+def test_integer_radius_prints_exact_from_a_wide_isolating_interval(tmp_path, capsys):
+    """x**2 - 5x - 3900 = (x - 65)(x + 60): the largest root lies 125 above
+    the other, and both the map's spectrum and the substitution's ergodic
+    report print it as the exact 65."""
+    a, b = " ".join(["x1"] * 65), " ".join(["x0"] * 60 + ["x1"] * 5)
+    path = tmp_path / "r65.tt"
+    path.write_text(f"""
+graph R {{ vertices: * ; edge x0: * -> * ; edge x1: * -> * ; }}
+map m: R -> R {{ x0 -> {a} ; x1 -> {b} ; }}
+subst s over x0 x1 {{ x0 -> {a} ; x1 -> {b} }}
+""")
+    code, out, _ = run(capsys, "spectrum", str(path), "--map", "m", "--exact")
+    assert code == 0
+    assert json.loads(out)["blocks"][0]["spectral_radius"] == "[65.0, 65.0]"
+    code, out, _ = run(capsys, "ergodic", str(path), "--subst", "s", "--exact")
+    assert code == 0
+    assert json.loads(out)["measures"][0]["eigenvalue"] == "[65.0, 65.0]"
+
+
 def test_spectrum_of_an_imprimitive_block(capsys):
     """The period-2 block {a, b}, reached from the aperiodic block {c, d}:
     the report, ``power_used`` 4 included, is byte for byte the recorded one."""

@@ -4,13 +4,14 @@ The maps are rose maps of random substitutions: 2-4 letters, each image a
 positive word of 1-3 letters, drawn by ``random.Random(1)``.  Positive words
 never cancel, so every draw is a train track map; the draws that are
 expanding and carry a measure are kept (30 of the first 50).  On each, the
-verify suites pass and the replayed values equal the per-path scan that
+verify suites pass and the sweep's values equal the per-path scan that
 the sweep replaced.
 
 On these maps and on ``pullback_maps`` (the benchmark roses and three
 seeded random maps), the support of every measure is the set of paths
 with a non-zero value: its values are positive, it lies in the
 lamination's language, and every path off it scans to the exact zero.  The
+values at two consecutive tower levels enclose the same number.  The
 measures agree with the frequency oracle, whose support is the set of its
 non-zero estimates, and printing then parsing gives back every map, as it
 does on the benchmark's substitution document.  The pushforward that
@@ -152,6 +153,22 @@ def test_measures_agree_with_the_oracle(name):
     for kf in kfs:
         oracle = FrequencyOracle(f, kf.weights.vector, kf.weights.lam, 20)
         assert verify_oracle(kf, oracle, 4, 1e-12)[0].passed
+
+
+@pytest.mark.parametrize("name", LANGUAGE_MAPS)
+def test_values_do_not_depend_on_the_level(name):
+    """Every reduced path up to length 5 has overlapping enclosures at its
+    level n and at level n + 1, and is the exact zero at both or at
+    neither.  A path that neither level's sweep holds is the exact zero at
+    both, so the paths that one of them holds are walked."""
+    for kf in language_measures(name)[1]:
+        for length in range(1, 6):
+            n = kf.tower.level_for_length(length)
+            for p in kf._sweeps(n, length).keys() | kf._sweeps(n + 1, length).keys():
+                low, high = kf.eval_at_level(p, n), kf.eval_at_level(p, n + 1)
+                assert (low is ia.zero()) == (high is ia.zero()), p
+                lo, hi = ia.endpoints(low - high)
+                assert lo <= 0 <= hi, p
 
 
 def test_oracle_support_is_the_non_zero_estimates():

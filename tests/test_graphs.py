@@ -180,6 +180,13 @@ def test_reduced_paths_by_length_then_edge_ids(rose2):
         assert paths == sorted(paths, key=lambda p: (len(p), p))
 
 
+@pytest.mark.parametrize("max_length", [0, -1])
+def test_no_reduced_paths_below_length_one(max_length):
+    """The non-trivial paths of length at most 0 are none."""
+    assert rose(2).reduced_paths(max_length) == []
+    assert rose(2).reduced_paths(1) == [(e,) for e in rose(2).oriented_edges]
+
+
 def test_language_laminary(rose2, fibonacci):
     lang = used_language(fibonacci, 3)
     assert laminary_violations(lang, 3, rose2) == []

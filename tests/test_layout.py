@@ -33,7 +33,8 @@ REMOVED_NAMES = {
              "LegalPullbacks.seeds", "search_covers", "GraphMap.cover_starts",
              "GraphMap.reduced_successors", "_spanning_tree", "_tree_path", "_loop_word",
              "fundamental_group_images", "subgroup_is_whole_group"},
-    "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple"},
+    "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple",
+              "_integer_candidates"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
     "textio": {"_TOKEN", "format_table_tsv(rows)"},
@@ -51,7 +52,9 @@ REMOVED_NAMES = {
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
                  "_common", "_definitely_less", "_ZERO_RECIPE", "_walk",
                  "_EXACT_ZERO", "_sub", "_magnitudes", "_pushforward",
-                 "_require_pushforward"},
+                 "_require_pushforward", "KolmogorovFunction._value",
+                 "KolmogorovFunction._values", "KolmogorovFunction._scale",
+                 "KolmogorovFunction._level_sweep", "_NO_RECIPE"},
 }
 
 

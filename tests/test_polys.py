@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from pathlib import Path
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,7 +422,6 @@ def fraction_bisection(root, max_width):
 def seeded_polys(count=50):
     """Integer polynomials of degree 2-8 with a real root that isolation does
     not recognise as an integer, drawn by ``random.Random(38)``."""
-    import random
     rng = random.Random(38)
     out = []
     while len(out) < count:
@@ -462,6 +462,33 @@ def test_integer_bisection_stops_on_an_exact_midpoint(poly, hi, exact):
     root.refine(Fraction(1, 2 ** 40))
     assert (root.lo, root.hi, root.exact) == want
     assert root.exact == exact
+
+
+def planted_root_polys(count=60):
+    """``(n, (x - n) q(x))`` for n in [-10**4, 10**4], drawn by
+    ``random.Random(49)``.  The real roots of q lie below n, up to 10**4
+    below it: q is a product of one to three factors x - r, x**2 + c (no
+    real root) and x**2 - 2 a x + a**2 - b (roots a +- sqrt(b))."""
+    rng = random.Random(49)
+    out = []
+    for _ in range(count):
+        n = rng.randint(-10 ** 4, 10 ** 4)
+        q = (1,)
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(n - 10 ** 4, n - 20)
+            q = poly_mul(q, rng.choice([(-a, 1), (rng.randint(1, 50), 0, 1),
+                                        (a * a - rng.randint(2, 99), -2 * a, 1)]))
+        out.append((n, poly_mul((-n, 1), q)))
+    return out
+
+
+def test_planted_integer_roots_are_exact():
+    """The largest root n is returned exact, however far below it the
+    other real roots are, so however wide its isolating interval."""
+    for n, poly in planted_root_polys():
+        assert largest_real_root(poly).exact == n, (n, poly)
+    assert largest_real_root((-65, 1)).exact == 65
+    assert largest_real_root((-3900, -5, 1)).exact == 65     # (x - 65)(x + 60)
 
 
 @pytest.mark.parametrize("poly, exact", [

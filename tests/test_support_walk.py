@@ -168,7 +168,7 @@ def without(make, path):
         for length, dropped in ((len(path), [path]),
                                 (len(path) + 1,
                                  [path + (e,) for e in graph.extensions_right(path)])):
-            sweep = kf._length_sweep(length)[1]
+            sweep = kf._length_sweep(length)
             for q in dropped:
                 sweep.pop(q, None)
                 sweep.pop(reverse_path(q), None)
