@@ -23,7 +23,6 @@ the one tower that every measure of the substitution shares.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import cached_property
 
@@ -188,19 +187,14 @@ def ergodic_measures(sigma: Substitution) -> ErgodicEnumeration:
         raise PreconditionError(
             "measure enumeration needs all iterated image lengths to diverge")
     spec = spectra.spectrum(sigma.incidence_matrix())
-    aperiodic = spec.form.kinds == ("primitive",) and not _is_integer(spec.radii[0])
+    # integer roots come back exact, and an exact root of a monic poly is an integer
+    aperiodic = spec.form.kinds == ("primitive",) and spec.radii[0].exact is None
     warnings = [f"possible periodic word {w!r} in the subshift"
                 for w in ([] if aperiodic else _periodic_witnesses(sigma, PERIODICITY_SCAN))]
     above, skipped = split_at_one(spec.distinguished)
     return ErgodicEnumeration(
         measures=[SubshiftMeasure(sigma, p) for p in above],
         skipped=skipped, block_form=spec.form, warnings=warnings)
-
-
-def _is_integer(root) -> bool:
-    """Is the certified root one of the integers in its enclosure?"""
-    return any(root.compare(k) == 0
-               for k in range(math.floor(root.lo), math.ceil(root.hi) + 1))
 
 
 def _periodic_witnesses(sigma: Substitution, bound: int):

@@ -16,8 +16,9 @@ an edge may be named ``vertex``.
 The parser reads a statement at a time, a declaration's head or one statement
 of its body: it finds the statement's end with ``list.index``, checks its
 shape by slice comparison and resolves its names by dictionary lookup.  A
-statement that fails this test is read again token by token, which raises the
-error of its first bad token.  Errors carry line and column positions.
+statement that fails this test is read again by ``expect`` from its steps,
+its grammar in reading order, which raises the error of its first bad token.
+Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -92,14 +93,23 @@ _EDGE = ["edge", ":", "->", ";"]  # the marks of ``edge e: u -> w ;``
 _VERTEX = ["->", ";"]             # the marks of ``vertex v -> w ;`` after ``v``
 
 
+def _new(kind, taken):
+    """The step of a declaration's name: no earlier one of its kind has it."""
+    return kind + " name", lambda t: t in taken and f"duplicate {kind} {t!r}"
+
+
+def _keyword(kw):
+    """The step of the keyword ``kw``."""
+    return kw, lambda t: t != kw and f"expected {kw!r}"
+
+
 class _Parser:
     """One walk over the token strings, a statement at a time; ``i`` indexes
     the next unread one.  A statement is a declaration head or one statement
     of a body.  It is taken whole when it has its shape and every name in it
-    resolves; otherwise it is read again with the per-token helpers
-    (``take``, ``word``, ``unknown``, ``fail``), which raise the error of its
-    first bad token.  Line and column come from :func:`tokenize` only when an
-    error is raised."""
+    resolves; otherwise ``expect`` reads it again from its steps, which
+    raises the error of its first bad token.  Line and column come from
+    :func:`tokenize` only when an error is raised."""
 
     def __init__(self, text: str):
         self.text = text
@@ -107,10 +117,6 @@ class _Parser:
         self.end = len(self.toks) - len(_TAIL)
         self.i = 0
         self.names = {}           # graph name -> (vertex index, edge token index)
-
-    def upto(self, mark, i):
-        """The index of the first ``mark`` from token ``i`` on, or of the end."""
-        return min(self.toks.index(mark, i), self.end)
 
     def fail(self, message, k=None):
         """Raise at token ``k`` (default: the next unread one); at the end of
@@ -121,43 +127,43 @@ class _Parser:
         tok = tokenize(self.text)[k]
         raise ParseError(message, tok.line, tok.column)
 
-    def take(self, expect):
+    def take(self, mark):
         t = self.toks[self.i]
-        if t != expect:
-            self.fail(f"expected {expect!r}, found {t!r}" if t
-                      else f"expected {expect!r} at end of input")
+        if t != mark:
+            self.fail(f"expected {mark!r}, found {t!r}" if t
+                      else f"expected {mark!r} at end of input")
         self.i += 1
 
-    def word(self, what="name"):
+    def word(self, what="name", check=None):
+        """Read a name; ``check(name)``, if given, returns what makes it bad."""
         t = self.toks[self.i]
         if t in _NOT_NAME:
             self.fail(f"expected {what}, found {t!r}" if t else "unexpected end of input")
+        if check and (message := check(t)):
+            self.fail(message)
         self.i += 1
         return t
 
-    def new_name(self, kind, taken):
-        """The name of a declaration; no earlier one of its kind has it."""
-        name = self.word(kind + " name")
-        if name in taken:
-            self.fail(f"duplicate {kind} {name!r}", self.i - 1)
-        return name
-
-    def keyword(self, kw):
-        if self.word(kw) != kw:
-            self.fail(f"expected {kw!r}", self.i - 1)
-
-    def names_until(self, what, mark):
-        """Read names up to ``mark`` or the end, then ``mark``."""
-        while self.toks[self.i] not in (mark, _END):
-            self.word(what)
-        self.take(mark)
-
-    def unknown(self, k, what, message):
-        """Raise at token ``k``, which names nothing declared: as a
-        punctuation mark if it is one, else with ``message``."""
+    def expect(self, k, steps, late=()):
+        """Read the statement at token ``k`` by its steps, raising the error of
+        its first bad token, then the first message of ``late``, its
+        ``(token index, message)`` lookups that wait for its syntax.  A step
+        is a mark; ``(what, check)``, a :meth:`word`; or ``(what, check,
+        stops)``, such words up to one of the marks ``stops`` or the end.
+        Returns only if nothing was bad."""
         self.i = k
-        self.word(what)
-        self.fail(message, k)
+        for step in steps:
+            if isinstance(step, str):
+                self.take(step)
+            elif len(step) == 2:
+                self.word(*step)
+            else:
+                what, check, stops = step
+                while self.toks[self.i] not in stops and self.toks[self.i] != _END:
+                    self.word(what, check)
+        for j, message in late:
+            if message:
+                self.fail(message, j)
 
     # -- document ------------------------------------------------------------
 
@@ -178,11 +184,8 @@ class _Parser:
         name, vertex_names = toks[i], toks[i + 4:j]
         if (toks[i + 1:i + 4] != _GRAPH or name in _NOT_NAME or name in doc.graphs
                 or not _NOT_NAME.isdisjoint(vertex_names)):
-            self.new_name("graph", doc.graphs)
-            self.take("{")
-            self.keyword("vertices")
-            self.take(":")
-            self.names_until("vertex name", ";")
+            self.expect(i, [_new("graph", doc.graphs), "{", _keyword("vertices"), ":",
+                            ("vertex name", None, (";",)), ";"])
         self.i = i = j + 1
         vindex = {v: k for k, v in enumerate(vertex_names)}
         if len(vindex) != len(vertex_names) or not vertex_names:
@@ -193,7 +196,12 @@ class _Parser:
             ends = vindex.get(u), vindex.get(w)
             if (toks[i:i + 7:2] != _EDGE or e in _NOT_NAME or e[0] == "~"
                     or None in ends or e in eindex):
-                self.bad_edge(i, vindex)
+                self.expect(i + 1, [
+                    ("edge name", lambda t: t[0] == "~" and
+                     "edge declarations name the positive orientation"),
+                    ":", ("vertex", None), "->", ("vertex", None), ";"],
+                    [(k, toks[k] not in vindex and f"undeclared vertex {toks[k]!r}")
+                     for k in (i + 3, i + 5)] + [(i + 1, f"duplicate edge {e!r}")])
             eindex[e] = 2 * len(edges)
             eindex["~" + e] = 2 * len(edges) + 1
             edges.append(ends)
@@ -207,37 +215,16 @@ class _Parser:
             raise ParseError(f"invalid graph {name!r}: {exc}") from exc
         self.names[name] = (vindex, eindex)
 
-    def bad_edge(self, k, vindex):
-        """Raise the error of the edge declaration at token ``k``."""
-        toks = self.toks
-        self.i = k + 1
-        e = self.word("edge name")
-        if e.startswith("~"):
-            self.fail("edge declarations name the positive orientation", k + 1)
-        self.take(":")
-        self.word("vertex")
-        self.take("->")
-        self.word("vertex")
-        self.take(";")
-        for j in (k + 3, k + 5):
-            if toks[j] not in vindex:
-                self.fail(f"undeclared vertex {toks[j]!r}", j)
-        self.fail(f"duplicate edge {e!r}", k + 1)
-
     def parse_map(self, doc):
         toks, i = self.toks, self.i
         name, dom_name, cod_name = toks[i:i + 5:2]
         if (toks[i + 1:i + 6:2] != _MAP or name in _NOT_NAME or name in doc.maps
                 or dom_name not in doc.graphs or cod_name not in doc.graphs):
-            self.new_name("map", doc.maps)
-            self.take(":")
-            self.word("graph name")
-            self.take("->")
-            self.word("graph name")
-            for j in (i + 2, i + 4):
-                if toks[j] not in doc.graphs:
-                    self.fail(f"undeclared graph {toks[j]!r}", j)
-            self.take("{")
+            self.expect(i, [_new("map", doc.maps), ":", ("graph name", None), "->",
+                            ("graph name", None)],
+                        [(k, toks[k] not in doc.graphs and f"undeclared graph {toks[k]!r}")
+                         for k in (i + 2, i + 4)])
+            self.take("{")        # after the graph lookups
         dom, cod = doc.graphs[dom_name], doc.graphs[cod_name]
         (dom_v, dom_e), (cod_v, cod_e) = self.names[dom_name], self.names[cod_name]
         vimg, eimg = [None] * dom.n_vertices, [None] * dom.n_edges
@@ -247,7 +234,11 @@ class _Parser:
                 v, w = dom_v.get(toks[i + 1]), cod_v.get(toks[i + 3])
                 if (toks[i + 2:i + 5:2] != _VERTEX or v is None or w is None
                         or vimg[v] is not None):
-                    self.bad_vertex(i, dom_v, cod_v)
+                    vertex = "vertex name", None
+                    self.expect(i + 1, [vertex, "->", vertex, ";"],
+                                [(k, toks[k] not in names and f"undeclared vertex {toks[k]!r}")
+                                 for k, names in ((i + 1, dom_v), (i + 3, cod_v))]
+                                + [(i + 1, f"duplicate image for vertex {toks[i + 1]!r}")])
                 vimg[v] = w
                 i += 5
                 continue
@@ -256,7 +247,12 @@ class _Parser:
             path = tuple(map(cod_e.get, toks[i + 2:j]))
             if (toks[i + 1] != "->" or e is None or e % 2 == 1 or eimg[e >> 1] is not None
                     or None in path):
-                self.bad_image(i, dom_e, cod_e)
+                self.expect(i, [
+                    ("assignment", lambda t: _edge_error(t) if t not in dom_e else
+                     dom_e[t] % 2 and "edge images are declared on positive edges"),
+                    "->", ("edge token", lambda t: t not in cod_e and _edge_error(t), (";",)),
+                    ";"],
+                    [(i, f"duplicate image for edge {toks[i]!r}")])
             eimg[e >> 1] = path
             i = j + 1
         self.i = i
@@ -278,56 +274,26 @@ class _Parser:
             raise ParseError(f"invalid map {name!r}: {exc}") from exc
         doc.maps[name] = (gm, dom_name, cod_name)
 
-    def bad_vertex(self, k, dom_v, cod_v):
-        """Raise the error of the vertex image at token ``k``."""
-        toks = self.toks
-        self.i = k + 1
-        self.word("vertex name")
-        self.take("->")
-        self.word("vertex name")
-        self.take(";")
-        for j, index in ((k + 1, dom_v), (k + 3, cod_v)):
-            if toks[j] not in index:
-                self.fail(f"undeclared vertex {toks[j]!r}", j)
-        self.fail(f"duplicate image for vertex {toks[k + 1]!r}", k + 1)
-
-    def bad_image(self, k, dom_e, cod_e):
-        """Raise the error of the edge image at token ``k``."""
-        toks = self.toks
-        self.i = k
-        e = dom_e.get(self.word("assignment"))
-        if e is None:
-            self.fail(_edge_error(toks[k]), k)
-        if e % 2 == 1:
-            self.fail("edge images are declared on positive edges", k)
-        self.take("->")
-        j = self.upto(";", k + 2)
-        for t in range(k + 2, j):
-            if toks[t] not in cod_e:
-                self.unknown(t, "edge token", _edge_error(toks[t]))
-        self.i = j
-        self.take(";")
-        self.fail(f"duplicate image for edge {toks[k]!r}", k)
-
     def parse_subst(self, doc):
         toks, i = self.toks, self.i
         j = toks.index("{", i)
         name, letters = toks[i], toks[i + 2:j]
         if (toks[i + 1] != "over" or name in _NOT_NAME or name in doc.substitutions
                 or not _NOT_NAME.isdisjoint(letters)):
-            self.new_name("substitution", doc.substitutions)
-            self.keyword("over")
-            self.names_until("letter", "{")
+            self.expect(i, [_new("substitution", doc.substitutions), _keyword("over"),
+                            ("letter", None, ("{",)), "{"])
         known = set(letters)
         images = {}
         i = j + 1
-        close = self.upto("}", i)
+        close = min(toks.index("}", i), self.end)
         while i < close:
             j = min(toks.index(";", i), close)
             x, image = toks[i], toks[i + 2:j]
             if (toks[i + 1] != "->" or x not in known or x in images
                     or not known.issuperset(image)):
-                self.bad_letter_image(i, known)
+                letter = "letter", lambda t: t not in known and f"undeclared letter {t!r}"
+                self.expect(i, [letter, "->", (*letter, (";", "}"))],
+                            [(i, f"duplicate image for letter {x!r}")])
             images[x] = tuple(image)
             i = j + (toks[j] == ";")
         self.i = i
@@ -340,19 +306,6 @@ class _Parser:
                                                    tuple(images[x] for x in letters))
         except Exception as exc:
             raise ParseError(f"invalid substitution {name!r}: {exc}") from exc
-
-    def bad_letter_image(self, k, known):
-        """Raise the error of the letter image at token ``k``."""
-        toks = self.toks
-        self.i = k
-        x = self.word("letter")
-        if x not in known:
-            self.fail(f"undeclared letter {x!r}", k)
-        self.take("->")
-        for i in range(self.i, min(self.upto(";", k), self.upto("}", k))):
-            if toks[i] not in known:
-                self.unknown(i, "letter", f"undeclared letter {toks[i]!r}")
-        self.fail(f"duplicate image for letter {x!r}", k)
 
 
 def parse(text: str) -> InputDocument:

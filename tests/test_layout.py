@@ -37,7 +37,10 @@ REMOVED_NAMES = {
               "_integer_candidates"},
     "intervals": {"format_interval(digits)", "is_exact_zero"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
-    "textio": {"_TOKEN", "format_table_tsv(rows)"},
+    "textio": {"_TOKEN", "format_table_tsv(rows)", "_Parser.bad_edge", "_Parser.bad_vertex",
+               "_Parser.bad_image", "_Parser.bad_letter_image", "_Parser.new_name",
+               "_Parser.keyword", "_Parser.names_until", "_Parser.unknown",
+               "_Parser.upto"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
                "WeightTower.turn_weight_at", "StationaryTower.pullbacks",
                "VectorTower", "WeightTower.check_switch_conditions",
@@ -46,7 +49,8 @@ REMOVED_NAMES = {
                  "BlowUp.turn_of_local", "blowup_isomorphism", "keyed_edge_bijection",
                  "maps_equal_via", "BlowUp.check_structure", "ShortForm.base_map",
                  "ShortForm.parent", "LongForm.base"},
-    "substitutions": {"to_train_track", "_is_primitive_word", "SubshiftMeasure.tower"},
+    "substitutions": {"to_train_track", "_is_primitive_word", "SubshiftMeasure.tower",
+                      "_is_integer"},
     "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",

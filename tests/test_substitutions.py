@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from collections import Counter
+from copy import copy
 from pathlib import Path
 
 import pytest
@@ -424,12 +426,19 @@ def test_periodicity_scan_runs_unless_the_eigenvalue_rules_it_out(
 def test_substitutions_without_a_scan_are_aperiodic(sigma):
     """Where the eigenvalue rules periodic points out, the language has more
     than n factors of each length n up to 12, as an aperiodic subshift must
-    (Morse-Hedlund); every other substitution is scanned."""
+    (Morse-Hedlund); every other substitution is scanned.  The eigenvalue is
+    exact just when it is one of the integers in its enclosure, each compared
+    with a copy of it."""
     spec = spectra.spectrum(sigma.incidence_matrix())
     if len(sigma.alphabet) < 2 or spec.form.kinds != ("primitive",):
         return
-    if substitutions._is_integer(spec.radii[0]):
-        assert spec.radii[0].compare(round(float(spec.radii[0]))) == 0
+    root = spec.radii[0]
+    probe = copy(root)
+    integer = any(probe.compare(k) == 0
+                  for k in range(math.floor(root.lo), math.ceil(root.hi) + 1))
+    assert integer == (root.exact is not None)
+    if integer:
+        assert root.compare(round(float(root))) == 0
         return
     language = sigma.language(12)
     for n in range(1, 13):

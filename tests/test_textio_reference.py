@@ -353,6 +353,16 @@ GRAPH = "graph G { vertices: v ; edge a: v -> v ; edge b: v -> v ; }\n"
     GRAPH + "map f: G -> G { vertex -> a ; a -> a ; b -> b ; }",
     GRAPH + "map f: G -> G { a -> a ; b -> b ; vertex",
     GRAPH.replace("edge b", "edge vertex") + "map f: G -> G { vertex -> c ; a -> a ; }",
+    "graph { vertices: v ; }",
+    GRAPH + "graph G vertices: v ;",
+    "graph G { vertex: v ; }",
+    "subst s o a b { a -> b ; b -> a }",
+    GRAPH + "map f: G -> H { a -> a ; b -> b ; }",
+    GRAPH + "map f: G -> G a -> a ; b -> b ; }",
+    GRAPH + "map f: G -> G { a -> a { ; b -> b ; }",
+    GRAPH + "map f: G -> G { vertex v v ; a -> a ; b -> b ; }",
+    "graph G { vertices: v ; edge a v -> v ; }",
+    "subst s over a b { a -> b ; a -> a }",
 ])
 def test_reference_agrees_on_semantic_errors(text):
     assert outcome(parse, text)[0] == "error"
