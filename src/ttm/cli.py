@@ -25,7 +25,6 @@ import functools
 import json
 import os
 import sys
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import intervals as ia
@@ -191,88 +190,96 @@ def _eigenpair_json(pair, labels, name, exact):
             "support": [labels[k] for k in sorted(pair.support)]}
 
 
-def _text_of(exact):
-    """Value -> its printed text, formatted once per distinct value (most
-    values repeat, and every zero row is the one shared zero)."""
+def _text_of(exact, escape):
+    """Value -> its printed text, through ``escape``, formatted once per
+    distinct value (most values repeat, and every zero row is the one shared
+    zero)."""
     shown = {}
 
     def text(value):
         got = shown.get(value)
         if got is None:
-            got = shown[value] = (fmt_exact_fraction(value) if exact
-                                  else ia.format_interval(value))
+            got = shown[value] = escape(fmt_exact_fraction(value) if exact
+                                        else ia.format_interval(value))
         return got
     return text
 
 
-def _table_levels(kf, max_length, text):
-    """The table of every reduced path up to the bound, one length at a time:
-    ``(labels, values, zero)`` with the path labels in order, ``(index,
-    value text)`` of the support rows, and the text of every other row (the
-    exact zero; None when there is no other row).
+def _table_levels(kf, max_length, text, escape):
+    """The rows of every reduced path up to the bound, one text per length,
+    each row ``"\n" + label + "\t" + value`` (label and value through
+    ``escape``) and the rows in label order.
 
-    A level is its labels and their last edges; the next one appends each
-    successor of the last edge to each label.  Only the support paths are
-    evaluated, and a zero row costs no evaluator call and no hashing.
+    The rows of the paths of length k that start with edge a form a block
+    whose every value is the exact zero: the length-(k - 1) blocks of the
+    successors of a, in name order, with the name of a and a space put
+    after each newline; a length keeps its blocks until the next one is
+    built.  Only the support paths are evaluated, and each one's row
+    replaces its zero row, found by its label, so a zero row costs no
+    Python code.
     """
     graph = kf.graph
-    names = [" " + graph.edge_label(e) for e in graph.oriented_edges]
-    successors = [sorted(graph.extensions_right((e,)), key=names.__getitem__)
+    raw = [graph.edge_label(e) for e in graph.oriented_edges]
+    names = [escape(name) for name in raw]
+    successors = [sorted(graph.extensions_right((e,)), key=raw.__getitem__)
                   for e in graph.oriented_edges]
+    by_name = sorted(graph.oriented_edges, key=raw.__getitem__)
     # Edge names are distinct and none starts with "~", so a label names one
-    # path and the label order is the (label, path) order.  Extending each
-    # label of a sorted level by the successors of its last edge, in name
-    # order, keeps the level sorted.  Labels that differ before one ends
-    # keep that difference.  Where label p is a prefix of label q, p's
-    # extensions read a space where q's read a name character, and the space
-    # sorts first unless that character is a control character; only then
-    # is the level sorted again.
-    ordered = all(c > " " for name in names for c in name[1:])
+    # path.  Where label p is a prefix of label q, p's extensions read a
+    # space where q's read a name character, and the space sorts first
+    # unless that character is a control character: only then does the
+    # block order, that of the name sequences, differ from the label order,
+    # and the rows of each length are sorted by label.
+    unescape = str if escape is str else lambda label: json.loads(f'"{label}"')
+    key = None if all(c > " " for name in raw for c in name) else (
+        lambda row: unescape(row[:row.index("\t")]))
+    zero = text(ia.zero())
     # every sweep runs (and can fail) before the first row is written
     supports = [kf.support(k) for k in range(1, max_length + 1)]
 
     def levels():
-        lasts = sorted(graph.oriented_edges, key=names.__getitem__)
-        labels = [names[e][1:] for e in lasts]
+        blocks = [f"\n{name}\t{zero}" for name in names]
         for k, support in enumerate(supports, 1):
             if k > 1:
-                labels = [label + names[d] for label, e in zip(labels, lasts)
-                          for d in successors[e]]
-                lasts = [d for e in lasts for d in successors[e]]
-                if not ordered:
-                    order = sorted(range(len(labels)), key=labels.__getitem__)
-                    labels = [labels[i] for i in order]
-                    lasts = [lasts[i] for i in order]
-            values = [(bisect_left(labels, label), text(kf._walked(p))) for label, p
-                      in sorted((graph.path_label(p), p) for p in support)]
-            zero = text(ia.zero()) if len(values) < len(labels) else None
-            yield labels, values, zero
+                blocks = ["".join([blocks[d] for d in after]).replace("\n", f"\n{names[e]} ")
+                          for e, after in enumerate(successors)]
+            rows = "".join([blocks[e] for e in by_name])
+            if key:
+                rows = "".join(["\n" + row for row in sorted(rows.split("\n")[1:], key=key)])
+            out, start = [], 0
+            for _, p in sorted((graph.path_label(p), p) for p in support):
+                row = "\n" + " ".join([names[e] for e in p]) + "\t"
+                at = rows.index(row, start)
+                out += (rows[start:at], row, text(kf._walked(p)))
+                start = at + len(row) + len(zero)
+            out.append(rows[start:])
+            yield "".join(out)
     return levels()
 
 
-_JSON_ROW = '    {{\n      "path": {},\n      "value": {}\n    }}'
+# JSON of a row's tab, and of the newline that starts a row (it closes the
+# row before it, so the first row skips its first ``len('"\n    },')``)
+_JSON_TAB = '",\n      "value": "'
+_JSON_NEWLINE = '"\n    },\n    {\n      "path": "'
 
 
 def _write_table(levels, json_form):
-    """Write each ``(labels, values, zero)`` level as it comes (see
-    ``_table_levels``): TSV lines, or the text ``json.dumps({"schema": 1,
-    "values": rows}, indent=2, sort_keys=True)`` prints for all the rows,
-    byte for byte (ASCII escapes, keys in order)."""
+    """Write the rows of each level as it comes (see ``_table_levels``): TSV
+    lines, or the text ``json.dumps({"schema": 1, "values": rows}, indent=2,
+    sort_keys=True)`` prints for all the rows, byte for byte, made from the
+    rows by two ``str.replace`` calls (labels and values come escaped)."""
     write = sys.stdout.write
-    if not json_form:
-        for labels, values, zero in levels:
-            write(format_table_tsv(labels, values, zero))
-        return
-    write('{\n  "schema": 1,\n  "values": [')
-    sep = "\n"
-    for labels, values, zero in levels:
-        if labels:
-            texts = [json.dumps(zero)] * len(labels)
-            for i, value in values:
-                texts[i] = json.dumps(value)
-            write(sep + ",\n".join(map(_JSON_ROW.format, map(json.dumps, labels), texts)))
-            sep = ",\n"
-    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    if json_form:
+        write('{\n  "schema": 1,\n  "values": [')
+        skip, ends = 8, ("]\n}\n", '"\n    }\n  ]\n}\n')
+    else:
+        skip, ends = 1, ("", "\n")
+    for rows in levels:
+        if rows:
+            write((rows.replace("\n", _JSON_NEWLINE).replace("\t", _JSON_TAB)
+                   if json_form else rows)[skip:])
+            skip = 0
+    write(ends[not skip])
 
 
 def _require_length(flag: str, value: int, least: int) -> None:
@@ -314,16 +321,19 @@ def cmd_measure(args) -> int:
     doc = load(args.file)
     f = doc.map(args.map)
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
-    text = _text_of(args.exact)
+    # a text as json.dumps writes it inside a string, for the JSON form
+    escape = (lambda s: json.dumps(s)[1:-1]) if args.format == "json" else str
+    text = _text_of(args.exact, escape)
     if args.table_up_to is not None:
         _require_table_rows(f.domain, args.table_up_to)
-        levels = _table_levels(kf, args.table_up_to, text)
+        levels = _table_levels(kf, args.table_up_to, text, escape)
     else:
         graph = f.domain
         paths = [parse_path(graph, chunk)
                  for chunk in args.paths.split(",") if chunk.strip()]
-        levels = [([graph.path_label(p) for p in paths],
-                   [(i, text(kf.eval(p))) for i, p in enumerate(paths)], None)]
+        table = format_table_tsv([escape(graph.path_label(p)) for p in paths],
+                                 [(i, text(kf.eval(p))) for i, p in enumerate(paths)])
+        levels = ["\n" + table[:-1]]
     _write_table(levels, args.format == "json")
     return 0
 

@@ -32,7 +32,7 @@ def is_positive(e: int) -> bool:
 
 def reverse_path(path: Path) -> Path:
     """The inversely oriented path: entries inverted, order reversed."""
-    return tuple(inverse(e) for e in reversed(path))
+    return tuple([e ^ 1 for e in path[::-1]])    # e ^ 1 is inverse(e)
 
 
 def is_reduced(path: Path) -> bool:

@@ -125,20 +125,35 @@ def _nearest(m, e, prec):
     return _round(m, e, prec, False)    # only strips: m has at most prec bits
 
 
-def _sum(xm, xe, ym, ye, prec):
-    """x + y as a pair whose rounding to ``prec`` bits, in any direction,
-    is that of the exact sum (the pair is exact unless y lies far below the
-    precision of x, when a sticky unit stands for it, as in mpf_add)."""
+def _add_round(xm, xe, ym, ye, prec, up):
+    """x + y rounded to ``prec`` bits, to floor, to ceiling (``up``) or, with
+    ``up`` None, to nearest, as a normal pair: the rounding of the exact sum,
+    taken from that sum, or from x with a sticky unit standing for y when y
+    lies far below the precision of x (as in mpf_add)."""
     if not ym:
-        return xm, xe
-    if not xm:
-        return ym, ye
-    d = xe - ye
-    if d < 0:
-        xm, xe, ym, ye, d = ym, ye, xm, xe, -d
-    if d > 100 and xm.bit_length() - ym.bit_length() + d > prec + 4:
-        return (xm << (prec + 4)) + (1 if ym > 0 else -1), xe - prec - 4
-    return (xm << d) + ym, ye
+        m, e = xm, xe
+    elif not xm:
+        m, e = ym, ye
+    else:
+        d = xe - ye
+        if d < 0:
+            xm, xe, ym, ye, d = ym, ye, xm, xe, -d
+        if d > 100 and xm.bit_length() - ym.bit_length() + d > prec + 4:
+            m, e = (xm << (prec + 4)) + (1 if ym > 0 else -1), xe - prec - 4
+        else:
+            m, e = (xm << d) + ym, ye
+    if up is None:
+        return _nearest(m, e, prec)
+    n = m.bit_length() - prec    # _round, inline
+    if n > 0:
+        m = -(-m >> n) if up else m >> n
+        e += n
+    if m & 1:
+        return m, e
+    if not m:
+        return _ZERO
+    t = (m & -m).bit_length() - 1
+    return m >> t, e + t
 
 
 def _quotient(xm, xe, ym, ye, prec):
@@ -243,16 +258,16 @@ def _fraction(x) -> Fraction:
 
 
 def _add(s, t, p):
-    return Interval(_round(*_sum(*s._lo, *t._lo, p), p, False),
-                    _round(*_sum(*s._hi, *t._hi, p), p, True))
+    return Interval(_add_round(*s._lo, *t._lo, p, False),
+                    _add_round(*s._hi, *t._hi, p, True))
 
 
 def _sub(s, t, p):
-    if s is _ZERO_INTERVAL and t is _ZERO_INTERVAL:
-        return s
+    if t is _ZERO_INTERVAL and s._lo[0].bit_length() <= p >= s._hi[0].bit_length():
+        return s    # the rounding of a normal pair of at most p bits is that pair
     (cm, ce), (dm, de) = t._lo, t._hi
-    return Interval(_round(*_sum(*s._lo, -dm, de, p), p, False),
-                    _round(*_sum(*s._hi, -cm, ce, p), p, True))
+    return Interval(_add_round(*s._lo, -dm, de, p, False),
+                    _add_round(*s._hi, -cm, ce, p, True))
 
 
 def _product(x, y, p, up):
@@ -384,9 +399,10 @@ def _operator(op, reflected=False):
     """The method ``s <op> t`` (``t <op> s`` when reflected) at the working
     precision."""
     def method(s, t):
-        t = _operand(t)
-        if t is NotImplemented:
-            return t
+        if type(t) is not Interval:
+            t = _operand(t)
+            if t is NotImplemented:
+                return t
         return op(t, s, _prec) if reflected else op(s, t, _prec)
     return method
 
@@ -474,7 +490,7 @@ class Interval:
     @property
     def mid(self):
         """The midpoint (mpi_mid): the endpoint sum rounded to nearest, halved."""
-        m, e = _nearest(*_sum(*self._lo, *self._hi, _prec), _prec)
+        m, e = _add_round(*self._lo, *self._hi, _prec, None)
         v = (m, e - 1) if m else _ZERO
         return Interval(v, v)
 
@@ -482,7 +498,7 @@ class Interval:
     def delta(self):
         """The width hi - lo rounded up (mpi_delta)."""
         lm, le = self._lo
-        v = _round(*_sum(*self._hi, -lm, le, _prec), _prec, True)
+        v = _add_round(*self._hi, -lm, le, _prec, True)
         return Interval(v, v)
 
     def __float__(self):
@@ -590,9 +606,10 @@ def max_endpoints(values):
 def isum(values):
     """Interval sum of an iterable, in order (empty sum is exact 0).  The
     shared exact zero is skipped unread: adding it to a sum already rounded
-    at the working precision changes no bit.  This skip and ``zero() -
-    zero()`` and ``abs(zero())``, which return ``zero()`` itself, are the
-    only identity tests on the shared zero: callers use the operators."""
+    at the working precision changes no bit.  This skip, ``s - zero()``,
+    which returns s when its endpoints fit the precision (``zero() - zero()``
+    is ``zero()``), and ``abs(zero())`` are the only identity tests on the
+    shared zero: callers use the operators."""
     return sum((v for v in values if v is not _ZERO_INTERVAL), zero())
 
 

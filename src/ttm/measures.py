@@ -47,24 +47,27 @@ interval, which ``ttm.intervals`` keeps through ``-`` and ``abs`` and
 made.  Each verify suite evaluates the set of paths whose residual can be
 non-zero, in any order (its verdict and violation are maxima):
 
-* flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1);
+* flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1), flip
+  reading one path of each pair {p, p-bar};
 * the eigen equation: S(L) and the paths that it covers, up to the bound.
   One pass pushes S(L) forward, scattering each value mu(d) onto the
   factors of f(d) from its first image block to its last; the sums give
   f_* mu on every path with a cover in the support, and ``image_measure``
   reads the same pass;
 * the oracle: S(L) and the paths with a non-zero estimate (its vector is
-  non-negative, so its tail bounds are too).
+  non-negative, so its tail bounds are too), one path of each pair.
 
 The walks use no property of the measure they check, nor the support's
 closure under factors, which makes the first two walks S(L) itself.
 Measure tables, which are external data, are checked on every reduced path.
 
 An independent frequency oracle estimates the same values from occurrence
-counts in iterate images alone, with a certified geometric tail bound.  It
-batches its own block recursion per path length but never touches the tower,
-the weights or the sweep: the two routes share nothing past the transition
-matrix, making their agreement a meaningful cross-validation.
+counts in iterate images alone, with a certified geometric tail bound.  Per
+path length it counts the factors of each junction string (and of the words
+it starts from) once, weighted through the powers of its own block matrix,
+but it never touches the tower, the weights or the sweep: the two routes
+share nothing past the transition matrix, making their agreement a
+meaningful cross-validation.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ from .maps import GraphMap
 from .towers import (
     StationaryTower, WeightTower, eigen_data, repetition_bound, weight_tower_from_vector,
 )
+
+_ZERO = ia.zero()
 
 
 class KolmogorovFunction:
@@ -123,7 +128,7 @@ class KolmogorovFunction:
     def _walked(self, path):
         """``eval`` without the path checks, for a reduced path that a walker
         made: its value in the sweep at ``level_for_length``."""
-        return self._length_sweep(len(path)).get(path, ia.zero())
+        return self._length_sweep(len(path)).get(path, _ZERO)
 
     def _sweep(self, n: int, length: int):
         """Value of every length-``length`` factor of the level-n words.
@@ -348,7 +353,7 @@ class VerificationReport:
         if not 0 <= tol < float("inf"):
             raise PreconditionError(
                 f"check {name!r} got a NaN, negative or infinite tolerance")
-        lo, hi = ia.max_endpoints(ia.coerce(v) for v in violations)
+        lo, hi = ia.max_endpoints(map(ia.coerce, violations))
         shown = float(hi)
         self.checks[name] = shown
         self.max_violation = max(self.max_violation, shown)
@@ -382,23 +387,26 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
 
     def kirchhoff(path, extended):
         residual = get(path)
-        for longer in extended:
-            residual = residual - get(longer)
+        for value in map(get, extended):
+            residual = residual - value
         return residual
 
-    residuals = (
-        ("flip", lambda p: get(p) - get(reverse_path(p))),
-        ("kirchhoff-left",
-         lambda p: kirchhoff(p, ((e,) + p for e in graph.extensions_left(p)))),
-        ("kirchhoff-right",
-         lambda p: kirchhoff(p, (p + (e,) for e in graph.extensions_right(p)))),
-    )
-    report = VerificationReport()
     paths = (graph.reduced_paths(max_length) if table else {
         p for length in range(1, max_length + 2) for q in source.support(length)
         for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length})
-    for name, residual in residuals:
-        report.record(name, map(abs, map(residual, paths)), tol)
+    # the walk is closed under reversal, and a path and its reversal have
+    # flip residuals of opposite signs: flip reads one path of each pair
+    pairs = [(p, q) for p in paths for q in (reverse_path(p),) if p < q]
+    residuals = (
+        ("flip", lambda pair: get(pair[0]) - get(pair[1]), pairs),
+        ("kirchhoff-left",
+         lambda p: kirchhoff(p, [(e,) + p for e in graph.extensions_left(p)]), paths),
+        ("kirchhoff-right",
+         lambda p: kirchhoff(p, [p + (e,) for e in graph.extensions_right(p)]), paths),
+    )
+    report = VerificationReport()
+    for name, residual, walk in residuals:
+        report.record(name, map(abs, map(residual, walk)), tol)
     if table:
         for path, sub in source.monotonicity_violations():
             report.flags.append(
@@ -508,11 +516,16 @@ class FrequencyOracle:
 
     The estimate of a path counts occurrences of the path and its reverse in
     the t-th iterate images of all positive edges, weights them by the
-    eigenvector, and scales by lambda**-t.  The counts run through the block
-    recursion (occurrences in the image of a word are occurrences in its
-    blocks plus junction straddles), so large t stays cheap.  The boundary
-    strings of the recursion depend only on the path length, so it runs once
-    per length and counts every factor of that length at once.  The counts
+    eigenvector, and scales by lambda**-t.  The counts are a linear
+    recursion: once the words are long enough, the image of a word is its
+    blocks' words with a junction string (a block's suffix and the next
+    one's prefix) between each two, so the counts of a level are B times
+    those of the level before plus the junction strings' counts, B the
+    block matrix (row e: the blocks of f(e)).  So each junction string, and
+    each word the recursion starts from, has its factors counted once,
+    times its entry in the sum of powers of B that Horner steps accumulate
+    one level at a time: large t stays cheap and no power of B is kept.
+    This runs once per path length and counts all its factors.  The counts
     are kept per positive edge and keyed by the pair {p, p-bar}, as the
     smaller of the two in tuple order, so a path reads one key; a block
     e-bar counts as e, its image being the reversed image of e.  The estimate
@@ -539,33 +552,49 @@ class FrequencyOracle:
         # length -> oriented edge -> factor counts
         self._length_counts = cache(self._factor_counts)
         self._tails = {}     # length -> tail bound
+        self._values = {}    # count tuple -> estimate value
 
     def counts(self, path) -> tuple:
         """Occurrences of the path and its reverse in the t-th iterate image
         of each positive edge."""
         path = _checked(self.graph, path, "the frequency oracle")
-        key = min(path, reverse_path(path))
-        return tuple(c[key] for c in self._length_counts(len(path)))
+        return self._counts(min(path, reverse_path(path)))
+
+    def _counts(self, key) -> tuple:
+        """``counts`` of the pair {key, key-bar}, key the smaller."""
+        return tuple(c[key] for c in self._length_counts(len(key)))
 
     def support(self, length: int) -> set:
         """The paths of this length with a non-zero estimate (a count for
         an edge of non-zero coordinate), closed under reversal."""
-        out = set()
-        for c, x in zip(self._length_counts(length), self.vector):
-            if x != 0:
-                out.update(c)
-        return out | {reverse_path(p) for p in out}
+        keys = self._keys(length)
+        return keys | {reverse_path(p) for p in keys}
+
+    def _keys(self, length: int) -> set:
+        """The support's smaller path of each pair {p, p-bar}."""
+        return {q for c, x in zip(self._length_counts(length), self.vector) if x != 0
+                for q in c}
 
     def estimate(self, path) -> OracleEstimate:
-        path = tuple(path)
-        est = sum(map(mul, self.counts(path), self.vector)) * self.scale
-        return OracleEstimate(value=est, tail_bound=self._tail(len(path)),
+        path = _checked(self.graph, path, "the frequency oracle")
+        return self._estimate(min(path, reverse_path(path)))
+
+    def _estimate(self, key) -> OracleEstimate:
+        """The estimate of the pair {key, key-bar}, key the smaller; its value
+        is summed once per distinct count tuple."""
+        counts = self._counts(key)
+        value = self._values.get(counts)
+        if value is None:
+            value = self._values[counts] = sum(map(mul, counts, self.vector)) * self.scale
+        return OracleEstimate(value=value, tail_bound=self._tail(len(key)),
                               iterations=self.t)
 
     def _factor_counts(self, length: int):
         """The factor counts of each positive edge's t-th iterate image, in
         edge order; a block x counts as ``counts[x >> 1]`` (the image of
-        e-bar is the reversed image of e)."""
+        e-bar is the reversed image of e).  Row e of C holds how often each
+        string counts for e, one Horner step a level: C <- B C, plus one
+        per junction of the step."""
         f, edges = self.f, self.graph.positive_edges
         margin = length - 1
         # explicit words until every block is long enough for boundary recursion
@@ -574,23 +603,38 @@ class FrequencyOracle:
         while level < self.t and min(map(len, words.values())) < max(1, margin):
             words = {e: f.map_path(w) for e, w in words.items()}
             level += 1
-        counts = [_factors(words[e], length) for e in edges]
-        prefixes = {e: w[:margin] for e, w in words.items()}
-        suffixes = {e: w[len(w) - margin:] for e, w in words.items()}
+        blocks = [[x >> 1 for x in f.image(e)] for e in edges]    # the rows of B
+        junctions = [(k, x, y) for k, e in enumerate(edges)
+                     for x, y in zip(f.image(e), f.image(e)[1:])]
+        firsts = [f.image(e)[0] for e in words]
+        lasts = [f.image(e)[-1] for e in words]
+        # heads[x], tails[x]: the edge whose word at the first level has the
+        # prefix, the suffix, of x's word at this level
+        heads = tails = list(words)
+        strings = [words[e] for e in edges]
+        rows = [[int(i == k) for i in range(len(edges))] for k in range(len(edges))]
+        index = {}    # (tail edge, head edge) of a junction -> its column
         while level < self.t:
-            new_counts = []
-            for e in edges:
-                img = f.image(e)
-                c = Counter()
-                for x in img:
-                    c.update(counts[x >> 1])
-                for x, y in zip(img, img[1:]):
-                    c.update(_factors(suffixes[x] + prefixes[y], length))
-                new_counts.append(c)
-            counts = new_counts
-            prefixes = {e: prefixes[f.image(e)[0]] for e in prefixes}
-            suffixes = {e: suffixes[f.image(e)[-1]] for e in suffixes}
+            rows = [list(map(sum, zip(*[rows[j] for j in block]))) for block in blocks]
+            for k, x, y in junctions:
+                key = (tails[x], heads[y])
+                if key not in index:
+                    index[key] = len(strings)
+                    w, v = words[key[0]], words[key[1]]
+                    strings.append(w[len(w) - margin:] + v[:margin])
+                    for row in rows:
+                        row.append(0)
+                rows[k][index[key]] += 1
+            heads = list(map(heads.__getitem__, firsts))
+            tails = list(map(tails.__getitem__, lasts))
             level += 1
+        counts = [Counter() for _ in edges]
+        for i, string in enumerate(strings):
+            factors = _factors(string, length)
+            for c, row in zip(counts, rows):
+                if row[i]:
+                    for q, m in factors.items():
+                        c[q] += row[i] * m
         return counts
 
     def _tail(self, length: int):
@@ -627,12 +671,18 @@ def verify_oracle(kf: KolmogorovFunction, oracle: FrequencyOracle, max_length: i
     _require_bound(max_length)
     if oracle.f != kf.tower.f:
         raise PreconditionError("the oracle is built on another map than the measure")
+    # a path and its reversal share their value and their estimate: the walk
+    # reads the smaller of each pair
+    keys = set()
+    for length in range(1, max_length + 1):
+        keys.update(p for p in kf.support(length) if p < reverse_path(p))
+        keys |= oracle._keys(length)
     worst, excess = 0.0, []
-    for p in {q for length in range(1, max_length + 1)
-              for support in (kf.support, oracle.support) for q in support(length)}:
-        value, est = kf._walked(p), oracle.estimate(p)
-        worst = max(worst, ia.sup_abs(value - est.value))
-        excess.append(est.excess(value))
+    for p in keys:
+        est = oracle._estimate(p)
+        gap = abs(kf._walked(p) - est.value)
+        worst = max(worst, ia.sup_abs(gap))
+        excess.append(gap - est.tail_bound)
     report = VerificationReport()
     report.record("oracle", excess, tol)
     return report, worst

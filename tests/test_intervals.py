@@ -197,6 +197,44 @@ def test_isum_skips_exact_zeros_bit_for_bit(prec, xs):
         assert endpoints_of(ia.isum(values)) == endpoints_of(plain)
 
 
+@settings(max_examples=300)
+@given(precs, intervals())
+def test_minus_the_shared_zero_rounds_only_wide_endpoints(prec, x):
+    """``X - zero()`` is X itself when X was built at the working precision
+    p, its endpoints being normal pairs of at most p bits, and otherwise the
+    rounding of X, as mpmath's ``x - 0``: here X built at 2p bits, among
+    them one third, whose 2p-bit endpoints take the branch that rounds."""
+    with both_at(2 * prec):
+        wide = [x + 0, iv.mpf(1) / 3]
+    with both_at(prec):
+        narrow = x + 0
+        X = kernel(narrow)
+        assert X - ia.zero() is X and same(X - ia.zero(), narrow - 0)
+        for w in wide:
+            assert same(kernel(w) - ia.zero(), w - 0)
+        third = kernel(wide[1])
+        assert third - ia.zero() is not third and third - ia.zero() != third
+        assert ia.zero() - ia.zero() is ia.zero()
+
+
+@settings(max_examples=500)
+@given(precs, dyadic, dyadic, st.integers(-1200, 1200))
+@example(prec=64, x=(3, 0), y=(-5, 0), shift=-300)
+def test_fused_sum_and_round(prec, x, y, shift):
+    """The one call that sums two endpoints and rounds the sum, to floor,
+    to ceiling and to nearest, is mpmath's ``mpf_add`` bit for bit; the
+    shift puts the exponents more than 100 apart, where a sticky unit stands
+    for the smaller operand, as often as not.  ``+`` and ``-`` on the
+    intervals of those endpoints are mpmath's too."""
+    a, b = libmp.from_man_exp(*x), libmp.from_man_exp(y[0], y[1] + shift)
+    for up, rnd in ((False, "f"), (True, "c"), (None, "n")):
+        assert ia._add_round(*pair(a), *pair(b), prec, up) == pair(libmp.mpf_add(a, b, prec, rnd))
+    s, t = iv.make_mpf((a, b) if libmp.mpf_le(a, b) else (b, a)), iv.make_mpf((b, b))
+    with both_at(prec):
+        S, T = kernel(s), kernel(t)
+        assert same(S + T, s + t) and same(S - T, s - t) and same(T - S, t - s)
+
+
 def test_foreign_operands_rejected():
     with pytest.raises(TypeError, match="intervals, ints and Fractions"):
         1.5 in ia.one()

@@ -35,7 +35,7 @@ REMOVED_NAMES = {
              "fundamental_group_images", "subgroup_is_whole_group"},
     "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple",
               "_integer_candidates"},
-    "intervals": {"format_interval(digits)", "is_exact_zero"},
+    "intervals": {"format_interval(digits)", "is_exact_zero", "_sum"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
     "textio": {"_TOKEN", "format_table_tsv(rows)", "_Parser.bad_edge", "_Parser.bad_vertex",
                "_Parser.bad_image", "_Parser.bad_letter_image", "_Parser.new_name",

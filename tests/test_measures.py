@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,68 @@ def test_oracle_bit_identical_to_scan(name, f):
                 assert est.value == value, (p, t)
                 assert est.tail_bound == tail, (p, t)
                 assert est.iterations == t
+
+
+def reference_factor_counts(oracle, length):
+    """Reference: the oracle's counts merged level by level, one ``Counter``
+    per positive edge, from the explicit words on (the recursion that
+    ``FrequencyOracle._factor_counts`` ran before it went through powers of
+    the block matrix)."""
+    f, edges, t = oracle.f, oracle.graph.positive_edges, oracle.t
+    margin = length - 1
+
+    def factors(word):
+        return Counter(min(q, reverse_path(q))
+                       for q in (word[i:i + length] for i in range(len(word) - length + 1)))
+    words = {e: (e,) for e in oracle.graph.oriented_edges}
+    level = 0
+    while level < t and min(map(len, words.values())) < max(1, margin):
+        words = {e: f.map_path(w) for e, w in words.items()}
+        level += 1
+    counts = [factors(words[e]) for e in edges]
+    prefixes = {e: w[:margin] for e, w in words.items()}
+    suffixes = {e: w[len(w) - margin:] for e, w in words.items()}
+    while level < t:
+        new_counts = []
+        for e in edges:
+            img = f.image(e)
+            c = Counter()
+            for x in img:
+                c.update(counts[x >> 1])
+            for x, y in zip(img, img[1:]):
+                c.update(factors(suffixes[x] + prefixes[y]))
+            new_counts.append(c)
+        counts = new_counts
+        prefixes = {e: prefixes[f.image(e)[0]] for e in prefixes}
+        suffixes = {e: suffixes[f.image(e)[-1]] for e in suffixes}
+        level += 1
+    return counts
+
+
+@pytest.mark.parametrize("name,f", pullback_maps(), ids=[n for n, _ in pullback_maps()])
+def test_oracle_counts_equal_the_level_by_level_merge(name, f):
+    """The counts through powers of the block matrix are the merged
+    ``Counter`` recursion's, key for key, on every measure of the engine and
+    pullback maps; t up to 3 ends inside the explicit-word phase for the
+    longer lengths."""
+    for kf in measures_of(f):
+        wt = kf.weights
+        for t in (0, 1, 2, 3, 7, 20, 64):
+            oracle = FrequencyOracle(f, wt.vector, wt.lam, t)
+            for length in range(1, 6):
+                assert oracle._factor_counts(length) == reference_factor_counts(oracle, length), \
+                    (t, length)
+
+
+def test_oracle_counts_at_a_large_iterate():
+    """At t = 2000 the counts of the Fibonacci map have hundreds of digits;
+    the block-matrix columns keep them exact."""
+    f = dict(pullback_maps())["fibonacci"]
+    wt = measures_of(f)[0].weights
+    oracle = FrequencyOracle(f, wt.vector, wt.lam, 2000)
+    counts = oracle._factor_counts(4)
+    assert counts == reference_factor_counts(oracle, 4)
+    assert max(max(c.values()) for c in counts).bit_length() > 1000
 
 
 def test_eval_at_level_rejects_empty_and_low_levels(fib_setup):

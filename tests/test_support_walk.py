@@ -230,9 +230,18 @@ CONTROL_DOC = """
 graph C { vertices: * ; edge a: * -> * ; edge a\x01: * -> * ; edge b: * -> * ; }
 map c: C -> C { a -> a a\x01 ; a\x01 -> b ; b -> a ; }
 """
+# Names that JSON escapes: a quote and a backslash, with q" a prefix of q"r;
+# q0 sorts after q" as a name and before it escaped (q\"), so the JSON
+# rows keep the order of the names, not of their escapes.
+ESCAPE_DOC = r"""
+graph E { vertices: * ; edge q": * -> * ; edge q"r: * -> * ; edge q0: * -> * ;
+          edge \: * -> * ; edge b\c: * -> * ; }
+map e: E -> E { q" -> q" q"r ; q"r -> q" q0 ; q0 -> q" \ ; \ -> q" b\c ; b\c -> q" ; }
+"""
 TABLE_CASES = {"fibonacci": (None, "f", 6), "tribonacci": (None, "t", 5),
                "red": (None, "red", 5), "q": (None, "q", 5),
-               "names": (NAMES_DOC, "s", 4), "control-names": (CONTROL_DOC, "c", 5)}
+               "names": (NAMES_DOC, "s", 4), "control-names": (CONTROL_DOC, "c", 5),
+               "escaped-names": (ESCAPE_DOC, "e", 4)}
 
 
 def reference_table(f, max_length, form, exact):
