@@ -22,6 +22,12 @@ The shared exact zero ``zero()`` is every product with an exact zero factor;
 ``zero() - zero()`` and ``abs(zero())`` return it and ``isum`` skips it, so
 no caller needs to test for it.
 
+The spectra kernels ``horner`` (an int polynomial at an interval) and
+``matvec`` (an int matrix times an interval vector) run on endpoint pairs,
+building no interval between steps: ``_mul_pairs``, the multiply that
+``Interval.__mul__`` calls, and ``_add_round``, with the operators' operand
+order and roundings, so they give the operator forms' bits.
+
 Comparisons follow tri-state semantics: an interval predicate is True or
 False only when it holds for every point of the interval(s); otherwise the
 answer is None ("inconclusive", the caller should refine and retry).
@@ -275,10 +281,17 @@ def _product(x, y, p, up):
 
 
 def _mul(s, t, p):
-    """mpi_mul: the endpoint products that bound the product, by the signs."""
+    """mpi_mul, the shared zero for an exact zero factor."""
     sa, sb, ta, tb = s._lo, s._hi, t._lo, t._hi
     if not sa[0] and not sb[0] or not ta[0] and not tb[0]:
         return _ZERO_INTERVAL
+    return Interval(*_mul_pairs(sa, sb, ta, tb, p))
+
+
+def _mul_pairs(sa, sb, ta, tb, p):
+    """mpi_mul on endpoint pairs: the endpoint pairs of the product, from
+    the endpoint products that bound it, by the signs (zero pairs for an
+    exact zero factor)."""
     if sa[0] >= 0:
         if ta[0] >= 0:
             lo, hi = (sa, ta), (sb, tb)
@@ -302,8 +315,8 @@ def _mul(s, t, p):
                 low = c
             if _cmp(c, high) > 0:
                 high = c
-        return Interval(_round(*low, p, False), _round(*high, p, True))
-    return Interval(_product(*lo, p, False), _product(*hi, p, True))
+        return _round(*low, p, False), _round(*high, p, True)
+    return _product(*lo, p, False), _product(*hi, p, True)
 
 
 def _div(s, t, p):
@@ -613,11 +626,42 @@ def isum(values):
     return sum((v for v in values if v is not _ZERO_INTERVAL), zero())
 
 
+def horner(coefficients, x):
+    """The int coefficients (low degree first) as a polynomial at the
+    interval x: ``acc * x + c`` from ``acc = 0``, bit for bit as with the
+    operators, on endpoint pairs.  A product with an exact zero factor has
+    zero pairs, and adding c = 0 keeps the pairs, as ``_add`` does for a
+    sum already rounded at the working precision."""
+    p = _prec
+    xa, xb = x._lo, x._hi
+    lo = hi = _ZERO
+    for c in reversed(coefficients):
+        lo, hi = _mul_pairs(lo, hi, xa, xb, p)
+        if c:
+            lo = _add_round(*lo, *_round(c, 0, p, False), p, False)
+            hi = _add_round(*hi, *_round(c, 0, p, True), p, True)
+    return Interval(lo, hi)
+
+
 def matvec(m, vec):
     """M v for a non-negative integer matrix and an interval vector: each
     coordinate sums ``m[i][j] * vec[j]`` over the non-zero entries of its
-    row, in column order (a zero row gives exact 0)."""
-    return tuple(isum(a * v for a, v in zip(row, vec) if a) for row in m)
+    row, in column order, as ``isum`` of the products (a row with no such
+    product gives the shared zero), on endpoint pairs."""
+    p = _prec
+    out = []
+    for row in m:
+        lo = hi = None
+        for a, v in zip(row, vec):
+            va, vb = v._lo, v._hi
+            if a and (va[0] or vb[0]):
+                plo, phi = _mul_pairs(va, vb, _round(a, 0, p, False), _round(a, 0, p, True), p)
+                if lo is None:    # zero() + v is v, its pairs already rounded
+                    lo, hi = plo, phi
+                else:
+                    lo, hi = _add_round(*lo, *plo, p, False), _add_round(*hi, *phi, p, True)
+        out.append(_ZERO_INTERVAL if lo is None else Interval(lo, hi))
+    return tuple(out)
 
 
 def eigen_residual(m, vec, lam):

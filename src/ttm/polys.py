@@ -14,10 +14,16 @@ midpoints are ``Fraction``s:
   the signs of the rational chains, and equal roots of two polynomials are
   found through an integer common factor;
 * signs at a rational ``n/d`` come from a homogeneous integer Horner sum.
-  Sturm counts serve root isolation only; every root test reads the sign of
-  the square-free part, which has the roots of the polynomial; refinement of
-  an isolated simple root bisects on that sign at the midpoint against the
-  left endpoint, which picks the same half as a Sturm count would.
+  Sturm counts serve root isolation only, each bracket end keeping its
+  count; every root test reads the sign of the square-free part, which has
+  the roots of the polynomial.  Refinement of an isolated simple root by k
+  bisection steps goes straight to the depth-k dyadic cell that holds the
+  root: a fixed-point integer Newton estimate names the cell and the exact
+  signs at its two ends prove it (the root lies strictly between them, and
+  no grid point inside a cell was a midpoint), so the cell is bisection's.
+  Short refinements, and cells whose proof fails, bisect on the sign at the
+  midpoint against the left endpoint, which picks the same half as a Sturm
+  count would.
 
 A certified root is carried as an isolating rational interval (or an exact
 rational) and can be refined on demand and converted to an outward-rounded
@@ -29,6 +35,7 @@ from __future__ import annotations
 from copy import copy
 from fractions import Fraction
 from math import ceil, gcd
+from operator import add
 
 from . import intervals as ia
 from .errors import SpectralError
@@ -140,16 +147,13 @@ def _common_factor(a, b):
     return _remainder_chain(a, b)[-1]
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    count = 0
-    last = 0
-    for q in chain:
-        s = _sign_at(q, x)
-        if s:
-            if s != last and last:
-                count += 1
-            last = s
-    return count
+def _sign_variations(chain, x, d: int = 1):
+    """``(s, v)``: the sign s of the chain's first member at x / d (as
+    ``_sign_at``) and the number v of sign variations along the chain there,
+    zeros skipped."""
+    signs = [_sign_at(q, x, d) for q in chain]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
 
 
 def count_roots(p, lo: Fraction, hi: Fraction, chain=None) -> int:
@@ -158,7 +162,34 @@ def count_roots(p, lo: Fraction, hi: Fraction, chain=None) -> int:
         return 0
     if chain is None:
         chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _sign_variations(chain, lo)[1] - _sign_variations(chain, hi)[1]
+
+
+def _newton(p, a, b, d, bits):
+    """An integer x with x / 2**bits near the root of p in the open interval
+    (a / d, b / d): fixed-point Newton steps from b / d, values scaled by
+    2**P and truncated, P from 32 bits finer than the interval's width and
+    doubling up to ``bits`` once a step moves less than 2**(-P/2); None when
+    an iterate leaves the interval or the steps do not settle."""
+    p_bits = min((d // (b - a)).bit_length() + 32, bits)
+    x = (b << p_bits) // d
+    for _ in range(64):
+        v = dv = 0
+        for c in reversed(p):
+            dv = (dv * x >> p_bits) + v
+            v = (v * x >> p_bits) + (c << p_bits)
+        if not dv:
+            return None
+        step = (v << p_bits) // dv
+        x -= step
+        if not a << p_bits < x * d < b << p_bits:
+            return None
+        if abs(step) >> p_bits // 2 == 0:
+            if p_bits == bits:
+                return x
+            grown = min(2 * p_bits, bits)
+            x, p_bits = x << grown - p_bits, grown
+    return None
 
 
 def cauchy_bound(p) -> Fraction:
@@ -169,21 +200,27 @@ def cauchy_bound(p) -> Fraction:
     return 1 + Fraction(max((abs(c) for c in p[:d]), default=0), abs(p[d]))
 
 
+# refinements of fewer bisection steps bisect: a Newton estimate costs about
+# as much as 16 to 24 steps on the benchmark's block roots
+_NEWTON_STEPS = 24
+
+
 class CertifiedRoot:
     """A single real root of an integer polynomial.
 
     Carried either exactly (``exact`` is a Fraction) or as an open isolating
     interval ``(lo, hi)`` containing exactly one root of the polynomial, with
-    nonzero polynomial values at the endpoints.  ``refine`` bisects with
+    nonzero polynomial values at the endpoints.  ``refine`` narrows it with
     exact arithmetic, so enclosures can be tightened indefinitely.
     """
 
-    def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None):
+    def __init__(self, poly, lo=None, hi=None, exact=None, *, chain=None, count=None):
         self.poly = _integer_poly(poly)
         if not any(self.poly):
             raise SpectralError("zero polynomial")
-        # a caller that built the Sturm chain hands it in; its first member
-        # is the square-free part (a positive integer multiple)
+        # a caller that built the Sturm chain hands it in, with the root
+        # count of (lo, hi] when it has one; the chain's first member is the
+        # square-free part (a positive integer multiple)
         if chain is None:
             chain = sturm_chain(self.poly)
         self._chain = chain
@@ -199,18 +236,26 @@ class CertifiedRoot:
         self.hi = Fraction(hi)
         if not (_sign_at(self.sqfree, self.lo) and _sign_at(self.sqfree, self.hi)):
             raise SpectralError("isolating interval endpoints must not be roots")
-        if count_roots(self.poly, self.lo, self.hi, self._chain) != 1:
+        if count is None:
+            count = count_roots(self.poly, self.lo, self.hi, self._chain)
+        if count != 1:
             raise SpectralError("interval does not isolate exactly one root")
 
     # -- refinement ---------------------------------------------------------
 
     def refine(self, max_width: Fraction):
-        """Bisect down to width ``max_width``.  The open interval holds one
-        simple root of the square-free part and no root at its ends, so the
-        root lies left of a non-root midpoint exactly when the sign there
-        differs from the sign at ``lo``.  The ends are integers a < b over
-        one denominator d, all doubled at each step, so the midpoint is
-        ``a + b`` over d: a Fraction bisection's midpoints, with no gcd."""
+        """Narrow to width ``max_width`` as k bisection steps would.  The
+        open interval holds one simple root of the square-free part and no
+        root at its ends, so the root lies left of a non-root point exactly
+        when the sign there differs from the sign at ``lo``.  The ends are
+        integers a < b over one denominator d, all doubled at each step, so
+        the midpoint is ``a + b`` over d: a Fraction bisection's midpoints,
+        with no gcd.  After k steps the interval is the depth-k cell
+        ``a 2**k + j (b - a)`` to the next over ``d 2**k`` that holds the
+        root.  For long refinements a Newton estimate names j, and a cell
+        whose left end has the sign at ``lo`` and whose right end the other
+        sign is taken at once: the root lies strictly inside it, so no
+        midpoint on the way was the root and bisection ends there too."""
         if self.exact is not None:
             return self
         sqfree = self.sqfree
@@ -218,7 +263,20 @@ class CertifiedRoot:
         a = self.lo.numerator * self.hi.denominator
         b = self.hi.numerator * self.lo.denominator
         sign_lo = _sign_at(sqfree, self.lo)
-        while (b - a) * max_width.denominator > max_width.numerator * d:
+        quotient = -(-(b - a) * max_width.denominator // (max_width.numerator * d))
+        k = (quotient - 1).bit_length()     # least k with 2**k >= quotient
+        if k >= _NEWTON_STEPS:
+            # 2**-bits is below 2**-32 of a cell's width (b - a) / (d 2**k)
+            bits = (d // (b - a)).bit_length() + k + 32
+            x = _newton(sqfree, a, b, d, bits)
+            if x is not None:
+                j = (x * d - (a << bits) << k) // (b - a << bits)
+                lo, dk = (a << k) + j * (b - a), d << k
+                if (_sign_at(sqfree, lo, dk) == sign_lo
+                        and _sign_at(sqfree, lo + b - a, dk) == -sign_lo):
+                    self.lo, self.hi = Fraction(lo, dk), Fraction(lo + b - a, dk)
+                    return self
+        for _ in range(k):
             mid = a + b
             a, b, d = 2 * a, 2 * b, 2 * d
             sign = _sign_at(sqfree, mid, d)
@@ -318,28 +376,31 @@ def largest_real_root(p) -> CertifiedRoot:
     chain = sturm_chain(p)
     sqfree = chain[0]
     bound = cauchy_bound(p)
-    lo, hi = -bound - 1, bound + 1
-    if count_roots(p, lo, hi, chain) == 0:
+    # the bracket (a, b] / d, its ends integers over one denominator as in
+    # ``refine``, each end with its sign of sqfree and its sign variations:
+    # a step evaluates the chain once, at the midpoint
+    d = bound.denominator
+    a, b = -bound.numerator - d, bound.numerator + d
+    (sign_a, var_a), (_, var_b) = _sign_variations(chain, a, d), _sign_variations(chain, b, d)
+    if var_a == var_b:
         raise SpectralError("polynomial has no real root")
-    cut = lo
     for _ in range(20000):
-        # invariant: the largest root lies in (cut, hi], hi is not a root
-        if count_roots(p, cut, hi, chain) == 1 and _sign_at(sqfree, cut):
-            root = CertifiedRoot(p, cut, hi, chain=chain)
+        # invariant: the largest root lies in (a, b] / d, b is not a root
+        if var_a - var_b == 1 and sign_a:
+            root = CertifiedRoot(p, Fraction(a, d), Fraction(b, d), chain=chain, count=1)
             n = Fraction(ceil(copy(root).refine(Fraction(1, 2)).lo))
             if _sign_at(sqfree, n):
                 return root
             return CertifiedRoot(p, exact=n, chain=chain)
-        mid = (cut + hi) / 2
-        if not _sign_at(sqfree, mid):
-            if count_roots(p, mid, hi, chain) == 0:
-                return CertifiedRoot(p, exact=mid, chain=chain)
-            cut = mid
-            continue
-        if count_roots(p, mid, hi, chain) >= 1:
-            cut = mid
+        mid = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        sign, var = _sign_variations(chain, mid, d)
+        if var > var_b:
+            a, sign_a, var_a = mid, sign, var
+        elif sign:
+            b, var_b = mid, var
         else:
-            hi = mid
+            return CertifiedRoot(p, exact=Fraction(mid, d), chain=chain)
     raise SpectralError("root isolation did not converge")
 
 
@@ -354,7 +415,8 @@ def char_poly_and_adjugate(a):
     (low degree first, integer coefficients) and ``B`` a list of integer
     matrices such that ``adj(x I - A) = sum_k x**k B[k]``.  The recursion
     ``M_k = A M_(k-1) + c_k I`` with ``c_k = -tr(A M_(k-1)) / k`` runs in
-    integers over the non-zero entries of each row of A.
+    integers: row i of ``A M`` is the sum of the rows of M scaled by the
+    non-zero entries of row i of A.
     """
     n = len(a)
     if n == 0:
@@ -366,10 +428,11 @@ def char_poly_and_adjugate(a):
     for k in range(1, n + 1):
         am = []
         for entries in rows:
-            acc = [0] * n
+            acc = None
             for t, x in entries:
-                acc = [u + x * v for u, v in zip(acc, m[t])]
-            am.append(acc)
+                row = m[t] if x == 1 else [x * v for v in m[t]]
+                acc = row if acc is None else list(map(add, acc, row))
+            am.append([0] * n if acc is None else list(acc))   # a copy, not a row of m
         c, r = divmod(-sum(am[i][i] for i in range(n)), k)
         if r:
             raise SpectralError("Faddeev-LeVerrier produced a non-integer coefficient")
@@ -388,14 +451,4 @@ def char_poly_and_adjugate(a):
 def adjugate_column(bmats, x, j):
     """Column j of adj(x I - A) at an interval point x, each entry a Horner
     sum over the coefficient matrices of ``char_poly_and_adjugate``."""
-    return tuple(char_poly_at([bm[i][j] for bm in bmats], x)
-                 for i in range(len(bmats[0])))
-
-
-def char_poly_at(poly, x):
-    """Interval evaluation of an integer polynomial at an interval point,
-    by Horner's rule from 0 with the int coefficients as operands."""
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
+    return tuple(ia.horner([bm[i][j] for bm in bmats], x) for i in range(len(bmats[0])))

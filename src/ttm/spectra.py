@@ -34,8 +34,7 @@ from math import gcd, lcm
 from . import intervals as ia
 from .errors import SpectralError
 from .polys import (
-    CertifiedRoot, adjugate_column, char_poly_and_adjugate, char_poly_at,
-    largest_real_root,
+    CertifiedRoot, adjugate_column, char_poly_and_adjugate, largest_real_root,
 )
 
 
@@ -389,13 +388,17 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bit
         vec[i] = u[pos]
     if rest:
         poly_r, bmats_r = char_poly_and_adjugate(submatrix(m, rest))
-        denom = char_poly_at(poly_r, lam)
+        denom = ia.horner(poly_r, lam)
         if not (denom > 0):
             return None  # needs refinement
-        cols = [adjugate_column(bmats_r, lam, t) for t in range(len(rest))]
-        rhs = ia.matvec([[m[i][j] for j in block] for i in rest], u)
+        inflow = [[m[i][j] for j in block] for i in rest]
+        rhs = ia.matvec(inflow, u)
+        # a column whose inflow row is all zero meets the exact zero in rhs,
+        # and isum skips its products: only the others are evaluated
+        cols = [(adjugate_column(bmats_r, lam, t), r)
+                for t, (row, r) in enumerate(zip(inflow, rhs)) if any(row)]
         for pos, i in enumerate(rest):
-            vec[i] = ia.isum(col[pos] * r for col, r in zip(cols, rhs)) / denom
+            vec[i] = ia.isum(col[pos] * r for col, r in cols) / denom
     support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
     if not all(vec[i] > 0 for i in support):
         return None  # needs refinement

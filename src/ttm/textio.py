@@ -378,21 +378,10 @@ def parse_path(graph: Graph, text: str):
 # -- measure tables as TSV --------------------------------------------------------------
 
 
-def format_table_tsv(labels, values, default=None) -> str:
-    """TSV text of a table, one ``label<TAB>value`` line per label in order.
+def format_table_tsv(labels, values) -> str:
+    """TSV text of a table, one ``label<TAB>value`` line per row in order.
 
-    ``values`` gives ``(index, value string)`` for some rows, in index order;
-    every other row has the value ``default``, and each run of those rows is
-    joined in one call.  The command line writes a measure table through
-    this one path length at a time, its support rows in ``values``.
+    ``values`` gives ``(index, value string)`` for every row, in index
+    order.  ``measure --paths`` writes its table through this.
     """
-    tail = f"\t{default}\n"
-    out, start = [], 0
-    for i, value in values:
-        if start < i:
-            out.append(tail.join(labels[start:i]) + tail)
-        out.append(f"{labels[i]}\t{value}\n")
-        start = i + 1
-    if start < len(labels):
-        out.append(tail.join(labels[start:]) + tail)
-    return "".join(out)
+    return "".join(f"{labels[i]}\t{value}\n" for i, value in values)

@@ -197,6 +197,52 @@ def test_isum_skips_exact_zeros_bit_for_bit(prec, xs):
         assert endpoints_of(ia.isum(values)) == endpoints_of(plain)
 
 
+@st.composite
+def straddling(draw):
+    """A kernel interval with a negative lower and a positive upper end."""
+    (lm, le), (hm, he) = (draw(st.tuples(st.one_of(small, big), st.integers(-80, 80)))
+                          for _ in range(2))
+    ends = libmp.from_man_exp(-abs(lm) - 1, le), libmp.from_man_exp(abs(hm) + 1, he)
+    return kernel(iv.make_mpf(ends))
+
+
+kernel_points = st.one_of(intervals().map(kernel), straddling(), st.just(ia.zero()))
+coefficients = st.lists(st.one_of(ints, st.just(0)), min_size=1, max_size=8)
+
+
+@settings(max_examples=400)
+@given(precs, kernel_points, coefficients)
+def test_horner_is_the_operator_horner_bit_for_bit(prec, x, poly):
+    """``horner`` on endpoint pairs equals ``acc * x + c`` from the int 0,
+    endpoint for endpoint, also where x or the partial sums straddle zero
+    and where a coefficient needs more bits than the precision."""
+    with ia.working_precision(prec):
+        acc = 0
+        for c in reversed(poly):
+            acc = acc * x + c
+        got = ia.horner(poly, x)
+        assert endpoints_of(got) == endpoints_of(acc)
+        assert got is not ia.zero()
+
+
+@settings(max_examples=300)
+@given(precs, st.lists(st.one_of(kernel_points, st.just(None)), min_size=1, max_size=5),
+       st.data())
+def test_matvec_is_the_operator_isum_bit_for_bit(prec, vec, data):
+    """``matvec`` on endpoint pairs equals ``isum`` of the operator products
+    ``a * v`` over the non-zero entries of each row: the same endpoints, and
+    the shared zero exactly where that sum adds no term."""
+    vec = [ia.zero() if v is None else v for v in vec]
+    entries = st.one_of(st.just(0), st.integers(1, 5), st.integers(2 ** 200, 2 ** 201))
+    m = data.draw(st.lists(st.lists(entries, min_size=len(vec), max_size=len(vec)),
+                           min_size=1, max_size=4))
+    with ia.working_precision(prec):
+        want = [ia.isum(a * v for a, v in zip(row, vec) if a) for row in m]
+        got = ia.matvec(m, vec)
+        assert [endpoints_of(v) for v in got] == [endpoints_of(v) for v in want]
+        assert [v is ia.zero() for v in got] == [v is ia.zero() for v in want]
+
+
 @settings(max_examples=300)
 @given(precs, intervals())
 def test_minus_the_shared_zero_rounds_only_wide_endpoints(prec, x):

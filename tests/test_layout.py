@@ -34,13 +34,13 @@ REMOVED_NAMES = {
              "GraphMap.reduced_successors", "_spanning_tree", "_tree_path", "_loop_word",
              "fundamental_group_images", "subgroup_is_whole_group"},
     "polys": {"poly_eval", "poly_divmod", "poly_gcd", "is_zero_poly", "_integer_multiple",
-              "_integer_candidates"},
+              "_integer_candidates", "char_poly_at"},
     "intervals": {"format_interval(digits)", "is_exact_zero", "_sum"},
     "cli": {"DIGITS", "fmt", "_table_rows", "_value_texts"},
-    "textio": {"_TOKEN", "format_table_tsv(rows)", "_Parser.bad_edge", "_Parser.bad_vertex",
-               "_Parser.bad_image", "_Parser.bad_letter_image", "_Parser.new_name",
-               "_Parser.keyword", "_Parser.names_until", "_Parser.unknown",
-               "_Parser.upto"},
+    "textio": {"_TOKEN", "format_table_tsv(rows)", "format_table_tsv(default)",
+               "_Parser.bad_edge", "_Parser.bad_vertex", "_Parser.bad_image",
+               "_Parser.bad_letter_image", "_Parser.new_name", "_Parser.keyword",
+               "_Parser.names_until", "_Parser.unknown", "_Parser.upto"},
     "towers": {"StationaryTower.path_image", "WeightTower.edge_weight_at",
                "WeightTower.turn_weight_at", "StationaryTower.pullbacks",
                "VectorTower", "WeightTower.check_switch_conditions",

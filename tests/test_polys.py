@@ -3,6 +3,7 @@ versions they replace: Faddeev-LeVerrier over ``Fraction``, the Sturm chain
 of the square-free part and root refinement by Sturm counts.  They must
 agree bit for bit."""
 
+from copy import copy
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -15,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 from ttm.errors import SpectralError
 import ttm.intervals as ia
 from ttm.polys import (
-    CertifiedRoot, _common_factor, _pseudo_divmod, adjugate_column,
+    CertifiedRoot, _common_factor, _pseudo_divmod, _sign_at, adjugate_column, cauchy_bound,
     char_poly_and_adjugate, count_roots, largest_real_root, poly_degree,
     poly_derivative, poly_trim, sturm_chain,
 )
 from ttm.spectra import block_form, submatrix
 from ttm.textio import parse
+
+from conftest import bench_workloads
 
 BENCH_MAPS = Path(__file__).resolve().parent.parent / "bench" / "inputs" / "maps.tt"
 
@@ -560,3 +563,201 @@ def test_adjugate_column_equals_full_adjugate(m):
         full = reference_adjugate_at(bmats, x)
         for j in range(len(m)):
             assert list(adjugate_column(bmats, x, j)) == [row[j] for row in full]
+
+
+
+# -- located cells and kept counts against today's loops --------------------------------
+
+
+def reference_isolation(p):
+    """The isolation loop of ``largest_real_root`` before its bracket ends
+    kept their counts: Fraction midpoints and four chain evaluations a step.
+    Returns ``(lo, hi)``, the isolating interval before the integer test, or
+    ``(x, x)`` for a midpoint that is the root."""
+    chain = sturm_chain(p)
+    sqfree = chain[0]
+    bound = cauchy_bound(p)
+    lo, hi = -bound - 1, bound + 1
+    assert count_roots(p, lo, hi, chain) > 0
+    cut = lo
+    while True:
+        if count_roots(p, cut, hi, chain) == 1 and _sign_at(sqfree, cut):
+            return cut, hi
+        mid = (cut + hi) / 2
+        if not _sign_at(sqfree, mid):
+            if count_roots(p, mid, hi, chain) == 0:
+                return mid, mid
+            cut = mid
+            continue
+        if count_roots(p, mid, hi, chain) >= 1:
+            cut = mid
+        else:
+            hi = mid
+
+
+def bisection_refine(root, max_width):
+    """``CertifiedRoot.refine`` before it located cells: the integer loop on
+    the sign at the midpoint against the sign at lo, on a copy of the root;
+    returns (lo, hi, exact)."""
+    sqfree = root.sqfree
+    d = root.lo.denominator * root.hi.denominator
+    a = root.lo.numerator * root.hi.denominator
+    b = root.hi.numerator * root.lo.denominator
+    sign_lo = _sign_at(sqfree, root.lo)
+    while (b - a) * max_width.denominator > max_width.numerator * d:
+        mid = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        sign = _sign_at(sqfree, mid, d)
+        if sign == 0:
+            return Fraction(mid, d), Fraction(mid, d), Fraction(mid, d)
+        if sign != sign_lo:
+            b = mid
+        else:
+            a = mid
+    return Fraction(a, d), Fraction(b, d), None
+
+
+def square_free_polys(count=48):
+    """Square-free integer polynomials of degree 2 to 20 with a real root,
+    drawn by ``random.Random(53)``, as ``(kind, poly, x)``: dense ones with
+    random coefficients; products of distinct factors with a planted root
+    ``x = m / (q 2**t)``, q = 1 (dyadic), 3 or 5 (``planted``); products
+    whose two largest roots are ``(a +- sqrt(2)) / 2**30``, about 2**-28
+    apart (``close``); and ``(q 2**t X - m)(c - X)`` with c a little above
+    x (``overshoot``): concave at x, so Newton steps from the right end
+    cross x and approach it from below, where for q > 1 no fixed-point
+    estimate hits it exactly."""
+    rng = random.Random(53)
+    out = []
+    while len(out) < count:
+        kind = ("dense", "planted", "close", "overshoot")[len(out) % 4]
+        t = rng.randint(1, 60)
+        x = Fraction(rng.randrange(-2 ** (t + 6), 2 ** (t + 6), 2) + 1,
+                     rng.choice((1, 1, 3, 5)) * 2 ** t)
+        if kind == "dense":
+            x, p = None, tuple(rng.randint(-30, 30) for _ in range(rng.randint(2, 20))) + (
+                rng.choice((-1, 1)) * rng.randint(1, 5),)
+        elif kind == "overshoot":
+            c = x + Fraction(1, 2 ** rng.randint(0, 10))
+            p = poly_mul((-x.numerator, x.denominator), (c.numerator, -c.denominator))
+        else:
+            p = (rng.randint(1, 9), 0, 1)                 # no real root
+            for _ in range(rng.randint(0, 8)):           # real roots in [-40, 40]
+                p = poly_mul(p, rng.choice([(-rng.randint(-40, 40), rng.randint(1, 3)),
+                                            (rng.randint(1, 50), 0, 1)]))
+            if kind == "planted":
+                p = poly_mul(p, (-x.numerator, x.denominator))
+            else:
+                a, n, x = rng.randint(41 * 2 ** 30, 50 * 2 ** 30), 2 ** 30, None
+                p = poly_mul(p, (a * a - 2, -2 * a * n, n * n))
+        bound = cauchy_bound(p) + 1
+        if (2 <= poly_degree(p) <= 20 and count_roots(p, -bound, bound)
+                and poly_degree(_common_factor(p, poly_derivative(p))) == 0):
+            out.append((kind, p, x))
+    return out
+
+
+SQUARE_FREE = square_free_polys()
+IDS = [f"{kind}-{k}" for k, (kind, _, _) in enumerate(SQUARE_FREE)]
+
+
+def on_the_grid(poly, x, depth, steps):
+    """The planted root x of poly, isolated by an interval of width
+    ``2**depth s`` with x at ``steps`` times s from its left end, for the
+    largest power of two s that isolates it: bisection meets x within
+    ``depth`` steps, so a located cell has x at an end."""
+    s = Fraction(1)
+    while not (count_roots(poly, x - steps * s, x + (2 ** depth - steps) * s) == 1
+               and _sign_at(poly, x - steps * s) and _sign_at(poly, x + (2 ** depth - steps) * s)):
+        s /= 2
+    return CertifiedRoot(poly, x - steps * s, x + (2 ** depth - steps) * s)
+
+
+@pytest.mark.parametrize("kind,poly,x", SQUARE_FREE, ids=IDS)
+def test_isolation_keeps_the_loop_of_four_chain_evaluations(kind, poly, x):
+    lo, hi = reference_isolation(poly)
+    root = largest_real_root(poly)
+    if lo == hi:
+        assert root.exact == lo
+    elif root.exact is not None:      # an integer inside, recognised exactly
+        assert root.exact.denominator == 1 and lo < root.exact < hi
+    else:
+        assert (root.lo, root.hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("kind,poly,x", SQUARE_FREE, ids=IDS)
+def test_located_cell_is_the_bisection_cell(kind, poly, x):
+    """From the isolating interval of the largest root, and of a planted
+    root put on the bisection grid (at a quarter, near the left end and near
+    the right end), ``refine`` and ``refine_bits`` end where bisection ends:
+    the same cell, or the same exact midpoint (the planted root, where the
+    cell proof must fail)."""
+    roots = [largest_real_root(poly)]
+    if x is not None:
+        roots += [on_the_grid(poly, x, 2, 1), on_the_grid(poly, x, 40, 1),
+                  on_the_grid(poly, x, 40, 2 ** 40 - 1)]
+    for root in roots:
+        if root.exact is not None:
+            continue
+        for k in (2, 23, 24, 25, 40, 64, 112, 200):
+            width = (root.hi - root.lo) / 2 ** k
+            got = copy(root).refine(width)
+            assert (got.lo, got.hi, got.exact) == bisection_refine(root, width), k
+        for bits in (60, 112, 256):
+            scale = max(abs(root.lo), abs(root.hi), Fraction(1))
+            got = copy(root).refine_bits(bits)
+            assert (got.lo, got.hi, got.exact) == bisection_refine(
+                root, scale / Fraction(2) ** bits), bits
+    for root in roots[1:]:
+        assert copy(root).refine(Fraction(1, 2 ** 200)).exact == x
+
+
+def block_root_polys():
+    """The characteristic polynomial of every diagonal block with an
+    irrational spectral radius: the benchmark maps and the generated
+    substitutions at seeds 1 and 7."""
+    texts = [("maps", BENCH_MAPS.read_text(encoding="utf-8"))] + [
+        (f"seed{seed}", bench_workloads().generate_substitutions(seed)[0]) for seed in (1, 7)]
+    out = []
+    for label, text in texts:
+        for name, (f, _, _) in sorted(parse(text).maps.items()):
+            m = f.transition_matrix()
+            for idx in block_form(m).blocks:
+                poly, _ = char_poly_and_adjugate(submatrix(m, idx))
+                if any(poly[:-1]) and largest_real_root(poly).exact is None:
+                    out.append((f"{label}-{name}-{idx[0]}", poly))
+    return out
+
+
+BLOCK_ROOTS = block_root_polys()
+
+
+def test_block_roots_cover_the_maps_and_substitutions():
+    names = {i.rsplit("-", 1)[0] for i, _ in BLOCK_ROOTS}
+    assert {"maps-f", "maps-q", "maps-q2", "maps-t"} <= names
+    assert {f"seed{s}-{n}" for s in (1, 7) for n in ("i12", "i16", "b16", "b20")} <= names
+
+
+@pytest.mark.parametrize("name,poly", BLOCK_ROOTS, ids=[n for n, _ in BLOCK_ROOTS])
+def test_newton_locates_every_block_root_without_bisection(name, poly, monkeypatch):
+    """Refining a block root to the default enclosure, and on to 256 bits,
+    reads three signs each time: at lo and at the located cell's two ends,
+    with no bisection step; the cell is bisection's."""
+    import ttm.polys as polys
+    root = largest_real_root(poly)
+    signs = []
+
+    def counting(*args):
+        signs.append(args)
+        return _sign_at(*args)
+
+    # counts the calls inside ttm.polys; bisection_refine calls this module's
+    # own name for _sign_at, which stays uncounted
+    monkeypatch.setattr(polys, "_sign_at", counting)
+    for bits in (112, 256):
+        scale = max(abs(root.lo), abs(root.hi), Fraction(1))
+        want = bisection_refine(root, scale / Fraction(2) ** bits)
+        signs.clear()
+        root.refine_bits(bits)
+        assert len(signs) == 3, bits
+        assert (root.lo, root.hi, root.exact) == want

@@ -161,14 +161,14 @@ def test_parse_path_tokens():
 
 
 def test_table_tsv_round_trip():
-    """One ``label<TAB>value`` line per label, the listed values at their
-    rows and the default at every other; the labels read back as paths."""
+    """One ``label<TAB>value`` line per label, each with its listed value;
+    the labels read back as paths."""
     g = parse(FIB_DOC).graphs["R"]
-    text = format_table_tsv(["a", "b", "a b"], [(1, "18")], "9")
+    text = format_table_tsv(["a", "b", "a b"], [(0, "9"), (1, "18"), (2, "9")])
     assert text == "a\t9\nb\t18\na b\t9\n"
-    assert format_table_tsv(["a", "b", "a b"], [(0, "9"), (1, "18"), (2, "9")]) == text
-    assert format_table_tsv(["a", "b", "a b", "b a"], [], "0") == "a\t0\nb\t0\na b\t0\nb a\t0\n"
-    assert format_table_tsv([], [], "0") == ""
+    assert (format_table_tsv(["a", "b", "a b", "b a"], [(0, "0"), (1, "0"), (2, "0"), (3, "0")])
+            == "a\t0\nb\t0\na b\t0\nb a\t0\n")
+    assert format_table_tsv([], []) == ""
     back = {parse_path(g, label): value
             for label, value in (line.split("\t") for line in text.splitlines())}
     assert back == {(0,): "9", (2,): "18", (0, 2): "9"}
