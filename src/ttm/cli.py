@@ -212,27 +212,23 @@ def _table_levels(kf, max_length, text, escape):
 
     The rows of the paths of length k that start with edge a form a block
     whose every value is the exact zero: the length-(k - 1) blocks of the
-    successors of a, in name order, with the name of a and a space put
-    after each newline; a length keeps its blocks until the next one is
-    built.  Only the support paths are evaluated, and each one's row
-    replaces its zero row, found by its label, so a zero row costs no
-    Python code.
+    successors of a, with the name of a and a space put after each newline;
+    a length keeps its blocks until the next one is built.  A label is its
+    edge names joined by spaces, and names hold no whitespace, so labels
+    sort as their names do, each name followed by a space where another
+    name follows it: blocks are joined in that order, and the rows come out
+    in label order by construction.  Only the support paths are evaluated,
+    and each one's row replaces its zero row, found by its label, so a zero
+    row costs no Python code.
     """
     graph = kf.graph
     raw = [graph.edge_label(e) for e in graph.oriented_edges]
     names = [escape(name) for name in raw]
-    successors = [sorted(graph.extensions_right((e,)), key=raw.__getitem__)
-                  for e in graph.oriented_edges]
-    by_name = sorted(graph.oriented_edges, key=raw.__getitem__)
-    # Edge names are distinct and none starts with "~", so a label names one
-    # path.  Where label p is a prefix of label q, p's extensions read a
-    # space where q's read a name character, and the space sorts first
-    # unless that character is a control character: only then does the
-    # block order, that of the name sequences, differ from the label order,
-    # and the rows of each length are sorted by label.
-    unescape = str if escape is str else lambda label: json.loads(f'"{label}"')
-    key = None if all(c > " " for name in raw for c in name) else (
-        lambda row: unescape(row[:row.index("\t")]))
+    # the edges and each edge's successors, sorted for a name that ends the
+    # label (orders[0]) and for one that another name follows (orders[1])
+    orders = [(sorted(graph.oriented_edges, key=key),
+               [sorted(graph.extensions_right((e,)), key=key) for e in graph.oriented_edges])
+              for key in (raw.__getitem__, lambda e: raw[e] + " ")]
     zero = text(ia.zero())
     # every sweep runs (and can fail) before the first row is written
     supports = [kf.support(k) for k in range(1, max_length + 1)]
@@ -242,10 +238,8 @@ def _table_levels(kf, max_length, text, escape):
         for k, support in enumerate(supports, 1):
             if k > 1:
                 blocks = ["".join([blocks[d] for d in after]).replace("\n", f"\n{names[e]} ")
-                          for e, after in enumerate(successors)]
-            rows = "".join([blocks[e] for e in by_name])
-            if key:
-                rows = "".join(["\n" + row for row in sorted(rows.split("\n")[1:], key=key)])
+                          for e, after in enumerate(orders[k > 2][1])]
+            rows = "".join([blocks[e] for e in orders[k > 1][0]])
             out, start = [], 0
             for _, p in sorted((graph.path_label(p), p) for p in support):
                 row = "\n" + " ".join([names[e] for e in p]) + "\t"

@@ -644,11 +644,13 @@ def horner(coefficients, x):
 
 
 def matvec(m, vec):
-    """M v for a non-negative integer matrix and an interval vector: each
+    """M v for a non-negative integer matrix and a vector of intervals, ints
+    or Fractions (each taken as its enclosure, once per call): each
     coordinate sums ``m[i][j] * vec[j]`` over the non-zero entries of its
     row, in column order, as ``isum`` of the products (a row with no such
     product gives the shared zero), on endpoint pairs."""
     p = _prec
+    vec = [_operand(v) for v in vec]
     out = []
     for row in m:
         lo = hi = None

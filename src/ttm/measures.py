@@ -535,8 +535,9 @@ class FrequencyOracle:
 
     Only the map's edge images and the vector enter: no tower and no weights,
     so agreement with the tower evaluator is an independent cross-check.
-    The vector and lam follow the rule of ``WeightTower`` (PreconditionError
-    otherwise), so every tail bound is non-negative.
+    The vector and lam follow ``eigen_data``'s rule, as for ``WeightTower``
+    (PreconditionError otherwise): the recursion behind the tail bound needs
+    ``M v = lambda v``, and the bound is non-negative.
     """
 
     def __init__(self, f: GraphMap, vector, lam, t: int):
@@ -544,7 +545,7 @@ class FrequencyOracle:
             raise PreconditionError(f"oracle iterates start at 0 (got {t})")
         self.f = f
         self.graph = f.domain
-        self.vector, self.lam = eigen_data(self.graph, vector, lam)
+        self.vector, self.lam = eigen_data(f, vector, lam)
         self.t = t
         self.scale = self.lam ** (-t)
         self.vec_total = ia.isum(self.vector)

@@ -11,11 +11,12 @@ coordinate sum 1 and supported exactly on the indices reachable from the
 block.  The cone of non-negative eigenvectors for a given eigenvalue is
 spanned by the distinguished eigenvectors with that eigenvalue.
 
-``spectrum`` computes all of this in one pass: the block form once, each
-diagonal block's characteristic polynomial and adjugate coefficients once,
-its radius from that polynomial, and each distinguished eigenvector from
-the same coefficients.  ``distinguished_eigenvectors`` and ``pf_eigenpair``
-(the distinguished pair of full support) read that pass.
+``spectrum`` computes all of this in one pass: the block form once (the
+blocks, their periods, cyclic classes and reach from one depth-first
+search), each diagonal block's characteristic polynomial and adjugate
+coefficients once, its radius from that polynomial, and each distinguished
+eigenvector from the same coefficients.  ``distinguished_eigenvectors`` and
+``pf_eigenpair`` (the distinguished pair of full support) read that pass.
 
 All eigen-data is certified: eigenvalues are isolated roots of exact integer
 characteristic polynomials, eigenvectors are interval evaluations of exact
@@ -82,78 +83,73 @@ def is_primitive(m) -> bool:
 
 
 def strongly_connected_components(m):
-    """SCCs of the digraph of the matrix (arc c -> r iff m[r][c] > 0),
-    in topological order with arcs pointing to earlier components, so the
-    permuted matrix is upper block triangular.  Iterative Tarjan."""
+    """The block form's search: one iterative Tarjan search of the digraph
+    of the matrix (arc c -> r iff m[r][c] > 0), roots in index order and
+    arcs in ascending order.  Returns ``(blocks, classes, reach)``, one entry
+    per strongly connected component, in the order Tarjan emits them, which
+    puts every component after all those it reaches: the permuted matrix is
+    upper block triangular.
+
+    When a block is emitted, one pass over its arcs v -> w reads off the
+    rest.  ``reach[b]`` is b and the reach of every other block an arc
+    enters (emitted earlier).  The gcd g of ``depth[v] + 1 - depth[w]`` over
+    the arcs inside the block, depths in the search tree, is its period:
+    tree arcs add 0, and each closed walk's length is a sum of these terms.
+    The block's cyclic classes are its indices by depth mod g; every arc
+    steps one class forward.  g is 0, and there are no classes, exactly for
+    a 1x1 zero block.
+    """
     n = len(m)
     succ = [[r for r in range(n) if m[r][c]] for c in range(n)]
-    index = {}
-    low = {}
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = [0]
+    index, low, depth = {}, {}, {}
+    block_of = [None] * n    # None while on the stack
+    stack, blocks, classes, reach = [], [], [], []
+
+    def enter(v, d):
+        index[v] = low[v] = len(index)
+        depth[v] = d
+        stack.append(v)
+        return v, iter(succ[v])
 
     for root in range(n):
         if root in index:
             continue
-        work = [(root, 0)]
+        work = [enter(root, 0)]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            v, arcs = work[-1]
+            for w in arcs:
                 if w not in index:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    recurse = True
+                    work.append(enter(w, depth[v] + 1))
                     break
-                if on_stack[w]:
+                if block_of[w] is None:
                     low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    # Tarjan emits components in reverse topological order of the succ
-    # digraph; with arcs c -> r this is already "reachable blocks first".
-    return components
-
-
-def _cyclic_classes(m, indices):
-    """Cyclic classes of an irreducible non-zero diagonal block: its indices
-    grouped by BFS level modulo the period p (the gcd of its cycle lengths).
-    Every arc of the block goes from class c to class c + 1 (mod p), so
-    there are exactly p classes."""
-    level = {indices[0]: 0}
-    order = [indices[0]]
-    g = 0
-    for v in order:
-        for w in indices:
-            if m[w][v]:
-                if w in level:
-                    g = gcd(g, level[v] + 1 - level[w])
-                else:
-                    level[w] = level[v] + 1
-                    order.append(w)
-    classes = [[] for _ in range(g)]
-    for v in indices:
-        classes[level[v] % g].append(v)
-    return classes
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] < index[v]:
+                    continue
+                b = len(blocks)
+                comp = [stack.pop()]
+                while comp[-1] != v:
+                    comp.append(stack.pop())
+                for u in comp:
+                    block_of[u] = b
+                g, out = 0, set()
+                for u in comp:
+                    for w in succ[u]:
+                        if block_of[w] == b:
+                            g = gcd(g, depth[u] + 1 - depth[w])
+                        else:
+                            out.add(block_of[w])
+                blocks.append(tuple(sorted(comp)))
+                cyclic = [[] for _ in range(g)]
+                for u in blocks[b] if g else ():
+                    cyclic[depth[u] % g].append(u)
+                classes.append(cyclic)
+                reach.append(frozenset({b}).union(*(reach[t] for t in out)))
+    return blocks, classes, reach
 
 
 class BlockForm:
@@ -177,28 +173,6 @@ class BlockForm:
                                  other.power_used, other.reach))
 
 
-def _reachability(m, blocks):
-    n = len(m)
-    block_of = {}
-    for b, idx in enumerate(blocks):
-        for i in idx:
-            block_of[i] = b
-    nb = len(blocks)
-    adj = [set() for _ in range(nb)]
-    for c in range(n):
-        for r in range(n):
-            if m[r][c] and block_of[c] != block_of[r]:
-                adj[block_of[c]].add(block_of[r])
-    reach = [None] * nb
-    # blocks are topologically ordered with arcs pointing to earlier entries
-    for b in range(nb):
-        acc = {b}
-        for t in adj[b]:
-            acc |= reach[t]
-        reach[b] = acc
-    return tuple(frozenset(r) for r in reach)
-
-
 def block_form(m) -> BlockForm:
     """SCC block decomposition plus the least power after which every
     diagonal block is primitive or zero and every off-diagonal block is zero
@@ -215,17 +189,12 @@ def block_form(m) -> BlockForm:
     n = len(m)
     if n == 0:
         raise SpectralError("empty matrix")
-    blocks = strongly_connected_components(m)
-    kinds, periods, classes = [], [], []
-    for idx in blocks:
-        if len(idx) == 1 and m[idx[0]][idx[0]] == 0:
-            cyclic = [idx]
-            kinds.append("zero")
-        else:
-            cyclic = _cyclic_classes(m, idx)
-            kinds.append("primitive" if len(cyclic) == 1 else "imprimitive")
-        periods.append(len(cyclic))
-        classes += cyclic
+    blocks, cyclic, reach = strongly_connected_components(m)
+    kinds = ["zero" if not c else "primitive" if len(c) == 1 else "imprimitive" for c in cyclic]
+    periods = [len(c) or 1 for c in cyclic]
+    # a zero block is one class of its own; the test below reads the classes
+    # as a set, so where each block's class numbering starts does not matter
+    classes = [part for idx, c in zip(blocks, cyclic) for part in c or [idx]]
     base = lcm(*periods)
     cap = base * (2 * ((n - 1) ** 2 + 1) + n + 1)
     masks = [sum(1 << i for i in c) for c in classes]
@@ -241,8 +210,7 @@ def block_form(m) -> BlockForm:
         if k > cap:
             raise SpectralError("no normalising power found below the proved cap")
     return BlockForm(matrix=m, blocks=tuple(blocks), kinds=tuple(kinds),
-                     periods=tuple(periods), power_used=k,
-                     reach=_reachability(m, blocks))
+                     periods=tuple(periods), power_used=k, reach=tuple(reach))
 
 
 # -- eigenpairs -----------------------------------------------------------------

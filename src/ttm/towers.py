@@ -145,25 +145,32 @@ class StationaryTower:
 # -- weight towers ----------------------------------------------------------------
 
 
-def eigen_data(graph, vector, lam):
+def eigen_data(f: GraphMap, vector, lam):
     """``(vector, lam)`` as a tuple and an enclosure; PreconditionError
     unless the vector has one certified non-negative coordinate per positive
-    edge of the graph and lam certifiably exceeds 1."""
+    edge of f's domain, lam certifiably exceeds 1, and ``M v = lam v`` is
+    certified for f's transition matrix M: every coordinate of ``M v - lam v``
+    contains 0."""
     vector, lam = tuple(vector), ia.coerce(lam)
-    if len(vector) != graph.n_edges:
+    if len(vector) != f.domain.n_edges:
         raise PreconditionError("need one coordinate per positive edge")
     if not (lam > 1):
         raise PreconditionError("eigenvalue must certifiably exceed 1")
     if not all((x >= 0) is True for x in vector):
         raise PreconditionError("eigenvector must be non-negative")
+    residual = ia.eigen_residual(f.transition_matrix(), vector, lam)
+    if not all(ia.contains_zero(r) for r in residual):
+        raise PreconditionError(
+            "vector is not a certified eigenvector of the transition matrix")
     return vector, lam
 
 
 class WeightTower:
     """The weight tower of a certified non-negative eigenvector v of the
-    transition matrix with eigenvalue lambda > 1 (PreconditionError
-    otherwise): level-0 edge and turn weights; level n is never
-    materialised, its values are the level-0 ones times ``level_scale(n)``.
+    transition matrix with eigenvalue lambda > 1 (``eigen_data``'s rule,
+    PreconditionError otherwise): level-0 edge and turn weights; level n is
+    never materialised, its values are the level-0 ones times
+    ``level_scale(n)``.
 
     ``lam`` (a certified root, a Fraction or an interval) is kept as its
     enclosure; the vector, indexed by positive edges, keeps its coordinates
@@ -178,11 +185,7 @@ class WeightTower:
 
     def __init__(self, tower: StationaryTower, vector, lam):
         self.tower = tower
-        self.vector, self.lam = eigen_data(tower.graph, vector, lam)
-        res = ia.eigen_residual(tower.f.transition_matrix(), self.vector, self.lam)
-        if not all(ia.contains_zero(r) for r in res):
-            raise PreconditionError(
-                "vector is not a certified eigenvector of the transition matrix")
+        self.vector, self.lam = eigen_data(tower.f, vector, lam)
         graph = tower.graph
         self.edge_weight = {e: self.vector[e >> 1] for e in graph.oriented_edges}
         da = tower.f.directions

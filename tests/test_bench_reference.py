@@ -8,7 +8,9 @@ and not only in a full benchmark run.
 
 The benchmark pins its seeded jobs only against their own first pass, so
 the ``ergodic`` and ``spectrum`` jobs on the generated substitutions at
-seeds 1 and 7 are pinned here, by the hashes in ``SEEDED``.
+seeds 1 and 7 are pinned here, by the hashes in ``SEEDED``, and the
+``check`` reports on the generated maps of each seed by the hashes in
+``CHECK_RAND``.
 """
 
 import functools
@@ -98,3 +100,29 @@ def test_seeded_job_prints_the_pinned_bytes(seed, jid, tmp_path, monkeypatch, ca
     with ia.working_precision(128):
         assert main(argv) == jobs[jid]["rc"]
     assert bench_workloads().digest(capsys.readouterr().out) == SEEDED[seed, jid]
+
+
+# stdout SHA-256 of the ``check-rand*`` jobs of each seed, their reports
+# joined in job order
+CHECK_RAND = {
+    1: "a001fcd30dcd71fe908a34a9fd6507f1e7fd84ac4c1052eef16fe71d184cd3a8",
+    7: "d51e320a03229224b94b17438f89a32d95b2225b31228625beddd858114cd4cc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_RAND))
+def test_seeded_check_reports_print_the_pinned_bytes(seed, tmp_path, monkeypatch, capsys):
+    bench = bench_workloads()
+    jobs = [job for job in bench.check_jobs(bench.RANDOM_MAPS)
+            if job["id"].startswith("check-rand")]
+    assert len(jobs) == bench.RANDOM_MAPS == 30
+    rmaps = tmp_path / "rmaps.tt"
+    rmaps.write_text(bench.random_maps_text(seed, bench.RANDOM_MAPS), encoding="utf-8")
+    monkeypatch.setenv("TTM_PRECISION_BITS", "128")
+    reports = []
+    for job in jobs:
+        argv = [str(rmaps) if arg == "@rmaps" else arg for arg in job["argv"]]
+        with ia.working_precision(128):
+            assert main(argv) == job["rc"]
+        reports.append(capsys.readouterr().out)
+    assert bench.digest("".join(reports)) == CHECK_RAND[seed]

@@ -243,6 +243,22 @@ def test_matvec_is_the_operator_isum_bit_for_bit(prec, vec, data):
         assert [v is ia.zero() for v in got] == [v is ia.zero() for v in want]
 
 
+@settings(max_examples=200)
+@given(precs, st.lists(st.one_of(st.integers(-2 ** 300, 2 ** 300), st.fractions()),
+                       min_size=1, max_size=5), st.data())
+def test_matvec_of_exact_coordinates_encloses_the_exact_product(prec, vec, data):
+    """Int and Fraction coordinates are taken as their enclosures: each
+    coordinate of ``matvec`` contains the exact sum of products."""
+    entries = st.one_of(st.just(0), st.integers(1, 5), st.integers(2 ** 200, 2 ** 201))
+    m = data.draw(st.lists(st.lists(entries, min_size=len(vec), max_size=len(vec)),
+                           min_size=1, max_size=4))
+    with ia.working_precision(prec):
+        got = ia.matvec(m, vec)
+    for row, v in zip(m, got):
+        lo, hi = ia.endpoints(v)
+        assert lo <= sum(a * Fraction(x) for a, x in zip(row, vec)) <= hi
+
+
 @settings(max_examples=300)
 @given(precs, intervals())
 def test_minus_the_shared_zero_rounds_only_wide_endpoints(prec, x):

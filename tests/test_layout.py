@@ -51,7 +51,8 @@ REMOVED_NAMES = {
                  "ShortForm.parent", "LongForm.base"},
     "substitutions": {"to_train_track", "_is_primitive_word", "SubshiftMeasure.tower",
                       "_is_integer"},
-    "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix"},
+    "spectra": {"BlockForm.permutation", "BlockForm.permuted_matrix", "_cyclic_classes",
+                "_reachability"},
     "measures": {"recover_weights(enforce_bound)", "KolmogorovFunction._sweep_at",
                  "_walk_order", "_kirchhoff_walk", "_pushforward_walk",
                  "_common", "_definitely_less", "_ZERO_RECIPE", "_walk",

@@ -142,6 +142,20 @@ def test_eigen_measures_share_one_tower():
     assert sorted(pair.value.compare(2) for pair, _ in measures) == [0, 1]
 
 
+def test_exact_coordinates_give_the_interval_measure():
+    """Eigenvector coordinates may be ints, Fractions or intervals: red's
+    (1, 1, 0) with lambda = 2 given each way gives overlapping values."""
+    red = rose_map("ab", "ba", "cccab")
+    tower = StationaryTower(red)
+    forms = [((1, 1, 0), 2), ((Fraction(1), Fraction(1), Fraction(0)), Fraction(2)),
+             ((ia.one(), ia.one(), ia.zero()), ia.exact(2))]
+    kfs = [eigenvector_measure(tower, vector, lam) for vector, lam in forms]
+    for p in red.domain.reduced_paths(3):
+        values = [kf.eval(p) for kf in kfs]
+        assert all(ia.contains_zero(x - y) for x in values for y in values), p
+    assert kfs[0].eval((A,)) > 0
+
+
 def test_eigen_measures_skip_eigenvalues_at_most_one():
     """a -> ab, b -> b: the block of b is the one distinguished block, with
     eigenvalue one.  The pair is skipped, and no tower is built (the map is
@@ -649,6 +663,18 @@ def test_oracle_refuses_negative_iterates_and_small_eigenvalues(fib_setup):
             FrequencyOracle(tower.f, vt.vector, lam, 5)
         with pytest.raises(PreconditionError, match="exceed 1"):
             frequency_oracle(tower.f, vt.vector, lam, (A,), 5)
+
+
+def test_oracle_refuses_what_is_no_eigenvector(fib_setup):
+    """The tail bound's recursion needs M v = lambda v: (1, 1) with lambda =
+    2 on Fibonacci read 0.1406 at t = 10 and 0.0169 at t = 20, each with an
+    exact zero tail bound, so it is refused, as by the weight tower."""
+    tower, _, _, _ = fib_setup
+    for t in (10, 20):
+        with pytest.raises(PreconditionError, match="not a certified eigenvector"):
+            frequency_oracle(tower.f, (1, 1), 2, (A,), t)
+    with pytest.raises(PreconditionError, match="not a certified eigenvector"):
+        WeightTower(tower, (1, 1), 2)
 
 
 @pytest.mark.parametrize("path", [(), (7,), (A, Abar), (A, 9)],

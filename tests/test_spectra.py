@@ -10,9 +10,9 @@ from ttm.cli import main
 from ttm.errors import SpectralError
 from ttm.polys import CertifiedRoot, char_poly_and_adjugate, largest_real_root
 from ttm.spectra import (
-    BlockForm, Eigenpair, _cyclic_classes, _pattern, _pattern_product, _reachability,
-    block_form, check_square_nonnegative, distinguished_eigenvectors, is_primitive,
-    pf_eigenpair, spectral_radius_root, strongly_connected_components, submatrix,
+    BlockForm, Eigenpair, _pattern, _pattern_product, block_form, check_square_nonnegative,
+    distinguished_eigenvectors, is_primitive, pf_eigenpair, spectral_radius_root,
+    strongly_connected_components, submatrix,
 )
 
 FIB = ((1, 1), (1, 0))
@@ -114,7 +114,7 @@ def block_period(m, indices) -> int:
 def reference_is_primitive(m) -> bool:
     """Reference: non-zero, one strongly connected component, period 1."""
     m = check_square_nonnegative(m)
-    if not any(any(row) for row in m) or len(strongly_connected_components(m)) != 1:
+    if not any(any(row) for row in m) or len(strongly_connected_components(m)[0]) != 1:
         return False
     return block_period(m, range(len(m))) == 1
 
@@ -122,7 +122,7 @@ def reference_is_primitive(m) -> bool:
 def _power_is_normalised(m) -> bool:
     """Reference: diagonal blocks primitive or 1x1 zero; off-diagonal blocks
     of the SCC decomposition entirely zero or entirely positive."""
-    blocks = strongly_connected_components(m)
+    blocks, _, _ = strongly_connected_components(m)
     for idx in blocks:
         sub = submatrix(m, idx)
         if len(idx) == 1 and sub[0][0] == 0:
@@ -139,6 +139,26 @@ def _power_is_normalised(m) -> bool:
     return True
 
 
+def reference_reach(m, blocks):
+    """Reference: the blocks reachable from each block, from a sweep of the
+    whole matrix for the arcs between blocks (blocks in topological order,
+    arcs pointing to earlier entries)."""
+    n = len(m)
+    block_of = {i: b for b, idx in enumerate(blocks) for i in idx}
+    adj = [set() for _ in blocks]
+    for c in range(n):
+        for r in range(n):
+            if m[r][c] and block_of[c] != block_of[r]:
+                adj[block_of[c]].add(block_of[r])
+    reach = []
+    for b in range(len(blocks)):
+        acc = {b}
+        for t in adj[b]:
+            acc |= reach[t]
+        reach.append(acc)
+    return tuple(frozenset(r) for r in reach)
+
+
 def reference_block_form(m) -> BlockForm:
     """``block_form`` as it was before it read the cyclic classes: each
     block's kind from a primitivity test, and at every candidate power the
@@ -147,7 +167,7 @@ def reference_block_form(m) -> BlockForm:
     n = len(m)
     if n == 0:
         raise SpectralError("empty matrix")
-    blocks = strongly_connected_components(m)
+    blocks, _, _ = strongly_connected_components(m)
     kinds = []
     periods = []
     for idx in blocks:
@@ -179,7 +199,7 @@ def reference_block_form(m) -> BlockForm:
         raise SpectralError("no normalising power found below the proved cap")
     return BlockForm(matrix=m, blocks=tuple(blocks), kinds=tuple(kinds),
                      periods=tuple(periods), power_used=power_used,
-                     reach=_reachability(m, blocks))
+                     reach=reference_reach(m, blocks))
 
 
 @settings(max_examples=120)
@@ -255,9 +275,9 @@ def coupled_cycles(draw):
 
 
 def assert_block_form_equals_reference(m):
-    """Kinds and periods from one BFS per block, and a power search on the
-    blocks between cyclic classes, give the earlier search's block form, or
-    the same error."""
+    """Blocks, kinds, periods and reach from one depth-first search, and a
+    power search on the blocks between cyclic classes, give the earlier
+    search's block form, or the same error."""
     try:
         ref = reference_block_form(m)
     except SpectralError as exc:
@@ -285,11 +305,13 @@ def test_block_form_equals_reference_on_coupled_cycles(m):
 @given(st.one_of(sparse_matrices(), chorded_cycles(), coupled_cycles()))
 def test_cyclic_classes_of_every_block(m):
     """The classes partition the block, there are as many as the gcd of its
-    closed-walk lengths up to 2n, and every arc steps one class forward."""
-    for idx in strongly_connected_components(m):
+    closed-walk lengths up to 2n, and every arc steps one class forward.
+    A 1x1 zero block has no classes."""
+    blocks, cyclic, _ = strongly_connected_components(m)
+    for idx, classes in zip(blocks, cyclic):
         if len(idx) == 1 and m[idx[0]][idx[0]] == 0:
+            assert classes == []
             continue
-        classes = _cyclic_classes(m, idx)
         assert all(classes) and sorted(i for c in classes for i in c) == list(idx)
         n = len(idx)
         pattern = power = _pattern(submatrix(m, idx))
@@ -304,6 +326,18 @@ def test_cyclic_classes_of_every_block(m):
             for c in idx:
                 if m[r][c]:
                     assert class_of[r] == (class_of[c] + 1) % g
+
+
+def test_search_of_a_long_chain():
+    """The search keeps its own stack: a chain 0 -> 1 -> ... longer than
+    the interpreter's recursion limit gives its 1x1 zero blocks, each
+    emitted after the ones it reaches, so in reverse index order."""
+    n = 1500
+    m = tuple(tuple(int(r == c + 1) for c in range(n)) for r in range(n))
+    blocks, classes, reach = strongly_connected_components(m)
+    assert blocks == [(i,) for i in reversed(range(n))]
+    assert classes == [[]] * n
+    assert reach[-1] == frozenset(range(n))
 
 
 def test_is_primitive_edge_cases():

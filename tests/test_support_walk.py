@@ -368,11 +368,15 @@ def test_walks_evaluate_only_reduced_paths(name, f, monkeypatch):
 
 def test_oracle_of_another_map_is_refused():
     """The oracle's support enters the walk unfiltered, so it must count
-    factors of the measure's own map."""
+    factors of the measure's own map: not those of a -> ba, b -> a, whose
+    transition matrix is Fibonacci's, so that the vector is its eigenvector
+    too."""
     make, _ = fib_maker()
     kf = make()
     wt = kf.weights
-    oracle = FrequencyOracle(MAPS["thue-morse"], wt.vector, wt.lam, 6)
+    twin = rose_map("ba", "a")
+    assert twin.transition_matrix() == MAPS["fibonacci"].transition_matrix()
+    oracle = FrequencyOracle(twin, wt.vector, wt.lam, 6)
     with pytest.raises(PreconditionError):
         verify_oracle(kf, oracle, 3, 1e-12)
     verify_oracle(kf, FrequencyOracle(MAPS["fibonacci"], wt.vector, wt.lam, 6), 3, 1e-12)
