@@ -34,7 +34,7 @@ from .maps import (
     GraphMap, is_expanding, is_homotopy_equivalence, is_train_track,
 )
 from .measures import (
-    FrequencyOracle, VerificationReport, eigenvector_measure, measure_pairs,
+    FrequencyOracle, eigenvector_measure, measure_pairs,
     verify_eigen_measure, verify_kolmogorov, verify_oracle,
 )
 from .substitutions import ergodic_measures
@@ -166,7 +166,7 @@ def cmd_spectrum(args) -> int:
                                                   exact_endpoints=exact),
         })
     order = [[i, j] for i in range(len(bf.blocks))
-             for j in sorted(bf.reach[i]) if i != j]
+             for j in bf.reachable(i) if i != j]
     report = {
         "schema": 1,
         "matrix": [list(r) for r in m],
@@ -341,16 +341,15 @@ def cmd_verify(args) -> int:
     f = doc.map(args.map)
     tol = args.tol
     # interval comparison against the tolerance is tri-state; an inconclusive
-    # suite (too-wide intervals, not a provable violation) doubles the
-    # working precision and reruns before giving a verdict; each run's
-    # precision is scoped to that run
+    # suite (too-wide intervals, not a provable violation) reruns all five at
+    # twice, then four times the working precision before giving a verdict;
+    # each run's precision is scoped to that run
     bits = ia.precision_bits()
-    for attempt in range(3):
+    for bits in (bits, 2 * bits, 4 * bits):
         with ia.working_precision(bits):
             lines, failures, inconclusive = _verify_once(f, args, tol)
-        if not inconclusive or attempt == 2:
+        if not inconclusive:
             break
-        bits *= 2
     print("\n".join(lines))
     if inconclusive:
         print(f"inconclusive at {bits} bits: " + ", ".join(inconclusive))
@@ -358,43 +357,31 @@ def cmd_verify(args) -> int:
 
 
 def _verify_once(f, args, tol):
+    """The five suite lines, and the labels of the failed and of the
+    inconclusive ones.  A line is FAIL when one of its checks failed,
+    INCONCLUSIVE when one is open, and shows its largest violation."""
     kf = eigenvector_measure(StationaryTower(f), *pick_vector(f, args.vector))
     wt = kf.weights
-    lines, failures, inconclusive = [], [], []
-
-    def report(label, rep, names, detail):
-        status = "pass"
-        if names & {n for n, _ in rep.failures}:
-            status = "FAIL"
-            failures.append(label)
-        elif names & {n for n, _ in rep.inconclusive}:
-            status = "INCONCLUSIVE"
-            inconclusive.append(label)
-        lines.append(f"{label}: {status} ({detail})")
-
     rep = verify_kolmogorov(kf, args.max_len, tol)
-    report("flip (reversal symmetry)", rep, {"flip"},
-           f"max violation {rep.checks['flip']:.3e}")
-    kirch = max(rep.checks["kirchhoff-left"], rep.checks["kirchhoff-right"])
-    report("kirchhoff rules", rep, {"kirchhoff-left", "kirchhoff-right"},
-           f"max violation {kirch:.3e}")
-
-    rep = VerificationReport()
-    rep.record("switch", (abs(r) for r in wt.switch_residuals().values()),
-               tol)
-    report("switch conditions", rep, {"switch"},
-           f"max violation {rep.checks['switch']:.3e}")
-
+    rep.record("switch", (abs(r) for r in wt.switch_residuals().values()), tol)
     erep = verify_eigen_measure(f, kf, wt.lam, args.max_len, tol)
-    report("eigen equation (pushforward = lambda * measure)", erep, {"eigen-equation"},
-           f"max violation {erep.checks['eigen-equation']:.3e}")
-
     # the oracle's violation is |eval - estimate| beyond the tail bound
     oracle = FrequencyOracle(f, wt.vector, wt.lam, args.oracle_t)
-    rep, worst = verify_oracle(kf, oracle, min(args.max_len, 4), tol)
-    report("oracle agreement", rep, {"oracle"},
-           f"max |eval - estimate| {worst:.3e} at t={args.oracle_t}")
-    return lines, failures, inconclusive
+    orep, worst = verify_oracle(kf, oracle, min(args.max_len, 4), tol)
+    lines, verdicts = [], {"FAIL": [], "INCONCLUSIVE": [], "pass": []}
+    for label, suite, names, detail in (
+            ("flip (reversal symmetry)", rep, {"flip"}, None),
+            ("kirchhoff rules", rep, {"kirchhoff-left", "kirchhoff-right"}, None),
+            ("switch conditions", rep, {"switch"}, None),
+            ("eigen equation (pushforward = lambda * measure)", erep, {"eigen-equation"}, None),
+            ("oracle agreement", orep, {"oracle"},
+             f"max |eval - estimate| {worst:.3e} at t={args.oracle_t}")):
+        status = ("FAIL" if names & {n for n, _ in suite.failures} else
+                  "INCONCLUSIVE" if names & {n for n, _ in suite.inconclusive} else "pass")
+        verdicts[status].append(label)
+        detail = detail or f"max violation {max(suite.checks[n] for n in names):.3e}"
+        lines.append(f"{label}: {status} ({detail})")
+    return lines, verdicts["FAIL"], verdicts["INCONCLUSIVE"]
 
 
 def cmd_ergodic(args) -> int:

@@ -13,9 +13,10 @@ spanned by the distinguished eigenvectors with that eigenvalue.
 
 ``spectrum`` computes all of this in one pass: the block form once (the
 blocks, their periods, cyclic classes and reach from one depth-first
-search), each diagonal block's characteristic polynomial and adjugate
-coefficients once, its radius from that polynomial, and each distinguished
-eigenvector from the same coefficients.  ``distinguished_eigenvectors`` and
+search; a block's reach is one bitmask of blocks), each diagonal block's
+characteristic polynomial and adjugate coefficients once, its radius from
+that polynomial, and each distinguished eigenvector from the same
+coefficients.  ``distinguished_eigenvectors`` and
 ``pf_eigenpair`` (the distinguished pair of full support) read that pass.
 
 All eigen-data is certified: eigenvalues are isolated roots of exact integer
@@ -91,10 +92,11 @@ def strongly_connected_components(m):
     upper block triangular.
 
     When a block is emitted, one pass over its arcs v -> w reads off the
-    rest.  ``reach[b]`` is b and the reach of every other block an arc
-    enters (emitted earlier).  The gcd g of ``depth[v] + 1 - depth[w]`` over
-    the arcs inside the block, depths in the search tree, is its period:
-    tree arcs add 0, and each closed walk's length is a sum of these terms.
+    rest.  ``reach[b]`` is a bitmask of blocks: bit b ORed with the reach of
+    every other block an arc enters (emitted earlier), at most n bits and
+    not a set of blocks.  The gcd g of ``depth[v] + 1 - depth[w]`` over the
+    arcs inside the block, depths in the search tree, is its period: tree
+    arcs add 0, and each closed walk's length is a sum of these terms.
     The block's cyclic classes are its indices by depth mod g; every arc
     steps one class forward.  g is 0, and there are no classes, exactly for
     a 1x1 zero block.
@@ -136,19 +138,19 @@ def strongly_connected_components(m):
                     comp.append(stack.pop())
                 for u in comp:
                     block_of[u] = b
-                g, out = 0, set()
+                g, below = 0, 1 << b
                 for u in comp:
                     for w in succ[u]:
                         if block_of[w] == b:
                             g = gcd(g, depth[u] + 1 - depth[w])
                         else:
-                            out.add(block_of[w])
+                            below |= reach[block_of[w]]
                 blocks.append(tuple(sorted(comp)))
                 cyclic = [[] for _ in range(g)]
                 for u in blocks[b] if g else ():
                     cyclic[depth[u] % g].append(u)
                 classes.append(cyclic)
-                reach.append(frozenset({b}).union(*(reach[t] for t in out)))
+                reach.append(below)
     return blocks, classes, reach
 
 
@@ -163,7 +165,7 @@ class BlockForm:
         self.kinds = kinds            # per block: "primitive" | "zero" | "imprimitive"
         self.periods = periods        # per block
         self.power_used = power_used  # least power normalising the block structure
-        self.reach = reach            # reach[i] = frozenset of the blocks reachable from block i
+        self.reach = reach            # reach[i] has bit j set iff block j is reachable from i
 
     def __eq__(self, other):
         if not isinstance(other, BlockForm):
@@ -171,6 +173,10 @@ class BlockForm:
         return ((self.matrix, self.blocks, self.kinds, self.periods, self.power_used,
                  self.reach) == (other.matrix, other.blocks, other.kinds, other.periods,
                                  other.power_used, other.reach))
+
+    def reachable(self, b):
+        """The blocks reachable from block b, b included, ascending."""
+        return [j for j in range(self.reach[b].bit_length()) if self.reach[b] >> j & 1]
 
 
 def block_form(m) -> BlockForm:
@@ -270,7 +276,7 @@ def spectrum(m) -> Spectrum:
     # all comparisons first: they refine the radii the vectors then read
     winners = [b for b, root in enumerate(radii)
                if root.compare(0) > 0 and all(root.compare(radii[j]) > 0
-                                              for j in bf.reach[b] if j != b)]
+                                              for j in bf.reachable(b) if j != b)]
     pairs = []
     for b in winners:
         bits = None
@@ -346,7 +352,8 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bit
     """
     m = bf.matrix
     block = bf.blocks[b]
-    rest = sorted(i for j in bf.reach[b] if j != b for i in bf.blocks[j])
+    reachable = bf.reachable(b)
+    rest = sorted(i for j in reachable if j != b for i in bf.blocks[j])
     lam = root.interval(bits)
     u = _positive_column(bmats, lam)
     if u is None:
@@ -367,7 +374,7 @@ def _distinguished_vector(bf: BlockForm, b: int, root: CertifiedRoot, bmats, bit
                 for t, (row, r) in enumerate(zip(inflow, rhs)) if any(row)]
         for pos, i in enumerate(rest):
             vec[i] = ia.isum(col[pos] * r for col, r in cols) / denom
-    support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
+    support = frozenset(i for j in reachable for i in bf.blocks[j])
     if not all(vec[i] > 0 for i in support):
         return None  # needs refinement
     return Eigenpair(value=root, vector=_normalise(vec), support=support, block=block)

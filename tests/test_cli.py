@@ -69,6 +69,10 @@ def test_verify_fails_on_bad_map(fib_file, capsys):
     assert code == 3  # precondition: not a train track map
 
 
+VERIFY_LABELS = ("flip (reversal symmetry)", "kirchhoff rules", "switch conditions",
+                 "eigen equation (pushforward = lambda * measure)", "oracle agreement")
+
+
 @pytest.mark.parametrize("tol,status", [("1e-12", "FAIL"), ("0", "INCONCLUSIVE"),
                                         ("1e-12", "pass")])
 def test_verify_switch_verdict(fib_file, capsys, monkeypatch, tol, status):
@@ -76,7 +80,11 @@ def test_verify_switch_verdict(fib_file, capsys, monkeypatch, tol, status):
     violation provably beyond the tolerance fails, one whose interval
     straddles it is inconclusive.  The failing measure has the weight of the
     edge a raised by 1/1000, which breaks the switch condition at a and
-    moves the value of (a,) away from the oracle's estimate."""
+    moves the value of (a,) away from the oracle's estimate.
+
+    Each of the five lines reads its own checks only: with a perturbed
+    weight flip still passes while Kirchhoff, switch (recorded beside flip
+    and Kirchhoff), eigen and oracle fail."""
     if status == "FAIL":
         build = ttm.cli.eigenvector_measure
 
@@ -88,11 +96,30 @@ def test_verify_switch_verdict(fib_file, capsys, monkeypatch, tol, status):
         monkeypatch.setattr(ttm.cli, "eigenvector_measure", perturbed)
     code, out, _ = run(capsys, "verify", fib_file, "--map", "f",
                        "--max-len", "2", "--tol", tol)
-    assert f"switch conditions: {status} (" in out
     # the oracle compares |eval - estimate| beyond the tail bound with --tol;
     # single edges have tail bound 0, so at --tol 0 they cannot be proved
-    assert f"oracle agreement: {status} (" in out
+    statuses = ("pass",) + ("FAIL",) * 4 if status == "FAIL" else (status,) * 5
+    lines = out.splitlines()[:5]
+    assert [(label, rest.split(" (")[0]) for label, _, rest in
+            (line.partition(": ") for line in lines)] == list(zip(VERIFY_LABELS, statuses))
     assert code == (0 if status == "pass" else 4)
+
+
+def test_verify_inconclusive_at_tol_zero_is_pinned(fib_file, capsys):
+    """At --tol 0 no suite can be proved at 128, 256 or 512 bits: the five
+    lines of the last run, then every label in order."""
+    code, out, err = run(capsys, "verify", fib_file, "--map", "f",
+                         "--max-len", "2", "--tol", "0")
+    assert (code, err) == (4, "")
+    assert out == (
+        "flip (reversal symmetry): INCONCLUSIVE (max violation 3.493e-149)\n"
+        "kirchhoff rules: INCONCLUSIVE (max violation 5.698e-149)\n"
+        "switch conditions: INCONCLUSIVE (max violation 5.698e-149)\n"
+        "eigen equation (pushforward = lambda * measure): INCONCLUSIVE "
+        "(max violation 5.894e-149)\n"
+        "oracle agreement: INCONCLUSIVE (max |eval - estimate| 1.070e-04 at t=20)\n"
+        "inconclusive at 512 bits: " + ", ".join(VERIFY_LABELS) + "\n"
+    )
 
 
 def test_measure_table(fib_file, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -57,8 +58,8 @@ def test_block_form_three_letter():
     assert bf.kinds == ("primitive", "primitive")
     assert bf.power_used == 1
     # the c-block dominates the ab-block
-    assert 0 in bf.reach[1]
-    assert 1 not in bf.reach[0]
+    assert bf.reachable(1) == [0, 1]
+    assert bf.reachable(0) == [0]
     # the block order is upper block triangular
     assert arcs_point_to_earlier_blocks(bf)
 
@@ -140,9 +141,9 @@ def _power_is_normalised(m) -> bool:
 
 
 def reference_reach(m, blocks):
-    """Reference: the blocks reachable from each block, from a sweep of the
-    whole matrix for the arcs between blocks (blocks in topological order,
-    arcs pointing to earlier entries)."""
+    """Reference: the blocks reachable from each block, as a bitmask, from a
+    sweep of the whole matrix for the arcs between blocks (blocks in
+    topological order, arcs pointing to earlier entries)."""
     n = len(m)
     block_of = {i: b for b, idx in enumerate(blocks) for i in idx}
     adj = [set() for _ in blocks]
@@ -156,7 +157,7 @@ def reference_reach(m, blocks):
         for t in adj[b]:
             acc |= reach[t]
         reach.append(acc)
-    return tuple(frozenset(r) for r in reach)
+    return tuple(sum(1 << j for j in r) for r in reach)
 
 
 def reference_block_form(m) -> BlockForm:
@@ -331,13 +332,21 @@ def test_cyclic_classes_of_every_block(m):
 def test_search_of_a_long_chain():
     """The search keeps its own stack: a chain 0 -> 1 -> ... longer than
     the interpreter's recursion limit gives its 1x1 zero blocks, each
-    emitted after the ones it reaches, so in reverse index order."""
+    emitted after the ones it reaches, so in reverse index order.  Each
+    block's reach is one bitmask, so the search's memory stays linear in
+    the number of blocks."""
     n = 1500
     m = tuple(tuple(int(r == c + 1) for c in range(n)) for r in range(n))
-    blocks, classes, reach = strongly_connected_components(m)
+    tracemalloc.start()
+    try:
+        blocks, classes, reach = strongly_connected_components(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
     assert blocks == [(i,) for i in reversed(range(n))]
     assert classes == [[]] * n
-    assert reach[-1] == frozenset(range(n))
+    assert reach[-1] == (1 << n) - 1
 
 
 def test_is_primitive_edge_cases():
@@ -470,7 +479,7 @@ def reference_distinguished_eigenvectors(m):
         radii.append(CertifiedRoot(poly, exact=0) if not any(map(any, sub))
                      else largest_real_root(poly))
     winners = [b for b in range(len(bf.blocks)) if radii[b].compare(0) > 0
-               and all(radii[b].compare(radii[j]) > 0 for j in bf.reach[b] if j != b)]
+               and all(radii[b].compare(radii[j]) > 0 for j in bf.reachable(b) if j != b)]
 
     def adjugate(a, lam):
         bmats = char_poly_and_adjugate(a)[1]
@@ -479,7 +488,7 @@ def reference_distinguished_eigenvectors(m):
 
     def vector(b, lam):
         block = bf.blocks[b]
-        rest = sorted(i for j in bf.reach[b] if j != b for i in bf.blocks[j])
+        rest = sorted(i for j in bf.reachable(b) if j != b for i in bf.blocks[j])
         adj_b = adjugate(submatrix(m, block), lam)
         cols = [tuple(row[j] for row in adj_b) for j in range(len(block))]
         u = next((c for c in cols if all(x > 0 for x in c)), None)
@@ -499,7 +508,7 @@ def reference_distinguished_eigenvectors(m):
                 for t in range(len(rest)):
                     acc = acc + adj_r[pos][t] * rhs[t]
                 entries[i] = acc / denom
-        support = frozenset(i for j in bf.reach[b] for i in bf.blocks[j])
+        support = frozenset(i for j in bf.reachable(b) for i in bf.blocks[j])
         if not all(entries[i] > 0 for i in support):
             return None
         total = ia.isum(entries)
@@ -596,6 +605,26 @@ def test_spectrum_retries_once_before_giving_up(monkeypatch):
     with pytest.raises(SpectralError):
         spectra.spectrum(FIB)
     assert calls == [None, 2 * ia.precision_bits()]
+
+
+def test_spectrum_certifies_on_the_retry(monkeypatch):
+    """A first attempt that fails is followed by one at twice the bits,
+    from the refined root, and its pair is certified: one pair, with the
+    support of the first-try pair."""
+    first_try = spectra.spectrum(FIB).distinguished
+    real, calls = spectra._distinguished_vector, []
+
+    def none_once(bf, b, root, bmats, bits):
+        calls.append(bits)
+        return None if len(calls) == 1 else real(bf, b, root, bmats, bits)
+
+    monkeypatch.setattr(spectra, "_distinguished_vector", none_once)
+    pairs = spectra.spectrum(FIB).distinguished
+    assert calls == [None, 2 * ia.precision_bits()]
+    assert len(pairs) == len(first_try) == 1
+    assert pairs[0].support == first_try[0].support == frozenset({0, 1})
+    assert pairs[0].check_residual(FIB)
+    assert abs(ia.midpoint(pairs[0].interval()) - PHI) < 1e-12
 
 
 def test_collatz_wielandt_bracket():
