@@ -54,6 +54,10 @@ MAX_SHORT_EDGES = 10 ** 6
 # has 39,364 up to length 9 and 6,973,568,800 up to length 20)
 MAX_TABLE_ROWS = 10 ** 7
 
+# the largest ``verify --oracle-t``: the oracle's counts are integers of about
+# 0.7 t bits, so its cost grows like t**2
+MAX_ORACLE_T = 10 ** 4
+
 
 def fmt_exact_fraction(x) -> str:
     """Outward endpoints as exact fractions (the endpoints are dyadic)."""
@@ -276,9 +280,11 @@ def _write_table(levels, json_form):
     write(ends[not skip])
 
 
-def _require_length(flag: str, value: int, least: int) -> None:
+def _require_length(flag: str, value: int, least: int, most=None) -> None:
     if value < least:
         raise TTMError(f"{flag} must be at least {least} (got {value})")
+    if most is not None and value > most:
+        raise TTMError(f"{flag} must be at most {most} (got {value})")
 
 
 def _require_table_rows(graph, max_length: int) -> None:
@@ -334,7 +340,7 @@ def cmd_measure(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_length("--max-len", args.max_len, 1)
-    _require_length("--oracle-t", args.oracle_t, 0)
+    _require_length("--oracle-t", args.oracle_t, 0, MAX_ORACLE_T)
     if not 0 <= args.tol < float("inf"):
         raise TTMError(f"--tol must be a finite non-negative number (got {args.tol})")
     doc = load(args.file)

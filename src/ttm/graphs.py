@@ -147,7 +147,7 @@ class Graph:
         return len(self._directions[v])
 
     def directions_at(self, v: int):
-        """Oriented edges with initial vertex v."""
+        """Oriented edges with initial vertex v, in increasing id order."""
         return self._directions[v]
 
     def turns_at(self, v: int):

@@ -47,8 +47,9 @@ interval, which ``ttm.intervals`` keeps through ``-`` and ``abs`` and
 made.  Each verify suite evaluates the set of paths whose residual can be
 non-zero, in any order (its verdict and violation are maxima):
 
-* flip and Kirchhoff: S(L), and q[1:] and q[:-1] for q in S(L + 1), flip
-  reading one path of each pair {p, p-bar};
+* flip and Kirchhoff: each q in S(L + 1) scattered onto the left residual
+  of q[1:] and the right one of q[:-1], S(L) with its own, flip reading one
+  path of each pair {p, p-bar} (a table: its entries and their reversals);
 * the eigen equation: S(L) and the paths that it covers, up to the bound.
   One pass pushes S(L) forward, scattering each value mu(d) onto the
   factors of f(d) from its first image block to its last; the sums give
@@ -57,9 +58,8 @@ non-zero, in any order (its verdict and violation are maxima):
 * the oracle: S(L) and the paths with a non-zero estimate (its vector is
   non-negative, so its tail bounds are too), one path of each pair.
 
-The walks use no property of the measure they check, nor the support's
-closure under factors, which makes the first two walks S(L) itself.
-Measure tables, which are external data, are checked on every reduced path.
+The walks use no property of the measure or table they check, nor the
+support's closure under factors, which makes the first walk S(L) itself.
 
 An independent frequency oracle estimates the same values from occurrence
 counts in iterate images alone, with a certified geometric tail bound.  Per
@@ -74,9 +74,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
-from operator import mul
+from operator import sub
 
 from . import intervals as ia
 from . import spectra
@@ -368,15 +368,14 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
     """Check flip symmetry and both Kirchhoff rules on the reduced paths up
     to the bound; for tables, also audit subpath monotonicity.
 
-    ``source`` is a KolmogorovFunction or a MeasureTable.  Values one edge
-    longer than the bound must be available.  A table, being external data,
-    is checked on every reduced path.  A measure is checked on the walk of
-    its support S up to the bound and of q[1:] and q[:-1] for q in S up to
-    one edge beyond: every other reduced path has the exact zero as its
-    value and as the values of its one-edge extensions, so its three
-    residuals are the exact zero, which no check reads.  On the walk, the
-    residual of exact zeros and its magnitude are the shared zero itself:
-    ``ttm.intervals`` keeps it through ``-`` and ``abs``.
+    ``source`` is a KolmogorovFunction or a MeasureTable, with values one
+    edge beyond the bound.  One walk reads the valued paths up to that
+    length, the support or a table's entries and their reversals: each q is
+    a term of the left residual of q[1:] and of the right one of q[:-1], in
+    ``extensions_left`` and ``extensions_right`` order (by the extra edge's
+    id), and keeps its own residuals within the bound.  The extensions left
+    out are exact zeros (or unrecorded, reading ``Fraction(0)``), whose
+    subtraction changes no bit; every other path has exactly zero residuals.
     """
     _require_bound(max_length)
     graph, table = source.graph, isinstance(source, MeasureTable)
@@ -384,33 +383,35 @@ def verify_kolmogorov(source, max_length: int, tol: float = 0.0) -> Verification
     if table and max_length + 1 > source.max_length:
         raise IncompleteTableError(
             "Kirchhoff checks need values one edge beyond the bound")
+    valued = ({p for q in source.entries if len(q) <= max_length + 1
+               for p in (q, reverse_path(q))} if table else
+              [q for length in range(1, max_length + 2) for q in source.support(length)])
+    # path -> [(extra edge, value)]: the valued one-edge extensions on each side
+    left = {q: [] for q in valued if len(q) <= max_length}
+    right = {q: [] for q in left}
+    for q in valued:
+        if len(q) > 1:
+            value = get(q)
+            left.setdefault(q[1:], []).append((inverse(q[0]), value))
+            right.setdefault(q[:-1], []).append((q[-1], value))
 
-    def kirchhoff(path, extended):
-        residual = get(path)
-        for value in map(get, extended):
-            residual = residual - value
-        return residual
+    def kirchhoff(item):    # extra edges differ: sorted() compares no values
+        return reduce(sub, [value for _, value in sorted(item[1])], get(item[0]))
 
-    paths = (graph.reduced_paths(max_length) if table else {
-        p for length in range(1, max_length + 2) for q in source.support(length)
-        for p in (q, q[1:], q[:-1]) if 0 < len(p) <= max_length})
-    # the walk is closed under reversal, and a path and its reversal have
-    # flip residuals of opposite signs: flip reads one path of each pair
-    pairs = [(p, q) for p in paths for q in (reverse_path(p),) if p < q]
+    # each valued {p, p-bar} within the bound is among the keys; flip reads one of each
+    pairs = [(p, q) for p in left for q in (reverse_path(p),) if p < q]
     residuals = (
         ("flip", lambda pair: get(pair[0]) - get(pair[1]), pairs),
-        ("kirchhoff-left",
-         lambda p: kirchhoff(p, [(e,) + p for e in graph.extensions_left(p)]), paths),
-        ("kirchhoff-right",
-         lambda p: kirchhoff(p, [p + (e,) for e in graph.extensions_right(p)]), paths),
+        ("kirchhoff-left", kirchhoff, left.items()),
+        ("kirchhoff-right", kirchhoff, right.items()),
     )
     report = VerificationReport()
     for name, residual, walk in residuals:
         report.record(name, map(abs, map(residual, walk)), tol)
     if table:
-        for path, sub in source.monotonicity_violations():
+        for path, subpath in source.monotonicity_violations():
             report.flags.append(
-                ("monotonicity", graph.path_label(path), graph.path_label(sub)))
+                ("monotonicity", graph.path_label(path), graph.path_label(subpath)))
     return report
 
 
@@ -552,8 +553,9 @@ class FrequencyOracle:
         self.max_img = max(len(f.image(e)) for e in self.graph.positive_edges)
         # length -> oriented edge -> factor counts
         self._length_counts = cache(self._factor_counts)
-        self._tails = {}     # length -> tail bound
-        self._values = {}    # count tuple -> estimate value
+        self._tail = cache(self._tail_bound)    # length -> tail bound
+        # count tuple -> estimate value
+        self._value = cache(lambda counts: ia.matvec([counts], self.vector)[0] * self.scale)
 
     def counts(self, path) -> tuple:
         """Occurrences of the path and its reverse in the t-th iterate image
@@ -583,12 +585,8 @@ class FrequencyOracle:
     def _estimate(self, key) -> OracleEstimate:
         """The estimate of the pair {key, key-bar}, key the smaller; its value
         is summed once per distinct count tuple."""
-        counts = self._counts(key)
-        value = self._values.get(counts)
-        if value is None:
-            value = self._values[counts] = sum(map(mul, counts, self.vector)) * self.scale
-        return OracleEstimate(value=value, tail_bound=self._tail(len(key)),
-                              iterations=self.t)
+        return OracleEstimate(value=self._value(self._counts(key)),
+                              tail_bound=self._tail(len(key)), iterations=self.t)
 
     def _factor_counts(self, length: int):
         """The factor counts of each positive edge's t-th iterate image, in
@@ -638,16 +636,12 @@ class FrequencyOracle:
                         c[q] += row[i] * m
         return counts
 
-    def _tail(self, length: int):
-        tail = self._tails.get(length)
-        if tail is None:
-            # new straddling occurrences at step s+1: per junction at most
-            # 2(len-1) of them (path and reverse), junction count
-            # max |f(e)| - 1 (none on single edges: the tail is exact 0)
-            per_step = 2 * (length - 1) * max(0, self.max_img - 1) * self.vec_total
-            tail = per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
-            self._tails[length] = tail
-        return tail
+    def _tail_bound(self, length: int):
+        # new straddling occurrences at step s+1: per junction at most
+        # 2(len-1) of them (path and reverse), junction count
+        # max |f(e)| - 1 (none on single edges: the tail is exact 0)
+        per_step = 2 * (length - 1) * max(0, self.max_img - 1) * self.vec_total
+        return per_step * ia.geometric_tail(1 / self.lam, self.t + 1)
 
 
 def _factors(word, length: int) -> Counter:

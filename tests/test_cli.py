@@ -373,6 +373,19 @@ def test_oracle_t_zero_accepted(fib_file, capsys):
     assert code == 0
 
 
+def test_oracle_t_above_the_budget_refused(fib_file, tmp_path, capsys, monkeypatch):
+    """The oracle's cost grows like t**2, so ``--oracle-t`` above
+    ``MAX_ORACLE_T`` exits 3 before the input is read (a missing file would
+    exit 2); the bound itself is admitted."""
+    missing = str(tmp_path / "missing.tt")
+    code, out, err = run(capsys, "verify", missing, "--map", "f", "--oracle-t", "10001")
+    assert (code, out, err) == (3, "", "error: --oracle-t must be at most 10000 (got 10001)\n")
+    monkeypatch.setattr(ttm.cli, "MAX_ORACLE_T", 3)
+    argv = ("verify", fib_file, "--map", "f", "--max-len", "2", "--oracle-t")
+    assert run(capsys, *argv, "3")[0] == 0
+    assert run(capsys, *argv, "4")[:2] == (3, "")
+
+
 @pytest.mark.parametrize("vector", ["1,x", "1/0,1", "1,,1"])
 def test_bad_vector_rejected(fib_file, capsys, vector):
     code, out, err = run(capsys, "measure", fib_file, "--map", "f",

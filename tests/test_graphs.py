@@ -180,6 +180,22 @@ def test_reduced_paths_by_length_then_edge_ids(rose2):
         assert paths == sorted(paths, key=lambda p: (len(p), p))
 
 
+def test_extensions_in_edge_id_order(rose2):
+    """``directions_at`` lists edge ids in increasing order, and so do the
+    extra edges of ``extensions_right`` and the inverses of those of
+    ``extensions_left``: the Kirchhoff walk subtracts a path's valued
+    extensions in that order, sorted by the extra edge's id."""
+    theta = Graph(2, [(0, 1), (0, 1), (1, 0)])
+    triangle = Graph(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
+    for g in (rose2, theta, triangle):
+        for v in g.vertices:
+            assert list(g.directions_at(v)) == sorted(g.directions_at(v))
+        for p in g.reduced_paths(2):
+            right = g.extensions_right(p)
+            left = [inverse(e) for e in g.extensions_left(p)]
+            assert right == sorted(right) and left == sorted(left)
+
+
 @pytest.mark.parametrize("max_length", [0, -1])
 def test_no_reduced_paths_below_length_one(max_length):
     """The non-trivial paths of length at most 0 are none."""

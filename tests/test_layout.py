@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ttm
+from ttm.measures import FrequencyOracle, _factors
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ttm"
@@ -62,6 +63,13 @@ REMOVED_NAMES = {
                  "KolmogorovFunction._values", "KolmogorovFunction._scale",
                  "KolmogorovFunction._level_sweep", "_NO_RECIPE"},
 }
+
+
+# names of the tower route: the frequency oracle shares nothing with it past
+# the transition matrix, so that the two routes cross-check each other
+TOWER_ROUTE_NAMES = {"tower", "weights", "word", "level_for_length", "_sweep", "_sweeps",
+                     "_walked", "edge_weight", "turn_weight", "StationaryTower",
+                     "WeightTower", "KolmogorovFunction"}
 
 
 def tree_of(module):
@@ -121,6 +129,23 @@ def test_removed_names_stay_removed(module, name):
         if isinstance(owner, type):   # nor as a field that the constructor takes
             assert attr not in inspect.signature(owner).parameters
         assert owners or not hasattr(ttm, attr), "still exported by ttm"
+
+
+def code_names(code):
+    """The global and attribute names that a code object and the code
+    nested in it read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= code_names(const)
+    return names
+
+
+def test_oracle_reads_nothing_of_the_tower_route():
+    functions = [v for v in vars(FrequencyOracle).values() if inspect.isfunction(v)]
+    assert len(functions) > 5
+    for fn in functions + [_factors]:
+        assert not code_names(fn.__code__) & TOWER_ROUTE_NAMES, fn.__qualname__
 
 
 def test_cli_does_not_load_dialects():

@@ -4,12 +4,14 @@ Each suite is compared with a test-local copy of the walk over every
 reduced path (the walk the suites made before they visited only the
 support and its one-edge boundary): the reports must agree in their
 checks, failures, inconclusive checks and verdicts, on correct measures and
-on broken ones, at a tolerance and at tolerance zero.
+on broken ones, and the flip and Kirchhoff reports also on measure tables,
+at a tolerance and at tolerance zero.
 """
 
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -18,10 +20,10 @@ import pytest
 import ttm.intervals as ia
 from ttm.cli import fmt_exact_fraction, main, pick_vector
 from ttm.errors import PreconditionError
-from ttm.graphs import is_reduced, make_turn, reverse_path
+from ttm.graphs import Graph, is_reduced, make_turn, reverse_path
 from ttm.maps import GraphMap
 from ttm.measures import (
-    FrequencyOracle, KolmogorovFunction, VerificationReport, eigen_measures,
+    FrequencyOracle, KolmogorovFunction, MeasureTable, VerificationReport, eigen_measures,
     eigenvector_measure, image_measure, verify_eigen_measure, verify_kolmogorov,
     verify_oracle,
 )
@@ -29,6 +31,7 @@ from ttm.textio import parse
 from ttm.towers import StationaryTower
 
 from conftest import A, Abar, B, Bbar, pullback_maps, rose_map
+from test_measures import figure4_table
 
 
 # -- the full walks, as the suites ran them over every reduced path ---------------------
@@ -46,8 +49,12 @@ def _sub(x, y):
     return x - y
 
 
-def full_kolmogorov(kf, max_length, tol):
-    graph, get = kf.graph, kf.eval
+def full_kolmogorov(source, max_length, tol):
+    """Flip and both Kirchhoff rules on every reduced path up to the bound,
+    each residual subtracting every one-edge extension; for a table, the
+    monotonicity flags too."""
+    table = isinstance(source, MeasureTable)
+    graph, get = source.graph, source.value if table else source.eval
 
     def kirchhoff(path, extended):
         residual = get(path)
@@ -66,6 +73,9 @@ def full_kolmogorov(kf, max_length, tol):
     paths = graph.reduced_paths(max_length)
     for name, residual in residuals:
         report.record(name, _magnitudes(map(residual, paths)), tol)
+    if table:
+        report.flags.extend(("monotonicity", graph.path_label(p), graph.path_label(q))
+                            for p, q in source.monotonicity_violations())
     return report
 
 
@@ -193,6 +203,85 @@ def test_walked_suites_equal_full_walk_on_broken_measures(name, f, broken, tol):
         full = all_suites(f, make(), lam, 4, tol, walked=False)
         assert walked == full
         assert any(report[1] for report in full[:3]), "the broken measure fails a check"
+
+
+# -- measure tables: the entries and their reversals are the walk ------------------------
+
+
+def raised(table, *paths):
+    """The table with the entries of ``paths`` raised by 1/1000."""
+    entries = dict(table.entries)
+    for p in paths:
+        entries[p] = entries[p] + ia.exact(1) / 1000
+    return MeasureTable(table.graph, entries, table.max_length)
+
+
+def red_table():
+    f = MAPS["red"]
+    return eigenvector_measure(StationaryTower(f), *pick_vector(f, "auto")).support_table(5)
+
+
+# name -> (table maker, failed checks, whether they are all the failures)
+RED_PATH = (0, 2)
+TABLES = {
+    "figure-4": (lambda rose2: figure4_table(rose2, 5), ("kirchhoff-left",), False),
+    "support-table": (lambda rose2: red_table(), (), True),
+    "kirchhoff-fail": (lambda rose2: raised(red_table(), RED_PATH, reverse_path(RED_PATH)),
+                       ("kirchhoff-left", "kirchhoff-right"), True),
+    "flip-fail": (lambda rose2: raised(red_table(), RED_PATH), ("flip",), False),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.0], ids=["tol-1e-12", "tol-0"])
+@pytest.mark.parametrize("name", list(TABLES))
+def test_walked_kolmogorov_equals_full_walk_on_tables(rose2, name, tol):
+    """The walk over the valued paths reports on a table what the walk
+    over every reduced path reports: an exact Fraction listing (with its
+    monotonicity flag), the support table of a bench measure, and that table
+    with one pair of entries raised (Kirchhoff fails) or with one
+    orientation of a path raised (flip fails)."""
+    make, failing, only = TABLES[name]
+    table = make(rose2)
+    walked = outcome(verify_kolmogorov(table, 4, tol))
+    assert walked == outcome(full_kolmogorov(table, 4, tol))
+    failed = {n for n, _ in walked[1]}
+    assert failed == set(failing) if only else failed >= set(failing)
+    assert bool(walked[3]) == (name == "figure-4")
+
+
+def test_kolmogorov_walk_reads_only_valued_paths(monkeypatch):
+    """Neither a measure nor a table is checked by enumerating reduced paths
+    or the one-edge extensions of a path."""
+    make, _ = fib_maker()
+    kf, table = make(), make().support_table(5)
+
+    def refuse(*args):
+        raise AssertionError("the Kirchhoff walk enumerated paths")
+    for name in ("reduced_paths", "extensions_left", "extensions_right"):
+        monkeypatch.setattr(Graph, name, refuse)
+    assert verify_kolmogorov(kf, 4, 1e-12).passed
+    assert verify_kolmogorov(table, 4, 1e-12).passed
+
+
+def wide_rose_doc(n, seed):
+    """A positive map of the rose with n edges: each letter goes to the next
+    letter and one or two random letters."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    images = [[names[(i + 1) % n]] + rng.choices(names, k=rng.randint(1, 2))
+              for i in range(n)]
+    edges = " ".join(f"edge {x}: * -> * ;" for x in names)
+    rules = " ".join(f"{x} -> {' '.join(image)} ;" for x, image in zip(names, images))
+    return f"graph W {{ vertices: * ; {edges} }}\nmap w: W -> W {{ {rules} }}\n"
+
+
+def test_wide_rose_verifies(tmp_path, capsys):
+    """``verify`` on a 40-edge rose passes its five suites at length 3."""
+    path = tmp_path / "wide40.tt"
+    path.write_text(wide_rose_doc(40, 40), encoding="utf-8")
+    assert main(["verify", str(path), "--map", "w", "--max-len", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(": pass (" in line for line in lines), lines
 
 
 @pytest.mark.parametrize("tol", [1e-12, 0.0], ids=["tol-1e-12", "tol-0"])
